@@ -8,7 +8,7 @@
 //! measured: parse [`Args`], size the run with [`Args::smoke`] /
 //! [`threads`], offer load with [`drive`], and finish with [`export`].
 
-use ftr_sim::{SimEngine, TrafficSource};
+use ftr_sim::{Network, TrafficSource};
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -68,7 +68,7 @@ pub fn threads() -> usize {
 /// and an injection the network refuses is simply load not offered (the
 /// engine counts it in `rejected_sends`). Drivers that need a drain run
 /// it themselves — budgets differ per experiment.
-pub fn drive(net: &mut dyn SimEngine, tf: &mut TrafficSource, cycles: u64) {
+pub fn drive(net: &mut Network, tf: &mut TrafficSource, cycles: u64) {
     for _ in 0..cycles {
         for (src, dst, len) in tf.tick(net.topo(), net.faults()) {
             let _ = net.send(src, dst, len);
@@ -90,7 +90,7 @@ pub fn export(name: &str, payload: &str) -> PathBuf {
 mod tests {
     use super::*;
     use ftr_algos::XyRouting;
-    use ftr_sim::{Network, Pattern};
+    use ftr_sim::Pattern;
     use ftr_topo::Mesh2D;
     use std::sync::Arc;
 
@@ -111,7 +111,7 @@ mod tests {
     }
 
     #[test]
-    fn drive_offers_load_through_the_engine_facade() {
+    fn drive_offers_load_through_the_engine() {
         let mesh = Mesh2D::new(4, 4);
         let mut net = Network::builder(Arc::new(mesh.clone()))
             .build(&XyRouting::new(mesh))

@@ -173,17 +173,6 @@ impl Channels {
         self.out_reg[n * self.geo.degree + p].as_ref()
     }
 
-    pub fn out_assigned(&self, n: usize, p: usize) -> u32 {
-        self.out_assigned[n * self.geo.degree + p]
-    }
-
-    /// Whether output VC `(p, v)` of node `n` is allocatable (idle +
-    /// credit) — mirrors [`ChanRef::out_channel_free`].
-    pub fn out_channel_free(&self, n: usize, p: usize, v: usize) -> bool {
-        let c = self.oc(n, p, v);
-        self.out_owner[c].is_none() && self.out_credits[c] > 0
-    }
-
     pub fn staging(&self, n: usize) -> &VecDeque<Flit> {
         &self.staging[n]
     }

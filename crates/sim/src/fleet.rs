@@ -25,11 +25,9 @@
 //! journal codec in one place, so the codec cannot drift from the type
 //! it encodes.
 
-use crate::sweep::panic_message;
-use crossbeam::thread;
+use crate::sweep::{par_map, unwrap_or_report};
 use std::collections::HashMap;
 use std::io::Write;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 /// One campaign job: how to key, execute and journal a run.
@@ -117,20 +115,11 @@ pub fn run_fleet<J: FleetJob>(
         }
     }
 
-    let slots: Vec<parking_lot::Mutex<Option<std::thread::Result<J::Output>>>> =
-        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-    let mut pending: Vec<usize> = Vec::new();
-    let mut resumed = 0usize;
-    for (i, key) in keys.iter().enumerate() {
-        match journal.get(key).map(|p| job.decode(p)) {
-            Some(Ok(out)) => {
-                *slots[i].lock() = Some(Ok(out));
-                resumed += 1;
-            }
-            _ => pending.push(i),
-        }
-    }
+    let mut results: Vec<Option<std::thread::Result<J::Output>>> =
+        keys.iter().map(|key| journal.get(key).and_then(|p| job.decode(p).ok()).map(Ok)).collect();
+    let pending: Vec<usize> = (0..n).filter(|&i| results[i].is_none()).collect();
     let executed = pending.len();
+    let resumed = n - executed;
 
     if !pending.is_empty() {
         if let Some(dir) = manifest.parent() {
@@ -141,57 +130,34 @@ pub fn run_fleet<J: FleetJob>(
         let writer = parking_lot::Mutex::new(
             std::fs::OpenOptions::new().create(true).append(true).open(manifest)?,
         );
-
-        let threads = max_threads.max(1).min(pending.len());
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let pending_ref = &pending;
-        let keys_ref = &keys;
-        let slots_ref = &slots;
-        let writer_ref = &writer;
-        thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|_| loop {
-                    let p = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&i) = pending_ref.get(p) else { break };
-                    let out = catch_unwind(AssertUnwindSafe(|| job.run(&inputs[i])));
-                    if let Ok(out) = &out {
-                        // journal before publishing: a run only counts as
-                        // complete once its line is durably appended
-                        let line = format!("{} {}\n", keys_ref[i], job.encode(out));
-                        debug_assert_eq!(line.matches('\n').count(), 1, "payload must be one line");
-                        let mut w = writer_ref.lock();
-                        if w.write_all(line.as_bytes()).and_then(|()| w.flush()).is_err() {
-                            // the run itself succeeded; keep its output and
-                            // let a future resume re-execute it instead
-                        }
-                    }
-                    *slots_ref[i].lock() = Some(out);
-                });
-            }
-        })
-        .expect("fleet worker panicked outside a run");
-    }
-
-    let mut outs = Vec::with_capacity(n);
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner() {
-            Some(Ok(o)) => outs.push(o),
-            Some(Err(payload)) => failures.push((i, panic_message(payload.as_ref()))),
-            None => failures.push((i, "run never executed".to_string())),
+        let ran = par_map(executed, max_threads, |p| {
+            let i = pending[p];
+            let out = job.run(&inputs[i]);
+            // journal before publishing: a run only counts as complete
+            // once its line is durably appended
+            let line = format!("{} {}\n", keys[i], job.encode(&out));
+            debug_assert_eq!(line.matches('\n').count(), 1, "payload must be one line");
+            let mut w = writer.lock();
+            // a failed append is not fatal: the run itself succeeded, so keep
+            // its output and let a future resume re-execute it instead
+            let _ = w.write_all(line.as_bytes()).and_then(|()| w.flush());
+            out
+        });
+        for (&i, r) in pending.iter().zip(ran) {
+            results[i] = Some(r);
         }
     }
-    if !failures.is_empty() {
-        let list: Vec<String> =
-            failures.iter().map(|(i, m)| format!("run {}: {m}", keys[*i])).collect();
-        panic!("fleet: {} of {n} runs panicked — {}", failures.len(), list.join("; "));
-    }
+
+    let results = results.into_iter().map(|r| r.expect("resumed or executed")).collect();
+    let outs = unwrap_or_report(results, "fleet", "runs", |i| format!("run {}", keys[i]));
     Ok(FleetOutcome { outs, resumed, executed })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::panic_message;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Doubles its input; counts executions so tests can tell a resumed

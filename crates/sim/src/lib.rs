@@ -59,7 +59,6 @@
 
 mod arena;
 pub mod detect;
-pub mod engine;
 pub mod envlock;
 pub mod fleet;
 pub mod flit;
@@ -72,7 +71,6 @@ pub mod sweep;
 pub mod traffic;
 
 pub use detect::{Detector, DetectorConfig, DetectorController, WithDetection};
-pub use engine::SimEngine;
 pub use fleet::{run_fleet, FleetJob, FleetOutcome};
 pub use flit::{Flit, FlitKind, Header, MessageId};
 pub use network::{BuildError, Network, NetworkBuilder, RetryPolicy, SendError, SimConfig};

@@ -1,0 +1,414 @@
+//! The data path: the node-local phase functions one shard runs between
+//! two barriers — link traversal, injection, routing decisions, ejection
+//! and switch allocation — and the per-shard scratch that carries what
+//! crosses a shard boundary to the master.
+
+#![allow(clippy::needless_range_loop)] // index loops mirror the hardware structure
+
+use super::closes_worm;
+use super::view::{probe_wants, ViewData};
+use super::SimConfig;
+use crate::arena::ChanRef;
+use crate::flit::{Flit, MessageId};
+use crate::router::{DecisionPhase, RouteState};
+use crate::routing::{NodeController, Verdict};
+use ftr_obs::{EventKind, RouteOutcome, TraceEvent};
+use ftr_topo::{FaultSet, NodeId, PortId, Topology, VcId};
+
+/// A flit crossing a shard boundary, parked until the phase barrier.
+pub(super) struct Handoff {
+    pub(super) node: u32,
+    pub(super) port: u8,
+    pub(super) vc: u8,
+    pub(super) flit: Flit,
+}
+
+/// A statistics update recorded inside a shard and replayed by the master
+/// at the barrier (SimStats is not sharded; all its accumulators commute,
+/// and shard-order replay reproduces the sequential update order).
+pub(super) enum StatOp {
+    /// Decision-step count of a newly counted routing decision.
+    Decision(u64),
+    /// A head flit reached its destination with this hop count.
+    HeadArrival(MessageId, u32),
+    /// A tail ejected: the message is delivered at the current cycle.
+    Deliver(MessageId),
+}
+
+/// Per-shard working storage: everything a shard produces that crosses its
+/// node range is buffered here and applied by the master at the barrier,
+/// in shard order.
+#[derive(Default)]
+pub(super) struct ShardScratch {
+    /// In-shard nodes that received their first flit this cycle.
+    pub(super) newly_active: Vec<u32>,
+    /// Flits destined for another shard's input FIFOs.
+    pub(super) handoff: Vec<Handoff>,
+    /// Messages whose flit was caught on a just-dead link (pre-filter; the
+    /// master applies the liveness check).
+    pub(super) dropped: Vec<MessageId>,
+    /// Messages declared unroutable by this shard's routing decisions.
+    pub(super) unroutable: Vec<MessageId>,
+    /// Credits to return upstream after switch allocation: `(node, port,
+    /// vc)` of the freed input slot.
+    pub(super) credit_returns: Vec<(u32, u8, u8)>,
+    /// Trace events in shard-local emission order.
+    pub(super) events: Vec<TraceEvent>,
+    /// Stats updates in shard-local order.
+    pub(super) ops: Vec<StatOp>,
+    /// Per-input-port "moved a flit this cycle" flags (reused per node).
+    pub(super) used: Vec<bool>,
+    /// Whether this shard moved any flit this cycle.
+    pub(super) moved: bool,
+}
+
+impl ShardScratch {
+    /// Buffers a trace event for the barrier flush (the closure only runs
+    /// when a sink is attached).
+    #[inline]
+    fn emit(&mut self, ctx: &StepCtx<'_>, kind: impl FnOnce() -> EventKind) {
+        if ctx.sink_on {
+            self.events.push(TraceEvent { cycle: ctx.cycle, kind: kind() });
+        }
+    }
+}
+
+/// Immutable per-step context shared by every shard.
+pub(super) struct StepCtx<'a> {
+    pub(super) topo: &'a dyn Topology,
+    pub(super) faults: &'a FaultSet,
+    pub(super) cfg: SimConfig,
+    pub(super) vcs: usize,
+    pub(super) degree: usize,
+    pub(super) cycle: u64,
+    pub(super) sink_on: bool,
+}
+
+/// Which phase bundle a [`run_shard`] call executes.
+#[derive(Clone, Copy)]
+pub(super) enum PhaseKind {
+    /// Link traversal: output registers -> downstream input FIFOs.
+    Link,
+    /// Injection (staging -> injection FIFO) then routing decisions.
+    InjectRoute,
+    /// Ejection then switch allocation.
+    EjectSwitch,
+}
+
+/// One shard's slice of the world for a phase run.
+pub(super) struct ShardTask<'a> {
+    /// Owned node range `lo..hi`.
+    pub(super) lo: usize,
+    pub(super) hi: usize,
+    pub(super) ch: ChanRef<'a>,
+    pub(super) ctrls: &'a mut [Box<dyn NodeController>],
+    pub(super) scr: &'a mut ShardScratch,
+    /// Working set restricted to this shard (global ids, ascending).
+    pub(super) cur: &'a [u32],
+    /// Extended working set restricted to this shard.
+    pub(super) cur_ext: &'a [u32],
+}
+
+/// Executes one phase bundle for one shard. Free function so it can run
+/// on a scoped worker thread without borrowing the `Network`.
+pub(super) fn run_shard(ctx: &StepCtx<'_>, phase: PhaseKind, t: &mut ShardTask<'_>) {
+    match phase {
+        PhaseKind::Link => phase_link(ctx, t),
+        PhaseKind::InjectRoute => {
+            phase_inject(ctx, t);
+            phase_route(ctx, t);
+        }
+        PhaseKind::EjectSwitch => phase_eject_switch(ctx, t),
+    }
+}
+
+/// Link traversal: drains each active node's output registers into the
+/// downstream input FIFOs (in-shard) or the handoff queue (cross-shard).
+fn phase_link(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
+    for &ni in t.cur {
+        let n = NodeId(ni);
+        let ni = ni as usize;
+        for p in 0..ctx.degree {
+            let Some((vc, flit)) = t.ch.take_out_reg(ni, p) else {
+                continue;
+            };
+            let port = PortId(p as u8);
+            if !ctx.faults.link_usable(ctx.topo, n, port) {
+                // caught on a just-dead link — the master applies the
+                // liveness gate and kills through the normal path
+                t.scr.dropped.push(flit.msg);
+                continue;
+            }
+            let m = ctx.topo.neighbor(n, port).expect("usable link");
+            let q = ctx.topo.port_towards(m, n).expect("reverse");
+            if m.idx() >= t.lo && m.idx() < t.hi {
+                t.ch.fifo_push_back(m.idx(), q.idx(), vc.idx(), flit);
+                t.scr.newly_active.push(m.idx() as u32);
+            } else {
+                t.scr.handoff.push(Handoff { node: m.0, port: q.0, vc: vc.0, flit });
+            }
+            t.scr.moved = true;
+        }
+    }
+}
+
+/// Injection: staging queue -> injection FIFO, bounded by buffer depth.
+fn phase_inject(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
+    for &ni in t.cur {
+        let ni = ni as usize;
+        while !t.ch.staging(ni).is_empty()
+            && t.ch.fifo_len(ni, ctx.degree, 0) < ctx.cfg.buffer_depth as usize
+        {
+            let f = t.ch.staging_mut(ni).pop_front().expect("checked");
+            t.ch.fifo_push_back(ni, ctx.degree, 0, f);
+            t.scr.moved = true;
+        }
+    }
+}
+
+/// Routing decisions over the extended working set.
+fn phase_route(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
+    for &ni in t.cur_ext {
+        let n = NodeId(ni);
+        if ctx.faults.node_faulty(n) {
+            continue;
+        }
+        for ip in 0..=ctx.degree {
+            let lanes = if ip == ctx.degree { 1 } else { ctx.vcs };
+            for iv in 0..lanes {
+                route_one(ctx, t, n, ip, iv);
+            }
+        }
+    }
+}
+
+/// Decision handling for one input VC.
+fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv: usize) {
+    let ni = n.idx();
+    if t.ch.route(ni, ip, iv) != RouteState::Unrouted {
+        return;
+    }
+    let Some(header_copy) = t.ch.fifo_front(ni, ip, iv).and_then(|f| f.header()).copied() else {
+        return;
+    };
+
+    // advance the decision countdown
+    match t.ch.phase_of(ni, ip, iv) {
+        Some(DecisionPhase::Waiting(c)) if c > 1 => {
+            t.ch.set_phase(ni, ip, iv, Some(DecisionPhase::Waiting(c - 1)));
+            return;
+        }
+        Some(DecisionPhase::Waiting(_)) => {
+            // latency elapsed this cycle: consult and apply below
+            t.ch.set_phase(ni, ip, iv, Some(DecisionPhase::Ready));
+        }
+        Some(DecisionPhase::Ready) | None => {}
+    }
+
+    let in_port = if ip < ctx.degree { Some(PortId(ip as u8)) } else { None };
+
+    // destination reached: deliver without consulting the algorithm
+    if header_copy.dst == n {
+        t.ch.set_route(ni, ip, iv, RouteState::Local);
+        let first = !t.ch.counted(ni, ip, iv);
+        t.ch.set_counted(ni, ip, iv, true);
+        if first {
+            t.scr.ops.push(StatOp::Decision(0));
+            t.scr.emit(ctx, || EventKind::RouteDecision {
+                node: n,
+                msg: header_copy.msg.0,
+                in_port,
+                in_vc: VcId(iv as u8),
+                outcome: RouteOutcome::Deliver,
+                steps: 0,
+                misrouted: header_copy.misrouted,
+            });
+        }
+        return;
+    }
+
+    // consult the controller
+    let vd = ViewData::live(ctx.topo, ctx.faults, n, ctx.vcs, &t.ch);
+    let mut header = header_copy;
+    let dec =
+        t.ctrls[ni - t.lo].route(&vd.view(n, ctx.cycle), &mut header, in_port, VcId(iv as u8));
+    // write back header updates
+    if let Some(h) = t.ch.fifo_front_mut(ni, ip, iv).and_then(|f| f.header_mut()) {
+        *h = header;
+    }
+
+    let first_sight = t.ch.phase_of(ni, ip, iv).is_none();
+    if first_sight {
+        if !t.ch.counted(ni, ip, iv) {
+            t.ch.set_counted(ni, ip, iv, true);
+            t.scr.ops.push(StatOp::Decision(dec.steps as u64));
+            t.scr.emit(ctx, || EventKind::RouteDecision {
+                node: n,
+                msg: header_copy.msg.0,
+                in_port,
+                in_vc: VcId(iv as u8),
+                outcome: match dec.verdict {
+                    Verdict::Route(p, v) => RouteOutcome::Routed(p, v),
+                    Verdict::Deliver => RouteOutcome::Deliver,
+                    Verdict::Wait => RouteOutcome::Wait,
+                    Verdict::Unroutable => RouteOutcome::Unroutable,
+                },
+                steps: dec.steps,
+                misrouted: header.misrouted,
+            });
+        }
+        // Modeled decision latency: steps × cycles-per-step total cycles,
+        // of which this (first-sight) cycle is one. A cost of 0 or 1
+        // resolves combinationally — the verdict applies this same cycle —
+        // while a cost of c ≥ 2 inserts c − 1 explicit waiting cycles.
+        // Zero cost arises legitimately (zero-weighted rules, or
+        // `decision_cycles_per_step == 0` modeling a free decision stage)
+        // and behaves exactly like cost 1; no clamping needed.
+        let delay = dec.steps.saturating_mul(ctx.cfg.decision_cycles_per_step);
+        if delay > 1 {
+            t.ch.set_phase(ni, ip, iv, Some(DecisionPhase::Waiting(delay - 1)));
+            return;
+        }
+        t.ch.set_phase(ni, ip, iv, Some(DecisionPhase::Ready));
+    }
+
+    // apply the verdict (Ready state retries for free on contention)
+    match dec.verdict {
+        Verdict::Deliver => {
+            t.ch.set_route(ni, ip, iv, RouteState::Local);
+        }
+        Verdict::Wait => {
+            // trace completeness: a waiting head never reaches the
+            // VcStall path (the controller withheld the grant), so the
+            // blocked cycle and the channels that would unblock it are
+            // recorded here — the diagnoser's wait-for edges
+            if ctx.sink_on {
+                let ctrl = t.ctrls[ni - t.lo].as_mut();
+                let wants = probe_wants(ctx, ctrl, n, &header, in_port, VcId(iv as u8));
+                t.scr.emit(ctx, || EventKind::RouteWait { node: n, msg: header_copy.msg.0, wants });
+            }
+        }
+        Verdict::Unroutable => {
+            t.scr.unroutable.push(header_copy.msg);
+        }
+        Verdict::Route(p, v) => {
+            let ok = p.idx() < ctx.degree
+                && v.idx() < ctx.vcs
+                && ctx.faults.link_usable(ctx.topo, n, p)
+                && t.ch.out_channel_free(ni, p.idx(), v.idx());
+            let msg = header_copy.msg.0;
+            if ok {
+                t.ch.set_out_owner(ni, p.idx(), v.idx(), Some(header_copy.msg));
+                t.ch.set_route(ni, ip, iv, RouteState::Out(p, v));
+                t.ch.set_misrouted(ni, ip, iv, header.misrouted);
+                t.ch.add_out_assigned(ni, p.idx(), header_copy.len_flits);
+                t.scr.emit(ctx, || EventKind::VcAcquire { node: n, msg, port: p, vc: v });
+            } else {
+                // granted a route but the output channel is unusable
+                // this cycle: a VC-allocation stall
+                t.scr.emit(ctx, || EventKind::VcStall { node: n, msg, port: p, vc: v });
+            }
+        }
+    }
+}
+
+/// Ejection then switch allocation over the extended working set.
+fn phase_eject_switch(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
+    let nports = ctx.degree + 1;
+    for &ni in t.cur_ext {
+        let n = NodeId(ni);
+        let ni = ni as usize;
+        t.scr.used.clear();
+        t.scr.used.resize(nports, false);
+
+        // ejection first (delivery has priority on the input port)
+        for ip in 0..nports {
+            if t.scr.used[ip] {
+                continue;
+            }
+            let lanes = if ip == ctx.degree { 1 } else { ctx.vcs };
+            for iv in 0..lanes {
+                if t.ch.route(ni, ip, iv) != RouteState::Local || t.ch.fifo_len(ni, ip, iv) == 0 {
+                    continue;
+                }
+                let flit = t.ch.fifo_pop_front(ni, ip, iv).expect("checked");
+                t.scr.moved = true;
+                t.scr.used[ip] = true;
+                if let Some(h) = flit.header() {
+                    t.scr.ops.push(StatOp::HeadArrival(flit.msg, h.hops));
+                }
+                if closes_worm(&flit) {
+                    t.scr.ops.push(StatOp::Deliver(flit.msg));
+                    t.scr.emit(ctx, || EventKind::Deliver { node: n, msg: flit.msg.0 });
+                    t.ch.reset_route(ni, ip, iv);
+                }
+                if ip < ctx.degree {
+                    t.scr.credit_returns.push((ni as u32, ip as u8, iv as u8));
+                }
+                break; // one flit per input port
+            }
+        }
+
+        // switch: one flit per output port, round-robin over inputs
+        for p in 0..ctx.degree {
+            if t.ch.out_reg(ni, p).is_some() {
+                continue;
+            }
+            let slots = nports * ctx.vcs;
+            let start = t.ch.rr(ni, p) as usize;
+            let mut winner: Option<(usize, usize, VcId)> = None;
+            // two passes when fairness for misrouted messages is on:
+            // first only misrouted candidates, then everyone
+            let passes: &[bool] =
+                if ctx.cfg.prioritize_misrouted { &[true, false] } else { &[false] };
+            'arb: for &misrouted_only in passes {
+                for off in 0..slots {
+                    let s = (start + off) % slots;
+                    let ip = s / ctx.vcs;
+                    let iv = s % ctx.vcs;
+                    let lanes = if ip == ctx.degree { 1 } else { ctx.vcs };
+                    if iv >= lanes || t.scr.used[ip] {
+                        continue;
+                    }
+                    if misrouted_only && !t.ch.misrouted(ni, ip, iv) {
+                        continue;
+                    }
+                    let RouteState::Out(op, ov) = t.ch.route(ni, ip, iv) else { continue };
+                    if op.idx() != p || t.ch.fifo_len(ni, ip, iv) == 0 {
+                        continue;
+                    }
+                    if t.ch.out_credits(ni, p, ov.idx()) == 0 {
+                        continue;
+                    }
+                    winner = Some((ip, iv, ov));
+                    t.ch.set_rr(ni, p, ((s + 1) % slots) as u32);
+                    break 'arb;
+                }
+            }
+            let Some((ip, iv, ov)) = winner else { continue };
+            t.scr.used[ip] = true;
+            let mut flit = t.ch.fifo_pop_front(ni, ip, iv).expect("winner has flit");
+            t.scr.moved = true;
+            if let Some(h) = flit.header_mut() {
+                h.hops += 1;
+            }
+            if closes_worm(&flit) {
+                t.ch.reset_route(ni, ip, iv);
+                t.ch.set_out_owner(ni, p, ov.idx(), None);
+                t.scr.emit(ctx, || EventKind::VcRelease {
+                    node: n,
+                    msg: flit.msg.0,
+                    port: PortId(p as u8),
+                    vc: ov,
+                });
+            }
+            let c = t.ch.out_credits(ni, p, ov.idx());
+            t.ch.set_out_credits(ni, p, ov.idx(), c - 1);
+            t.ch.sub_out_assigned_sat(ni, p, 1);
+            t.ch.set_out_reg(ni, p, Some((ov, flit)));
+            if ip < ctx.degree {
+                t.scr.credit_returns.push((ni as u32, ip as u8, iv as u8));
+            }
+        }
+    }
+}

@@ -20,6 +20,65 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Parallel map over `0..n`: runs `job(i)` for every index on up to
+/// `max_threads` scoped workers and returns each job's
+/// [`std::thread::Result`] in index order. Every job runs under
+/// `catch_unwind`, so one panicking index never cancels the others.
+pub(crate) fn par_map<O, F>(n: usize, max_threads: usize, job: F) -> Vec<std::thread::Result<O>>
+where
+    O: Send,
+    F: Fn(usize) -> O + Sync,
+{
+    // one lock per output slot: writers never contend with each other (each
+    // index is claimed by exactly one worker), unlike a single global mutex
+    // around the whole result vector which serialises every store
+    let slots: Vec<parking_lot::Mutex<Option<std::thread::Result<O>>>> =
+        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+    // indices are handed out through a shared atomic cursor (Relaxed is
+    // enough: fetch_add is an atomic RMW, so every index is claimed exactly
+    // once, and the scope join publishes the slot writes)
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
+    thread::scope(|s| {
+        for _ in 0..max_threads.max(1).min(n) {
+            s.spawn(|_| loop {
+                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let out = catch_unwind(AssertUnwindSafe(|| job(i)));
+                *slots[i].lock() = Some(out);
+            });
+        }
+    })
+    .expect("worker panicked outside a job");
+    slots.into_iter().map(|s| s.into_inner().expect("every index ran before the join")).collect()
+}
+
+/// Unwraps index-aligned job results, or re-raises every failure as one
+/// panic of the form `"{what}: k of n {noun} panicked — {name(i)}: payload; …"`.
+pub(crate) fn unwrap_or_report<O>(
+    results: Vec<std::thread::Result<O>>,
+    what: &str,
+    noun: &str,
+    name: impl Fn(usize) -> String,
+) -> Vec<O> {
+    let n = results.len();
+    let mut outs = Vec::with_capacity(n);
+    let mut failures: Vec<String> = Vec::new();
+    for (i, r) in results.into_iter().enumerate() {
+        match r {
+            Ok(o) => outs.push(o),
+            Err(payload) => {
+                failures.push(format!("{}: {}", name(i), panic_message(payload.as_ref())))
+            }
+        }
+    }
+    if !failures.is_empty() {
+        panic!("{what}: {} of {n} {noun} panicked — {}", failures.len(), failures.join("; "));
+    }
+    outs
+}
+
 /// Runs `job` for every element of `inputs` in parallel (bounded by
 /// `max_threads`) and returns the results in input order.
 ///
@@ -34,54 +93,8 @@ where
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    let n = inputs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = max_threads.max(1).min(n);
-    // one lock per output slot: writers never contend with each other (each
-    // index is claimed by exactly one worker), unlike a single global mutex
-    // around the whole result vector which serialises every store
-    let slots: Vec<parking_lot::Mutex<Option<std::thread::Result<O>>>> =
-        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-
-    // hand out (index, input) pairs through a shared atomic cursor
-    // (Relaxed is enough: fetch_add is an atomic RMW, so every index is
-    // claimed exactly once, and the scope join publishes the slot writes)
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let inputs_ref = &inputs;
-    let job_ref = &job;
-    let slots_ref = &slots;
-
-    thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = catch_unwind(AssertUnwindSafe(|| job_ref(&inputs_ref[i])));
-                *slots_ref[i].lock() = Some(out);
-            });
-        }
-    })
-    .expect("sweep worker panicked outside a job");
-
-    let mut outs = Vec::with_capacity(n);
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner() {
-            Some(Ok(o)) => outs.push(o),
-            Some(Err(payload)) => failures.push((i, panic_message(payload.as_ref()))),
-            None => failures.push((i, "slot never ran".to_string())),
-        }
-    }
-    if !failures.is_empty() {
-        let list: Vec<String> =
-            failures.iter().map(|(i, m)| format!("input index {i}: {m}")).collect();
-        panic!("sweep: {} of {n} jobs panicked — {}", failures.len(), list.join("; "));
-    }
-    outs
+    let results = par_map(inputs.len(), max_threads, |i| job(&inputs[i]));
+    unwrap_or_report(results, "sweep", "jobs", |i| format!("input index {i}"))
 }
 
 /// Default sweep parallelism: the machine's logical CPU count.

@@ -2,6 +2,9 @@
 //! worm kills, link/node repair, source retransmission, and the rejected
 //! injection path — with the accounting invariant checked on every cycle.
 
+mod common;
+
+use common::{mesh_net, Xy};
 use ftr_obs::{EventKind, RingSink};
 use ftr_sim::detect::{DetectorConfig, WithDetection};
 use ftr_sim::flit::Header;
@@ -10,66 +13,13 @@ use ftr_sim::routing::{
     ControlMsg, Decision, NodeController, RouterView, RoutingAlgorithm, Verdict,
 };
 use ftr_sim::{Network, RetryPolicy, SendError, SimConfig};
-use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, EAST, NORTH, SOUTH, WEST};
+use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, EAST, WEST};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// XY dimension-order routing that declares a message unroutable when the
-/// required link is dead (so transient faults terminate messages instead
-/// of stalling them forever — exactly what the retry policy recovers).
-struct Xy(Mesh2D);
-struct XyCtl(Mesh2D);
-
-impl RoutingAlgorithm for Xy {
-    fn name(&self) -> String {
-        "xy-lifecycle".into()
-    }
-    fn num_vcs(&self) -> usize {
-        1
-    }
-    fn controller(&self, _t: &dyn Topology, _n: NodeId) -> Box<dyn NodeController> {
-        Box::new(XyCtl(self.0.clone()))
-    }
-}
-
-impl NodeController for XyCtl {
-    fn route(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &mut Header,
-        _ip: Option<PortId>,
-        _iv: VcId,
-    ) -> Decision {
-        let (dx, dy) = self.0.offset(view.node, h.dst);
-        let p = if dx > 0 {
-            EAST
-        } else if dx < 0 {
-            WEST
-        } else if dy > 0 {
-            NORTH
-        } else {
-            SOUTH
-        };
-        if !view.link_alive[p.idx()] {
-            return Decision::new(Verdict::Unroutable, 1);
-        }
-        if view.out_free[p.idx()][0] {
-            Decision::new(Verdict::Route(p, VcId(0)), 1)
-        } else {
-            Decision::new(Verdict::Wait, 1)
-        }
-    }
-}
-
-fn mesh_net(side: u32) -> (Arc<Mesh2D>, Network) {
-    let topo = Arc::new(Mesh2D::new(side, side));
-    let net = Network::builder(topo.clone()).build(&Xy((*topo).clone())).expect("valid");
-    (topo, net)
-}
-
 #[test]
 fn send_to_faulty_endpoint_is_rejected_not_fatal() {
-    let (topo, mut net) = mesh_net(4);
+    let (topo, mut net) = mesh_net(4, 1, SimConfig::default());
     net.inject_node_fault(topo.node_at(2, 2));
     assert_eq!(net.send(topo.node_at(2, 2), topo.node_at(0, 0), 4), Err(SendError::FaultySource));
     assert_eq!(
@@ -86,7 +36,7 @@ fn send_to_faulty_endpoint_is_rejected_not_fatal() {
 
 #[test]
 fn fault_plan_drives_injections_and_repairs_from_step() {
-    let (topo, mut net) = mesh_net(4);
+    let (topo, mut net) = mesh_net(4, 1, SimConfig::default());
     let n = topo.node_at(1, 1);
     let plan = FaultPlan::new()
         .transient_link(10, n, EAST, 40)
@@ -111,7 +61,7 @@ fn fault_plan_drives_injections_and_repairs_from_step() {
 
 #[test]
 fn transient_link_fault_round_trip_with_per_cycle_accounting() {
-    let (topo, mut net) = mesh_net(4);
+    let (topo, mut net) = mesh_net(4, 1, SimConfig::default());
     let src = topo.node_at(0, 1);
     let dst = topo.node_at(3, 1);
     // fail the link mid-worm, repair it 50 cycles later
@@ -158,7 +108,7 @@ fn retry_policy_recovers_what_the_baseline_loses() {
         if let Some(rp) = retry {
             b = b.retry(rp);
         }
-        let mut net = b.build(&Xy((*topo).clone())).expect("valid");
+        let mut net = b.build(&Xy::new((*topo).clone())).expect("valid");
         net.set_measuring(true);
         net.send(topo.node_at(0, 1), topo.node_at(3, 1), 24).expect("alive");
         let drained = net.drain(2_000);
@@ -189,7 +139,7 @@ fn retry_policy_recovers_what_the_baseline_loses() {
 
 #[test]
 fn retry_exhaustion_abandons_and_accounts() {
-    let (topo, mut net) = mesh_net(4);
+    let (topo, mut net) = mesh_net(4, 1, SimConfig::default());
     net.set_retry_policy(Some(RetryPolicy { max_attempts: 3, backoff_cycles: 10 }));
     // permanent fault on the XY path: every attempt dies unroutable
     net.inject_link_fault(topo.node_at(1, 1), EAST);
@@ -204,7 +154,7 @@ fn retry_exhaustion_abandons_and_accounts() {
 
 #[test]
 fn retry_to_dead_endpoint_is_abandoned_not_stuck() {
-    let (topo, mut net) = mesh_net(4);
+    let (topo, mut net) = mesh_net(4, 1, SimConfig::default());
     net.set_retry_policy(Some(RetryPolicy { max_attempts: 10, backoff_cycles: 10 }));
     net.send(topo.node_at(0, 1), topo.node_at(3, 1), 24).expect("alive");
     net.run(6);
@@ -337,7 +287,8 @@ fn silent_fault_keeps_physical_effect_but_skips_notification() {
     let run = |silent: bool| {
         let topo = Arc::new(Mesh2D::new(4, 4));
         let n = topo.node_at(1, 1);
-        let mut net = Network::builder(topo.clone()).build(&Xy((*topo).clone())).expect("valid");
+        let mut net =
+            Network::builder(topo.clone()).build(&Xy::new((*topo).clone())).expect("valid");
         net.send(topo.node_at(0, 1), topo.node_at(3, 1), 24).expect("alive");
         net.run(6);
         if silent {
@@ -393,7 +344,7 @@ fn detector_turns_silent_fault_into_alarms_and_unsuspects_after_repair() {
     let m = topo.node_at(2, 1);
     let sink = Arc::new(RingSink::new(100_000));
     let plan = FaultPlan::new().transient_link(20, n, EAST, 60).silenced();
-    let algo = WithDetection::new(Xy((*topo).clone()), DetectorConfig { miss_threshold: 3 });
+    let algo = WithDetection::new(Xy::new((*topo).clone()), DetectorConfig { miss_threshold: 3 });
     let mut net = Network::builder(topo.clone())
         .tick_period(4)
         .trace(sink.clone())
@@ -436,7 +387,7 @@ fn detector_turns_silent_fault_into_alarms_and_unsuspects_after_repair() {
 fn detector_is_silent_on_fault_free_network() {
     let topo = Arc::new(Mesh2D::new(4, 4));
     let sink = Arc::new(RingSink::new(100_000));
-    let algo = WithDetection::new(Xy((*topo).clone()), DetectorConfig::default());
+    let algo = WithDetection::new(Xy::new((*topo).clone()), DetectorConfig::default());
     let mut net = Network::builder(topo.clone())
         .tick_period(4)
         .trace(sink.clone())
@@ -465,7 +416,7 @@ fn retry_backoff_longer_than_watchdog_is_not_a_deadlock() {
         .config(cfg)
         .retry(RetryPolicy { max_attempts: 4, backoff_cycles: 120 })
         .fault_plan(FaultPlan::new().transient_link(8, topo.node_at(1, 1), EAST, 60))
-        .build(&Xy((*topo).clone()))
+        .build(&Xy::new((*topo).clone()))
         .expect("valid");
     net.send(topo.node_at(0, 1), topo.node_at(3, 1), 24).expect("alive");
     assert!(net.drain(2_000));

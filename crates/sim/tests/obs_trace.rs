@@ -3,66 +3,20 @@
 //! sweep determinism.
 
 use ftr_obs::{EventKind, MetricsRegistry, RingSink};
-use ftr_sim::flit::Header;
-use ftr_sim::routing::{Decision, NodeController, RouterView, RoutingAlgorithm, Verdict};
+mod common;
+
+use common::Xy;
 use ftr_sim::{run_sweep, Network, Pattern, TrafficSource};
-use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, EAST, NORTH, SOUTH, WEST};
+use ftr_topo::{Mesh2D, EAST};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-/// Minimal XY router (same control algorithm as the prop tests).
-struct Xy(Mesh2D);
-struct XyCtl(Mesh2D);
-
-impl RoutingAlgorithm for Xy {
-    fn name(&self) -> String {
-        "obs-xy".into()
-    }
-    fn num_vcs(&self) -> usize {
-        1
-    }
-    fn controller(&self, _t: &dyn Topology, _n: NodeId) -> Box<dyn NodeController> {
-        Box::new(XyCtl(self.0.clone()))
-    }
-}
-
-impl NodeController for XyCtl {
-    fn route(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &mut Header,
-        _ip: Option<PortId>,
-        _iv: VcId,
-    ) -> Decision {
-        let (dx, dy) = self.0.offset(view.node, h.dst);
-        let p = if dx > 0 {
-            EAST
-        } else if dx < 0 {
-            WEST
-        } else if dy > 0 {
-            NORTH
-        } else if dy < 0 {
-            SOUTH
-        } else {
-            return Decision::new(Verdict::Deliver, 1);
-        };
-        if !view.link_alive[p.idx()] {
-            return Decision::new(Verdict::Unroutable, 1);
-        }
-        if view.out_free[p.idx()][0] {
-            Decision::new(Verdict::Route(p, VcId(0)), 1)
-        } else {
-            Decision::new(Verdict::Wait, 1)
-        }
-    }
-}
 
 fn traced_run(seed: u64, cycles: u64, fault_at: Option<u64>) -> (Network, Arc<RingSink>) {
     let mesh = Mesh2D::new(5, 5);
     let sink = Arc::new(RingSink::new(1 << 20));
     let mut net = Network::builder(Arc::new(mesh.clone()))
         .trace(sink.clone())
-        .build(&Xy(mesh.clone()))
+        .build(&Xy::new(mesh.clone()))
         .expect("valid config");
     net.set_measuring(true); // hops/latency accums cover every message
     let mut tf = TrafficSource::new(Pattern::Uniform, 0.1, 4, seed);
@@ -82,8 +36,9 @@ fn traced_run(seed: u64, cycles: u64, fault_at: Option<u64>) -> (Network, Arc<Ri
 #[test]
 fn stats_accounting_balances_throughout_a_faulty_run() {
     let mesh = Mesh2D::new(5, 5);
-    let mut net =
-        Network::builder(Arc::new(mesh.clone())).build(&Xy(mesh.clone())).expect("valid config");
+    let mut net = Network::builder(Arc::new(mesh.clone()))
+        .build(&Xy::new(mesh.clone()))
+        .expect("valid config");
     let mut tf = TrafficSource::new(Pattern::Uniform, 0.15, 4, 7);
     for c in 0..600u64 {
         if c == 200 {
@@ -189,7 +144,7 @@ fn route_wait_events_carry_probed_wants() {
     let sink = Arc::new(RingSink::new(1 << 20));
     let mut net = Network::builder(Arc::new(mesh.clone()))
         .trace(sink.clone())
-        .build(&Xy(mesh.clone()))
+        .build(&Xy::new(mesh.clone()))
         .expect("valid config");
     // heavy uniform load forces contention and therefore Wait verdicts
     let mut tf = TrafficSource::new(Pattern::Uniform, 0.5, 8, 5);
@@ -234,7 +189,7 @@ fn sweep_is_deterministic_across_thread_counts() {
         let registry = Arc::new(MetricsRegistry::new());
         let mut net = Network::builder(Arc::new(mesh.clone()))
             .metrics(registry.clone())
-            .build(&Xy(mesh.clone()))
+            .build(&Xy::new(mesh.clone()))
             .expect("valid config");
         let mut tf = TrafficSource::new(Pattern::Uniform, 0.12, 4, seed);
         net.set_measuring(true);

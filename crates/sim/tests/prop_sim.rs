@@ -1,60 +1,13 @@
 //! Property-based tests of the simulator engine: conservation, delivery
 //! and timing invariants under randomized workloads.
 
-use ftr_sim::flit::Header;
-use ftr_sim::routing::{Decision, NodeController, RouterView, RoutingAlgorithm, Verdict};
+mod common;
+
+use common::Xy;
 use ftr_sim::{FaultAction, FaultPlan, Network, Pattern, RetryPolicy, SimConfig, TrafficSource};
-use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, EAST, NORTH, SOUTH, WEST};
+use ftr_topo::{Mesh2D, NodeId, PortId, Topology};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Minimal XY router used as the known-good control algorithm.
-struct Xy(Mesh2D);
-struct XyCtl(Mesh2D);
-
-impl RoutingAlgorithm for Xy {
-    fn name(&self) -> String {
-        "prop-xy".into()
-    }
-    fn num_vcs(&self) -> usize {
-        1
-    }
-    fn controller(&self, _t: &dyn Topology, _n: NodeId) -> Box<dyn NodeController> {
-        Box::new(XyCtl(self.0.clone()))
-    }
-}
-
-impl NodeController for XyCtl {
-    fn route(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &mut Header,
-        _ip: Option<PortId>,
-        _iv: VcId,
-    ) -> Decision {
-        let (dx, dy) = self.0.offset(view.node, h.dst);
-        let p = if dx > 0 {
-            EAST
-        } else if dx < 0 {
-            WEST
-        } else if dy > 0 {
-            NORTH
-        } else if dy < 0 {
-            SOUTH
-        } else {
-            return Decision::new(Verdict::Deliver, 1);
-        };
-        if !view.link_alive[p.idx()] {
-            // oblivious: a dead link on the fixed path is fatal
-            return Decision::new(Verdict::Unroutable, 1);
-        }
-        if view.out_free[p.idx()][0] {
-            Decision::new(Verdict::Route(p, VcId(0)), 1)
-        } else {
-            Decision::new(Verdict::Wait, 1)
-        }
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -70,7 +23,7 @@ proptest! {
         cycles in 50u64..500,
     ) {
         let mesh = Mesh2D::new(4, 4);
-        let mut net = Network::builder(Arc::new(mesh.clone())).build(&Xy(mesh.clone())).expect("valid config");
+        let mut net = Network::builder(Arc::new(mesh.clone())).build(&Xy::new(mesh.clone())).expect("valid config");
         let mut tf = TrafficSource::new(Pattern::Uniform, rate, len, seed);
         for _ in 0..cycles {
             for (s, d, l) in tf.tick(&mesh, net.faults()) {
@@ -93,7 +46,7 @@ proptest! {
     #[test]
     fn latency_lower_bound(seed in 0u64..1000, len in 1u32..6) {
         let mesh = Mesh2D::new(5, 5);
-        let mut net = Network::builder(Arc::new(mesh.clone())).build(&Xy(mesh.clone())).expect("valid config");
+        let mut net = Network::builder(Arc::new(mesh.clone())).build(&Xy::new(mesh.clone())).expect("valid config");
         net.set_measuring(true);
         let src = NodeId(seed as u32 % 25);
         let dst = NodeId((seed as u32 + 7) % 25);
@@ -119,7 +72,7 @@ proptest! {
         dir in 0u8..4,
     ) {
         let mesh = Mesh2D::new(4, 4);
-        let mut net = Network::builder(Arc::new(mesh.clone())).build(&Xy(mesh.clone())).expect("valid config");
+        let mut net = Network::builder(Arc::new(mesh.clone())).build(&Xy::new(mesh.clone())).expect("valid config");
         let mut tf = TrafficSource::new(Pattern::Uniform, 0.15, 4, seed);
         for c in 0..400u64 {
             if c == fault_cycle {
@@ -150,7 +103,7 @@ proptest! {
         let mut lat = Vec::new();
         for cps in [1u32, steps] {
             let cfg = SimConfig { decision_cycles_per_step: cps, ..Default::default() };
-            let mut net = Network::builder(Arc::new(mesh.clone())).config(cfg).build(&Xy(mesh.clone())).expect("valid config");
+            let mut net = Network::builder(Arc::new(mesh.clone())).config(cfg).build(&Xy::new(mesh.clone())).expect("valid config");
             net.set_measuring(true);
             net.send(src, dst, 2).unwrap();
             prop_assert!(net.drain(10_000));
@@ -164,7 +117,7 @@ proptest! {
     #[test]
     fn throughput_consistency(rate in 0.02f64..0.2, seed in 0u64..200) {
         let mesh = Mesh2D::new(4, 4);
-        let mut net = Network::builder(Arc::new(mesh.clone())).build(&Xy(mesh.clone())).expect("valid config");
+        let mut net = Network::builder(Arc::new(mesh.clone())).build(&Xy::new(mesh.clone())).expect("valid config");
         let mut tf = TrafficSource::new(Pattern::Uniform, rate, 4, seed);
         net.set_measuring(true);
         net.add_measured_cycles(300);
@@ -208,7 +161,7 @@ proptest! {
             if retry {
                 b = b.retry(RetryPolicy { max_attempts: 4, backoff_cycles: 24 });
             }
-            let mut net = b.build(&Xy(mesh.clone())).expect("valid config");
+            let mut net = b.build(&Xy::new(mesh.clone())).expect("valid config");
             net.set_dense_reference(dense);
             net
         };
