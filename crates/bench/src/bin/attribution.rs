@@ -15,11 +15,11 @@
 //!
 //! Usage: `attribution [seed] [load]` (defaults 977, 0.2). Output goes to
 //! stdout and `results/attribution.json`; with `FTR_TRACE_DIR` set the
-//! raw event stream is also kept as JSONL for `ftr-trace` replay.
+//! raw event stream is also kept as an FTB capture for `ftr-trace` replay.
 
 use ftr_algos::Nafta;
 use ftr_bench::{harness, results};
-use ftr_obs::{json, RingSink, TeeSink, TraceSink};
+use ftr_obs::{json, FtbHeader, RingSink};
 use ftr_sim::{FaultPlan, Network, Pattern, RetryPolicy, TrafficSource};
 use ftr_topo::Mesh2D;
 use ftr_trace::{DiagnoserSink, JourneyBook, TraceReport};
@@ -47,17 +47,15 @@ fn main() {
     let plan = FaultPlan::random_transient_links(&mesh, FAULTS, FAULT_WINDOW, REPAIR_AFTER, seed);
     let ring = Arc::new(RingSink::new(1 << 22));
     let diag = Arc::new(DiagnoserSink::default());
-    let mut sinks: Vec<Arc<dyn TraceSink>> = vec![ring.clone(), diag.clone()];
-    let jsonl = results::trace_sink(&format!("attribution_s{seed}"));
-    if let Some(j) = &jsonl {
-        sinks.push(j.clone());
-    }
-    let mut net = Network::builder(Arc::new(mesh.clone()))
-        .trace(Arc::new(TeeSink::new(sinks)))
+    let capture = results::Capture::open(
+        &format!("attribution_s{seed}"),
+        FtbHeader::new().with("geometry", format!("mesh{SIDE}x{SIDE}")).with("seed", seed),
+        vec![ring.clone(), diag.clone()],
+    );
+    let b = Network::builder(Arc::new(mesh.clone()))
         .fault_plan(plan)
-        .retry(RetryPolicy { max_attempts: 2, backoff_cycles: 64 })
-        .build(&Nafta::new(mesh.clone()))
-        .expect("valid config");
+        .retry(RetryPolicy { max_attempts: 2, backoff_cycles: 64 });
+    let mut net = capture.attach(b).build(&Nafta::new(mesh.clone())).expect("valid config");
     // measure from the first injection so the trace and the stats see the
     // same message population — the exactness check below depends on it
     net.set_measuring(true);
@@ -66,10 +64,7 @@ fn main() {
     harness::drive(&mut net, &mut tf, CYCLES);
     assert!(net.drain(DRAIN_BUDGET), "run must drain");
     diag.scan_now();
-    if let Some(j) = &jsonl {
-        j.flush();
-        assert_eq!(j.write_errors(), 0, "trace capture lost events");
-    }
+    capture.finish();
     assert_eq!(ring.dropped(), 0, "ring must hold the full trace");
 
     let mut book = JourneyBook::new();

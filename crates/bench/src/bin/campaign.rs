@@ -19,7 +19,7 @@
 
 use ftr_algos::Nafta;
 use ftr_bench::{harness, results};
-use ftr_obs::{json, TeeSink, TraceSink};
+use ftr_obs::{json, FtbHeader};
 use ftr_sim::sweep::run_sweep;
 use ftr_sim::{FaultPlan, Network, Pattern, RetryPolicy, TrafficSource};
 use ftr_topo::Mesh2D;
@@ -73,7 +73,7 @@ fn run_one(spec: &RunSpec) -> RunOut {
         b = b.retry(RetryPolicy { max_attempts: 8, backoff_cycles: 64 });
     }
     // every run carries the online deadlock diagnoser; with
-    // FTR_TRACE_DIR set the same stream is also captured as JSONL
+    // FTR_TRACE_DIR set the same stream is also captured to disk
     let diag = Arc::new(DiagnoserSink::default());
     let label = format!(
         "campaign_{}_f{}_s{}",
@@ -81,12 +81,12 @@ fn run_one(spec: &RunSpec) -> RunOut {
         spec.faults,
         spec.seed
     );
-    let jsonl = results::trace_sink(&label);
-    b = match &jsonl {
-        Some(j) => b.trace(Arc::new(TeeSink::new(vec![j.clone(), diag.clone()]))),
-        None => b.trace(diag.clone()),
-    };
-    let mut net = b.build(&Nafta::new(mesh.clone())).expect("valid config");
+    let header = FtbHeader::new()
+        .with("geometry", format!("mesh{SIDE}x{SIDE}"))
+        .with("seed", spec.seed)
+        .with("faults", spec.faults);
+    let capture = results::Capture::open(&label, header, vec![diag.clone()]);
+    let mut net = capture.attach(b).build(&Nafta::new(mesh.clone())).expect("valid config");
     net.set_measuring(true);
 
     let mut tf = TrafficSource::new(Pattern::Uniform, spec.load, MSG_LEN, spec.seed ^ 0x5ca1e);
@@ -95,10 +95,7 @@ fn run_one(spec: &RunSpec) -> RunOut {
     harness::drive(&mut net, &mut tf, WARM_CYCLES);
     let drained = net.drain(DRAIN_BUDGET);
     diag.scan_now();
-    if let Some(j) = &jsonl {
-        j.flush();
-        assert_eq!(j.write_errors(), 0, "trace capture lost events");
-    }
+    capture.finish();
 
     let s = &net.stats;
     RunOut {

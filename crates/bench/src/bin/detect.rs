@@ -30,7 +30,7 @@
 
 use ftr_algos::Nafta;
 use ftr_bench::{harness, regress, results};
-use ftr_obs::{json, EventKind, RingSink, TeeSink, TraceSink};
+use ftr_obs::{json, EventKind, FtbHeader, RingSink};
 use ftr_sim::detect::{DetectorConfig, WithDetection, MIN_SAFE_TICK_PERIOD};
 use ftr_sim::{
     FaultAction, FaultPlan, Network, Pattern, RetryPolicy, RoutingAlgorithm, TrafficSource,
@@ -175,24 +175,21 @@ fn campaign_arm(
     let diag = Arc::new(DiagnoserSink::default());
     // with FTR_TRACE_DIR set the arm's full event stream (heartbeats,
     // suspicions, alarms, control drops) is captured for ftr-trace replay
-    let jsonl = results::trace_sink(label);
-    let sink: Arc<dyn TraceSink> = match &jsonl {
-        Some(j) => Arc::new(TeeSink::new(vec![j.clone(), diag.clone()])),
-        None => diag.clone(),
-    };
+    let header = FtbHeader::new().with("geometry", format!("mesh{SIDE}x{SIDE}")).with("seed", seed);
+    let capture = results::Capture::open(label, header, vec![diag.clone()]);
     let mut b = Network::builder(Arc::new(mesh()))
         .fault_plan(plan)
-        .trace(sink)
         .retry(RetryPolicy { max_attempts: 8, backoff_cycles: 64 });
     if period != 0 {
         b = b.tick_period(period);
     }
-    let mut net = b.build(algo).expect("valid");
+    let mut net = capture.attach(b).build(algo).expect("valid");
     net.set_measuring(true);
     let mut tf = TrafficSource::new(Pattern::Uniform, LOAD, MSG_LEN, seed ^ 0x5ca1e);
     harness::drive(&mut net, &mut tf, WARM_CYCLES);
     let drained = net.drain(DRAIN_BUDGET);
     diag.scan_now();
+    capture.finish();
     if expect_live {
         assert!(diag.deadlock().is_none(), "online diagnoser must stay silent on a live arm");
     }

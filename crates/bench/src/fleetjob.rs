@@ -16,7 +16,7 @@
 
 use crate::results;
 use ftr_algos::Nafta;
-use ftr_obs::{json, FtbHeader, TeeSink};
+use ftr_obs::{json, FtbHeader};
 use ftr_sim::{FaultPlan, FleetJob, Network, Pattern, RetryPolicy, TrafficSource};
 use ftr_topo::Mesh2D;
 use ftr_trace::DiagnoserSink;
@@ -119,25 +119,20 @@ impl FleetJob for Campaign {
             REPAIR_AFTER,
             spec.seed,
         );
-        let mut b = Network::builder(Arc::new(mesh.clone()))
+        let b = Network::builder(Arc::new(mesh.clone()))
             .fault_plan(plan)
             .retry(RetryPolicy { max_attempts: 8, backoff_cycles: 64 });
         let diag = Arc::new(DiagnoserSink::default());
-        let label = format!("fleet_s{}_f{}", spec.seed, spec.faults);
-        let ftb = results::ftb_sink(
-            &label,
+        let capture = results::Capture::open(
+            &format!("fleet_s{}_f{}", spec.seed, spec.faults),
             FtbHeader::new()
                 .with("geometry", format!("mesh{SIDE}x{SIDE}"))
                 .with("seed", spec.seed)
-                .with("label", &label)
                 .with("faults", spec.faults)
                 .with("load", spec.load),
+            vec![diag.clone()],
         );
-        b = match &ftb {
-            Some(f) => b.trace(Arc::new(TeeSink::new(vec![f.clone(), diag.clone()]))),
-            None => b.trace(diag.clone()),
-        };
-        let mut net = b.build(&Nafta::new(mesh.clone())).expect("valid config");
+        let mut net = capture.attach(b).build(&Nafta::new(mesh.clone())).expect("valid config");
         net.set_measuring(true);
 
         let mut tf = TrafficSource::new(Pattern::Uniform, spec.load, MSG_LEN, spec.seed ^ 0x5ca1e);
@@ -151,14 +146,7 @@ impl FleetJob for Campaign {
         assert!(drained, "network failed to drain within {DRAIN_BUDGET} cycles");
         assert!(!s.deadlock, "watchdog reported deadlock");
         assert!(diag.deadlock().is_none(), "online diagnoser reported deadlock");
-        let trace_events = match &ftb {
-            Some(f) => {
-                f.finalize().expect("finalize trace capture");
-                assert_eq!(f.write_errors(), 0, "trace capture lost events");
-                f.written()
-            }
-            None => 0,
-        };
+        let trace_events = capture.finish();
 
         Out {
             injected: s.injected_msgs,

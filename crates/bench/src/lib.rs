@@ -7,7 +7,7 @@
 //!
 //! Shared helpers for the binaries live here.
 
-use ftr_obs::TraceSink;
+use ftr_obs::FtbHeader;
 use ftr_sim::routing::RoutingAlgorithm;
 use ftr_sim::{Network, Pattern, SimConfig, TrafficSource};
 use ftr_topo::Topology;
@@ -47,14 +47,15 @@ pub fn measure_load<T: Topology + Clone + 'static>(
     seed: u64,
     cfg: SimConfig,
 ) -> LoadPoint {
-    let mut b = Network::builder(Arc::new(topo.clone())).config(cfg);
-    // with FTR_TRACE_DIR set every measured run leaves a JSONL capture
-    // behind, replayable through `ftr-trace`
-    let trace = results::trace_sink(&format!("sweep_{}_l{offered:.3}_s{seed}", algo.name()));
-    if let Some(sink) = &trace {
-        b = b.trace(sink.clone());
-    }
-    let mut net = b.build(algo).expect("valid config");
+    // with FTR_TRACE_DIR set every measured run leaves a capture behind,
+    // replayable through `ftr-trace`; without it no sink is attached
+    let capture = results::Capture::open(
+        &format!("sweep_{}_l{offered:.3}_s{seed}", algo.name()),
+        FtbHeader::new().with("seed", seed),
+        Vec::new(),
+    );
+    let b = Network::builder(Arc::new(topo.clone())).config(cfg);
+    let mut net = capture.attach(b).build(algo).expect("valid config");
     net.apply_fault_set(faults);
     net.settle_control(1_000_000).expect("control settles");
     let mut tf = TrafficSource::new(pattern, offered, msg_len, seed);
@@ -78,10 +79,7 @@ pub fn measure_load<T: Topology + Clone + 'static>(
     }
     net.set_measuring(false);
     net.drain(20 * window);
-    if let Some(sink) = &trace {
-        sink.flush();
-        assert_eq!(sink.write_errors(), 0, "trace capture lost events");
-    }
+    capture.finish();
 
     LoadPoint {
         offered,

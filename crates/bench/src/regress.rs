@@ -348,7 +348,6 @@ fn inv_vm(v: &Value, out: &mut Vec<String>) {
 
 fn inv_trace(v: &Value, out: &mut Vec<String>) {
     require_positive(v, "events", out);
-    require_positive(v, "jsonl_bytes", out);
     require_positive(v, "ftb_bytes", out);
     require_positive(v, "host_parallelism", out);
     require_positive(v, "decode_events_per_sec", out);
@@ -412,12 +411,20 @@ pub fn gates() -> &'static [Gate] {
     }];
     // E19/E20 wall-clock numbers are machine-bound and noisy on shared
     // runners; their gates are invariant-only (bit-identity and shape)
+    // E21 gates FTB's absolute cost (the ratios to the retired JSON-lines
+    // sink are recorded in EXPERIMENTS.md): the size is deterministic,
+    // the encode rate is wall-clock and gets the wide band
     const TRACE_METRICS: &[MetricSpec] = &[
-        MetricSpec { path: "size_ratio", better: Better::Higher, bar: Some(4.0), rel_tol: None },
         MetricSpec {
-            path: "encode_speedup",
+            path: "bytes_per_event_ftb",
+            better: Better::Lower,
+            bar: Some(16.0),
+            rel_tol: None,
+        },
+        MetricSpec {
+            path: "ftb_encode_events_per_sec",
             better: Better::Higher,
-            bar: Some(2.0),
+            bar: None,
             rel_tol: Some(0.5),
         },
     ];
@@ -519,16 +526,21 @@ mod tests {
     #[test]
     fn rep_arrays_widen_the_band_by_mad() {
         let gate = gate_for("BENCH_trace");
-        let spec = &gate.metrics[1]; // encode_speedup, bar 2.0, rel_tol 0.5
+        let spec = &gate.metrics[1]; // ftb_encode_events_per_sec, rel_tol 0.5
                                      // noisy baseline reps: median 6, MAD 1 → band 0.5·6 + 3·1 = 6
-        let base = json::parse(r#"{"encode_speedup":[5.0,6.0,7.0]}"#).unwrap();
-        let fresh_ok = json::parse(r#"{"encode_speedup":[2.5,3.0,2.8]}"#).unwrap();
+        let base = json::parse(r#"{"ftb_encode_events_per_sec":[5.0,6.0,7.0]}"#).unwrap();
+        let fresh_ok = json::parse(r#"{"ftb_encode_events_per_sec":[0.5,1.0,0.8]}"#).unwrap();
         let mut out = Vec::new();
         check_metric(gate, spec, &fresh_ok, &base, &mut out);
         assert!(out.is_empty(), "inside the MAD-widened band: {out:?}");
-        // below the absolute bar regardless of the band
-        let fresh_bad = json::parse(r#"{"encode_speedup":[1.2,1.1,1.3]}"#).unwrap();
-        check_metric(gate, spec, &fresh_bad, &base, &mut out);
+        // a quiet baseline has no MAD to hide behind: band 0.5·6 = 3
+        let quiet = json::parse(r#"{"ftb_encode_events_per_sec":[6.0,6.0,6.0]}"#).unwrap();
+        check_metric(gate, spec, &fresh_ok, &quiet, &mut out);
+        assert!(out.iter().any(|e| e.contains("regressed")), "{out:?}");
+        // the size bar is absolute, whatever the baseline says
+        let fat = json::parse(r#"{"bytes_per_event_ftb":17.5}"#).unwrap();
+        out.clear();
+        check_metric(gate, &gate.metrics[0], &fat, &fat, &mut out);
         assert!(out.iter().any(|e| e.contains("absolute bar")), "{out:?}");
     }
 

@@ -3,11 +3,12 @@
 //! Every bench binary prints its human-readable table to stdout and, via
 //! [`write_json`], drops the same data as validated JSON into `results/`
 //! so plots and CI checks never scrape the tables. Setting
-//! `FTR_TRACE_DIR` additionally makes the experiment harness attach a
-//! `JsonlSink` per run (see [`trace_sink`]), so any sweep can be
-//! replayed through `ftr-trace` after the fact.
+//! `FTR_TRACE_DIR` additionally makes every simulation the harness runs
+//! leave an FTB capture behind (see [`Capture`]), so any sweep, campaign
+//! or fleet can be replayed through `ftr-trace` after the fact.
 
-use ftr_obs::{json, BinSink, FtbHeader, JsonlSink};
+use ftr_obs::{json, BinSink, FtbHeader, TeeSink, TraceSink};
+use ftr_sim::NetworkBuilder;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -18,44 +19,58 @@ pub fn results_dir() -> PathBuf {
     std::env::var_os("FTR_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
 }
 
-/// Directory JSONL trace captures go to, from the `FTR_TRACE_DIR`
-/// environment variable. `None` (the default) disables trace capture —
-/// simulations then run without a sink and never construct an event.
-pub fn trace_dir() -> Option<PathBuf> {
-    std::env::var_os("FTR_TRACE_DIR").map(PathBuf::from)
+/// One run's trace attachment: the caller's in-process sinks plus, when
+/// the `FTR_TRACE_DIR` environment variable is set, an FTB capture of
+/// the same stream in `<FTR_TRACE_DIR>/<label>.ftb`.
+pub struct Capture {
+    file: Option<Arc<BinSink<std::fs::File>>>,
+    sink: Option<Arc<dyn TraceSink>>,
 }
 
-/// Sanitised trace-capture path: `<FTR_TRACE_DIR>/<label>.<ext>`, with
-/// `label` restricted to `[A-Za-z0-9._-]` so callers can pass algorithm
-/// names (`rule:xy`) or parameter tuples verbatim.
-fn trace_path(label: &str, ext: &str) -> Option<PathBuf> {
-    let dir = trace_dir()?;
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
-    let clean: String = label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') { c } else { '-' })
-        .collect();
-    Some(dir.join(format!("{clean}.{ext}")))
-}
+impl Capture {
+    /// Opens the capture for the run named `label` (sanitised to
+    /// `[A-Za-z0-9._-]`, so algorithm names like `rule:xy` pass
+    /// verbatim). `header` is what the caller knows about the run
+    /// (`seed`, `geometry`, …); `label` is added to it, so the file says
+    /// which run produced it without a manifest. `sinks` are teed with
+    /// the file. With capture off and no `sinks` nothing is attached at
+    /// all — the run constructs no event.
+    pub fn open(label: &str, header: FtbHeader, mut sinks: Vec<Arc<dyn TraceSink>>) -> Self {
+        let file = std::env::var_os("FTR_TRACE_DIR").map(|dir| {
+            let dir = PathBuf::from(dir);
+            std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
+            let clean =
+                label.replace(|c: char| !(c.is_ascii_alphanumeric() || "._-".contains(c)), "-");
+            let path = dir.join(format!("{clean}.ftb"));
+            let sink = BinSink::create(&path, header.with("label", label))
+                .unwrap_or_else(|e| panic!("cannot create {path:?}: {e}"));
+            Arc::new(sink)
+        });
+        sinks.extend(file.clone().map(|f| f as Arc<dyn TraceSink>));
+        let sink = match sinks.len() {
+            0 | 1 => sinks.pop(),
+            _ => Some(Arc::new(TeeSink::new(sinks)) as Arc<dyn TraceSink>),
+        };
+        Capture { file, sink }
+    }
 
-/// When `FTR_TRACE_DIR` is set, creates `<dir>/<label>.jsonl` and
-/// returns a sink streaming this run's events into it.
-pub fn trace_sink(label: &str) -> Option<Arc<JsonlSink<std::fs::File>>> {
-    let path = trace_path(label, "jsonl")?;
-    let sink = JsonlSink::create(&path).unwrap_or_else(|e| panic!("cannot create {path:?}: {e}"));
-    Some(Arc::new(sink))
-}
+    /// Hands the run's sink (if any) to the network under construction.
+    pub fn attach(&self, b: NetworkBuilder) -> NetworkBuilder {
+        match &self.sink {
+            Some(s) => b.trace(s.clone()),
+            None => b,
+        }
+    }
 
-/// When `FTR_TRACE_DIR` is set, creates `<dir>/<label>.ftb` and returns
-/// a compact binary sink streaming this run's events into it. The
-/// header travels with the file, so a fleet capture replays without the
-/// manifest that produced it. Callers should `finalize()` (or drop) the
-/// sink before reading the capture back.
-pub fn ftb_sink(label: &str, header: FtbHeader) -> Option<Arc<BinSink<std::fs::File>>> {
-    let path = trace_path(label, "ftb")?;
-    let sink =
-        BinSink::create(&path, header).unwrap_or_else(|e| panic!("cannot create {path:?}: {e}"));
-    Some(Arc::new(sink))
+    /// Ends the capture: writes the END marker, insists that no event
+    /// was lost on the way to disk, and returns the events written (0
+    /// with capture off).
+    pub fn finish(self) -> u64 {
+        let Some(f) = self.file else { return 0 };
+        f.finalize().expect("finalize trace capture");
+        assert_eq!(f.write_errors(), 0, "trace capture lost events");
+        f.written()
+    }
 }
 
 /// Validates `payload` as JSON and writes it to `results/<name>.json`

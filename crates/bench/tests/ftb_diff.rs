@@ -1,22 +1,20 @@
-//! Differential test: the FTB binary codec against the JSONL reference
+//! Differential test: the FTB capture against the live event stream
 //! over the full E15 campaign matrix.
 //!
 //! Every cell of the dynamic-fault campaign (retry off/on × each fault
-//! count) runs once with a `TeeSink` feeding the *same* live event
-//! stream to a `JsonlSink` file, a `BinSink` file and the online
-//! diagnoser. The two captures must then agree event for event after
-//! decoding — not just in aggregate — and both must fold into identical
-//! `JourneyBook`s through the format-transparent `EventReader`. The
-//! diagnoser must stay silent on every cell (these runs are
+//! count) runs once with a `TeeSink` feeding the *same* live stream to
+//! a `RingSink` sized to hold all of it, a `BinSink` file and the
+//! online diagnoser. The decoded capture must then equal the ring event
+//! for event — not just in aggregate — and `EventReader` + `replay`
+//! must fold it into the same `JourneyBook` as the in-memory events.
+//! The diagnoser must stay silent on every cell (these runs are
 //! deadlock-free by construction).
 
 use ftr_algos::Nafta;
-use ftr_obs::ftb::{BinSink, FtbHeader, FtbReader};
-use ftr_obs::{JsonlSink, TeeSink, TraceEvent, TraceSink};
+use ftr_obs::{BinSink, FtbHeader, RingSink, TeeSink, TraceEvent};
 use ftr_sim::{FaultPlan, Network, Pattern, RetryPolicy, TrafficSource};
 use ftr_topo::Mesh2D;
-use ftr_trace::{DiagnoserSink, EventReader, JourneyBook, TraceFormat};
-use std::io::BufReader;
+use ftr_trace::{DiagnoserSink, EventReader, JourneyBook};
 use std::sync::Arc;
 
 const SIDE: u32 = 6;
@@ -27,23 +25,17 @@ const DRAIN_BUDGET: u64 = 60_000;
 const LOAD: f64 = 0.15;
 const MSG_LEN: u32 = 16;
 
-fn tmp_dir() -> std::path::PathBuf {
+/// Runs one E15 cell with the ring, the capture and the diagnoser
+/// attached; returns the live events and the capture's path.
+fn run_cell(retry: bool, faults: usize, seed: u64) -> (Vec<TraceEvent>, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("ftr-ftb-diff-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Runs one E15 cell with both captures attached; returns the two
-/// capture paths and whether the diagnoser stayed silent.
-fn run_cell(retry: bool, faults: usize, seed: u64) -> (std::path::PathBuf, std::path::PathBuf) {
-    let dir = tmp_dir();
     let tag = format!("{}_f{faults}_s{seed}", if retry { "retry" } else { "base" });
-    let jsonl_path = dir.join(format!("{tag}.jsonl"));
     let ftb_path = dir.join(format!("{tag}.ftb"));
 
     let mesh = Mesh2D::new(SIDE, SIDE);
     let plan = FaultPlan::random_transient_links(&mesh, faults, FAULT_WINDOW, REPAIR_AFTER, seed);
-    let jsonl = Arc::new(JsonlSink::create(&jsonl_path).unwrap());
+    let ring = Arc::new(RingSink::new(1 << 20));
     let ftb = Arc::new(
         BinSink::create(&ftb_path, FtbHeader::new().with("seed", seed).with("label", &tag))
             .unwrap(),
@@ -51,7 +43,7 @@ fn run_cell(retry: bool, faults: usize, seed: u64) -> (std::path::PathBuf, std::
     let diag = Arc::new(DiagnoserSink::default());
     let mut b = Network::builder(Arc::new(mesh.clone()))
         .fault_plan(plan)
-        .trace(Arc::new(TeeSink::new(vec![jsonl.clone(), ftb.clone(), diag.clone()])));
+        .trace(Arc::new(TeeSink::new(vec![ring.clone(), ftb.clone(), diag.clone()])));
     if retry {
         b = b.retry(RetryPolicy { max_attempts: 8, backoff_cycles: 64 });
     }
@@ -59,41 +51,22 @@ fn run_cell(retry: bool, faults: usize, seed: u64) -> (std::path::PathBuf, std::
     net.set_measuring(true);
 
     let mut tf = TrafficSource::new(Pattern::Uniform, LOAD, MSG_LEN, seed ^ 0x5ca1e);
-    for _ in 0..WARM_CYCLES {
-        for (src, dst, len) in tf.tick(net.topo(), net.faults()) {
-            let _ = net.send(src, dst, len);
-        }
-        net.step();
-    }
+    ftr_bench::harness::drive(&mut net, &mut tf, WARM_CYCLES);
     assert!(net.drain(DRAIN_BUDGET), "cell {tag} failed to drain");
     diag.scan_now();
     assert!(net.stats.accounting_balanced(), "cell {tag} out of balance");
     assert!(!net.stats.deadlock, "cell {tag}: watchdog deadlock");
     assert!(diag.deadlock().is_none(), "cell {tag}: diagnoser deadlock");
 
-    jsonl.flush();
-    assert_eq!(jsonl.write_errors(), 0);
     ftb.finalize().unwrap();
     assert_eq!(ftb.write_errors(), 0);
-    assert_eq!(jsonl.written(), ftb.written(), "cell {tag}: sinks saw different event counts");
-    (jsonl_path, ftb_path)
+    assert_eq!(ring.dropped(), 0, "cell {tag}: the ring must hold the whole run");
+    let live = ring.events();
+    assert_eq!(live.len() as u64, ftb.written(), "cell {tag}: sinks saw different event counts");
+    (live, ftb_path)
 }
 
-fn read_jsonl(path: &std::path::Path) -> Vec<TraceEvent> {
-    std::fs::read_to_string(path)
-        .unwrap()
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| TraceEvent::from_json(l).unwrap())
-        .collect()
-}
-
-fn read_ftb(path: &std::path::Path) -> Vec<TraceEvent> {
-    let f = BufReader::new(std::fs::File::open(path).unwrap());
-    let r = FtbReader::from_reader(f).unwrap();
-    r.map(|e| e.unwrap()).collect()
-}
-
+// (the name predates the JSONL sink's retirement; the reference is the live stream)
 #[test]
 fn ftb_equals_jsonl_event_for_event_across_the_campaign_matrix() {
     let mut total_events = 0usize;
@@ -105,33 +78,32 @@ fn ftb_equals_jsonl_event_for_event_across_the_campaign_matrix() {
         .enumerate()
     {
         let seed = 1 + cell as u64 * 7919;
-        let (jsonl_path, ftb_path) = run_cell(retry, faults, seed);
+        let (live, ftb_path) = run_cell(retry, faults, seed);
+        assert!(!live.is_empty(), "cell (retry={retry}, |F|={faults}) captured nothing");
 
-        let a = read_jsonl(&jsonl_path);
-        let b = read_ftb(&ftb_path);
-        assert!(!a.is_empty(), "cell (retry={retry}, |F|={faults}) captured nothing");
-        assert_eq!(a.len(), b.len(), "cell (retry={retry}, |F|={faults}): event counts differ");
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+        let reader = EventReader::open(&ftb_path).unwrap();
+        assert_eq!(reader.header().seed(), Some(seed));
+        let decoded: Vec<TraceEvent> = reader.map(|e| e.unwrap()).collect();
+        assert_eq!(
+            live.len(),
+            decoded.len(),
+            "cell (retry={retry}, |F|={faults}): event counts differ"
+        );
+        for (i, (x, y)) in live.iter().zip(&decoded).enumerate() {
             assert_eq!(x, y, "cell (retry={retry}, |F|={faults}): event {i} differs");
         }
-        total_events += a.len();
+        total_events += live.len();
 
-        // the format-transparent reader folds both into the same book
-        let mut book_a = JourneyBook::new();
-        let ra = EventReader::open(&jsonl_path).unwrap();
-        assert_eq!(ra.format(), TraceFormat::Jsonl);
-        let na = ftr_trace::replay(ra, &mut book_a, None).unwrap();
-
-        let mut book_b = JourneyBook::new();
-        let rb = EventReader::open(&ftb_path).unwrap();
-        assert_eq!(rb.format(), TraceFormat::Ftb);
-        assert_eq!(rb.header().unwrap().seed(), Some(seed));
-        let nb = ftr_trace::replay(rb, &mut book_b, None).unwrap();
-
-        assert_eq!(na, nb);
+        // replaying the capture folds to the same book as the live events
+        let mut direct = JourneyBook::new();
+        direct.fold_all(&live);
+        let mut replayed = JourneyBook::new();
+        let n =
+            ftr_trace::replay(EventReader::open(&ftb_path).unwrap(), &mut replayed, None).unwrap();
+        assert_eq!(n, live.len() as u64);
         assert_eq!(
-            book_a.summary(),
-            book_b.summary(),
+            direct.summary(),
+            replayed.summary(),
             "cell (retry={retry}, |F|={faults}): journey books diverge"
         );
     }

@@ -5,7 +5,7 @@
 //! happened on. Message ids are plain `u64` (the simulator's `MessageId`
 //! newtype lives above this crate in the dependency graph).
 
-use crate::json::{self, Obj, Value};
+use crate::json::{self, Obj};
 use ftr_topo::{NodeId, PortId, VcId};
 
 /// What a routing decision concluded.
@@ -288,16 +288,6 @@ impl EventKind {
             _ => None,
         }
     }
-
-    /// True for the three ways a message leaves the network for good —
-    /// `Deliver`, `Kill`, `Unroutable` (a `Kill`/`Unroutable` later undone
-    /// by a `Retry` is not final; callers see the `Retry` that follows).
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            EventKind::Deliver { .. } | EventKind::Kill { .. } | EventKind::Unroutable { .. }
-        )
-    }
 }
 
 /// A cycle-stamped event.
@@ -310,7 +300,10 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Renders the event as one JSON object (one JSONL line, no newline).
+    /// Renders the event as one JSON object (no newline) — the single
+    /// human-readable form of an event, streamed one per line by
+    /// `ftr-trace --to-jsonl`. Nothing parses it back: FTB is the only
+    /// format traces are stored in.
     pub fn to_json(&self) -> String {
         let mut o = Obj::new();
         o.num("cycle", self.cycle);
@@ -400,135 +393,6 @@ impl TraceEvent {
         }
         o.finish()
     }
-
-    /// Parses one JSONL line produced by [`TraceEvent::to_json`] back into
-    /// the typed event. This is the contract `ftr-trace` relies on; the
-    /// round-trip is asserted over every variant in `tests/roundtrip.rs`.
-    pub fn from_json(line: &str) -> Result<TraceEvent, String> {
-        let v = json::parse(line)?;
-        let cycle = req_u64(&v, "cycle")?;
-        let tag = v.get("event").and_then(Value::as_str).ok_or("missing `event` tag")?;
-        let kind = match tag {
-            "inject" => EventKind::Inject {
-                msg: req_u64(&v, "msg")?,
-                src: node_of(&v, "src")?,
-                dst: node_of(&v, "dst")?,
-                len_flits: req_u32(&v, "len_flits")?,
-            },
-            "route_decision" => {
-                let outcome = match v.get("outcome").and_then(Value::as_str) {
-                    Some("routed") => {
-                        RouteOutcome::Routed(port_of(&v, "out_port")?, vc_of(&v, "out_vc")?)
-                    }
-                    Some("wait") => RouteOutcome::Wait,
-                    Some("deliver") => RouteOutcome::Deliver,
-                    Some("unroutable") => RouteOutcome::Unroutable,
-                    other => return Err(format!("bad route_decision outcome {other:?}")),
-                };
-                let in_port = match v.get("in_port") {
-                    Some(Value::Null) => None,
-                    Some(_) => Some(port_of(&v, "in_port")?),
-                    None => return Err("missing `in_port`".into()),
-                };
-                EventKind::RouteDecision {
-                    node: node_of(&v, "node")?,
-                    msg: req_u64(&v, "msg")?,
-                    in_port,
-                    in_vc: vc_of(&v, "in_vc")?,
-                    outcome,
-                    steps: req_u32(&v, "steps")?,
-                    misrouted: v
-                        .get("misrouted")
-                        .and_then(Value::as_bool)
-                        .ok_or("missing `misrouted`")?,
-                }
-            }
-            "vc_stall" | "vc_acquire" | "vc_release" => {
-                let node = node_of(&v, "node")?;
-                let msg = req_u64(&v, "msg")?;
-                let port = port_of(&v, "port")?;
-                let vc = vc_of(&v, "vc")?;
-                match tag {
-                    "vc_stall" => EventKind::VcStall { node, msg, port, vc },
-                    "vc_acquire" => EventKind::VcAcquire { node, msg, port, vc },
-                    _ => EventKind::VcRelease { node, msg, port, vc },
-                }
-            }
-            "route_wait" => {
-                let mut wants = Vec::new();
-                for pair in v.get("wants").and_then(Value::as_arr).ok_or("missing `wants` array")? {
-                    let pv = pair.as_arr().ok_or("wants entry must be a [port,vc] pair")?;
-                    let (p, vc) = match pv {
-                        [p, vc] => (p, vc),
-                        _ => return Err("wants entry must have exactly two elements".into()),
-                    };
-                    let p = p.as_u64().and_then(|x| u8::try_from(x).ok()).ok_or("bad port")?;
-                    let vc = vc.as_u64().and_then(|x| u8::try_from(x).ok()).ok_or("bad vc")?;
-                    wants.push((PortId(p), VcId(vc)));
-                }
-                EventKind::RouteWait { node: node_of(&v, "node")?, msg: req_u64(&v, "msg")?, wants }
-            }
-            "deliver" => {
-                EventKind::Deliver { node: node_of(&v, "node")?, msg: req_u64(&v, "msg")? }
-            }
-            "kill" => EventKind::Kill { msg: req_u64(&v, "msg")? },
-            "unroutable" => EventKind::Unroutable { msg: req_u64(&v, "msg")? },
-            "link_fault" => {
-                EventKind::LinkFault { node: node_of(&v, "node")?, port: port_of(&v, "port")? }
-            }
-            "link_repair" => {
-                EventKind::LinkRepair { node: node_of(&v, "node")?, port: port_of(&v, "port")? }
-            }
-            "node_fault" => EventKind::NodeFault { node: node_of(&v, "node")? },
-            "node_repair" => EventKind::NodeRepair { node: node_of(&v, "node")? },
-            "retry" => {
-                EventKind::Retry { msg: req_u64(&v, "msg")?, attempt: req_u32(&v, "attempt")? }
-            }
-            "send_rejected" => {
-                EventKind::SendRejected { src: node_of(&v, "src")?, dst: node_of(&v, "dst")? }
-            }
-            "control_send" => {
-                EventKind::ControlSend { from: node_of(&v, "from")?, to: node_of(&v, "to")? }
-            }
-            "control_settled" => EventKind::ControlSettled { cycles: req_u64(&v, "cycles")? },
-            "heartbeat" => EventKind::Heartbeat {
-                node: node_of(&v, "node")?,
-                port: port_of(&v, "port")?,
-                pong: v.get("pong").and_then(Value::as_bool).ok_or("missing `pong`")?,
-            },
-            "suspect" => EventKind::Suspect {
-                node: node_of(&v, "node")?,
-                port: port_of(&v, "port")?,
-                misses: req_u32(&v, "misses")?,
-            },
-            "alarm" => EventKind::Alarm { node: node_of(&v, "node")?, port: port_of(&v, "port")? },
-            "control_drop" => {
-                EventKind::ControlDrop { node: node_of(&v, "node")?, port: port_of(&v, "port")? }
-            }
-            other => return Err(format!("unknown event tag `{other}`")),
-        };
-        Ok(TraceEvent { cycle, kind })
-    }
-}
-
-fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("missing or bad `{key}`"))
-}
-
-fn req_u32(v: &Value, key: &str) -> Result<u32, String> {
-    req_u64(v, key)?.try_into().map_err(|_| format!("`{key}` out of u32 range"))
-}
-
-fn node_of(v: &Value, key: &str) -> Result<NodeId, String> {
-    Ok(NodeId(req_u64(v, key)?.try_into().map_err(|_| format!("`{key}` out of node range"))?))
-}
-
-fn port_of(v: &Value, key: &str) -> Result<PortId, String> {
-    Ok(PortId(req_u64(v, key)?.try_into().map_err(|_| format!("`{key}` out of port range"))?))
-}
-
-fn vc_of(v: &Value, key: &str) -> Result<VcId, String> {
-    Ok(VcId(req_u64(v, key)?.try_into().map_err(|_| format!("`{key}` out of vc range"))?))
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
-//! FTB — the compact binary trace format.
+//! FTB — the on-disk trace format.
 //!
-//! JSONL traces are self-describing and greppable, but at campaign-fleet
-//! scale (10⁴+ runs, each emitting 10⁴–10⁶ events) the ~120-byte lines
-//! and per-event `format!` dominate the simulator's wall clock. FTB is
-//! the dense alternative: one opcode byte per event, every integer as a
-//! LEB128 varint, and cycle stamps delta-encoded against the previous
-//! event (zigzag, wrapping — any cycle sequence encodes, monotone or
-//! not). A typical event is 4–10 bytes, 10–20x smaller than its JSONL
-//! rendering, and encoding is a few stores into a scratch buffer instead
-//! of a JSON string build.
+//! At campaign-fleet scale (10⁴+ runs, each emitting 10⁴–10⁶ events) a
+//! capture has to be cheap enough to keep for every run, so the one
+//! format traces are stored in is dense: one opcode byte per event,
+//! every integer as a LEB128 varint, and cycle stamps delta-encoded
+//! against the previous event (zigzag, wrapping — any cycle sequence
+//! encodes, monotone or not). A typical event is 4–10 bytes and encoding
+//! is a few stores into a scratch buffer. The readable rendering of an
+//! event ([`TraceEvent::to_json`]) is a view over a decoded capture
+//! (`ftr-trace --to-jsonl`), never a second thing to write or parse.
 //!
 //! A stream is:
 //!
@@ -30,14 +30,14 @@
 //! iterator that decodes one event at a time through a `BufRead` and
 //! never materializes the file. The encode/decode pair is proven
 //! lossless over every [`EventKind`] variant in `tests/ftb_roundtrip.rs`
-//! and event-for-event equal to the JSONL pipeline on full campaign
-//! runs in `crates/bench/tests/ftb_diff.rs`.
+//! and event-for-event equal to the live in-memory stream on full
+//! campaign runs in `crates/bench/tests/ftb_diff.rs`.
 
 use crate::event::{EventKind, RouteOutcome, TraceEvent};
 use crate::sink::TraceSink;
 use ftr_topo::{NodeId, PortId, VcId};
 use parking_lot::Mutex;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufWriter, Read, Write};
 use std::path::Path;
 
 /// File magic: the first four bytes of every FTB stream.
@@ -49,6 +49,42 @@ pub const FTB_SCHEMA_VERSION: u64 = 1;
 
 /// End-of-stream opcode (a finalized trace's last byte).
 const OP_END: u8 = 0x00;
+
+/// Why reading a trace stopped.
+#[derive(Clone, Debug)]
+pub enum ReadError {
+    /// The underlying reader failed (I/O, not content).
+    Io(String),
+    /// The content is not a valid trace: no `FTB1` magic, a bad opcode
+    /// or field, a stream cut before its END marker, bytes after it.
+    Malformed(String),
+}
+
+impl std::fmt::Display for ReadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReadError::Io(m) | ReadError::Malformed(m) => f.write_str(m),
+        }
+    }
+}
+
+/// Running out of bytes is a property of the content (the stream was
+/// cut); every other read failure is the device's.
+impl From<std::io::Error> for ReadError {
+    fn from(e: std::io::Error) -> Self {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            ReadError::Malformed("FTB stream truncated (unexpected end of input)".into())
+        } else {
+            ReadError::Io(format!("read error: {e}"))
+        }
+    }
+}
+
+impl From<String> for ReadError {
+    fn from(m: String) -> Self {
+        ReadError::Malformed(m)
+    }
+}
 
 // ---------------------------------------------------------------------
 // varints
@@ -79,7 +115,7 @@ fn unzigzag(v: u64) -> i64 {
 
 /// Reads one LEB128 varint. At most 10 bytes (ceil(64/7)); anything
 /// longer is a malformed stream, not a bigger number.
-fn read_varint<R: Read + ?Sized>(r: &mut R) -> Result<u64, String> {
+fn read_varint<R: Read + ?Sized>(r: &mut R) -> Result<u64, ReadError> {
     let mut v: u64 = 0;
     for shift in 0..10 {
         let byte = read_u8(r)?;
@@ -87,23 +123,23 @@ fn read_varint<R: Read + ?Sized>(r: &mut R) -> Result<u64, String> {
         if byte & 0x80 == 0 {
             // the 10th byte may only carry the single remaining bit
             if shift == 9 && byte > 1 {
-                return Err("varint overflows u64".into());
+                return Err(ReadError::Malformed("varint overflows u64".into()));
             }
             return Ok(v);
         }
     }
-    Err("varint longer than 10 bytes".into())
+    Err(ReadError::Malformed("varint longer than 10 bytes".into()))
 }
 
-fn read_u8<R: Read + ?Sized>(r: &mut R) -> Result<u8, String> {
+fn read_u8<R: Read + ?Sized>(r: &mut R) -> Result<u8, ReadError> {
     let mut b = [0u8; 1];
-    r.read_exact(&mut b).map_err(|e| format!("unexpected end of FTB stream: {e}"))?;
+    r.read_exact(&mut b)?;
     Ok(b[0])
 }
 
-fn read_exact<R: Read + ?Sized>(r: &mut R, n: usize) -> Result<Vec<u8>, String> {
+fn read_exact<R: Read + ?Sized>(r: &mut R, n: usize) -> Result<Vec<u8>, ReadError> {
     let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf).map_err(|e| format!("unexpected end of FTB stream: {e}"))?;
+    r.read_exact(&mut buf)?;
     Ok(buf)
 }
 
@@ -112,12 +148,12 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn read_str<R: Read + ?Sized>(r: &mut R) -> Result<String, String> {
+fn read_str<R: Read + ?Sized>(r: &mut R) -> Result<String, ReadError> {
     let len = read_varint(r)?;
     if len > 1 << 20 {
-        return Err(format!("header string of {len} bytes is implausible"));
+        return Err(format!("header string of {len} bytes is implausible").into());
     }
-    String::from_utf8(read_exact(r, len as usize)?).map_err(|e| format!("bad UTF-8: {e}"))
+    Ok(String::from_utf8(read_exact(r, len as usize)?).map_err(|e| format!("bad UTF-8: {e}"))?)
 }
 
 // ---------------------------------------------------------------------
@@ -157,11 +193,6 @@ impl FtbHeader {
         self.get("seed")?.parse().ok()
     }
 
-    /// The `geometry` metadata entry, if present.
-    pub fn geometry(&self) -> Option<&str> {
-        self.get("geometry")
-    }
-
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&FTB_MAGIC);
         put_varint(out, self.schema);
@@ -172,20 +203,24 @@ impl FtbHeader {
         }
     }
 
-    fn decode(r: &mut impl Read) -> Result<Self, String> {
-        let magic = read_exact(r, 4)?;
-        if magic != FTB_MAGIC {
-            return Err("not an FTB stream (bad magic)".into());
+    fn decode(r: &mut impl Read) -> Result<Self, ReadError> {
+        // a stream too short to hold the magic (an empty one included)
+        // is as much "not FTB" as one that opens with other bytes
+        match read_exact(r, 4) {
+            Ok(magic) if magic == FTB_MAGIC => {}
+            Err(io @ ReadError::Io(_)) => return Err(io),
+            _ => return Err(ReadError::Malformed("not an FTB stream (no `FTB1` magic)".into())),
         }
         let schema = read_varint(r)?;
         if schema != FTB_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported FTB schema version {schema} (reader speaks {FTB_SCHEMA_VERSION})"
-            ));
+            )
+            .into());
         }
         let n = read_varint(r)?;
         if n > 4096 {
-            return Err(format!("{n} header entries is implausible"));
+            return Err(format!("{n} header entries is implausible").into());
         }
         let mut meta = Vec::with_capacity(n as usize);
         for _ in 0..n {
@@ -324,16 +359,16 @@ fn encode_event(ev: &TraceEvent, prev_cycle: u64, out: &mut Vec<u8>) {
 }
 
 /// Decodes the event that follows an already-consumed opcode byte.
-fn decode_event(op: u8, prev_cycle: u64, r: &mut impl Read) -> Result<TraceEvent, String> {
+fn decode_event(op: u8, prev_cycle: u64, r: &mut impl Read) -> Result<TraceEvent, ReadError> {
     let cycle = prev_cycle.wrapping_add(unzigzag(read_varint(r)?) as u64);
-    let node = |r: &mut dyn Read| -> Result<NodeId, String> {
+    let node = |r: &mut dyn Read| -> Result<NodeId, ReadError> {
         let v = read_varint(r)?;
         Ok(NodeId(u32::try_from(v).map_err(|_| format!("node id {v} out of range"))?))
     };
-    let port = |r: &mut dyn Read| -> Result<PortId, String> { Ok(PortId(read_u8(r)?)) };
-    let vc = |r: &mut dyn Read| -> Result<VcId, String> { Ok(VcId(read_u8(r)?)) };
-    let small = |v: u64| -> Result<u32, String> {
-        u32::try_from(v).map_err(|_| format!("field {v} out of u32 range"))
+    let port = |r: &mut dyn Read| -> Result<PortId, ReadError> { Ok(PortId(read_u8(r)?)) };
+    let vc = |r: &mut dyn Read| -> Result<VcId, ReadError> { Ok(VcId(read_u8(r)?)) };
+    let small = |v: u64| -> Result<u32, ReadError> {
+        Ok(u32::try_from(v).map_err(|_| format!("field {v} out of u32 range"))?)
     };
     let kind = match op {
         1 => EventKind::Inject {
@@ -348,7 +383,7 @@ fn decode_event(op: u8, prev_cycle: u64, r: &mut impl Read) -> Result<TraceEvent
             let in_port = match read_u8(r)? {
                 0 => None,
                 1 => Some(port(r)?),
-                other => return Err(format!("bad in_port presence byte {other}")),
+                other => return Err(format!("bad in_port presence byte {other}").into()),
             };
             let in_vc = vc(r)?;
             let outcome = match read_u8(r)? {
@@ -356,13 +391,13 @@ fn decode_event(op: u8, prev_cycle: u64, r: &mut impl Read) -> Result<TraceEvent
                 1 => RouteOutcome::Wait,
                 2 => RouteOutcome::Deliver,
                 3 => RouteOutcome::Unroutable,
-                other => return Err(format!("bad route outcome byte {other}")),
+                other => return Err(format!("bad route outcome byte {other}").into()),
             };
             let steps = small(read_varint(r)?)?;
             let misrouted = match read_u8(r)? {
                 0 => false,
                 1 => true,
-                other => return Err(format!("bad misrouted byte {other}")),
+                other => return Err(format!("bad misrouted byte {other}").into()),
             };
             EventKind::RouteDecision { node: n, msg, in_port, in_vc, outcome, steps, misrouted }
         }
@@ -382,7 +417,7 @@ fn decode_event(op: u8, prev_cycle: u64, r: &mut impl Read) -> Result<TraceEvent
             let msg = read_varint(r)?;
             let len = read_varint(r)?;
             if len > 1 << 16 {
-                return Err(format!("wants list of {len} entries is implausible"));
+                return Err(format!("wants list of {len} entries is implausible").into());
             }
             let mut wants = Vec::with_capacity(len as usize);
             for _ in 0..len {
@@ -409,7 +444,7 @@ fn decode_event(op: u8, prev_cycle: u64, r: &mut impl Read) -> Result<TraceEvent
             let pong = match read_u8(r)? {
                 0 => false,
                 1 => true,
-                other => return Err(format!("bad pong byte {other}")),
+                other => return Err(format!("bad pong byte {other}").into()),
             };
             EventKind::Heartbeat { node: n, port: p, pong }
         }
@@ -418,7 +453,7 @@ fn decode_event(op: u8, prev_cycle: u64, r: &mut impl Read) -> Result<TraceEvent
         }
         20 => EventKind::Alarm { node: node(r)?, port: port(r)? },
         21 => EventKind::ControlDrop { node: node(r)?, port: port(r)? },
-        other => return Err(format!("unknown FTB opcode {other:#04x}")),
+        other => return Err(format!("unknown FTB opcode {other:#04x}").into()),
     };
     Ok(TraceEvent { cycle, kind })
 }
@@ -443,10 +478,9 @@ struct BinInner<W: Write> {
 /// [`BinSink::finalize`] when the run is over — it appends the END
 /// marker and flushes, turning the file into a complete, truncation-
 /// detectable trace. Dropping an unfinalized sink finalizes it best-
-/// effort; like [`crate::JsonlSink`], write failures never panic the
-/// simulation but are counted in [`BinSink::write_errors`], and a trace
-/// with a non-zero count is incomplete and must not be treated as
-/// ground truth.
+/// effort; write failures never panic the simulation but are counted in
+/// [`BinSink::write_errors`], and a trace with a non-zero count is
+/// incomplete and must not be treated as ground truth.
 pub struct BinSink<W: Write + Send> {
     inner: Mutex<BinInner<W>>,
 }
@@ -563,7 +597,9 @@ impl<W: Write + Send> Drop for BinSink<W> {
 ///
 /// The iterator yields `Err` once and then ends on a malformed or
 /// truncated stream — a trace without the END marker was cut mid-write
-/// and is reported, not silently accepted.
+/// and is reported, not silently accepted, and so is one with bytes
+/// after it (two captures concatenated). Every event before the error
+/// has been yielded, so a consumer still holds the prefix.
 pub struct FtbReader<R: BufRead> {
     r: R,
     header: FtbHeader,
@@ -571,22 +607,13 @@ pub struct FtbReader<R: BufRead> {
     /// Events decoded so far.
     decoded: u64,
     done: bool,
-    /// Set when the END marker was consumed (clean end of stream).
+    /// Set when the END marker closed the stream (clean end).
     finalized: bool,
-}
-
-impl FtbReader<BufReader<std::fs::File>> {
-    /// Opens `path` and parses the header.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, String> {
-        let f = std::fs::File::open(&path)
-            .map_err(|e| format!("cannot open {}: {e}", path.as_ref().display()))?;
-        FtbReader::from_reader(BufReader::new(f))
-    }
 }
 
 impl<R: BufRead> FtbReader<R> {
     /// Wraps a buffered reader and parses the header.
-    pub fn from_reader(mut r: R) -> Result<Self, String> {
+    pub fn from_reader(mut r: R) -> Result<Self, ReadError> {
         let header = FtbHeader::decode(&mut r)?;
         Ok(FtbReader { r, header, last_cycle: 0, decoded: 0, done: false, finalized: false })
     }
@@ -596,57 +623,58 @@ impl<R: BufRead> FtbReader<R> {
         &self.header
     }
 
-    /// Events decoded so far.
-    pub fn decoded(&self) -> u64 {
-        self.decoded
-    }
-
-    /// True once the END marker was consumed — the stream is complete.
+    /// True once the END marker was consumed with nothing after it —
+    /// the stream is complete.
     pub fn finalized(&self) -> bool {
         self.finalized
+    }
+
+    /// Decodes the next record; `Ok(None)` is the clean end of stream.
+    fn next_event(&mut self) -> Result<Option<TraceEvent>, ReadError> {
+        let mut op = [0u8; 1];
+        match self.r.read_exact(&mut op) {
+            // EOF where an opcode belongs: only END may end a stream
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                return Err(ReadError::Malformed(format!(
+                    "FTB stream truncated after {} events (missing END marker)",
+                    self.decoded
+                )));
+            }
+            other => other?,
+        }
+        let op = op[0];
+        if op == OP_END {
+            if !self.r.fill_buf()?.is_empty() {
+                return Err(ReadError::Malformed(format!(
+                    "trailing bytes after END ({} events before it)",
+                    self.decoded
+                )));
+            }
+            self.finalized = true;
+            return Ok(None);
+        }
+        let ev = decode_event(op, self.last_cycle, &mut self.r).map_err(|e| match e {
+            ReadError::Malformed(m) => {
+                ReadError::Malformed(format!("malformed event {}: {m}", self.decoded + 1))
+            }
+            io => io,
+        })?;
+        self.last_cycle = ev.cycle;
+        self.decoded += 1;
+        Ok(Some(ev))
     }
 }
 
 impl<R: BufRead> Iterator for FtbReader<R> {
-    type Item = Result<TraceEvent, String>;
+    type Item = Result<TraceEvent, ReadError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.done {
             return None;
         }
-        // opcode: the one place EOF is meaningful (but only the END
-        // marker makes it a *clean* end)
-        let mut op = [0u8; 1];
-        match self.r.read_exact(&mut op) {
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                self.done = true;
-                return Some(Err(format!(
-                    "FTB stream truncated after {} events (missing END marker)",
-                    self.decoded
-                )));
-            }
-            Err(e) => {
-                self.done = true;
-                return Some(Err(format!("read error after {} events: {e}", self.decoded)));
-            }
-            Ok(()) => {}
-        }
-        if op[0] == OP_END {
-            self.done = true;
-            self.finalized = true;
-            return None;
-        }
-        match decode_event(op[0], self.last_cycle, &mut self.r) {
-            Ok(ev) => {
-                self.last_cycle = ev.cycle;
-                self.decoded += 1;
-                Some(Ok(ev))
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(format!("malformed event {}: {e}", self.decoded + 1)))
-            }
-        }
+        let item = self.next_event().transpose();
+        self.done = !matches!(item, Some(Ok(_)));
+        item
     }
 }
 
@@ -686,6 +714,19 @@ mod tests {
         ]
     }
 
+    /// `events` as an FTB stream, with or without its END marker.
+    fn stream(header: FtbHeader, events: &[TraceEvent], finalize: bool) -> Vec<u8> {
+        let sink = BinSink::new(Vec::new(), header).unwrap();
+        events.iter().for_each(|e| sink.record(e));
+        if finalize {
+            sink.finalize().unwrap();
+        } else {
+            sink.flush();
+        }
+        let bytes = sink.inner.lock().out.get_ref().clone();
+        bytes
+    }
+
     #[test]
     fn varint_round_trips_boundaries() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX - 1, u64::MAX] {
@@ -721,7 +762,7 @@ mod tests {
         assert_eq!(bytes.len() as u64, sink.bytes_written());
 
         let mut reader = FtbReader::from_reader(&bytes[..]).unwrap();
-        assert_eq!(reader.header().geometry(), Some("mesh:6x6"));
+        assert_eq!(reader.header().get("geometry"), Some("mesh:6x6"));
         assert_eq!(reader.header().seed(), Some(7));
         let back: Vec<TraceEvent> = (&mut reader).map(|r| r.unwrap()).collect();
         assert_eq!(back, events);
@@ -730,18 +771,59 @@ mod tests {
 
     #[test]
     fn truncated_stream_is_reported_not_swallowed() {
-        let sink = BinSink::new(Vec::new(), FtbHeader::new()).unwrap();
-        for e in &sample_events() {
-            sink.record(e);
-        }
-        sink.flush();
-        // no finalize: steal the bytes and also chop one off the tail
-        let bytes = sink.inner.lock().out.get_ref().clone();
+        // no END marker; also chop one more byte off the tail
+        let bytes = stream(FtbHeader::new(), &sample_events(), false);
         for cut in [bytes.len(), bytes.len() - 1] {
             let reader = FtbReader::from_reader(&bytes[..cut]).unwrap();
             let items: Vec<_> = reader.collect();
             let last = items.last().expect("yields something");
-            assert!(last.is_err(), "truncation must surface an error");
+            assert!(
+                matches!(last, Err(ReadError::Malformed(m)) if m.contains("truncated")),
+                "truncation must surface as malformed input: {last:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bytes_after_end_are_reported_not_ignored() {
+        // `cat a.ftb a.ftb` must not replay as `a` alone
+        let both = stream(FtbHeader::new(), &sample_events(), true).repeat(2);
+        let mut reader = FtbReader::from_reader(&both[..]).unwrap();
+        let items: Vec<_> = (&mut reader).collect();
+        assert_eq!(items.len(), sample_events().len() + 1, "every event of `a`, then the error");
+        assert!(
+            matches!(items.last(), Some(Err(ReadError::Malformed(m))) if m.contains("trailing bytes after END"))
+        );
+        assert!(!reader.finalized());
+    }
+
+    /// Serves `data`, then fails with a non-EOF error — a dying disk or
+    /// pipe, as opposed to a stream that simply ends.
+    struct DiesAfter<'a>(&'a [u8]);
+
+    impl Read for DiesAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::Error::other("device gone"));
+            }
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn device_failures_are_io_errors_not_malformed_input() {
+        let bytes = stream(FtbHeader::new(), &sample_events(), true);
+        // inside the header, between two events, inside an event
+        for n in [2, bytes.len() - 1, bytes.len() - 3] {
+            let r = std::io::BufReader::new(DiesAfter(&bytes[..n]));
+            let last = match FtbReader::from_reader(r) {
+                Ok(reader) => reader.last().expect("yields the error"),
+                Err(e) => Err(e),
+            };
+            assert!(
+                matches!(&last, Err(ReadError::Io(m)) if m.contains("device gone")),
+                "cut at {n}: {last:?}"
+            );
         }
     }
 
@@ -757,12 +839,9 @@ mod tests {
     #[test]
     fn wrapping_cycle_deltas_encode_any_sequence() {
         let cycles = [0u64, u64::MAX, 0, 1, u64::MAX / 2, u64::MAX, 5];
-        let sink = BinSink::new(Vec::new(), FtbHeader::new()).unwrap();
-        for &c in &cycles {
-            sink.record(&ev(c, EventKind::Kill { msg: 9 }));
-        }
-        sink.finalize().unwrap();
-        let bytes = sink.inner.lock().out.get_ref().clone();
+        let events: Vec<TraceEvent> =
+            cycles.iter().map(|&c| ev(c, EventKind::Kill { msg: 9 })).collect();
+        let bytes = stream(FtbHeader::new(), &events, true);
         let got: Vec<u64> =
             FtbReader::from_reader(&bytes[..]).unwrap().map(|r| r.unwrap().cycle).collect();
         assert_eq!(got, cycles);
@@ -770,13 +849,10 @@ mod tests {
 
     #[test]
     fn empty_trace_round_trips() {
-        let sink = BinSink::new(Vec::new(), FtbHeader::new().with("label", "empty")).unwrap();
-        sink.finalize().unwrap();
-        let bytes = sink.inner.lock().out.get_ref().clone();
+        let bytes = stream(FtbHeader::new().with("label", "empty"), &[], true);
         let mut reader = FtbReader::from_reader(&bytes[..]).unwrap();
         assert!(reader.next().is_none());
         assert!(reader.finalized());
-        assert_eq!(reader.decoded(), 0);
     }
 
     #[test]
@@ -785,7 +861,7 @@ mod tests {
         let mut bytes = Vec::new();
         FtbHeader { schema: FTB_SCHEMA_VERSION + 1, meta: vec![] }.encode(&mut bytes);
         let err = FtbReader::from_reader(&bytes[..]).err().expect("future schema rejected");
-        assert!(err.contains("schema"), "{err}");
+        assert!(err.to_string().contains("schema"), "{err}");
     }
 
     #[test]

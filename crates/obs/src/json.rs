@@ -6,8 +6,8 @@
 //! what the exporters need — objects, arrays, strings, integers and
 //! finite floats — and always produces valid UTF-8 JSON. The reader
 //! ([`parse`] → [`Value`], and the counting [`validate`]) implements the
-//! strict RFC 8259 grammar and backs both the CI smoke checks and the
-//! `ftr-trace` JSONL loader.
+//! strict RFC 8259 grammar and backs the CI smoke checks, the `regress`
+//! gate and the fleet journal.
 
 use std::fmt::Write as _;
 

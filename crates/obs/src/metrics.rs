@@ -2,8 +2,8 @@
 //!
 //! The registry replaces the per-binary private accounting the bench
 //! harness used to hand-roll: a simulation (or several, in a sweep)
-//! records into named instruments, and the exporters render one
-//! machine-readable snapshot — JSON for `results/`, CSV for spreadsheets.
+//! records into named instruments, and the exporter renders one
+//! machine-readable JSON snapshot for `results/`.
 //!
 //! Handles are cheap clones (`Arc` inside); a hot loop should resolve its
 //! instruments once and record through the handles.
@@ -11,7 +11,6 @@
 use crate::json::{self, Obj};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -159,13 +158,6 @@ impl MetricsRegistry {
         self.hists.lock().get(name).map(Histogram::snapshot)
     }
 
-    /// All registered instrument names, counters then histograms, sorted.
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.counters.lock().keys().cloned().collect();
-        v.extend(self.hists.lock().keys().cloned());
-        v
-    }
-
     /// Renders the whole registry as one JSON object:
     /// `{"counters":{...},"histograms":{name:{count,sum,min,max,mean,buckets}}}`.
     pub fn to_json(&self) -> String {
@@ -191,28 +183,6 @@ impl MetricsRegistry {
         root.field("counters", counters.finish());
         root.field("histograms", hists.finish());
         root.finish()
-    }
-
-    /// Renders the registry as CSV (`kind,name,count,sum,min,max,mean`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("kind,name,count,sum,min,max,mean\n");
-        for (name, c) in self.counters.lock().iter() {
-            let v = c.get();
-            let _ = writeln!(out, "counter,{name},1,{v},{v},{v},{v}");
-        }
-        for (name, h) in self.hists.lock().iter() {
-            let s = h.snapshot();
-            let _ = writeln!(
-                out,
-                "histogram,{name},{},{},{},{},{}",
-                s.count,
-                s.sum,
-                s.min,
-                s.max,
-                s.mean()
-            );
-        }
-        out
     }
 }
 
@@ -283,8 +253,6 @@ mod tests {
         let j = r.to_json();
         assert!(validate(&j).is_ok(), "{j}");
         assert!(j.contains("\"sim.delivered\":7"));
-        let csv = r.to_csv();
-        assert!(csv.lines().count() == 3);
-        assert!(csv.contains("histogram,sim.latency,1,12,12,12,12"));
+        assert!(j.contains("\"sim.latency\":{\"count\":1,\"sum\":12,\"min\":12,\"max\":12"), "{j}");
     }
 }

@@ -1,5 +1,9 @@
 //! Trace sinks: where events go.
 //!
+//! Three of them: the in-memory [`RingSink`] and the fan-out
+//! [`TeeSink`] here, and [`crate::BinSink`] (in [`crate::ftb`]), the one
+//! sink that writes a trace to disk.
+//!
 //! The simulator holds an `Option<Arc<dyn TraceSink>>`; with no sink
 //! attached it never constructs an event (zero-cost-when-disabled is a
 //! contract of the emitting side, enforced by closure-based emit hooks).
@@ -9,8 +13,6 @@
 use crate::event::TraceEvent;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 
 /// Consumer of trace events.
 pub trait TraceSink: Send + Sync {
@@ -80,69 +82,6 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Streams events as JSON Lines to any writer (one object per line).
-pub struct JsonlSink<W: Write + Send> {
-    out: Mutex<BufWriter<W>>,
-    written: Mutex<u64>,
-    write_errors: Mutex<u64>,
-}
-
-impl JsonlSink<std::fs::File> {
-    /// Creates (truncating) `path` and streams events into it.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(JsonlSink::new(std::fs::File::create(path)?))
-    }
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps an arbitrary writer.
-    pub fn new(w: W) -> Self {
-        JsonlSink {
-            out: Mutex::new(BufWriter::new(w)),
-            written: Mutex::new(0),
-            write_errors: Mutex::new(0),
-        }
-    }
-
-    /// Events successfully written so far.
-    pub fn written(&self) -> u64 {
-        *self.written.lock()
-    }
-
-    /// Events lost to write failures — a trace with `write_errors() > 0`
-    /// is incomplete and must not be treated as ground truth.
-    pub fn write_errors(&self) -> u64 {
-        *self.write_errors.lock()
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
-    fn record(&self, ev: &TraceEvent) {
-        let mut out = self.out.lock();
-        // an unwritable sink must not bring the simulation down, but the
-        // loss has to be countable — only successful writes hit `written`
-        match writeln!(out, "{}", ev.to_json()) {
-            Ok(()) => *self.written.lock() += 1,
-            Err(_) => *self.write_errors.lock() += 1,
-        }
-    }
-
-    fn flush(&self) {
-        // a failed flush loses buffered lines that `record` already
-        // counted as written — surface it instead of pretending the
-        // trace is whole
-        if self.out.lock().flush().is_err() {
-            *self.write_errors.lock() += 1;
-        }
-    }
-}
-
-impl<W: Write + Send> Drop for JsonlSink<W> {
-    fn drop(&mut self) {
-        let _ = self.out.lock().flush();
-    }
-}
-
 /// Fans one event stream out to several sinks.
 pub struct TeeSink {
     sinks: Vec<std::sync::Arc<dyn TraceSink>>,
@@ -173,7 +112,6 @@ impl TraceSink for TeeSink {
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use crate::json::validate;
     use std::sync::Arc;
 
     fn ev(cycle: u64, msg: u64) -> TraceEvent {
@@ -190,61 +128,6 @@ mod tests {
         assert_eq!(r.dropped(), 2);
         let cycles: Vec<u64> = r.events().iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn jsonl_writes_one_valid_line_per_event() {
-        let sink = JsonlSink::new(Vec::new());
-        sink.record(&ev(1, 10));
-        sink.record(&ev(2, 11));
-        sink.flush();
-        let buf = {
-            let mut g = sink.out.lock();
-            g.flush().unwrap();
-            g.get_ref().clone()
-        };
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for l in lines {
-            assert!(validate(l).is_ok(), "{l}");
-        }
-        assert_eq!(sink.written(), 2);
-    }
-
-    /// Fails after `cap` bytes — models a full disk mid-trace.
-    struct Failing {
-        cap: usize,
-        taken: usize,
-    }
-
-    impl Write for Failing {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if self.taken + buf.len() > self.cap {
-                return Err(std::io::Error::new(std::io::ErrorKind::WriteZero, "full"));
-            }
-            self.taken += buf.len();
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_counts_only_successful_writes() {
-        // BufWriter with a tiny buffer so each record hits the writer
-        let sink = JsonlSink {
-            out: Mutex::new(BufWriter::with_capacity(1, Failing { cap: 40, taken: 0 })),
-            written: Mutex::new(0),
-            write_errors: Mutex::new(0),
-        };
-        for i in 0..8 {
-            sink.record(&ev(i, i));
-        }
-        assert!(sink.written() < 8, "some writes must have failed");
-        assert_eq!(sink.written() + sink.write_errors(), 8, "every record is accounted for");
-        assert!(sink.write_errors() > 0);
     }
 
     #[test]

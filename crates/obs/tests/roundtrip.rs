@@ -1,7 +1,9 @@
-//! Serialization round-trip: every `EventKind` variant must survive
-//! `to_json()` → `TraceEvent::from_json()` identically. This is the
-//! contract the `ftr-trace` offline loader relies on — a variant that
-//! renders but does not parse back would silently vanish from reports.
+//! Render contract: `TraceEvent::to_json()` is the one human-readable
+//! form of an event (`ftr-trace --to-jsonl` prints it per decoded
+//! event), so every `EventKind` variant must render as valid JSON that
+//! carries its cycle, its tag and every one of its payload fields — a
+//! variant that renders with a field missing would silently vanish from
+//! every `grep`/`jq` over a capture.
 
 use ftr_obs::json;
 use ftr_obs::{EventKind, RouteOutcome, TraceEvent};
@@ -58,6 +60,30 @@ fn exemplars() -> Vec<EventKind> {
     kinds
 }
 
+/// The payload field names of a variant, read off its `Debug` form
+/// (`Kind { a: .., b: .. }`): identifiers followed by `:` at brace
+/// depth 1. Derived, not listed, so a field added to a variant is
+/// demanded of the rendering without touching this test.
+fn field_names(kind: &EventKind) -> Vec<String> {
+    let dbg = format!("{kind:?}");
+    let mut names = Vec::new();
+    let (mut depth, mut word) = (0i32, String::new());
+    for c in dbg.chars() {
+        match c {
+            '{' | '(' | '[' => depth += 1,
+            '}' | ')' | ']' => depth -= 1,
+            ':' if depth == 1 && !word.is_empty() => names.push(std::mem::take(&mut word)),
+            c if c.is_alphanumeric() || c == '_' => {
+                word.push(c);
+                continue;
+            }
+            _ => {}
+        }
+        word.clear();
+    }
+    names
+}
+
 #[test]
 fn every_variant_round_trips_through_json() {
     let mut tags_seen = std::collections::BTreeSet::new();
@@ -66,75 +92,22 @@ fn every_variant_round_trips_through_json() {
         let ev = TraceEvent { cycle: 123_456, kind };
         let line = ev.to_json();
         assert!(json::validate(&line).is_ok(), "invalid json: {line}");
-        let back =
-            TraceEvent::from_json(&line).unwrap_or_else(|e| panic!("parse failed for {line}: {e}"));
-        assert_eq!(back, ev, "round-trip mismatch for {line}");
+        assert!(!line.contains('\n'), "one event is one line: {line}");
+        let v = json::parse(&line).unwrap_or_else(|e| panic!("parse failed for {line}: {e}"));
+        assert_eq!(v.get("cycle").and_then(|c| c.as_u64()), Some(123_456), "{line}");
+        assert_eq!(v.get("event").and_then(|t| t.as_str()), Some(ev.kind.tag()), "{line}");
+        let fields = field_names(&ev.kind);
+        assert!(!fields.is_empty(), "no payload fields found in {:?}", ev.kind);
+        for f in fields {
+            assert!(v.get(&f).is_some(), "`{f}` of {:?} is missing from {line}", ev.kind);
+        }
+        // the one payload that is not a named field: a grant's channel
+        if let EventKind::RouteDecision { outcome: RouteOutcome::Routed(p, vc), .. } = &ev.kind {
+            assert_eq!(v.get("out_port").and_then(|x| x.as_u64()), Some(u64::from(p.0)), "{line}");
+            assert_eq!(v.get("out_vc").and_then(|x| x.as_u64()), Some(u64::from(vc.0)), "{line}");
+        }
     }
-    // guard against a future variant missing from the exemplar list: the
-    // tag set here must cover every tag the enum can produce
-    let expected: std::collections::BTreeSet<&str> = [
-        "inject",
-        "route_decision",
-        "vc_stall",
-        "vc_acquire",
-        "vc_release",
-        "route_wait",
-        "deliver",
-        "kill",
-        "unroutable",
-        "link_fault",
-        "node_fault",
-        "link_repair",
-        "node_repair",
-        "retry",
-        "send_rejected",
-        "control_send",
-        "control_settled",
-        "heartbeat",
-        "suspect",
-        "alarm",
-        "control_drop",
-    ]
-    .into_iter()
-    .collect();
-    assert_eq!(tags_seen, expected, "exemplar list must cover every EventKind variant");
-}
-
-#[test]
-fn from_json_rejects_malformed_lines() {
-    for bad in [
-        "",
-        "{}",
-        r#"{"cycle":1}"#,
-        r#"{"cycle":1,"event":"nope"}"#,
-        r#"{"cycle":1,"event":"kill"}"#,
-        r#"{"cycle":1,"event":"inject","msg":0,"src":0,"dst":1}"#,
-        r#"{"cycle":-1,"event":"kill","msg":0}"#,
-        r#"{"cycle":1,"event":"route_wait","node":0,"msg":0,"wants":[[1]]}"#,
-        r#"{"cycle":1,"event":"route_wait","node":0,"msg":0,"wants":[1,2]}"#,
-    ] {
-        assert!(TraceEvent::from_json(bad).is_err(), "`{bad}` must be rejected");
-    }
-}
-
-#[test]
-fn jsonl_stream_round_trips() {
-    use ftr_obs::{JsonlSink, TraceSink};
-    let sink = JsonlSink::new(Vec::new());
-    let evs: Vec<TraceEvent> = exemplars()
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| TraceEvent { cycle: i as u64, kind: k })
-        .collect();
-    for e in &evs {
-        sink.record(e);
-    }
-    // no public reader for the buffer; re-render instead — each line is
-    // exactly to_json, which the per-variant test already ties to record()
-    let text: String = evs.iter().map(|e| format!("{}\n", e.to_json())).collect();
-    let back: Vec<TraceEvent> =
-        text.lines().map(|l| TraceEvent::from_json(l).expect("line parses")).collect();
-    assert_eq!(back, evs);
-    assert_eq!(sink.written(), evs.len() as u64);
-    assert_eq!(sink.write_errors(), 0);
+    // guard against a variant missing from the exemplar list: the enum
+    // has 21 variants, each with its own tag
+    assert_eq!(tags_seen.len(), 21, "exemplar list must cover every EventKind variant");
 }

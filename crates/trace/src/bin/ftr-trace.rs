@@ -1,24 +1,33 @@
-//! `ftr-trace` — analyse a trace stream (JSONL or FTB).
+//! `ftr-trace` — analyse an FTB trace capture.
 //!
 //! ```text
-//! ftr-trace <trace.jsonl | trace.ftb | -> [--report <out.json>] [--top <n>]
+//! ftr-trace <capture.ftb | -> [--report <out.json>] [--top <n>]
 //!           [--no-diagnose] [--scan-period <n>] [--stale-window <n>]
 //!           [--min-blocked <n>] [--starvation-window <n>]
+//! ftr-trace <capture.ftb | -> --to-jsonl
 //! ```
 //!
-//! Reads the trace — JSON Lines as written by `JsonlSink` or compact
-//! binary FTB as written by `BinSink`, sniffed from content, `-` for
-//! stdin — folds it into journeys, replays it through the online
-//! diagnoser, prints a human summary to stdout and, with `--report`,
-//! writes the machine-readable JSON report (validated before writing).
-//! Exits 1 on usage or I/O errors, 2 on a malformed or truncated trace.
+//! Reads the capture — FTB as written by `BinSink`, `-` for stdin —
+//! folds it into journeys, replays it through the online diagnoser,
+//! prints a human summary to stdout and, with `--report`, writes the
+//! machine-readable JSON report (validated before writing). With
+//! `--to-jsonl` it instead streams one JSON object per decoded event to
+//! stdout (no fold, no diagnoser) — the `grep`/`jq` view of a capture.
+//!
+//! Exits 1 on usage or I/O errors, 2 on a malformed or truncated
+//! capture. A capture cut mid-write (a crashed or wedged run) still
+//! gets everything before the cut: the summary and a report branded
+//! `"truncated"`, or every complete event under `--to-jsonl` — then the
+//! truncation message on stderr and exit 2.
 
 use ftr_obs::json;
 use ftr_trace::{DiagnoserConfig, DiagnoserSink, EventReader, JourneyBook, ReadError, TraceReport};
+use std::io::Write;
 use std::process::ExitCode;
 
 struct Args {
     input: String,
+    to_jsonl: bool,
     report: Option<String>,
     top: usize,
     diagnose: bool,
@@ -26,9 +35,10 @@ struct Args {
 }
 
 fn usage() -> String {
-    "usage: ftr-trace <trace.jsonl | trace.ftb | -> [--report <out.json>] [--top <n>] \
+    "usage: ftr-trace <capture.ftb | -> [--report <out.json>] [--top <n>] \
      [--no-diagnose] [--scan-period <n>] [--stale-window <n>] \
-     [--min-blocked <n>] [--starvation-window <n>]"
+     [--min-blocked <n>] [--starvation-window <n>]\n       \
+     ftr-trace <capture.ftb | -> --to-jsonl"
         .to_string()
 }
 
@@ -36,6 +46,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut input = None;
     let mut args = Args {
         input: String::new(),
+        to_jsonl: false,
         report: None,
         top: 10,
         diagnose: true,
@@ -50,6 +61,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
+            "--to-jsonl" => args.to_jsonl = true,
             "--report" => args.report = Some(it.next().ok_or("--report needs a path")?.clone()),
             "--top" => args.top = num(&mut it, "--top")? as usize,
             "--no-diagnose" => args.diagnose = false,
@@ -67,32 +79,77 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
     }
     args.input = input.ok_or_else(usage)?;
+    if args.to_jsonl && args.report.is_some() {
+        return Err(format!("--to-jsonl folds nothing, so there is no --report\n{}", usage()));
+    }
     Ok(args)
 }
 
-fn run(args: &Args) -> Result<(TraceReport, u64), (u8, String)> {
-    let io_err = |e: ReadError| match e {
-        ReadError::Io(m) => (1, m),
-        ReadError::Malformed(m) => (2, m),
-    };
-    let reader = if args.input == "-" {
+/// Opens the capture and echoes its header to stderr.
+fn open(input: &str) -> Result<EventReader, ReadError> {
+    let reader = if input == "-" {
         EventReader::from_reader(std::io::stdin())
     } else {
-        EventReader::open(&args.input)
+        EventReader::open(input)
+    }?;
+    let h = reader.header();
+    let meta: String = h.meta.iter().map(|(k, v)| format!(", {k}={v}")).collect();
+    eprintln!("ftr-trace: ftb stream (schema {}){meta}", h.schema);
+    Ok(reader)
+}
+
+/// `--to-jsonl`: one `to_json()` line per decoded event. Every event
+/// before a read error has been printed by the time it is returned.
+fn to_jsonl(reader: EventReader) -> Result<(), ReadError> {
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    let mut end = Ok(());
+    let copy = || -> std::io::Result<()> {
+        for ev in reader {
+            match ev {
+                Ok(ev) => writeln!(out, "{}", ev.to_json())?,
+                Err(e) => {
+                    end = Err(e);
+                    break;
+                }
+            }
+        }
+        out.flush()
+    };
+    match copy() {
+        // `| head` closing the pipe is the reader's choice, not a failure
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        Err(e) => Err(ReadError::Io(format!("cannot write to stdout: {e}"))),
+        Ok(()) => end,
     }
-    .map_err(io_err)?;
-    if let Some(h) = reader.header() {
-        let meta: Vec<String> = h.meta.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        eprintln!(
-            "ftr-trace: ftb stream (schema {}){}",
-            h.schema,
-            if meta.is_empty() { String::new() } else { format!(", {}", meta.join(", ")) }
-        );
+}
+
+/// Everything that can fail is a [`ReadError`]: `Io` exits 1 (the
+/// report file and stdout included), `Malformed` exits 2.
+fn run(args: &Args) -> Result<(), ReadError> {
+    let reader = open(&args.input)?;
+    if args.to_jsonl {
+        return to_jsonl(reader);
     }
     let mut book = JourneyBook::new();
     let diag = args.diagnose.then(|| DiagnoserSink::new(args.cfg));
-    let events = ftr_trace::replay(reader, &mut book, diag.as_ref()).map_err(io_err)?;
-    Ok((TraceReport::build(&book, diag.as_ref(), args.top), events))
+    let truncated = match ftr_trace::replay(reader, &mut book, diag.as_ref()) {
+        // a crash-cut capture still gets its report, over the events
+        // before the cut and branded with the reader's reason
+        Err(ReadError::Malformed(why)) if book.events_total() > 0 => Some(why),
+        Err(e) => return Err(e),
+        Ok(_) => None,
+    };
+    let report = TraceReport { truncated, ..TraceReport::build(&book, diag.as_ref(), args.top) };
+    print!("{}", report.human_summary());
+    if let Some(path) = &args.report {
+        let payload = report.to_json();
+        json::validate(&payload)
+            .map_err(|e| ReadError::Io(format!("internal error: report JSON invalid: {e}")))?;
+        std::fs::write(path, payload + "\n")
+            .map_err(|e| ReadError::Io(format!("cannot write {path}: {e}")))?;
+        eprintln!("ftr-trace: report written to {path} ({} events)", report.events_total);
+    }
+    report.truncated.map_or(Ok(()), |why| Err(ReadError::Malformed(why)))
 }
 
 fn main() -> ExitCode {
@@ -104,25 +161,11 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    let (report, lines) = match run(&args) {
-        Ok(r) => r,
-        Err((code, msg)) => {
-            eprintln!("ftr-trace: {msg}");
-            return ExitCode::from(code);
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("ftr-trace: {e}");
+            ExitCode::from(if matches!(e, ReadError::Io(_)) { 1 } else { 2 })
         }
-    };
-    print!("{}", report.human_summary());
-    if let Some(path) = &args.report {
-        let payload = report.to_json();
-        if let Err(e) = json::validate(&payload) {
-            eprintln!("ftr-trace: internal error: report JSON invalid: {e}");
-            return ExitCode::from(1);
-        }
-        if let Err(e) = std::fs::write(path, payload + "\n") {
-            eprintln!("ftr-trace: cannot write {path}: {e}");
-            return ExitCode::from(1);
-        }
-        eprintln!("ftr-trace: report written to {path} ({lines} events)");
     }
-    ExitCode::SUCCESS
 }

@@ -1,8 +1,8 @@
 //! Online stall/deadlock diagnosis over the live event stream.
 //!
 //! [`DiagnoserSink`] implements `TraceSink`, so it attaches to a running
-//! network exactly like any other sink (compose with `TeeSink` to keep a
-//! JSONL capture at the same time) and needs nothing from the engine's
+//! network exactly like any other sink (compose with `TeeSink` to keep
+//! an FTB capture at the same time) and needs nothing from the engine's
 //! internals. From the event stream it maintains:
 //!
 //! - a **channel-owner map** — `VcAcquire` names the worm holding each

@@ -1,12 +1,12 @@
-//! Format-transparent trace input: JSONL or FTB, sniffed from content.
+//! Trace input: a streaming reader over an FTB capture, and the loop
+//! that folds it.
 //!
-//! Every consumer in this crate folds [`TraceEvent`]s; which bytes they
-//! came from is an input detail. [`EventReader`] hides it: it peeks at
-//! the first four bytes of any stream — file or stdin — and decodes
-//! either JSON Lines (as written by `JsonlSink`) or the compact FTB
-//! binary format (as written by `BinSink`), yielding the same typed
-//! events either way. Both paths are streaming: neither materializes
-//! the trace, so a multi-gigabyte fleet capture replays in O(1) memory.
+//! Every consumer in this crate folds [`TraceEvent`]s. [`EventReader`]
+//! turns a capture — a file or stdin, as written by `ftr_obs::BinSink` —
+//! back into them one at a time, never materializing the trace, so a
+//! multi-gigabyte fleet capture replays in O(1) memory. FTB is the only
+//! format it decodes: a stream that does not open with the `FTB1` magic
+//! (an empty one included) is [`ReadError::Malformed`].
 //!
 //! [`replay`] is the canonical consumption loop — feed every event to a
 //! [`JourneyBook`] and (optionally) a [`DiagnoserSink`] — shared by the
@@ -14,112 +14,34 @@
 
 use crate::diagnose::DiagnoserSink;
 use crate::journey::JourneyBook;
-use ftr_obs::ftb::{FtbHeader, FtbReader, FTB_MAGIC};
+use ftr_obs::ftb::{FtbHeader, FtbReader};
+pub use ftr_obs::ReadError;
 use ftr_obs::{TraceEvent, TraceSink};
-use std::io::{BufRead, BufReader, Cursor, Read};
+use std::io::{BufReader, Read};
 use std::path::Path;
 
-/// The wire format a stream turned out to be.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// JSON Lines, one `TraceEvent::to_json()` object per line.
-    Jsonl,
-    /// Compact binary (`ftr_obs::ftb`).
-    Ftb,
-}
-
-impl TraceFormat {
-    /// Lowercase name for messages.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceFormat::Jsonl => "jsonl",
-            TraceFormat::Ftb => "ftb",
-        }
-    }
-}
-
-/// Why reading a trace stopped.
-#[derive(Clone, Debug)]
-pub enum ReadError {
-    /// The underlying reader failed (I/O, not content).
-    Io(String),
-    /// The content is not a valid trace (bad JSON line, bad opcode,
-    /// truncated FTB stream).
-    Malformed(String),
-}
-
-impl std::fmt::Display for ReadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReadError::Io(m) | ReadError::Malformed(m) => f.write_str(m),
-        }
-    }
-}
-
-type Input = BufReader<Box<dyn Read>>;
-
-enum Inner {
-    Jsonl { r: Input, line_no: u64 },
-    Ftb(Box<FtbReader<Input>>),
-}
-
-/// A streaming reader over either trace format.
+/// A streaming reader over an FTB capture.
 pub struct EventReader {
-    inner: Inner,
+    inner: FtbReader<BufReader<Box<dyn Read>>>,
 }
 
 impl EventReader {
-    /// Opens `path` and sniffs its format from the leading bytes.
+    /// Opens the capture at `path` and parses its header.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, ReadError> {
         let f = std::fs::File::open(&path)
             .map_err(|e| ReadError::Io(format!("cannot open {}: {e}", path.as_ref().display())))?;
         EventReader::from_reader(f)
     }
 
-    /// Wraps any byte stream (e.g. stdin) and sniffs its format.
-    ///
-    /// A stream shorter than the FTB magic is treated as (possibly
-    /// empty) JSONL — an empty trace is valid in both formats and folds
-    /// to an empty book either way.
+    /// Wraps any byte stream (e.g. stdin) and parses the header.
     pub fn from_reader(r: impl Read + 'static) -> Result<Self, ReadError> {
-        let mut r: Box<dyn Read> = Box::new(r);
-        // peek exactly enough to recognize the magic, then stitch the
-        // consumed prefix back in front of the rest
-        let mut prefix = [0u8; 4];
-        let mut got = 0;
-        while got < 4 {
-            match r.read(&mut prefix[got..]) {
-                Ok(0) => break,
-                Ok(n) => got += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(ReadError::Io(format!("read error: {e}"))),
-            }
-        }
-        let is_ftb = got == 4 && prefix == FTB_MAGIC;
-        let whole: Box<dyn Read> = Box::new(Cursor::new(prefix[..got].to_vec()).chain(r));
-        let buf = BufReader::new(whole);
-        if is_ftb {
-            let ftb = FtbReader::from_reader(buf).map_err(ReadError::Malformed)?;
-            Ok(EventReader { inner: Inner::Ftb(Box::new(ftb)) })
-        } else {
-            Ok(EventReader { inner: Inner::Jsonl { r: buf, line_no: 0 } })
-        }
+        let r: Box<dyn Read> = Box::new(r);
+        Ok(EventReader { inner: FtbReader::from_reader(BufReader::new(r))? })
     }
 
-    /// Which format the stream turned out to be.
-    pub fn format(&self) -> TraceFormat {
-        match &self.inner {
-            Inner::Jsonl { .. } => TraceFormat::Jsonl,
-            Inner::Ftb(_) => TraceFormat::Ftb,
-        }
-    }
-
-    /// The FTB stream header, when the stream is FTB.
-    pub fn header(&self) -> Option<&FtbHeader> {
-        match &self.inner {
-            Inner::Jsonl { .. } => None,
-            Inner::Ftb(r) => Some(r.header()),
-        }
+    /// The capture's self-describing header.
+    pub fn header(&self) -> &FtbHeader {
+        self.inner.header()
     }
 }
 
@@ -127,64 +49,50 @@ impl Iterator for EventReader {
     type Item = Result<TraceEvent, ReadError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            Inner::Jsonl { r, line_no } => {
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    *line_no += 1;
-                    match r.read_line(&mut line) {
-                        Ok(0) => return None,
-                        Ok(_) => {
-                            if line.trim().is_empty() {
-                                continue;
-                            }
-                            return Some(TraceEvent::from_json(line.trim_end()).map_err(|e| {
-                                ReadError::Malformed(format!("malformed trace line {line_no}: {e}"))
-                            }));
-                        }
-                        Err(e) => {
-                            return Some(Err(ReadError::Io(format!(
-                                "read error at line {line_no}: {e}"
-                            ))));
-                        }
-                    }
-                }
-            }
-            Inner::Ftb(r) => r.next().map(|res| res.map_err(ReadError::Malformed)),
-        }
+        self.inner.next()
     }
 }
 
 /// Folds every event of `reader` into `book` and, when given, the
-/// online diagnoser (closing out its final scan period). Returns the
-/// number of events consumed; stops at the first malformed event.
+/// online diagnoser. Returns the number of events consumed; stops at
+/// the first malformed event. Either way `book` holds every event
+/// decoded up to that point and the diagnoser's final scan period is
+/// closed out, so a caller can still report on the prefix of a
+/// crash-cut capture.
 pub fn replay(
     reader: EventReader,
     book: &mut JourneyBook,
     diag: Option<&DiagnoserSink>,
 ) -> Result<u64, ReadError> {
     let mut n = 0u64;
+    let mut end = Ok(());
     for ev in reader {
-        let ev = ev?;
-        book.fold(&ev);
-        if let Some(d) = diag {
-            d.record(&ev);
+        match ev {
+            Ok(ev) => {
+                book.fold(&ev);
+                if let Some(d) = diag {
+                    d.record(&ev);
+                }
+                n += 1;
+            }
+            Err(e) => {
+                end = Err(e);
+                break;
+            }
         }
-        n += 1;
     }
     if let Some(d) = diag {
         // the trace may end inside a scan period; close it out
         d.scan_now();
     }
-    Ok(n)
+    end.map(|()| n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftr_obs::ftb::BinSink;
-    use ftr_obs::{EventKind, JsonlSink};
+    use ftr_obs::EventKind;
     use ftr_topo::NodeId;
 
     fn events() -> Vec<TraceEvent> {
@@ -197,46 +105,14 @@ mod tests {
         ]
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ftr-input-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
-
-    #[test]
-    fn sniffs_and_reads_both_formats() {
-        let jsonl = tmp("t.jsonl");
-        let ftb = tmp("t.ftb");
-        {
-            let s = JsonlSink::create(&jsonl).unwrap();
-            events().iter().for_each(|e| s.record(e));
-        }
-        {
-            let s = BinSink::create(&ftb, FtbHeader::new().with("seed", 5u64)).unwrap();
-            events().iter().for_each(|e| s.record(e));
-            s.finalize().unwrap();
-        }
-        let r = EventReader::open(&jsonl).unwrap();
-        assert_eq!(r.format(), TraceFormat::Jsonl);
-        assert!(r.header().is_none());
-        let a: Vec<TraceEvent> = r.map(|e| e.unwrap()).collect();
-
-        let r = EventReader::open(&ftb).unwrap();
-        assert_eq!(r.format(), TraceFormat::Ftb);
-        assert_eq!(r.header().unwrap().seed(), Some(5));
-        let b: Vec<TraceEvent> = r.map(|e| e.unwrap()).collect();
-
-        assert_eq!(a, events());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn empty_and_tiny_streams_are_jsonl() {
-        let r = EventReader::from_reader(std::io::empty()).unwrap();
-        assert_eq!(r.format(), TraceFormat::Jsonl);
-        assert_eq!(r.count(), 0);
-        let r = EventReader::from_reader(&b"\n\n"[..]).unwrap();
-        assert_eq!(r.count(), 0);
+    /// `events()` as a finalized capture.
+    fn capture(header: FtbHeader) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let s = BinSink::new(&mut bytes, header).unwrap();
+        events().iter().for_each(|e| s.record(e));
+        s.finalize().unwrap();
+        drop(s);
+        bytes
     }
 
     #[test]
@@ -244,40 +120,37 @@ mod tests {
         let mut direct = JourneyBook::new();
         direct.fold_all(&events());
 
-        let ftb = tmp("r.ftb");
-        let s = BinSink::create(&ftb, FtbHeader::new()).unwrap();
-        events().iter().for_each(|e| s.record(e));
-        s.finalize().unwrap();
+        let dir = std::env::temp_dir().join(format!("ftr-input-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ftb = dir.join("r.ftb");
+        std::fs::write(&ftb, capture(FtbHeader::new().with("seed", 5u64))).unwrap();
 
+        let reader = EventReader::open(&ftb).unwrap();
+        assert_eq!(reader.header().seed(), Some(5));
         let mut book = JourneyBook::new();
-        let n = replay(EventReader::open(&ftb).unwrap(), &mut book, None).unwrap();
+        let n = replay(reader, &mut book, None).unwrap();
         assert_eq!(n, 2);
         assert_eq!(book.summary(), direct.summary());
     }
 
     #[test]
     fn malformed_lines_and_truncated_ftb_error_out() {
-        let r = EventReader::from_reader(&b"{\"cycle\":1}\n"[..]).unwrap();
-        let errs: Vec<_> = r.filter_map(|e| e.err()).collect();
-        assert_eq!(errs.len(), 1);
-        assert!(matches!(&errs[0], ReadError::Malformed(m) if m.contains("line 1")));
+        // FTB is the only format: a JSON line, an empty stream and a
+        // stream shorter than the magic are all malformed input
+        for bad in [&b"{\"cycle\":1,\"event\":\"kill\",\"msg\":1}\n"[..], b"", b"FT"] {
+            let err = EventReader::from_reader(bad).err().expect("rejected at open");
+            assert!(matches!(err, ReadError::Malformed(_)), "{bad:?}: {err:?}");
+        }
 
-        // an FTB stream cut before the END marker must not fold cleanly
-        let path = tmp("cut.ftb");
-        let s = BinSink::create(&path, FtbHeader::new()).unwrap();
-        events().iter().for_each(|e| s.record(e));
-        s.flush(); // no finalize
-        drop_without_finalize(s, &path);
-        let r = EventReader::open(&path).unwrap();
-        let last = r.last().unwrap();
-        assert!(matches!(last, Err(ReadError::Malformed(ref m)) if m.contains("truncated")));
-    }
-
-    /// Dropping a BinSink finalizes it; to model a crash-cut file,
-    /// truncate the END marker back off after the drop.
-    fn drop_without_finalize(s: BinSink<std::fs::File>, path: &std::path::Path) {
-        drop(s);
-        let bytes = std::fs::read(path).unwrap();
-        std::fs::write(path, &bytes[..bytes.len() - 1]).unwrap();
+        // an FTB stream cut before the END marker must not fold cleanly,
+        // but the book keeps what was decoded before the cut
+        let bytes = capture(FtbHeader::new());
+        let cut = bytes[..bytes.len() - 1].to_vec();
+        let mut book = JourneyBook::new();
+        let diag = DiagnoserSink::default();
+        let r = EventReader::from_reader(std::io::Cursor::new(cut)).unwrap();
+        let err = replay(r, &mut book, Some(&diag)).unwrap_err();
+        assert!(matches!(err, ReadError::Malformed(ref m) if m.contains("truncated")), "{err:?}");
+        assert_eq!(book.events_total(), 2, "the prefix stays folded");
     }
 }

@@ -15,18 +15,19 @@
 //!   (asserted in `tests/exactness.rs`).
 //! - **Online** ([`diagnose`]): [`DiagnoserSink`] implements
 //!   `ftr_obs::TraceSink`, so it attaches to a live network (compose
-//!   with `TeeSink` to also keep a JSONL capture) and incrementally
+//!   with `TeeSink` to also keep an FTB capture) and incrementally
 //!   maintains the VC wait-for graph from `VcAcquire`/`VcStall`/
 //!   `RouteWait` events. It reports suspected deadlock as a cycle
 //!   witness naming the ring of messages and channels, and flags
 //!   starved messages — all without touching engine internals.
 //!
-//! The `ftr-trace` binary reads a trace in either format — JSONL as
-//! written by `JsonlSink`, or the compact binary FTB as written by
-//! `ftr_obs::BinSink` (both reachable via the bench harness's
-//! `FTR_TRACE_DIR`) — sniffed from content by [`EventReader`], replays
-//! it through both halves, prints the human summary and optionally
-//! writes the JSON report.
+//! The `ftr-trace` binary reads an FTB capture as written by
+//! `ftr_obs::BinSink` (every bench run leaves one per simulation when
+//! `FTR_TRACE_DIR` is set) through [`EventReader`], replays it through
+//! both halves, prints the human summary and optionally writes the JSON
+//! report — for a crash-cut capture too, over the events before the cut.
+//! `--to-jsonl` instead streams the decoded events as JSON lines, the
+//! `grep`/`jq` view of a capture.
 
 pub mod diagnose;
 pub mod input;
@@ -34,7 +35,7 @@ pub mod journey;
 pub mod report;
 
 pub use diagnose::{DeadlockWitness, DiagnoserConfig, DiagnoserSink, Starvation, WaitEdge};
-pub use input::{replay, EventReader, ReadError, TraceFormat};
+pub use input::{replay, EventReader, ReadError};
 pub use journey::{
     Attempt, Attribution, BookSummary, ChannelKey, ChannelStats, ChannelUse, Hop, Journey,
     JourneyBook, Outcome, Tally,

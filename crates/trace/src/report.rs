@@ -36,10 +36,16 @@ pub struct TraceReport {
     pub deadlock: Option<DeadlockWitness>,
     /// Starvation reports, when a diagnoser ran.
     pub starved: Vec<Starvation>,
-    /// Events the producing sink failed to write (`write_errors()` of a
-    /// `JsonlSink`/`BinSink`), when the producer is known. `Some(n > 0)`
-    /// brands the whole report: it was folded from an incomplete trace.
+    /// Events the producing sink failed to write (`write_errors()` of
+    /// the `BinSink`), when the producer is known. `Some(n > 0)` brands
+    /// the whole report: it was folded from an incomplete trace.
     pub trace_write_errors: Option<u64>,
+    /// Why the reader stopped before the capture's END marker, when it
+    /// did. `Some` brands the report like `trace_write_errors` does: it
+    /// covers only the events before the cut (a crashed or wedged run's
+    /// capture). `None` — JSON `null` — for a capture read to its END
+    /// and for reports built in-process from a live stream.
+    pub truncated: Option<String>,
 }
 
 impl TraceReport {
@@ -69,6 +75,7 @@ impl TraceReport {
             deadlock: diag.and_then(DiagnoserSink::deadlock),
             starved: diag.map(|d| d.starved()).unwrap_or_default(),
             trace_write_errors: None,
+            truncated: None,
         }
     }
 
@@ -120,6 +127,10 @@ impl TraceReport {
         match self.trace_write_errors {
             Some(n) => o.num("trace_write_errors", n),
             None => o.field("trace_write_errors", "null"),
+        };
+        match &self.truncated {
+            Some(why) => o.str("truncated", why),
+            None => o.field("truncated", "null"),
         };
         o.field("anomalies", json::array(self.anomalies.iter().map(|a| json::string(a))));
         o.num("fault_events", self.fault_events);
@@ -286,6 +297,13 @@ impl TraceReport {
                 "warning: the capturing sink dropped {n} events — this trace is incomplete"
             );
         }
+        if let Some(why) = &self.truncated {
+            let _ = writeln!(
+                out,
+                "warning: capture incomplete ({why}) — this summary covers the {} events before the cut",
+                self.events_total
+            );
+        }
         if !self.anomalies.is_empty() {
             let _ = writeln!(
                 out,
@@ -378,6 +396,15 @@ mod tests {
 
         let whole = TraceReport::build(&book, None, 10).with_write_errors(0);
         assert!(!whole.human_summary().contains("incomplete"));
+        assert!(v.get("truncated").unwrap().is_null(), "a capture read to END is not branded");
+
+        let mut cut = TraceReport::build(&book, None, 10);
+        cut.truncated = Some("missing END marker".into());
+        let j = cut.to_json();
+        json::validate(&j).expect("branded report stays valid JSON");
+        let v = json::parse(&j).unwrap();
+        assert_eq!(v.get("truncated").and_then(|x| x.as_str()), Some("missing END marker"));
+        assert!(cut.human_summary().contains("capture incomplete (missing END marker)"));
     }
 
     #[test]

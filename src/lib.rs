@@ -33,7 +33,7 @@ pub use ftr_trace as trace;
 pub mod prelude {
     pub use ftr_algos::{Nafta, Nara, RouteC, XyRouting};
     pub use ftr_obs::{
-        EventKind, InterpProfiler, JsonlSink, MetricsRegistry, RingSink, TraceEvent, TraceSink,
+        EventKind, InterpProfiler, MetricsRegistry, RingSink, TraceEvent, TraceSink,
     };
     pub use ftr_rules::{InterpProbe, Machine, Program};
     pub use ftr_sim::{
