@@ -249,6 +249,36 @@ mod tests {
         );
     }
 
+    /// 13 VCs × 5 input ports = 65 arbitration slots: the switch's
+    /// request sets span two words (the injection lane is slot 64). The
+    /// pinned totals were recorded from the slot-scanning arbiter the
+    /// bitset pick replaced; contention, faults and misroute priority
+    /// make them sensitive to every round-robin decision.
+    #[test]
+    fn switch_wider_than_64_slots_arbitrates_as_before() {
+        let m = Mesh2D::new(12, 12);
+        let algo = NegativeHop::new(m.clone(), 2);
+        assert_eq!((m.degree() + 1) * algo.num_vcs(), 65);
+        let mut net = Network::builder(Arc::new(m.clone()))
+            .prioritize_misrouted(true)
+            .build(&algo)
+            .expect("a 65-slot switch is a valid configuration");
+        net.inject_link_fault(m.node_at(5, 5), EAST);
+        net.inject_link_fault(m.node_at(6, 6), NORTH);
+        net.set_measuring(true);
+        let mut tf = TrafficSource::new(Pattern::Uniform, 0.3, 6, 11);
+        for _ in 0..400 {
+            for (s, d, l) in tf.tick(&m, net.faults()) {
+                net.send(s, d, l).unwrap();
+            }
+            net.step();
+        }
+        assert!(net.drain(100_000));
+        let s = &net.stats;
+        assert!(!s.deadlock && s.accounting_balanced());
+        assert_eq!((s.delivered_msgs, s.latency.sum, s.hops.sum), (2886, 291_954, 23_016));
+    }
+
     #[test]
     fn condition1_fault_free() {
         let m = Mesh2D::new(4, 4);

@@ -162,13 +162,16 @@ fn main() {
     );
     if !smoke {
         // the active-set acceptance bar, asserted where the numbers are
-        // stable (a dedicated run, not a shared CI runner). The low-load
-        // bar dropped from 5x when the sharded engine landed: the arena
-        // accessor layer and per-shard scratch/replay structure add a
-        // fixed per-cycle cost that dilutes the active-set win on
-        // near-idle fabrics, in exchange for bit-identical N-thread
-        // scaling (DESIGN.md §14). Saturation stays at parity.
-        assert!(low.speedup() >= 4.0, "low-load speedup {:.2}x misses the 4x bar", low.speedup());
+        // stable (a dedicated run, not a shared CI runner). The bar is on
+        // a *ratio*, so it moves whenever one arm gains more than the
+        // other: 5x -> 4x when the sharded engine added a fixed per-cycle
+        // cost to both arms (DESIGN.md §14), 4x -> 2.5x when the wiring
+        // table and request-set arbitration (PR 16) made an empty node
+        // almost free — the dense arm, which visits 36 of them, gained
+        // 3.2x and the active arm 2.1x, so both are faster and the ratio
+        // is 2.9-3.6x run to run (EXPERIMENTS.md E17). Saturation stays
+        // at parity.
+        assert!(low.speedup() >= 2.5, "low-load speedup {:.2}x misses the 2.5x bar", low.speedup());
         assert!(
             sat.speedup() >= 0.97,
             "saturation regression {:.1}% exceeds 3%",

@@ -58,15 +58,12 @@ impl Geometry {
         }
     }
 
-    /// Node-relative lane index of `(ip, iv)`.
+    /// Node-relative lane index of `(ip, iv)` — also the lane's slot in
+    /// switch arbitration; the injection lane `(degree, 0)` comes last.
     #[inline]
     fn lane_of(&self, ip: usize, iv: usize) -> usize {
-        if ip == self.degree {
-            debug_assert_eq!(iv, 0, "injection port has a single lane");
-            self.degree * self.vcs
-        } else {
-            ip * self.vcs + iv
-        }
+        debug_assert!(iv < self.vcs_at(ip), "port {ip} has no lane {iv}");
+        ip * self.vcs + iv
     }
 }
 
@@ -255,75 +252,26 @@ impl Channels {
     }
 
     /// Cuts the arena into disjoint mutable views along `bounds` (node
-    /// indices, ascending, `bounds[0] == 0`, last == `nodes`). Each view
-    /// addresses nodes `bounds[i]..bounds[i+1]` with *global* node ids.
-    pub fn split_mut(&mut self, bounds: &[usize]) -> Vec<ChanRef<'_>> {
+    /// indices, ascending, `bounds[0] == 0`, last == `nodes`), one view at
+    /// a time as the iterator is consumed. Each view addresses nodes
+    /// `bounds[i]..bounds[i+1]` with *global* node ids.
+    pub fn split_mut<'a>(
+        &'a mut self,
+        bounds: &'a [usize],
+    ) -> impl Iterator<Item = ChanRef<'a>> + 'a {
         debug_assert!(bounds.len() >= 2);
         debug_assert_eq!(bounds[0], 0);
         debug_assert_eq!(*bounds.last().expect("non-empty"), self.geo.nodes);
-        let geo = self.geo;
-        let mut fifo_buf = self.fifo_buf.as_mut_slice();
-        let mut fifo_head = self.fifo_head.as_mut_slice();
-        let mut fifo_len = self.fifo_len.as_mut_slice();
-        let mut route = self.route.as_mut_slice();
-        let mut phase = self.phase.as_mut_slice();
-        let mut counted = self.counted.as_mut_slice();
-        let mut misrouted = self.misrouted.as_mut_slice();
-        let mut out_owner = self.out_owner.as_mut_slice();
-        let mut out_credits = self.out_credits.as_mut_slice();
-        let mut out_reg = self.out_reg.as_mut_slice();
-        let mut rr = self.rr.as_mut_slice();
-        let mut out_assigned = self.out_assigned.as_mut_slice();
-        let mut staging = self.staging.as_mut_slice();
-        let mut out = Vec::with_capacity(bounds.len() - 1);
-        for w in bounds.windows(2) {
-            let cnt = w[1] - w[0];
-            let (fb, r) = fifo_buf.split_at_mut(cnt * geo.lanes * geo.depth);
-            fifo_buf = r;
-            let (fh, r) = fifo_head.split_at_mut(cnt * geo.lanes);
-            fifo_head = r;
-            let (fl, r) = fifo_len.split_at_mut(cnt * geo.lanes);
-            fifo_len = r;
-            let (rt, r) = route.split_at_mut(cnt * geo.lanes);
-            route = r;
-            let (ph, r) = phase.split_at_mut(cnt * geo.lanes);
-            phase = r;
-            let (co, r) = counted.split_at_mut(cnt * geo.lanes);
-            counted = r;
-            let (mi, r) = misrouted.split_at_mut(cnt * geo.lanes);
-            misrouted = r;
-            let (oo, r) = out_owner.split_at_mut(cnt * geo.degree * geo.vcs);
-            out_owner = r;
-            let (ocr, r) = out_credits.split_at_mut(cnt * geo.degree * geo.vcs);
-            out_credits = r;
-            let (or_, r) = out_reg.split_at_mut(cnt * geo.degree);
-            out_reg = r;
-            let (rp, r) = rr.split_at_mut(cnt * geo.degree);
-            rr = r;
-            let (oa, r) = out_assigned.split_at_mut(cnt * geo.degree);
-            out_assigned = r;
-            let (st, r) = staging.split_at_mut(cnt);
-            staging = r;
-            out.push(ChanRef {
-                base: w[0],
-                geo,
-                fifo_buf: fb,
-                fifo_head: fh,
-                fifo_len: fl,
-                route: rt,
-                phase: ph,
-                counted: co,
-                misrouted: mi,
-                out_owner: oo,
-                out_credits: ocr,
-                out_reg: or_,
-                rr: rp,
-                out_assigned: oa,
-                staging: st,
-            });
-        }
-        out
+        let mut rest = self.full_mut();
+        bounds.windows(2).map(move |w| rest.split_front(w[1] - w[0]))
     }
+}
+
+/// Detaches the first `k` elements of `*s`, leaving the remainder in place.
+fn cut<'a, T>(s: &mut &'a mut [T], k: usize) -> &'a mut [T] {
+    let (front, rest) = std::mem::take(s).split_at_mut(k);
+    *s = rest;
+    front
 }
 
 /// Mutable view over a contiguous node range of the arena. All accessors
@@ -347,7 +295,31 @@ pub(crate) struct ChanRef<'a> {
     staging: &'a mut [VecDeque<Flit>],
 }
 
-impl ChanRef<'_> {
+impl<'a> ChanRef<'a> {
+    /// Splits off a view of the first `cnt` nodes; `self` keeps the rest.
+    fn split_front(&mut self, cnt: usize) -> ChanRef<'a> {
+        let geo = self.geo;
+        let front = ChanRef {
+            base: self.base,
+            geo,
+            fifo_buf: cut(&mut self.fifo_buf, cnt * geo.lanes * geo.depth),
+            fifo_head: cut(&mut self.fifo_head, cnt * geo.lanes),
+            fifo_len: cut(&mut self.fifo_len, cnt * geo.lanes),
+            route: cut(&mut self.route, cnt * geo.lanes),
+            phase: cut(&mut self.phase, cnt * geo.lanes),
+            counted: cut(&mut self.counted, cnt * geo.lanes),
+            misrouted: cut(&mut self.misrouted, cnt * geo.lanes),
+            out_owner: cut(&mut self.out_owner, cnt * geo.degree * geo.vcs),
+            out_credits: cut(&mut self.out_credits, cnt * geo.degree * geo.vcs),
+            out_reg: cut(&mut self.out_reg, cnt * geo.degree),
+            rr: cut(&mut self.rr, cnt * geo.degree),
+            out_assigned: cut(&mut self.out_assigned, cnt * geo.degree),
+            staging: cut(&mut self.staging, cnt),
+        };
+        self.base += cnt;
+        front
+    }
+
     #[inline]
     fn local(&self, n: usize) -> usize {
         debug_assert!(n >= self.base, "node {n} below shard base {}", self.base);
@@ -626,7 +598,7 @@ mod tests {
     #[test]
     fn split_views_address_global_ids() {
         let mut ch = Channels::new(Geometry::new(4, 2, 1, 2));
-        let mut views = ch.split_mut(&[0, 2, 4]);
+        let mut views: Vec<_> = ch.split_mut(&[0, 2, 4]).collect();
         let (a, b) = views.split_at_mut(1);
         a[0].fifo_push_back(1, 0, 0, flit(7, 0));
         b[0].fifo_push_back(3, 1, 0, flit(8, 0));

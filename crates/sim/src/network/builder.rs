@@ -2,6 +2,7 @@
 //! [`NetworkBuilder`] — the instrumentation seam of the observability
 //! layer.
 
+use super::wiring::Wiring;
 use super::{Network, RetryPolicy, SimMetrics};
 use crate::arena::{Channels, Geometry};
 use crate::plan::FaultPlan;
@@ -246,10 +247,11 @@ impl NetworkBuilder {
         let ctrls = (0..n).map(|i| algo.controller(self.topo.as_ref(), NodeId(i as u32))).collect();
         let stats = SimStats::for_nodes(n);
         Ok(Network {
-            topo: self.topo,
             cfg,
             vcs,
             faults: FaultSet::new(),
+            wiring: Wiring::new(self.topo.as_ref()),
+            topo: self.topo,
             chans,
             ctrls,
             control: VecDeque::new(),

@@ -3,7 +3,6 @@
 //! [`NodeController`](crate::routing::NodeController) control-plane hook
 //! is invoked.
 
-use super::view::ViewData;
 use super::Network;
 use crate::routing::ControlMsg;
 use ftr_obs::EventKind;
@@ -34,11 +33,11 @@ impl Network {
     /// the router's current state, records the trace events it produced
     /// and sends its replies. A faulty node's control unit does not run.
     pub(super) fn call_hook(&mut self, node: NodeId, hook: Hook<'_>) {
-        if self.faults.node_faulty(node) {
+        if self.wiring.node_dead(node.idx()) {
             return;
         }
-        let ch = self.chans.full_mut();
-        let vd = ViewData::live(self.topo.as_ref(), &self.faults, node, self.vcs, &ch);
+        let vd = &mut self.scratch.view;
+        vd.fill_live(&self.wiring, node.idx(), self.vcs, &self.chans.full_mut());
         let view = vd.view(node, self.cycle);
         let ctrl = &mut self.ctrls[node.idx()];
         let msgs = match hook {
@@ -71,14 +70,12 @@ impl Network {
 
     fn enqueue_control(&mut self, from: NodeId, msgs: Vec<ControlMsg>) {
         for msg in msgs {
-            if !self.faults.link_usable(self.topo.as_ref(), from, msg.port) {
+            let Some((to, from_port)) = self.wiring.live_peer(from.idx(), msg.port.idx()) else {
                 // control messages need healthy links too; account for the
                 // loss instead of discarding silently
                 self.drop_control(from, msg.port);
                 continue;
-            }
-            let to = self.topo.neighbor(from, msg.port).expect("usable link");
-            let from_port = self.topo.port_towards(to, from).expect("reverse");
+            };
             self.stats.control_msgs += 1;
             self.emit(|| EventKind::ControlSend { from, to });
             if let Some(m) = &self.metrics {
@@ -112,14 +109,14 @@ impl Network {
             due.push(self.control.pop_front().expect("checked"));
         }
         for d in due.drain(..) {
-            if self.faults.node_faulty(d.to) {
+            if self.wiring.node_dead(d.to.idx()) {
                 continue;
             }
             // time-of-send vs time-of-delivery: the traversed link (and
             // with it the sender node) must still be usable NOW — a link
             // that died after the send at cycle C never lands its words
             // at C+1
-            if !self.faults.link_usable(self.topo.as_ref(), d.to, d.from_port) {
+            if self.wiring.live_peer(d.to.idx(), d.from_port.idx()).is_none() {
                 self.drop_control(d.to, d.from_port);
                 continue;
             }

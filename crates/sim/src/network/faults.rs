@@ -21,6 +21,32 @@ pub(super) struct RetryEntry {
 }
 
 impl Network {
+    /// The only place the ground-truth fault set changes: fails
+    /// (`faulty`) or repairs node `n` (`port == None`) or the link leaving
+    /// it through `port`, then refreshes the wiring table's cached status
+    /// bits around the event, which keeps them equal to the fault set.
+    pub(super) fn set_fault(&mut self, n: NodeId, port: Option<PortId>, faulty: bool) {
+        let topo = self.topo.as_ref();
+        match (port, faulty) {
+            (Some(p), true) => self.faults.fail_link(topo, n, p),
+            (Some(p), false) => {
+                if let Some(l) = topo.link(n, p) {
+                    self.faults.repair_link(l);
+                }
+            }
+            (None, true) => self.faults.fail_node(n),
+            (None, false) => self.faults.repair_node(n),
+        }
+        self.wiring.refresh(topo, &self.faults, n, port);
+        debug_assert!(self.wiring_consistent(), "wiring table out of step with the fault set");
+    }
+
+    /// Whether every cached live-link and node-dead bit equals what the
+    /// fault set answers (debug-asserted after every fault and repair).
+    pub fn wiring_consistent(&self) -> bool {
+        self.wiring.consistent(self.topo.as_ref(), &self.faults)
+    }
+
     /// Attaches (or replaces) a scripted fault plan mid-run; actions whose
     /// cycle already passed fire on the next step.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -59,9 +85,8 @@ impl Network {
     /// Physical half of a link fault; returns the far endpoint `(m, q)`
     /// when the link exists.
     fn link_fault_physical(&mut self, n: NodeId, p: PortId) -> Option<(NodeId, PortId)> {
-        let m = self.topo.neighbor(n, p)?;
-        let q = self.topo.port_towards(m, n).expect("reverse port");
-        self.faults.fail_link(self.topo.as_ref(), n, p);
+        let (m, q) = self.wiring.peer(n.idx(), p.idx())?;
+        self.set_fault(n, Some(p), true);
         self.emit(|| EventKind::LinkFault { node: n, port: p });
 
         let mut dead: HashSet<MessageId> = HashSet::new();
@@ -93,9 +118,10 @@ impl Network {
     /// messages destined to it, and notifies all alive neighbours.
     pub fn inject_node_fault(&mut self, n: NodeId) {
         self.node_fault_physical(n);
-        for (_, nb) in self.topo.neighbors(n) {
-            let q = self.topo.port_towards(nb, n).expect("reverse");
-            self.call_hook(nb, Hook::Fault(q));
+        for p in 0..self.chans.geo().degree {
+            if let Some((nb, q)) = self.wiring.peer(n.idx(), p) {
+                self.call_hook(nb, Hook::Fault(q));
+            }
         }
     }
 
@@ -108,7 +134,7 @@ impl Network {
 
     /// Physical half of a node fault.
     fn node_fault_physical(&mut self, n: NodeId) {
-        self.faults.fail_node(n);
+        self.set_fault(n, None, true);
         self.emit(|| EventKind::NodeFault { node: n });
         let geo = self.chans.geo();
         let mut dead: HashSet<MessageId> = HashSet::new();
@@ -128,7 +154,7 @@ impl Network {
             }
             dead.extend(self.chans.staging(ni).iter().filter(|f| doomed(f)).map(|f| f.msg));
             for p in 0..geo.degree {
-                let into_n = self.topo.neighbor(node, PortId(p as u8)) == Some(n);
+                let into_n = self.wiring.peer(ni, p).is_some_and(|(m, _)| m == n);
                 if let Some((_, f)) = self.chans.out_reg(ni, p) {
                     if into_n || doomed(f) {
                         dead.insert(f.msg);
@@ -166,19 +192,12 @@ impl Network {
     /// Physical half of a link repair; returns the far endpoint `(m, q)`
     /// when the repaired link is usable again (both endpoints alive).
     fn link_repair_physical(&mut self, n: NodeId, p: PortId) -> Option<(NodeId, PortId)> {
-        let m = self.topo.neighbor(n, p)?;
         if !self.faults.link_faulty(self.topo.as_ref(), n, p) {
             return None;
         }
-        let l = self.topo.link(n, p)?;
-        self.faults.repair_link(l);
+        self.set_fault(n, Some(p), false);
         self.emit(|| EventKind::LinkRepair { node: n, port: p });
-        if self.faults.link_usable(self.topo.as_ref(), n, p) {
-            let q = self.topo.port_towards(m, n).expect("reverse port");
-            Some((m, q))
-        } else {
-            None
-        }
+        self.wiring.live_peer(n.idx(), p.idx())
     }
 
     /// Repairs node `n`: re-arms it with a fresh (rebooted) router and
@@ -190,10 +209,9 @@ impl Network {
         if !self.node_repair_physical(n) {
             return;
         }
-        for (p, nb) in self.topo.neighbors(n) {
-            if self.faults.link_usable(self.topo.as_ref(), n, p) {
-                let q = self.topo.port_towards(nb, n).expect("reverse");
-                self.call_hook(n, Hook::Repair(p));
+        for p in 0..self.chans.geo().degree {
+            if let Some((nb, q)) = self.wiring.live_peer(n.idx(), p) {
+                self.call_hook(n, Hook::Repair(PortId(p as u8)));
                 self.call_hook(nb, Hook::Repair(q));
             }
         }
@@ -207,10 +225,10 @@ impl Network {
 
     /// Physical half of a node repair; true if the node was faulty.
     fn node_repair_physical(&mut self, n: NodeId) -> bool {
-        if !self.faults.node_faulty(n) {
+        if !self.wiring.node_dead(n.idx()) {
             return false;
         }
-        self.faults.repair_node(n);
+        self.set_fault(n, None, false);
         self.emit(|| EventKind::NodeRepair { node: n });
         // the router hardware comes back empty: fresh buffers, credits and
         // allocation state (everything it held was killed at fault time)
@@ -345,7 +363,7 @@ impl Network {
         while self.retries.front().is_some_and(|r| r.due <= self.cycle) {
             let r = self.retries.pop_front().expect("checked");
             let Some(meta) = self.stats.meta(r.id).copied() else { continue };
-            if self.faults.node_faulty(meta.src) || self.faults.node_faulty(meta.dst) {
+            if self.wiring.node_dead(meta.src.idx()) || self.wiring.node_dead(meta.dst.idx()) {
                 self.terminate(r.id, r.unroutable, true);
                 continue;
             }
@@ -362,19 +380,17 @@ impl Network {
     /// Rebuilds credit counters and adaptivity loads from buffer occupancy
     /// (used after worm kills, which invalidate incremental accounting).
     fn recompute_credits_and_loads(&mut self) {
-        let topo = self.topo.as_ref();
         let geo = self.chans.geo();
         let depth = self.cfg.buffer_depth;
         let mut ch = self.chans.full_mut();
-        for n in topo.nodes() {
-            for p in topo.ports() {
-                let Some(m) = topo.neighbor(n, p) else { continue };
-                let q = topo.port_towards(m, n).expect("reverse");
+        for n in 0..geo.nodes {
+            for p in 0..geo.degree {
+                let Some((m, q)) = self.wiring.peer(n, p) else { continue };
                 for v in 0..geo.vcs {
                     let occupied = ch.fifo_len(m.idx(), q.idx(), v) as u32;
-                    let in_flight = matches!(ch.out_reg(n.idx(), p.idx()), Some((vc, _)) if vc.idx() == v)
-                        as u32;
-                    ch.set_out_credits(n.idx(), p.idx(), v, depth - occupied - in_flight);
+                    let in_flight =
+                        matches!(ch.out_reg(n, p), Some((vc, _)) if vc.idx() == v) as u32;
+                    ch.set_out_credits(n, p, v, depth - occupied - in_flight);
                 }
             }
         }

@@ -12,8 +12,10 @@
 //! The files follow the router's own blocks (Figure 3):
 //!
 //! - `builder` — [`SimConfig`], [`BuildError`], [`NetworkBuilder`];
-//! - `view` — the information units: the one constructor of the storage
-//!   behind a [`RouterView`](crate::routing::RouterView);
+//! - `wiring` — who is behind each port, and the cached link and node
+//!   status the data path reads instead of the topology and fault set;
+//! - `view` — the information units: the storage behind a
+//!   [`RouterView`](crate::routing::RouterView), refilled in place;
 //! - `control` — the control unit's neighbour traffic: the control
 //!   queue, the periodic tick, delivery, and the single call site of
 //!   every [`NodeController`] control-plane hook;
@@ -37,6 +39,7 @@ mod faults;
 mod phases;
 mod step;
 mod view;
+mod wiring;
 
 pub use builder::{BuildError, NetworkBuilder, SimConfig};
 
@@ -160,7 +163,10 @@ pub struct Network {
     topo: Arc<dyn Topology>,
     cfg: SimConfig,
     vcs: usize,
+    /// Ground truth; changed only by `set_fault`, which keeps `wiring`'s
+    /// cached status bits equal to it.
     faults: FaultSet,
+    wiring: wiring::Wiring,
     /// All per-node data-path state (FIFOs, routes, credits, registers).
     chans: Channels,
     ctrls: Vec<Box<dyn NodeController>>,
@@ -303,9 +309,9 @@ impl Network {
     ) -> Result<MessageId, SendError> {
         let rejection = if src == dst {
             Some(SendError::SelfMessage)
-        } else if self.faults.node_faulty(src) {
+        } else if self.wiring.node_dead(src.idx()) {
             Some(SendError::FaultySource)
-        } else if self.faults.node_faulty(dst) {
+        } else if self.wiring.node_dead(dst.idx()) {
             Some(SendError::FaultyDestination)
         } else {
             None

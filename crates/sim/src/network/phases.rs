@@ -7,13 +7,14 @@
 
 use super::closes_worm;
 use super::view::{probe_wants, ViewData};
+use super::wiring::Wiring;
 use super::SimConfig;
 use crate::arena::ChanRef;
 use crate::flit::{Flit, MessageId};
 use crate::router::{DecisionPhase, RouteState};
 use crate::routing::{NodeController, Verdict};
 use ftr_obs::{EventKind, RouteOutcome, TraceEvent};
-use ftr_topo::{FaultSet, NodeId, PortId, Topology, VcId};
+use ftr_topo::{NodeId, PortId, VcId};
 
 /// A flit crossing a shard boundary, parked until the phase barrier.
 pub(super) struct Handoff {
@@ -56,8 +57,10 @@ pub(super) struct ShardScratch {
     pub(super) events: Vec<TraceEvent>,
     /// Stats updates in shard-local order.
     pub(super) ops: Vec<StatOp>,
-    /// Per-input-port "moved a flit this cycle" flags (reused per node).
-    pub(super) used: Vec<bool>,
+    /// Storage behind the `RouterView` of this shard's routing consults.
+    pub(super) view: ViewData,
+    /// Slot sets of the node `phase_eject_switch` is serving.
+    arb: Vec<u64>,
     /// Whether this shard moved any flit this cycle.
     pub(super) moved: bool,
 }
@@ -75,8 +78,7 @@ impl ShardScratch {
 
 /// Immutable per-step context shared by every shard.
 pub(super) struct StepCtx<'a> {
-    pub(super) topo: &'a dyn Topology,
-    pub(super) faults: &'a FaultSet,
+    pub(super) wiring: &'a Wiring,
     pub(super) cfg: SimConfig,
     pub(super) vcs: usize,
     pub(super) degree: usize,
@@ -126,21 +128,17 @@ pub(super) fn run_shard(ctx: &StepCtx<'_>, phase: PhaseKind, t: &mut ShardTask<'
 /// downstream input FIFOs (in-shard) or the handoff queue (cross-shard).
 fn phase_link(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
     for &ni in t.cur {
-        let n = NodeId(ni);
         let ni = ni as usize;
         for p in 0..ctx.degree {
             let Some((vc, flit)) = t.ch.take_out_reg(ni, p) else {
                 continue;
             };
-            let port = PortId(p as u8);
-            if !ctx.faults.link_usable(ctx.topo, n, port) {
+            let Some((m, q)) = ctx.wiring.live_peer(ni, p) else {
                 // caught on a just-dead link — the master applies the
                 // liveness gate and kills through the normal path
                 t.scr.dropped.push(flit.msg);
                 continue;
-            }
-            let m = ctx.topo.neighbor(n, port).expect("usable link");
-            let q = ctx.topo.port_towards(m, n).expect("reverse");
+            };
             if m.idx() >= t.lo && m.idx() < t.hi {
                 t.ch.fifo_push_back(m.idx(), q.idx(), vc.idx(), flit);
                 t.scr.newly_active.push(m.idx() as u32);
@@ -170,7 +168,7 @@ fn phase_inject(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
 fn phase_route(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
     for &ni in t.cur_ext {
         let n = NodeId(ni);
-        if ctx.faults.node_faulty(n) {
+        if ctx.wiring.node_dead(n.idx()) {
             continue;
         }
         for ip in 0..=ctx.degree {
@@ -228,10 +226,10 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
     }
 
     // consult the controller
-    let vd = ViewData::live(ctx.topo, ctx.faults, n, ctx.vcs, &t.ch);
+    t.scr.view.fill_live(ctx.wiring, ni, ctx.vcs, &t.ch);
+    let view = t.scr.view.view(n, ctx.cycle);
     let mut header = header_copy;
-    let dec =
-        t.ctrls[ni - t.lo].route(&vd.view(n, ctx.cycle), &mut header, in_port, VcId(iv as u8));
+    let dec = t.ctrls[ni - t.lo].route(&view, &mut header, in_port, VcId(iv as u8));
     // write back header updates
     if let Some(h) = t.ch.fifo_front_mut(ni, ip, iv).and_then(|f| f.header_mut()) {
         *h = header;
@@ -284,7 +282,8 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
             // recorded here — the diagnoser's wait-for edges
             if ctx.sink_on {
                 let ctrl = t.ctrls[ni - t.lo].as_mut();
-                let wants = probe_wants(ctx, ctrl, n, &header, in_port, VcId(iv as u8));
+                let vd = &mut t.scr.view;
+                let wants = probe_wants(ctx, vd, ctrl, n, &header, in_port, VcId(iv as u8));
                 t.scr.emit(ctx, || EventKind::RouteWait { node: n, msg: header_copy.msg.0, wants });
             }
         }
@@ -294,7 +293,7 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
         Verdict::Route(p, v) => {
             let ok = p.idx() < ctx.degree
                 && v.idx() < ctx.vcs
-                && ctx.faults.link_usable(ctx.topo, n, p)
+                && ctx.wiring.live_peer(ni, p.idx()).is_some()
                 && t.ch.out_channel_free(ni, p.idx(), v.idx());
             let msg = header_copy.msg.0;
             if ok {
@@ -313,40 +312,71 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
 }
 
 /// Ejection then switch allocation over the extended working set.
+///
+/// Slot `s = ip * vcs + iv` names input lane `(ip, iv)`, in round-robin
+/// order. One pass over a node's lanes ejects (one flit per input port,
+/// delivery first) and builds, per output port, the set of slots
+/// requesting it — routed there, flit buffered, credit left — and its
+/// misrouted subset; each free output port then picks its winner. Serving
+/// one port leaves the other ports' sets valid (`DESIGN.md` §14): it only
+/// blocks the winner's input port, which later picks mask out.
 fn phase_eject_switch(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
     let nports = ctx.degree + 1;
+    let slots = nports * ctx.vcs;
+    let words = slots.div_ceil(64);
+    // per output port its request row then its misrouted row; last, the
+    // row of slots whose input port already moved a flit this cycle
+    let mut arb = std::mem::take(&mut t.scr.arb);
+    arb.resize((2 * ctx.degree + 1) * words, 0);
+    let (sets, blocked) = arb.split_at_mut(2 * ctx.degree * words);
     for &ni in t.cur_ext {
         let n = NodeId(ni);
         let ni = ni as usize;
-        t.scr.used.clear();
-        t.scr.used.resize(nports, false);
-
-        // ejection first (delivery has priority on the input port)
+        sets.fill(0);
+        blocked.fill(0);
+        let mut requested = false;
         for ip in 0..nports {
-            if t.scr.used[ip] {
-                continue;
-            }
             let lanes = if ip == ctx.degree { 1 } else { ctx.vcs };
+            let mut ejected = false;
             for iv in 0..lanes {
-                if t.ch.route(ni, ip, iv) != RouteState::Local || t.ch.fifo_len(ni, ip, iv) == 0 {
+                if t.ch.fifo_len(ni, ip, iv) == 0 {
                     continue;
                 }
-                let flit = t.ch.fifo_pop_front(ni, ip, iv).expect("checked");
-                t.scr.moved = true;
-                t.scr.used[ip] = true;
-                if let Some(h) = flit.header() {
-                    t.scr.ops.push(StatOp::HeadArrival(flit.msg, h.hops));
+                match t.ch.route(ni, ip, iv) {
+                    RouteState::Local if !ejected => {
+                        ejected = true;
+                        let flit = t.ch.fifo_pop_front(ni, ip, iv).expect("checked");
+                        t.scr.moved = true;
+                        if let Some(h) = flit.header() {
+                            t.scr.ops.push(StatOp::HeadArrival(flit.msg, h.hops));
+                        }
+                        if closes_worm(&flit) {
+                            t.scr.ops.push(StatOp::Deliver(flit.msg));
+                            t.scr.emit(ctx, || EventKind::Deliver { node: n, msg: flit.msg.0 });
+                            t.ch.reset_route(ni, ip, iv);
+                        }
+                        if ip < ctx.degree {
+                            t.scr.credit_returns.push((ni as u32, ip as u8, iv as u8));
+                        }
+                    }
+                    RouteState::Out(p, ov) if t.ch.out_credits(ni, p.idx(), ov.idx()) > 0 => {
+                        requested = true;
+                        let s = ip * ctx.vcs + iv;
+                        let row = 2 * p.idx() * words + s / 64;
+                        sets[row] |= 1 << (s % 64);
+                        if t.ch.misrouted(ni, ip, iv) {
+                            sets[row + words] |= 1 << (s % 64);
+                        }
+                    }
+                    _ => {}
                 }
-                if closes_worm(&flit) {
-                    t.scr.ops.push(StatOp::Deliver(flit.msg));
-                    t.scr.emit(ctx, || EventKind::Deliver { node: n, msg: flit.msg.0 });
-                    t.ch.reset_route(ni, ip, iv);
-                }
-                if ip < ctx.degree {
-                    t.scr.credit_returns.push((ni as u32, ip as u8, iv as u8));
-                }
-                break; // one flit per input port
             }
+            if ejected {
+                block_port(blocked, ip, ctx.vcs);
+            }
+        }
+        if !requested {
+            continue;
         }
 
         // switch: one flit per output port, round-robin over inputs
@@ -354,39 +384,17 @@ fn phase_eject_switch(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
             if t.ch.out_reg(ni, p).is_some() {
                 continue;
             }
-            let slots = nports * ctx.vcs;
+            let (req, mis) = sets[2 * p * words..][..2 * words].split_at(words);
             let start = t.ch.rr(ni, p) as usize;
-            let mut winner: Option<(usize, usize, VcId)> = None;
-            // two passes when fairness for misrouted messages is on:
-            // first only misrouted candidates, then everyone
-            let passes: &[bool] =
-                if ctx.cfg.prioritize_misrouted { &[true, false] } else { &[false] };
-            'arb: for &misrouted_only in passes {
-                for off in 0..slots {
-                    let s = (start + off) % slots;
-                    let ip = s / ctx.vcs;
-                    let iv = s % ctx.vcs;
-                    let lanes = if ip == ctx.degree { 1 } else { ctx.vcs };
-                    if iv >= lanes || t.scr.used[ip] {
-                        continue;
-                    }
-                    if misrouted_only && !t.ch.misrouted(ni, ip, iv) {
-                        continue;
-                    }
-                    let RouteState::Out(op, ov) = t.ch.route(ni, ip, iv) else { continue };
-                    if op.idx() != p || t.ch.fifo_len(ni, ip, iv) == 0 {
-                        continue;
-                    }
-                    if t.ch.out_credits(ni, p, ov.idx()) == 0 {
-                        continue;
-                    }
-                    winner = Some((ip, iv, ov));
-                    t.ch.set_rr(ni, p, ((s + 1) % slots) as u32);
-                    break 'arb;
-                }
-            }
-            let Some((ip, iv, ov)) = winner else { continue };
-            t.scr.used[ip] = true;
+            let Some(s) = arbitrate(req, mis, blocked, start, ctx.cfg.prioritize_misrouted) else {
+                continue;
+            };
+            t.ch.set_rr(ni, p, ((s + 1) % slots) as u32);
+            let (ip, iv) = (s / ctx.vcs, s % ctx.vcs);
+            let RouteState::Out(_, ov) = t.ch.route(ni, ip, iv) else {
+                unreachable!("only routed lanes request an output")
+            };
+            block_port(blocked, ip, ctx.vcs);
             let mut flit = t.ch.fifo_pop_front(ni, ip, iv).expect("winner has flit");
             t.scr.moved = true;
             if let Some(h) = flit.header_mut() {
@@ -409,6 +417,82 @@ fn phase_eject_switch(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
             if ip < ctx.degree {
                 t.scr.credit_returns.push((ni as u32, ip as u8, iv as u8));
             }
+        }
+    }
+    t.scr.arb = arb;
+}
+
+/// Marks every slot of input port `ip` as unavailable to the switch.
+fn block_port(blocked: &mut [u64], ip: usize, vcs: usize) {
+    for s in ip * vcs..(ip + 1) * vcs {
+        blocked[s / 64] |= 1 << (s % 64);
+    }
+}
+
+/// Round-robin winner for one output port: the first unblocked requesting
+/// slot at or after `start`, wrapping. With `prioritize` (fairness for
+/// misrouted messages) the misrouted requesters are searched first.
+fn arbitrate(
+    req: &[u64],
+    mis: &[u64],
+    blocked: &[u64],
+    start: usize,
+    prioritize: bool,
+) -> Option<usize> {
+    let pick = |set: &[u64]| {
+        let w0 = start / 64;
+        let open = |w: usize| set[w] & !blocked[w];
+        let hit =
+            |w: usize, bits: u64| (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize);
+        // word w0 from `start` up, then the other words in order and w0
+        // once more, whole: whatever it still offers lies below `start`
+        hit(w0, open(w0) & (!0 << (start % 64)))
+            .or_else(|| (w0 + 1..set.len()).chain(0..=w0).find_map(|w| hit(w, open(w))))
+    };
+    prioritize.then(|| pick(mis)).flatten().or_else(|| pick(req))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{arbitrate, block_port};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// `arbitrate` against the slot scan it replaced — up to two passes
+        /// (misrouted only, then everyone) over every slot from the
+        /// round-robin pointer, first eligible lane wins — on switches of
+        /// 10, 35, 65 (negative-hop on a 12×12 mesh) and 160 slots: one,
+        /// two and three words.
+        #[test]
+        fn bitset_pick_matches_the_slot_scan(
+            geo in 0usize..4,
+            noise in any::<[u64; 9]>(),
+            used_ports in any::<u8>(),
+            start in any::<usize>(),
+            prioritize in any::<bool>(),
+        ) {
+            let (degree, vcs) = [(4usize, 2usize), (6, 5), (4, 13), (4, 32)][geo];
+            let slots = (degree + 1) * vcs;
+            let (words, start) = (slots.div_ceil(64), start % slots);
+            // sparse requests, none past the last slot
+            let real = |w: usize| if (w + 1) * 64 <= slots { !0 } else { (1u64 << (slots % 64)) - 1 };
+            let req: Vec<u64> = (0..words).map(|w| noise[w] & noise[3 + w] & real(w)).collect();
+            let mis: Vec<u64> = (0..words).map(|w| req[w] & noise[6 + w]).collect();
+            let mut blocked = vec![0; words];
+            for ip in (0..=degree).filter(|ip| used_ports >> ip & 1 == 1) {
+                block_port(&mut blocked, ip, vcs);
+            }
+            let bit = |set: &[u64], s: usize| set[s / 64] >> (s % 64) & 1 == 1;
+            let scan = |misrouted_only: bool| {
+                (0..slots).map(|off| (start + off) % slots).find(|&s| {
+                    let used = used_ports >> (s / vcs) & 1 == 1;
+                    !used && bit(&req, s) && (!misrouted_only || bit(&mis, s))
+                })
+            };
+            let expected = prioritize.then(|| scan(true)).flatten().or_else(|| scan(false));
+            prop_assert_eq!(arbitrate(&req, &mis, &blocked, start, prioritize), expected);
         }
     }
 }

@@ -3,9 +3,9 @@
 
 use super::control::ControlDelivery;
 use super::phases::{run_shard, PhaseKind, ShardTask, StatOp, StepCtx};
+use super::view::ViewData;
 use super::{mark_active, Network};
 use crate::flit::MessageId;
-use ftr_topo::{NodeId, PortId};
 use std::collections::HashSet;
 
 /// How often (in cycles) per-node buffer occupancy is sampled into the
@@ -29,6 +29,8 @@ pub(super) struct StepScratch {
     doomed: HashSet<MessageId>,
     /// Control deliveries due this cycle.
     pub(super) due: Vec<ControlDelivery>,
+    /// Storage behind the `RouterView`s of hooks and `query_relation`.
+    pub(super) view: ViewData,
 }
 
 impl Network {
@@ -150,51 +152,41 @@ impl Network {
     /// Runs one phase over every shard — inline when the working set is
     /// small (or there is a single shard), on scoped OS threads otherwise.
     /// Shards only touch their own node range; anything that crosses a
-    /// boundary lands in the shard's scratch for the master to merge.
+    /// boundary lands in the shard's scratch for the master to merge. The
+    /// tasks are cut from the arena as they run or spawn: no allocation.
     fn run_phase(&mut self, phase: PhaseKind, cur: &[u32], cur_ext: &[u32]) {
-        let ctx = StepCtx {
-            topo: self.topo.as_ref(),
-            faults: &self.faults,
+        let ctx = &StepCtx {
+            wiring: &self.wiring,
             cfg: self.cfg,
             vcs: self.vcs,
-            degree: self.topo.degree(),
+            degree: self.chans.geo().degree,
             cycle: self.cycle,
             sink_on: self.sink.is_some(),
         };
-        let views = self.chans.split_mut(&self.shard_bounds);
         let mut ctrls = self.ctrls.as_mut_slice();
-        let mut tasks: Vec<ShardTask<'_>> = Vec::with_capacity(views.len());
-        for ((ch, scr), w) in
-            views.into_iter().zip(self.shard_scratch.iter_mut()).zip(self.shard_bounds.windows(2))
-        {
-            let (lo, hi) = (w[0], w[1]);
-            let (head, rest) = ctrls.split_at_mut(hi - lo);
-            ctrls = rest;
-            tasks.push(ShardTask {
-                lo,
-                hi,
-                ch,
-                ctrls: head,
-                scr,
-                cur: sub_range(cur, lo, hi),
-                cur_ext: sub_range(cur_ext, lo, hi),
+        let mut tasks = self
+            .chans
+            .split_mut(&self.shard_bounds)
+            .zip(self.shard_scratch.iter_mut())
+            .zip(self.shard_bounds.windows(2))
+            .map(|((ch, scr), w)| {
+                let (lo, hi) = (w[0], w[1]);
+                let (head, rest) = std::mem::take(&mut ctrls).split_at_mut(hi - lo);
+                ctrls = rest;
+                let (cur, cur_ext) = (sub_range(cur, lo, hi), sub_range(cur_ext, lo, hi));
+                ShardTask { lo, hi, ch, ctrls: head, scr, cur, cur_ext }
             });
-        }
-        let spawn = tasks.len() > 1 && cur_ext.len() >= self.cfg.spawn_threshold;
-        if !spawn {
-            for t in tasks.iter_mut() {
-                run_shard(&ctx, phase, t);
-            }
-        } else {
-            let ctx_ref = &ctx;
+        if self.shard_bounds.len() > 2 && cur_ext.len() >= self.cfg.spawn_threshold {
             crossbeam::thread::scope(|s| {
-                let (first, rest) = tasks.split_first_mut().expect("at least one shard");
-                for t in rest.iter_mut() {
-                    s.spawn(move |_| run_shard(ctx_ref, phase, t));
+                let mut first = tasks.next().expect("at least one shard");
+                for mut t in tasks {
+                    s.spawn(move |_| run_shard(ctx, phase, &mut t));
                 }
-                run_shard(ctx_ref, phase, first);
+                run_shard(ctx, phase, &mut first);
             })
             .expect("simulation shard panicked");
+        } else {
+            tasks.for_each(|mut t| run_shard(ctx, phase, &mut t));
         }
     }
 
@@ -305,14 +297,11 @@ impl Network {
     /// so the increments commute; shard order matches the sequential
     /// application order anyway).
     fn apply_credit_returns(&mut self) {
-        let topo = self.topo.as_ref();
         let depth = self.cfg.buffer_depth;
         let mut ch = self.chans.full_mut();
         for scr in &mut self.shard_scratch {
             for (ni, p, iv) in scr.credit_returns.drain(..) {
-                let n = NodeId(ni);
-                let Some(m) = topo.neighbor(n, PortId(p)) else { continue };
-                let q = topo.port_towards(m, n).expect("reverse");
+                let Some((m, q)) = self.wiring.peer(ni as usize, p as usize) else { continue };
                 let c = ch.out_credits(m.idx(), q.idx(), iv as usize);
                 ch.set_out_credits(m.idx(), q.idx(), iv as usize, (c + 1).min(depth));
             }
@@ -335,7 +324,7 @@ mod tests {
     use crate::flit::Header;
     use crate::routing::{Decision, NodeController, RouterView, RoutingAlgorithm, Verdict};
     use ftr_obs::{EventKind, MetricsRegistry, RingSink};
-    use ftr_topo::{Mesh2D, Topology, VcId, EAST};
+    use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, EAST};
     use std::sync::Arc;
 
     /// Sends every head east on VC 0.
@@ -370,8 +359,9 @@ mod tests {
     /// register when its link dies used to hit a `debug_assert!` only —
     /// release builds dropped the flit on the floor and leaked the message
     /// (accounting never balanced, `drain` hung). This exercises a fault
-    /// path that bypasses `inject_link_fault`'s worm ripping by flipping
-    /// the link directly in the fault set. Must pass in debug AND release.
+    /// path that bypasses `inject_link_fault`'s worm ripping by failing
+    /// the link through the bare fault-set mutation point — never behind
+    /// the wiring table's back. Must pass in debug AND release.
     #[test]
     fn dead_link_flit_is_killed_not_silently_dropped() {
         let topo = Arc::new(Mesh2D::new(4, 4));
@@ -389,7 +379,7 @@ mod tests {
         }
         assert!(net.output_register_occupied(hot, EAST), "worm must reach the link");
         // rip the link out from under the engine without killing the worm
-        net.faults.fail_link(topo.as_ref(), hot, EAST);
+        net.set_fault(hot, Some(EAST), true);
         net.step();
         assert_eq!(net.stats.flits_dropped_on_dead_link, 1);
         assert_eq!(net.stats.killed_msgs, 1, "message killed through the normal path");

@@ -3,16 +3,21 @@
 //! Every [`RouterView`] the engine hands a [`NodeController`] — live
 //! decisions on the shards, control-plane hooks on the master, the
 //! idealised view of [`Network::query_relation`] and the `RouteWait`
-//! probe — borrows from a [`ViewData`] built by the one constructor here.
+//! probe — borrows from a [`ViewData`] refilled by the one `fill` here.
 
 use super::phases::StepCtx;
+use super::wiring::Wiring;
 use super::Network;
 use crate::arena::ChanRef;
 use crate::flit::Header;
 use crate::routing::{NodeController, RouterView, Verdict};
-use ftr_topo::{FaultSet, NodeId, PortId, Topology, VcId};
+use ftr_topo::{NodeId, PortId, VcId};
 
-/// Owned per-node snapshot backing a [`RouterView`].
+/// Per-node snapshot backing a [`RouterView`]. The storage belongs to a
+/// shard's or the master's scratch and is refilled in place for each
+/// consult, so a view costs no allocation once its vectors have grown to
+/// the router's geometry.
+#[derive(Default)]
 pub(super) struct ViewData {
     out_free: Vec<Vec<bool>>,
     out_load: Vec<u32>,
@@ -21,46 +26,38 @@ pub(super) struct ViewData {
 
 impl ViewData {
     /// Snapshot for node `n` with `vcs` channels per port: link liveness
-    /// comes from the fault set, `free(p, v)` says whether output channel
-    /// `(p, v)` is allocatable (asked for live links only — a dead link
-    /// has no free channel) and `load(p)` is the adaptivity load of `p`.
-    pub(super) fn new(
-        topo: &dyn Topology,
-        faults: &FaultSet,
-        n: NodeId,
+    /// comes from the wiring table, `free(p, v)` says whether output
+    /// channel `(p, v)` is allocatable (asked for live links only — a dead
+    /// link has no free channel) and `load(p)` is the adaptivity load of `p`.
+    pub(super) fn fill(
+        &mut self,
+        wiring: &Wiring,
+        n: usize,
         vcs: usize,
         free: impl Fn(usize, usize) -> bool,
         load: impl Fn(usize) -> u32,
-    ) -> Self {
-        let degree = topo.degree();
-        let link_alive: Vec<bool> =
-            (0..degree).map(|p| faults.link_usable(topo, n, PortId(p as u8))).collect();
-        let out_free = link_alive
-            .iter()
-            .enumerate()
-            .map(|(p, &alive)| (0..vcs).map(|v| alive && free(p, v)).collect())
-            .collect();
-        ViewData { out_free, out_load: (0..degree).map(load).collect(), link_alive }
+    ) {
+        self.link_alive.clear();
+        self.link_alive.extend(wiring.live_ports(n));
+        self.out_free.resize_with(self.link_alive.len(), Vec::new);
+        for (p, (row, &alive)) in self.out_free.iter_mut().zip(&self.link_alive).enumerate() {
+            row.clear();
+            row.extend((0..vcs).map(|v| alive && free(p, v)));
+        }
+        self.out_load.clear();
+        self.out_load.extend((0..self.link_alive.len()).map(load));
     }
 
     /// The router's actual state, read through an arena view: a channel is
     /// free when idle with credit; load counts the flits still assigned to
     /// the output plus the one in its link register.
-    pub(super) fn live(
-        topo: &dyn Topology,
-        faults: &FaultSet,
-        n: NodeId,
-        vcs: usize,
-        ch: &ChanRef<'_>,
-    ) -> Self {
-        let ni = n.idx();
-        Self::new(
-            topo,
-            faults,
+    pub(super) fn fill_live(&mut self, wiring: &Wiring, n: usize, vcs: usize, ch: &ChanRef<'_>) {
+        self.fill(
+            wiring,
             n,
             vcs,
-            |p, v| ch.out_channel_free(ni, p, v),
-            |p| ch.out_assigned(ni, p) + ch.out_reg(ni, p).is_some() as u32,
+            |p, v| ch.out_channel_free(n, p, v),
+            |p| ch.out_assigned(n, p) + ch.out_reg(n, p).is_some() as u32,
         )
     }
 
@@ -84,13 +81,14 @@ impl ViewData {
 /// in-tree algorithm — is unperturbed.
 pub(super) fn probe_wants(
     ctx: &StepCtx<'_>,
+    vd: &mut ViewData,
     ctrl: &mut dyn NodeController,
     n: NodeId,
     header: &Header,
     in_port: Option<PortId>,
     in_vc: VcId,
 ) -> Vec<(PortId, VcId)> {
-    let mut vd = ViewData::new(ctx.topo, ctx.faults, n, ctx.vcs, |_, _| false, |_| 0);
+    vd.fill(ctx.wiring, n.idx(), ctx.vcs, |_, _| false, |_| 0);
     let mut wants = Vec::new();
     for p in 0..ctx.degree {
         if !vd.link_alive[p] {
@@ -119,7 +117,8 @@ impl Network {
         in_port: Option<PortId>,
         in_vc: VcId,
     ) -> Vec<(PortId, VcId)> {
-        let vd = ViewData::new(self.topo.as_ref(), &self.faults, n, self.vcs, |_, _| true, |_| 0);
+        let vd = &mut self.scratch.view;
+        vd.fill(&self.wiring, n.idx(), self.vcs, |_, _| true, |_| 0);
         self.ctrls[n.idx()].relation(&vd.view(n, self.cycle), header, in_port, in_vc)
     }
 }

@@ -194,4 +194,44 @@ proptest! {
         // and once idle, the active set is empty — no ghost activations
         prop_assert!(act.active_nodes().is_empty());
     }
+
+    /// The wiring table's cached link and node status equals the fault set
+    /// after every step of a random plan over all eight actions — loud and
+    /// silent, link and node, fault and repair, overlapping at will — and
+    /// the run still accounts for every message.
+    #[test]
+    fn wiring_table_tracks_the_fault_set_under_random_plans(
+        seed in 0u64..500,
+        script in proptest::collection::vec((5u64..250, 0u8..8, 0u32..16, 0u8..4), 0..12),
+    ) {
+        let mesh = Mesh2D::new(4, 4);
+        let mut plan = FaultPlan::new();
+        for &(cycle, kind, node, dir) in &script {
+            let (n, p) = (NodeId(node), PortId(dir));
+            plan.push(cycle, match kind {
+                0 => FaultAction::FailLink(n, p),
+                1 => FaultAction::RepairLink(n, p),
+                2 => FaultAction::FailNode(n),
+                3 => FaultAction::RepairNode(n),
+                4 => FaultAction::FailLinkSilent(n, p),
+                5 => FaultAction::RepairLinkSilent(n, p),
+                6 => FaultAction::FailNodeSilent(n),
+                _ => FaultAction::RepairNodeSilent(n),
+            });
+        }
+        let mut net = Network::builder(Arc::new(mesh.clone()))
+            .fault_plan(plan)
+            .build(&Xy::new(mesh.clone()))
+            .expect("valid config");
+        let mut tf = TrafficSource::new(Pattern::Uniform, 0.1, 4, seed);
+        for _ in 0..300u64 {
+            for (s, d, l) in tf.tick(&mesh, net.faults()) {
+                let _ = net.send(s, d, l);
+            }
+            net.step();
+            prop_assert!(net.wiring_consistent(), "stale wiring bit at cycle {}", net.cycle());
+        }
+        prop_assert!(net.drain(100_000));
+        prop_assert!(net.stats.accounting_balanced());
+    }
 }
