@@ -15,6 +15,8 @@
 //!   routing on five virtual channels,
 //! * [`negative_hop`] — the diameter-many-VCs static scheme of \[BoC96\]
 //!   (§3's "no changes to the deadlock avoidance are necessary at all"),
+//! * [`rule_io`] — the message interface: the host↔program convention the
+//!   rule programs' `INPUT`/`VARIABLE` declarations follow, bound once,
 //! * [`spanning_tree`] — the §2.1 spanning-tree strawman,
 //! * [`conditions`] — empirical checks of conditions 1–3 and the
 //!   channel-dependency deadlock bridge.
@@ -26,6 +28,7 @@ pub mod nafta;
 pub mod nara;
 pub mod negative_hop;
 pub mod route_c;
+pub mod rule_io;
 pub mod rules_src;
 pub mod spanning_tree;
 pub mod turn;

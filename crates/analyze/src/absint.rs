@@ -20,6 +20,7 @@
 //! optimizer ([`crate::opt`]), whose certificates re-validate against
 //! facts recomputed here.
 
+use ftr_algos::rule_io::{XDES, XPOS, YDES, YPOS};
 use ftr_rules::ast::{BinOp, Builtin, Command, Expr, IndexedRef, Program, Ref, UnOp};
 use ftr_rules::value::{Domain, Type, Value};
 use ftr_rules::CompiledProgram;
@@ -255,7 +256,7 @@ pub struct TopoFacts {
 
 impl Default for TopoFacts {
     fn default() -> TopoFacts {
-        TopoFacts { int_bounds: Vec::new(), host_written: vec!["xpos".into(), "ypos".into()] }
+        TopoFacts { int_bounds: Vec::new(), host_written: vec![XPOS.into(), YPOS.into()] }
     }
 }
 
@@ -270,10 +271,10 @@ impl TopoFacts {
     pub fn mesh(width: u32, height: u32) -> TopoFacts {
         TopoFacts {
             int_bounds: vec![
-                ("xpos".into(), 0, i64::from(width) - 1),
-                ("xdes".into(), 0, i64::from(width) - 1),
-                ("ypos".into(), 0, i64::from(height) - 1),
-                ("ydes".into(), 0, i64::from(height) - 1),
+                (XPOS.into(), 0, i64::from(width) - 1),
+                (XDES.into(), 0, i64::from(width) - 1),
+                (YPOS.into(), 0, i64::from(height) - 1),
+                (YDES.into(), 0, i64::from(height) - 1),
             ],
             ..TopoFacts::default()
         }

@@ -40,10 +40,11 @@
 //! ```
 
 use ftr_analyze::{
-    analyze_source_with, opt, verify_cube, verify_mesh, Diagnostic, LintOptions, MeshVcMode,
-    Rewrite, Severity, TopoFacts,
+    analyze_source_with, opt, verify_cube, verify_mesh, CubeProgramLift, Diagnostic, LintOptions,
+    MeshProgramLift, MeshVcMode, Rewrite, Severity, TopoFacts,
 };
 use ftr_obs::json::Obj;
+use ftr_topo::{Hypercube, Mesh2D};
 use std::process::ExitCode;
 
 struct Options {
@@ -153,11 +154,18 @@ fn run_deadlock(
     analysis: &ftr_analyze::Analysis,
     opts: &Options,
 ) -> Result<(String, bool), ExitCode> {
+    // the verifiers panic on a program their lift refuses; ask the lift first
+    let refused = |e: ftr_rules::RuleError| {
+        eprintln!("ftr-lint: {name}: cannot verify on {spec}: {e}");
+        ExitCode::from(2)
+    };
     let report = if let Some(wh) = spec.strip_prefix("mesh:") {
         let (w, h) = parse_wh(wh).ok_or_else(|| {
             eprintln!("ftr-lint: bad mesh spec: {spec}");
             ExitCode::from(2)
         })?;
+        MeshProgramLift::new(analysis.compiled.clone(), Mesh2D::new(w, h), opts.mode)
+            .map_err(refused)?;
         verify_mesh(name, &analysis.compiled, w, h, opts.mode, opts.max_faults, opts.max_sets)
     } else if let Some(d) = spec.strip_prefix("cube:") {
         let d: u32 = d.parse().map_err(|_| usage())?;
@@ -166,6 +174,7 @@ fn run_deadlock(
             eprintln!("ftr-lint: cube dimension must be in 1..=8: {spec}");
             return Err(ExitCode::from(2));
         }
+        CubeProgramLift::new(analysis.compiled.clone(), Hypercube::new(d)).map_err(refused)?;
         verify_cube(name, &analysis.compiled, d, opts.max_faults, opts.max_sets)
     } else {
         return Err(usage());

@@ -25,8 +25,9 @@
 //! fault sets up to a configurable budget, reporting a concrete cycle
 //! witness on failure.
 
+use ftr_algos::rule_io::{self, CubeIo, DirSets, MeshIo, PortInfo, Ret, DECIDE_DIR, DECIDE_VC};
 use ftr_rules::value::{Type, Value};
-use ftr_rules::{CompiledProgram, InputMap, Machine, RegFile};
+use ftr_rules::{CompiledProgram, InputMap, Machine, Program, RegFile, Result};
 use ftr_topo::cdg::{Channel, ChannelDependencyGraph};
 use ftr_topo::faults::SimpleRng;
 use ftr_topo::mesh::MESH_PORTS;
@@ -47,6 +48,15 @@ pub enum MeshVcMode {
     SingleVc,
     /// The NARA/NAFTA two-virtual-network discipline (§2.2).
     NaraPair,
+}
+
+impl MeshVcMode {
+    fn num_vcs(self) -> usize {
+        match self {
+            MeshVcMode::SingleVc => 1,
+            MeshVcMode::NaraPair => 2,
+        }
+    }
 }
 
 /// One falsification: a fault scenario whose channel dependency graph
@@ -106,75 +116,63 @@ impl DeadlockReport {
     }
 }
 
-/// Default value for an undriven input (lowest element of its domain).
-fn default_input(t: Type) -> Value {
-    match t {
-        Type::Scalar(d) => d.value_at(0),
-        Type::Set(d) => Value::empty_set(d),
+/// Empties `im`, then defaults every input to the lowest element of its
+/// domain (the empty set for sets): what a lift does not drive reads as
+/// that.
+fn reset_to_defaults(im: &mut InputMap, prog: &Program) {
+    im.clear();
+    for decl in &prog.inputs {
+        let lowest = match decl.elem {
+            Type::Scalar(d) => d.value_at(0),
+            Type::Set(d) => Value::empty_set(d),
+        };
+        im.set_default(prog, &decl.name, lowest).expect("the name is declared");
     }
 }
 
 // ---------------------------------------------------------------------------
 // mesh lift
 
-/// Lifts a compiled 2-D mesh program (`xdes`/`ydes`/`invc`/`free`/
-/// `out_queue` input convention of the rule router) into a routing
-/// relation. Decisions are memoised on everything they can depend on:
-/// (node, destination, virtual network, usable-direction mask, dead-end
-/// flags).
+/// Lifts a compiled 2-D mesh program (the [`MeshIo`] convention of the
+/// rule router) into a routing relation. Decisions are memoised on
+/// everything they can depend on: (node, destination, virtual network,
+/// usable-direction mask, dead-end flags).
 pub struct MeshProgramLift {
     mesh: Mesh2D,
-    prog: ftr_rules::Program,
-    entry: String,
+    prog: Program,
+    io: MeshIo,
+    /// The entry event (the rule-router convention); a program without one
+    /// lifts to the empty relation.
+    entry: Option<String>,
     mode: MeshVcMode,
-    has_de: bool,
     machine: RefCell<Machine>,
+    inputs: RefCell<InputMap>,
     #[allow(clippy::type_complexity)]
     memo: RefCell<HashMap<(u32, u32, u8, u8, bool, bool), Vec<u8>>>,
 }
 
 impl MeshProgramLift {
-    /// Creates the lift. The entry event is the program's first rule base
-    /// (the rule-router convention).
-    pub fn new(compiled: CompiledProgram, mesh: Mesh2D, mode: MeshVcMode) -> Self {
+    /// Creates the lift. Fails if the program declares a name of the
+    /// message interface differently, or for a smaller mesh than `mesh`.
+    pub fn new(compiled: CompiledProgram, mesh: Mesh2D, mode: MeshVcMode) -> Result<Self> {
         let prog = compiled.prog.clone();
-        let entry =
-            prog.rulebases.first().map(|rb| rb.name.clone()).unwrap_or_else(|| "route_msg".into());
-        let has_de = prog.vars.iter().any(|v| v.name == "de_east");
-        MeshProgramLift {
+        let io = MeshIo::bind(&prog)?;
+        io.fits(&prog, mesh.width(), mesh.height(), mode.num_vcs())?;
+        Ok(MeshProgramLift {
             mesh,
+            io,
+            entry: rule_io::entry(&prog).ok().map(|rb| rb.name.clone()),
             prog,
-            entry,
             mode,
-            has_de,
             machine: RefCell::new(Machine::from_compiled(compiled)),
+            inputs: RefCell::new(InputMap::new()),
             memo: RefCell::new(HashMap::new()),
-        }
+        })
     }
 
     /// Number of virtual channels the mode models.
     pub fn num_vcs(&self) -> usize {
-        match self.mode {
-            MeshVcMode::SingleVc => 1,
-            MeshVcMode::NaraPair => 2,
-        }
-    }
-
-    fn var_idx(&self, name: &str) -> Option<usize> {
-        self.prog.vars.iter().position(|v| v.name == name)
-    }
-
-    fn has_input(&self, name: &str) -> bool {
-        self.prog.inputs.iter().any(|i| i.name == name)
-    }
-
-    fn write_reg(&self, machine: &mut Machine, name: &str, v: Value) {
-        if let Some(vi) = self.var_idx(name) {
-            machine
-                .regs_mut()
-                .write(&self.prog, vi, &[], v)
-                .expect("lift register value fits its domain");
-        }
+        self.mode.num_vcs()
     }
 
     /// Every direction the program can return for this query, across all
@@ -186,16 +184,17 @@ impl MeshProgramLift {
         dst: NodeId,
         invc: u8,
         usable_mask: u8,
-        de_east: bool,
-        de_west: bool,
+        dead_ends: (bool, bool),
     ) -> Vec<u8> {
-        let key = (cur.0, dst.0, invc, usable_mask, de_east, de_west);
+        let Some(entry) = self.entry.as_deref() else { return Vec::new() };
+        let key = (cur.0, dst.0, invc, usable_mask, dead_ends.0, dead_ends.1);
         if let Some(hit) = self.memo.borrow().get(&key) {
             return hit.clone();
         }
         let mut out: BTreeSet<u8> = BTreeSet::new();
-        let mut machine = self.machine.borrow_mut();
-        let (dx, dy) = self.mesh.coords(dst);
+        let (mut machine, mut im) = (self.machine.borrow_mut(), self.inputs.borrow_mut());
+        // every pattern below overwrites the same cells, so one reset serves all
+        reset_to_defaults(&mut im, &self.prog);
 
         // free patterns: everything usable free, each usable direction
         // alone, and nothing free (the escalation path)
@@ -207,54 +206,22 @@ impl MeshProgramLift {
         }
         for fp in free_patterns {
             // queue patterns: each direction as the unique argmin
-            for qmin in 0..4u8 {
-                *machine.regs_mut() = RegFile::new(&self.prog);
-                self.write_reg(&mut machine, "xpos", Value::Int(self.mesh.coords(cur).0 as i64));
-                self.write_reg(&mut machine, "ypos", Value::Int(self.mesh.coords(cur).1 as i64));
-                if let Some(vi) = self.var_idx("usable") {
-                    let dom = self.prog.vars[vi].elem.domain();
-                    machine
-                        .regs_mut()
-                        .write(&self.prog, vi, &[], Value::Set { dom, mask: usable_mask as u64 })
-                        .expect("usable mask fits");
-                }
-                self.write_reg(&mut machine, "de_east", Value::Bool(de_east));
-                self.write_reg(&mut machine, "de_west", Value::Bool(de_west));
-
-                let mut im = InputMap::new();
-                for decl in &self.prog.inputs {
-                    im.set_default(&self.prog, &decl.name, default_input(decl.elem))
-                        .expect("default fits input domain");
-                }
-                im.set(&self.prog, "xdes", &[], Value::Int(dx as i64)).ok();
-                im.set(&self.prog, "ydes", &[], Value::Int(dy as i64)).ok();
-                if self.has_input("invc") {
-                    im.set(&self.prog, "invc", &[], Value::Int(invc as i64)).ok();
-                }
-                for d in 0..4i64 {
-                    let idx = [Value::Int(d)];
-                    if self.has_input("free") {
-                        im.set(&self.prog, "free", &idx, Value::Bool(fp & (1 << d) != 0)).ok();
+            for qmin in 0..4usize {
+                let regs = machine.regs_mut();
+                *regs = RegFile::new(&self.prog);
+                self.io.init_node(&self.prog, regs, self.mesh.coords(cur));
+                self.io.set_fault_view(&self.prog, regs, u64::from(usable_mask), dead_ends);
+                self.io.load(&self.prog, &mut im, self.mesh.coords(dst), invc as usize, |d| {
+                    PortInfo {
+                        free: fp & (1 << d) != 0,
+                        linkok: usable_mask & (1 << d) != 0,
+                        out_queue: if d == qmin { 0 } else { 9 },
                     }
-                    if self.has_input("linkok") {
-                        im.set(
-                            &self.prog,
-                            "linkok",
-                            &idx,
-                            Value::Bool(usable_mask & (1 << d) != 0),
-                        )
-                        .ok();
-                    }
-                    if self.has_input("out_queue") {
-                        let q = if d == qmin as i64 { 0 } else { 9 };
-                        im.set(&self.prog, "out_queue", &idx, Value::Int(q)).ok();
-                    }
-                }
-
-                if let Ok(casc) = machine.fire_cascade(&self.entry, &[], &im) {
-                    if let Some(Value::Int(d)) = casc.last_return() {
-                        if (0..4).contains(&d) && usable_mask & (1 << d) != 0 {
-                            out.insert(d as u8);
+                });
+                if let Ok(casc) = machine.fire_cascade(entry, &[], &*im) {
+                    if let Some(Ret::Dir(d)) = casc.last_return().map(rule_io::decode) {
+                        if d < 4 && usable_mask & (1 << d) != 0 {
+                            out.insert(d);
                         }
                     }
                 }
@@ -312,7 +279,7 @@ impl MeshProgramLift {
             let (dx, dy) = self.mesh.offset(cur, dst);
             // dead-end flags depend on global fault knowledge; enumerate
             // both values of each (conservative union)
-            let de_combos: &[(bool, bool)] = if self.has_de {
+            let de_combos: &[(bool, bool)] = if self.io.de_east.is_some() {
                 &[(false, false), (true, false), (false, true), (true, true)]
             } else {
                 &[(false, false)]
@@ -322,8 +289,8 @@ impl MeshProgramLift {
                 MeshVcMode::SingleVc => {
                     let vc = inc.map(|(_, v)| v).unwrap_or(VcId(0));
                     let mut dirs: BTreeSet<u8> = BTreeSet::new();
-                    for &(de, dw) in de_combos {
-                        dirs.extend(self.raw_dirs(cur, dst, vc.idx() as u8, usable, de, dw));
+                    for &de in de_combos {
+                        dirs.extend(self.raw_dirs(cur, dst, vc.idx() as u8, usable, de));
                     }
                     dirs.into_iter().map(|d| (PortId(d), vc)).collect()
                 }
@@ -354,8 +321,8 @@ impl MeshProgramLift {
                     let mut out = Vec::new();
                     for v in vnets {
                         let mut dirs: BTreeSet<u8> = BTreeSet::new();
-                        for &(de, dw) in de_combos {
-                            dirs.extend(self.raw_dirs(cur, dst, v, usable, de, dw));
+                        for &de in de_combos {
+                            dirs.extend(self.raw_dirs(cur, dst, v, usable, de));
                         }
                         let allowed = Self::allowed(v, in_port, dx, dy);
                         for d in dirs {
@@ -374,13 +341,20 @@ impl MeshProgramLift {
 // ---------------------------------------------------------------------------
 // hypercube lift
 
-/// Lifts a compiled ROUTE_C-style hypercube program (two interpretation
-/// steps: `decide_dir` then `decide_vc`, with the `chosen` register
-/// carrying the argmin result) into a routing relation.
+/// Lifts a compiled ROUTE_C-style hypercube program (the [`CubeIo`]
+/// convention: two interpretation steps, `decide_dir` then `decide_vc`,
+/// with the `chosen` register carrying the argmin result) into a routing
+/// relation.
 pub struct CubeProgramLift {
     cube: Hypercube,
-    prog: ftr_rules::Program,
+    prog: Program,
+    io: CubeIo,
+    /// False for a program that does not declare the whole interface (the
+    /// stripped `route_c_nft`, any mesh program): it makes no cube
+    /// decision and lifts to the empty relation.
+    drives: bool,
     machine: RefCell<Machine>,
+    inputs: RefCell<InputMap>,
     #[allow(clippy::type_complexity)]
     memo: RefCell<HashMap<(u32, u32, u8), Vec<(u8, u8)>>>,
 }
@@ -388,100 +362,67 @@ pub struct CubeProgramLift {
 impl CubeProgramLift {
     /// Creates the lift for a `d`-dimensional cube program (compile
     /// `ftr_algos::rules_src::route_c_source(d)` for a matching program).
-    pub fn new(compiled: CompiledProgram, cube: Hypercube) -> Self {
+    /// Fails if the program declares a name of the message interface
+    /// differently, or is a full ROUTE_C program for fewer dimensions than
+    /// `cube` has.
+    pub fn new(compiled: CompiledProgram, cube: Hypercube) -> Result<Self> {
         let prog = compiled.prog.clone();
-        CubeProgramLift {
+        let io = CubeIo::bind(&prog)?;
+        let drives = io.require_all(&prog).is_ok();
+        if drives {
+            io.fits(&prog, cube.dim())?;
+        }
+        Ok(CubeProgramLift {
             cube,
+            io,
+            drives,
             prog,
             machine: RefCell::new(Machine::from_compiled(compiled)),
+            inputs: RefCell::new(InputMap::new()),
             memo: RefCell::new(HashMap::new()),
-        }
-    }
-
-    fn dims_set(&self, mask: u64) -> Value {
-        Value::Set { dom: ftr_rules::Domain::Int { lo: 0, hi: self.cube.dim() as i64 - 1 }, mask }
-    }
-
-    fn chosen(&self, machine: &Machine) -> Option<usize> {
-        let vi = self.prog.vars.iter().position(|v| v.name == "chosen")?;
-        match machine.regs().read(&self.prog, vi, &[]) {
-            Ok(Value::Int(v)) => Some(v as usize),
-            _ => None,
-        }
+        })
     }
 
     /// All (port, vc) pairs the two-step decision can produce for this
     /// query, across every free-channel pattern and queue-minimum
     /// position.
     fn raw_channels(&self, cur: NodeId, dst: NodeId, ok: u8) -> Vec<(u8, u8)> {
+        if !self.drives {
+            return Vec::new();
+        }
         let key = (cur.0, dst.0, ok);
         if let Some(hit) = self.memo.borrow().get(&key) {
             return hit.clone();
         }
-        let dim = self.cube.dim() as usize;
-        let mut machine = self.machine.borrow_mut();
+        let (dim, prog) = (self.cube.dim(), &self.prog);
+        let (mut machine, mut im) = (self.machine.borrow_mut(), self.inputs.borrow_mut());
         let diff = self.cube.diff(cur, dst) as u64;
-        let up = diff & !(cur.0 as u64);
-        let down = diff & cur.0 as u64;
+        let (up, down) = (diff & !(cur.0 as u64), diff & cur.0 as u64);
+        let sets = DirSets { dim, up, down, ok: ok.into() };
+        let mut out: BTreeSet<(u8, u8)> = BTreeSet::new();
 
-        let mut im = InputMap::new();
-        for decl in &self.prog.inputs {
-            im.set_default(&self.prog, &decl.name, default_input(decl.elem))
-                .expect("default fits input domain");
-        }
-        im.set(&self.prog, "diffup", &[], self.dims_set(up)).ok();
-        im.set(&self.prog, "diffdown", &[], self.dims_set(down)).ok();
-        im.set(&self.prog, "okdirs", &[], self.dims_set(ok as u64)).ok();
-
-        // step 1: decide_dir is deterministic in the difference sets
-        *machine.regs_mut() = RegFile::new(&self.prog);
-        let cands = match machine.fire_cascade("decide_dir", &[], &im) {
-            Ok(casc) => match casc.last_return() {
-                Some(Value::Set { mask, .. }) => mask,
-                _ => 0,
-            },
-            Err(_) => 0,
+        // step 1: decide_dir is deterministic in the direction sets
+        reset_to_defaults(&mut im, prog);
+        self.io.load_dir(prog, &mut im, sets, |_| 0);
+        *machine.regs_mut() = RegFile::new(prog);
+        let cands = match machine.fire_cascade(DECIDE_DIR, &[], &*im).map(|c| c.last_return()) {
+            Ok(Some(Value::Set { mask, .. })) => mask,
+            _ => 0,
         };
-        if cands == 0 {
-            self.memo.borrow_mut().insert(key, Vec::new());
-            return Vec::new();
-        }
-        let misr = cands & (up | down) == 0;
-        let phase: i64 = if up != 0 { 0 } else { 1 };
-        im.set(&self.prog, "cands", &[], self.dims_set(cands)).ok();
-        im.set(&self.prog, "phase", &[], Value::Int(phase)).ok();
-        im.set(&self.prog, "misr", &[], Value::Bool(misr)).ok();
 
         // step 2: decide_vc across free-channel-class singletons × argmin
         // positions (one per candidate output)
-        let mut out: BTreeSet<(u8, u8)> = BTreeSet::new();
-        for qmin in 0..dim {
-            if cands & (1 << qmin) == 0 {
-                continue;
-            }
-            for d in 0..dim {
-                im.set(
-                    &self.prog,
-                    "out_queue",
-                    &[Value::Int(d as i64)],
-                    Value::Int(if d == qmin { 0 } else { 9 }),
-                )
-                .ok();
-            }
-            for fv in 0..5i64 {
-                for v in 0..5i64 {
-                    im.set(&self.prog, "freevc", &[Value::Int(v)], Value::Bool(v == fv)).ok();
-                }
-                *machine.regs_mut() = RegFile::new(&self.prog);
-                let Ok(casc) = machine.fire_cascade("decide_vc", &[], &im) else { continue };
-                let Some(Value::Int(vc)) = casc.last_return() else { continue };
-                if !(0..5).contains(&vc) {
-                    continue; // 7 = wait
-                }
-                if let Some(port) = self.chosen(&machine) {
-                    if port < dim && cands & (1 << port) != 0 {
+        for qmin in (0..dim as usize).filter(|q| cands & (1 << q) != 0) {
+            self.io.load_dir(prog, &mut im, sets, |d| if d == qmin { 0 } else { 9 });
+            for fv in 0..rule_io::CUBE_VCS {
+                self.io.load_vc(prog, &mut im, sets, cands, |v| v == fv);
+                *machine.regs_mut() = RegFile::new(prog);
+                let Ok(casc) = machine.fire_cascade(DECIDE_VC, &[], &*im) else { continue };
+                match self.io.channel(prog, machine.regs(), casc.last_return()) {
+                    Some((port, vc)) if port < dim as usize && cands & (1 << port) != 0 => {
                         out.insert((port as u8, vc as u8));
                     }
+                    _ => {}
                 }
             }
         }
@@ -579,6 +520,10 @@ fn describe_faults(topo: &dyn Topology, set: &[(NodeId, PortId)]) -> String {
 /// Proves (or refutes) deadlock freedom of a mesh rule program: builds
 /// the CDG of the lifted relation for every enumerated link-fault set and
 /// checks acyclicity by exhaustion over destinations.
+///
+/// # Panics
+///
+/// If [`MeshProgramLift::new`] refuses the program; the message is its error.
 pub fn verify_mesh(
     program_name: &str,
     compiled: &CompiledProgram,
@@ -589,7 +534,8 @@ pub fn verify_mesh(
     max_fault_sets: usize,
 ) -> DeadlockReport {
     let mesh = Mesh2D::new(width, height);
-    let lift = MeshProgramLift::new(compiled.clone(), mesh.clone(), mode);
+    let lift = MeshProgramLift::new(compiled.clone(), mesh.clone(), mode)
+        .unwrap_or_else(|e| panic!("{program_name}: {e}"));
     let links = unique_links(&mesh);
     let sets = fault_sets(&links, max_faults, max_fault_sets, 0x5eed);
     let mut report = DeadlockReport {
@@ -615,6 +561,10 @@ pub fn verify_mesh(
 }
 
 /// Hypercube analogue of [`verify_mesh`] for ROUTE_C-style programs.
+///
+/// # Panics
+///
+/// If [`CubeProgramLift::new`] refuses the program; the message is its error.
 pub fn verify_cube(
     program_name: &str,
     compiled: &CompiledProgram,
@@ -623,13 +573,14 @@ pub fn verify_cube(
     max_fault_sets: usize,
 ) -> DeadlockReport {
     let cube = Hypercube::new(dim);
-    let lift = CubeProgramLift::new(compiled.clone(), cube.clone());
+    let lift = CubeProgramLift::new(compiled.clone(), cube.clone())
+        .unwrap_or_else(|e| panic!("{program_name}: {e}"));
     let links = unique_links(&cube);
     let sets = fault_sets(&links, max_faults, max_fault_sets, 0x5eed);
     let mut report = DeadlockReport {
         program: program_name.into(),
         topology: format!("hypercube d={dim}"),
-        num_vcs: 5,
+        num_vcs: rule_io::CUBE_VCS,
         fault_sets_checked: 0,
         failures: Vec::new(),
     };
@@ -639,7 +590,7 @@ pub fn verify_cube(
             faults.fail_link(&cube, n, p);
         }
         let relation = lift.relation(&faults);
-        let g = ChannelDependencyGraph::build(&cube, &faults, 5, &relation);
+        let g = ChannelDependencyGraph::build(&cube, &faults, rule_io::CUBE_VCS, &relation);
         report.fault_sets_checked += 1;
         if let Some(cycle) = g.find_cycle() {
             report.failures.push(CycleWitness { faults: describe_faults(&cube, set), cycle });

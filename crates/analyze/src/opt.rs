@@ -64,7 +64,7 @@ pub struct OptOptions {
 impl Default for OptOptions {
     fn default() -> Self {
         OptOptions {
-            host_written: vec!["xpos".into(), "ypos".into()],
+            host_written: TopoFacts::default().host_written,
             specialize: true,
             fold_atoms: true,
             delete_dead: true,

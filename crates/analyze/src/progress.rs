@@ -29,6 +29,7 @@
 //! smear into interval hulls.
 
 use crate::absint::{self, AbsEnv, AbsVal, TopoFacts};
+use ftr_algos::rule_io::{self, MeshIo, Ret};
 use ftr_rules::ast::{BinOp, Builtin, Command, Expr, Program, Ref};
 use ftr_rules::env::{InputMap, RegFile};
 use ftr_rules::eval::fire_reference;
@@ -40,7 +41,6 @@ const E: u8 = 0;
 const W: u8 = 1;
 const N: u8 = 2;
 const S: u8 = 3;
-const RET_WAIT: i64 = 14;
 
 const DIR_NAMES: [&str; 4] = ["east", "west", "north", "south"];
 
@@ -149,24 +149,13 @@ fn int_bound(t: Type) -> Option<(i64, i64)> {
 
 fn detect_shape(prog: &Program, topo: &TopoFacts) -> Option<MeshShape> {
     let entry = 0;
-    let base = prog.rulebases.first()?;
-    if !base.params.is_empty() {
+    let (rlo, rhi) = int_bound(rule_io::entry(prog).ok()?.returns?)?;
+    if rlo > 0 || rhi < rule_io::RET_DELIVER {
         return None;
     }
-    let (rlo, rhi) = int_bound(base.returns?)?;
-    if rlo > 0 || rhi < 15 {
-        return None;
-    }
-    let var = |n: &str| prog.vars.iter().position(|v| v.name == n);
-    let input = |n: &str| prog.inputs.iter().position(|d| d.name == n);
-    let (xpos, ypos) = (var("xpos")?, var("ypos")?);
-    let (xdes, ydes) = (input("xdes")?, input("ydes")?);
-    let free = input("free")?;
-    // free must be a bool array indexed by an integer direction domain
-    match (prog.inputs[free].index_domains.as_slice(), prog.inputs[free].elem) {
-        ([Domain::Int { lo: 0, hi }], Type::Scalar(Domain::Bool)) if *hi >= 3 => {}
-        _ => return None,
-    }
+    let io = MeshIo::bind(prog).ok()?;
+    // a bound `free` is a bool array over (at least) the four directions
+    let (xpos, ypos, xdes, ydes, free) = (io.xpos?, io.ypos?, io.xdes?, io.ydes?, io.free?);
     let clamp = |name: &str, b: (i64, i64)| -> (i64, i64) {
         match topo.int_bounds.iter().find(|(n, _, _)| n == name) {
             Some(&(_, lo, hi)) => (b.0.max(lo), b.1.min(hi)),
@@ -175,14 +164,14 @@ fn detect_shape(prog: &Program, topo: &TopoFacts) -> Option<MeshShape> {
     };
     let meet2 = |a: (i64, i64), b: (i64, i64)| (a.0.max(b.0), a.1.min(b.1));
     let xb = meet2(
-        clamp("xpos", int_bound(prog.vars[xpos].elem)?),
-        clamp("xdes", int_bound(prog.inputs[xdes].elem)?),
+        clamp(rule_io::XPOS, int_bound(prog.vars[xpos].elem)?),
+        clamp(rule_io::XDES, int_bound(prog.inputs[xdes].elem)?),
     );
     let yb = meet2(
-        clamp("ypos", int_bound(prog.vars[ypos].elem)?),
-        clamp("ydes", int_bound(prog.inputs[ydes].elem)?),
+        clamp(rule_io::YPOS, int_bound(prog.vars[ypos].elem)?),
+        clamp(rule_io::YDES, int_bound(prog.inputs[ydes].elem)?),
     );
-    Some(MeshShape { entry, xpos, ypos, xdes, ydes, free, linkok: input("linkok"), xb, yb })
+    Some(MeshShape { entry, xpos, ypos, xdes, ydes, free, linkok: io.linkok, xb, yb })
 }
 
 /// Sign of `pos ? des` on one axis.
@@ -404,30 +393,30 @@ fn ring_witness(rotation: &str, ox: i64, oy: i64) -> Vec<RingMessage> {
 fn run_router(
     prog: &Program,
     shape: &MeshShape,
+    inputs: &mut InputMap,
     node: (i64, i64),
     dst: (i64, i64),
     free_mask: u8,
-) -> Option<i64> {
+) -> Option<Ret> {
     let mut regs = RegFile::new(prog);
     regs.write(prog, shape.xpos, &[], Value::Int(node.0)).ok()?;
     regs.write(prog, shape.ypos, &[], Value::Int(node.1)).ok()?;
-    let mut inputs = InputMap::default();
-    let xdes = prog.inputs[shape.xdes].name.clone();
-    let ydes = prog.inputs[shape.ydes].name.clone();
-    inputs.set(prog, &xdes, &[], Value::Int(dst.0)).ok()?;
-    inputs.set(prog, &ydes, &[], Value::Int(dst.1)).ok()?;
-    let free_name = prog.inputs[shape.free].name.clone();
+    inputs.clear();
+    inputs.set_at(prog, shape.xdes, &[], Value::Int(dst.0)).ok()?;
+    inputs.set_at(prog, shape.ydes, &[], Value::Int(dst.1)).ok()?;
     for d in 0..4i64 {
         let v = Value::Bool(free_mask & (1 << d) != 0);
-        inputs.set(prog, &free_name, &[Value::Int(d)], v).ok()?;
+        inputs.set_at(prog, shape.free, &[Value::Int(d)], v).ok()?;
     }
     if let Some(lk) = shape.linkok {
-        let lk_name = prog.inputs[lk].name.clone();
-        // default any extra indices too
-        inputs.set_default(prog, &lk_name, Value::Bool(true)).ok()?;
+        // every declared index, not just the four directions
+        let [Domain::Int { lo, hi }] = prog.inputs[lk].index_domains[..] else { return None };
+        for d in lo..=hi {
+            inputs.set_at(prog, lk, &[Value::Int(d)], Value::Bool(true)).ok()?;
+        }
     }
-    let out = fire_reference(prog, shape.entry, &[], &mut regs, &inputs).ok()?;
-    out.returned.and_then(|v| v.as_int().ok())
+    let out = fire_reference(prog, shape.entry, &[], &mut regs, &*inputs).ok()?;
+    out.returned.map(rule_io::decode)
 }
 
 /// A witness is valid when, for every message: (1) with its wanted
@@ -436,17 +425,18 @@ fn run_router(
 /// some legal `free` configuration (with the held channel free) actually
 /// routed it onto the channel it holds.
 fn validate_witness(prog: &Program, shape: &MeshShape, ring: &[RingMessage]) -> bool {
+    let mut inputs = InputMap::new();
+    let mut run = |node, dst, free_mask| run_router(prog, shape, &mut inputs, node, dst, free_mask);
     for m in ring {
         let busy_want = 0x0f & !(1u8 << m.wants);
-        if run_router(prog, shape, m.node, m.dst, busy_want) != Some(RET_WAIT) {
+        if run(m.node, m.dst, busy_want) != Some(Ret::Wait) {
             return false;
         }
-        if run_router(prog, shape, m.node, m.dst, 0x0f) != Some(i64::from(m.wants)) {
+        if run(m.node, m.dst, 0x0f) != Some(Ret::Dir(m.wants)) {
             return false;
         }
         let inbound_ok = (0u8..16).any(|mask| {
-            mask & (1 << m.holds) != 0
-                && run_router(prog, shape, m.prev, m.dst, mask) == Some(i64::from(m.holds))
+            mask & (1 << m.holds) != 0 && run(m.prev, m.dst, mask) == Some(Ret::Dir(m.holds))
         });
         if !inbound_ok {
             return false;

@@ -2,8 +2,10 @@
 //! deterministic/turn-model/NAFTA programs must verify, and the naive
 //! fully-adaptive baseline must produce a concrete cycle witness.
 
-use ftr_analyze::{verify_cube, verify_mesh, MeshVcMode};
+use ftr_analyze::{verify_cube, verify_mesh, CubeProgramLift, MeshProgramLift, MeshVcMode};
 use ftr_rules::{compile, parse, CompileOptions, CompiledProgram};
+use ftr_topo::cdg::RoutingRelation;
+use ftr_topo::{FaultSet, Hypercube, Mesh2D, NodeId, PortId, Topology, VcId, EAST};
 
 fn compiled(src: &str) -> CompiledProgram {
     let prog = parse(src).expect("parse");
@@ -75,4 +77,75 @@ fn route_c_is_deadlock_free_on_a_4_cube() {
     let report = verify_cube("route_c", &c, 4, 0, 16);
     assert!(report.verified(), "{}", report.summary());
     assert_eq!(report.num_vcs, 5);
+}
+
+/// FNV-1a over `relation(cur, inc, dst)` for every node pair and every
+/// arrival channel (injection included), in enumeration order.
+fn relation_hash(topo: &dyn Topology, vcs: usize, relation: &RoutingRelation<'_>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: usize| {
+        for b in (w as u64).to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut arrivals = vec![None];
+    for p in topo.ports() {
+        arrivals.extend((0..vcs).map(|v| Some((p, VcId(v as u8)))));
+    }
+    for cur in topo.nodes() {
+        for dst in topo.nodes() {
+            for &inc in &arrivals {
+                let out = relation(cur, inc, dst);
+                word(out.len());
+                for (p, v) in out {
+                    word(p.idx() << 8 | v.idx());
+                }
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn lifted_relations_are_pinned() {
+    // `verify_*` only reports whether a cycle exists; the relation itself
+    // is pinned here, recorded at PR 16 before the lifts moved onto
+    // `ftr_algos::rule_io`, so a change in what the lift feeds a program
+    // cannot hide behind an unchanged verdict.
+    let mesh = Mesh2D::new(3, 3);
+    let mut one_link = FaultSet::new();
+    one_link.fail_link(&mesh, mesh.node_at(1, 1), EAST);
+    let mut got = Vec::new();
+    for (name, mode) in [
+        ("xy", MeshVcMode::SingleVc),
+        ("west_first", MeshVcMode::SingleVc),
+        ("naive_adaptive", MeshVcMode::SingleVc),
+        ("nafta", MeshVcMode::SingleVc),
+        ("nafta", MeshVcMode::NaraPair),
+    ] {
+        let lift = MeshProgramLift::new(shipped(name), mesh.clone(), mode).expect("binds");
+        for faults in [&FaultSet::new(), &one_link] {
+            got.push(relation_hash(&mesh, lift.num_vcs(), &lift.relation(faults)));
+        }
+    }
+    let cube = Hypercube::new(3);
+    let mut one_link = FaultSet::new();
+    one_link.fail_link(&cube, NodeId(1), PortId(1));
+    for program in [compiled(&ftr_algos::rules_src::route_c_source(3)), shipped("route_c_nft")] {
+        let lift = CubeProgramLift::new(program, cube.clone()).expect("binds");
+        for faults in [&FaultSet::new(), &one_link] {
+            got.push(relation_hash(&cube, 5, &lift.relation(faults)));
+        }
+    }
+    // per program: [fault-free, one dead link]
+    let pinned: [[u64; 2]; 7] = [
+        [0x9711_6817_39d2_f54d, 0xa1d3_9ac1_69fe_fb1c], // xy
+        [0x07c1_0f2b_05a1_0b32, 0xf695_0374_c5a8_4513], // west_first
+        [0xd187_282b_5c2f_4dad, 0xbb2e_15ed_559a_7fc4], // naive_adaptive
+        [0xd187_282b_5c2f_4dad, 0x1336_0f9f_68db_f393], // nafta, one network
+        [0x2587_5cbf_82e8_2fbf, 0x39e3_adcd_bd69_74e3], // nafta, NARA pair
+        [0x687f_8dd3_f2db_7a25, 0xe5c0_e387_7e24_9545], // route_c(3)
+        [0xb9d1_03fd_6854_a325, 0xb9d1_03fd_6854_a325], // route_c_nft: the empty relation
+    ];
+    assert_eq!(got, pinned.concat());
 }

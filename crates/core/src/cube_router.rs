@@ -1,20 +1,24 @@
 //! The rule-driven hypercube router: ROUTE_C executed *entirely* by the
 //! rule machinery in the live network.
 //!
-//! Per head flit, the message interface computes the hypercube difference
-//! sets (`diffup`, `diffdown`) and the usable-direction set (`okdirs`,
-//! derived from the link status and the `neighb_state` registers the rule
-//! program itself maintains), then fires the paper's two interpretation
-//! steps — `decide_dir` (which output dimensions are legal) and
-//! `decide_vc` (channel selection + adaptivity argmin into the `chosen`
-//! register). Fault and state propagation run through `update_state`, the
-//! Figure-4 rule base, driven by control-plane messages.
+//! Per head flit, the message interface ([`ftr_algos::rule_io::CubeIo`],
+//! bound once when the router is built) loads the hypercube difference
+//! sets and the usable-direction set — derived from the link status and
+//! the `neighb_state` registers the rule program itself maintains — then
+//! the machine fires the paper's two interpretation steps: `decide_dir`
+//! (which output dimensions are legal) and `decide_vc` (channel selection +
+//! adaptivity argmin into the `chosen` register). Fault and state
+//! propagation run through `update_state`, the Figure-4 rule base, driven
+//! by control-plane messages.
 //!
 //! The step counter therefore measures exactly the paper's "ROUTE_C always
 //! needs two steps" on real traffic.
 
 use crate::RouterConfiguration;
-use ftr_rules::{Domain, InputMap, Machine, Value};
+use ftr_algos::rule_io::{
+    self, CubeIo, DirSets, DECIDE_DIR, DECIDE_VC, SEND_NEWMESSAGE, UPDATE_STATE,
+};
+use ftr_rules::{InputMap, Machine, Value};
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{
     ControlMsg, Decision, NodeController, RouterView, RoutingAlgorithm, Verdict,
@@ -22,50 +26,59 @@ use ftr_sim::routing::{
 use ftr_topo::{Hypercube, NodeId, PortId, Topology, VcId};
 use std::sync::Arc;
 
-/// Symbol indices of the `fault_states` type in the ROUTE_C program.
+/// Symbol indices of the `fault_states` type in the ROUTE_C program; a
+/// control message carries the index of the state it reports.
 const STATE_LFAULT: u32 = 1;
 const STATE_OUNSAFE: u32 = 2;
-const STATE_STRUNSAFE: u32 = 3;
 const STATE_FAULTY: u32 = 4;
 
 /// Rule-driven ROUTE_C for hypercubes.
 pub struct CubeRuleRouter {
     config: Arc<RouterConfiguration>,
     cube: Hypercube,
+    io: CubeIo,
 }
 
 impl CubeRuleRouter {
     /// Builds the router from a ROUTE_C configuration (use
     /// `ftr_algos::rules_src::route_c_source(dim)` for the matching
     /// program).
+    ///
+    /// # Panics
+    ///
+    /// If the program is not a full ROUTE_C program for this cube: it
+    /// lacks a declaration or rule base of the message interface (the
+    /// stripped `route_c_nft` does), declares one with another shape or
+    /// element type, or for fewer dimensions than `cube` has. The message
+    /// names the declaration.
     pub fn new(config: RouterConfiguration, cube: Hypercube) -> Self {
-        CubeRuleRouter { config: Arc::new(config), cube }
+        let prog = &config.compiled.prog;
+        let bound = CubeIo::bind(prog).and_then(|io| {
+            io.require_all(prog)?;
+            io.fits(prog, cube.dim())?;
+            Ok(io)
+        });
+        let io = bound.unwrap_or_else(|e| panic!("rule program `{}`: {e}", config.name));
+        CubeRuleRouter { config: Arc::new(config), cube, io }
     }
 }
 
 impl RoutingAlgorithm for CubeRuleRouter {
     fn name(&self) -> String {
-        if self.config.optimized {
-            format!("rule:{}+opt", self.config.name)
-        } else {
-            format!("rule:{}", self.config.name)
-        }
+        self.config.algorithm_name()
     }
 
     fn num_vcs(&self) -> usize {
-        5
+        rule_io::CUBE_VCS
     }
 
-    fn controller(&self, _topo: &dyn Topology, node: NodeId) -> Box<dyn NodeController> {
-        let _ = node; // ROUTE_C state is address-free: the machine needs no coordinates
-        let mut machine = Machine::from_compiled(self.config.compiled.clone());
-        if let Some(w) = &self.config.step_weights {
-            machine.set_step_weights(std::sync::Arc::clone(w));
-        }
-        self.config.install_backend(&mut machine);
+    fn controller(&self, _topo: &dyn Topology, _node: NodeId) -> Box<dyn NodeController> {
+        // ROUTE_C state is address-free: the machine needs no coordinates
         Box::new(CubeRuleController {
-            machine,
+            machine: self.config.machine(None),
             cube: self.cube.clone(),
+            io: self.io,
+            inputs: InputMap::new(),
             link_dead: vec![false; self.cube.dim() as usize],
             hop_limit: 4 * self.cube.num_nodes() as u32 + 16,
         })
@@ -75,71 +88,46 @@ impl RoutingAlgorithm for CubeRuleRouter {
 struct CubeRuleController {
     machine: Machine,
     cube: Hypercube,
+    io: CubeIo,
+    /// Reused for every decision and every state update.
+    inputs: InputMap,
     /// Local link status shadow (the information unit's view).
     link_dead: Vec<bool>,
     hop_limit: u32,
 }
 
 impl CubeRuleController {
-    fn dims_domain(&self) -> Domain {
-        Domain::Int { lo: 0, hi: self.cube.dim() as i64 - 1 }
-    }
-
-    fn set_of(&self, mask: u64) -> Value {
-        Value::Set { dom: self.dims_domain(), mask }
-    }
-
-    /// Reads `neighb_state(d)` from the program's registers.
-    fn neighb_state(&self, d: usize) -> u32 {
-        let prog = self.machine.program();
-        let vi = prog
-            .vars
-            .iter()
-            .position(|v| v.name == "neighb_state")
-            .expect("route_c program has neighb_state");
-        match self.machine.regs().read(prog, vi, &[Value::Int(d as i64)]) {
-            Ok(Value::Sym { idx, .. }) => idx,
-            _ => 0,
+    /// The direction sets of `view.node → dst`. A dimension is usable if
+    /// its link is alive and the neighbour behind it is the destination or
+    /// not known to be unsafe.
+    fn dir_sets(&self, view: &RouterView<'_>, dst: NodeId) -> DirSets {
+        let (prog, regs) = (self.machine.program(), self.machine.regs());
+        let diff = self.cube.diff(view.node, dst) as u64;
+        let mut ok = 0u64;
+        for d in 0..self.cube.dim() as usize {
+            let nb = self.cube.neighbor(view.node, PortId(d as u8)).expect("cube port");
+            let state = CubeIo::sym(prog, regs, self.io.neighb_state, &[Value::Int(d as i64)]);
+            if view.link_alive[d] && (nb == dst || state < STATE_OUNSAFE) {
+                ok |= 1 << d;
+            }
         }
-    }
-
-    /// Reads the `chosen` register (argmin result of decide_vc).
-    fn chosen(&self) -> usize {
-        let prog = self.machine.program();
-        let vi =
-            prog.vars.iter().position(|v| v.name == "chosen").expect("route_c program has chosen");
-        match self.machine.regs().read(prog, vi, &[]) {
-            Ok(Value::Int(v)) => v as usize,
-            _ => 0,
-        }
+        let (up, down) = (diff & !(view.node.0 as u64), diff & view.node.0 as u64);
+        DirSets { dim: self.cube.dim(), up, down, ok }
     }
 
     /// Drives `update_state(dir)` with a reported neighbour state; converts
     /// generated `send_newmessage` events into control messages.
     fn drive_update(&mut self, dir: PortId, reported: u32) -> Vec<ControlMsg> {
-        let prog = self.machine.program().clone();
-        let mut im = InputMap::new();
-        // the rule base only reads new_state(dir); default the rest
-        im.set_default(&prog, "new_state", Value::Sym { ty: 0, idx: 0 }).ok();
-        if im
-            .set(
-                &prog,
-                "new_state",
-                &[Value::Int(dir.idx() as i64)],
-                Value::Sym { ty: 0, idx: reported },
-            )
-            .is_err()
-        {
-            return Vec::new();
-        }
-        let Ok(casc) =
-            self.machine.fire_cascade("update_state", &[Value::Int(dir.idx() as i64)], &im)
-        else {
+        let (prog, dim) = (self.machine.program(), self.cube.dim());
+        self.inputs.clear();
+        self.io.load_update(prog, &mut self.inputs, dim, dir.idx(), reported);
+        let args = [Value::Int(dir.idx() as i64)];
+        let Ok(casc) = self.machine.fire_cascade(UPDATE_STATE, &args, &self.inputs) else {
             return Vec::new();
         };
         casc.host_events
             .iter()
-            .filter(|e| e.event == "send_newmessage" && e.args.len() == 2)
+            .filter(|e| e.event == SEND_NEWMESSAGE && e.args.len() == 2)
             .filter_map(|e| {
                 let d = e.args[0].as_int().ok()? as usize;
                 let code = e.args[1].as_int().ok()?;
@@ -167,80 +155,40 @@ impl NodeController for CubeRuleController {
         if view.node == h.dst {
             return Decision::new(Verdict::Deliver, 2);
         }
-        let dim = self.cube.dim() as usize;
-        let prog = self.machine.program().clone();
-
-        // --- message interface: difference and usability sets
-        let diff = self.cube.diff(view.node, h.dst) as u64;
-        let up = diff & !(view.node.0 as u64);
-        let down = diff & view.node.0 as u64;
-        let mut ok = 0u64;
-        for d in 0..dim {
-            let nb = self.cube.neighbor(view.node, PortId(d as u8)).expect("cube port");
-            let unsafe_nb = self.neighb_state(d) >= STATE_OUNSAFE;
-            if view.link_alive[d] && (nb == h.dst || !unsafe_nb) {
-                ok |= 1 << d;
-            }
-        }
-
-        let mut im = InputMap::new();
-        let _ = im.set(&prog, "diffup", &[], self.set_of(up));
-        let _ = im.set(&prog, "diffdown", &[], self.set_of(down));
-        let _ = im.set(&prog, "okdirs", &[], self.set_of(ok));
-        for d in 0..dim {
-            let _ = im.set(
-                &prog,
-                "out_queue",
-                &[Value::Int(d as i64)],
-                Value::Int(view.out_load[d].min(255) as i64),
-            );
-        }
+        let dim = self.cube.dim();
+        let sets = self.dir_sets(view, h.dst);
+        let open = |d: usize, vc: usize| view.link_alive[d] && view.out_free[d][vc];
 
         // --- step 1: decide_dir
-        let Ok(casc1) = self.machine.fire_cascade("decide_dir", &[], &im) else {
+        self.inputs.clear();
+        self.io.load_dir(self.machine.program(), &mut self.inputs, sets, |d| view.out_load[d]);
+        let Ok(casc1) = self.machine.fire_cascade(DECIDE_DIR, &[], &self.inputs) else {
             return Decision::new(Verdict::Unroutable, 1);
         };
-        let Some(Value::Set { mask: cands, .. }) = casc1.last_return() else {
-            return Decision::new(Verdict::Unroutable, casc1.steps.max(1));
+        let cands = match casc1.last_return() {
+            Some(Value::Set { mask, .. }) if mask != 0 => mask,
+            _ => return Decision::new(Verdict::Unroutable, casc1.steps.max(1)),
         };
-        if cands == 0 {
-            return Decision::new(Verdict::Unroutable, casc1.steps.max(1));
-        }
-        let misr = cands & (up | down) == 0;
-        let phase: i64 = if up != 0 { 0 } else { 1 };
+        let cand = |d: usize| d < dim as usize && cands & (1 << d) != 0;
 
-        // --- step 2: decide_vc (channel + adaptivity argmin)
-        let _ = im.set(&prog, "cands", &[], self.set_of(cands));
-        let _ = im.set(&prog, "phase", &[], Value::Int(phase));
-        let _ = im.set(&prog, "misr", &[], Value::Bool(misr));
-        for v in 0..5usize {
-            // a channel class is usable if any candidate output has it free
-            let free = (0..dim)
-                .any(|d| cands & (1 << d) != 0 && view.link_alive[d] && view.out_free[d][v]);
-            let _ = im.set(&prog, "freevc", &[Value::Int(v as i64)], Value::Bool(free));
-        }
-        let Ok(casc2) = self.machine.fire_cascade("decide_vc", &[], &im) else {
+        // --- step 2: decide_vc (channel + adaptivity argmin); a channel
+        // class is usable if any candidate output has it free
+        let freevc = |vc: usize| (0..dim as usize).any(|d| cand(d) && open(d, vc));
+        let (phase, misr) =
+            self.io.load_vc(self.machine.program(), &mut self.inputs, sets, cands, freevc);
+        let Ok(casc2) = self.machine.fire_cascade(DECIDE_VC, &[], &self.inputs) else {
             return Decision::new(Verdict::Unroutable, casc1.steps.max(1) + 1);
         };
-        let steps = casc1.steps + casc2.steps;
-        let vc = match casc2.last_return() {
-            Some(Value::Int(v)) if (0..5).contains(&v) => v as usize,
-            _ => return Decision::new(Verdict::Wait, steps), // 7 = wait
-        };
-        let port = self.chosen();
-        if port < dim
-            && cands & (1 << port) != 0
-            && view.link_alive[port]
-            && view.out_free[port][vc]
-        {
-            if misr {
-                h.misrouted = true;
+        let (prog, regs) = (self.machine.program(), self.machine.regs());
+        let verdict = match self.io.channel(prog, regs, casc2.last_return()) {
+            Some((port, vc)) if cand(port) && open(port, vc) => {
+                h.misrouted |= misr;
+                h.phase = phase;
+                Verdict::Route(PortId(port as u8), VcId(vc as u8))
             }
-            h.phase = phase as u8;
-            Decision::new(Verdict::Route(PortId(port as u8), VcId(vc as u8)), steps)
-        } else {
-            Decision::new(Verdict::Wait, steps)
-        }
+            _ => Verdict::Wait,
+        };
+        Decision::new(verdict, casc1.steps + casc2.steps)
     }
 
     fn relation(
@@ -255,27 +203,17 @@ impl NodeController for CubeRuleController {
         if view.node == h.dst {
             return Vec::new();
         }
-        let dim = self.cube.dim() as usize;
-        let diff = self.cube.diff(view.node, h.dst) as u64;
-        let up = diff & !(view.node.0 as u64);
-        let down = diff & view.node.0 as u64;
-        let mut ok = 0u64;
-        for d in 0..dim {
-            let nb = self.cube.neighbor(view.node, PortId(d as u8)).expect("cube port");
-            if view.link_alive[d] && (nb == h.dst || self.neighb_state(d) < STATE_OUNSAFE) {
-                ok |= 1 << d;
-            }
-        }
-        let (cands, vcs): (u64, Vec<u8>) = if up & ok != 0 {
-            (up & ok, vec![0])
+        let DirSets { dim, up, down, ok } = self.dir_sets(view, h.dst);
+        let (cands, vcs): (u64, &[u8]) = if up & ok != 0 {
+            (up & ok, &[0])
         } else if down & ok != 0 {
-            (down & ok, vec![1])
+            (down & ok, &[1])
         } else {
-            (ok & !(up | down), vec![2, 3, 4])
+            (ok & !(up | down), &[2, 3, 4])
         };
-        (0..dim)
+        (0..dim as u8)
             .filter(|d| cands & (1 << d) != 0)
-            .flat_map(|d| vcs.iter().map(move |&v| (PortId(d as u8), VcId(v))))
+            .flat_map(|d| vcs.iter().map(move |&v| (PortId(d), VcId(v))))
             .collect()
     }
 
@@ -290,25 +228,17 @@ impl NodeController for CubeRuleController {
         from: PortId,
         payload: &[i64],
     ) -> Vec<ControlMsg> {
-        if payload.len() != 1 {
-            return Vec::new();
+        match payload {
+            // ounsafe, sunsafe or faulty
+            &[code] if (i64::from(STATE_OUNSAFE)..=i64::from(STATE_FAULTY)).contains(&code) => {
+                self.drive_update(from, code as u32)
+            }
+            _ => Vec::new(),
         }
-        let reported = match payload[0] {
-            2 => STATE_OUNSAFE,
-            3 => STATE_STRUNSAFE,
-            4 => STATE_FAULTY,
-            _ => return Vec::new(),
-        };
-        self.drive_update(from, reported)
     }
 
     fn state_word(&self) -> i64 {
-        let prog = self.machine.program();
-        let vi = prog.vars.iter().position(|v| v.name == "state").expect("state register");
-        match self.machine.regs().read(prog, vi, &[]) {
-            Ok(Value::Sym { idx, .. }) => idx as i64,
-            _ => 0,
-        }
+        i64::from(CubeIo::sym(self.machine.program(), self.machine.regs(), self.io.state, &[]))
     }
 }
 
@@ -365,6 +295,15 @@ mod tests {
         assert!(!net.stats.deadlock);
         assert_eq!(net.stats.unroutable_msgs, 0);
         assert!(net.stats.delivered_msgs > 200);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rule program `route_c_nft`: resolve error: the program does not declare `okdirs`"
+    )]
+    fn the_stripped_program_is_refused_at_construction() {
+        let cfg = configure("route_c_nft", ftr_algos::rules_src::ROUTE_C_NFT).unwrap();
+        CubeRuleRouter::new(cfg, Hypercube::new(4));
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! crates: the **data path** (input/output buffers, connection unit) is the
 //! simulator's router model; the **control unit** is a block of rule
 //! interpreters (`ftr-rules`) coordinated by an event manager; the
-//! **message interface** extracts header fields and delivers them as rule
-//! inputs; the **information units** report link state and load.
+//! **message interface** and **information units** — header fields, link
+//! state and load delivered as rule inputs — are `ftr_algos::rule_io`,
+//! bound to a program once when a router is built (DESIGN.md, "Message
+//! interface", tabulates the convention).
 //!
 //! * [`configure`] is the "Rule Compiler": rule-language source →
 //!   [`RouterConfiguration`] (compiled tables + hardware cost report).
@@ -18,7 +20,6 @@
 //!   route_c, route_c_nft).
 
 pub mod cube_router;
-pub mod info_unit;
 pub mod registry;
 pub mod report;
 pub mod rule_router;
@@ -26,11 +27,11 @@ pub mod rule_router;
 pub use cube_router::CubeRuleRouter;
 pub use registry::{configuration, list_configurations};
 pub use report::HardwareReport;
-pub use rule_router::{MeshInterface, RuleRouter};
+pub use rule_router::RuleRouter;
 
 use ftr_rules::{
-    compile, cost, Backend, CompileOptions, CompiledProgram, Machine, ProgramCost, Result,
-    StepWeights, VmProgram,
+    compile, cost, Backend, CompileOptions, CompiledProgram, InterpProbe, Machine, ProgramCost,
+    Result, StepWeights, VmProgram,
 };
 use std::sync::Arc;
 
@@ -103,32 +104,34 @@ impl RouterConfiguration {
         Ok(self)
     }
 
-    /// Applies this configuration's backend choice to a node machine.
-    pub fn install_backend(&self, machine: &mut Machine) {
+    /// One node's rule machine: this configuration's program on its
+    /// backend, with its step weights and, if given, a per-stage probe.
+    pub fn machine(&self, probe: Option<&Arc<dyn InterpProbe>>) -> Machine {
+        let mut machine = Machine::from_compiled(self.compiled.clone());
+        if let Some(probe) = probe {
+            machine.set_probe(Arc::clone(probe));
+        }
+        if let Some(w) = &self.step_weights {
+            machine.set_step_weights(Arc::clone(w));
+        }
         if let Some(vm) = &self.bytecode {
             machine
                 .set_bytecode(Arc::clone(vm))
                 .expect("bytecode was validated when the configuration was built");
         }
+        machine
+    }
+
+    /// The name a router driven by this configuration reports.
+    pub(crate) fn algorithm_name(&self) -> String {
+        format!("rule:{}{}", self.name, if self.optimized { "+opt" } else { "" })
     }
 }
 
 /// Compiles rule-language source into a router configuration.
 pub fn configure(name: &str, src: &str) -> Result<RouterConfiguration> {
-    let opts = CompileOptions::default();
-    let prog = ftr_rules::parse(src)?;
-    let compiled = compile(&prog, &opts)?;
-    let cost = cost::analyze(&prog, &opts)?;
-    RouterConfiguration {
-        name: name.to_string(),
-        compiled,
-        cost,
-        step_weights: None,
-        optimized: false,
-        backend: Backend::Table,
-        bytecode: None,
-    }
-    .with_backend(Backend::from_env())
+    let compiled = compile(&ftr_rules::parse(src)?, &CompileOptions::default())?;
+    RouterConfiguration::from_compiled(name, compiled)
 }
 
 #[cfg(test)]

@@ -2,93 +2,34 @@
 //! compiled rule program executed by the event manager.
 //!
 //! Every node holds one [`ftr_rules::Machine`] (the "Rule Bases" block of
-//! Figure 3). On each head flit the message interface loads header fields
-//! and link information into the inputs, fires the program's `route_msg`
-//! event, and decodes the cascade's last `RETURN` value:
-//!
-//! | value | meaning                |
-//! |------:|------------------------|
-//! | 0..11 | forward via direction  |
-//! | 13    | unroutable             |
-//! | 14    | wait                   |
-//! | 15    | deliver locally        |
+//! Figure 3). On each head flit the message interface
+//! ([`ftr_algos::rule_io::MeshIo`], bound once when the router is built)
+//! loads header fields and link information into the inputs, the machine
+//! fires the program's entry event, and [`rule_io::decode`] reads the
+//! cascade's last `RETURN` value (a direction, or 13 unroutable / 14 wait /
+//! 15 deliver).
 //!
 //! The number of rule interpretations the cascade used becomes the
 //! decision's step count — the rule router therefore exhibits the very
 //! overhead the paper measures (1 step for XY, up to 3 for a NAFTA-style
 //! escalation chain).
 
-use crate::info_unit::load_link_info;
 use crate::RouterConfiguration;
-use ftr_rules::{InputMap, InterpProbe, Machine, Value};
+use ftr_algos::rule_io::{self, MeshIo, PortInfo, Ret};
+use ftr_rules::{InputMap, InterpProbe, Machine};
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{Decision, NodeController, RouterView, RoutingAlgorithm, Verdict};
 use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId};
 use std::sync::Arc;
 
-/// Return-code conventions of `route_msg`.
-pub const RET_UNROUTABLE: i64 = 13;
-/// Wait code.
-pub const RET_WAIT: i64 = 14;
-/// Local delivery code.
-pub const RET_DELIVER: i64 = 15;
-
-/// The message interface for 2-D mesh programs: loads node coordinates
-/// into the `xpos`/`ypos` registers at configuration time and header
-/// coordinates into the `xdes`/`ydes` inputs per decision.
-#[derive(Clone)]
-pub struct MeshInterface {
-    mesh: Mesh2D,
-}
-
-impl MeshInterface {
-    /// Creates the interface for a mesh.
-    pub fn new(mesh: Mesh2D) -> Self {
-        MeshInterface { mesh }
-    }
-
-    fn init_node(&self, m: &mut Machine, node: NodeId) {
-        let (x, y) = self.mesh.coords(node);
-        let prog = m.program().clone();
-        for (name, v) in [("xpos", x), ("ypos", y)] {
-            if let Some(i) = prog.vars.iter().position(|d| d.name == name) {
-                m.regs_mut()
-                    .write(&prog, i, &[], Value::Int(v as i64))
-                    .expect("coordinate fits register domain");
-            }
-        }
-    }
-
-    fn load_header(
-        &self,
-        m: &Machine,
-        im: &mut InputMap,
-        header: &Header,
-        in_vc: VcId,
-    ) -> ftr_rules::Result<()> {
-        let prog = m.program();
-        let (dx, dy) = self.mesh.coords(header.dst);
-        let has = |n: &str| prog.inputs.iter().any(|i| i.name == n);
-        if has("xdes") {
-            im.set(prog, "xdes", &[], Value::Int(dx as i64))?;
-        }
-        if has("ydes") {
-            im.set(prog, "ydes", &[], Value::Int(dy as i64))?;
-        }
-        if has("invc") {
-            im.set(prog, "invc", &[], Value::Int(in_vc.idx() as i64))?;
-        }
-        if has("misrouted") {
-            im.set(prog, "misrouted", &[], Value::Bool(header.misrouted))?;
-        }
-        Ok(())
-    }
-}
+pub use ftr_algos::rule_io::{RET_DELIVER, RET_UNROUTABLE, RET_WAIT};
 
 /// A rule-driven routing algorithm for 2-D meshes.
 pub struct RuleRouter {
     config: Arc<RouterConfiguration>,
-    interface: MeshInterface,
+    mesh: Mesh2D,
+    io: MeshIo,
+    entry: Arc<str>,
     vcs: usize,
     probe: Option<Arc<dyn InterpProbe>>,
 }
@@ -97,13 +38,22 @@ impl RuleRouter {
     /// Builds a rule router from a configuration. `vcs` is the number of
     /// virtual channels the data path provides (the program addresses them
     /// through the `invc` input).
+    ///
+    /// # Panics
+    ///
+    /// If the program cannot drive this mesh: it has no parameterless
+    /// entry rule base, declares a name of the message interface with
+    /// another shape or element type, or declares a domain too small for
+    /// `mesh` or `vcs`. The message names the declaration.
     pub fn new(config: RouterConfiguration, mesh: Mesh2D, vcs: usize) -> Self {
-        RuleRouter {
-            config: Arc::new(config),
-            interface: MeshInterface::new(mesh),
-            vcs,
-            probe: None,
-        }
+        let prog = &config.compiled.prog;
+        let bound = rule_io::entry(prog).and_then(|entry| {
+            let io = MeshIo::bind(prog)?;
+            io.fits(prog, mesh.width(), mesh.height(), vcs)?;
+            Ok((io, Arc::from(entry.name.as_str())))
+        });
+        let (io, entry) = bound.unwrap_or_else(|e| panic!("rule program `{}`: {e}", config.name));
+        RuleRouter { config: Arc::new(config), mesh, io, entry, vcs, probe: None }
     }
 
     /// Attaches a per-stage interpreter probe (e.g. an
@@ -122,11 +72,7 @@ impl RuleRouter {
 
 impl RoutingAlgorithm for RuleRouter {
     fn name(&self) -> String {
-        if self.config.optimized {
-            format!("rule:{}+opt", self.config.name)
-        } else {
-            format!("rule:{}", self.config.name)
-        }
+        self.config.algorithm_name()
     }
 
     fn num_vcs(&self) -> usize {
@@ -134,34 +80,26 @@ impl RoutingAlgorithm for RuleRouter {
     }
 
     fn controller(&self, _topo: &dyn Topology, node: NodeId) -> Box<dyn NodeController> {
-        let mut machine = Machine::from_compiled(self.config.compiled.clone());
-        if let Some(probe) = &self.probe {
-            machine.set_probe(Arc::clone(probe));
-        }
-        if let Some(w) = &self.config.step_weights {
-            machine.set_step_weights(Arc::clone(w));
-        }
-        self.config.install_backend(&mut machine);
-        self.interface.init_node(&mut machine, node);
+        let mut machine = self.config.machine(self.probe.as_ref());
+        let coords = self.mesh.coords(node);
+        self.io.init_node(&self.config.compiled.prog, machine.regs_mut(), coords);
         Box::new(RuleNodeController {
             machine,
-            interface: self.interface.clone(),
-            entry: self
-                .config
-                .compiled
-                .prog
-                .rulebases
-                .first()
-                .map(|rb| rb.name.clone())
-                .unwrap_or_else(|| "route_msg".into()),
+            mesh: self.mesh.clone(),
+            io: self.io,
+            entry: Arc::clone(&self.entry),
+            inputs: InputMap::new(),
         })
     }
 }
 
 struct RuleNodeController {
     machine: Machine,
-    interface: MeshInterface,
-    entry: String,
+    mesh: Mesh2D,
+    io: MeshIo,
+    entry: Arc<str>,
+    /// Reused for every decision.
+    inputs: InputMap,
 }
 
 impl NodeController for RuleNodeController {
@@ -172,36 +110,32 @@ impl NodeController for RuleNodeController {
         _in_port: Option<PortId>,
         in_vc: VcId,
     ) -> Decision {
-        let mut im = InputMap::new();
-        let prog = self.machine.program();
-        if load_link_info(prog, &mut im, view, in_vc).is_err()
-            || self.interface.load_header(&self.machine, &mut im, h, in_vc).is_err()
-        {
-            return Decision::new(Verdict::Unroutable, 1);
-        }
-        let entry = self.entry.clone();
-        let casc = match self.machine.fire_cascade(&entry, &[], &im) {
+        let usable = |d: usize| view.link_alive[d] && view.out_free[d][in_vc.idx()];
+        self.inputs.clear();
+        self.io.load(
+            self.machine.program(),
+            &mut self.inputs,
+            self.mesh.coords(h.dst),
+            in_vc.idx(),
+            |d| PortInfo {
+                free: view.out_free[d][in_vc.idx()],
+                linkok: view.link_alive[d],
+                out_queue: view.out_load[d],
+            },
+        );
+        let casc = match self.machine.fire_cascade(&self.entry, &[], &self.inputs) {
             Ok(c) => c,
             Err(_) => return Decision::new(Verdict::Unroutable, 1),
         };
-        let steps = casc.steps.max(1);
-        let verdict = match casc.last_return() {
-            Some(Value::Int(d)) if (0..=11).contains(&d) => {
-                if (d as usize) < view.link_alive.len()
-                    && view.link_alive[d as usize]
-                    && view.out_free[d as usize][in_vc.idx()]
-                {
-                    Verdict::Route(PortId(d as u8), in_vc)
-                } else {
-                    Verdict::Wait
-                }
+        let verdict = match casc.last_return().map_or(Ret::Wait, rule_io::decode) {
+            Ret::Dir(d) if (d as usize) < view.link_alive.len() && usable(d as usize) => {
+                Verdict::Route(PortId(d), in_vc)
             }
-            Some(Value::Int(RET_DELIVER)) => Verdict::Deliver,
-            Some(Value::Int(RET_UNROUTABLE)) => Verdict::Unroutable,
-            Some(Value::Int(RET_WAIT)) | None => Verdict::Wait,
-            Some(_) => Verdict::Unroutable,
+            Ret::Dir(_) | Ret::Wait => Verdict::Wait,
+            Ret::Deliver => Verdict::Deliver,
+            Ret::Unroutable => Verdict::Unroutable,
         };
-        Decision::new(verdict, steps)
+        Decision::new(verdict, casc.steps.max(1))
     }
 }
 
@@ -293,6 +227,27 @@ mod tests {
         // routing decision, and the engine re-consults on every Ready
         // retry, so at least the 3 on-path decisions must be visible
         assert!(probe.0.load(Ordering::Relaxed) >= 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "`xdes` must be declared as integer scalar covering 0 TO 39, but is")]
+    fn a_mesh_wider_than_the_coordinate_domain_is_refused_at_construction() {
+        RuleRouter::new(configure("xy", rules_src::XY).unwrap(), Mesh2D::new(40, 4), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "`invc` must be declared as integer scalar covering 0 TO 2, but is")]
+    fn more_virtual_channels_than_invc_holds_are_refused_at_construction() {
+        RuleRouter::new(configure("nafta", rules_src::NAFTA).unwrap(), Mesh2D::new(6, 6), 3);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "`scalar_free`: resolve error: `free` must be declared as bool array"
+    )]
+    fn a_scalar_free_is_refused_at_construction() {
+        let src = "INPUT free IN bool\nON route_msg() RETURNS 0 TO 15\n IF free THEN RETURN(0);\nEND route_msg;";
+        RuleRouter::new(configure("scalar_free", src).unwrap(), Mesh2D::new(4, 4), 1);
     }
 
     #[test]

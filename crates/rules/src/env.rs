@@ -170,28 +170,37 @@ impl InputMap {
         Ok((input, pack_ordinals(&ords[..indices.len()])?))
     }
 
+    fn named(prog: &Program, name: &str) -> Result<usize> {
+        prog.inputs
+            .iter()
+            .position(|d| d.name == name)
+            .ok_or_else(|| RuleError::eval(format!("unknown input `{name}`")))
+    }
+
     /// Sets a scalar or indexed input value by name.
     pub fn set(&mut self, prog: &Program, name: &str, indices: &[Value], v: Value) -> Result<()> {
-        let (input, decl) = prog
-            .inputs
-            .iter()
-            .enumerate()
-            .find(|(_, d)| d.name == name)
-            .ok_or_else(|| RuleError::eval(format!("unknown input `{name}`")))?;
-        let key = Self::key(prog, decl, input, indices)?;
+        self.set_at(prog, Self::named(prog, name)?, indices, v)
+    }
+
+    /// [`InputMap::set`] for a host that resolved the name once: `input`
+    /// is the index into [`Program::inputs`].
+    pub fn set_at(&mut self, prog: &Program, input: usize, idx: &[Value], v: Value) -> Result<()> {
+        let key = Self::key(prog, &prog.inputs[input], input, idx)?;
         self.values.insert(key, v);
         Ok(())
     }
 
     /// Sets a default returned for any unset cell of input `name`.
     pub fn set_default(&mut self, prog: &Program, name: &str, v: Value) -> Result<()> {
-        let input = prog
-            .inputs
-            .iter()
-            .position(|d| d.name == name)
-            .ok_or_else(|| RuleError::eval(format!("unknown input `{name}`")))?;
-        self.defaults.insert(input, v);
+        self.defaults.insert(Self::named(prog, name)?, v);
         Ok(())
+    }
+
+    /// Forgets every value and every default; the allocations stay, so a
+    /// host can reuse one map for all its decisions.
+    pub fn clear(&mut self) {
+        self.values.clear();
+        self.defaults.clear();
     }
 }
 
@@ -270,6 +279,20 @@ mod tests {
         assert!(m.read_input(&p, 0, &[Value::Int(0)]).is_err());
         m.set_default(&p, "load", Value::Int(0)).unwrap();
         assert_eq!(m.read_input(&p, 0, &[Value::Int(0)]).unwrap(), Value::Int(0));
+    }
+
+    #[test]
+    fn input_map_set_at_and_clear() {
+        let p = prog();
+        let mut m = InputMap::new();
+        m.set_at(&p, 0, &[Value::Int(1)], Value::Int(9)).unwrap();
+        m.set_default(&p, "flag", Value::Bool(true)).unwrap();
+        assert_eq!(m.read_input(&p, 0, &[Value::Int(1)]).unwrap(), Value::Int(9));
+        assert!(m.set_at(&p, 0, &[Value::Int(4)], Value::Int(0)).is_err(), "index out of domain");
+        assert!(m.set_at(&p, 0, &[], Value::Int(0)).is_err(), "wrong arity");
+        m.clear();
+        assert!(m.read_input(&p, 0, &[Value::Int(1)]).is_err(), "values gone");
+        assert!(m.read_input(&p, 1, &[]).is_err(), "defaults gone");
     }
 
     #[test]

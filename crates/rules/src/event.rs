@@ -193,19 +193,9 @@ impl Machine {
         self.probe = Some(probe);
     }
 
-    /// Removes the probe.
-    pub fn clear_probe(&mut self) {
-        self.probe = None;
-    }
-
     /// The program.
     pub fn program(&self) -> &Program {
         &self.compiled.prog
-    }
-
-    /// The compiled artefact.
-    pub fn compiled(&self) -> &CompiledProgram {
-        &self.compiled
     }
 
     /// Register file (read access for the host/information units).
