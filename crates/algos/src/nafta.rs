@@ -30,7 +30,7 @@
 //!   matching the §5 claim "NAFTA in the fault-free case proceeds with one
 //!   step and in the worst case needs three".
 
-use crate::common::{allocatable, least_loaded, max_hops};
+use crate::common::max_hops;
 use crate::nara::{required_vnet, VNET_NO_NORTH, VNET_NO_SOUTH};
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{
@@ -50,6 +50,46 @@ const TAG_LINKS: i64 = 5;
 /// its remote-derived state, re-derives local contributions and
 /// re-announces, re-running the §2.2 propagation from scratch.
 const TAG_RESET: i64 = 6;
+
+/// Up to four mesh directions in preference order, on the stack: what the
+/// decision path uses for every direction list, so a `route` call
+/// allocates nothing. Order matters — misrouting takes the *first*
+/// available preference.
+#[derive(Clone, Copy)]
+struct Ports {
+    dirs: [PortId; 4],
+    len: usize,
+}
+
+impl Ports {
+    fn of(dirs: &[PortId]) -> Self {
+        let mut out = Ports { dirs: [EAST; 4], len: 0 };
+        for &d in dirs {
+            out.push(d);
+        }
+        out
+    }
+
+    fn push(&mut self, d: PortId) {
+        self.dirs[self.len] = d;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[PortId] {
+        &self.dirs[..self.len]
+    }
+
+    /// The directions `keep` accepts, order kept.
+    fn filtered(self, keep: impl Fn(PortId) -> bool) -> Self {
+        let mut out = Ports::of(&[]);
+        for &d in self.as_slice() {
+            if keep(d) {
+                out.push(d);
+            }
+        }
+        out
+    }
+}
 
 /// The NAFTA algorithm.
 #[derive(Clone)]
@@ -277,15 +317,14 @@ impl NaftaController {
         in_vc: Option<u8>,
         dx: i32,
         dy: i32,
-    ) -> Vec<PortId> {
+    ) -> Ports {
         // committed climb: the message was *already in network 1* and
         // moving north (a message that arrived northbound on channel 0 and
         // switched networks is not climbing — it was escaping)
         if in_vc == Some(VNET_NO_NORTH) && in_port == Some(SOUTH) {
-            return vec![NORTH];
+            return Ports::of(&[NORTH]);
         }
-        let _ = vnet == VNET_NO_NORTH; // network passed for the direction set below
-        let mut dirs = vec![EAST, WEST];
+        let mut dirs = Ports::of(&[EAST, WEST]);
         if vnet == VNET_NO_SOUTH {
             dirs.push(NORTH);
         } else {
@@ -295,8 +334,7 @@ impl NaftaController {
                 dirs.push(NORTH);
             }
         }
-        dirs.retain(|&d| Some(d) != in_port); // no 180-degree turns
-        dirs
+        dirs.filtered(|d| Some(d) != in_port) // no 180-degree turns
     }
 
     /// One-hop trap lookahead: would forwarding through `d` enter a node
@@ -311,13 +349,13 @@ impl NaftaController {
         let (dx2, dy2) = self.mesh.offset(nb, dst);
         let vnet2 = Self::effective_vnet(vnet, dy2);
         // exits the message would have at nb (arriving from opposite(d))
-        let exits: Vec<PortId> = if vnet == VNET_NO_NORTH && d == NORTH {
-            vec![NORTH] // committed climb continues north
+        let exits = if vnet == VNET_NO_NORTH && d == NORTH {
+            Ports::of(&[NORTH]) // committed climb continues north
         } else {
             let entry = ftr_topo::mesh::opposite(d);
             self.allowed_dirs(vnet2, Some(entry), Some(vnet), dx2, dy2)
         };
-        !exits.iter().any(|&e| {
+        !exits.as_slice().iter().any(|&e| {
             self.mesh.neighbor(nb, e).is_some() && (self.nb_dead[d.idx()] >> e.idx()) & 1 == 0
         })
     }
@@ -342,19 +380,23 @@ impl NaftaController {
         vnet: u8,
         in_port: Option<PortId>,
         in_vc: Option<u8>,
-    ) -> (Vec<PortId>, u32, bool) {
+    ) -> (Ports, u32, bool) {
         let (dx, dy) = self.mesh.offset(self.node, dst);
         let allowed = self.allowed_dirs(vnet, in_port, in_vc, dx, dy);
-        let minimal = self.mesh.minimal_directions(self.node, dst);
-        let allowed_min: Vec<PortId> =
-            minimal.iter().copied().filter(|d| allowed.contains(d)).collect();
-        let open_min: Vec<PortId> = allowed_min
-            .iter()
-            .copied()
-            .filter(|&d| !self.dir_blocked(d, dst) && !self.enters_trap(d, vnet, dst))
-            .collect();
-        let fault_involved = open_min.len() != allowed_min.len();
-        if !open_min.is_empty() {
+        let allowed = |d: PortId| allowed.as_slice().contains(&d);
+        let open = |d: PortId| !self.dir_blocked(d, dst) && !self.enters_trap(d, vnet, dst);
+        // `Mesh2D::minimal_directions`, in its order: east/west first
+        let mut minimal = Ports::of(&[]);
+        if dx != 0 {
+            minimal.push(if dx > 0 { EAST } else { WEST });
+        }
+        if dy != 0 {
+            minimal.push(if dy > 0 { NORTH } else { SOUTH });
+        }
+        let allowed_min = minimal.filtered(allowed);
+        let open_min = allowed_min.filtered(open);
+        let fault_involved = open_min.len != allowed_min.len;
+        if open_min.len != 0 {
             return (open_min, if fault_involved { 2 } else { 1 }, false);
         }
         // misroute along the region boundary, preference-ordered
@@ -373,14 +415,21 @@ impl NaftaController {
         // switch); in network 1 a south escape past the destination row is
         // not, so prefer horizontal escapes unless south still helps
         let vertical_first = vnet == VNET_NO_SOUTH || dy < 0;
-        let prefs: Vec<PortId> =
-            if vertical_first { vec![vertical, h1, h2] } else { vec![h1, h2, vertical] };
-        let opts: Vec<PortId> = prefs
-            .into_iter()
-            .filter(|d| allowed.contains(d))
-            .filter(|&d| !self.dir_blocked(d, dst) && !self.enters_trap(d, vnet, dst))
-            .collect();
-        (opts, 3, true)
+        let prefs = if vertical_first { [vertical, h1, h2] } else { [h1, h2, vertical] };
+        (Ports::of(&prefs).filtered(|d| allowed(d) && open(d)), 3, true)
+    }
+
+    /// The virtual networks a head may decide in: the one it arrived on
+    /// (after the one-way switch), or at injection the one its row offset
+    /// requires — either, for pure horizontal movement. `one` backs the
+    /// single-network answer.
+    fn vnets(in_port: Option<PortId>, in_vc: VcId, dy: i32, one: &mut [u8; 1]) -> &[u8] {
+        one[0] = match (in_port, required_vnet(dy)) {
+            (Some(_), _) => Self::effective_vnet(in_vc.idx() as u8, dy),
+            (None, Some(v)) => v,
+            (None, None) => return &[VNET_NO_SOUTH, VNET_NO_NORTH],
+        };
+        one
     }
 }
 
@@ -399,27 +448,11 @@ impl NodeController for NaftaController {
             return Decision::new(Verdict::Deliver, 1);
         }
         let (_, dy) = self.mesh.offset(view.node, h.dst);
-        let vnets: Vec<u8> = if in_port.is_some() {
-            vec![Self::effective_vnet(in_vc.idx() as u8, dy)]
-        } else {
-            match required_vnet(dy) {
-                Some(v) => vec![v],
-                None => vec![VNET_NO_SOUTH, VNET_NO_NORTH],
-            }
-        };
-
         let in_vc_opt = in_port.map(|_| in_vc.idx() as u8);
-        let mut best: Option<(Vec<PortId>, u32, bool, u8)> = None;
-        for &v in &vnets {
+        let mut best: Option<(Ports, u32, bool, u8)> = None;
+        for &v in Self::vnets(in_port, in_vc, dy, &mut [0]) {
             let (opts, steps, misroute) = self.candidates(h.dst, v, in_port, in_vc_opt);
-            if opts.is_empty() {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((_, bsteps, _, _)) => steps < *bsteps,
-            };
-            if better {
+            if opts.len != 0 && best.is_none_or(|(_, bsteps, _, _)| steps < bsteps) {
                 best = Some((opts, steps, misroute, v));
             }
         }
@@ -427,20 +460,25 @@ impl NodeController for NaftaController {
             return Decision::new(Verdict::Unroutable, 3);
         };
 
-        let cand: Vec<(PortId, VcId)> = opts.iter().map(|&p| (p, VcId(vnet))).collect();
-        let avail = allocatable(view, &cand);
+        // `allocatable` then `least_loaded` of `crate::common`, in place:
+        // the load ranks the open outputs, it never opens one
+        let mut avail = opts
+            .as_slice()
+            .iter()
+            .copied()
+            .filter(|p| view.link_alive[p.idx()] && view.out_free[p.idx()][vnet as usize]);
         let pick = if misroute {
             // boundary traversal follows the preference order strictly
-            avail.first().copied()
+            avail.next()
         } else {
-            least_loaded(view, &avail)
+            avail.min_by_key(|p| (view.out_load[p.idx()], p.idx()))
         };
-        if let Some((p, vcid)) = pick {
+        if let Some(p) = pick {
             h.vnet = vnet;
             if misroute {
                 h.misrouted = true;
             }
-            Decision::new(Verdict::Route(p, vcid), steps)
+            Decision::new(Verdict::Route(p, VcId(vnet)), steps)
         } else {
             Decision::new(Verdict::Wait, steps)
         }
@@ -457,19 +495,11 @@ impl NodeController for NaftaController {
             return Vec::new();
         }
         let (_, dy) = self.mesh.offset(view.node, h.dst);
-        let vnets: Vec<u8> = if in_port.is_some() {
-            vec![Self::effective_vnet(in_vc.idx() as u8, dy)]
-        } else {
-            match required_vnet(dy) {
-                Some(v) => vec![v],
-                None => vec![VNET_NO_SOUTH, VNET_NO_NORTH],
-            }
-        };
         let in_vc_opt = in_port.map(|_| in_vc.idx() as u8);
         let mut out = Vec::new();
-        for &v in &vnets {
+        for &v in Self::vnets(in_port, in_vc, dy, &mut [0]) {
             let (opts, _steps, _mis) = self.candidates(h.dst, v, in_port, in_vc_opt);
-            for p in opts {
+            for &p in opts.as_slice() {
                 if view.link_alive[p.idx()] {
                     out.push((p, VcId(v)));
                 }

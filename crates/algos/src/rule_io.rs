@@ -38,7 +38,7 @@ pub const YDES: &str = "ydes";
 pub const CUBE_VCS: usize = 5;
 /// Mesh return code: no usable output exists.
 pub const RET_UNROUTABLE: i64 = 13;
-/// Mesh return code: retry next cycle.
+/// Mesh return code: wait — the host asks again later.
 pub const RET_WAIT: i64 = 14;
 /// Mesh return code: deliver locally.
 pub const RET_DELIVER: i64 = 15;

@@ -93,14 +93,17 @@ impl<T: Topology + Clone + 'static> NodeController for TreeController<T> {
         let Some(p) = self.topo.port_towards(view.node, next) else {
             return Decision::new(Verdict::Unroutable, 1);
         };
+        // Both waits are polled: the tree is shared, so *another* node's
+        // `on_fault` can change the port this node names — outside what an
+        // unpolled `Wait` may depend on.
         if !view.link_alive[p.idx()] {
             // tree is stale; reconfiguration pending
-            return Decision::new(Verdict::Wait, 1);
+            return Decision::polled_wait(1);
         }
         if view.out_free[p.idx()][0] {
             Decision::new(Verdict::Route(p, VcId(0)), 1)
         } else {
-            Decision::new(Verdict::Wait, 1)
+            Decision::polled_wait(1)
         }
     }
 

@@ -188,7 +188,7 @@ impl NodeController for CubeRuleController {
             }
             _ => Verdict::Wait,
         };
-        Decision::new(verdict, casc1.steps + casc2.steps)
+        crate::decision(verdict, casc1.steps + casc2.steps, self.io.out_queue.is_some())
     }
 
     fn relation(
@@ -254,6 +254,29 @@ mod tests {
         let cfg = configure("route_c", &route_c_source(dim)).unwrap();
         let algo = CubeRuleRouter::new(cfg, cube.clone());
         Network::builder(Arc::new(cube)).build(&algo).expect("valid config")
+    }
+
+    #[test]
+    fn route_c_waits_are_polled() {
+        // `decide_vc` takes `argmin(out_queue, cands)` over *all*
+        // candidates and the host waits when the chosen one is busy, so a
+        // load change alone can end the wait: it must be re-asked
+        let cube = Hypercube::new(4);
+        let algo =
+            CubeRuleRouter::new(configure("route_c", &route_c_source(4)).unwrap(), cube.clone());
+        let (busy, load, alive) = (vec![vec![false; 5]; 4], vec![2, 0, 5, 1], vec![true; 4]);
+        let view = RouterView {
+            node: NodeId(3),
+            cycle: 0,
+            out_free: &busy,
+            out_load: &load,
+            link_alive: &alive,
+        };
+        let mut header = Header::new(ftr_sim::MessageId(1), NodeId(3), NodeId(12), 4);
+        let before = header;
+        let d = algo.controller(&cube, NodeId(3)).route(&view, &mut header, None, VcId(0));
+        assert_eq!(d, Decision::polled_wait(2));
+        assert_eq!(header, before);
     }
 
     #[test]

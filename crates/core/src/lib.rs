@@ -33,6 +33,7 @@ use ftr_rules::{
     compile, cost, Backend, CompileOptions, CompiledProgram, InterpProbe, Machine, ProgramCost,
     Result, StepWeights, VmProgram,
 };
+use ftr_sim::routing::{Decision, Verdict};
 use std::sync::Arc;
 
 /// A compiled router configuration: the output of the paper's "rule
@@ -125,6 +126,19 @@ impl RouterConfiguration {
     /// The name a router driven by this configuration reports.
     pub(crate) fn algorithm_name(&self) -> String {
         format!("rule:{}{}", self.name, if self.optimized { "+opt" } else { "" })
+    }
+}
+
+/// A rule host's decision. The host sees which inputs its program
+/// declares, not which of them a given `RETURN` read, so a program that
+/// declares the load input (`loads_queue`) may have waited on it and its
+/// `Wait` is re-asked every cycle; a program without it can only have
+/// waited on what the `NodeController::route` contract allows.
+pub(crate) fn decision(verdict: Verdict, steps: u32, loads_queue: bool) -> Decision {
+    if verdict == Verdict::Wait && loads_queue {
+        Decision::polled_wait(steps)
+    } else {
+        Decision::new(verdict, steps)
     }
 }
 

@@ -135,7 +135,7 @@ impl NodeController for RuleNodeController {
             Ret::Deliver => Verdict::Deliver,
             Ret::Unroutable => Verdict::Unroutable,
         };
-        Decision::new(verdict, casc.steps.max(1))
+        crate::decision(verdict, casc.steps.max(1), self.io.out_queue.is_some())
     }
 }
 
@@ -224,9 +224,34 @@ mod tests {
         net.send(mesh.node_at(0, 0), mesh.node_at(3, 0), 2).unwrap();
         assert!(net.drain(5_000));
         // one kernel lookup per interpretation; XY interprets once per
-        // routing decision, and the engine re-consults on every Ready
-        // retry, so at least the 3 on-path decisions must be visible
+        // routing decision (and again whenever a waiting head is asked
+        // anew), so at least the 3 on-path decisions must be visible
         assert!(probe.0.load(Ordering::Relaxed) >= 3);
+    }
+
+    #[test]
+    fn a_wait_is_polled_exactly_when_the_program_declares_the_load_input() {
+        // every channel busy: any head that is not home must wait
+        let mesh = Mesh2D::new(4, 4);
+        let (busy, load, alive) = (vec![vec![false; 2]; 4], vec![7, 0, 3, 1], vec![true; 4]);
+        let node = mesh.node_at(1, 1);
+        let view =
+            RouterView { node, cycle: 9, out_free: &busy, out_load: &load, link_alive: &alive };
+        let wait = |name: &str, src: &str, vcs: usize| {
+            let algo = RuleRouter::new(configure(name, src).unwrap(), mesh.clone(), vcs);
+            let mut header = Header::new(ftr_sim::MessageId(1), node, mesh.node_at(3, 3), 4);
+            let before = header;
+            let d = algo.controller(&mesh, node).route(&view, &mut header, None, VcId(0));
+            assert_eq!(header, before, "{name}: a Wait leaves the header alone");
+            d
+        };
+        // xy.rules reads `free` and `linkok` only: the engine may park it
+        assert_eq!(wait("xy", rules_src::XY, 1), Decision::new(Verdict::Wait, 1));
+        // nafta.rules and west_first.rules declare `out_queue`; the host
+        // cannot see that their RETURN(14) rules never read it
+        let nafta = wait("nafta", rules_src::NAFTA, 2);
+        assert_eq!(nafta, Decision::polled_wait(nafta.steps));
+        assert_eq!(wait("west_first", rules_src::WEST_FIRST, 1), Decision::polled_wait(1));
     }
 
     #[test]

@@ -384,14 +384,6 @@ impl<'a> ChanRef<'a> {
         Some(&mut self.fifo_buf[l * self.geo.depth + self.fifo_head[l] as usize])
     }
 
-    #[cfg(test)]
-    pub fn fifo_iter(&self, n: usize, ip: usize, iv: usize) -> impl Iterator<Item = &Flit> + '_ {
-        let l = self.lane(n, ip, iv);
-        let (d, head, len) =
-            (self.geo.depth, self.fifo_head[l] as usize, self.fifo_len[l] as usize);
-        (0..len).map(move |i| &self.fifo_buf[l * d + (head + i) % d])
-    }
-
     /// Keeps only flits matching `pred`, compacting the ring in order.
     pub fn fifo_retain(&mut self, n: usize, ip: usize, iv: usize, pred: impl Fn(&Flit) -> bool) {
         let l = self.lane(n, ip, iv);
@@ -447,6 +439,18 @@ impl<'a> ChanRef<'a> {
         self.misrouted[l] = m;
     }
 
+    /// Sends node `n`'s parked heads back to the controller: something
+    /// their `Wait` may depend on changed — `out_channel_free` of a channel
+    /// flipped (the two setters below), a hook ran, a link bit was rewritten.
+    pub fn wake(&mut self, n: usize) {
+        let l = self.local(n) * self.geo.lanes;
+        for ph in &mut self.phase[l..l + self.geo.lanes] {
+            if *ph == Some(DecisionPhase::Parked) {
+                *ph = Some(DecisionPhase::Ready);
+            }
+        }
+    }
+
     /// Resets per-message decision state (after a tail leaves or a kill).
     pub fn reset_route(&mut self, n: usize, ip: usize, iv: usize) {
         let l = self.lane(n, ip, iv);
@@ -464,7 +468,12 @@ impl<'a> ChanRef<'a> {
 
     pub fn set_out_owner(&mut self, n: usize, p: usize, v: usize, o: Option<MessageId>) {
         let c = self.oc(n, p, v);
+        // `out_channel_free` flips iff a channel with credit goes idle <-> owned
+        let flips = self.out_owner[c].is_some() != o.is_some() && self.out_credits[c] > 0;
         self.out_owner[c] = o;
+        if flips {
+            self.wake(n);
+        }
     }
 
     pub fn out_credits(&self, n: usize, p: usize, v: usize) -> u32 {
@@ -473,7 +482,13 @@ impl<'a> ChanRef<'a> {
 
     pub fn set_out_credits(&mut self, n: usize, p: usize, v: usize, c: u32) {
         let i = self.oc(n, p, v);
+        // ... or an idle channel's credit count leaves or reaches zero (the
+        // owner is only looked at then: most credit writes cross nothing)
+        let flips = (self.out_credits[i] == 0) != (c == 0) && self.out_owner[i].is_none();
         self.out_credits[i] = c;
+        if flips {
+            self.wake(n);
+        }
     }
 
     /// Whether output VC `(p, v)` of node `n` is allocatable (idle +
@@ -582,7 +597,7 @@ mod tests {
             v.fifo_push_back(0, 0, 0, flit(m, s));
         }
         v.fifo_retain(0, 0, 0, |f| f.msg != MessageId(2));
-        let kept: Vec<_> = v.fifo_iter(0, 0, 0).map(|f| (f.msg.0, f.seq)).collect();
+        let kept: Vec<_> = ch.fifo_iter(0, 0, 0).map(|f| (f.msg.0, f.seq)).collect();
         assert_eq!(kept, vec![(1, 0), (1, 1)]);
     }
 
@@ -609,6 +624,52 @@ mod tests {
         assert_eq!(ch.full_mut().rr(2, 1), 5);
         assert!(ch.has_work(1));
         assert!(!ch.has_work(0));
+    }
+
+    #[test]
+    fn only_a_flip_of_channel_free_wakes_parked_lanes() {
+        let mut ch = Channels::new(Geometry::new(2, 2, 2, 4));
+        let park = |v: &mut ChanRef<'_>| {
+            v.set_phase(1, 0, 1, Some(DecisionPhase::Parked));
+            v.set_phase(1, 2, 0, Some(DecisionPhase::Parked));
+        };
+        let parked = |v: &ChanRef<'_>| {
+            [v.phase_of(1, 0, 1), v.phase_of(1, 2, 0)].map(|p| p == Some(DecisionPhase::Parked))
+        };
+        let mut v = ch.full_mut();
+        v.set_out_owner(1, 0, 0, Some(MessageId(7))); // owned VC, credits 4
+        v.set_out_credits(1, 1, 1, 3); // idle VC with credit
+        v.set_out_credits(1, 1, 0, 0); // idle VC out of credit
+        v.set_out_owner(0, 0, 0, Some(MessageId(8)));
+        park(&mut v);
+        // writes that leave `out_channel_free` where it was wake nothing
+        v.set_out_credits(1, 0, 0, 2);
+        v.set_out_credits(1, 0, 0, 1); // credit 2 -> 1 on an owned VC
+        v.set_out_credits(1, 1, 1, 2); // 3 -> 2 on an idle one
+        v.set_out_owner(1, 0, 0, Some(MessageId(9)));
+        v.set_out_owner(0, 0, 0, None); // another node's channel
+        assert_eq!(parked(&v), [true, true]);
+        // a credit arriving at an idle VC frees it
+        v.set_out_credits(1, 1, 0, 1);
+        assert_eq!(parked(&v), [false, false]);
+        assert_eq!(v.phase_of(1, 0, 1), Some(DecisionPhase::Ready));
+        // so does a release with credit left, and a grant takes one away
+        park(&mut v);
+        v.set_out_owner(1, 0, 0, None);
+        assert_eq!(parked(&v), [false, false]);
+        park(&mut v);
+        v.set_out_owner(1, 1, 1, Some(MessageId(3)));
+        assert_eq!(parked(&v), [false, false]);
+        // a countdown is not a parked lane
+        v.set_phase(1, 0, 0, Some(DecisionPhase::Waiting(2)));
+        park(&mut v);
+        v.wake(1);
+        assert_eq!(v.phase_of(1, 0, 0), Some(DecisionPhase::Waiting(2)));
+        assert_eq!(parked(&v), [false, false]);
+        park(&mut v);
+        ch.reset_node(1);
+        assert_eq!(ch.phase_of(1, 0, 1), None);
+        assert_eq!(ch.phase_of(1, 2, 0), None);
     }
 
     #[test]

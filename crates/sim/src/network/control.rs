@@ -30,8 +30,9 @@ pub(super) enum Hook<'a> {
 
 impl Network {
     /// Runs one control-plane hook of `node`'s controller under a view of
-    /// the router's current state, records the trace events it produced
-    /// and sends its replies. A faulty node's control unit does not run.
+    /// the router's current state, wakes the node's parked heads, records
+    /// the trace events the hook produced and sends its replies. A faulty
+    /// node's control unit does not run.
     pub(super) fn call_hook(&mut self, node: NodeId, hook: Hook<'_>) {
         if self.wiring.node_dead(node.idx()) {
             return;
@@ -46,6 +47,9 @@ impl Network {
             Hook::Fault(port) => ctrl.on_fault(&view, port),
             Hook::Repair(port) => ctrl.on_repair(&view, port),
         };
+        // whatever the hook did to the controller's state, the node's
+        // parked heads may now get another answer
+        self.chans.full_mut().wake(node.idx());
         // detector heartbeats/suspicions/alarms, stamped with the current
         // cycle; skipped entirely without a sink — the default
         // `drain_events` allocates nothing either way

@@ -24,7 +24,8 @@ impl Network {
     /// The only place the ground-truth fault set changes: fails
     /// (`faulty`) or repairs node `n` (`port == None`) or the link leaving
     /// it through `port`, then refreshes the wiring table's cached status
-    /// bits around the event, which keeps them equal to the fault set.
+    /// bits around the event, which keeps them equal to the fault set, and
+    /// wakes the parked heads of every node whose bits were rewritten.
     pub(super) fn set_fault(&mut self, n: NodeId, port: Option<PortId>, faulty: bool) {
         let topo = self.topo.as_ref();
         match (port, faulty) {
@@ -37,7 +38,8 @@ impl Network {
             (None, true) => self.faults.fail_node(n),
             (None, false) => self.faults.repair_node(n),
         }
-        self.wiring.refresh(topo, &self.faults, n, port);
+        let mut ch = self.chans.full_mut();
+        self.wiring.refresh(topo, &self.faults, n, port, |m| ch.wake(m.idx()));
         debug_assert!(self.wiring_consistent(), "wiring table out of step with the fault set");
     }
 

@@ -188,9 +188,10 @@ pub struct Network {
     /// marks its node; `step` iterates only the marked set.
     active_mask: Vec<bool>,
     active_list: Vec<u32>,
-    /// Retained dense-scan reference path: iterate every node in every
-    /// phase, exactly as the pre-active-set engine did. Differential tests
-    /// run it in lockstep against the active-set path.
+    /// Retained reference path: iterate every node in every phase and
+    /// consult the controller for every waiting head every cycle, exactly
+    /// as the pre-active-set, polling engine did. Differential tests run
+    /// it in lockstep against the active-set, parking path.
     dense_reference: bool,
     /// Whether the most recent `step` moved any flit.
     last_moved: bool,
@@ -237,12 +238,14 @@ impl Network {
         self.shard_bounds.len() - 1
     }
 
-    /// Switches `step` onto the dense-scan reference path (every phase
-    /// iterates every node, as the pre-active-set engine did). The two
-    /// paths are observably identical — same `SimStats`, same trace-event
-    /// stream, same per-cycle movement — which the lockstep differential
-    /// tests enforce; the dense path exists as that test's oracle and as a
-    /// debugging fallback. Switching is safe at any cycle boundary.
+    /// Switches `step` onto the reference path: every phase iterates
+    /// every node, as the pre-active-set engine did, *and* every waiting
+    /// head is put to its controller every cycle instead of staying parked
+    /// until its node's state changes. The two paths are observably
+    /// identical — same `SimStats`, same trace-event stream, same
+    /// per-cycle movement — which the lockstep differential tests enforce;
+    /// the reference exists as that test's oracle and as a debugging
+    /// fallback. Switching is safe at any cycle boundary.
     pub fn set_dense_reference(&mut self, on: bool) {
         self.dense_reference = on;
     }

@@ -10,7 +10,7 @@ use super::view::{probe_wants, ViewData};
 use super::wiring::Wiring;
 use super::SimConfig;
 use crate::arena::ChanRef;
-use crate::flit::{Flit, MessageId};
+use crate::flit::{Flit, Header, MessageId};
 use crate::router::{DecisionPhase, RouteState};
 use crate::routing::{NodeController, Verdict};
 use ftr_obs::{EventKind, RouteOutcome, TraceEvent};
@@ -84,6 +84,9 @@ pub(super) struct StepCtx<'a> {
     pub(super) degree: usize,
     pub(super) cycle: u64,
     pub(super) sink_on: bool,
+    /// The polling reference (`Network::set_dense_reference`): consult the
+    /// controller for every waiting head every cycle, parked or not.
+    pub(super) poll_waits: bool,
 }
 
 /// Which phase bundle a [`run_shard`] call executes.
@@ -190,20 +193,27 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
         return;
     };
 
+    let in_port = if ip < ctx.degree { Some(PortId(ip as u8)) } else { None };
+
     // advance the decision countdown
     match t.ch.phase_of(ni, ip, iv) {
         Some(DecisionPhase::Waiting(c)) if c > 1 => {
             t.ch.set_phase(ni, ip, iv, Some(DecisionPhase::Waiting(c - 1)));
             return;
         }
-        Some(DecisionPhase::Waiting(_)) => {
-            // latency elapsed this cycle: consult and apply below
+        Some(DecisionPhase::Parked) if !ctx.poll_waits => {
+            // nothing the `Wait` depends on changed since it was given
+            // (every such change wakes the lane): the answer stands
+            emit_route_wait(ctx, t, n, &header_copy, in_port, iv);
+            return;
+        }
+        Some(DecisionPhase::Waiting(_) | DecisionPhase::Parked) => {
+            // latency elapsed this cycle, or the polling reference asks a
+            // parked head like any other: consult and apply below
             t.ch.set_phase(ni, ip, iv, Some(DecisionPhase::Ready));
         }
         Some(DecisionPhase::Ready) | None => {}
     }
-
-    let in_port = if ip < ctx.degree { Some(PortId(ip as u8)) } else { None };
 
     // destination reached: deliver without consulting the algorithm
     if header_copy.dst == n {
@@ -270,22 +280,16 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
         t.ch.set_phase(ni, ip, iv, Some(DecisionPhase::Ready));
     }
 
-    // apply the verdict (Ready state retries for free on contention)
+    // apply the verdict
     match dec.verdict {
         Verdict::Deliver => {
             t.ch.set_route(ni, ip, iv, RouteState::Local);
         }
         Verdict::Wait => {
-            // trace completeness: a waiting head never reaches the
-            // VcStall path (the controller withheld the grant), so the
-            // blocked cycle and the channels that would unblock it are
-            // recorded here — the diagnoser's wait-for edges
-            if ctx.sink_on {
-                let ctrl = t.ctrls[ni - t.lo].as_mut();
-                let vd = &mut t.scr.view;
-                let wants = probe_wants(ctx, vd, ctrl, n, &header, in_port, VcId(iv as u8));
-                t.scr.emit(ctx, || EventKind::RouteWait { node: n, msg: header_copy.msg.0, wants });
+            if !dec.polled {
+                t.ch.set_phase(ni, ip, iv, Some(DecisionPhase::Parked));
             }
+            emit_route_wait(ctx, t, n, &header, in_port, iv);
         }
         Verdict::Unroutable => {
             t.scr.unroutable.push(header_copy.msg);
@@ -308,6 +312,25 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
                 t.scr.emit(ctx, || EventKind::VcStall { node: n, msg, port: p, vc: v });
             }
         }
+    }
+}
+
+/// Trace completeness: a waiting head never reaches the `VcStall` path
+/// (the controller withheld the grant), so each blocked cycle — asked or
+/// parked — and the channels that would unblock it are recorded here: the
+/// diagnoser's wait-for edges.
+fn emit_route_wait(
+    ctx: &StepCtx<'_>,
+    t: &mut ShardTask<'_>,
+    n: NodeId,
+    header: &Header,
+    in_port: Option<PortId>,
+    iv: usize,
+) {
+    if ctx.sink_on {
+        let ctrl = t.ctrls[n.idx() - t.lo].as_mut();
+        let wants = probe_wants(ctx, &mut t.scr.view, ctrl, n, header, in_port, VcId(iv as u8));
+        t.scr.emit(ctx, || EventKind::RouteWait { node: n, msg: header.msg.0, wants });
     }
 }
 

@@ -38,9 +38,11 @@ impl Network {
     ///
     /// Every phase iterates the *active set* — the nodes holding staged,
     /// buffered or in-register flits — instead of dense-scanning the whole
-    /// topology; see `DESIGN.md` §12 for the activation invariants. The
-    /// retained dense scan ([`Network::set_dense_reference`]) is observably
-    /// identical and serves as the differential-testing oracle. With more
+    /// topology — and the routing phase consults a controller only for
+    /// heads whose answer can have changed; see `DESIGN.md` §12 for the
+    /// activation and parked-lane invariants. The retained dense, polling
+    /// scan ([`Network::set_dense_reference`]) is observably identical and
+    /// serves as the differential-testing oracle. With more
     /// than one shard the phases run in parallel over disjoint node ranges
     /// and the cross-shard effects merge at conservative barriers, in
     /// shard order — bit-identical to the sequential engine (`DESIGN.md`
@@ -162,6 +164,7 @@ impl Network {
             degree: self.chans.geo().degree,
             cycle: self.cycle,
             sink_on: self.sink.is_some(),
+            poll_waits: self.dense_reference,
         };
         let mut ctrls = self.ctrls.as_mut_slice();
         let mut tasks = self

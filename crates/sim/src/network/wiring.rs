@@ -80,19 +80,23 @@ impl Wiring {
 
     /// Re-derives the bits a fault or repair of node `n` (`port == None`)
     /// or of the link behind `(n, port)` can have changed: both endpoints
-    /// of a link event, a node and its neighbours on a node event.
+    /// of a link event, a node and its neighbours on a node event. Each
+    /// node whose live-link bits were rewritten is reported to `touched`.
     pub(super) fn refresh(
         &mut self,
         topo: &dyn Topology,
         faults: &FaultSet,
         n: NodeId,
         port: Option<PortId>,
+        mut touched: impl FnMut(NodeId),
     ) {
         self.dead[n.idx()] = faults.node_faulty(n);
         self.refresh_ports(topo, faults, n);
+        touched(n);
         for p in (0..self.degree).filter(|&p| port.is_none_or(|q| q.idx() == p)) {
             if let Some((m, _)) = self.peer(n.idx(), p) {
                 self.refresh_ports(topo, faults, m);
+                touched(m);
             }
         }
     }

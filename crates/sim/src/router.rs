@@ -26,7 +26,13 @@ pub enum RouteState {
 pub enum DecisionPhase {
     /// The decision is being computed; this many cycles remain.
     Waiting(u32),
-    /// The decision latency elapsed; the verdict applies (and is retried
-    /// for free on contention).
+    /// The decision latency elapsed; the controller is consulted each
+    /// cycle (at no further modeled cost) until it grants.
     Ready,
+    /// The controller answered a `Wait` it did not mark as polled: by the
+    /// contract on [`crate::routing::NodeController::route`] the answer
+    /// stands until the node's channel state, link status or controller
+    /// state changes, so the head is not asked again until one of them
+    /// does and the lane goes back to [`DecisionPhase::Ready`].
+    Parked,
 }

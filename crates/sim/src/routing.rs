@@ -52,7 +52,9 @@ pub enum Verdict {
     Route(PortId, VcId),
     /// Deliver locally (destination reached).
     Deliver,
-    /// No usable output right now (contention) — ask again next cycle.
+    /// No usable output right now (contention). The head stays where it
+    /// is and is asked again once the answer can have changed — see the
+    /// contract on [`NodeController::route`].
     Wait,
     /// The algorithm cannot route this message at all (destination
     /// unreachable under its fault knowledge) — message is dropped and
@@ -69,12 +71,22 @@ pub struct Decision {
     /// overhead metric (NAFTA: 1 fault-free, up to 3 with faults;
     /// ROUTE_C: always 2).
     pub steps: u32,
+    /// Set on a [`Verdict::Wait`] that must be re-asked every cycle
+    /// ([`Decision::polled_wait`]); false on every other decision.
+    pub polled: bool,
 }
 
 impl Decision {
-    /// Convenience constructor.
+    /// Convenience constructor. A [`Verdict::Wait`] built here promises
+    /// the contract on [`NodeController::route`].
     pub fn new(verdict: Verdict, steps: u32) -> Self {
-        Decision { verdict, steps }
+        Decision { verdict, steps, polled: false }
+    }
+
+    /// A [`Verdict::Wait`] outside that contract: the head is asked again
+    /// every cycle, whatever happens at the node in between.
+    pub fn polled_wait(steps: u32) -> Self {
+        Decision { verdict: Verdict::Wait, steps, polled: true }
     }
 }
 
@@ -93,6 +105,22 @@ pub trait NodeController: Send {
     /// `(in_port, in_vc)`; `in_port` is `None` for locally injected
     /// messages. May update the header (mark misrouted, switch virtual
     /// network, count hops).
+    ///
+    /// # The `Wait` contract
+    ///
+    /// A head that was told to wait is *parked*: the engine does not ask
+    /// again until something the answer may depend on has changed at this
+    /// node. So a [`Verdict::Wait`] from [`Decision::new`] must be a
+    /// function of the header, `in_port`, `in_vc`, `view.out_free`,
+    /// `view.link_alive` and controller state that only this node's hooks
+    /// (`on_tick`, `on_control`, `on_fault`, `on_repair`) change, and it
+    /// must leave the header untouched. `view.out_load` and `view.cycle`
+    /// may rank the outputs a grant chooses from, but never turn a `Wait`
+    /// into one. A controller that wants to be re-asked for any other
+    /// reason — its answer reads the load, the clock, or state another
+    /// node's hook or its own `route` writes — must answer
+    /// [`Decision::polled_wait`] instead: a parked head nobody wakes never
+    /// moves again, and the watchdog reports it as a deadlock.
     fn route(
         &mut self,
         view: &RouterView<'_>,

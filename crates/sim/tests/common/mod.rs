@@ -6,6 +6,7 @@ use ftr_sim::flit::Header;
 use ftr_sim::routing::{Decision, NodeController, RouterView, RoutingAlgorithm, Verdict};
 use ftr_sim::{Network, SimConfig};
 use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, EAST, NORTH, SOUTH, WEST};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// XY dimension-order routing, the known-good control algorithm: one VC,
@@ -16,6 +17,8 @@ use std::sync::Arc;
 pub struct Xy {
     mesh: Mesh2D,
     steps: u32,
+    /// `route` calls made by every controller cloned from this algorithm.
+    calls: Arc<AtomicU64>,
 }
 
 impl Xy {
@@ -25,7 +28,12 @@ impl Xy {
     }
 
     pub fn with_steps(mesh: Mesh2D, steps: u32) -> Self {
-        Xy { mesh, steps }
+        Xy { mesh, steps, calls: Arc::default() }
+    }
+
+    /// How often the network's controllers were asked to route.
+    pub fn route_calls(&self) -> u64 {
+        self.calls.load(Ordering::Relaxed)
     }
 }
 
@@ -49,6 +57,7 @@ impl NodeController for Xy {
         _ip: Option<PortId>,
         _iv: VcId,
     ) -> Decision {
+        self.calls.fetch_add(1, Ordering::Relaxed);
         let (dx, dy) = self.mesh.offset(view.node, h.dst);
         let p = if dx > 0 {
             EAST

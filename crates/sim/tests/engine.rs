@@ -393,47 +393,68 @@ fn active_set_tracks_work_exactly() {
 
 #[test]
 fn active_set_matches_dense_reference_under_faults_and_retries() {
-    let mk = |dense: bool| {
-        let topo = Arc::new(Mesh2D::new(5, 5));
-        let algo = Xy::with_steps((*topo).clone(), 2);
-        let plan = FaultPlan::new().transient_link(40, NodeId(6), EAST, 80).transient_node(
-            100,
-            NodeId(12),
-            120,
-        );
-        let sink = Arc::new(ftr_obs::RingSink::new(1 << 16));
-        let mut net = Network::builder(topo.clone())
-            .fault_plan(plan)
-            .retry(RetryPolicy { max_attempts: 3, backoff_cycles: 10 })
-            .trace(sink.clone())
-            .build(&algo)
-            .expect("valid");
-        net.set_dense_reference(dense);
-        net.set_measuring(true);
-        (topo, net, sink)
-    };
-    let (topo, mut act, sink_a) = mk(false);
-    let (_, mut dense, sink_d) = mk(true);
-    let mut tf_a = TrafficSource::new(Pattern::Uniform, 0.15, 4, 9);
-    let mut tf_d = TrafficSource::new(Pattern::Uniform, 0.15, 4, 9);
-    for _ in 0..400 {
-        for (s, d, l) in tf_a.tick(topo.as_ref(), act.faults()) {
-            let _ = act.send(s, d, l);
+    // the active arm parks its waiting heads, the dense arm asks every one
+    // of them every cycle: same run, and beyond saturation (load 0.6)
+    // strictly fewer questions
+    for (load, cycles_per_step, threads) in
+        [(0.15, 1u32, 1usize), (0.6, 1, 1), (0.6, 0, 3), (0.6, 3, 3), (0.15, 3, 1)]
+    {
+        let label = format!("load {load}, {cycles_per_step} cycles/step, {threads} shard(s)");
+        let mk = |dense: bool| {
+            let topo = Arc::new(Mesh2D::new(5, 5));
+            let algo = Xy::with_steps((*topo).clone(), 2);
+            let plan = FaultPlan::new().transient_link(40, NodeId(6), EAST, 80).transient_node(
+                100,
+                NodeId(12),
+                120,
+            );
+            let sink = Arc::new(ftr_obs::RingSink::new(1 << 17));
+            let mut net = Network::builder(topo.clone())
+                .threads(threads)
+                .decision_cycles_per_step(cycles_per_step)
+                .fault_plan(plan)
+                .retry(RetryPolicy { max_attempts: 3, backoff_cycles: 10 })
+                .trace(sink.clone())
+                .build(&algo)
+                .expect("valid");
+            net.set_dense_reference(dense);
+            net.set_measuring(true);
+            (topo, net, sink, algo)
+        };
+        let (topo, mut act, sink_a, algo_a) = mk(false);
+        let (_, mut dense, sink_d, algo_d) = mk(true);
+        let mut tf_a = TrafficSource::new(Pattern::Uniform, load, 4, 9);
+        let mut tf_d = TrafficSource::new(Pattern::Uniform, load, 4, 9);
+        for _ in 0..400 {
+            for (s, d, l) in tf_a.tick(topo.as_ref(), act.faults()) {
+                let _ = act.send(s, d, l);
+            }
+            for (s, d, l) in tf_d.tick(topo.as_ref(), dense.faults()) {
+                let _ = dense.send(s, d, l);
+            }
+            act.step();
+            dense.step();
+            assert_eq!(
+                act.last_step_moved(),
+                dense.last_step_moved(),
+                "{label}: cycle {}",
+                dense.cycle()
+            );
         }
-        for (s, d, l) in tf_d.tick(topo.as_ref(), dense.faults()) {
-            let _ = dense.send(s, d, l);
+        while (act.in_flight() > 0 || dense.in_flight() > 0) && act.cycle() < 10_000 {
+            act.step();
+            dense.step();
         }
-        act.step();
-        dense.step();
-        assert_eq!(act.last_step_moved(), dense.last_step_moved(), "cycle {}", dense.cycle());
+        assert!(act.stats.injected_msgs > 100, "{label}: traffic actually flowed");
+        assert_eq!(act.in_flight(), 0, "{label}: drained");
+        assert_eq!(act.stats, dense.stats, "{label}: bit-identical stats");
+        assert_eq!(sink_a.events(), sink_d.events(), "{label}: bit-identical trace streams");
+        let (asked, polled) = (algo_a.route_calls(), algo_d.route_calls());
+        assert!(asked <= polled, "{label}: {asked} route calls against {polled}");
+        if load > 0.5 {
+            assert!(asked < polled, "{label}: nothing parked ({asked} route calls)");
+        }
     }
-    while (act.in_flight() > 0 || dense.in_flight() > 0) && act.cycle() < 10_000 {
-        act.step();
-        dense.step();
-    }
-    assert!(act.stats.injected_msgs > 100, "traffic actually flowed");
-    assert_eq!(act.stats, dense.stats, "bit-identical stats");
-    assert_eq!(sink_a.events(), sink_d.events(), "bit-identical trace streams");
 }
 
 #[test]

@@ -136,17 +136,21 @@ proptest! {
         prop_assert!(s.throughput() <= rate * 1.8 + 0.05);
     }
 
-    /// Active-set scheduling is observationally identical to the dense
-    /// scan under arbitrary scripted fault/repair sequences with source
-    /// retransmission: same stats, same per-cycle movement — and the run
-    /// never strands work (drains once the plan is exhausted).
+    /// Active-set scheduling with parked heads is observationally
+    /// identical to the dense, polling scan under arbitrary scripted
+    /// fault/repair sequences with source retransmission, from idle to far
+    /// beyond saturation, at any decision latency and shard count: same
+    /// stats, same trace, same per-cycle movement — and the run never
+    /// strands work (drains once the plan is exhausted).
     #[test]
     fn active_matches_dense_under_random_fault_scripts(
         seed in 0u64..500,
-        rate in 0.02f64..0.2,
+        rate in 0.02f64..0.7,
         script in proptest::collection::vec(
             (10u64..300, 0u32..16, 0u8..4, 20u64..150), 0..6),
         retry_arm in 0u8..2,
+        cycles_per_step in 0u32..4,
+        threads in 1usize..4,
     ) {
         let retry = retry_arm == 1;
         let mesh = Mesh2D::new(4, 4);
@@ -157,16 +161,22 @@ proptest! {
             plan.push(cycle + repair, FaultAction::RepairLink(NodeId(node), PortId(dir)));
         }
         let mk = |dense: bool| {
-            let mut b = Network::builder(Arc::new(mesh.clone())).fault_plan(plan.clone());
+            let sink = Arc::new(ftr_obs::RingSink::new(1 << 16));
+            let mut b = Network::builder(Arc::new(mesh.clone()))
+                .fault_plan(plan.clone())
+                .threads(threads)
+                .decision_cycles_per_step(cycles_per_step)
+                .trace(sink.clone());
             if retry {
                 b = b.retry(RetryPolicy { max_attempts: 4, backoff_cycles: 24 });
             }
-            let mut net = b.build(&Xy::new(mesh.clone())).expect("valid config");
+            let algo = Xy::with_steps(mesh.clone(), 2);
+            let mut net = b.build(&algo).expect("valid config");
             net.set_dense_reference(dense);
-            net
+            (net, sink, algo)
         };
-        let mut act = mk(false);
-        let mut dense = mk(true);
+        let (mut act, sink_a, algo_a) = mk(false);
+        let (mut dense, sink_d, algo_d) = mk(true);
         let mut tf_a = TrafficSource::new(Pattern::Uniform, rate, 4, seed);
         let mut tf_d = TrafficSource::new(Pattern::Uniform, rate, 4, seed);
         for _ in 0..500u64 {
@@ -189,6 +199,8 @@ proptest! {
         prop_assert!(act.drain(100_000), "active path stranded work");
         prop_assert!(dense.drain(100_000), "dense path stranded work");
         prop_assert_eq!(&act.stats, &dense.stats);
+        prop_assert_eq!(sink_a.events(), sink_d.events());
+        prop_assert!(algo_a.route_calls() <= algo_d.route_calls());
         prop_assert!(act.stats.accounting_balanced());
         prop_assert_eq!(act.in_flight(), 0);
         // and once idle, the active set is empty — no ghost activations
