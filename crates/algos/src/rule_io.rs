@@ -65,6 +65,9 @@ pub fn decode(ret: Value) -> Ret {
     }
 }
 
+/// Index of the rule base [`entry`] vouches for.
+pub const ENTRY: usize = 0;
+
 /// The rule base a head flit fires on a mesh: the program's first, which
 /// must take no parameters.
 pub fn entry(prog: &Program) -> Result<&RuleBase> {
@@ -389,7 +392,7 @@ impl CubeIo {
 mod tests {
     use super::*;
     use crate::rules_src;
-    use ftr_rules::{parse, InputProvider};
+    use ftr_rules::parse;
 
     fn shipped(name: &str) -> Program {
         parse(rules_src::all().into_iter().find(|p| p.0 == name).expect("shipped").1).unwrap()

@@ -86,7 +86,7 @@ impl AbsVal {
         match t {
             Type::Scalar(d) => AbsVal::from_domain(prog, d),
             Type::Set(d) => {
-                AbsVal::Set { dom: d, must: 0, may: low_mask(d.size(&prog.sym_sizes())) }
+                AbsVal::Set { dom: d, must: 0, may: low_mask(d.size(prog.sym_sizes())) }
             }
         }
     }
@@ -676,12 +676,12 @@ fn abs_call(prog: &Program, env: &AbsEnv, builtin: Builtin, args: &[Expr]) -> Ab
             let ebit = args
                 .get(1)
                 .and_then(|e| abs_eval(prog, env, e).as_const())
-                .and_then(|v| dom.ordinal(&v, &ss))
+                .and_then(|v| dom.ordinal(&v, ss))
                 .map(|k| 1u64 << k);
             let include = matches!(builtin, Builtin::Include);
             match (include, ebit) {
                 (true, Some(b)) => AbsVal::Set { dom, must: must | b, may: may | b },
-                (true, None) => AbsVal::Set { dom, must, may: low_mask(dom.size(&ss)) },
+                (true, None) => AbsVal::Set { dom, must, may: low_mask(dom.size(ss)) },
                 (false, Some(b)) => AbsVal::Set { dom, must: must & !b, may: may & !b },
                 (false, None) => AbsVal::Set { dom, must: 0, may },
             }

@@ -218,7 +218,7 @@ impl MeshProgramLift {
                         out_queue: if d == qmin { 0 } else { 9 },
                     }
                 });
-                if let Ok(casc) = machine.fire_cascade(entry, &[], &*im) {
+                if let Ok(casc) = machine.fire_cascade(entry, &[], &im) {
                     if let Some(Ret::Dir(d)) = casc.last_return().map(rule_io::decode) {
                         if d < 4 && usable_mask & (1 << d) != 0 {
                             out.insert(d);
@@ -405,7 +405,7 @@ impl CubeProgramLift {
         reset_to_defaults(&mut im, prog);
         self.io.load_dir(prog, &mut im, sets, |_| 0);
         *machine.regs_mut() = RegFile::new(prog);
-        let cands = match machine.fire_cascade(DECIDE_DIR, &[], &*im).map(|c| c.last_return()) {
+        let cands = match machine.fire_cascade(DECIDE_DIR, &[], &im).map(|c| c.last_return()) {
             Ok(Some(Value::Set { mask, .. })) => mask,
             _ => 0,
         };
@@ -417,7 +417,7 @@ impl CubeProgramLift {
             for fv in 0..rule_io::CUBE_VCS {
                 self.io.load_vc(prog, &mut im, sets, cands, |v| v == fv);
                 *machine.regs_mut() = RegFile::new(prog);
-                let Ok(casc) = machine.fire_cascade(DECIDE_VC, &[], &*im) else { continue };
+                let Ok(casc) = machine.fire_cascade(DECIDE_VC, &[], &im) else { continue };
                 match self.io.channel(prog, machine.regs(), casc.last_return()) {
                     Some((port, vc)) if port < dim as usize && cands & (1 << port) != 0 => {
                         out.insert((port as u8, vc as u8));

@@ -389,7 +389,7 @@ fn domain_lints(name: &str, prog: &Program, diags: &mut Vec<Diagnostic>) {
                     };
                     for (ix, dom) in indices.iter().zip(doms) {
                         if let Some(v) = const_value(prog, ix) {
-                            if !dom.contains(&v, &ss) {
+                            if !dom.contains(&v, ss) {
                                 report(format!(
                                     "index {} of `{tname}` is outside its domain {dom:?}",
                                     prog.display_value(&v)
@@ -399,7 +399,7 @@ fn domain_lints(name: &str, prog: &Program, diags: &mut Vec<Diagnostic>) {
                     }
                 }
             });
-            check_commands(prog, rb, &rule.conclusion, &ss, &mut report);
+            check_commands(prog, rb, &rule.conclusion, ss, &mut report);
         }
     }
 }
@@ -408,7 +408,7 @@ fn check_commands(
     prog: &Program,
     rb: &RuleBase,
     cmds: &[Command],
-    ss: &impl Fn(usize) -> usize,
+    ss: &[usize],
     report: &mut impl FnMut(String),
 ) {
     for cmd in cmds {

@@ -177,8 +177,9 @@ fn map_cmds(cmds: &[Command], f: &impl Fn(&Expr) -> Option<Expr>) -> Vec<Command
                 value: map_expr(value, f),
             },
             Command::Return(e) => Command::Return(map_expr(e, f)),
-            Command::Emit { event, args } => Command::Emit {
+            Command::Emit { event, id, args } => Command::Emit {
                 event: event.clone(),
+                id: *id,
                 args: args.iter().map(|a| map_expr(a, f)).collect(),
             },
             Command::ForAll { dom, set, body } => {
@@ -258,7 +259,7 @@ fn base_env(prog: &Program, bi: usize, topo: &TopoFacts, facts: &Facts) -> AbsEn
 /// Is `base`'s last rule a pure tail emit `IF g THEN !target();`?
 fn tail_emit(rb: &ftr_rules::ast::RuleBase) -> Option<&str> {
     match rb.rules.last()?.conclusion.as_slice() {
-        [Command::Emit { event, args }] if args.is_empty() => Some(event),
+        [Command::Emit { event, args, .. }] if args.is_empty() => Some(event),
         _ => None,
     }
 }

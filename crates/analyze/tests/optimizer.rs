@@ -51,9 +51,9 @@ fn sample(rng: &mut StdRng, prog: &Program, a: &AbsVal, elem: Type) -> Value {
         AbsVal::Any => {
             let ss = prog.sym_sizes();
             match elem {
-                Type::Scalar(d) => d.value_at(rng.gen_range(0..d.size(&ss))),
+                Type::Scalar(d) => d.value_at(rng.gen_range(0..d.size(ss))),
                 Type::Set(d) => {
-                    let full = if d.size(&ss) >= 64 { u64::MAX } else { (1u64 << d.size(&ss)) - 1 };
+                    let full = if d.size(ss) >= 64 { u64::MAX } else { (1u64 << d.size(ss)) - 1 };
                     Value::Set { dom: d, mask: rng.next_u64() & full }
                 }
             }
@@ -91,7 +91,7 @@ fn index_tuples(prog: &Program, doms: &[ftr_rules::value::Domain]) -> Vec<Vec<Va
     for d in doms {
         let mut next = Vec::new();
         for prefix in &out {
-            for k in 0..d.size(&ss) {
+            for k in 0..d.size(ss) {
                 let mut t = prefix.clone();
                 t.push(d.value_at(k));
                 next.push(t);
@@ -154,7 +154,7 @@ fn nafta_optimizer_is_decision_identical_at_fire_level() {
                 .iter()
                 .map(|p| {
                     let ss = orig.sym_sizes();
-                    p.dom.value_at(rng.gen_range(0..p.dom.size(&ss)))
+                    p.dom.value_at(rng.gen_range(0..p.dom.size(ss)))
                 })
                 .collect();
             let mut regs_a = regs.clone();

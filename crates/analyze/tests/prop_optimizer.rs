@@ -237,7 +237,7 @@ proptest! {
                 let params: Vec<Value> = orig.rulebases[bi]
                     .params
                     .iter()
-                    .map(|p| p.dom.value_at(rng.gen_range(0..p.dom.size(&ss))))
+                    .map(|p| p.dom.value_at(rng.gen_range(0..p.dom.size(ss))))
                     .collect();
                 let (ra, ha) = cascade(&orig, bi, &params, &mut regs_a, &im);
                 let (rb, hb) = cascade(opt_prog, bi, &params, &mut regs_b, &im);
@@ -306,7 +306,7 @@ proptest! {
                 let params: Vec<Value> = prog.rulebases[bi]
                     .params
                     .iter()
-                    .map(|p| p.dom.value_at(rng.gen_range(0..p.dom.size(&ss))))
+                    .map(|p| p.dom.value_at(rng.gen_range(0..p.dom.size(ss))))
                     .collect();
                 let rr = cascade_with(&prog, bi, &params, &mut regs_r, &mut |b, p, rg| {
                     fire_reference(&prog, b, p, rg, &im)

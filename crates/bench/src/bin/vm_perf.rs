@@ -7,8 +7,11 @@
 //!
 //! * **Micro** — one isolated routing decision (XY entry base, a spread
 //!   of destinations/link states), fired back-to-back on the table
-//!   interpreter and the bytecode VM. This is the per-decision headline,
-//!   undiluted by flit movement.
+//!   interpreter, the bytecode VM and the reference evaluator. This is the
+//!   per-decision headline, undiluted by flit movement. Which executor is
+//!   fastest is recorded, not asserted: all three share the leaves
+//!   (register and input reads, set operations, the effects frame), so the
+//!   gap between them is the walk alone.
 //! * **Campaign** — full simulations on the paper's campaign
 //!   configurations: NAFTA on the 6x6 mesh with transient link faults
 //!   and source retransmission (the E15 setup), and rule-driven ROUTE_C
@@ -25,7 +28,7 @@ use ftr_analyze::{opt, TopoFacts};
 use ftr_bench::harness;
 use ftr_core::{configure, CubeRuleRouter, RouterConfiguration, RuleRouter};
 use ftr_obs::json;
-use ftr_rules::{Backend, InputMap, RegFile, Value};
+use ftr_rules::{fire_reference, Backend, InputMap, RegFile, Value};
 use ftr_sim::{FaultPlan, Network, Pattern, RetryPolicy, SimStats, TrafficSource};
 use ftr_topo::{FaultSet, Hypercube, Mesh2D, NodeId, Topology};
 use std::sync::Arc;
@@ -46,6 +49,7 @@ struct Micro {
     fires: u64,
     table_ns: f64,
     bytecode_ns: f64,
+    reference_ns: f64,
 }
 
 impl Micro {
@@ -107,8 +111,19 @@ fn micro_decision(fires: u64) -> Micro {
         bytecode_ns = bytecode_ns.min(t1.elapsed().as_nanos() as f64 / fires as f64);
     }
 
-    assert_eq!(r, r2, "micro arms must leave identical register state");
-    Micro { fires, table_ns, bytecode_ns }
+    let mut r3 = regs.clone();
+    let mut reference_ns = f64::INFINITY;
+    for _ in 0..REPS {
+        let t2 = Instant::now();
+        for i in 0..fires {
+            let im = &inputs[(i % 16) as usize];
+            std::hint::black_box(fire_reference(prog, 0, &[], &mut r3, im).expect("reference"));
+        }
+        reference_ns = reference_ns.min(t2.elapsed().as_nanos() as f64 / fires as f64);
+    }
+
+    assert!(r == r2 && r == r3, "micro arms must leave identical register state");
+    Micro { fires, table_ns, bytecode_ns, reference_ns }
 }
 
 // ------------------------------------------------------------- campaign
@@ -298,14 +313,13 @@ fn main() {
 
     let micro = micro_decision(fires);
     println!(
-        "# micro (xy decision): table {:.0} ns/fire, bytecode {:.0} ns/fire  ({:.2}x)",
+        "# micro (xy decision): table {:.0}, bytecode {:.0}, reference {:.0} ns/fire  \
+         (table/bytecode {:.2}x)",
         micro.table_ns,
         micro.bytecode_ns,
+        micro.reference_ns,
         micro.speedup()
     );
-    // the backend's raison d'être, measured where flit movement cannot
-    // dilute it: a bytecode decision must not be slower than a table one
-    assert!(micro.speedup() >= 1.0, "bytecode decision slower than table: {:.2}x", micro.speedup());
 
     let reports = [
         mesh_campaign("nafta", ftr_algos::rules_src::NAFTA, cycles),
@@ -326,6 +340,7 @@ fn main() {
         .num("fires", micro.fires)
         .float("table_ns_per_fire", micro.table_ns)
         .float("bytecode_ns_per_fire", micro.bytecode_ns)
+        .float("reference_ns_per_fire", micro.reference_ns)
         .float("speedup", micro.speedup());
 
     let mut root = json::Obj::new();

@@ -314,9 +314,7 @@ fn inv_vm(v: &Value, out: &mut Vec<String>) {
     require_positive(v, "micro.fires", out);
     require_positive(v, "micro.table_ns_per_fire", out);
     require_positive(v, "micro.bytecode_ns_per_fire", out);
-    if num(v, "micro.speedup").is_none_or(|s| s < 1.0) {
-        out.push("`micro.speedup` must be >= 1.0".to_string());
-    }
+    require_positive(v, "micro.reference_ns_per_fire", out);
     match v.get("campaigns").and_then(|a| a.as_arr()) {
         Some(camps) => {
             let names: Vec<&str> =

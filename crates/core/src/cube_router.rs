@@ -15,9 +15,7 @@
 //! needs two steps" on real traffic.
 
 use crate::RouterConfiguration;
-use ftr_algos::rule_io::{
-    self, CubeIo, DirSets, DECIDE_DIR, DECIDE_VC, SEND_NEWMESSAGE, UPDATE_STATE,
-};
+use ftr_algos::rule_io::{self, CubeIo, DirSets, SEND_NEWMESSAGE};
 use ftr_rules::{InputMap, Machine, Value};
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{
@@ -74,10 +72,14 @@ impl RoutingAlgorithm for CubeRuleRouter {
 
     fn controller(&self, _topo: &dyn Topology, _node: NodeId) -> Box<dyn NodeController> {
         // ROUTE_C state is address-free: the machine needs no coordinates
+        let base = |slot: Option<usize>| slot.expect("require_all() found every rule base");
         Box::new(CubeRuleController {
             machine: self.config.machine(None),
             cube: self.cube.clone(),
             io: self.io,
+            decide_dir: base(self.io.decide_dir),
+            decide_vc: base(self.io.decide_vc),
+            update_state: base(self.io.update_state),
             inputs: InputMap::new(),
             link_dead: vec![false; self.cube.dim() as usize],
             hop_limit: 4 * self.cube.num_nodes() as u32 + 16,
@@ -89,6 +91,10 @@ struct CubeRuleController {
     machine: Machine,
     cube: Hypercube,
     io: CubeIo,
+    /// The rule bases the host fires, as `io` bound them.
+    decide_dir: usize,
+    decide_vc: usize,
+    update_state: usize,
     /// Reused for every decision and every state update.
     inputs: InputMap,
     /// Local link status shadow (the information unit's view).
@@ -122,20 +128,17 @@ impl CubeRuleController {
         self.inputs.clear();
         self.io.load_update(prog, &mut self.inputs, dim, dir.idx(), reported);
         let args = [Value::Int(dir.idx() as i64)];
-        let Ok(casc) = self.machine.fire_cascade(UPDATE_STATE, &args, &self.inputs) else {
+        if self.machine.fire_base(self.update_state, &args, &self.inputs).is_err() {
             return Vec::new();
-        };
-        casc.host_events
-            .iter()
-            .filter(|e| e.event == SEND_NEWMESSAGE && e.args.len() == 2)
-            .filter_map(|e| {
-                let d = e.args[0].as_int().ok()? as usize;
-                let code = e.args[1].as_int().ok()?;
-                if d < self.link_dead.len() && !self.link_dead[d] {
+        }
+        let alive = |d: i64| self.link_dead.get(d as usize) == Some(&false);
+        self.machine
+            .host_events()
+            .filter_map(|event| match event {
+                (SEND_NEWMESSAGE, &[Value::Int(d), Value::Int(code)]) if d >= 0 && alive(d) => {
                     Some(ControlMsg { port: PortId(d as u8), payload: vec![code] })
-                } else {
-                    None
                 }
+                _ => None,
             })
             .collect()
     }
@@ -162,12 +165,12 @@ impl NodeController for CubeRuleController {
         // --- step 1: decide_dir
         self.inputs.clear();
         self.io.load_dir(self.machine.program(), &mut self.inputs, sets, |d| view.out_load[d]);
-        let Ok(casc1) = self.machine.fire_cascade(DECIDE_DIR, &[], &self.inputs) else {
+        let Ok(step1) = self.machine.fire_base(self.decide_dir, &[], &self.inputs) else {
             return Decision::new(Verdict::Unroutable, 1);
         };
-        let cands = match casc1.last_return() {
+        let cands = match step1.last_return {
             Some(Value::Set { mask, .. }) if mask != 0 => mask,
-            _ => return Decision::new(Verdict::Unroutable, casc1.steps.max(1)),
+            _ => return Decision::new(Verdict::Unroutable, step1.steps.max(1)),
         };
         let cand = |d: usize| d < dim as usize && cands & (1 << d) != 0;
 
@@ -176,11 +179,11 @@ impl NodeController for CubeRuleController {
         let freevc = |vc: usize| (0..dim as usize).any(|d| cand(d) && open(d, vc));
         let (phase, misr) =
             self.io.load_vc(self.machine.program(), &mut self.inputs, sets, cands, freevc);
-        let Ok(casc2) = self.machine.fire_cascade(DECIDE_VC, &[], &self.inputs) else {
-            return Decision::new(Verdict::Unroutable, casc1.steps.max(1) + 1);
+        let Ok(step2) = self.machine.fire_base(self.decide_vc, &[], &self.inputs) else {
+            return Decision::new(Verdict::Unroutable, step1.steps.max(1) + 1);
         };
         let (prog, regs) = (self.machine.program(), self.machine.regs());
-        let verdict = match self.io.channel(prog, regs, casc2.last_return()) {
+        let verdict = match self.io.channel(prog, regs, step2.last_return) {
             Some((port, vc)) if cand(port) && open(port, vc) => {
                 h.misrouted |= misr;
                 h.phase = phase;
@@ -188,7 +191,7 @@ impl NodeController for CubeRuleController {
             }
             _ => Verdict::Wait,
         };
-        crate::decision(verdict, casc1.steps + casc2.steps, self.io.out_queue.is_some())
+        crate::decision(verdict, step1.steps + step2.steps, self.io.out_queue.is_some())
     }
 
     fn relation(

@@ -43,8 +43,9 @@ use std::sync::Arc;
 pub struct RouterConfiguration {
     /// Configuration name.
     pub name: String,
-    /// Compiled program (tables + conclusion code).
-    pub compiled: CompiledProgram,
+    /// Compiled program (tables + conclusion code), shared by every node
+    /// machine of every router built from this configuration.
+    pub compiled: Arc<CompiledProgram>,
     /// Hardware cost report (Table 1/2 shape).
     pub cost: ProgramCost,
     /// Modeled per-rule decision latencies, installed on every node
@@ -69,7 +70,8 @@ impl RouterConfiguration {
     /// entry point for programs rewritten by the certified optimizer
     /// (`ftr_analyze::opt::optimize_rulebase`), whose output is a
     /// standard [`CompiledProgram`].
-    pub fn from_compiled(name: &str, compiled: CompiledProgram) -> Result<Self> {
+    pub fn from_compiled(name: &str, compiled: impl Into<Arc<CompiledProgram>>) -> Result<Self> {
+        let compiled = compiled.into();
         let cost = cost::analyze(&compiled.prog, &CompileOptions::default())?;
         RouterConfiguration {
             name: name.to_string(),
@@ -108,7 +110,7 @@ impl RouterConfiguration {
     /// One node's rule machine: this configuration's program on its
     /// backend, with its step weights and, if given, a per-stage probe.
     pub fn machine(&self, probe: Option<&Arc<dyn InterpProbe>>) -> Machine {
-        let mut machine = Machine::from_compiled(self.compiled.clone());
+        let mut machine = Machine::from_compiled(Arc::clone(&self.compiled));
         if let Some(probe) = probe {
             machine.set_probe(Arc::clone(probe));
         }

@@ -5,8 +5,8 @@
 //! Figure 3). On each head flit the message interface
 //! ([`ftr_algos::rule_io::MeshIo`], bound once when the router is built)
 //! loads header fields and link information into the inputs, the machine
-//! fires the program's entry event, and [`rule_io::decode`] reads the
-//! cascade's last `RETURN` value (a direction, or 13 unroutable / 14 wait /
+//! fires the program's entry rule base by its index, and [`rule_io::decode`]
+//! reads the cascade's last `RETURN` value (a direction, or 13 unroutable / 14 wait /
 //! 15 deliver).
 //!
 //! The number of rule interpretations the cascade used becomes the
@@ -29,7 +29,6 @@ pub struct RuleRouter {
     config: Arc<RouterConfiguration>,
     mesh: Mesh2D,
     io: MeshIo,
-    entry: Arc<str>,
     vcs: usize,
     probe: Option<Arc<dyn InterpProbe>>,
 }
@@ -47,13 +46,13 @@ impl RuleRouter {
     /// `mesh` or `vcs`. The message names the declaration.
     pub fn new(config: RouterConfiguration, mesh: Mesh2D, vcs: usize) -> Self {
         let prog = &config.compiled.prog;
-        let bound = rule_io::entry(prog).and_then(|entry| {
+        let bound = rule_io::entry(prog).and_then(|_| {
             let io = MeshIo::bind(prog)?;
             io.fits(prog, mesh.width(), mesh.height(), vcs)?;
-            Ok((io, Arc::from(entry.name.as_str())))
+            Ok(io)
         });
-        let (io, entry) = bound.unwrap_or_else(|e| panic!("rule program `{}`: {e}", config.name));
-        RuleRouter { config: Arc::new(config), mesh, io, entry, vcs, probe: None }
+        let io = bound.unwrap_or_else(|e| panic!("rule program `{}`: {e}", config.name));
+        RuleRouter { config: Arc::new(config), mesh, io, vcs, probe: None }
     }
 
     /// Attaches a per-stage interpreter probe (e.g. an
@@ -87,7 +86,6 @@ impl RoutingAlgorithm for RuleRouter {
             machine,
             mesh: self.mesh.clone(),
             io: self.io,
-            entry: Arc::clone(&self.entry),
             inputs: InputMap::new(),
         })
     }
@@ -97,7 +95,6 @@ struct RuleNodeController {
     machine: Machine,
     mesh: Mesh2D,
     io: MeshIo,
-    entry: Arc<str>,
     /// Reused for every decision.
     inputs: InputMap,
 }
@@ -123,11 +120,10 @@ impl NodeController for RuleNodeController {
                 out_queue: view.out_load[d],
             },
         );
-        let casc = match self.machine.fire_cascade(&self.entry, &[], &self.inputs) {
-            Ok(c) => c,
-            Err(_) => return Decision::new(Verdict::Unroutable, 1),
+        let Ok(fired) = self.machine.fire_base(rule_io::ENTRY, &[], &self.inputs) else {
+            return Decision::new(Verdict::Unroutable, 1);
         };
-        let verdict = match casc.last_return().map_or(Ret::Wait, rule_io::decode) {
+        let verdict = match fired.last_return.map_or(Ret::Wait, rule_io::decode) {
             Ret::Dir(d) if (d as usize) < view.link_alive.len() && usable(d as usize) => {
                 Verdict::Route(PortId(d), in_vc)
             }
@@ -135,7 +131,7 @@ impl NodeController for RuleNodeController {
             Ret::Deliver => Verdict::Deliver,
             Ret::Unroutable => Verdict::Unroutable,
         };
-        crate::decision(verdict, casc.steps.max(1), self.io.out_queue.is_some())
+        crate::decision(verdict, fired.steps.max(1), self.io.out_queue.is_some())
     }
 }
 

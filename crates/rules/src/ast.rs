@@ -6,7 +6,7 @@
 //! indices instead of strings.
 
 use crate::error::Pos;
-use crate::value::{Domain, Type, Value};
+use crate::value::{low_mask, Domain, Type, Value};
 use serde::{Deserialize, Serialize};
 
 /// A declared symbol type (`CONSTANT states = {safe, faulty, ...}`).
@@ -61,6 +61,73 @@ pub struct InputDecl {
     pub elem: Type,
     /// Source position of the declaration.
     pub pos: Pos,
+}
+
+/// One index dimension of a declared register or input, resolved when the
+/// declaration is parsed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Dim {
+    /// The index domain.
+    pub dom: Domain,
+    /// Cells one step along this dimension skips: row-major, the product of
+    /// the sizes of the dimensions after it.
+    pub stride: u64,
+}
+
+/// Where the cells of a declared register or input lie: arrays are stored
+/// flattened in row-major order of their index domains.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CellLayout {
+    /// One entry per declared index domain (none for a scalar).
+    pub dims: Vec<Dim>,
+    /// Number of cells (1 for a scalar).
+    pub cells: usize,
+}
+
+impl CellLayout {
+    fn new(index_domains: &[Domain], sym_sizes: &[usize]) -> Self {
+        let mut dims: Vec<Dim> = index_domains.iter().map(|&dom| Dim { dom, stride: 1 }).collect();
+        let mut cells = 1u64;
+        for d in dims.iter_mut().rev() {
+            d.stride = cells;
+            cells = cells.saturating_mul(d.dom.size(sym_sizes));
+        }
+        CellLayout { dims, cells: usize::try_from(cells).unwrap_or(usize::MAX) }
+    }
+
+    /// The flat cell `indices` address, checked in one pass: `None` when
+    /// their number is not the declared one or one lies outside its domain.
+    #[inline]
+    pub fn cell(&self, indices: &[Value], sym_sizes: &[usize]) -> Option<usize> {
+        if indices.len() != self.dims.len() {
+            return None;
+        }
+        let mut cell = 0;
+        for (v, d) in indices.iter().zip(&self.dims) {
+            cell += d.dom.ordinal(v, sym_sizes)? * d.stride;
+        }
+        Some(cell as usize)
+    }
+}
+
+/// An event name some conclusion generates (`!name(args)`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EventName {
+    /// The name.
+    pub name: String,
+    /// The rule base it triggers; `None` for a host event.
+    pub base: Option<usize>,
+}
+
+/// What the parser resolves once so that no interpretation has to: symbol
+/// type sizes, cell layouts and the targets of generated events. Kept in
+/// step with the declarations by the `declare_*` methods of [`Program`].
+#[derive(Clone, Debug, Default)]
+struct Resolved {
+    sym_sizes: Vec<usize>,
+    vars: Vec<CellLayout>,
+    inputs: Vec<CellLayout>,
+    events: Vec<EventName>,
 }
 
 /// An event parameter (`ON update_state(dir IN dirs)`).
@@ -246,6 +313,8 @@ pub enum Command {
         /// Event name (matched against rule-base names by the event
         /// manager; unknown names are delivered to the host).
         event: String,
+        /// Index of `event` in [`Program::events`].
+        id: usize,
         /// Argument expressions.
         args: Vec<Expr>,
     },
@@ -303,17 +372,79 @@ pub struct Program {
     pub inputs: Vec<InputDecl>,
     /// Rule bases.
     pub rulebases: Vec<RuleBase>,
+    /// Sizes, layouts and event targets of the declarations above.
+    #[serde(skip)]
+    resolved: Resolved,
 }
 
 impl Program {
-    /// Number of symbols in symbol type `t` (shape used by `Domain` methods).
+    /// Number of symbols in symbol type `t`.
     pub fn sym_size(&self, t: usize) -> usize {
-        self.sym_types[t].symbols.len()
+        self.resolved.sym_sizes[t]
     }
 
-    /// Closure form of [`Program::sym_size`] for passing to `Domain`.
-    pub fn sym_sizes(&self) -> impl Fn(usize) -> usize + '_ {
-        move |t| self.sym_size(t)
+    /// Number of symbols of every symbol type, the shape `Domain` methods take.
+    #[inline]
+    pub fn sym_sizes(&self) -> &[usize] {
+        &self.resolved.sym_sizes
+    }
+
+    /// Cell layout of register `var` (index into [`Program::vars`]).
+    #[inline]
+    pub fn var_layout(&self, var: usize) -> &CellLayout {
+        &self.resolved.vars[var]
+    }
+
+    /// Cell layout of input `input` (index into [`Program::inputs`]).
+    #[inline]
+    pub fn input_layout(&self, input: usize) -> &CellLayout {
+        &self.resolved.inputs[input]
+    }
+
+    /// Every event name a conclusion generates, indexed by
+    /// [`Command::Emit`]'s `id`.
+    pub fn events(&self) -> &[EventName] {
+        &self.resolved.events
+    }
+
+    /// The bits of a set mask over `dom` that stand for elements; a mask
+    /// may carry others, which every set operation ignores.
+    #[inline]
+    pub fn live_mask(&self, dom: Domain) -> u64 {
+        low_mask(dom.size(self.sym_sizes()))
+    }
+
+    pub(crate) fn declare_sym_type(&mut self, st: SymType) {
+        self.resolved.sym_sizes.push(st.symbols.len());
+        self.sym_types.push(st);
+    }
+
+    pub(crate) fn declare_var(&mut self, v: VarDecl) {
+        self.resolved.vars.push(CellLayout::new(&v.index_domains, &self.resolved.sym_sizes));
+        self.vars.push(v);
+    }
+
+    pub(crate) fn declare_input(&mut self, i: InputDecl) {
+        self.resolved.inputs.push(CellLayout::new(&i.index_domains, &self.resolved.sym_sizes));
+        self.inputs.push(i);
+    }
+
+    /// The id of generated event `name`, interning it on first sight.
+    pub(crate) fn intern_event(&mut self, name: &str) -> usize {
+        let events = &mut self.resolved.events;
+        events.iter().position(|e| e.name == name).unwrap_or_else(|| {
+            events.push(EventName { name: name.to_string(), base: None });
+            events.len() - 1
+        })
+    }
+
+    /// Points every generated event at the rule base of its name, once all
+    /// rule bases are known.
+    pub(crate) fn resolve_events(&mut self) {
+        for i in 0..self.resolved.events.len() {
+            let base = self.rulebase(&self.resolved.events[i].name).map(|(b, _)| b);
+            self.resolved.events[i].base = base;
+        }
     }
 
     /// Looks up a rule base by name.
@@ -336,8 +467,7 @@ impl Program {
         match v {
             Value::Sym { ty, idx } => self.sym_types[*ty].symbols[*idx as usize].clone(),
             Value::Set { dom, mask } => {
-                let ss = self.sym_sizes();
-                let n = dom.size(&ss);
+                let n = dom.size(self.sym_sizes());
                 let mut parts = Vec::new();
                 for k in 0..n {
                     if mask & (1 << k) != 0 {

@@ -24,6 +24,7 @@
 //! ones) map to a no-op entry.
 
 use crate::ast::*;
+use crate::env::{InputMap, RegFile};
 use crate::error::{Result, RuleError};
 use crate::interp::{CompiledProgram, CompiledRuleBase};
 use crate::value::{ceil_log2, Domain, Value};
@@ -171,7 +172,7 @@ impl FeatureSet {
                 }
             }
         }
-        let size = dom.size(&prog.sym_sizes());
+        let size = dom.size(prog.sym_sizes());
         self.features.push(Feature { kind: FeatureKind::Direct { subject, dom }, size });
         self.features.len() - 1
     }
@@ -229,7 +230,7 @@ pub fn expand_quantifiers(prog: &Program, e: &Expr) -> Result<Expr> {
         Expr::Quant { q, dom, set, body } => {
             let set_e = expand_quantifiers(prog, set)?;
             let body_e = expand_quantifiers(prog, body)?;
-            let n = dom.size(&prog.sym_sizes());
+            let n = dom.size(prog.sym_sizes());
             if n > 64 {
                 return Err(RuleError::resolve(
                     "quantifier domain exceeds 64 elements".to_string(),
@@ -342,17 +343,17 @@ pub fn fold_consts(prog: &Program, e: &Expr) -> Result<Expr> {
         }
         return Ok(folded);
     }
-    // fully constant: evaluate with an empty environment
-    let regs = crate::env::RegFile::new(prog);
-    struct NoInputs;
-    impl crate::env::InputProvider for NoInputs {
-        fn read_input(&self, _: &Program, _: usize, _: &[Value]) -> Result<Value> {
-            Err(RuleError::eval("input read in constant expression".to_string()))
+    // fully constant: nothing it reads is in the environment, so an empty
+    // one serves — and says so should a read slip past the test above
+    let (regs, inputs) = (RegFile::new(prog), InputMap::new());
+    let mut ctx = crate::eval::EvalCtx::new(prog, &regs, &inputs, &[]);
+    match crate::eval::eval_expr(&mut ctx, &folded) {
+        Ok(v) => Ok(Expr::Lit(v)),
+        Err(RuleError::Eval { msg }) => {
+            Err(RuleError::eval(format!("in a constant expression: {msg}")))
         }
+        Err(other) => Err(other),
     }
-    let mut ctx = crate::eval::EvalCtx::new(prog, &regs, &NoInputs, &[]);
-    let v = crate::eval::eval_expr(&mut ctx, &folded)?;
-    Ok(Expr::Lit(v))
 }
 
 /// Domain of a scalar subject expression, when it is simple enough to wire
@@ -489,7 +490,7 @@ fn abstract_eval(prog: &Program, fs: &FeatureSet, assignment: &[u64], e: &Expr) 
                         _ => unreachable!("InLit on predicate feature"),
                     };
                     let v = dom.value_at(digit);
-                    set_dom.ordinal(&v, &ss).is_some_and(|k| mask & (1 << k) != 0)
+                    set_dom.ordinal(&v, ss).is_some_and(|k| mask & (1 << k) != 0)
                 }
             })
         }
@@ -606,7 +607,7 @@ pub fn compile_rulebase(
     // convention of the cost model — see cost.rs)
     let ss = prog.sym_sizes();
     let sel_bits = ceil_log2(rb.rules.len() as u64 + 1).max(1);
-    let ret_bits = rb.returns.map_or(0, |t| t.width_bits(&ss));
+    let ret_bits = rb.returns.map_or(0, |t| t.width_bits(ss));
     let width_bits = sel_bits + ret_bits;
 
     Ok(CompiledRuleBase {

@@ -206,8 +206,8 @@ pub fn analyze(prog: &Program, opts: &CompileOptions) -> Result<ProgramCost> {
 
     let mut registers = Vec::new();
     for (vi, v) in prog.vars.iter().enumerate() {
-        let cell_bits = v.elem.width_bits(&ss);
-        let cells: u64 = v.index_domains.iter().map(|d| d.size(&ss)).product::<u64>().max(1);
+        let cell_bits = v.elem.width_bits(ss);
+        let cells: u64 = v.index_domains.iter().map(|d| d.size(ss)).product::<u64>().max(1);
         let mut writers = Vec::new();
         let mut readers = Vec::new();
         let mut nft_touch = false;

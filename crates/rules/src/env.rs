@@ -1,14 +1,35 @@
-//! Execution environment: register file and input providers.
+//! Execution environment: the register file and the inputs of one
+//! rule-base invocation.
 
-use crate::ast::{InputDecl, Program};
+use crate::ast::{CellLayout, Program};
 use crate::error::{Result, RuleError};
-use crate::value::Value;
-use std::collections::HashMap;
+use crate::value::{Domain, Type, Value};
+
+#[cold]
+pub(crate) fn wrong_count(name: &str, layout: &CellLayout, got: usize) -> RuleError {
+    RuleError::eval(format!("`{name}` expects {} indices, got {got}", layout.dims.len()))
+}
+
+#[cold]
+pub(crate) fn outside(name: &str, dom: Domain, v: &Value) -> RuleError {
+    RuleError::eval(format!("index {v} out of domain {dom:?} for `{name}`"))
+}
+
+/// Why `indices` address no cell of `layout` (wrong number, or which one is
+/// outside its domain). Off the hot path: [`CellLayout::cell`] said `None`.
+#[cold]
+fn index_error(name: &str, layout: &CellLayout, indices: &[Value], prog: &Program) -> RuleError {
+    let bad = indices.iter().zip(&layout.dims).find(|(v, d)| !d.dom.contains(v, prog.sym_sizes()));
+    match bad {
+        Some((v, d)) if indices.len() == layout.dims.len() => outside(name, d.dom, v),
+        _ => wrong_count(name, layout, indices.len()),
+    }
+}
 
 /// The register file holding all declared `VARIABLE`s of a program
 /// (the paper's "registers ... updated by using arithmetic or logical
 /// units"). Arrays are stored flattened in row-major order of their index
-/// domains.
+/// domains ([`Program::var_layout`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RegFile {
     slots: Vec<Vec<Value>>,
@@ -17,157 +38,124 @@ pub struct RegFile {
 impl RegFile {
     /// Creates the register file with every cell at its declared INIT value.
     pub fn new(prog: &Program) -> Self {
-        let ss = prog.sym_sizes();
         let slots = prog
             .vars
             .iter()
-            .map(|v| {
-                let cells: u64 = v.index_domains.iter().map(|d| d.size(&ss)).product();
-                vec![v.init; cells.max(1) as usize]
-            })
+            .enumerate()
+            .map(|(i, v)| vec![v.init; prog.var_layout(i).cells.max(1)])
             .collect();
         RegFile { slots }
     }
 
-    /// Flattened cell index from per-dimension ordinals.
-    fn flat(prog: &Program, var: usize, ordinals: &[u64]) -> usize {
-        let ss = prog.sym_sizes();
-        let mut idx = 0u64;
-        for (ord, dom) in ordinals.iter().zip(&prog.vars[var].index_domains) {
-            idx = idx * dom.size(&ss) + ord;
-        }
-        idx as usize
+    /// Converts index values to per-dimension ordinals, checking domains
+    /// (reports and tests; reads and writes go through
+    /// [`RegFile::cell`]).
+    pub fn ordinals(prog: &Program, var: usize, indices: &[Value]) -> Result<Vec<u64>> {
+        let layout = prog.var_layout(var);
+        let ords: Option<Vec<u64>> = indices
+            .iter()
+            .zip(&layout.dims)
+            .map(|(v, d)| d.dom.ordinal(v, prog.sym_sizes()))
+            .collect();
+        ords.filter(|_| indices.len() == layout.dims.len())
+            .ok_or_else(|| index_error(&prog.vars[var].name, layout, indices, prog))
     }
 
-    /// Converts index values to ordinals, checking domains.
-    pub fn ordinals(prog: &Program, var: usize, indices: &[Value]) -> Result<Vec<u64>> {
-        let decl = &prog.vars[var];
-        if indices.len() != decl.index_domains.len() {
-            return Err(RuleError::eval(format!(
-                "`{}` expects {} indices, got {}",
-                decl.name,
-                decl.index_domains.len(),
-                indices.len()
-            )));
-        }
-        let ss = prog.sym_sizes();
-        indices
-            .iter()
-            .zip(&decl.index_domains)
-            .map(|(v, d)| {
-                d.ordinal(v, &ss).ok_or_else(|| {
-                    RuleError::eval(format!("index {v} out of domain {d:?} for `{}`", decl.name))
-                })
-            })
-            .collect()
+    /// The flat cell of register `var` that `indices` address.
+    #[inline]
+    pub fn cell(prog: &Program, var: usize, indices: &[Value]) -> Result<usize> {
+        let layout = prog.var_layout(var);
+        layout
+            .cell(indices, prog.sym_sizes())
+            .ok_or_else(|| index_error(&prog.vars[var].name, layout, indices, prog))
     }
 
     /// Reads a register cell.
+    #[inline]
     pub fn read(&self, prog: &Program, var: usize, indices: &[Value]) -> Result<Value> {
-        let ords = Self::ordinals(prog, var, indices)?;
-        Ok(self.slots[var][Self::flat(prog, var, &ords)])
+        Ok(self.slots[var][Self::cell(prog, var, indices)?])
     }
 
     /// Writes a register cell, checking the value against the declared
     /// element type.
     pub fn write(&mut self, prog: &Program, var: usize, indices: &[Value], v: Value) -> Result<()> {
-        let decl = &prog.vars[var];
-        let ss = prog.sym_sizes();
-        let ok = match (decl.elem, &v) {
-            (crate::value::Type::Scalar(d), val) => d.contains(val, &ss),
-            (crate::value::Type::Set(d), Value::Set { dom, .. }) => {
-                // same domain kind; mask interpreted over the declared domain
-                matches!(
-                    (d, dom),
-                    (crate::value::Domain::Int { .. }, crate::value::Domain::Int { .. })
-                        | (crate::value::Domain::Bool, crate::value::Domain::Bool)
-                ) || matches!((d, dom), (crate::value::Domain::Sym(x), crate::value::Domain::Sym(y)) if x == *y)
-            }
-            _ => false,
-        };
-        if !ok {
-            return Err(RuleError::eval(format!(
-                "value {v} outside domain of `{}` ({:?})",
-                decl.name, decl.elem
-            )));
-        }
-        let ords = Self::ordinals(prog, var, indices)?;
-        let flat = Self::flat(prog, var, &ords);
-        self.slots[var][flat] = v;
+        Self::check_value(prog, var, &v)?;
+        let cell = Self::cell(prog, var, indices)?;
+        self.slots[var][cell] = v;
         Ok(())
     }
 
+    /// [`RegFile::write`] to a cell [`RegFile::cell`] already resolved.
+    pub(crate) fn write_cell(
+        &mut self,
+        prog: &Program,
+        var: usize,
+        cell: usize,
+        v: Value,
+    ) -> Result<()> {
+        Self::check_value(prog, var, &v)?;
+        self.slots[var][cell] = v;
+        Ok(())
+    }
+
+    fn check_value(prog: &Program, var: usize, v: &Value) -> Result<()> {
+        let decl = &prog.vars[var];
+        let ok = match (decl.elem, v) {
+            (Type::Scalar(d), val) => d.contains(val, prog.sym_sizes()),
+            // same domain kind; the mask is interpreted over the declared domain
+            (Type::Set(d), Value::Set { dom, .. }) => match (d, dom) {
+                (Domain::Int { .. }, Domain::Int { .. }) | (Domain::Bool, Domain::Bool) => true,
+                (Domain::Sym(x), Domain::Sym(y)) => x == *y,
+                _ => false,
+            },
+            _ => false,
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(RuleError::eval(format!(
+                "value {v} outside domain of `{}` ({:?})",
+                decl.name, decl.elem
+            )))
+        }
+    }
+
     /// Direct read by flat cell (used by the cost/debug reports).
+    #[inline]
     pub fn raw(&self, var: usize) -> &[Value] {
         &self.slots[var]
     }
 }
 
-/// Source of external input values (header fields, link states, buffer
-/// occupancies) for one rule-base invocation.
-pub trait InputProvider {
-    /// Reads input `input` (index into [`Program::inputs`]) at `indices`.
-    fn read_input(&self, prog: &Program, input: usize, indices: &[Value]) -> Result<Value>;
-}
+/// Most cells one input may have: its storage is dense, and a rule
+/// program's declarations come from outside.
+const MAX_INPUT_CELLS: usize = 1 << 20;
 
-/// Simple map-backed input provider with optional per-input defaults.
+/// External input values (header fields, link states, buffer occupancies)
+/// for one rule-base invocation, with optional per-input defaults.
 ///
-/// Index tuples are packed into a single `u64` (16 bits per dimension, up
-/// to four dimensions) so reads stay allocation-free on the hot path.
+/// One row of cells per input, row-major like [`RegFile`] and sized on the
+/// first write, so a map is built without a program and a host reuses one
+/// for all its decisions: neither reads nor writes hash or, once every row
+/// has been written, allocate.
 #[derive(Clone, Debug, Default)]
 pub struct InputMap {
-    values: HashMap<(usize, u64), Value>,
-    defaults: HashMap<usize, Value>,
-}
-
-/// Packs up to four per-dimension ordinals into one key.
-fn pack_ordinals(ords: &[u64]) -> Result<u64> {
-    if ords.len() > 4 {
-        return Err(RuleError::eval("inputs support at most 4 index dimensions".to_string()));
-    }
-    let mut key = 0u64;
-    for (i, &o) in ords.iter().enumerate() {
-        if o >= 1 << 16 {
-            return Err(RuleError::eval("input index ordinal exceeds 16 bits".to_string()));
-        }
-        key |= o << (16 * i);
-    }
-    Ok(key)
+    rows: Vec<Vec<Option<Value>>>,
+    defaults: Vec<Option<Value>>,
 }
 
 impl InputMap {
-    /// Creates an empty provider (reads fail unless set or defaulted).
+    /// Creates an empty map (reads fail unless set or defaulted).
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn key(
-        prog: &Program,
-        decl: &InputDecl,
-        input: usize,
-        indices: &[Value],
-    ) -> Result<(usize, u64)> {
-        if indices.len() != decl.index_domains.len() {
-            return Err(RuleError::eval(format!(
-                "input `{}` expects {} indices, got {}",
-                decl.name,
-                decl.index_domains.len(),
-                indices.len()
-            )));
-        }
-        let ss = prog.sym_sizes();
-        let mut ords = [0u64; 4];
-        for (i, (v, d)) in indices.iter().zip(&decl.index_domains).enumerate() {
-            if i >= 4 {
-                return Err(RuleError::eval(
-                    "inputs support at most 4 index dimensions".to_string(),
-                ));
-            }
-            ords[i] = d
-                .ordinal(v, &ss)
-                .ok_or_else(|| RuleError::eval(format!("input index {v} out of domain {d:?}")))?;
-        }
-        Ok((input, pack_ordinals(&ords[..indices.len()])?))
+    #[inline]
+    fn cell(prog: &Program, input: usize, indices: &[Value]) -> Result<usize> {
+        let layout = prog.input_layout(input);
+        layout
+            .cell(indices, prog.sym_sizes())
+            .ok_or_else(|| index_error(&prog.inputs[input].name, layout, indices, prog))
     }
 
     fn named(prog: &Program, name: &str) -> Result<usize> {
@@ -185,37 +173,61 @@ impl InputMap {
     /// [`InputMap::set`] for a host that resolved the name once: `input`
     /// is the index into [`Program::inputs`].
     pub fn set_at(&mut self, prog: &Program, input: usize, idx: &[Value], v: Value) -> Result<()> {
-        let key = Self::key(prog, &prog.inputs[input], input, idx)?;
-        self.values.insert(key, v);
+        let cells = prog.input_layout(input).cells;
+        if self.rows.len() <= input {
+            self.rows.resize_with(input + 1, Vec::new);
+        }
+        let row = &mut self.rows[input];
+        if row.len() != cells {
+            // first write since `clear` (or the map last served another program)
+            if cells > MAX_INPUT_CELLS {
+                return Err(RuleError::eval(format!(
+                    "input `{}` has more than {MAX_INPUT_CELLS} cells",
+                    prog.inputs[input].name
+                )));
+            }
+            row.clear();
+            row.resize(cells, None);
+        }
+        let cell = Self::cell(prog, input, idx)?;
+        row[cell] = Some(v);
         Ok(())
     }
 
     /// Sets a default returned for any unset cell of input `name`.
     pub fn set_default(&mut self, prog: &Program, name: &str, v: Value) -> Result<()> {
-        self.defaults.insert(Self::named(prog, name)?, v);
+        let input = Self::named(prog, name)?;
+        if self.defaults.len() <= input {
+            self.defaults.resize(input + 1, None);
+        }
+        self.defaults[input] = Some(v);
         Ok(())
     }
 
     /// Forgets every value and every default; the allocations stay, so a
     /// host can reuse one map for all its decisions.
     pub fn clear(&mut self) {
-        self.values.clear();
+        self.rows.iter_mut().for_each(Vec::clear);
         self.defaults.clear();
+    }
+
+    /// Reads input `input` (index into [`Program::inputs`]) at `indices`.
+    #[inline]
+    pub fn read_input(&self, prog: &Program, input: usize, indices: &[Value]) -> Result<Value> {
+        self.read_cell(prog, input, Self::cell(prog, input, indices)?)
+    }
+
+    /// [`InputMap::read_input`] at a flat cell of the input's layout.
+    #[inline]
+    pub(crate) fn read_cell(&self, prog: &Program, input: usize, cell: usize) -> Result<Value> {
+        let set = self.rows.get(input).and_then(|row| *row.get(cell)?);
+        set.or_else(|| *self.defaults.get(input)?).ok_or_else(|| unset(prog, input, cell))
     }
 }
 
-impl InputProvider for InputMap {
-    fn read_input(&self, prog: &Program, input: usize, indices: &[Value]) -> Result<Value> {
-        let decl = &prog.inputs[input];
-        let key = Self::key(prog, decl, input, indices)?;
-        if let Some(v) = self.values.get(&key) {
-            return Ok(*v);
-        }
-        if let Some(v) = self.defaults.get(&input) {
-            return Ok(*v);
-        }
-        Err(RuleError::eval(format!("input `{}` (packed index {}) has no value", decl.name, key.1)))
-    }
+#[cold]
+fn unset(prog: &Program, input: usize, cell: usize) -> RuleError {
+    RuleError::eval(format!("input `{}` (cell {cell}) has no value", prog.inputs[input].name))
 }
 
 #[cfg(test)]
@@ -256,6 +268,20 @@ mod tests {
         r.write(&p, 2, &[Value::Int(1), Value::Int(3)], Value::Bool(true)).unwrap();
         assert_eq!(r.read(&p, 2, &[Value::Int(1), Value::Int(3)]).unwrap(), Value::Bool(true));
         assert_eq!(r.read(&p, 2, &[Value::Int(3), Value::Int(1)]).unwrap(), Value::Bool(false));
+    }
+
+    #[test]
+    fn cells_are_the_row_major_fold_of_the_ordinals() {
+        let p = prog();
+        for i in 0..4 {
+            for j in 0..4 {
+                let idx = [Value::Int(i), Value::Int(j)];
+                let ords = RegFile::ordinals(&p, 2, &idx).unwrap();
+                assert_eq!(RegFile::cell(&p, 2, &idx).unwrap() as u64, ords[0] * 4 + ords[1]);
+            }
+        }
+        assert!(RegFile::ordinals(&p, 2, &[Value::Int(1)]).is_err());
+        assert!(RegFile::ordinals(&p, 2, &[Value::Int(1), Value::Int(4)]).is_err());
     }
 
     #[test]

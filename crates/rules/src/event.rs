@@ -15,14 +15,14 @@
 
 use crate::ast::Program;
 use crate::compile::{compile, CompileOptions};
-use crate::env::{InputProvider, RegFile};
+use crate::env::{InputMap, RegFile};
 use crate::error::{Result, RuleError};
 use crate::eval::{EventInstance, FireOutcome};
+use crate::frame::Frame;
 use crate::interp::CompiledProgram;
 use crate::probe::InterpProbe;
 use crate::value::Value;
-use crate::vm::{Backend, Scratch, VmProgram};
-use std::collections::VecDeque;
+use crate::vm::{Backend, VmProgram};
 use std::sync::Arc;
 
 /// Execution statistics of a machine.
@@ -77,7 +77,8 @@ impl StepWeights {
     }
 }
 
-/// Everything a cascaded fire produced.
+/// Everything a cascaded fire produced, owned: what the name-keyed
+/// [`Machine::fire_cascade`] returns.
 #[derive(Clone, Debug, Default)]
 pub struct CascadeOutcome {
     /// Per-base outcomes, in firing order.
@@ -95,16 +96,40 @@ impl CascadeOutcome {
     }
 }
 
+/// The two words a host reads off a cascade ([`Machine::fire_base`]); the
+/// events that escaped to it stay in the machine
+/// ([`Machine::host_events`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Fired {
+    /// The value of the last `RETURN` executed anywhere in the cascade.
+    pub last_return: Option<Value>,
+    /// Total rule interpretations of the cascade.
+    pub steps: u32,
+}
+
+/// An event waiting in a [`Machine`]: what it addresses — the rule base an
+/// internal event triggers, the [`Program::events`] id of a host event —
+/// and where its arguments lie in the machine's argument storage.
+type Queued = (usize, std::ops::Range<usize>);
+
 /// A running rule machine: compiled program + registers + event queue.
 pub struct Machine {
-    compiled: CompiledProgram,
+    compiled: Arc<CompiledProgram>,
     regs: RegFile,
-    queue: VecDeque<EventInstance>,
+    /// The effects frame every interpretation of this machine runs in.
+    frame: Frame,
+    /// The cascade in flight: the fired event, then every internal event
+    /// generated so far, in order.
+    pending: Vec<Queued>,
+    /// Events of the last cascade that escaped to the host.
+    host: Vec<Queued>,
+    /// Arguments of `pending` and `host`.
+    args: Vec<Value>,
     probe: Option<Arc<dyn InterpProbe>>,
     step_weights: Option<Arc<StepWeights>>,
     /// When set, rule bases execute on the bytecode VM instead of the
-    /// table interpreter; the scratch frame is reused across fires.
-    vm: Option<(Arc<VmProgram>, Scratch)>,
+    /// table interpreter.
+    vm: Option<Arc<VmProgram>>,
     /// Safety budget per external fire: livelock guard for cyclic event
     /// generation.
     pub max_internal_events: u32,
@@ -116,29 +141,22 @@ impl Machine {
     /// Compiles `prog` and builds a machine with freshly initialised
     /// registers.
     pub fn new(prog: Program, opts: &CompileOptions) -> Result<Self> {
-        let n = prog.rulebases.len();
-        let compiled = compile(&prog, opts)?;
-        let regs = RegFile::new(&compiled.prog);
-        Ok(Machine {
-            compiled,
-            regs,
-            queue: VecDeque::new(),
-            probe: None,
-            step_weights: None,
-            vm: None,
-            max_internal_events: 10_000,
-            stats: MachineStats { per_base: vec![0; n], ..Default::default() },
-        })
+        Ok(Machine::from_compiled(compile(&prog, opts)?))
     }
 
-    /// Wraps an already compiled program.
-    pub fn from_compiled(compiled: CompiledProgram) -> Self {
+    /// Wraps an already compiled program; machines built from one `Arc`
+    /// share it.
+    pub fn from_compiled(compiled: impl Into<Arc<CompiledProgram>>) -> Self {
+        let compiled = compiled.into();
         let n = compiled.prog.rulebases.len();
         let regs = RegFile::new(&compiled.prog);
         Machine {
             compiled,
             regs,
-            queue: VecDeque::new(),
+            frame: Frame::new(),
+            pending: Vec::new(),
+            host: Vec::new(),
+            args: Vec::new(),
             probe: None,
             step_weights: None,
             vm: None,
@@ -167,7 +185,7 @@ impl Machine {
     /// machine's compiled program before it is accepted).
     pub fn set_bytecode(&mut self, vm: Arc<VmProgram>) -> Result<()> {
         vm.validate(&self.compiled)?;
-        self.vm = Some((vm, Scratch::new()));
+        self.vm = Some(vm);
         Ok(())
     }
 
@@ -216,7 +234,7 @@ impl Machine {
         &mut self,
         event: &str,
         args: &[Value],
-        inputs: &dyn InputProvider,
+        inputs: &InputMap,
     ) -> Result<(FireOutcome, Vec<EventInstance>)> {
         let casc = self.fire_cascade(event, args, inputs)?;
         let direct = casc.outcomes.into_iter().next().unwrap_or_default();
@@ -227,87 +245,105 @@ impl Machine {
     /// cascade in firing order — a multi-step routing decision (e.g.
     /// NAFTA's `incoming_message` → `in_message_ft` → `test_exception`)
     /// delivers its verdict from the *last* base that returned a value.
+    /// The name is looked up and everything returned is owned; a host on
+    /// the cycle path binds the index once and calls
+    /// [`Machine::fire_base`].
     pub fn fire_cascade(
         &mut self,
         event: &str,
         args: &[Value],
-        inputs: &dyn InputProvider,
+        inputs: &InputMap,
     ) -> Result<CascadeOutcome> {
-        self.stats.last_fire_steps = 0;
-        let mut host_events = Vec::new();
+        let Some((base, _)) = self.compiled.prog.rulebase(event) else {
+            // an event without a rule base is the host's
+            self.stats.last_fire_steps = 0;
+            let escaped = EventInstance { event: event.to_string(), args: args.to_vec() };
+            return Ok(CascadeOutcome { host_events: vec![escaped], ..Default::default() });
+        };
         let mut outcomes = Vec::new();
+        let fired = self.cascade(base, args, inputs, |prog, rule, frame| {
+            outcomes.push(frame.outcome(prog, rule))
+        })?;
+        let host_events = self
+            .host_events()
+            .map(|(event, args)| EventInstance { event: event.to_string(), args: args.to_vec() })
+            .collect();
+        Ok(CascadeOutcome { outcomes, host_events, steps: fired.steps })
+    }
 
-        // an event without a rule base becomes a host event inside dispatch
-        if let Some(out) = self.dispatch(event, args, inputs, &mut host_events)? {
-            outcomes.push(out);
-        }
+    /// Fires rule base `base` (index into `Program::rulebases`) with
+    /// `args`, then drains all internally generated events. Nothing is
+    /// looked up by name and, once the machine's buffers have grown to the
+    /// program's largest cascade, nothing is allocated.
+    pub fn fire_base(&mut self, base: usize, args: &[Value], inputs: &InputMap) -> Result<Fired> {
+        self.cascade(base, args, inputs, |_, _, _| ())
+    }
 
-        let mut processed = 0u32;
-        while let Some(ev) = self.queue.pop_front() {
-            processed += 1;
-            if processed > self.max_internal_events {
+    /// The events of the last cascade that escaped to the host, in order:
+    /// name and arguments.
+    pub fn host_events(&self) -> impl Iterator<Item = (&str, &[Value])> {
+        let events = self.compiled.prog.events();
+        self.host.iter().map(move |(id, at)| (events[*id].name.as_str(), &self.args[at.clone()]))
+    }
+
+    /// One cascade: interprets `base(args)` and every internal event it
+    /// leads to, each counting one step (times its weight); `each` sees
+    /// every interpretation's rule and frame before the next one reuses it.
+    fn cascade(
+        &mut self,
+        base: usize,
+        args: &[Value],
+        inputs: &InputMap,
+        mut each: impl FnMut(&Program, Option<usize>, &Frame),
+    ) -> Result<Fired> {
+        let Machine { compiled, regs, frame, pending, host, args: arena, stats, .. } = self;
+        let (prog, probe) = (&compiled.prog, self.probe.as_deref());
+        stats.last_fire_steps = 0;
+        pending.clear();
+        host.clear();
+        arena.clear();
+        arena.extend_from_slice(args);
+        pending.push((base, 0..args.len()));
+
+        let mut last_return = None;
+        let mut next = 0;
+        while let Some((base, at)) = pending.get(next).cloned() {
+            if next > self.max_internal_events as usize {
                 return Err(RuleError::eval(format!(
                     "event livelock: more than {} internal events from one fire",
                     self.max_internal_events
                 )));
             }
-            if let Some(out) = self.dispatch(&ev.event, &ev.args, inputs, &mut host_events)? {
-                outcomes.push(out);
+            next += 1;
+            stats.per_base[base] += 1;
+            let params = &arena[at];
+            let rule = match &self.vm {
+                Some(vm) => vm.bases[base].fire_in(prog, params, regs, inputs, frame, probe)?,
+                None => compiled.bases[base].fire_in(prog, params, regs, inputs, frame, probe)?,
+            };
+            // modeled steps: a fused rule counts as every interpretation it
+            // replaced, so step-derived quantities match the original program
+            let w = self.step_weights.as_ref().map_or(1, |sw| sw.weight(base, rule));
+            stats.total_steps += u64::from(w);
+            stats.last_fire_steps += w;
+            last_return = frame.returned().or(last_return);
+            each(prog, rule, frame);
+            for (event, ev_args) in frame.emitted() {
+                let start = arena.len();
+                arena.extend_from_slice(ev_args);
+                match prog.events()[event].base {
+                    Some(target) => pending.push((target, start..arena.len())),
+                    None => host.push((event, start..arena.len())),
+                }
             }
         }
-        let steps = self.stats.last_fire_steps;
-        Ok(CascadeOutcome { outcomes, host_events, steps })
-    }
-
-    /// Interprets one event: if a rule base matches, fire it (counting one
-    /// step) and queue its internal events; otherwise report a host event.
-    fn dispatch(
-        &mut self,
-        event: &str,
-        args: &[Value],
-        inputs: &dyn InputProvider,
-        host_events: &mut Vec<EventInstance>,
-    ) -> Result<Option<FireOutcome>> {
-        let Some((idx, _)) = self.compiled.prog.rulebase(event) else {
-            host_events.push(EventInstance { event: event.to_string(), args: args.to_vec() });
-            return Ok(None);
-        };
-        self.stats.per_base[idx] += 1;
-        let prog = &self.compiled.prog;
-        let out = match (&mut self.vm, &self.probe) {
-            (Some((vm, sc)), Some(p)) => {
-                vm.bases[idx].fire_probed(prog, args, &mut self.regs, inputs, sc, p.as_ref())?
-            }
-            (Some((vm, sc)), None) => vm.bases[idx].fire(prog, args, &mut self.regs, inputs, sc)?,
-            (None, Some(p)) => self.compiled.bases[idx].fire_probed(
-                prog,
-                args,
-                &mut self.regs,
-                inputs,
-                p.as_ref(),
-            )?,
-            (None, None) => self.compiled.bases[idx].fire(prog, args, &mut self.regs, inputs)?,
-        };
-        // modeled steps: a fused rule counts as every interpretation it
-        // replaced, so step-derived quantities match the original program
-        let w = self.step_weights.as_ref().map_or(1, |sw| sw.weight(idx, out.rule));
-        self.stats.total_steps += u64::from(w);
-        self.stats.last_fire_steps += w;
-        for ev in &out.emitted {
-            if self.compiled.prog.rulebase(&ev.event).is_some() {
-                self.queue.push_back(ev.clone());
-            } else {
-                host_events.push(ev.clone());
-            }
-        }
-        Ok(Some(out))
+        Ok(Fired { last_return, steps: stats.last_fire_steps })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::InputMap;
     use crate::parser::parse;
 
     fn int(v: i64) -> Value {

@@ -83,7 +83,7 @@ pub fn fuse(prog: &Program, names: &[&str], opts: &CompileOptions) -> Result<Fus
             }
         }
     }
-    let param_radix = params.iter().fold(1u64, |a, (_, d)| a.saturating_mul(d.size(&ss)));
+    let param_radix = params.iter().fold(1u64, |a, (_, d)| a.saturating_mul(d.size(ss)));
 
     let entries =
         features.iter().map(|f| f.size).try_fold(param_radix, |a, b| a.checked_mul(b)).ok_or_else(

@@ -17,13 +17,18 @@
 
 use crate::ast::Program;
 use crate::compile::{CompileWarning, Feature, FeatureKind};
-use crate::env::{InputProvider, RegFile};
+use crate::env::{InputMap, RegFile};
 use crate::error::{Result, RuleError};
-use crate::eval::{apply_rule, eval_expr, EvalCtx, FireOutcome};
-use crate::probe::{InterpProbe, Stage};
-use crate::value::Value;
+use crate::eval::{apply_rule_in, eval_expr, EvalCtx, FireOutcome};
+use crate::frame::Frame;
+use crate::probe::{InterpProbe, Stage, StageClock};
+use crate::value::{Domain, Value};
 use std::num::NonZeroU16;
-use std::time::Instant;
+
+#[cold]
+pub(crate) fn not_a_digit(v: &Value, dom: Domain) -> RuleError {
+    RuleError::eval(format!("direct feature value {v} outside {dom:?}"))
+}
 
 /// One rule base compiled to a filled table.
 #[derive(Clone, Debug)]
@@ -121,30 +126,40 @@ impl CompiledRuleBase {
         s
     }
 
-    /// Step 1: computes the feature digits from live inputs/registers.
+    /// One feature digit from live inputs/registers.
+    fn digit(ctx: &mut EvalCtx<'_>, f: &Feature) -> Result<u64> {
+        match &f.kind {
+            FeatureKind::Direct { subject, dom } => {
+                let v = eval_expr(ctx, subject)?;
+                dom.ordinal(&v, ctx.prog.sym_sizes()).ok_or_else(|| not_a_digit(&v, *dom))
+            }
+            FeatureKind::Predicate { expr } => Ok(u64::from(eval_expr(ctx, expr)?.as_bool()?)),
+        }
+    }
+
+    /// Step 1: computes the feature digits from live inputs/registers (for
+    /// reports and analyses; an interpretation folds them straight into
+    /// the table index).
     pub fn feature_vector(
         &self,
         prog: &Program,
         params: &[Value],
         regs: &RegFile,
-        inputs: &dyn InputProvider,
+        inputs: &InputMap,
     ) -> Result<Vec<u64>> {
-        let ss = prog.sym_sizes();
         let mut ctx = EvalCtx::new(prog, regs, inputs, params);
-        self.features
-            .iter()
-            .map(|f| match &f.kind {
-                FeatureKind::Direct { subject, dom } => {
-                    let v = eval_expr(&mut ctx, subject)?;
-                    dom.ordinal(&v, &ss).ok_or_else(|| {
-                        RuleError::eval(format!("direct feature value {v} outside {dom:?}"))
-                    })
-                }
-                FeatureKind::Predicate { expr } => {
-                    Ok(u64::from(eval_expr(&mut ctx, expr)?.as_bool()?))
-                }
-            })
-            .collect()
+        self.features.iter().map(|f| Self::digit(&mut ctx, f)).collect()
+    }
+
+    /// Step 1 folded into [`CompiledRuleBase::index`]: the mixed-radix
+    /// table index, accumulated digit by digit.
+    fn table_index(&self, ctx: &mut EvalCtx<'_>) -> Result<u64> {
+        let (mut idx, mut stride) = (0u64, 1u64);
+        for (f, r) in self.features.iter().zip(&self.radices) {
+            idx += Self::digit(ctx, f)? * stride;
+            stride *= r;
+        }
+        Ok(idx)
     }
 
     /// Step 2: mixed-radix index from the feature digits.
@@ -198,10 +213,10 @@ impl CompiledRuleBase {
         prog: &Program,
         params: &[Value],
         regs: &RegFile,
-        inputs: &dyn InputProvider,
+        inputs: &InputMap,
     ) -> Result<Option<usize>> {
-        let digits = self.feature_vector(prog, params, regs, inputs)?;
-        self.entry(self.index(&digits))
+        let idx = self.table_index(&mut EvalCtx::new(prog, regs, inputs, params))?;
+        self.entry(idx)
     }
 
     /// Full interpretation: premise processing, kernel lookup, conclusion
@@ -211,39 +226,57 @@ impl CompiledRuleBase {
         prog: &Program,
         params: &[Value],
         regs: &mut RegFile,
-        inputs: &dyn InputProvider,
+        inputs: &InputMap,
     ) -> Result<FireOutcome> {
-        match self.select(prog, params, regs, inputs)? {
-            None => Ok(FireOutcome::default()),
-            Some(rule) => apply_rule(prog, self.rb, rule, params, regs, inputs),
-        }
+        let mut frame = Frame::new();
+        let rule = self.fire_in(prog, params, regs, inputs, &mut frame, None)?;
+        Ok(frame.outcome(prog, rule))
     }
 
     /// Like [`CompiledRuleBase::fire`], but reports the wall-clock cost of
-    /// each of the three interpretation stages to `probe`. The unprobed
-    /// path pays nothing for this — [`CompiledRuleBase::fire`] is
-    /// untouched.
+    /// each of the three interpretation stages to `probe`.
     pub fn fire_probed(
         &self,
         prog: &Program,
         params: &[Value],
         regs: &mut RegFile,
-        inputs: &dyn InputProvider,
+        inputs: &InputMap,
         probe: &dyn InterpProbe,
     ) -> Result<FireOutcome> {
-        let t0 = Instant::now();
-        let digits = self.feature_vector(prog, params, regs, inputs)?;
-        let t1 = Instant::now();
-        probe.record_stage(self.rb, Stage::Premise, (t1 - t0).as_nanos() as u64);
-        let rule = self.entry(self.index(&digits))?;
-        let t2 = Instant::now();
-        probe.record_stage(self.rb, Stage::Kernel, (t2 - t1).as_nanos() as u64);
-        let out = match rule {
-            None => Ok(FireOutcome::default()),
-            Some(r) => apply_rule(prog, self.rb, r, params, regs, inputs),
+        let mut frame = Frame::new();
+        let rule = self.fire_in(prog, params, regs, inputs, &mut frame, Some(probe))?;
+        Ok(frame.outcome(prog, rule))
+    }
+
+    /// One interpretation into a caller-owned frame: which rule fired
+    /// (`None` = gap); its `RETURN` value and generated events are then in
+    /// the frame. `probe` sees a stage when it completes, so an error in
+    /// the premise reports nothing, one in the kernel the premise only,
+    /// one in the conclusion all three.
+    pub(crate) fn fire_in(
+        &self,
+        prog: &Program,
+        params: &[Value],
+        regs: &mut RegFile,
+        inputs: &InputMap,
+        frame: &mut Frame,
+        probe: Option<&dyn InterpProbe>,
+    ) -> Result<Option<usize>> {
+        let mut clock = StageClock::start(self.rb, probe);
+        frame.begin();
+        let mut ctx = EvalCtx::on_frame(prog, regs, inputs, params, frame);
+        let idx = self.table_index(&mut ctx);
+        ctx.release(frame);
+        let idx = idx?;
+        clock.lap(Stage::Premise);
+        let rule = self.entry(idx)?;
+        clock.lap(Stage::Kernel);
+        let done = match rule {
+            Some(r) => apply_rule_in(prog, self.rb, r, params, regs, inputs, frame),
+            None => Ok(()),
         };
-        probe.record_stage(self.rb, Stage::Conclusion, t2.elapsed().as_nanos() as u64);
-        out
+        clock.lap(Stage::Conclusion);
+        done.map(|()| rule)
     }
 }
 
@@ -269,7 +302,7 @@ impl CompiledProgram {
         name: &str,
         params: &[Value],
         regs: &mut RegFile,
-        inputs: &dyn InputProvider,
+        inputs: &InputMap,
     ) -> Result<FireOutcome> {
         let base =
             self.base(name).ok_or_else(|| RuleError::eval(format!("no rule base `{name}`")))?;
@@ -286,7 +319,6 @@ impl CompiledProgram {
 mod tests {
     use super::*;
     use crate::compile::{compile, CompileOptions};
-    use crate::env::InputMap;
     use crate::eval::fire_reference;
     use crate::parser::parse;
 

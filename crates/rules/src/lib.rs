@@ -20,6 +20,7 @@ pub mod error;
 pub mod eval;
 pub mod event;
 pub mod fcfb;
+pub mod frame;
 pub mod fuse;
 pub mod interp;
 pub mod lexer;
@@ -33,10 +34,10 @@ pub mod vm;
 pub use ast::Program;
 pub use compile::{compile, compile_rulebase, CompileOptions, CompileWarning, ConflictKind};
 pub use cost::{ProgramCost, RegisterCost, RuleBaseCost};
-pub use env::{InputMap, InputProvider, RegFile};
+pub use env::{InputMap, RegFile};
 pub use error::{Result, RuleError};
 pub use eval::{fire_reference, EventInstance, FireOutcome};
-pub use event::{Machine, StepWeights};
+pub use event::{Fired, Machine, StepWeights};
 pub use fcfb::FcfbKind;
 pub use interp::{CompiledProgram, CompiledRuleBase};
 pub use parser::parse;

@@ -24,6 +24,7 @@ pub fn parse(src: &str) -> Result<Program> {
         bounds: Vec::new(),
     };
     p.program()?;
+    p.prog.resolve_events();
     Ok(p.prog)
 }
 
@@ -105,11 +106,11 @@ impl Parser {
     }
 
     fn dom_size(&self, d: Domain) -> u64 {
-        d.size(&|t| self.prog.sym_size(t))
+        d.size(self.prog.sym_sizes())
     }
 
     fn full_set(&self, d: Domain) -> Result<Value> {
-        Value::full_set(d, &|t| self.prog.sym_size(t)).map_err(|e| match e {
+        Value::full_set(d, self.prog.sym_sizes()).map_err(|e| match e {
             RuleError::Eval { msg } => RuleError::Resolve { msg },
             other => other,
         })
@@ -179,7 +180,7 @@ impl Parser {
                     return Err(RuleError::resolve(format!("symbol type `{name}` is empty")));
                 }
                 let t = self.prog.sym_types.len();
-                self.prog.sym_types.push(SymType { name: name.clone(), symbols });
+                self.prog.declare_sym_type(SymType { name: name.clone(), symbols });
                 let dom = Domain::Sym(t);
                 self.domains.insert(name.clone(), dom);
                 let full = self.full_set(dom)?;
@@ -300,7 +301,7 @@ impl Parser {
         } else {
             self.default_value(elem)?
         };
-        self.prog.vars.push(VarDecl { name, index_domains, elem, init, pos });
+        self.prog.declare_var(VarDecl { name, index_domains, elem, init, pos });
         Ok(())
     }
 
@@ -313,7 +314,7 @@ impl Parser {
         let index_domains = self.index_domains()?;
         self.expect_kw(Kw::In)?;
         let elem = self.type_expr()?;
-        self.prog.inputs.push(InputDecl { name, index_domains, elem, pos });
+        self.prog.declare_input(InputDecl { name, index_domains, elem, pos });
         Ok(())
     }
 
@@ -431,7 +432,8 @@ impl Parser {
                     }
                     self.expect(&Tok::RParen)?;
                 }
-                Ok(Command::Emit { event, args })
+                let id = self.prog.intern_event(&event);
+                Ok(Command::Emit { event, id, args })
             }
             Tok::Kw(Kw::Forall) => {
                 self.bump();
@@ -742,10 +744,9 @@ impl Parser {
         if self.dom_size(dom) > 64 {
             return Err(RuleError::resolve("set literal domain exceeds 64 elements".to_string()));
         }
-        let ss = |t: usize| self.prog.sym_size(t);
         let mut mask = 0u64;
         for v in &vals {
-            let k = dom.ordinal(v, &ss).expect("element in derived domain");
+            let k = dom.ordinal(v, self.prog.sym_sizes()).expect("element in derived domain");
             mask |= 1 << k;
         }
         Ok((Expr::Lit(Value::Set { dom, mask }), Type::Set(dom)))

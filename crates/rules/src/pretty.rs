@@ -255,7 +255,7 @@ fn print_command_d(
             format!("{name}{idx} <- {}", print_expr_d(p, rb, value, binders, depth))
         }
         Command::Return(e) => format!("RETURN({})", print_expr_d(p, rb, e, binders, depth)),
-        Command::Emit { event, args } => {
+        Command::Emit { event, args, .. } => {
             let argv = args
                 .iter()
                 .map(|a| print_expr_d(p, rb, a, binders, depth))

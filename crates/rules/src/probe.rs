@@ -8,8 +8,10 @@
 //! the interpreter knowing anything about the profiler (the `ftr-obs`
 //! crate provides the standard implementation).
 //!
-//! The hooks are zero-cost when unused: the probed fire path is only
-//! taken when a probe is installed, and the unprobed path is unchanged.
+//! The hooks cost a branch per stage when unused: the clock is only read
+//! when a probe is installed.
+
+use std::time::Instant;
 
 /// One of the three interpretation stages of Figure 5/6.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -45,6 +47,28 @@ impl Stage {
 pub trait InterpProbe: Send + Sync {
     /// Records one stage execution.
     fn record_stage(&self, base: usize, stage: Stage, nanos: u64);
+}
+
+/// Times the stages of one interpretation of rule base `base` for `probe`,
+/// if there is one: each [`StageClock::lap`] reports the time since the
+/// previous one (or since [`StageClock::start`]) as the stage just ended.
+pub(crate) struct StageClock<'a> {
+    base: usize,
+    probe: Option<(&'a dyn InterpProbe, Instant)>,
+}
+
+impl<'a> StageClock<'a> {
+    pub(crate) fn start(base: usize, probe: Option<&'a dyn InterpProbe>) -> Self {
+        StageClock { base, probe: probe.map(|p| (p, Instant::now())) }
+    }
+
+    pub(crate) fn lap(&mut self, stage: Stage) {
+        if let Some((probe, since)) = &mut self.probe {
+            let now = Instant::now();
+            probe.record_stage(self.base, stage, (now - *since).as_nanos() as u64);
+            *since = now;
+        }
+    }
 }
 
 #[cfg(test)]

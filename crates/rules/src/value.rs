@@ -28,23 +28,25 @@ pub enum Domain {
 }
 
 impl Domain {
-    /// Number of elements, given the symbol-type table (needed for
-    /// [`Domain::Sym`]).
-    pub fn size(&self, sym_sizes: &dyn Fn(usize) -> usize) -> u64 {
+    /// Number of elements, given the size of each symbol type (needed for
+    /// [`Domain::Sym`]; [`crate::ast::Program::sym_sizes`] has them).
+    #[inline]
+    pub fn size(&self, sym_sizes: &[usize]) -> u64 {
         match *self {
             Domain::Int { lo, hi } => (hi - lo + 1) as u64,
-            Domain::Sym(t) => sym_sizes(t) as u64,
+            Domain::Sym(t) => sym_sizes[t] as u64,
             Domain::Bool => 2,
         }
     }
 
     /// Bits needed to store one element (`ceil(log2(size))`, min 1).
-    pub fn width_bits(&self, sym_sizes: &dyn Fn(usize) -> usize) -> u32 {
+    pub fn width_bits(&self, sym_sizes: &[usize]) -> u32 {
         let n = self.size(sym_sizes);
         ceil_log2(n).max(1)
     }
 
     /// The `k`-th element of the domain in canonical order.
+    #[inline]
     pub fn value_at(&self, k: u64) -> Value {
         match *self {
             Domain::Int { lo, .. } => Value::Int(lo + k as i64),
@@ -55,13 +57,14 @@ impl Domain {
 
     /// Canonical ordinal of a value, or `None` if it is outside the domain
     /// or of the wrong kind.
-    pub fn ordinal(&self, v: &Value, sym_sizes: &dyn Fn(usize) -> usize) -> Option<u64> {
+    #[inline]
+    pub fn ordinal(&self, v: &Value, sym_sizes: &[usize]) -> Option<u64> {
         match (*self, v) {
             (Domain::Int { lo, hi }, Value::Int(x)) if (lo..=hi).contains(x) => {
                 Some((x - lo) as u64)
             }
             (Domain::Sym(t), Value::Sym { ty, idx }) if *ty == t => {
-                ((*idx as usize) < sym_sizes(t)).then_some(*idx as u64)
+                ((*idx as usize) < sym_sizes[t]).then_some(*idx as u64)
             }
             (Domain::Bool, Value::Bool(b)) => Some(u64::from(*b)),
             _ => None,
@@ -69,7 +72,8 @@ impl Domain {
     }
 
     /// True if `v` is an element.
-    pub fn contains(&self, v: &Value, sym_sizes: &dyn Fn(usize) -> usize) -> bool {
+    #[inline]
+    pub fn contains(&self, v: &Value, sym_sizes: &[usize]) -> bool {
         self.ordinal(v, sym_sizes).is_some()
     }
 }
@@ -80,6 +84,17 @@ pub fn ceil_log2(n: u64) -> u32 {
         0
     } else {
         64 - (n - 1).leading_zeros()
+    }
+}
+
+/// The `n` lowest bits set: the bits of a set mask that stand for elements
+/// of an `n`-element domain (`n >= 64` keeps all of them).
+#[inline]
+pub fn low_mask(n: u64) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
     }
 }
 
@@ -102,7 +117,7 @@ impl Type {
 
     /// Storage width in bits: scalar = element width, set = one bit per
     /// element (the paper's hardware mapping).
-    pub fn width_bits(&self, sym_sizes: &dyn Fn(usize) -> usize) -> u32 {
+    pub fn width_bits(&self, sym_sizes: &[usize]) -> u32 {
         match *self {
             Type::Scalar(d) => d.width_bits(sym_sizes),
             Type::Set(d) => d.size(sym_sizes) as u32,
@@ -135,37 +150,44 @@ pub enum Value {
 
 impl Value {
     /// Extracts an integer or errors.
+    #[inline]
     pub fn as_int(&self) -> Result<i64> {
         match self {
             Value::Int(v) => Ok(*v),
-            other => Err(RuleError::eval(format!("expected integer, got {other:?}"))),
+            other => Err(other.is_not("integer")),
         }
     }
 
     /// Extracts a boolean or errors.
+    #[inline]
     pub fn as_bool(&self) -> Result<bool> {
         match self {
             Value::Bool(b) => Ok(*b),
-            other => Err(RuleError::eval(format!("expected boolean, got {other:?}"))),
+            other => Err(other.is_not("boolean")),
         }
     }
 
     /// Extracts a set or errors.
+    #[inline]
     pub fn as_set(&self) -> Result<(Domain, u64)> {
         match self {
             Value::Set { dom, mask } => Ok((*dom, *mask)),
-            other => Err(RuleError::eval(format!("expected set, got {other:?}"))),
+            other => Err(other.is_not("set")),
         }
     }
 
+    #[cold]
+    fn is_not(&self, kind: &str) -> RuleError {
+        RuleError::eval(format!("expected {kind}, got {self:?}"))
+    }
+
     /// The full set over a domain.
-    pub fn full_set(dom: Domain, sym_sizes: &dyn Fn(usize) -> usize) -> Result<Value> {
+    pub fn full_set(dom: Domain, sym_sizes: &[usize]) -> Result<Value> {
         let n = dom.size(sym_sizes);
         if n > 64 {
             return Err(RuleError::eval(format!("set domain too large ({n} > 64 elements)")));
         }
-        let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        Ok(Value::Set { dom, mask })
+        Ok(Value::Set { dom, mask: low_mask(n) })
     }
 
     /// The empty set over a domain.
@@ -189,42 +211,37 @@ impl fmt::Display for Value {
 mod tests {
     use super::*;
 
-    fn no_syms(_: usize) -> usize {
-        panic!("no symbol types in this test")
-    }
-
-    fn syms(t: usize) -> usize {
-        [5, 3][t]
-    }
+    const NO_SYMS: &[usize] = &[];
+    const SYMS: &[usize] = &[5, 3];
 
     #[test]
     fn int_domain_ordinals_roundtrip() {
         let d = Domain::Int { lo: -2, hi: 5 };
-        assert_eq!(d.size(&no_syms), 8);
-        assert_eq!(d.width_bits(&no_syms), 3);
+        assert_eq!(d.size(NO_SYMS), 8);
+        assert_eq!(d.width_bits(NO_SYMS), 3);
         for k in 0..8 {
             let v = d.value_at(k);
-            assert_eq!(d.ordinal(&v, &no_syms), Some(k));
+            assert_eq!(d.ordinal(&v, NO_SYMS), Some(k));
         }
-        assert_eq!(d.ordinal(&Value::Int(6), &no_syms), None);
-        assert_eq!(d.ordinal(&Value::Bool(true), &no_syms), None);
+        assert_eq!(d.ordinal(&Value::Int(6), NO_SYMS), None);
+        assert_eq!(d.ordinal(&Value::Bool(true), NO_SYMS), None);
     }
 
     #[test]
     fn sym_domain_checks_type() {
         let d = Domain::Sym(0);
-        assert_eq!(d.size(&syms), 5);
-        assert_eq!(d.width_bits(&syms), 3);
-        assert_eq!(d.ordinal(&Value::Sym { ty: 0, idx: 4 }, &syms), Some(4));
-        assert_eq!(d.ordinal(&Value::Sym { ty: 1, idx: 0 }, &syms), None);
-        assert_eq!(d.ordinal(&Value::Sym { ty: 0, idx: 5 }, &syms), None);
+        assert_eq!(d.size(SYMS), 5);
+        assert_eq!(d.width_bits(SYMS), 3);
+        assert_eq!(d.ordinal(&Value::Sym { ty: 0, idx: 4 }, SYMS), Some(4));
+        assert_eq!(d.ordinal(&Value::Sym { ty: 1, idx: 0 }, SYMS), None);
+        assert_eq!(d.ordinal(&Value::Sym { ty: 0, idx: 5 }, SYMS), None);
     }
 
     #[test]
     fn bool_domain() {
         let d = Domain::Bool;
-        assert_eq!(d.size(&no_syms), 2);
-        assert_eq!(d.width_bits(&no_syms), 1);
+        assert_eq!(d.size(NO_SYMS), 2);
+        assert_eq!(d.width_bits(NO_SYMS), 1);
         assert_eq!(d.value_at(1), Value::Bool(true));
     }
 
@@ -243,18 +260,18 @@ mod tests {
     #[test]
     fn set_width_is_one_bit_per_element() {
         let t = Type::Set(Domain::Int { lo: 0, hi: 6 });
-        assert_eq!(t.width_bits(&no_syms), 7);
+        assert_eq!(t.width_bits(NO_SYMS), 7);
         let s = Type::Scalar(Domain::Int { lo: 0, hi: 6 });
-        assert_eq!(s.width_bits(&no_syms), 3);
+        assert_eq!(s.width_bits(NO_SYMS), 3);
     }
 
     #[test]
     fn full_and_empty_sets() {
         let d = Domain::Int { lo: 0, hi: 3 };
-        let full = Value::full_set(d, &no_syms).unwrap();
+        let full = Value::full_set(d, NO_SYMS).unwrap();
         assert_eq!(full.as_set().unwrap().1, 0b1111);
         assert_eq!(Value::empty_set(d).as_set().unwrap().1, 0);
         let too_big = Domain::Int { lo: 0, hi: 80 };
-        assert!(Value::full_set(too_big, &no_syms).is_err());
+        assert!(Value::full_set(too_big, NO_SYMS).is_err());
     }
 }

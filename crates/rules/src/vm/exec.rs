@@ -3,106 +3,26 @@
 //! Execution of one interpretation follows the same three stages as the
 //! table interpreter: the premise block accumulates the mixed-radix table
 //! index, the kernel is one jump-table lookup, and the selected conclusion
-//! block queues effects into the [`Scratch`] frame, which commit with the
-//! parallel-write semantics of [`crate::eval::apply_rule`]. The probed
-//! variant records the exact `(base, stage)` sequence the table
-//! interpreter's `fire_probed` would — including the error cases (premise
-//! error: nothing recorded; kernel error: Premise only; conclusion error:
-//! all three stages recorded before the error returns).
+//! block queues effects into the [`Frame`] the table interpreter queues
+//! into, which commits them with the parallel-write semantics. The probe
+//! sees the exact `(base, stage)` sequence the table interpreter reports —
+//! including the error cases (premise error: nothing recorded; kernel
+//! error: Premise only; conclusion error: all three stages recorded before
+//! the error returns).
 
 use super::{BaseCode, Op, Slot, SlotRange};
 use crate::ast::Program;
-use crate::env::{InputProvider, RegFile};
+use crate::env::{InputMap, RegFile};
 use crate::error::{Result, RuleError};
-use crate::eval::{apply_bin, apply_builtin, values_equal, EventInstance, FireOutcome};
-use crate::probe::{InterpProbe, Stage};
-use crate::value::{Domain, Value};
-use std::time::Instant;
+use crate::eval::{absent, apply_bin, apply_builtin, FireOutcome, Members};
+use crate::frame::Frame;
+use crate::interp::not_a_digit;
+use crate::probe::{InterpProbe, Stage, StageClock};
+use crate::value::Value;
 
-/// Reusable per-machine execution frame: value slots, set iterators and
-/// the queued effects of the conclusion in flight. Owning one per
-/// [`crate::event::Machine`] means steady-state firing allocates nothing.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    slots: Vec<Value>,
-    iters: Vec<IterState>,
-    writes: Vec<QueuedWrite>,
-    emits: Vec<EventInstance>,
-    returned: Option<Value>,
-}
-
-#[derive(Debug)]
-struct QueuedWrite {
-    var: usize,
-    indices: Vec<Value>,
-    value: Value,
-}
-
-/// An in-progress set iteration (canonical ordinal order, like
-/// [`crate::eval::set_elements`]).
-#[derive(Clone, Copy, Debug)]
-struct IterState {
-    dom: Domain,
-    mask: u64,
-    size: u64,
-    pos: u64,
-}
-
-impl IterState {
-    fn idle() -> Self {
-        IterState { dom: Domain::Bool, mask: 0, size: 0, pos: 0 }
-    }
-}
-
-impl Scratch {
-    /// Creates an empty frame; it grows to fit whichever base fires.
-    pub fn new() -> Self {
-        Scratch::default()
-    }
-
-    fn reset(&mut self, code: &BaseCode) {
-        // The lowering only ever emits def-before-use slot accesses
-        // (every op writes its `dst` before any later op reads it, on
-        // every control-flow path — including entry into a conclusion
-        // block via the kernel jump), so values left over from the
-        // previous fire are unobservable and the buffers are grown, not
-        // cleared: reset stays O(1) on the steady-state fire path.
-        if self.slots.len() < code.slot_count as usize {
-            self.slots.resize(code.slot_count as usize, Value::Bool(false));
-        }
-        if self.iters.len() < code.iter_count as usize {
-            self.iters.resize(code.iter_count as usize, IterState::idle());
-        }
-        self.writes.clear();
-        self.emits.clear();
-        self.returned = None;
-    }
-
-    /// Applies the queued writes with the reference parallel-write
-    /// semantics — same pre-state reads, apply order, duplicate tolerance
-    /// and conflict error as [`crate::eval::apply_rule`].
-    fn commit(&mut self, prog: &Program, rule: usize, regs: &mut RegFile) -> Result<FireOutcome> {
-        let mut done: Vec<(usize, Vec<u64>, Value)> = Vec::new();
-        for w in &self.writes {
-            let ords = RegFile::ordinals(prog, w.var, &w.indices)?;
-            if let Some((_, _, prev)) = done.iter().find(|(v, o, _)| *v == w.var && *o == ords) {
-                if !values_equal(prog, prev, &w.value)? {
-                    return Err(RuleError::eval(format!(
-                        "conflicting parallel writes to `{}`",
-                        prog.vars[w.var].name
-                    )));
-                }
-                continue;
-            }
-            regs.write(prog, w.var, &w.indices, w.value)?;
-            done.push((w.var, ords, w.value));
-        }
-        Ok(FireOutcome {
-            rule: Some(rule),
-            returned: self.returned.take(),
-            emitted: std::mem::take(&mut self.emits),
-        })
-    }
+#[cold]
+fn off_the_end(pc: u32) -> RuleError {
+    RuleError::eval(format!("bytecode pc {pc} out of range"))
 }
 
 /// Why a code segment stopped.
@@ -118,8 +38,8 @@ struct Exec<'a> {
     code: &'a BaseCode,
     params: &'a [Value],
     regs: &'a RegFile,
-    inputs: &'a dyn InputProvider,
-    sc: &'a mut Scratch,
+    inputs: &'a InputMap,
+    sc: &'a mut Frame,
 }
 
 impl Exec<'_> {
@@ -134,11 +54,7 @@ impl Exec<'_> {
     fn run(&mut self, mut pc: u32) -> Result<Halt> {
         let mut acc = 0u64;
         loop {
-            let op = self
-                .code
-                .ops
-                .get(pc as usize)
-                .ok_or_else(|| RuleError::eval(format!("bytecode pc {pc} out of range")))?;
+            let op = self.code.ops.get(pc as usize).ok_or_else(|| off_the_end(pc))?;
             pc += 1;
             match op {
                 Op::Const { dst, v } => self.sc.slots[*dst as usize] = *v,
@@ -152,11 +68,8 @@ impl Exec<'_> {
                     self.sc.slots[*dst as usize] = v;
                 }
                 Op::ReadParam { param, dst } => {
-                    let v = self
-                        .params
-                        .get(*param as usize)
-                        .copied()
-                        .ok_or_else(|| RuleError::eval(format!("missing parameter {param}")))?;
+                    let v = self.params.get(*param as usize).copied();
+                    let v = v.ok_or_else(|| absent("missing parameter", *param as usize))?;
                     self.sc.slots[*dst as usize] = v;
                 }
                 Op::Not { src, dst } => {
@@ -186,35 +99,17 @@ impl Exec<'_> {
                     }
                 }
                 Op::IterInit { iter, src } => {
-                    let (dom, mask) = self.slot(*src).as_set()?;
-                    let ss = self.prog.sym_sizes();
-                    // A set value can hold at most 64 elements by
-                    // construction; the cap keeps the bit test in range.
-                    let size = dom.size(&ss).min(64);
-                    self.sc.iters[*iter as usize] = IterState { dom, mask, size, pos: 0 };
+                    self.sc.iters[*iter as usize] = Members::of(self.prog, &self.slot(*src))?;
                 }
-                Op::IterNext { iter, dst, exit } => {
-                    let st = &mut self.sc.iters[*iter as usize];
-                    let mut next = None;
-                    while st.pos < st.size {
-                        let k = st.pos;
-                        st.pos += 1;
-                        if st.mask & (1 << k) != 0 {
-                            next = Some(st.dom.value_at(k));
-                            break;
-                        }
-                    }
-                    match next {
-                        Some(v) => self.sc.slots[*dst as usize] = v,
-                        None => pc = *exit,
-                    }
-                }
+                Op::IterNext { iter, dst, exit } => match self.sc.iters[*iter as usize].next() {
+                    Some(v) => self.sc.slots[*dst as usize] = v,
+                    None => pc = *exit,
+                },
                 Op::DigitDirect { src, dom, stride } => {
                     let v = self.slot(*src);
-                    let ss = self.prog.sym_sizes();
-                    let d = dom.ordinal(&v, &ss).ok_or_else(|| {
-                        RuleError::eval(format!("direct feature value {v} outside {dom:?}"))
-                    })?;
+                    let d = dom
+                        .ordinal(&v, self.prog.sym_sizes())
+                        .ok_or_else(|| not_a_digit(&v, *dom))?;
                     acc += d * stride;
                 }
                 Op::DigitPred { src, stride } => {
@@ -224,30 +119,15 @@ impl Exec<'_> {
                 }
                 Op::Dispatch => return Ok(Halt::AtDispatch(acc)),
                 Op::QueueWrite { var, idx, val } => {
-                    let w = QueuedWrite {
-                        var: *var as usize,
-                        indices: self.sc.slots[idx.as_range()].to_vec(),
-                        value: self.slot(*val),
-                    };
-                    self.sc.writes.push(w);
+                    let cell = RegFile::cell(self.prog, *var as usize, self.vals(*idx));
+                    self.sc.queue_write(*var as usize, cell, self.slot(*val));
                 }
-                Op::QueueReturn { src } => {
-                    let v = self.slot(*src);
-                    match &self.sc.returned {
-                        Some(prev) if !values_equal(self.prog, prev, &v)? => {
-                            return Err(RuleError::eval(format!(
-                                "conflicting RETURN values {prev} vs {v}"
-                            )));
-                        }
-                        _ => self.sc.returned = Some(v),
-                    }
-                }
+                Op::QueueReturn { src } => self.sc.queue_return(self.prog, self.slot(*src))?,
                 Op::QueueEmit { event, args } => {
-                    let ev = EventInstance {
-                        event: self.code.events[*event as usize].clone(),
-                        args: self.sc.slots[args.as_range()].to_vec(),
-                    };
-                    self.sc.emits.push(ev);
+                    for slot in args.as_range() {
+                        self.sc.push_arg(self.sc.slots[slot]);
+                    }
+                    self.sc.queue_emit(*event as usize, args.count as usize);
                 }
                 Op::Commit { rule } => return Ok(Halt::Done(Some(*rule))),
                 Op::CommitGap => return Ok(Halt::Done(None)),
@@ -273,14 +153,14 @@ impl BaseCode {
         prog: &Program,
         params: &[Value],
         regs: &mut RegFile,
-        inputs: &dyn InputProvider,
-        scratch: &mut Scratch,
+        inputs: &InputMap,
+        frame: &mut Frame,
         target: u32,
-    ) -> Result<FireOutcome> {
-        let halt = Exec { prog, code: self, params, regs, inputs, sc: scratch }.run(target)?;
+    ) -> Result<Option<usize>> {
+        let halt = Exec { prog, code: self, params, regs, inputs, sc: frame }.run(target)?;
         match halt {
-            Halt::Done(None) => Ok(FireOutcome::default()),
-            Halt::Done(Some(rule)) => scratch.commit(prog, rule as usize, regs),
+            Halt::Done(None) => Ok(None),
+            Halt::Done(Some(rule)) => frame.commit(prog, regs).map(|()| Some(rule as usize)),
             Halt::AtDispatch(_) => {
                 Err(RuleError::eval("bytecode re-entered dispatch in a conclusion".to_string()))
             }
@@ -295,16 +175,11 @@ impl BaseCode {
         prog: &Program,
         params: &[Value],
         regs: &mut RegFile,
-        inputs: &dyn InputProvider,
-        scratch: &mut Scratch,
+        inputs: &InputMap,
+        scratch: &mut Frame,
     ) -> Result<FireOutcome> {
-        scratch.reset(self);
-        let halt = Exec { prog, code: self, params, regs, inputs, sc: scratch }.run(0)?;
-        let Halt::AtDispatch(idx) = halt else {
-            return Err(RuleError::eval("bytecode premise block did not dispatch".to_string()));
-        };
-        let target = self.kernel(idx)?;
-        self.conclude(prog, params, regs, inputs, scratch, target)
+        let rule = self.fire_in(prog, params, regs, inputs, scratch, None)?;
+        Ok(scratch.outcome(prog, rule))
     }
 
     /// Like [`BaseCode::fire`], but reports per-stage wall-clock cost to
@@ -315,23 +190,47 @@ impl BaseCode {
         prog: &Program,
         params: &[Value],
         regs: &mut RegFile,
-        inputs: &dyn InputProvider,
-        scratch: &mut Scratch,
+        inputs: &InputMap,
+        scratch: &mut Frame,
         probe: &dyn InterpProbe,
     ) -> Result<FireOutcome> {
-        scratch.reset(self);
-        let t0 = Instant::now();
-        let halt = Exec { prog, code: self, params, regs, inputs, sc: scratch }.run(0)?;
+        let rule = self.fire_in(prog, params, regs, inputs, scratch, Some(probe))?;
+        Ok(scratch.outcome(prog, rule))
+    }
+
+    /// The bytecode counterpart of
+    /// [`crate::interp::CompiledRuleBase::fire_in`].
+    pub(crate) fn fire_in(
+        &self,
+        prog: &Program,
+        params: &[Value],
+        regs: &mut RegFile,
+        inputs: &InputMap,
+        frame: &mut Frame,
+        probe: Option<&dyn InterpProbe>,
+    ) -> Result<Option<usize>> {
+        let mut clock = StageClock::start(self.rb, probe);
+        frame.begin();
+        // The lowering only ever emits def-before-use slot accesses (every
+        // op writes its `dst` before any later op reads it, on every
+        // control-flow path — including entry into a conclusion block via
+        // the kernel jump), so values left over from the previous fire are
+        // unobservable and the buffers are grown, not cleared.
+        if frame.slots.len() < self.slot_count as usize {
+            frame.slots.resize(self.slot_count as usize, Value::Bool(false));
+        }
+        if frame.iters.len() < self.iter_count as usize {
+            frame.iters.resize(self.iter_count as usize, Members::NONE);
+        }
+        let halt = Exec { prog, code: self, params, regs, inputs, sc: frame }.run(0)?;
         let Halt::AtDispatch(idx) = halt else {
             return Err(RuleError::eval("bytecode premise block did not dispatch".to_string()));
         };
-        let t1 = Instant::now();
-        probe.record_stage(self.rb, Stage::Premise, (t1 - t0).as_nanos() as u64);
+        clock.lap(Stage::Premise);
         let target = self.kernel(idx)?;
-        let t2 = Instant::now();
-        probe.record_stage(self.rb, Stage::Kernel, (t2 - t1).as_nanos() as u64);
-        let out = self.conclude(prog, params, regs, inputs, scratch, target);
-        probe.record_stage(self.rb, Stage::Conclusion, t2.elapsed().as_nanos() as u64);
-        out
+        clock.lap(Stage::Kernel);
+        let done = self.conclude(prog, params, regs, inputs, frame, target);
+        clock.lap(Stage::Conclusion);
+        done
     }
 }

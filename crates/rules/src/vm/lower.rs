@@ -38,7 +38,6 @@ pub(crate) fn lower_base(prog: &Program, cb: &CompiledRuleBase) -> Result<BaseCo
         iter_depth: 0,
         max_iter: 0,
         binders: Vec::new(),
-        events: Vec::new(),
     };
 
     // Premise block: feature digits in index order, least significant first.
@@ -87,7 +86,6 @@ pub(crate) fn lower_base(prog: &Program, cb: &CompiledRuleBase) -> Result<BaseCo
         jump_table: jump_table?,
         slot_count: lw.next_slot as u16,
         iter_count: lw.max_iter,
-        events: lw.events,
     })
 }
 
@@ -102,7 +100,6 @@ struct Lowerer<'a> {
     max_iter: u16,
     /// Binder slots, innermost last (`Bound(0)` = last).
     binders: Vec<Slot>,
-    events: Vec<String>,
 }
 
 impl Lowerer<'_> {
@@ -161,17 +158,6 @@ impl Lowerer<'_> {
             | Op::IterNext { exit: t, .. } => *t = target,
             other => unreachable!("patching non-jump op {other:?}"),
         }
-    }
-
-    fn event_index(&mut self, name: &str) -> Result<u16> {
-        if let Some(i) = self.events.iter().position(|e| e == name) {
-            return Ok(i as u16);
-        }
-        if self.events.len() >= u16::MAX as usize {
-            return Err(self.too_big("more than 65534 distinct emitted events"));
-        }
-        self.events.push(name.to_string());
-        Ok((self.events.len() - 1) as u16)
     }
 
     /// Lowers `exprs` into a freshly allocated contiguous slot range
@@ -334,9 +320,10 @@ impl Lowerer<'_> {
                     let src = self.expr(e)?;
                     self.ops.push(Op::QueueReturn { src });
                 }
-                Command::Emit { event, args } => {
+                Command::Emit { id, args, .. } => {
                     let args = self.expr_list(args)?;
-                    let event = self.event_index(event)?;
+                    let event = u16::try_from(*id)
+                        .map_err(|_| self.too_big("more than 65535 distinct emitted events"))?;
                     self.ops.push(Op::QueueEmit { event, args });
                 }
                 Command::ForAll { set, body, .. } => {

@@ -16,11 +16,11 @@
 //!   *code offsets* instead of rule indices (the direct-threaded part):
 //!   the kernel stage is a single indexed jump straight into the selected
 //!   rule's conclusion block, with gaps jumping to a shared gap exit;
-//! * conclusion semantics — writes/returns/emits queue into a scratch
-//!   frame and commit with the same parallel-write (pre-state read,
-//!   ordered apply, duplicate-tolerant conflict detection) rules as
-//!   [`crate::eval::apply_rule`], and builtins share
-//!   `crate::eval::apply_builtin` so the two backends cannot drift.
+//! * conclusion semantics — writes/returns/emits queue into the same
+//!   [`crate::frame::Frame`] the table interpreter uses and commit through
+//!   it (pre-state read, ordered apply, duplicate-tolerant conflict
+//!   detection), and builtins share `crate::eval::apply_builtin`, so the
+//!   two backends cannot drift.
 //!
 //! Layout of one lowered base ([`BaseCode`]): the op stream starts with the
 //! premise block (feature-digit computation accumulating the mixed-radix
@@ -37,7 +37,7 @@
 mod exec;
 mod lower;
 
-pub use exec::Scratch;
+pub use crate::frame::Frame as Scratch;
 
 use crate::ast::{BinOp, Builtin, Program};
 use crate::error::{Result, RuleError};
@@ -241,7 +241,7 @@ pub enum Op {
     },
     /// Queues an event emission.
     QueueEmit {
-        /// Index into [`BaseCode::events`].
+        /// Index into [`Program::events`].
         event: u16,
         /// Evaluated argument slots.
         args: SlotRange,
@@ -270,8 +270,6 @@ pub struct BaseCode {
     pub slot_count: u16,
     /// Scratch set iterators the code addresses.
     pub iter_count: u16,
-    /// Event names referenced by [`Op::QueueEmit`].
-    pub events: Vec<String>,
 }
 
 /// A complete lowered program: one [`BaseCode`] per compiled rule base.
@@ -439,7 +437,7 @@ fn validate_base(prog: &Program, bi: usize, code: &BaseCode, entries: usize) -> 
             }
             Op::QueueReturn { src } => slot(*src)?,
             Op::QueueEmit { event, args } => {
-                if *event as usize >= code.events.len() {
+                if *event as usize >= prog.events().len() {
                     return Err(bad(format!("base {bi}: event {event} out of range")));
                 }
                 range(*args)?;

@@ -12,7 +12,7 @@ fn randomize(prog: &ftrouter::rules::Program, rng: &mut StdRng) -> (RegFile, Inp
     let mut regs = RegFile::new(prog);
     for (vi, v) in prog.vars.iter().enumerate() {
         // enumerate all cells through their index domains
-        let dims: Vec<u64> = v.index_domains.iter().map(|d| d.size(&ss)).collect();
+        let dims: Vec<u64> = v.index_domains.iter().map(|d| d.size(ss)).collect();
         let cells: u64 = dims.iter().product::<u64>().max(1);
         for cell in 0..cells {
             // unflatten into index values
@@ -31,7 +31,7 @@ fn randomize(prog: &ftrouter::rules::Program, rng: &mut StdRng) -> (RegFile, Inp
     }
     let mut im = InputMap::new();
     for inp in &prog.inputs {
-        let dims: Vec<u64> = inp.index_domains.iter().map(|d| d.size(&ss)).collect();
+        let dims: Vec<u64> = inp.index_domains.iter().map(|d| d.size(ss)).collect();
         let cells: u64 = dims.iter().product::<u64>().max(1);
         for cell in 0..cells {
             let mut rest = cell;
@@ -58,11 +58,11 @@ fn random_value(
     let ss = prog.sym_sizes();
     match t {
         ftrouter::rules::Type::Scalar(d) => {
-            let n = d.size(&ss);
+            let n = d.size(ss);
             d.value_at(rng.gen_range(0..n))
         }
         ftrouter::rules::Type::Set(d) => {
-            let n = d.size(&ss);
+            let n = d.size(ss);
             let mask = rng.gen::<u64>() & ((1u64 << n) - 1).max(1);
             Value::Set { dom: *d, mask }
         }
@@ -90,7 +90,7 @@ fn compiled_interpreter_matches_reference_on_shipped_programs() {
                     .params
                     .iter()
                     .map(|p| {
-                        let n = p.dom.size(&ss);
+                        let n = p.dom.size(ss);
                         p.dom.value_at(rng.gen_range(0..n))
                     })
                     .collect();
