@@ -17,6 +17,9 @@
 //!   (§3's "no changes to the deadlock avoidance are necessary at all"),
 //! * [`rule_io`] — the message interface: the host↔program convention the
 //!   rule programs' `INPUT`/`VARIABLE` declarations follow, bound once,
+//! * [`vnet`] — the mesh data path's channel allocator: the NARA pair's
+//!   two-virtual-network discipline, shared by `nara`, `nafta`, the rule
+//!   host and the static lift,
 //! * [`spanning_tree`] — the §2.1 spanning-tree strawman,
 //! * [`conditions`] — empirical checks of conditions 1–3 and the
 //!   channel-dependency deadlock bridge.
@@ -32,6 +35,7 @@ pub mod rule_io;
 pub mod rules_src;
 pub mod spanning_tree;
 pub mod turn;
+pub mod vnet;
 
 pub use conditions::{build_cdg, check_conditions, ConditionsReport};
 pub use dor::{EcubeRouting, KAryDor, XyRouting};

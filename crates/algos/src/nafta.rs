@@ -31,7 +31,7 @@
 //!   step and in the worst case needs three".
 
 use crate::common::max_hops;
-use crate::nara::{required_vnet, VNET_NO_NORTH, VNET_NO_SOUTH};
+use crate::vnet::{Lane, MeshVcMode, VNET_NO_SOUTH};
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{
     ControlMsg, Decision, NodeController, RouterView, RoutingAlgorithm, Verdict,
@@ -301,42 +301,6 @@ impl NaftaController {
         out
     }
 
-    /// Directions a message may take inside its virtual network.
-    ///
-    /// Network 0 routes E/W/N only. Network 1 routes E/W/S plus a
-    /// *committed* north climb: a message may turn into north to recover
-    /// an overshot destination row, but only from the destination column,
-    /// and turns *out of* north are banned — once climbing it climbs until
-    /// delivery. 180-degree turns are banned in both networks. Messages may
-    /// switch networks 0 -> 1 (never back), so cross-network dependencies
-    /// are one-way and the combined channel dependency graph stays acyclic.
-    fn allowed_dirs(
-        &self,
-        vnet: u8,
-        in_port: Option<PortId>,
-        in_vc: Option<u8>,
-        dx: i32,
-        dy: i32,
-    ) -> Ports {
-        // committed climb: the message was *already in network 1* and
-        // moving north (a message that arrived northbound on channel 0 and
-        // switched networks is not climbing — it was escaping)
-        if in_vc == Some(VNET_NO_NORTH) && in_port == Some(SOUTH) {
-            return Ports::of(&[NORTH]);
-        }
-        let mut dirs = Ports::of(&[EAST, WEST]);
-        if vnet == VNET_NO_SOUTH {
-            dirs.push(NORTH);
-        } else {
-            dirs.push(SOUTH);
-            // terminal climb: only from the destination column
-            if dx == 0 && dy > 0 {
-                dirs.push(NORTH);
-            }
-        }
-        dirs.filtered(|d| Some(d) != in_port) // no 180-degree turns
-    }
-
     /// One-hop trap lookahead: would forwarding through `d` enter a node
     /// that (given the virtual network and the banned turns) has no exit?
     /// Uses the dead-link sets neighbours advertise over the control plane
@@ -346,44 +310,33 @@ impl NaftaController {
         if nb == dst {
             return false;
         }
-        let (dx2, dy2) = self.mesh.offset(nb, dst);
-        let vnet2 = Self::effective_vnet(vnet, dy2);
-        // exits the message would have at nb (arriving from opposite(d))
-        let exits = if vnet == VNET_NO_NORTH && d == NORTH {
-            Ports::of(&[NORTH]) // committed climb continues north
-        } else {
-            let entry = ftr_topo::mesh::opposite(d);
-            self.allowed_dirs(vnet2, Some(entry), Some(vnet), dx2, dy2)
-        };
-        !exits.as_slice().iter().any(|&e| {
-            self.mesh.neighbor(nb, e).is_some() && (self.nb_dead[d.idx()] >> e.idx()) & 1 == 0
+        // exits the message would have at nb, arriving from opposite(d)
+        let arrival = (ftr_topo::mesh::opposite(d), VcId(vnet));
+        let exits = MeshVcMode::NaraPair.lane(arrival, self.mesh.offset(nb, dst));
+        !ftr_topo::mesh::MESH_PORTS.iter().any(|&e| {
+            exits.permits(e)
+                && self.mesh.neighbor(nb, e).is_some()
+                && (self.nb_dead[d.idx()] >> e.idx()) & 1 == 0
         })
     }
 
-    /// The virtual network a message decides in: network 0 messages that
-    /// overshot their destination row (now need south) switch one-way to
-    /// network 1.
-    fn effective_vnet(in_vc: u8, dy: i32) -> u8 {
-        if in_vc == VNET_NO_SOUTH && dy < 0 {
-            VNET_NO_NORTH
-        } else {
-            in_vc
-        }
-    }
-
-    /// Candidate outputs for a message, with the step count of the
-    /// decision. Deterministic in (node, dst, vnet, in_port) so the same
-    /// function backs `route` and `relation`.
-    fn candidates(
+    /// The lanes the data path offers a head bound for `dst` here.
+    fn lanes(
         &self,
         dst: NodeId,
-        vnet: u8,
         in_port: Option<PortId>,
-        in_vc: Option<u8>,
-    ) -> (Ports, u32, bool) {
+        in_vc: VcId,
+    ) -> impl Iterator<Item = Lane> {
+        MeshVcMode::NaraPair.lanes(in_port.map(|p| (p, in_vc)), self.mesh.offset(self.node, dst))
+    }
+
+    /// Candidate outputs for a message in `lane`, with the step count of
+    /// the decision. Deterministic in (node, dst, lane) so the same
+    /// function backs `route` and `relation`.
+    fn candidates(&self, dst: NodeId, lane: Lane) -> (Ports, u32, bool) {
         let (dx, dy) = self.mesh.offset(self.node, dst);
-        let allowed = self.allowed_dirs(vnet, in_port, in_vc, dx, dy);
-        let allowed = |d: PortId| allowed.as_slice().contains(&d);
+        let vnet = lane.vnet;
+        let allowed = |d: PortId| lane.permits(d);
         let open = |d: PortId| !self.dir_blocked(d, dst) && !self.enters_trap(d, vnet, dst);
         // `Mesh2D::minimal_directions`, in its order: east/west first
         let mut minimal = Ports::of(&[]);
@@ -418,19 +371,6 @@ impl NaftaController {
         let prefs = if vertical_first { [vertical, h1, h2] } else { [h1, h2, vertical] };
         (Ports::of(&prefs).filtered(|d| allowed(d) && open(d)), 3, true)
     }
-
-    /// The virtual networks a head may decide in: the one it arrived on
-    /// (after the one-way switch), or at injection the one its row offset
-    /// requires — either, for pure horizontal movement. `one` backs the
-    /// single-network answer.
-    fn vnets(in_port: Option<PortId>, in_vc: VcId, dy: i32, one: &mut [u8; 1]) -> &[u8] {
-        one[0] = match (in_port, required_vnet(dy)) {
-            (Some(_), _) => Self::effective_vnet(in_vc.idx() as u8, dy),
-            (None, Some(v)) => v,
-            (None, None) => return &[VNET_NO_SOUTH, VNET_NO_NORTH],
-        };
-        one
-    }
 }
 
 impl NodeController for NaftaController {
@@ -447,13 +387,11 @@ impl NodeController for NaftaController {
         if view.node == h.dst {
             return Decision::new(Verdict::Deliver, 1);
         }
-        let (_, dy) = self.mesh.offset(view.node, h.dst);
-        let in_vc_opt = in_port.map(|_| in_vc.idx() as u8);
         let mut best: Option<(Ports, u32, bool, u8)> = None;
-        for &v in Self::vnets(in_port, in_vc, dy, &mut [0]) {
-            let (opts, steps, misroute) = self.candidates(h.dst, v, in_port, in_vc_opt);
+        for lane in self.lanes(h.dst, in_port, in_vc) {
+            let (opts, steps, misroute) = self.candidates(h.dst, lane);
             if opts.len != 0 && best.is_none_or(|(_, bsteps, _, _)| steps < bsteps) {
-                best = Some((opts, steps, misroute, v));
+                best = Some((opts, steps, misroute, lane.vnet));
             }
         }
         let Some((opts, steps, misroute, vnet)) = best else {
@@ -494,14 +432,12 @@ impl NodeController for NaftaController {
         if view.node == h.dst {
             return Vec::new();
         }
-        let (_, dy) = self.mesh.offset(view.node, h.dst);
-        let in_vc_opt = in_port.map(|_| in_vc.idx() as u8);
         let mut out = Vec::new();
-        for &v in Self::vnets(in_port, in_vc, dy, &mut [0]) {
-            let (opts, _steps, _mis) = self.candidates(h.dst, v, in_port, in_vc_opt);
+        for lane in self.lanes(h.dst, in_port, in_vc) {
+            let (opts, _steps, _mis) = self.candidates(h.dst, lane);
             for &p in opts.as_slice() {
                 if view.link_alive[p.idx()] {
-                    out.push((p, VcId(v)));
+                    out.push((p, VcId(lane.vnet)));
                 }
             }
         }

@@ -1,13 +1,8 @@
 //! NARA — the non-fault-tolerant, fully adaptive minimal mesh router
 //! underlying NAFTA (Cunningham & Avresky \[CuA95\], as described in §2.2).
 //!
-//! Deadlock prevention follows the turn-model scheme the paper sketches:
-//! "Two virtual channels are used per link forming two virtual networks,
-//! called south-last and north-last. By prohibiting a direction change for
-//! messages that once have been transmitted southern (resp. northern),
-//! cycles of dependencies are avoided."
-//!
-//! Concretely: virtual network 0 never routes south, network 1 never routes
+//! Deadlock prevention is the data path's two-virtual-network discipline
+//! ([`crate::vnet`]): network 0 never routes south, network 1 never routes
 //! north. A message needing to travel north is injected into network 0,
 //! where *every* turn among {E, W, N} is legal — a dependency cycle in a
 //! mesh must contain both a north and a south hop, so each network is
@@ -16,35 +11,10 @@
 //! with the least data still assigned to it.
 
 use crate::common::{allocatable, least_loaded, max_hops};
+use crate::vnet::MeshVcMode;
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{Decision, NodeController, RouterView, RoutingAlgorithm, Verdict};
-use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, NORTH, SOUTH};
-
-/// Virtual network 0: may route E/W/N (south-last-free).
-pub const VNET_NO_SOUTH: u8 = 0;
-/// Virtual network 1: may route E/W/S.
-pub const VNET_NO_NORTH: u8 = 1;
-
-/// Returns the virtual network a message must use, or `None` when either
-/// works (pure horizontal movement).
-pub fn required_vnet(dy: i32) -> Option<u8> {
-    if dy > 0 {
-        Some(VNET_NO_SOUTH)
-    } else if dy < 0 {
-        Some(VNET_NO_NORTH)
-    } else {
-        None
-    }
-}
-
-/// True if `dir` is legal inside virtual network `vnet`.
-pub fn dir_allowed(vnet: u8, dir: PortId) -> bool {
-    match vnet {
-        VNET_NO_SOUTH => dir != SOUTH,
-        VNET_NO_NORTH => dir != NORTH,
-        _ => false,
-    }
-}
+use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId};
 
 /// The NARA algorithm.
 #[derive(Clone)]
@@ -87,13 +57,22 @@ struct NaraController {
 }
 
 impl NaraController {
-    /// Minimal directions legal in `vnet`.
-    fn candidates(&self, node: NodeId, dst: NodeId, vnet: u8) -> Vec<(PortId, VcId)> {
-        self.mesh
-            .minimal_directions(node, dst)
-            .into_iter()
-            .filter(|&d| dir_allowed(vnet, d))
-            .map(|d| (d, VcId(vnet)))
+    /// Minimal directions the data path permits, on each virtual network
+    /// the head may decide in (fixed at injection; in flight, the arrival VC).
+    fn candidates(
+        &self,
+        node: NodeId,
+        dst: NodeId,
+        in_port: Option<PortId>,
+        in_vc: VcId,
+    ) -> Vec<(PortId, VcId)> {
+        let minimal = self.mesh.minimal_directions(node, dst);
+        MeshVcMode::NaraPair
+            .lanes(in_port.map(|p| (p, in_vc)), self.mesh.offset(node, dst))
+            .flat_map(|lane| {
+                let legal = minimal.iter().filter(move |&&d| lane.permits(d));
+                legal.map(move |&d| (d, VcId(lane.vnet)))
+            })
             .collect()
     }
 }
@@ -112,34 +91,12 @@ impl NodeController for NaraController {
         if view.node == h.dst {
             return Decision::new(Verdict::Deliver, 1);
         }
-        let (_, dy) = self.mesh.offset(view.node, h.dst);
-        // the virtual network is fixed at injection; in flight it equals
-        // the arrival VC
-        let vnets: Vec<u8> = if in_port.is_some() {
-            vec![in_vc.idx() as u8]
-        } else {
-            match required_vnet(dy) {
-                Some(v) => vec![v],
-                None => vec![VNET_NO_SOUTH, VNET_NO_NORTH],
-            }
-        };
-
-        let mut all: Vec<(PortId, VcId)> = Vec::new();
-        let mut any_alive = false;
-        for &v in &vnets {
-            for (p, vc) in self.candidates(view.node, h.dst, v) {
-                if view.link_alive[p.idx()] {
-                    any_alive = true;
-                }
-                all.push((p, vc));
-            }
-        }
-        let avail = allocatable(view, &all);
-        if let Some((p, vc)) = least_loaded(view, &avail) {
+        let all = self.candidates(view.node, h.dst, in_port, in_vc);
+        if let Some((p, vc)) = least_loaded(view, &allocatable(view, &all)) {
             h.vnet = vc.idx() as u8;
             return Decision::new(Verdict::Route(p, vc), 1);
         }
-        if any_alive {
+        if all.iter().any(|(p, _)| view.link_alive[p.idx()]) {
             Decision::new(Verdict::Wait, 1)
         } else {
             // NARA has no fault handling: a broken minimal path is fatal
@@ -154,23 +111,9 @@ impl NodeController for NaraController {
         in_port: Option<PortId>,
         in_vc: VcId,
     ) -> Vec<(PortId, VcId)> {
-        if view.node == h.dst {
-            return Vec::new();
-        }
-        let (_, dy) = self.mesh.offset(view.node, h.dst);
-        let vnets: Vec<u8> = if in_port.is_some() {
-            vec![in_vc.idx() as u8]
-        } else {
-            match required_vnet(dy) {
-                Some(v) => vec![v],
-                None => vec![VNET_NO_SOUTH, VNET_NO_NORTH],
-            }
-        };
-        vnets
-            .iter()
-            .flat_map(|&v| self.candidates(view.node, h.dst, v))
-            .filter(|(p, _)| view.link_alive[p.idx()])
-            .collect()
+        let mut out = self.candidates(view.node, h.dst, in_port, in_vc);
+        out.retain(|(p, _)| view.link_alive[p.idx()]);
+        out
     }
 }
 
@@ -178,16 +121,22 @@ impl NodeController for NaraController {
 mod tests {
     use super::*;
     use ftr_sim::{Network, Pattern, TrafficSource};
+    use ftr_topo::{EAST, NORTH, SOUTH};
     use std::sync::Arc;
 
     #[test]
     fn vnet_selection() {
-        assert_eq!(required_vnet(3), Some(VNET_NO_SOUTH));
-        assert_eq!(required_vnet(-1), Some(VNET_NO_NORTH));
-        assert_eq!(required_vnet(0), None);
-        assert!(dir_allowed(VNET_NO_SOUTH, NORTH));
-        assert!(!dir_allowed(VNET_NO_SOUTH, SOUTH));
-        assert!(!dir_allowed(VNET_NO_NORTH, NORTH));
+        // the network is fixed at injection from the row offset — either,
+        // for pure horizontal movement — and in flight is the arrival VC
+        let mesh = Mesh2D::new(4, 4);
+        let ctl = NaraController { mesh: mesh.clone(), hop_limit: 0 };
+        let at = |x, y| mesh.node_at(x, y);
+        let inject = |dst| ctl.candidates(at(1, 1), dst, None, VcId(0));
+        assert_eq!(inject(at(2, 3)), [(EAST, VcId(0)), (NORTH, VcId(0))]);
+        assert_eq!(inject(at(2, 0)), [(EAST, VcId(1)), (SOUTH, VcId(1))]);
+        assert_eq!(inject(at(3, 1)), [(EAST, VcId(0)), (EAST, VcId(1))]);
+        let west = Some(ftr_topo::WEST);
+        assert_eq!(ctl.candidates(at(1, 1), at(3, 1), west, VcId(1)), [(EAST, VcId(1))]);
     }
 
     #[test]

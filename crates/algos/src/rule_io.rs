@@ -15,6 +15,7 @@
 //! against the declared domains (`fits`). After that the `load*` methods
 //! write one decision's inputs by index and cannot fail.
 
+use crate::vnet::{Lane, MeshVcMode};
 use ftr_rules::ast::{Program, RuleBase};
 use ftr_rules::{Domain, InputMap, RegFile, Result, RuleError, Type, Value};
 
@@ -210,10 +211,28 @@ impl MeshIo {
         Self::resolve(prog, (0, 0, 0))
     }
 
+    /// The data path this program gets, derived from its own declarations:
+    /// `invc` over exactly two networks is the NARA pair, anything else one
+    /// network. Host and lift both ask here, so neither can be told otherwise.
+    pub fn mode(&self, prog: &Program) -> MeshVcMode {
+        match self.invc.map(|i| prog.inputs[i].elem.domain()) {
+            Some(Domain::Int { lo: 0, hi: 1 }) => MeshVcMode::NaraPair,
+            _ => MeshVcMode::SingleVc,
+        }
+    }
+
     /// Checks that the coordinates of a `width` × `height` mesh and `vcs`
-    /// virtual channels stay inside the domains the program declares.
+    /// virtual channels stay inside the domains the program declares, and
+    /// that a two-network program gets exactly its two channels.
     pub fn fits(&self, prog: &Program, width: u32, height: u32, vcs: usize) -> Result<()> {
-        Self::resolve(prog, (width as usize, height as usize, vcs)).map(|_| ())
+        Self::resolve(prog, (width as usize, height as usize, vcs))?;
+        if self.mode(prog) == MeshVcMode::NaraPair && vcs != 2 {
+            return Err(RuleError::resolve(format!(
+                "`invc` is declared over two virtual networks, so the program runs on the NARA \
+                 pair data path, which needs exactly 2 virtual channels, not {vcs}"
+            )));
+        }
+        Ok(())
     }
 
     /// Configuration time: loads the node's coordinates.
@@ -222,15 +241,38 @@ impl MeshIo {
         write(regs, prog, self.ypos, Value::Int(i64::from(y)));
     }
 
-    /// Overwrites the fault knowledge a program's own fault bases would
-    /// have accumulated (the static lift enumerates it instead).
-    pub fn set_fault_view(
+    /// Presents one decision to the program — the one way a host (the
+    /// live router, the static lift) does it. `invc` is the lane's
+    /// network, and a direction exists for the program only where the
+    /// link is alive *and* the data path permits it: `free`, `linkok` and
+    /// the `usable` register all carry live ∩ permitted, so the program
+    /// chooses among legal directions. Returns that mask — the directions
+    /// the program may answer with, leaving on VC `lane.vnet`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn present(
         &self,
         prog: &Program,
         regs: &mut RegFile,
-        usable: u64,
-        de: (bool, bool),
-    ) {
+        im: &mut InputMap,
+        dst: (u32, u32),
+        lane: Lane,
+        dead_ends: (bool, bool),
+        port: impl Fn(usize) -> PortInfo,
+    ) -> u8 {
+        let ports: [PortInfo; MESH_PORTS] = std::array::from_fn(|d| {
+            let p = port(d);
+            PortInfo { linkok: p.linkok && lane.permits(ftr_topo::PortId(d as u8)), ..p }
+        });
+        let open = (0..MESH_PORTS).filter(|&d| ports[d].linkok).fold(0, |m, d| m | 1 << d);
+        self.set_fault_view(prog, regs, u64::from(open), dead_ends);
+        self.load(prog, im, dst, lane.vnet as usize, |d| ports[d]);
+        open
+    }
+
+    /// Overwrites the fault knowledge a program's own fault bases would
+    /// have accumulated: the live router has no such bases wired and
+    /// reports what it sees, the static lift enumerates it.
+    fn set_fault_view(&self, prog: &Program, regs: &mut RegFile, usable: u64, de: (bool, bool)) {
         if let Some(i) = self.usable {
             let dom = prog.vars[i].elem.domain();
             write(regs, prog, self.usable, Value::Set { dom, mask: usable });
@@ -241,7 +283,7 @@ impl MeshIo {
 
     /// Writes one decision's inputs: the header fields and, per port, what
     /// `port` reports. A dead link is never `free`; `out_queue` saturates.
-    pub fn load(
+    fn load(
         &self,
         prog: &Program,
         im: &mut InputMap,

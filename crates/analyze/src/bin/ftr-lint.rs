@@ -23,9 +23,9 @@
 //!                      span, rule base) plus optimizer summaries, so CI
 //!                      can diff lint output instead of grepping text
 //!   --deadlock SPEC    additionally run the CDG deadlock verifier on
-//!                      each program; SPEC is mesh:WxH or cube:D
-//!   --mode MODE        mesh virtual-channel discipline: single | nara
-//!                      (default: single)
+//!                      each program, on the data path its declarations
+//!                      select; SPEC is mesh:WxH or cube:D. A program that
+//!                      makes no decision on SPEC is reported as skipped
 //!   --max-faults N     verify all link-fault sets up to size N
 //!                      (default: 0, fault-free only)
 //!   --max-sets N       cap on enumerated fault scenarios (default: 512,
@@ -40,8 +40,8 @@
 //! ```
 
 use ftr_analyze::{
-    analyze_source_with, opt, verify_cube, verify_mesh, CubeProgramLift, Diagnostic, LintOptions,
-    MeshProgramLift, MeshVcMode, Rewrite, Severity, TopoFacts,
+    analyze_source_with, opt, CubeProgramLift, Diagnostic, LintOptions, MeshProgramLift, Rewrite,
+    Severity, TopoFacts,
 };
 use ftr_obs::json::Obj;
 use ftr_topo::{Hypercube, Mesh2D};
@@ -56,7 +56,6 @@ struct Options {
     mesh: Option<(u32, u32)>,
     json: bool,
     deadlock: Option<String>,
-    mode: MeshVcMode,
     max_faults: usize,
     max_sets: usize,
     verbose: bool,
@@ -65,8 +64,8 @@ struct Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: ftr-lint [--builtin] [--absint] [--progress] [--optimize] [--mesh WxH] \
-         [--format text|json] [--deadlock mesh:WxH|cube:D] [--mode single|nara] \
-         [--max-faults N] [--max-sets N] [--verbose] [FILE.rules ...]"
+         [--format text|json] [--deadlock mesh:WxH|cube:D] [--max-faults N] [--max-sets N] \
+         [--verbose] [FILE.rules ...]"
     );
     ExitCode::from(2)
 }
@@ -90,7 +89,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         mesh: None,
         json: false,
         deadlock: None,
-        mode: MeshVcMode::SingleVc,
         max_faults: 0,
         max_sets: 512,
         verbose: false,
@@ -114,13 +112,6 @@ fn parse_args() -> Result<Options, ExitCode> {
                 }
             }
             "--deadlock" => opts.deadlock = Some(args.next().ok_or_else(usage)?),
-            "--mode" => {
-                opts.mode = match args.next().as_deref() {
-                    Some("single") => MeshVcMode::SingleVc,
-                    Some("nara") => MeshVcMode::NaraPair,
-                    _ => return Err(usage()),
-                }
-            }
             "--max-faults" => {
                 opts.max_faults = args.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?
             }
@@ -154,19 +145,18 @@ fn run_deadlock(
     analysis: &ftr_analyze::Analysis,
     opts: &Options,
 ) -> Result<(String, bool), ExitCode> {
-    // the verifiers panic on a program their lift refuses; ask the lift first
     let refused = |e: ftr_rules::RuleError| {
         eprintln!("ftr-lint: {name}: cannot verify on {spec}: {e}");
         ExitCode::from(2)
     };
+    let compiled = analysis.compiled.clone();
     let report = if let Some(wh) = spec.strip_prefix("mesh:") {
         let (w, h) = parse_wh(wh).ok_or_else(|| {
             eprintln!("ftr-lint: bad mesh spec: {spec}");
             ExitCode::from(2)
         })?;
-        MeshProgramLift::new(analysis.compiled.clone(), Mesh2D::new(w, h), opts.mode)
-            .map_err(refused)?;
-        verify_mesh(name, &analysis.compiled, w, h, opts.mode, opts.max_faults, opts.max_sets)
+        let lift = MeshProgramLift::new(compiled, Mesh2D::new(w, h)).map_err(refused)?;
+        lift.verify(name, opts.max_faults, opts.max_sets)
     } else if let Some(d) = spec.strip_prefix("cube:") {
         let d: u32 = d.parse().map_err(|_| usage())?;
         // the direction/free masks in the program lift are u8 bit sets
@@ -174,8 +164,8 @@ fn run_deadlock(
             eprintln!("ftr-lint: cube dimension must be in 1..=8: {spec}");
             return Err(ExitCode::from(2));
         }
-        CubeProgramLift::new(analysis.compiled.clone(), Hypercube::new(d)).map_err(refused)?;
-        verify_cube(name, &analysis.compiled, d, opts.max_faults, opts.max_sets)
+        let lift = CubeProgramLift::new(compiled, Hypercube::new(d)).map_err(refused)?;
+        lift.verify(name, opts.max_faults, opts.max_sets)
     } else {
         return Err(usage());
     };

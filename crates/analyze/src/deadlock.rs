@@ -13,51 +13,30 @@
 //! freedom.
 //!
 //! Virtual-channel assignment is the *data path's* job, not the rule
-//! program's (§2.2): NARA/NAFTA programs compute directions and rely on
-//! the two-virtual-network discipline (network 0 routes E/W/N, network 1
-//! routes E/W/S plus a committed north climb, one-way 0→1 switching, no
-//! 180° turns) being enforced by the channel allocator. The
-//! [`MeshVcMode::NaraPair`] lift models exactly that discipline —
-//! mirroring `ftr_algos::nafta` — while [`MeshVcMode::SingleVc`] models
-//! the plain single-network data path of the rule router.
+//! program's (§2.2): a mesh program computes directions, and the channel
+//! allocator ([`ftr_algos::vnet`]) says which virtual network a head
+//! decides in and which directions it may take there. The lift asks the
+//! same allocator the live router does, selected the same way
+//! ([`MeshIo::mode`]: derived from the program's own declarations, never
+//! chosen), and presents each decision through the same function
+//! ([`MeshIo::present`]) — so the relation proved acyclic here contains
+//! every decision the rule host can make.
 //!
 //! Verification then exhausts destinations (via the CDG construction) and
 //! fault sets up to a configurable budget, reporting a concrete cycle
 //! witness on failure.
 
 use ftr_algos::rule_io::{self, CubeIo, DirSets, MeshIo, PortInfo, Ret, DECIDE_DIR, DECIDE_VC};
+use ftr_algos::vnet::Lane;
+pub use ftr_algos::vnet::MeshVcMode;
 use ftr_rules::value::{Type, Value};
 use ftr_rules::{CompiledProgram, InputMap, Machine, Program, RegFile, Result};
 use ftr_topo::cdg::{Channel, ChannelDependencyGraph};
 use ftr_topo::faults::SimpleRng;
 use ftr_topo::mesh::MESH_PORTS;
-use ftr_topo::{FaultSet, Hypercube, Mesh2D, NodeId, PortId, Topology, VcId, EAST, NORTH, SOUTH};
+use ftr_topo::{FaultSet, Hypercube, Mesh2D, NodeId, PortId, Topology, VcId};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
-
-/// Virtual network 0 of the NARA pair: may route E/W/N.
-const VNET_NO_SOUTH: u8 = 0;
-/// Virtual network 1: may route E/W/S (plus the committed north climb).
-const VNET_NO_NORTH: u8 = 1;
-
-/// How the data path assigns virtual channels to the directions a mesh
-/// program returns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MeshVcMode {
-    /// One virtual network: every decision stays on the arrival VC.
-    SingleVc,
-    /// The NARA/NAFTA two-virtual-network discipline (§2.2).
-    NaraPair,
-}
-
-impl MeshVcMode {
-    fn num_vcs(self) -> usize {
-        match self {
-            MeshVcMode::SingleVc => 1,
-            MeshVcMode::NaraPair => 2,
-        }
-    }
-}
 
 /// One falsification: a fault scenario whose channel dependency graph
 /// contains a cycle.
@@ -81,6 +60,10 @@ pub struct DeadlockReport {
     pub num_vcs: usize,
     /// Number of fault scenarios whose CDG was built and checked.
     pub fault_sets_checked: usize,
+    /// Most channels any message could occupy in one scenario; zero means
+    /// the program makes no routing decision on this topology (a cube
+    /// program on a mesh, a mesh program on a cube) and nothing was proved.
+    pub channels_used: usize,
     /// Scenarios with a dependency cycle (empty ⇒ deadlock-free for every
     /// checked scenario).
     pub failures: Vec<CycleWitness>,
@@ -94,7 +77,9 @@ impl DeadlockReport {
 
     /// One-paragraph human-readable summary.
     pub fn summary(&self) -> String {
-        if self.verified() {
+        if self.channels_used == 0 {
+            format!("{}: skipped on {} — does not drive this topology", self.program, self.topology)
+        } else if self.verified() {
             format!(
                 "{}: deadlock-free on {} ({} VCs) — CDG acyclic for all {} fault scenarios",
                 self.program, self.topology, self.num_vcs, self.fault_sets_checked
@@ -136,13 +121,14 @@ fn reset_to_defaults(im: &mut InputMap, prog: &Program) {
 /// Lifts a compiled 2-D mesh program (the [`MeshIo`] convention of the
 /// rule router) into a routing relation. Decisions are memoised on
 /// everything they can depend on: (node, destination, virtual network,
-/// usable-direction mask, dead-end flags).
+/// open-direction mask, dead-end flags).
 pub struct MeshProgramLift {
     mesh: Mesh2D,
     prog: Program,
     io: MeshIo,
-    /// The entry event (the rule-router convention); a program without one
-    /// lifts to the empty relation.
+    /// The entry event (the rule-router convention); a program without
+    /// one, or one that cannot read where the message is going, makes no
+    /// routing decision on a mesh and lifts to the empty relation.
     entry: Option<String>,
     mode: MeshVcMode,
     machine: RefCell<Machine>,
@@ -152,16 +138,21 @@ pub struct MeshProgramLift {
 }
 
 impl MeshProgramLift {
-    /// Creates the lift. Fails if the program declares a name of the
-    /// message interface differently, or for a smaller mesh than `mesh`.
-    pub fn new(compiled: CompiledProgram, mesh: Mesh2D, mode: MeshVcMode) -> Result<Self> {
+    /// Creates the lift on the data path the program's declarations
+    /// select. Fails if the program declares a name of the message
+    /// interface differently, or for a smaller mesh than `mesh`.
+    pub fn new(compiled: CompiledProgram, mesh: Mesh2D) -> Result<Self> {
         let prog = compiled.prog.clone();
         let io = MeshIo::bind(&prog)?;
+        let mode = io.mode(&prog);
         io.fits(&prog, mesh.width(), mesh.height(), mode.num_vcs())?;
         Ok(MeshProgramLift {
             mesh,
             io,
-            entry: rule_io::entry(&prog).ok().map(|rb| rb.name.clone()),
+            entry: rule_io::entry(&prog)
+                .ok()
+                .filter(|_| io.xdes.is_some() && io.ydes.is_some())
+                .map(|rb| rb.name.clone()),
             prog,
             mode,
             machine: RefCell::new(Machine::from_compiled(compiled)),
@@ -170,7 +161,12 @@ impl MeshProgramLift {
         })
     }
 
-    /// Number of virtual channels the mode models.
+    /// The data path the program gets.
+    pub fn mode(&self) -> MeshVcMode {
+        self.mode
+    }
+
+    /// Number of virtual channels that data path models.
     pub fn num_vcs(&self) -> usize {
         self.mode.num_vcs()
     }
@@ -182,12 +178,13 @@ impl MeshProgramLift {
         &self,
         cur: NodeId,
         dst: NodeId,
-        invc: u8,
-        usable_mask: u8,
+        lane: Lane,
+        live: u8,
         dead_ends: (bool, bool),
     ) -> Vec<u8> {
         let Some(entry) = self.entry.as_deref() else { return Vec::new() };
-        let key = (cur.0, dst.0, invc, usable_mask, dead_ends.0, dead_ends.1);
+        let open = live & lane.permitted;
+        let key = (cur.0, dst.0, lane.vnet, open, dead_ends.0, dead_ends.1);
         if let Some(hit) = self.memo.borrow().get(&key) {
             return hit.clone();
         }
@@ -196,31 +193,27 @@ impl MeshProgramLift {
         // every pattern below overwrites the same cells, so one reset serves all
         reset_to_defaults(&mut im, &self.prog);
 
-        // free patterns: everything usable free, each usable direction
-        // alone, and nothing free (the escalation path)
-        let mut free_patterns: Vec<u8> = vec![usable_mask, 0];
-        for d in 0..4u8 {
-            if usable_mask & (1 << d) != 0 {
-                free_patterns.push(1 << d);
-            }
-        }
+        // free patterns: everything open free, each open direction alone,
+        // and nothing free (the escalation path)
+        let mut free_patterns: Vec<u8> = vec![open, 0];
+        free_patterns.extend((0..4).map(|d| 1 << d).filter(|bit| open & bit != 0));
         for fp in free_patterns {
             // queue patterns: each direction as the unique argmin
             for qmin in 0..4usize {
                 let regs = machine.regs_mut();
                 *regs = RegFile::new(&self.prog);
                 self.io.init_node(&self.prog, regs, self.mesh.coords(cur));
-                self.io.set_fault_view(&self.prog, regs, u64::from(usable_mask), dead_ends);
-                self.io.load(&self.prog, &mut im, self.mesh.coords(dst), invc as usize, |d| {
+                let dst = self.mesh.coords(dst);
+                let legal = self.io.present(&self.prog, regs, &mut im, dst, lane, dead_ends, |d| {
                     PortInfo {
                         free: fp & (1 << d) != 0,
-                        linkok: usable_mask & (1 << d) != 0,
+                        linkok: live & (1 << d) != 0,
                         out_queue: if d == qmin { 0 } else { 9 },
                     }
                 });
                 if let Ok(casc) = machine.fire_cascade(entry, &[], &im) {
                     if let Some(Ret::Dir(d)) = casc.last_return().map(rule_io::decode) {
-                        if d < 4 && usable_mask & (1 << d) != 0 {
+                        if d < 4 && legal >> d & 1 != 0 {
                             out.insert(d);
                         }
                     }
@@ -232,51 +225,24 @@ impl MeshProgramLift {
         dirs
     }
 
-    /// Directions the data path permits inside virtual network `vnet`
-    /// (mirrors the native NAFTA discipline; the committed climb is
-    /// handled by the caller).
-    fn allowed(vnet: u8, in_port: Option<PortId>, dx: i32, dy: i32) -> Vec<PortId> {
-        let mut dirs = vec![EAST, ftr_topo::WEST];
-        if vnet == VNET_NO_SOUTH {
-            dirs.push(NORTH);
-        } else {
-            dirs.push(SOUTH);
-            // terminal climb: only from the destination column
-            if dx == 0 && dy > 0 {
-                dirs.push(NORTH);
-            }
-        }
-        dirs.retain(|&d| Some(d) != in_port); // no 180° turns
-        dirs
-    }
-
-    /// One-way network switch: a network-0 message that overshot its
-    /// destination row decides in network 1.
-    fn effective_vnet(in_vc: u8, dy: i32) -> u8 {
-        if in_vc == VNET_NO_SOUTH && dy < 0 {
-            VNET_NO_NORTH
-        } else {
-            in_vc
-        }
-    }
-
     /// The full routing relation under a fault set, in the closure form
-    /// [`ChannelDependencyGraph::build`] expects.
+    /// [`ChannelDependencyGraph::build`] expects: the union over every
+    /// lane the allocator offers (both networks at a horizontal
+    /// injection, where the host takes the first).
     #[allow(clippy::type_complexity)]
     pub fn relation<'s>(
         &'s self,
         faults: &'s FaultSet,
     ) -> impl Fn(NodeId, Option<(PortId, VcId)>, NodeId) -> Vec<(PortId, VcId)> + 's {
         move |cur, inc, dst| {
-            let mut usable: u8 = 0;
+            let mut live: u8 = 0;
             for &p in &MESH_PORTS {
                 if let Some(nb) = self.mesh.neighbor(cur, p) {
                     if faults.link_usable(&self.mesh, cur, p) && !faults.node_faulty(nb) {
-                        usable |= 1 << p.idx();
+                        live |= 1 << p.idx();
                     }
                 }
             }
-            let (dx, dy) = self.mesh.offset(cur, dst);
             // dead-end flags depend on global fault knowledge; enumerate
             // both values of each (conservative union)
             let de_combos: &[(bool, bool)] = if self.io.de_east.is_some() {
@@ -284,56 +250,15 @@ impl MeshProgramLift {
             } else {
                 &[(false, false)]
             };
-
-            match self.mode {
-                MeshVcMode::SingleVc => {
-                    let vc = inc.map(|(_, v)| v).unwrap_or(VcId(0));
-                    let mut dirs: BTreeSet<u8> = BTreeSet::new();
-                    for &de in de_combos {
-                        dirs.extend(self.raw_dirs(cur, dst, vc.idx() as u8, usable, de));
-                    }
-                    dirs.into_iter().map(|d| (PortId(d), vc)).collect()
+            let mut out = Vec::new();
+            for lane in self.mode.lanes(inc, self.mesh.offset(cur, dst)) {
+                let mut dirs: BTreeSet<u8> = BTreeSet::new();
+                for &de in de_combos {
+                    dirs.extend(self.raw_dirs(cur, dst, lane, live, de));
                 }
-                MeshVcMode::NaraPair => {
-                    // committed climb: already in network 1 and moving north
-                    if let Some((ip, iv)) = inc {
-                        if iv.idx() as u8 == VNET_NO_NORTH && ip == SOUTH {
-                            return if usable & (1 << NORTH.idx()) != 0 {
-                                vec![(NORTH, VcId(VNET_NO_NORTH))]
-                            } else {
-                                Vec::new()
-                            };
-                        }
-                    }
-                    let vnets: Vec<u8> = match inc {
-                        Some((_, iv)) => vec![Self::effective_vnet(iv.idx() as u8, dy)],
-                        None => {
-                            if dy > 0 {
-                                vec![VNET_NO_SOUTH]
-                            } else if dy < 0 {
-                                vec![VNET_NO_NORTH]
-                            } else {
-                                vec![VNET_NO_SOUTH, VNET_NO_NORTH]
-                            }
-                        }
-                    };
-                    let in_port = inc.map(|(p, _)| p);
-                    let mut out = Vec::new();
-                    for v in vnets {
-                        let mut dirs: BTreeSet<u8> = BTreeSet::new();
-                        for &de in de_combos {
-                            dirs.extend(self.raw_dirs(cur, dst, v, usable, de));
-                        }
-                        let allowed = Self::allowed(v, in_port, dx, dy);
-                        for d in dirs {
-                            if allowed.contains(&PortId(d)) {
-                                out.push((PortId(d), VcId(v)));
-                            }
-                        }
-                    }
-                    out
-                }
+                out.extend(dirs.into_iter().map(|d| (PortId(d), VcId(lane.vnet))));
             }
+            out
         }
     }
 }
@@ -517,13 +442,83 @@ fn describe_faults(topo: &dyn Topology, set: &[(NodeId, PortId)]) -> String {
         + &format!(" on {}", topo.name())
 }
 
-/// Proves (or refutes) deadlock freedom of a mesh rule program: builds
-/// the CDG of the lifted relation for every enumerated link-fault set and
-/// checks acyclicity by exhaustion over destinations.
+/// Builds the CDG of every enumerated link-fault set of `topo` with
+/// `cdg` and checks acyclicity by exhaustion over destinations.
+fn verify(
+    program: &str,
+    topo: &dyn Topology,
+    topology: String,
+    num_vcs: usize,
+    max_faults: usize,
+    max_fault_sets: usize,
+    cdg: impl Fn(&FaultSet) -> ChannelDependencyGraph,
+) -> DeadlockReport {
+    let mut report = DeadlockReport {
+        program: program.into(),
+        topology,
+        num_vcs,
+        fault_sets_checked: 0,
+        channels_used: 0,
+        failures: Vec::new(),
+    };
+    for set in &fault_sets(&unique_links(topo), max_faults, max_fault_sets, 0x5eed) {
+        let mut faults = FaultSet::new();
+        for &(n, p) in set {
+            faults.fail_link(topo, n, p);
+        }
+        let g = cdg(&faults);
+        report.fault_sets_checked += 1;
+        report.channels_used = report.channels_used.max(g.num_used_channels());
+        if let Some(cycle) = g.find_cycle() {
+            report.failures.push(CycleWitness { faults: describe_faults(topo, set), cycle });
+        }
+    }
+    report
+}
+
+impl MeshProgramLift {
+    /// Proves (or refutes) deadlock freedom of the lifted program on its
+    /// derived data path, for every link-fault set of at most `max_faults`
+    /// links (deterministically sampled beyond `max_fault_sets` sets).
+    pub fn verify(
+        &self,
+        program: &str,
+        max_faults: usize,
+        max_fault_sets: usize,
+    ) -> DeadlockReport {
+        let (mesh, vcs) = (&self.mesh, self.num_vcs());
+        let topology = format!("mesh {}x{}", mesh.width(), mesh.height());
+        verify(program, mesh, topology, vcs, max_faults, max_fault_sets, |faults| {
+            ChannelDependencyGraph::build(mesh, faults, vcs, &self.relation(faults))
+        })
+    }
+}
+
+impl CubeProgramLift {
+    /// Hypercube analogue of [`MeshProgramLift::verify`] for ROUTE_C-style
+    /// programs.
+    pub fn verify(
+        &self,
+        program: &str,
+        max_faults: usize,
+        max_fault_sets: usize,
+    ) -> DeadlockReport {
+        let (cube, vcs) = (&self.cube, rule_io::CUBE_VCS);
+        let topology = format!("hypercube d={}", cube.dim());
+        verify(program, cube, topology, vcs, max_faults, max_fault_sets, |faults| {
+            ChannelDependencyGraph::build(cube, faults, vcs, &self.relation(faults))
+        })
+    }
+}
+
+/// [`MeshProgramLift::verify`] on a fresh lift. `mode` must be the data
+/// path the program's declarations select ([`MeshProgramLift::mode`]): it
+/// cannot be chosen, so a proof is never about a router nobody builds.
 ///
 /// # Panics
 ///
-/// If [`MeshProgramLift::new`] refuses the program; the message is its error.
+/// If [`MeshProgramLift::new`] refuses the program (the message is its
+/// error), or `mode` is not the derived one.
 pub fn verify_mesh(
     program_name: &str,
     compiled: &CompiledProgram,
@@ -533,34 +528,18 @@ pub fn verify_mesh(
     max_faults: usize,
     max_fault_sets: usize,
 ) -> DeadlockReport {
-    let mesh = Mesh2D::new(width, height);
-    let lift = MeshProgramLift::new(compiled.clone(), mesh.clone(), mode)
+    let lift = MeshProgramLift::new(compiled.clone(), Mesh2D::new(width, height))
         .unwrap_or_else(|e| panic!("{program_name}: {e}"));
-    let links = unique_links(&mesh);
-    let sets = fault_sets(&links, max_faults, max_fault_sets, 0x5eed);
-    let mut report = DeadlockReport {
-        program: program_name.into(),
-        topology: format!("mesh {width}x{height}"),
-        num_vcs: lift.num_vcs(),
-        fault_sets_checked: 0,
-        failures: Vec::new(),
-    };
-    for set in &sets {
-        let mut faults = FaultSet::new();
-        for &(n, p) in set {
-            faults.fail_link(&mesh, n, p);
-        }
-        let relation = lift.relation(&faults);
-        let g = ChannelDependencyGraph::build(&mesh, &faults, lift.num_vcs(), &relation);
-        report.fault_sets_checked += 1;
-        if let Some(cycle) = g.find_cycle() {
-            report.failures.push(CycleWitness { faults: describe_faults(&mesh, set), cycle });
-        }
-    }
-    report
+    assert_eq!(
+        mode,
+        lift.mode(),
+        "{program_name}: its declarations select the {:?} data path",
+        lift.mode()
+    );
+    lift.verify(program_name, max_faults, max_fault_sets)
 }
 
-/// Hypercube analogue of [`verify_mesh`] for ROUTE_C-style programs.
+/// [`CubeProgramLift::verify`] on a fresh lift.
 ///
 /// # Panics
 ///
@@ -572,31 +551,9 @@ pub fn verify_cube(
     max_faults: usize,
     max_fault_sets: usize,
 ) -> DeadlockReport {
-    let cube = Hypercube::new(dim);
-    let lift = CubeProgramLift::new(compiled.clone(), cube.clone())
-        .unwrap_or_else(|e| panic!("{program_name}: {e}"));
-    let links = unique_links(&cube);
-    let sets = fault_sets(&links, max_faults, max_fault_sets, 0x5eed);
-    let mut report = DeadlockReport {
-        program: program_name.into(),
-        topology: format!("hypercube d={dim}"),
-        num_vcs: rule_io::CUBE_VCS,
-        fault_sets_checked: 0,
-        failures: Vec::new(),
-    };
-    for set in &sets {
-        let mut faults = FaultSet::new();
-        for &(n, p) in set {
-            faults.fail_link(&cube, n, p);
-        }
-        let relation = lift.relation(&faults);
-        let g = ChannelDependencyGraph::build(&cube, &faults, rule_io::CUBE_VCS, &relation);
-        report.fault_sets_checked += 1;
-        if let Some(cycle) = g.find_cycle() {
-            report.failures.push(CycleWitness { faults: describe_faults(&cube, set), cycle });
-        }
-    }
-    report
+    CubeProgramLift::new(compiled.clone(), Hypercube::new(dim))
+        .unwrap_or_else(|e| panic!("{program_name}: {e}"))
+        .verify(program_name, max_faults, max_fault_sets)
 }
 
 #[cfg(test)]

@@ -205,12 +205,13 @@ impl CampaignReport {
     }
 }
 
+/// A two-network mesh program (`vcs` = 2: the NARA pair) on the campaign mesh.
 fn mesh_campaign(name: &'static str, src: &str, cycles: u64) -> CampaignReport {
     let mesh = Mesh2D::new(SIDE, SIDE);
     let a = arms(name, src, Some(TopoFacts::mesh(SIDE, SIDE)));
     let sched = schedule(&mesh, LOAD, cycles, SEED ^ 0x5ca1e);
     let build = |cfg: &RouterConfiguration| {
-        let algo = RuleRouter::new(cfg.clone(), mesh.clone(), 1);
+        let algo = RuleRouter::new(cfg.clone(), mesh.clone(), 2);
         Network::builder(Arc::new(mesh.clone()))
             .fault_plan(FaultPlan::random_transient_links(&mesh, 6, 100..450, 120, SEED))
             .retry(RetryPolicy { max_attempts: 8, backoff_cycles: 64 })

@@ -48,8 +48,8 @@ fn optimized_nafta_is_bit_identical_on_the_campaign_config() {
     assert!(opt_cfg.optimized);
 
     for (faults, seed) in [(0usize, 1u64), (6, 7919), (10, 15838)] {
-        let base_algo = RuleRouter::new(baseline.clone(), mesh.clone(), 1);
-        let opt_algo = RuleRouter::new(opt_cfg.clone(), mesh.clone(), 1);
+        let base_algo = RuleRouter::new(baseline.clone(), mesh.clone(), 2);
+        let opt_algo = RuleRouter::new(opt_cfg.clone(), mesh.clone(), 2);
         let a = campaign_run(&mesh, &base_algo, faults, seed);
         let b = campaign_run(&mesh, &opt_algo, faults, seed);
         assert!(a.injected_msgs > 0, "campaign must inject traffic");

@@ -2,12 +2,15 @@
 //! compiled rule program executed by the event manager.
 //!
 //! Every node holds one [`ftr_rules::Machine`] (the "Rule Bases" block of
-//! Figure 3). On each head flit the message interface
-//! ([`ftr_algos::rule_io::MeshIo`], bound once when the router is built)
-//! loads header fields and link information into the inputs, the machine
-//! fires the program's entry rule base by its index, and [`rule_io::decode`]
-//! reads the cascade's last `RETURN` value (a direction, or 13 unroutable / 14 wait /
-//! 15 deliver).
+//! Figure 3). On each head flit the data path's channel allocator
+//! ([`ftr_algos::vnet`], selected by what the program declares) names the
+//! virtual network the head decides in and the directions it may take;
+//! the message interface ([`ftr_algos::rule_io::MeshIo`], bound once when
+//! the router is built) presents header fields and the permitted, live
+//! links to the program, the machine fires the entry rule base by its
+//! index, and [`rule_io::decode`] reads the cascade's last `RETURN` value
+//! (a direction, or 13 unroutable / 14 wait / 15 deliver). The direction
+//! leaves on the allocator's VC.
 //!
 //! The number of rule interpretations the cascade used becomes the
 //! decision's step count — the rule router therefore exhibits the very
@@ -16,7 +19,8 @@
 
 use crate::RouterConfiguration;
 use ftr_algos::rule_io::{self, MeshIo, PortInfo, Ret};
-use ftr_rules::{InputMap, InterpProbe, Machine};
+use ftr_algos::vnet::MeshVcMode;
+use ftr_rules::{CompiledProgram, InputMap, InterpProbe, Machine};
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{Decision, NodeController, RouterView, RoutingAlgorithm, Verdict};
 use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId};
@@ -43,7 +47,8 @@ impl RuleRouter {
     /// If the program cannot drive this mesh: it has no parameterless
     /// entry rule base, declares a name of the message interface with
     /// another shape or element type, or declares a domain too small for
-    /// `mesh` or `vcs`. The message names the declaration.
+    /// `mesh` or `vcs`, or declares two virtual networks when `vcs` is not
+    /// 2. The message names the declaration.
     pub fn new(config: RouterConfiguration, mesh: Mesh2D, vcs: usize) -> Self {
         let prog = &config.compiled.prog;
         let bound = rule_io::entry(prog).and_then(|_| {
@@ -83,18 +88,22 @@ impl RoutingAlgorithm for RuleRouter {
         let coords = self.mesh.coords(node);
         self.io.init_node(&self.config.compiled.prog, machine.regs_mut(), coords);
         Box::new(RuleNodeController {
+            compiled: Arc::clone(&self.config.compiled),
             machine,
             mesh: self.mesh.clone(),
             io: self.io,
+            mode: self.io.mode(&self.config.compiled.prog),
             inputs: InputMap::new(),
         })
     }
 }
 
 struct RuleNodeController {
+    compiled: Arc<CompiledProgram>,
     machine: Machine,
     mesh: Mesh2D,
     io: MeshIo,
+    mode: MeshVcMode,
     /// Reused for every decision.
     inputs: InputMap,
 }
@@ -104,18 +113,25 @@ impl NodeController for RuleNodeController {
         &mut self,
         view: &RouterView<'_>,
         h: &mut Header,
-        _in_port: Option<PortId>,
+        in_port: Option<PortId>,
         in_vc: VcId,
     ) -> Decision {
-        let usable = |d: usize| view.link_alive[d] && view.out_free[d][in_vc.idx()];
+        // one fire per consult: at injection the first lane stands for both
+        let arrival = in_port.map(|p| (p, in_vc));
+        let mut lanes = self.mode.lanes(arrival, self.mesh.offset(view.node, h.dst));
+        let lane = lanes.next().expect("the allocator always offers a lane");
+        let vc = lane.vnet as usize;
         self.inputs.clear();
-        self.io.load(
-            self.machine.program(),
+        // the dead-end waves are not wired to this host: both flags read false
+        let open = self.io.present(
+            &self.compiled.prog,
+            self.machine.regs_mut(),
             &mut self.inputs,
             self.mesh.coords(h.dst),
-            in_vc.idx(),
+            lane,
+            (false, false),
             |d| PortInfo {
-                free: view.out_free[d][in_vc.idx()],
+                free: view.out_free[d][vc],
                 linkok: view.link_alive[d],
                 out_queue: view.out_load[d],
             },
@@ -124,8 +140,9 @@ impl NodeController for RuleNodeController {
             return Decision::new(Verdict::Unroutable, 1);
         };
         let verdict = match fired.last_return.map_or(Ret::Wait, rule_io::decode) {
-            Ret::Dir(d) if (d as usize) < view.link_alive.len() && usable(d as usize) => {
-                Verdict::Route(PortId(d), in_vc)
+            Ret::Dir(d) if d < 4 && open >> d & 1 != 0 && view.out_free[d as usize][vc] => {
+                h.vnet = lane.vnet;
+                Verdict::Route(PortId(d), VcId(lane.vnet))
             }
             Ret::Dir(_) | Ret::Wait => Verdict::Wait,
             Ret::Deliver => Verdict::Deliver,
@@ -260,6 +277,14 @@ mod tests {
     #[should_panic(expected = "`invc` must be declared as integer scalar covering 0 TO 2, but is")]
     fn more_virtual_channels_than_invc_holds_are_refused_at_construction() {
         RuleRouter::new(configure("nafta", rules_src::NAFTA).unwrap(), Mesh2D::new(6, 6), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "`invc` is declared over two virtual networks")]
+    fn a_two_network_program_is_refused_on_one_virtual_channel() {
+        // the verifier proves nafta.rules on the NARA pair; a router that
+        // ran it on one network would be one nobody proved
+        RuleRouter::new(configure("nafta", rules_src::NAFTA).unwrap(), Mesh2D::new(6, 6), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use ftrouter::algos::{
 use ftrouter::core::{configure, registry, CubeRuleRouter, RuleRouter};
 use ftrouter::sim::routing::RoutingAlgorithm;
 use ftrouter::sim::{Network, Pattern, TrafficSource};
-use ftrouter::topo::{FaultSet, Hypercube, Mesh2D, NodeId, Topology, EAST, NORTH};
+use ftrouter::topo::{FaultSet, Hypercube, Mesh2D, NodeId, PortId, Topology, EAST, NORTH};
 use std::sync::Arc;
 
 fn all_pairs<T: Topology + Clone + 'static>(topo: &T, algo: &dyn RoutingAlgorithm) -> Network {
@@ -88,7 +88,7 @@ fn rule_driven_nafta_program_matches_nara_fault_free() {
     // single-interpretation decisions, everything delivered
     let mesh = Mesh2D::new(4, 4);
     let cfg = configure("nafta", ftrouter::algos::rules_src::NAFTA).unwrap();
-    let router = RuleRouter::new(cfg, mesh.clone(), 1);
+    let router = RuleRouter::new(cfg, mesh.clone(), 2);
     let net = all_pairs(&mesh, &router);
     assert_eq!(net.stats.delivered_msgs, 240);
     assert_eq!(net.stats.excess_hops, 0, "minimal like NARA");
@@ -99,11 +99,17 @@ fn rule_driven_nafta_program_matches_nara_fault_free() {
 }
 
 /// `(delivered, unroutable, latency.sum, hops.sum, decision_steps.sum,
-/// deadlock)` after 600 cycles of fixed-seed uniform traffic and a drain.
-fn sustained(topo: &dyn Topology, net: &mut Network) -> (u64, u64, u64, u64, u64, bool) {
+/// deadlock)` after `cycles` of fixed-seed uniform traffic at `load` and a
+/// drain.
+fn sustained(
+    topo: &dyn Topology,
+    net: &mut Network,
+    load: f64,
+    cycles: u32,
+) -> (u64, u64, u64, u64, u64, bool) {
     net.set_measuring(true);
-    let mut tf = TrafficSource::new(Pattern::Uniform, 0.15, 4, 77);
-    for _ in 0..600 {
+    let mut tf = TrafficSource::new(Pattern::Uniform, load, 4, 77);
+    for _ in 0..cycles {
         for (s, d, l) in tf.tick(topo, net.faults()) {
             net.send(s, d, l).unwrap();
         }
@@ -121,29 +127,41 @@ fn sustained(topo: &dyn Topology, net: &mut Network) -> (u64, u64, u64, u64, u64
     )
 }
 
+/// A network over `mesh` with these links dead from the start.
+fn mesh_net(
+    mesh: &Mesh2D,
+    algo: &dyn RoutingAlgorithm,
+    cycles_per_step: u32,
+    dead_links: &[(NodeId, PortId)],
+) -> Network {
+    let mut net = Network::builder(Arc::new(mesh.clone()))
+        .decision_cycles_per_step(cycles_per_step)
+        .build(algo)
+        .expect("valid config");
+    for &(n, p) in dead_links {
+        net.inject_link_fault(n, p);
+    }
+    net
+}
+
 #[test]
 fn rule_driven_routers_survive_sustained_traffic() {
-    // Whole outcomes, not just "it drains": recorded at PR 16, before the
-    // message interface moved into `ftr_algos::rule_io`, so a change in
-    // what a rule program is fed per decision shows up here.
+    // Whole outcomes, not just "it drains": xy, west_first and route_c
+    // recorded at PR 16, before the message interface moved into
+    // `ftr_algos::rule_io`; nafta at PR 21, when the rule host got the
+    // NARA pair's channel allocator. A change in what a rule program is
+    // fed per decision shows up here.
     let mesh = Mesh2D::new(6, 6);
     let dead_links =
         [(mesh.node_at(2, 2), EAST), (mesh.node_at(4, 1), NORTH), (mesh.node_at(1, 4), EAST)];
     for (name, vcs, faults, expected) in [
         ("xy", 1, &[][..], (835, 0, 6896, 3279, 3279, false)),
         ("west_first", 1, &[][..], (835, 0, 6763, 3279, 3279, false)),
-        // ROADMAP item 2: the rule-driven NAFTA deadlocks under faults;
-        // pinned as it is, not as it should be
-        ("nafta", 2, &dead_links[..], (152, 0, 1119, 541, 989, true)),
+        ("nafta", 2, &dead_links[..], (831, 4, 7703, 3432, 3926, false)),
     ] {
-        let cfg = registry::configuration(name).unwrap();
-        let router = RuleRouter::new(cfg, mesh.clone(), vcs);
-        let mut net =
-            Network::builder(Arc::new(mesh.clone())).build(&router).expect("valid config");
-        for &(n, p) in faults {
-            net.inject_link_fault(n, p);
-        }
-        assert_eq!(sustained(&mesh, &mut net), expected, "{name}");
+        let router = RuleRouter::new(registry::configuration(name).unwrap(), mesh.clone(), vcs);
+        let mut net = mesh_net(&mesh, &router, 1, faults);
+        assert_eq!(sustained(&mesh, &mut net, 0.15, 600), expected, "{name}");
     }
 
     let cube = Hypercube::new(4);
@@ -152,7 +170,50 @@ fn rule_driven_routers_survive_sustained_traffic() {
     let mut net = Network::builder(Arc::new(cube.clone())).build(&router).expect("valid config");
     net.inject_node_fault(NodeId(5));
     net.settle_control(10_000).expect("control plane settles");
-    assert_eq!(sustained(&cube, &mut net), (327, 0, 2761, 747, 1494, false), "route_c");
+    assert_eq!(sustained(&cube, &mut net, 0.15, 600), (327, 0, 2761, 747, 1494, false), "route_c");
+}
+
+#[test]
+fn rule_driven_nafta_runs_where_one_virtual_network_wedged() {
+    // every configuration here ended in the watchdog while the rule host
+    // answered on the arrival VC and never told the program a link was dead
+    let mesh = Mesh2D::new(6, 6);
+    let rule = RuleRouter::new(registry::configuration("nafta").unwrap(), mesh.clone(), 2);
+    let native = Nafta::new(mesh.clone());
+
+    // fault-free at one cycle per step, rule-driven NAFTA *is* native NAFTA:
+    // same paths, same timing, up to and beyond saturation
+    for (load, cycles) in [(0.45, 600), (0.9, 3_000)] {
+        let (delivered, unroutable, latency, hops, _, deadlock) =
+            sustained(&mesh, &mut mesh_net(&mesh, &rule, 1, &[]), load, cycles);
+        let (n_delivered, _, n_latency, n_hops, _, _) =
+            sustained(&mesh, &mut mesh_net(&mesh, &native, 1, &[]), load, cycles);
+        assert_eq!(
+            (delivered, unroutable, latency, hops, deadlock),
+            (n_delivered, 0, n_latency, n_hops, false),
+            "load {load}"
+        );
+    }
+
+    // a slower decision stage, then faults under load for 3 000 cycles
+    let dead_links =
+        [(mesh.node_at(2, 2), EAST), (mesh.node_at(4, 1), NORTH), (mesh.node_at(1, 4), EAST)];
+    for (cycles_per_step, faults, cycles) in [(3, &[][..], 600), (1, &dead_links[..], 3_000)] {
+        let mut net = mesh_net(&mesh, &rule, cycles_per_step, faults);
+        let (delivered, unroutable, .., deadlock) = sustained(&mesh, &mut net, 0.3, cycles);
+        assert!(!deadlock, "{cycles_per_step} cycles/step, {} dead links", faults.len());
+        assert_eq!(delivered + unroutable, net.stats.injected_msgs);
+        assert!(unroutable * 100 < delivered, "{unroutable} unroutable of {delivered}");
+    }
+
+    // one message on an empty mesh whose only minimal link is dead: the
+    // host reports the link, the program misroutes around it
+    let mesh = Mesh2D::new(4, 4);
+    let rule = RuleRouter::new(registry::configuration("nafta").unwrap(), mesh.clone(), 2);
+    let mut net = mesh_net(&mesh, &rule, 1, &[(mesh.node_at(1, 1), EAST)]);
+    net.send(mesh.node_at(1, 1), mesh.node_at(3, 1), 4).unwrap();
+    assert!(net.drain(2_000), "delivered long before the watchdog");
+    assert_eq!((net.stats.delivered_msgs, net.stats.deadlock), (1, false));
 }
 
 #[test]
