@@ -493,11 +493,28 @@ fn merged(opts: &OptOptions) -> OptOptions {
     o
 }
 
-fn recompute(prog: &Program, opts: &OptOptions) -> Result<(CompiledProgram, Facts), String> {
+/// A program's tables and the facts derived from them.
+type Analyzed = (CompiledProgram, Facts);
+
+fn recompute(prog: &Program, opts: &OptOptions) -> Result<Analyzed, String> {
     let compiled = compile(prog, &CompileOptions { max_entries: opts.max_fused_entries })
         .map_err(|e| format!("recompile failed: {e}"))?;
     let facts = absint::analyze_program(&compiled, &opts.topo);
     Ok((compiled, facts))
+}
+
+/// The analysis of `prog`: the one in `held` if a pass left it there —
+/// nothing was rewritten since — and a fresh one otherwise. The caller
+/// puts it back when it, too, commits nothing.
+fn analyzed(
+    held: &mut Option<Analyzed>,
+    prog: &Program,
+    opts: &OptOptions,
+) -> Result<Analyzed, String> {
+    match held.take() {
+        Some(a) => Ok(a),
+        None => recompute(prog, opts),
+    }
 }
 
 /// Optimizes a rule program; see the module docs for the pass list.
@@ -513,12 +530,13 @@ pub fn optimize_rulebase(
     let opts = &merged(opts);
     let mut work = Work::new(prog);
     let mut cert = OptCert { program: name.into(), rewrites: Vec::new() };
+    // the analysis of `work.prog`, while no rewrite has outdated it
+    let mut held: Option<Analyzed> = None;
 
     let commit = |work: &mut Work,
                   cert: &mut OptCert,
                   rw: Rewrite,
-                  compiled: &CompiledProgram,
-                  facts: &Facts|
+                  (compiled, facts): &Analyzed|
      -> Result<(), String> {
         justify(&work.prog, compiled, facts, &rw, opts)?;
         apply(work, &rw)?;
@@ -528,32 +546,30 @@ pub fn optimize_rulebase(
 
     // pass 1: specialize constant registers
     if opts.specialize {
-        let (compiled, facts) = recompute(&work.prog, opts)?;
+        let now = analyzed(&mut held, &work.prog, opts)?;
         let candidates: Vec<(String, Value)> = work
             .prog
             .vars
             .iter()
             .enumerate()
             .filter(|(_, v)| !opts.host_written.iter().any(|h| h == &v.name))
-            .filter_map(|(i, v)| facts.const_regs[i].map(|val| (v.name.clone(), val)))
+            .filter_map(|(i, v)| now.1.const_regs[i].map(|val| (v.name.clone(), val)))
             .collect();
-        for (var, value) in candidates {
-            commit(
-                &mut work,
-                &mut cert,
-                Rewrite::SpecializeRegister { var, value },
-                &compiled,
-                &facts,
-            )?;
+        if candidates.is_empty() {
+            held = Some(now);
+        } else {
+            for (var, value) in candidates {
+                commit(&mut work, &mut cert, Rewrite::SpecializeRegister { var, value }, &now)?;
+            }
         }
     }
 
     // pass 2: fold constant atoms
     if opts.fold_atoms {
-        let (compiled, facts) = recompute(&work.prog, opts)?;
+        let now = analyzed(&mut held, &work.prog, opts)?;
         let mut folds = Vec::new();
         for (bi, rb) in work.prog.rulebases.iter().enumerate() {
-            let env = base_env(&work.prog, bi, &opts.topo, &facts);
+            let env = base_env(&work.prog, bi, &opts.topo, &now.1);
             for (ri, rule) in rb.rules.iter().enumerate() {
                 let mut found = Vec::new();
                 collect_folds(&work.prog, &env, &rule.premise, &mut found);
@@ -562,17 +578,24 @@ pub fn optimize_rulebase(
                 }
             }
         }
-        for rw in folds {
-            commit(&mut work, &mut cert, rw, &compiled, &facts)?;
+        if folds.is_empty() {
+            held = Some(now);
+        } else {
+            for rw in folds {
+                commit(&mut work, &mut cert, rw, &now)?;
+            }
         }
     }
 
     // pass 3: delete dead rules (one at a time — indices stay honest)
     if opts.delete_dead {
         loop {
-            let (compiled, facts) = recompute(&work.prog, opts)?;
-            let Some(rw) = find_dead(&work.prog, &compiled, &facts) else { break };
-            commit(&mut work, &mut cert, rw, &compiled, &facts)?;
+            let now = analyzed(&mut held, &work.prog, opts)?;
+            let Some(rw) = find_dead(&work.prog, &now.0, &now.1) else {
+                held = Some(now);
+                break;
+            };
+            commit(&mut work, &mut cert, rw, &now)?;
         }
     }
 
@@ -582,28 +605,36 @@ pub fn optimize_rulebase(
         for _ in 0..work.prog.rulebases.len() {
             let Some((base, target)) = find_fusion(&work.prog, &vetoed) else { break };
             let snapshot = work.clone();
-            let (compiled, facts) = recompute(&work.prog, opts)?;
+            let before = analyzed(&mut held, &work.prog, opts)?;
             let rw = Rewrite::FuseTail { base: base.clone(), target: target.clone() };
-            commit(&mut work, &mut cert, rw, &compiled, &facts)?;
-            if recompute(&work.prog, opts).is_err() {
-                // fused table exceeds the ceiling: roll back
-                work = snapshot;
-                cert.rewrites.pop();
-                vetoed.push((base, target));
-            }
+            commit(&mut work, &mut cert, rw, &before)?;
+            // compiling the fused program is also the size probe
+            held = match recompute(&work.prog, opts) {
+                Ok(after) => Some(after),
+                Err(_) => {
+                    // fused table exceeds the ceiling: roll back
+                    work = snapshot;
+                    cert.rewrites.pop();
+                    vetoed.push((base, target));
+                    Some(before)
+                }
+            };
         }
     }
 
     // pass 5: bubble cheap disjoint rules forward
     if opts.reorder {
         for _ in 0..32 {
-            let (compiled, facts) = recompute(&work.prog, opts)?;
-            let Some(rw) = find_swap(&work.prog, &compiled, &facts, opts) else { break };
-            commit(&mut work, &mut cert, rw, &compiled, &facts)?;
+            let now = analyzed(&mut held, &work.prog, opts)?;
+            let Some(rw) = find_swap(&work.prog, &now.0, &now.1, opts) else {
+                held = Some(now);
+                break;
+            };
+            commit(&mut work, &mut cert, rw, &now)?;
         }
     }
 
-    let (compiled, _) = recompute(&work.prog, opts)?;
+    let (compiled, _) = analyzed(&mut held, &work.prog, opts)?;
     Ok(Optimized { compiled, step_weights: StepWeights { per_base: work.weights }, cert })
 }
 

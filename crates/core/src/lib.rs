@@ -72,7 +72,7 @@ impl RouterConfiguration {
     /// standard [`CompiledProgram`].
     pub fn from_compiled(name: &str, compiled: impl Into<Arc<CompiledProgram>>) -> Result<Self> {
         let compiled = compiled.into();
-        let cost = cost::analyze(&compiled.prog, &CompileOptions::default())?;
+        let cost = cost::analyze_compiled(&compiled);
         RouterConfiguration {
             name: name.to_string(),
             compiled,
@@ -161,6 +161,24 @@ mod tests {
         assert_eq!(cfg.compiled.bases.len(), 1);
         assert_eq!(cfg.cost.rulebases.len(), 1);
         assert!(cfg.cost.total_table_bits() > 0);
+    }
+
+    #[test]
+    fn a_program_compiled_above_the_default_limit_configures() {
+        // 2^21 entries: refused under `CompileOptions::default()`, so a
+        // configuration that recompiled what it is handed would refuse it too
+        let prog = ftr_rules::parse(
+            "CONSTANT dirs = 0 TO 20\n\
+             INPUT free[dirs] IN bool\n\
+             ON f() RETURNS 0 TO 1\n\
+               IF EXISTS i IN dirs: free(i) THEN RETURN(1);\n\
+             END f;",
+        )
+        .unwrap();
+        assert!(compile(&prog, &CompileOptions::default()).is_err());
+        let compiled = compile(&prog, &CompileOptions { max_entries: 1 << 21 }).unwrap();
+        let cfg = RouterConfiguration::from_compiled("wide", compiled).unwrap();
+        assert_eq!(cfg.cost.rulebases[0].entries, 1 << 21);
     }
 
     #[test]

@@ -22,13 +22,19 @@
 //! conflicts resolve to the first applicable rule in source order, gaps
 //! (combinations where no premise holds, including physically unsatisfiable
 //! ones) map to a no-op entry.
+//!
+//! The enumeration works on words, not entries: premises are lowered once
+//! to boolean programs over atom ids (`Guard`), each atom to a truth
+//! value per digit of its feature (`Atom`), and `fill_by_words` decides
+//! 64 entries per `u64` operation with scratch that does not grow with the
+//! table. No `Expr` is hashed, compared or walked after lowering.
 
 use crate::ast::*;
 use crate::env::{InputMap, RegFile};
 use crate::error::{Result, RuleError};
 use crate::interp::{CompiledProgram, CompiledRuleBase};
 use crate::value::{ceil_log2, Domain, Value};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroU16;
 
 /// Compilation parameters.
@@ -159,8 +165,10 @@ enum AtomTest {
 #[derive(Default)]
 struct FeatureSet {
     features: Vec<Feature>,
-    /// atom expression → (feature index, test)
-    atoms: HashMap<Expr, (usize, AtomTest)>,
+    /// atom expression → atom id (index into `tests`)
+    atoms: HashMap<Expr, usize>,
+    /// per atom id: (feature index, test)
+    tests: Vec<(usize, AtomTest)>,
 }
 
 impl FeatureSet {
@@ -187,6 +195,23 @@ impl FeatureSet {
         }
         self.features.push(Feature { kind: FeatureKind::Predicate { expr }, size: 2 });
         self.features.len() - 1
+    }
+
+    /// Does atom `id` hold when its feature's index digit is `digit`?
+    fn atom_holds(&self, prog: &Program, id: usize, digit: u64) -> bool {
+        let (fi, test) = &self.tests[id];
+        let direct_dom = || match &self.features[*fi].kind {
+            FeatureKind::Direct { dom, .. } => *dom,
+            FeatureKind::Predicate { .. } => unreachable!("literal test on a predicate feature"),
+        };
+        match test {
+            AtomTest::Bit | AtomTest::BoolDirect => digit != 0,
+            AtomTest::EqLit(lit) => direct_dom().value_at(digit) == *lit,
+            AtomTest::InLit(set_dom, mask) => {
+                let v = direct_dom().value_at(digit);
+                set_dom.ordinal(&v, prog.sym_sizes()).is_some_and(|k| mask & (1 << k) != 0)
+            }
+        }
     }
 }
 
@@ -388,21 +413,20 @@ fn is_directable(d: Domain) -> bool {
 }
 
 /// Collects atoms of an expanded premise into the feature set.
-fn collect_atoms(prog: &Program, rb: &RuleBase, e: &Expr, fs: &mut FeatureSet) -> Result<()> {
+fn collect_atoms(prog: &Program, rb: &RuleBase, e: &Expr, fs: &mut FeatureSet) {
     match e {
-        Expr::Lit(Value::Bool(_)) => Ok(()),
+        Expr::Lit(Value::Bool(_)) => {}
         Expr::Bin(BinOp::And | BinOp::Or, l, r) => {
-            collect_atoms(prog, rb, l, fs)?;
-            collect_atoms(prog, rb, r, fs)
+            collect_atoms(prog, rb, l, fs);
+            collect_atoms(prog, rb, r, fs);
         }
         Expr::Un(UnOp::Not, inner) => collect_atoms(prog, rb, inner, fs),
         atom => {
-            if fs.atoms.contains_key(atom) {
-                return Ok(());
+            if !fs.atoms.contains_key(atom) {
+                let entry = classify_atom(prog, rb, atom, fs);
+                fs.atoms.insert(atom.clone(), fs.tests.len());
+                fs.tests.push(entry);
             }
-            let entry = classify_atom(prog, rb, atom, fs);
-            fs.atoms.insert(atom.clone(), entry);
-            Ok(())
         }
     }
 }
@@ -456,56 +480,191 @@ fn classify_atom(
     }
 }
 
-/// Evaluates an expanded premise under an abstract feature assignment.
-fn abstract_eval(prog: &Program, fs: &FeatureSet, assignment: &[u64], e: &Expr) -> Result<bool> {
-    match e {
-        Expr::Lit(Value::Bool(b)) => Ok(*b),
-        Expr::Bin(BinOp::And, l, r) => {
-            Ok(abstract_eval(prog, fs, assignment, l)? && abstract_eval(prog, fs, assignment, r)?)
-        }
-        Expr::Bin(BinOp::Or, l, r) => {
-            Ok(abstract_eval(prog, fs, assignment, l)? || abstract_eval(prog, fs, assignment, r)?)
-        }
-        Expr::Un(UnOp::Not, inner) => Ok(!abstract_eval(prog, fs, assignment, inner)?),
-        atom => {
-            let (fi, test) = fs
-                .atoms
-                .get(atom)
-                .ok_or_else(|| RuleError::eval(format!("unmapped atom {atom:?}")))?;
-            let digit = assignment[*fi];
-            let ss = prog.sym_sizes();
-            Ok(match test {
-                AtomTest::Bit => digit != 0,
-                AtomTest::BoolDirect => digit != 0,
-                AtomTest::EqLit(lit) => {
-                    let dom = match &fs.features[*fi].kind {
-                        FeatureKind::Direct { dom, .. } => *dom,
-                        _ => unreachable!("EqLit on predicate feature"),
-                    };
-                    dom.value_at(digit) == *lit
-                }
-                AtomTest::InLit(set_dom, mask) => {
-                    let dom = match &fs.features[*fi].kind {
-                        FeatureKind::Direct { dom, .. } => *dom,
-                        _ => unreachable!("InLit on predicate feature"),
-                    };
-                    let v = dom.value_at(digit);
-                    set_dom.ordinal(&v, ss).is_some_and(|k| mask & (1 << k) != 0)
-                }
-            })
+/// An expanded premise lowered to a boolean program over atom ids: all
+/// the table fill ever evaluates. Each variant stands for 64 entries at a
+/// time — one bit per entry of a word of the block being filled.
+enum Guard {
+    Const(bool),
+    Atom(usize),
+    Not(Box<Guard>),
+    And(Box<Guard>, Box<Guard>),
+    Or(Box<Guard>, Box<Guard>),
+}
+
+impl Guard {
+    /// The one place an atom `Expr` is looked up: once per occurrence, at
+    /// lowering time.
+    fn lower(fs: &FeatureSet, e: &Expr) -> Result<Guard> {
+        Ok(match e {
+            Expr::Lit(Value::Bool(b)) => Guard::Const(*b),
+            Expr::Bin(BinOp::And, l, r) => {
+                Guard::And(Box::new(Guard::lower(fs, l)?), Box::new(Guard::lower(fs, r)?))
+            }
+            Expr::Bin(BinOp::Or, l, r) => {
+                Guard::Or(Box::new(Guard::lower(fs, l)?), Box::new(Guard::lower(fs, r)?))
+            }
+            Expr::Un(UnOp::Not, inner) => Guard::Not(Box::new(Guard::lower(fs, inner)?)),
+            atom => Guard::Atom(
+                *fs.atoms
+                    .get(atom)
+                    .ok_or_else(|| RuleError::eval(format!("unmapped atom {atom:?}")))?,
+            ),
+        })
+    }
+
+    /// Truth of the guard at the 64 entries of word `wi` of the block
+    /// whose atom masks are `masks` (atom-major, [`BLOCK_WORDS`] each).
+    fn word(&self, masks: &[u64], wi: usize) -> u64 {
+        match self {
+            Guard::Const(true) => !0,
+            Guard::Const(false) => 0,
+            Guard::Atom(a) => masks[a * BLOCK_WORDS + wi],
+            Guard::Not(g) => !g.word(masks, wi),
+            Guard::And(l, r) => l.word(masks, wi) & r.word(masks, wi),
+            Guard::Or(l, r) => l.word(masks, wi) | r.word(masks, wi),
         }
     }
 }
 
-/// Compiles one rule base to its filled table.
-pub fn compile_rulebase(
-    prog: &Program,
-    rb_idx: usize,
-    opts: &CompileOptions,
-) -> Result<CompiledRuleBase> {
+/// One atom as the fill sees it: which index digit it tests and, per
+/// value of that digit, whether it holds.
+struct Atom {
+    /// Entries between two changes of the digit (product of the radices
+    /// below the feature).
+    stride: u64,
+    /// `truth[digit]`: the [`AtomTest`] evaluated once per digit.
+    truth: Vec<bool>,
+}
+
+/// Entries filled at a time. The fill's scratch is one `u64` per atom and
+/// 64 entries of a block — independent of the size of the table.
+const BLOCK_WORDS: usize = 64;
+const BLOCK: u64 = 64 * BLOCK_WORDS as u64;
+
+/// Sets bits `lo..hi` (`lo < hi`) of a bit vector.
+fn set_bits(mask: &mut [u64], lo: usize, hi: usize) {
+    let (first, last) = (lo / 64, (hi - 1) / 64);
+    let head = !0u64 << (lo % 64);
+    let tail = !0u64 >> (63 - (hi - 1) % 64);
+    if first == last {
+        mask[first] |= head & tail;
+    } else {
+        mask[first] |= head;
+        mask[first + 1..last].fill(!0);
+        mask[last] |= tail;
+    }
+}
+
+impl Atom {
+    /// Writes the atom's truth at entries `start..start + n` into `mask`,
+    /// one run of equal digits at a time.
+    fn fill_mask(&self, mask: &mut [u64], start: u64, n: usize) {
+        mask.fill(0);
+        let mut digit = (start / self.stride) as usize % self.truth.len();
+        let mut run = self.stride - start % self.stride;
+        let mut i = 0;
+        while i < n {
+            let end = i + run.min((n - i) as u64) as usize;
+            if self.truth[digit] {
+                set_bits(mask, i, end);
+            }
+            i = end;
+            run = self.stride;
+            digit = if digit + 1 == self.truth.len() { 0 } else { digit + 1 };
+        }
+    }
+}
+
+/// What filling the table yields, before it is phrased as warnings.
+#[derive(Debug, PartialEq)]
+struct Fill {
+    table: Vec<Option<NonZeroU16>>,
+    rule_applicable: Vec<u64>,
+    /// `(winner, loser)` → entries where both applied and the conclusions
+    /// differ.
+    conflicts: BTreeMap<(usize, usize), u64>,
+    gaps: u64,
+}
+
+/// Fills the table 64 entries per operation. Per block of [`BLOCK`]
+/// entries every atom gets a bit mask; per word of the block the rules
+/// are taken in source order and everything §4.3 resolves silently falls
+/// out of masks and popcounts: a rule wins the applicable entries nobody
+/// claimed before it, and conflicts with each earlier winner of another
+/// conclusion class where both applied.
+fn fill_by_words(entries: u64, atoms: &[Atom], guards: &[Guard], classes: &[usize]) -> Fill {
+    let mut fill = Fill {
+        table: vec![None; entries as usize],
+        rule_applicable: vec![0; guards.len()],
+        conflicts: BTreeMap::new(),
+        gaps: 0,
+    };
+    let mut masks = vec![0u64; atoms.len() * BLOCK_WORDS];
+    // rules that won entries of the current word, with the entries won
+    let mut winners: Vec<(usize, u64)> = Vec::with_capacity(64);
+    for start in (0..entries).step_by(BLOCK as usize) {
+        let n = (entries - start).min(BLOCK) as usize;
+        for (atom, mask) in atoms.iter().zip(masks.chunks_exact_mut(BLOCK_WORDS)) {
+            atom.fill_mask(mask, start, n);
+        }
+        for wi in 0..n.div_ceil(64) {
+            let base = start as usize + wi * 64;
+            // the last word of the table may be ragged
+            let mut unclaimed = !0u64 >> (64 - (n - wi * 64).min(64));
+            let live = unclaimed;
+            winners.clear();
+            for (ri, guard) in guards.iter().enumerate() {
+                let app = guard.word(&masks, wi) & live;
+                if app == 0 {
+                    continue;
+                }
+                fill.rule_applicable[ri] += app.count_ones() as u64;
+                // identical conclusions are not a conflict: whichever
+                // fires, the effect is the same
+                for &(w, won) in &winners {
+                    if app & won != 0 && classes[w] != classes[ri] {
+                        *fill.conflicts.entry((w, ri)).or_insert(0) +=
+                            (app & won).count_ones() as u64;
+                    }
+                }
+                let mut take = app & unclaimed;
+                if take != 0 {
+                    winners.push((ri, take));
+                    unclaimed &= !take;
+                    let code = NonZeroU16::new((ri + 1) as u16);
+                    while take != 0 {
+                        fill.table[base + take.trailing_zeros() as usize] = code;
+                        take &= take - 1;
+                    }
+                }
+            }
+            fill.gaps += unclaimed.count_ones() as u64;
+        }
+    }
+    fill
+}
+
+/// The front half of compiling a rule base — everything but the fill:
+/// the guard IR, the features it indexes by, and the table geometry,
+/// refused here if it exceeds the limits.
+pub(crate) struct Survey {
+    fs: FeatureSet,
+    premises: Vec<Expr>,
+    pub(crate) entries: u64,
+    pub(crate) width_bits: u32,
+}
+
+impl Survey {
+    pub(crate) fn features(&self) -> &[Feature] {
+        &self.fs.features
+    }
+}
+
+/// Surveys one rule base; [`compile_rulebase`] is this plus the fill.
+pub(crate) fn survey(prog: &Program, rb_idx: usize, opts: &CompileOptions) -> Result<Survey> {
     let rb = &prog.rulebases[rb_idx];
     let mut fs = FeatureSet::default();
-    let expanded: Result<Vec<Expr>> = rb
+    let premises: Result<Vec<Expr>> = rb
         .rules
         .iter()
         .map(|r| {
@@ -513,9 +672,9 @@ pub fn compile_rulebase(
             fold_consts(prog, &e)
         })
         .collect();
-    let expanded = expanded?;
-    for p in &expanded {
-        collect_atoms(prog, rb, p, &mut fs)?;
+    let premises = premises?;
+    for p in &premises {
+        collect_atoms(prog, rb, p, &mut fs);
     }
 
     let entries: u64 =
@@ -541,85 +700,75 @@ pub fn compile_rulebase(
         });
     }
 
-    // fill the table by mixed-radix enumeration of the feature space;
-    // while doing so, record which resolutions §4.3 performs silently
-    let radices: Vec<u64> = fs.features.iter().map(|f| f.size).collect();
-    let mut table: Vec<Option<NonZeroU16>> = vec![None; entries as usize];
-    let mut assignment = vec![0u64; radices.len()];
-    let mut rule_applicable = vec![0u64; rb.rules.len()];
-    let mut conflicts: HashMap<(usize, usize), u64> = HashMap::new();
-    let mut gaps = 0u64;
-    for entry in table.iter_mut() {
-        let mut winner: Option<usize> = None;
-        for (ri, prem) in expanded.iter().enumerate() {
-            if abstract_eval(prog, &fs, &assignment, prem)? {
-                rule_applicable[ri] += 1;
-                match winner {
-                    None => winner = Some(ri),
-                    // identical conclusions are not a conflict: whichever
-                    // fires, the effect is the same
-                    Some(w) if rb.rules[w].conclusion != rb.rules[ri].conclusion => {
-                        *conflicts.entry((w, ri)).or_insert(0) += 1;
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        match winner {
-            Some(w) => *entry = NonZeroU16::new((w + 1) as u16),
-            None => gaps += 1,
-        }
-        // increment mixed-radix counter (first feature = least significant)
-        for (a, r) in assignment.iter_mut().zip(&radices) {
-            *a += 1;
-            if *a < *r {
-                break;
-            }
-            *a = 0;
-        }
-    }
-    // each (winner, loser) pair collapses to one warning even when the
-    // pair disagrees on several outputs: `kind` is the pair's first
-    // disagreement, so keying by (winner, loser, kind) is a per-pair dedupe
-    let mut dedup: HashMap<(usize, usize, ConflictKind), u64> = HashMap::new();
-    for ((winner, loser), n) in conflicts {
-        let kind = conflict_kind(&rb.rules[winner].conclusion, &rb.rules[loser].conclusion);
-        *dedup.entry((winner, loser, kind)).or_insert(0) += n;
-    }
-    let mut warnings: Vec<CompileWarning> = dedup
-        .into_iter()
-        .map(|((winner, loser, kind), n)| CompileWarning::Conflict {
-            winner,
-            loser,
-            kind,
-            entries: n,
-        })
-        .collect();
-    warnings.sort_unstable_by_key(|w| match *w {
-        CompileWarning::Conflict { winner, loser, .. } => (winner, loser),
-        CompileWarning::Gaps { .. } => (usize::MAX, usize::MAX),
-    });
-    if gaps > 0 {
-        warnings.push(CompileWarning::Gaps { entries: gaps, total: entries });
-    }
-
     // width: conclusion selector plus declared return field (documented
     // convention of the cost model — see cost.rs)
-    let ss = prog.sym_sizes();
     let sel_bits = ceil_log2(rb.rules.len() as u64 + 1).max(1);
-    let ret_bits = rb.returns.map_or(0, |t| t.width_bits(ss));
-    let width_bits = sel_bits + ret_bits;
+    let ret_bits = rb.returns.map_or(0, |t| t.width_bits(prog.sym_sizes()));
+    Ok(Survey { fs, premises, entries, width_bits: sel_bits + ret_bits })
+}
 
+/// Phrases a fill's resolutions as warnings: one `Conflict` per
+/// `(winner, loser)` pair in that order — `kind` is the pair's first
+/// disagreement, so a pair that disagrees on several outputs still gets
+/// one — then the gap count, if any.
+fn warnings_of(rb: &RuleBase, fill: &Fill, total: u64) -> Vec<CompileWarning> {
+    let mut warnings: Vec<CompileWarning> = fill
+        .conflicts
+        .iter()
+        .map(|(&(winner, loser), &entries)| CompileWarning::Conflict {
+            winner,
+            loser,
+            kind: conflict_kind(&rb.rules[winner].conclusion, &rb.rules[loser].conclusion),
+            entries,
+        })
+        .collect();
+    if fill.gaps > 0 {
+        warnings.push(CompileWarning::Gaps { entries: fill.gaps, total });
+    }
+    warnings
+}
+
+/// Compiles one rule base to its filled table.
+pub fn compile_rulebase(
+    prog: &Program,
+    rb_idx: usize,
+    opts: &CompileOptions,
+) -> Result<CompiledRuleBase> {
+    let rb = &prog.rulebases[rb_idx];
+    let Survey { fs, premises, entries, width_bits } = survey(prog, rb_idx, opts)?;
+
+    // lower once: from here on the fill sees atom ids and truth tables,
+    // never an `Expr` or a `Command`
+    let radices: Vec<u64> = fs.features.iter().map(|f| f.size).collect();
+    let atoms: Vec<Atom> = (0..fs.tests.len())
+        .map(|id| {
+            let fi = fs.tests[id].0;
+            Atom {
+                stride: radices[..fi].iter().product(),
+                truth: (0..radices[fi]).map(|digit| fs.atom_holds(prog, id, digit)).collect(),
+            }
+        })
+        .collect();
+    let guards: Result<Vec<Guard>> = premises.iter().map(|p| Guard::lower(&fs, p)).collect();
+    // rules with equal conclusions share a class: the first such rule
+    let classes: Vec<usize> = (0..rb.rules.len())
+        .map(|ri| {
+            (0..ri).find(|&w| rb.rules[w].conclusion == rb.rules[ri].conclusion).unwrap_or(ri)
+        })
+        .collect();
+
+    let fill = fill_by_words(entries, &atoms, &guards?, &classes);
+    let warnings = warnings_of(rb, &fill, entries);
     Ok(CompiledRuleBase {
         rb: rb_idx,
         features: fs.features,
         radices,
-        table,
+        table: fill.table,
         entries,
         width_bits,
         warnings,
-        rule_applicable,
-        premises: expanded,
+        rule_applicable: fill.rule_applicable,
+        premises,
     })
 }
 
@@ -630,10 +779,17 @@ pub fn compile(prog: &Program, opts: &CompileOptions) -> Result<CompiledProgram>
     Ok(CompiledProgram { prog: prog.clone(), bases: bases? })
 }
 
+/// The random well-typed programs of `tests/prop_rules.rs`, for the fill
+/// differential below.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod generated;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use proptest::prelude::*;
 
     /// Raw table entry for rule `r` (1-based encoding); `nz(0)` is a gap.
     fn nz(e: u16) -> Option<NonZeroU16> {
@@ -731,6 +887,19 @@ mod tests {
         .unwrap();
         let e = compile_rulebase(&p, 0, &CompileOptions { max_entries: 1 << 10 });
         assert!(matches!(e, Err(RuleError::Compile { .. })));
+
+        // 2^40 entries: neither a table nor per-entry scratch of that size
+        // can be allocated, so an `Err` means the refusal came first
+        let p = parse(
+            "CONSTANT dirs = 0 TO 39\n\
+             INPUT free[dirs] IN bool\n\
+             ON f() RETURNS 0 TO 1\n\
+               IF EXISTS i IN dirs: free(i) THEN RETURN(1);\n\
+             END f;",
+        )
+        .unwrap();
+        let e = compile_rulebase(&p, 0, &CompileOptions::default());
+        assert!(matches!(e, Err(RuleError::Compile { msg, .. }) if msg.contains("1099511627776")));
     }
 
     #[test]
@@ -858,5 +1027,199 @@ mod tests {
         assert!(c.warnings.iter().all(|w| !matches!(w, CompileWarning::Conflict { .. })));
         // the catch-all also eliminates gaps
         assert!(c.warnings.is_empty());
+    }
+
+    // -- the fill differential: the per-entry evaluator the word fill
+    // replaced, kept as the oracle it must agree with ---------------------
+
+    /// Evaluates an expanded premise under an abstract feature assignment.
+    fn abstract_eval(prog: &Program, fs: &FeatureSet, assignment: &[u64], e: &Expr) -> bool {
+        match e {
+            Expr::Lit(Value::Bool(b)) => *b,
+            Expr::Bin(BinOp::And, l, r) => {
+                abstract_eval(prog, fs, assignment, l) && abstract_eval(prog, fs, assignment, r)
+            }
+            Expr::Bin(BinOp::Or, l, r) => {
+                abstract_eval(prog, fs, assignment, l) || abstract_eval(prog, fs, assignment, r)
+            }
+            Expr::Un(UnOp::Not, inner) => !abstract_eval(prog, fs, assignment, inner),
+            atom => {
+                let id = fs.atoms[atom];
+                fs.atom_holds(prog, id, assignment[fs.tests[id].0])
+            }
+        }
+    }
+
+    /// Fills the table one entry at a time by mixed-radix enumeration of
+    /// the feature space, walking every premise `Expr` at every entry.
+    fn fill_by_entry(prog: &Program, rb: &RuleBase, s: &Survey) -> Fill {
+        let radices: Vec<u64> = s.fs.features.iter().map(|f| f.size).collect();
+        let mut fill = Fill {
+            table: vec![None; s.entries as usize],
+            rule_applicable: vec![0; rb.rules.len()],
+            conflicts: BTreeMap::new(),
+            gaps: 0,
+        };
+        let mut assignment = vec![0u64; radices.len()];
+        for entry in fill.table.iter_mut() {
+            let mut winner: Option<usize> = None;
+            for (ri, prem) in s.premises.iter().enumerate() {
+                if abstract_eval(prog, &s.fs, &assignment, prem) {
+                    fill.rule_applicable[ri] += 1;
+                    match winner {
+                        None => winner = Some(ri),
+                        Some(w) if rb.rules[w].conclusion != rb.rules[ri].conclusion => {
+                            *fill.conflicts.entry((w, ri)).or_insert(0) += 1;
+                        }
+                        Some(_) => {}
+                    }
+                }
+            }
+            match winner {
+                Some(w) => *entry = NonZeroU16::new((w + 1) as u16),
+                None => fill.gaps += 1,
+            }
+            // increment mixed-radix counter (first feature = least significant)
+            for (a, r) in assignment.iter_mut().zip(&radices) {
+                *a += 1;
+                if *a < *r {
+                    break;
+                }
+                *a = 0;
+            }
+        }
+        fill
+    }
+
+    /// Compiles every base of `src` both ways and requires equal tables,
+    /// applicability counts, warnings and gap totals.
+    fn assert_fills_agree(src: &str) -> CompiledProgram {
+        let prog = parse(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        let opts = CompileOptions::default();
+        let compiled = compile(&prog, &opts).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        for (i, (rb, c)) in prog.rulebases.iter().zip(&compiled.bases).enumerate() {
+            let s = survey(&prog, i, &opts).unwrap();
+            let oracle = fill_by_entry(&prog, rb, &s);
+            assert_eq!(c.table, oracle.table, "table of `{}`\n{src}", rb.name);
+            assert_eq!(c.rule_applicable, oracle.rule_applicable, "`{}`\n{src}", rb.name);
+            assert_eq!(c.warnings, warnings_of(rb, &oracle, s.entries), "`{}`\n{src}", rb.name);
+            let unfilled = c.table.iter().filter(|e| e.is_none()).count() as u64;
+            assert_eq!(unfilled, oracle.gaps, "gaps of `{}`\n{src}", rb.name);
+        }
+        compiled
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn word_fill_equals_entry_fill_on_generated_programs(
+            premises in proptest::collection::vec(generated::arb_premise(), 1..6),
+            conclusions in proptest::collection::vec(generated::arb_conclusion(), 6),
+        ) {
+            assert_fills_agree(&generated::gen_program(&premises, &conclusions[..premises.len()]));
+        }
+    }
+
+    #[test]
+    fn word_fill_equals_entry_fill_below_one_word() {
+        // radices 3 * 5 * 2 = 30 entries: less than a word, not a power of two
+        let c = assert_fills_agree(
+            "CONSTANT a = {a0, a1, a2}\n\
+             CONSTANT b = {b0, b1, b2, b3, b4}\n\
+             VARIABLE x IN a INIT a0\n\
+             VARIABLE y IN b INIT b0\n\
+             INPUT go IN bool\n\
+             ON f() RETURNS 0 TO 7\n\
+               IF x = a1 AND y IN {b1, b3} THEN RETURN(1);\n\
+               IF NOT go AND NOT (y = b4) THEN RETURN(2);\n\
+               IF x IN {a0, a2} OR go THEN RETURN(3);\n\
+               IF y = b4 THEN RETURN(2);\n\
+             END f;",
+        );
+        assert_eq!(c.bases[0].radices, vec![3, 5, 2]);
+    }
+
+    #[test]
+    fn word_fill_equals_entry_fill_across_blocks() {
+        // 3^8 = 6561 entries: one full block, then a ragged one that ends
+        // inside a word (6561 = 4096 + 38 * 64 + 33)
+        let c = assert_fills_agree(
+            "CONSTANT tri = {t0, t1, t2}\n\
+             CONSTANT idx = 0 TO 7\n\
+             VARIABLE s[idx] IN tri INIT t0\n\
+             ON f() RETURNS 0 TO 7\n\
+               IF FORALL i IN idx: s(i) = t0 THEN RETURN(0);\n\
+               IF s(3) IN {t1, t2} AND NOT (s(7) = t2) THEN s(0) <- t1, RETURN(1);\n\
+               IF EXISTS i IN idx: s(i) = t1 THEN RETURN(2);\n\
+               IF s(7) = t2 AND s(0) = t2 THEN RETURN(1);\n\
+             END f;",
+        );
+        let b = &c.bases[0];
+        assert_eq!(b.entries, 6561);
+        assert!(b.entries > BLOCK && !b.entries.is_multiple_of(64));
+        assert!(b.warnings.iter().any(|w| matches!(w, CompileWarning::Gaps { .. })));
+        assert!(b.warnings.iter().any(|w| matches!(w, CompileWarning::Conflict { .. })));
+    }
+
+    #[test]
+    fn a_base_without_rules_is_all_gaps() {
+        let c = assert_fills_agree("ON f() RETURNS 0 TO 1\nEND f;");
+        let b = &c.bases[0];
+        assert_eq!(b.table, vec![None]);
+        assert_eq!(b.warnings, vec![CompileWarning::Gaps { entries: 1, total: 1 }]);
+    }
+
+    #[test]
+    fn word_fill_equals_entry_fill_on_constant_premises() {
+        // fold_consts leaves literal guards behind: FALSE never applies,
+        // TRUE applies at every entry of a table other rules gave its size
+        let c = assert_fills_agree(
+            "CONSTANT dirs = 0 TO 2\n\
+             INPUT go IN bool\n\
+             ON f() RETURNS 0 TO 3\n\
+               IF EXISTS i IN dirs: i = 5 THEN RETURN(3);\n\
+               IF go AND 1 = 2 THEN RETURN(2);\n\
+               IF go THEN RETURN(1);\n\
+               IF FORALL i IN dirs: i < 3 THEN RETURN(0);\n\
+             END f;",
+        );
+        let b = &c.bases[0];
+        assert_eq!(b.premises[0], Expr::Lit(Value::Bool(false)));
+        assert_eq!(b.premises[3], Expr::Lit(Value::Bool(true)));
+        assert_eq!(b.rule_applicable, vec![0, 0, 1, 2]);
+        assert_eq!(b.table, vec![nz(4), nz(3)]);
+    }
+
+    #[test]
+    fn word_fill_equals_entry_fill_on_conflicting_pairs() {
+        // rules 0 and 2 apply together and conclude the same: no conflict;
+        // rules 0 and 1 disagree on a register and on the return: one
+        let c = assert_fills_agree(
+            "VARIABLE n IN 0 TO 7 INIT 0\n\
+             VARIABLE m IN 0 TO 7 INIT 0\n\
+             ON f() RETURNS 0 TO 3\n\
+               IF n < 4 THEN m <- 1, RETURN(0);\n\
+               IF n < 6 THEN m <- 2, RETURN(1);\n\
+               IF TRUE THEN m <- 1, RETURN(0);\n\
+             END f;",
+        );
+        assert_eq!(
+            c.bases[0].warnings,
+            vec![
+                CompileWarning::Conflict {
+                    winner: 0,
+                    loser: 1,
+                    kind: ConflictKind::Register,
+                    entries: 1
+                },
+                CompileWarning::Conflict {
+                    winner: 1,
+                    loser: 2,
+                    kind: ConflictKind::Register,
+                    entries: 1
+                },
+            ]
+        );
     }
 }

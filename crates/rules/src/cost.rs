@@ -14,9 +14,10 @@
 //! paper's numbers per rule base.
 
 use crate::ast::{Command, Expr, Program, Ref, RuleBase};
-use crate::compile::{compile_rulebase, CompileOptions};
+use crate::compile::{compile, CompileOptions};
 use crate::error::Result;
 use crate::fcfb::{inventory, FcfbInventory};
+use crate::interp::CompiledProgram;
 use serde::{Deserialize, Serialize};
 
 /// Cost of one compiled rule base.
@@ -188,16 +189,22 @@ fn rulebase_touches_var(rb: &RuleBase, var: usize) -> (bool, bool) {
 /// Analyses a program: compiles every rule base and derives the full cost
 /// report.
 pub fn analyze(prog: &Program, opts: &CompileOptions) -> Result<ProgramCost> {
+    Ok(analyze_compiled(&compile(prog, opts)?))
+}
+
+/// Derives the full cost report of a program that is already compiled —
+/// under whatever options its tables were accepted with.
+pub fn analyze_compiled(compiled: &CompiledProgram) -> ProgramCost {
+    let prog = &compiled.prog;
     let ss = prog.sym_sizes();
     let mut rulebases = Vec::new();
-    for (i, rb) in prog.rulebases.iter().enumerate() {
-        let compiled = compile_rulebase(prog, i, opts)?;
+    for (rb, base) in prog.rulebases.iter().zip(&compiled.bases) {
         let inv: FcfbInventory = inventory(prog, rb);
         rulebases.push(RuleBaseCost {
             name: rb.name.clone(),
-            entries: compiled.entries,
-            width_bits: compiled.width_bits,
-            table_bits: compiled.table_bits(),
+            entries: base.entries,
+            width_bits: base.width_bits,
+            table_bits: base.table_bits(),
             num_rules: rb.rules.len(),
             fcfbs: inv.into_iter().map(|(k, n)| (k.to_string(), n)).collect(),
             nft: rb.nft,
@@ -234,7 +241,7 @@ pub fn analyze(prog: &Program, opts: &CompileOptions) -> Result<ProgramCost> {
         });
     }
 
-    Ok(ProgramCost { rulebases, registers })
+    ProgramCost { rulebases, registers }
 }
 
 #[cfg(test)]

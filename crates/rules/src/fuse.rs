@@ -9,7 +9,7 @@
 //! sets (deduplicated — shared features are wired once) and stores both
 //! conclusions side by side.
 
-use crate::compile::{compile_rulebase, CompileOptions, Feature, FeatureKind};
+use crate::compile::{survey, CompileOptions, Feature, FeatureKind};
 use crate::error::{Result, RuleError};
 use crate::Program;
 use serde::{Deserialize, Serialize};
@@ -68,10 +68,11 @@ pub fn fuse(prog: &Program, names: &[&str], opts: &CompileOptions) -> Result<Fus
         let (idx, rb) = prog
             .rulebase(name)
             .ok_or_else(|| RuleError::resolve(format!("no rule base `{name}`")))?;
-        let compiled = compile_rulebase(prog, idx, opts)?;
-        separate += compiled.table_bits();
-        width_bits += compiled.width_bits;
-        for f in &compiled.features {
+        // geometry only: a fusion estimate never reads a filled table
+        let member = survey(prog, idx, opts)?;
+        separate += member.entries * member.width_bits as u64;
+        width_bits += member.width_bits;
+        for f in member.features() {
             if !features.iter().any(|g| same_feature(g, f)) {
                 features.push(f.clone());
             }
