@@ -18,7 +18,7 @@ pub fn least_loaded(
     view: &RouterView<'_>,
     candidates: &[(PortId, VcId)],
 ) -> Option<(PortId, VcId)> {
-    candidates.iter().copied().min_by_key(|(p, _)| (view.out_load[p.idx()], p.idx()))
+    candidates.iter().copied().min_by_key(|(p, _)| (view.load(p.idx()), p.idx()))
 }
 
 /// Filters `(port, vc)` candidates down to those currently allocatable.
@@ -26,7 +26,7 @@ pub fn allocatable(view: &RouterView<'_>, candidates: &[(PortId, VcId)]) -> Vec<
     candidates
         .iter()
         .copied()
-        .filter(|(p, v)| view.link_alive[p.idx()] && view.out_free[p.idx()][v.idx()])
+        .filter(|(p, v)| view.alive(p.idx()) && view.free(p.idx(), v.idx()))
         .collect()
 }
 
@@ -40,7 +40,7 @@ mod tests {
         out_load: &'a [u32],
         link_alive: &'a [bool],
     ) -> RouterView<'a> {
-        RouterView { node: NodeId(0), cycle: 0, out_free, out_load, link_alive }
+        RouterView::from_tables(NodeId(0), 0, out_free, out_load, link_alive)
     }
 
     #[test]

@@ -77,11 +77,11 @@ impl NodeController for XyController {
         let Some(p) = XyRouting::next_port(&self.mesh, view.node, h.dst) else {
             return Decision::new(Verdict::Deliver, 1);
         };
-        if !view.link_alive[p.idx()] {
+        if !view.alive(p.idx()) {
             // oblivious: a fault on the fixed path is fatal
             return Decision::new(Verdict::Unroutable, 1);
         }
-        if view.out_free[p.idx()][0] {
+        if view.free(p.idx(), 0) {
             Decision::new(Verdict::Route(p, VcId(0)), 1)
         } else {
             Decision::new(Verdict::Wait, 1)
@@ -158,10 +158,10 @@ impl NodeController for EcubeController {
         let Some(p) = EcubeRouting::next_port(&self.cube, view.node, h.dst) else {
             return Decision::new(Verdict::Deliver, 1);
         };
-        if !view.link_alive[p.idx()] {
+        if !view.alive(p.idx()) {
             return Decision::new(Verdict::Unroutable, 1);
         }
-        if view.out_free[p.idx()][0] {
+        if view.free(p.idx(), 0) {
             Decision::new(Verdict::Route(p, VcId(0)), 1)
         } else {
             Decision::new(Verdict::Wait, 1)
@@ -340,10 +340,10 @@ impl NodeController for KAryDorController {
         let Some(p) = KAryDor::next_port(&self.cube, view.node, h.dst) else {
             return Decision::new(Verdict::Deliver, 1);
         };
-        if !view.link_alive[p.idx()] {
+        if !view.alive(p.idx()) {
             return Decision::new(Verdict::Unroutable, 1);
         }
-        if view.out_free[p.idx()][0] {
+        if view.free(p.idx(), 0) {
             Decision::new(Verdict::Route(p, VcId(0)), 1)
         } else {
             Decision::new(Verdict::Wait, 1)
@@ -358,7 +358,7 @@ impl NodeController for KAryDorController {
         _in_vc: VcId,
     ) -> Vec<(PortId, VcId)> {
         KAryDor::next_port(&self.cube, view.node, h.dst)
-            .filter(|p| view.link_alive[p.idx()])
+            .filter(|p| view.alive(p.idx()))
             .map(|p| (p, VcId(0)))
             .into_iter()
             .collect()

@@ -404,12 +404,12 @@ impl NodeController for NaftaController {
             .as_slice()
             .iter()
             .copied()
-            .filter(|p| view.link_alive[p.idx()] && view.out_free[p.idx()][vnet as usize]);
+            .filter(|p| view.alive(p.idx()) && view.free(p.idx(), vnet as usize));
         let pick = if misroute {
             // boundary traversal follows the preference order strictly
             avail.next()
         } else {
-            avail.min_by_key(|p| (view.out_load[p.idx()], p.idx()))
+            avail.min_by_key(|p| (view.load(p.idx()), p.idx()))
         };
         if let Some(p) = pick {
             h.vnet = vnet;
@@ -436,7 +436,7 @@ impl NodeController for NaftaController {
         for lane in self.lanes(h.dst, in_port, in_vc) {
             let (opts, _steps, _mis) = self.candidates(h.dst, lane);
             for &p in opts.as_slice() {
-                if view.link_alive[p.idx()] {
+                if view.alive(p.idx()) {
                     out.push((p, VcId(lane.vnet)));
                 }
             }

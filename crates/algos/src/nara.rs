@@ -96,7 +96,7 @@ impl NodeController for NaraController {
             h.vnet = vc.idx() as u8;
             return Decision::new(Verdict::Route(p, vc), 1);
         }
-        if all.iter().any(|(p, _)| view.link_alive[p.idx()]) {
+        if all.iter().any(|(p, _)| view.alive(p.idx())) {
             Decision::new(Verdict::Wait, 1)
         } else {
             // NARA has no fault handling: a broken minimal path is fatal
@@ -112,7 +112,7 @@ impl NodeController for NaraController {
         in_vc: VcId,
     ) -> Vec<(PortId, VcId)> {
         let mut out = self.candidates(view.node, h.dst, in_port, in_vc);
-        out.retain(|(p, _)| view.link_alive[p.idx()]);
+        out.retain(|(p, _)| view.alive(p.idx()));
         out
     }
 }

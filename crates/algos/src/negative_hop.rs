@@ -92,7 +92,7 @@ impl NhController {
         hops: u32,
     ) -> Vec<(PortId, VcId)> {
         let minimal = self.mesh.minimal_directions(view.node, dst);
-        let usable = |p: &PortId| view.link_alive[p.idx()] && Some(*p) != in_port;
+        let usable = |p: &PortId| view.alive(p.idx()) && Some(*p) != in_port;
         let min_ok: Vec<(PortId, VcId)> = minimal
             .iter()
             .copied()

@@ -309,7 +309,7 @@ impl NodeController for RouteCController {
         let vcr = self.vc_range(phase, misroute);
         ports
             .iter()
-            .filter(|p| view.link_alive[p.idx()])
+            .filter(|p| view.alive(p.idx()))
             .flat_map(|&p| vcr.clone().map(move |v| (p, VcId(v as u8))))
             .collect()
     }

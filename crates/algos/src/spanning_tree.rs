@@ -96,11 +96,11 @@ impl<T: Topology + Clone + 'static> NodeController for TreeController<T> {
         // Both waits are polled: the tree is shared, so *another* node's
         // `on_fault` can change the port this node names — outside what an
         // unpolled `Wait` may depend on.
-        if !view.link_alive[p.idx()] {
+        if !view.alive(p.idx()) {
             // tree is stale; reconfiguration pending
             return Decision::polled_wait(1);
         }
-        if view.out_free[p.idx()][0] {
+        if view.free(p.idx(), 0) {
             Decision::new(Verdict::Route(p, VcId(0)), 1)
         } else {
             Decision::polled_wait(1)
@@ -121,7 +121,7 @@ impl<T: Topology + Clone + 'static> NodeController for TreeController<T> {
         drop(shared);
         self.topo
             .port_towards(view.node, next)
-            .filter(|p| view.link_alive[p.idx()])
+            .filter(|p| view.alive(p.idx()))
             .map(|p| (p, VcId(0)))
             .into_iter()
             .collect()

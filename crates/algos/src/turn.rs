@@ -86,7 +86,7 @@ impl NodeController for WfController {
             .into_iter()
             .map(|p| (p, VcId(0)))
             .collect();
-        let any_alive = opts.iter().any(|(p, _)| view.link_alive[p.idx()]);
+        let any_alive = opts.iter().any(|(p, _)| view.alive(p.idx()));
         let avail = allocatable(view, &opts);
         if let Some((p, v)) = least_loaded(view, &avail) {
             Decision::new(Verdict::Route(p, v), 1)
@@ -106,7 +106,7 @@ impl NodeController for WfController {
     ) -> Vec<(PortId, VcId)> {
         WestFirst::options(&self.mesh, view.node, h.dst)
             .into_iter()
-            .filter(|p| view.link_alive[p.idx()])
+            .filter(|p| view.alive(p.idx()))
             .map(|p| (p, VcId(0)))
             .collect()
     }

@@ -61,8 +61,7 @@ fn controllers(mesh: &Mesh2D, dead: &[(NodeId, PortId)]) -> Vec<Box<dyn NodeCont
     let algo = Nafta::new(mesh.clone());
     let mut ctrls: Vec<_> = mesh.nodes().map(|n| algo.controller(mesh, n)).collect();
     let (free, load, alive) = (vec![vec![true; 2]; 4], vec![0; 4], vec![true; 4]);
-    let view =
-        |node| RouterView { node, cycle: 0, out_free: &free, out_load: &load, link_alive: &alive };
+    let view = |node| RouterView::from_tables(node, 0, &free, &load, &alive);
     let mut wire: Vec<(NodeId, ControlMsg)> = Vec::new();
     for &(n, p) in dead {
         let m = mesh.neighbor(n, p).expect("a wired link");
@@ -109,13 +108,8 @@ fn nafta_route_does_not_allocate() {
                         for (i, free) in out_free.iter_mut().flatten().enumerate() {
                             *free = pattern >> i & 1 == 1;
                         }
-                        let view = RouterView {
-                            node,
-                            cycle: calls,
-                            out_free: &out_free,
-                            out_load: &out_load,
-                            link_alive: &link_alive,
-                        };
+                        let view =
+                            RouterView::from_tables(node, calls, &out_free, &out_load, &link_alive);
                         let mut h = Header::new(MessageId(1), node, dst, 4);
                         COUNTING.store(true, Ordering::Relaxed);
                         let decision = ctrl.route(&view, &mut h, in_port, in_vc);

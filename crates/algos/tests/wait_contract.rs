@@ -3,7 +3,7 @@
 //! The engine parks a head whose controller answered an unpolled `Wait`
 //! and asks again only when the node's channel state, link status or
 //! controller state changes. That is sound exactly when such a `Wait`
-//! leaves the header as it was and does not depend on `view.out_load` or
+//! leaves the header as it was and does not depend on `view.load(..)` or
 //! `view.cycle` — checked here for every native algorithm, after random
 //! `on_fault`/`on_control`/`on_repair` histories, under random views.
 
@@ -52,13 +52,8 @@ fn consult(algo: usize, noise: [u64; 10]) -> Result<bool, TestCaseError> {
     let link_alive: Vec<bool> = (0..degree).map(|p| bit(noise[3] | noise[4], p)).collect();
     let loads = |word: u64| (0..degree).map(|p| (word >> (8 * p)) as u32 & 0xff).collect();
     let (load_a, load_b): (Vec<u32>, Vec<u32>) = (loads(noise[5]), loads(noise[6]));
-    let view = |out_load, cycle| RouterView {
-        node,
-        cycle,
-        out_free: &out_free,
-        out_load,
-        link_alive: &link_alive,
-    };
+    let view =
+        |out_load, cycle| RouterView::from_tables(node, cycle, &out_free, out_load, &link_alive);
 
     // a random control-plane history: up to seven hooks
     let mut word = noise[7];

@@ -113,7 +113,7 @@ impl CubeRuleController {
         for d in 0..self.cube.dim() as usize {
             let nb = self.cube.neighbor(view.node, PortId(d as u8)).expect("cube port");
             let state = CubeIo::sym(prog, regs, self.io.neighb_state, &[Value::Int(d as i64)]);
-            if view.link_alive[d] && (nb == dst || state < STATE_OUNSAFE) {
+            if view.alive(d) && (nb == dst || state < STATE_OUNSAFE) {
                 ok |= 1 << d;
             }
         }
@@ -160,11 +160,11 @@ impl NodeController for CubeRuleController {
         }
         let dim = self.cube.dim();
         let sets = self.dir_sets(view, h.dst);
-        let open = |d: usize, vc: usize| view.link_alive[d] && view.out_free[d][vc];
+        let open = |d: usize, vc: usize| view.alive(d) && view.free(d, vc);
 
         // --- step 1: decide_dir
         self.inputs.clear();
-        self.io.load_dir(self.machine.program(), &mut self.inputs, sets, |d| view.out_load[d]);
+        self.io.load_dir(self.machine.program(), &mut self.inputs, sets, |d| view.load(d));
         let Ok(step1) = self.machine.fire_base(self.decide_dir, &[], &self.inputs) else {
             return Decision::new(Verdict::Unroutable, 1);
         };
@@ -268,13 +268,7 @@ mod tests {
         let algo =
             CubeRuleRouter::new(configure("route_c", &route_c_source(4)).unwrap(), cube.clone());
         let (busy, load, alive) = (vec![vec![false; 5]; 4], vec![2, 0, 5, 1], vec![true; 4]);
-        let view = RouterView {
-            node: NodeId(3),
-            cycle: 0,
-            out_free: &busy,
-            out_load: &load,
-            link_alive: &alive,
-        };
+        let view = RouterView::from_tables(NodeId(3), 0, &busy, &load, &alive);
         let mut header = Header::new(ftr_sim::MessageId(1), NodeId(3), NodeId(12), 4);
         let before = header;
         let d = algo.controller(&cube, NodeId(3)).route(&view, &mut header, None, VcId(0));

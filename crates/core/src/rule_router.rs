@@ -130,17 +130,13 @@ impl NodeController for RuleNodeController {
             self.mesh.coords(h.dst),
             lane,
             (false, false),
-            |d| PortInfo {
-                free: view.out_free[d][vc],
-                linkok: view.link_alive[d],
-                out_queue: view.out_load[d],
-            },
+            |d| PortInfo { free: view.free(d, vc), linkok: view.alive(d), out_queue: view.load(d) },
         );
         let Ok(fired) = self.machine.fire_base(rule_io::ENTRY, &[], &self.inputs) else {
             return Decision::new(Verdict::Unroutable, 1);
         };
         let verdict = match fired.last_return.map_or(Ret::Wait, rule_io::decode) {
-            Ret::Dir(d) if d < 4 && open >> d & 1 != 0 && view.out_free[d as usize][vc] => {
+            Ret::Dir(d) if d < 4 && open >> d & 1 != 0 && view.free(d as usize, vc) => {
                 h.vnet = lane.vnet;
                 Verdict::Route(PortId(d), VcId(lane.vnet))
             }
@@ -248,8 +244,7 @@ mod tests {
         let mesh = Mesh2D::new(4, 4);
         let (busy, load, alive) = (vec![vec![false; 2]; 4], vec![7, 0, 3, 1], vec![true; 4]);
         let node = mesh.node_at(1, 1);
-        let view =
-            RouterView { node, cycle: 9, out_free: &busy, out_load: &load, link_alive: &alive };
+        let view = RouterView::from_tables(node, 9, &busy, &load, &alive);
         let wait = |name: &str, src: &str, vcs: usize| {
             let algo = RuleRouter::new(configure(name, src).unwrap(), mesh.clone(), vcs);
             let mut header = Header::new(ftr_sim::MessageId(1), node, mesh.node_at(3, 3), 4);

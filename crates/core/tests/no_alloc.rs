@@ -113,13 +113,7 @@ fn route_c(dead: Option<NodeId>) -> Probe {
         let mut wire: Vec<(NodeId, ControlMsg)> = Vec::new();
         for d in (0..dims as u8).map(PortId) {
             let (at, alive) = (cube.neighbor(dead, d).unwrap(), alive_at(dead));
-            let view = RouterView {
-                node: at,
-                cycle: 0,
-                out_free: &idle,
-                out_load: &load,
-                link_alive: &alive,
-            };
+            let view = RouterView::from_tables(at, 0, &idle, &load, &alive);
             wire.extend(ctrls[at.idx()].on_fault(&view, d).into_iter().map(|m| (at, m)));
         }
         while let Some((from, msg)) = wire.pop() {
@@ -128,13 +122,7 @@ fn route_c(dead: Option<NodeId>) -> Probe {
                 continue;
             }
             let alive = alive_at(to);
-            let view = RouterView {
-                node: to,
-                cycle: 0,
-                out_free: &idle,
-                out_load: &load,
-                link_alive: &alive,
-            };
+            let view = RouterView::from_tables(to, 0, &idle, &load, &alive);
             let replies = ctrls[to.idx()].on_control(&view, msg.port, &msg.payload);
             wire.extend(replies.into_iter().map(|m| (to, m)));
         }
@@ -153,13 +141,7 @@ fn route_c(dead: Option<NodeId>) -> Probe {
                         free[1] = pattern >> (2 * i + 1) & 1 == 1;
                         free[2..].fill(pattern.count_ones() % 2 == 0);
                     }
-                    let view = RouterView {
-                        node,
-                        cycle: probe.calls,
-                        out_free: &out_free,
-                        out_load: &load,
-                        link_alive: &alive,
-                    };
+                    let view = RouterView::from_tables(node, probe.calls, &out_free, &load, &alive);
                     probe.route(ctrls[node.idx()].as_mut(), &view, dst, VcId(0));
                 }
             }
@@ -172,8 +154,7 @@ fn route_c(dead: Option<NodeId>) -> Probe {
     // `Vec` and one payload per message — once an earlier one sized the
     // event buffers.
     let (at, alive) = (NodeId(10), vec![true; dims]);
-    let view =
-        RouterView { node: at, cycle: 0, out_free: &idle, out_load: &load, link_alive: &alive };
+    let view = RouterView::from_tables(at, 0, &idle, &load, &alive);
     let (mut sized, mut silent, mut telling) = (false, 0, 0);
     for report in 0..2 * dims {
         let from = PortId((report % dims) as u8);
@@ -220,13 +201,8 @@ fn mesh(name: &str, src: &str, vcs: usize, dead: &[(NodeId, PortId)]) -> Probe {
                         for (i, free) in out_free.iter_mut().flatten().enumerate() {
                             *free = pattern >> i & 1 == 1;
                         }
-                        let view = RouterView {
-                            node,
-                            cycle: here.calls,
-                            out_free: &out_free,
-                            out_load: &load,
-                            link_alive: &alive,
-                        };
+                        let view =
+                            RouterView::from_tables(node, here.calls, &out_free, &load, &alive);
                         here.route(ctrl.as_mut(), &view, dst, VcId(in_vc as u8));
                     }
                 }

@@ -80,18 +80,24 @@ struct PortMon {
     alarmed: bool,
 }
 
-/// What one detector tick concluded (see [`Detector::tick`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// What one detector tick concluded (see [`Detector::tick`]): three port
+/// sets, bit `p` standing for port `p` ([`ports_of`] lists one).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TickOutcome {
     /// Ports to probe this tick (every monitored, un-alarmed-or-not
     /// port — alarmed ports keep being probed so recovery is noticed).
-    pub pings: Vec<PortId>,
+    pub pings: u64,
     /// Ports whose suspicion just reached the threshold: treat the
     /// link as faulty (run the algorithm's `on_fault`).
-    pub alarms: Vec<PortId>,
+    pub alarms: u64,
     /// Alarmed ports whose pongs resumed: the link is usable again
     /// (run the algorithm's `on_repair`).
-    pub recoveries: Vec<PortId>,
+    pub recoveries: u64,
+}
+
+/// The ports of a [`TickOutcome`] set, ascending.
+pub fn ports_of(set: u64) -> impl Iterator<Item = PortId> {
+    (0..64 - set.leading_zeros() as u8).filter(move |p| set >> p & 1 == 1).map(PortId)
 }
 
 /// Reusable heartbeat/suspicion engine for one node — the state machine
@@ -104,7 +110,7 @@ pub struct Detector {
     ports: Vec<PortMon>,
     /// Tick counter, echoed in probe payloads for trace debugging.
     seq: i64,
-    /// Trace events pending collection by `drain_events`.
+    /// Trace events of traced hooks, pending collection by `drain_events`.
     events: Vec<EventKind>,
 }
 
@@ -112,6 +118,7 @@ impl Detector {
     /// A detector for `node` probing `monitored` ports (its connected
     /// neighbours); `degree` sizes the port table.
     pub fn new(node: NodeId, degree: usize, monitored: &[PortId], cfg: DetectorConfig) -> Self {
+        assert!(degree <= 64, "a tick outcome holds its ports in 64-bit sets");
         let mut ports = vec![PortMon::default(); degree];
         for p in monitored {
             ports[p.idx()].monitored = true;
@@ -137,43 +144,40 @@ impl Detector {
     /// One detection period: settles the previous round's probes
     /// (miss/suspect/alarm/recovery bookkeeping) and schedules this
     /// round's pings. Ports are evaluated in ascending order, so the
-    /// outcome — and the trace events buffered for
-    /// [`Detector::drain_events`] — is deterministic.
-    pub fn tick(&mut self) -> TickOutcome {
+    /// outcome — and the trace events buffered for [`Detector::drain_events`]
+    /// under a [`traced`](RouterView::traced) hook — is deterministic.
+    pub fn tick(&mut self, traced: bool) -> TickOutcome {
         let mut out = TickOutcome::default();
-        let threshold = self.cfg.miss_threshold;
-        let first_round = self.seq == 0;
-        for (i, m) in self.ports.iter_mut().enumerate() {
-            if !m.monitored {
-                continue;
+        let Detector { node, cfg, ports, seq, events } = self;
+        let mut note = |kind: EventKind| {
+            if traced {
+                events.push(kind);
             }
-            let p = PortId(i as u8);
+        };
+        for (i, m) in ports.iter_mut().enumerate().filter(|(_, m)| m.monitored) {
+            let (port, bit) = (PortId(i as u8), 1 << i);
             if m.pong_seen {
                 m.pong_seen = false;
                 m.misses = 0;
                 if m.alarmed {
                     m.alarmed = false;
-                    out.recoveries.push(p);
+                    out.recoveries |= bit;
                 }
-            } else if !first_round {
+            } else if *seq != 0 {
                 // no probe is outstanding before the first tick — a
                 // missing pong only counts once a ping was sent
                 m.misses += 1;
                 if !m.alarmed {
-                    self.events.push(EventKind::Suspect {
-                        node: self.node,
-                        port: p,
-                        misses: m.misses,
-                    });
-                    if m.misses >= threshold {
+                    note(EventKind::Suspect { node: *node, port, misses: m.misses });
+                    if m.misses >= cfg.miss_threshold {
                         m.alarmed = true;
-                        self.events.push(EventKind::Alarm { node: self.node, port: p });
-                        out.alarms.push(p);
+                        note(EventKind::Alarm { node: *node, port });
+                        out.alarms |= bit;
                     }
                 }
             }
-            self.events.push(EventKind::Heartbeat { node: self.node, port: p, pong: false });
-            out.pings.push(p);
+            note(EventKind::Heartbeat { node: *node, port, pong: false });
+            out.pings |= bit;
         }
         self.seq += 1;
         out
@@ -190,14 +194,17 @@ impl Detector {
     }
 
     /// Handles an incoming detector payload from the neighbour behind
-    /// `from`: pings are answered with a pong, pongs mark the port
-    /// live. Returns the messages to send (the pong, if any). Callers
-    /// must have checked [`Detector::is_detector_payload`].
-    pub fn on_payload(&mut self, from: PortId, payload: &[i64]) -> Vec<ControlMsg> {
+    /// `from`: pings are answered with a pong (and, under a `traced` hook,
+    /// noted as a heartbeat event), pongs mark the port live. Returns the
+    /// pong, if any. Callers must have checked [`Detector::is_detector_payload`].
+    pub fn on_payload(&mut self, from: PortId, payload: &[i64], traced: bool) -> Vec<ControlMsg> {
         debug_assert!(Self::is_detector_payload(payload));
         match payload[1] {
             DET_PING => {
-                self.events.push(EventKind::Heartbeat { node: self.node, port: from, pong: true });
+                if traced {
+                    let node = self.node;
+                    self.events.push(EventKind::Heartbeat { node, port: from, pong: true });
+                }
                 vec![ControlMsg { port: from, payload: vec![DET_TAG, DET_PONG, payload[2]] }]
             }
             DET_PONG => {
@@ -268,21 +275,18 @@ impl NodeController for DetectorController {
         self.inner.route(view, header, in_port, in_vc)
     }
 
-    fn on_tick(&mut self, view: &RouterView<'_>, cycle: u64) -> Vec<ControlMsg> {
-        let _ = cycle;
-        let out = self.det.tick();
-        let mut msgs = Vec::new();
+    fn on_tick(&mut self, view: &RouterView<'_>, _cycle: u64) -> Vec<ControlMsg> {
+        let out = self.det.tick(view.traced());
+        let mut msgs = Vec::with_capacity(out.pings.count_ones() as usize);
         // recoveries first: un-learning must precede this round's pings
         // so the wrapped algorithm's wave is enqueued before probe noise
-        for p in &out.recoveries {
-            msgs.extend(self.inner.on_repair(view, *p));
+        for p in ports_of(out.recoveries) {
+            msgs.extend(self.inner.on_repair(view, p));
         }
-        for p in &out.alarms {
-            msgs.extend(self.inner.on_fault(view, *p));
+        for p in ports_of(out.alarms) {
+            msgs.extend(self.inner.on_fault(view, p));
         }
-        for p in &out.pings {
-            msgs.push(self.det.ping_msg(*p));
-        }
+        msgs.extend(ports_of(out.pings).map(|p| self.det.ping_msg(p)));
         msgs
     }
 
@@ -293,7 +297,7 @@ impl NodeController for DetectorController {
         payload: &[i64],
     ) -> Vec<ControlMsg> {
         if Detector::is_detector_payload(payload) {
-            self.det.on_payload(from, payload)
+            self.det.on_payload(from, payload, view.traced())
         } else {
             self.inner.on_control(view, from, payload)
         }
@@ -376,46 +380,46 @@ mod tests {
     }
 
     fn pong(d: &mut Detector, p: PortId) {
-        let out = d.on_payload(p, &[DET_TAG, DET_PONG, 0]);
+        let out = d.on_payload(p, &[DET_TAG, DET_PONG, 0], true);
         assert!(out.is_empty(), "pongs are not answered");
     }
 
     #[test]
     fn suspicion_fires_after_exactly_n_missed_heartbeats() {
         let mut d = det(3);
-        assert!(d.tick().alarms.is_empty(), "first tick sends, cannot miss");
+        assert_eq!(d.tick(true).alarms, 0, "first tick sends, cannot miss");
         // port 0 answers, port 2 never does
         for round in 1..=2 {
             pong(&mut d, PortId(0));
-            let out = d.tick();
-            assert!(out.alarms.is_empty(), "below threshold at round {round}");
+            let out = d.tick(true);
+            assert_eq!(out.alarms, 0, "below threshold at round {round}");
             assert_eq!(d.misses(PortId(2)), round);
         }
         pong(&mut d, PortId(0));
-        let out = d.tick();
-        assert_eq!(out.alarms, vec![PortId(2)], "alarm at exactly N=3 misses");
+        let out = d.tick(true);
+        assert_eq!(out.alarms, 1 << 2, "alarm at exactly N=3 misses");
         assert!(d.alarmed(PortId(2)));
         assert!(!d.alarmed(PortId(0)));
         // further silence does not re-alarm
-        let out = d.tick();
-        assert!(out.alarms.is_empty(), "alarm fires once");
+        let out = d.tick(true);
+        assert_eq!(out.alarms, 0, "alarm fires once");
         // the alarmed port keeps being probed so recovery is noticed
-        assert!(out.pings.contains(&PortId(2)));
+        assert_eq!(out.pings, 0b101);
     }
 
     #[test]
     fn flapping_within_threshold_raises_no_alarm() {
         let mut d = det(3);
-        d.tick();
+        d.tick(true);
         // two silent rounds (link flapped), then the pong resumes
-        d.tick();
-        d.tick();
+        d.tick(true);
+        d.tick(true);
         assert_eq!(d.misses(PortId(0)), 2, "suspicion accumulated");
         pong(&mut d, PortId(0));
         pong(&mut d, PortId(2));
-        let out = d.tick();
-        assert!(out.alarms.is_empty());
-        assert!(out.recoveries.is_empty(), "never alarmed, nothing to recover");
+        let out = d.tick(true);
+        assert_eq!(out.alarms, 0);
+        assert_eq!(out.recoveries, 0, "never alarmed, nothing to recover");
         assert_eq!(d.misses(PortId(0)), 0, "suspicion cleared by the pong");
         // the suspect trace of the flap was still recorded
         let evs = d.drain_events();
@@ -426,14 +430,14 @@ mod tests {
     #[test]
     fn pong_resumption_after_repair_unsuspects() {
         let mut d = det(2);
-        d.tick();
-        d.tick();
-        let out = d.tick();
-        assert_eq!(out.alarms, vec![PortId(0), PortId(2)]);
+        d.tick(true);
+        d.tick(true);
+        let out = d.tick(true);
+        assert_eq!(ports_of(out.alarms).collect::<Vec<_>>(), [PortId(0), PortId(2)]);
         // repair: pongs resume on port 0 only
         pong(&mut d, PortId(0));
-        let out = d.tick();
-        assert_eq!(out.recoveries, vec![PortId(0)]);
+        let out = d.tick(true);
+        assert_eq!(out.recoveries, 1);
         assert!(!d.alarmed(PortId(0)));
         assert!(d.alarmed(PortId(2)), "still-silent port stays alarmed");
     }
@@ -441,7 +445,7 @@ mod tests {
     #[test]
     fn ping_is_answered_with_matching_pong() {
         let mut d = det(3);
-        let replies = d.on_payload(PortId(1), &[DET_TAG, DET_PING, 41]);
+        let replies = d.on_payload(PortId(1), &[DET_TAG, DET_PING, 41], false);
         assert_eq!(
             replies,
             vec![ControlMsg { port: PortId(1), payload: vec![DET_TAG, DET_PONG, 41] }]
@@ -453,9 +457,9 @@ mod tests {
         let mut d = det(2);
         d.note_oracle_fault(PortId(0));
         assert!(d.alarmed(PortId(0)));
-        d.tick();
-        let out = d.tick();
-        assert!(out.alarms.is_empty(), "already alarmed by the oracle");
+        d.tick(true);
+        let out = d.tick(true);
+        assert_eq!(out.alarms, 0, "already alarmed by the oracle");
         d.note_oracle_repair(PortId(0));
         assert!(!d.alarmed(PortId(0)));
     }

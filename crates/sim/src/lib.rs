@@ -37,7 +37,7 @@
 //!         let (dx, dy) = self.0.offset(view.node, h.dst);
 //!         let p = if dx > 0 { ftr_topo::EAST } else if dx < 0 { ftr_topo::WEST }
 //!                 else if dy > 0 { ftr_topo::NORTH } else { ftr_topo::SOUTH };
-//!         if view.out_free[p.idx()][0] {
+//!         if view.free(p.idx(), 0) {
 //!             Decision::new(Verdict::Route(p, VcId(0)), 1)
 //!         } else {
 //!             Decision::new(Verdict::Wait, 1)

@@ -4,7 +4,7 @@
 //! is invoked.
 
 use super::Network;
-use crate::routing::ControlMsg;
+use crate::routing::{ControlMsg, RouterView, Rows};
 use ftr_obs::EventKind;
 use ftr_topo::{NodeId, PortId};
 
@@ -37,9 +37,9 @@ impl Network {
         if self.wiring.node_dead(node.idx()) {
             return;
         }
-        let vd = &mut self.scratch.view;
-        vd.fill_live(&self.wiring, node.idx(), self.vcs, &self.chans.full_mut());
-        let view = vd.view(node, self.cycle);
+        let traced = self.sink.is_some();
+        let rows = Rows::Live(self.wiring.row(node.idx()), self.chans.out_rows(node.idx()));
+        let view = RouterView { node, cycle: self.cycle, traced, vcs: self.vcs, rows };
         let ctrl = &mut self.ctrls[node.idx()];
         let msgs = match hook {
             Hook::Tick => ctrl.on_tick(&view, self.cycle),
@@ -49,11 +49,10 @@ impl Network {
         };
         // whatever the hook did to the controller's state, the node's
         // parked heads may now get another answer
-        self.chans.full_mut().wake(node.idx());
+        self.chans.wake(node.idx());
         // detector heartbeats/suspicions/alarms, stamped with the current
-        // cycle; skipped entirely without a sink — the default
-        // `drain_events` allocates nothing either way
-        if self.sink.is_some() {
+        // cycle; an untraced hook was told so and buffered nothing
+        if traced {
             for kind in self.ctrls[node.idx()].drain_events() {
                 self.emit(|| kind);
             }

@@ -14,8 +14,8 @@
 //! - `builder` — [`SimConfig`], [`BuildError`], [`NetworkBuilder`];
 //! - `wiring` — who is behind each port, and the cached link and node
 //!   status the data path reads instead of the topology and fault set;
-//! - `view` — the information units: the storage behind a
-//!   [`RouterView`](crate::routing::RouterView), refilled in place;
+//! - `view` — the information units: the windows a
+//!   [`RouterView`](crate::routing::RouterView) reads the router through;
 //! - `control` — the control unit's neighbour traffic: the control
 //!   queue, the periodic tick, delivery, and the single call site of
 //!   every [`NodeController`] control-plane hook;
@@ -39,7 +39,7 @@ mod faults;
 mod phases;
 mod step;
 mod view;
-mod wiring;
+pub(crate) mod wiring;
 
 pub use builder::{BuildError, NetworkBuilder, SimConfig};
 

@@ -6,13 +6,13 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the hardware structure
 
 use super::closes_worm;
-use super::view::{probe_wants, ViewData};
+use super::view::probe_wants;
 use super::wiring::Wiring;
 use super::SimConfig;
 use crate::arena::ChanRef;
 use crate::flit::{Flit, Header, MessageId};
 use crate::router::{DecisionPhase, RouteState};
-use crate::routing::{NodeController, Verdict};
+use crate::routing::{NodeController, RouterView, Rows, Verdict};
 use ftr_obs::{EventKind, RouteOutcome, TraceEvent};
 use ftr_topo::{NodeId, PortId, VcId};
 
@@ -57,8 +57,6 @@ pub(super) struct ShardScratch {
     pub(super) events: Vec<TraceEvent>,
     /// Stats updates in shard-local order.
     pub(super) ops: Vec<StatOp>,
-    /// Storage behind the `RouterView` of this shard's routing consults.
-    pub(super) view: ViewData,
     /// Slot sets of the node `phase_eject_switch` is serving.
     arb: Vec<u64>,
     /// Whether this shard moved any flit this cycle.
@@ -236,8 +234,8 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
     }
 
     // consult the controller
-    t.scr.view.fill_live(ctx.wiring, ni, ctx.vcs, &t.ch);
-    let view = t.scr.view.view(n, ctx.cycle);
+    let rows = Rows::Live(ctx.wiring.row(ni), t.ch.out_rows(ni));
+    let view = RouterView { node: n, cycle: ctx.cycle, traced: ctx.sink_on, vcs: ctx.vcs, rows };
     let mut header = header_copy;
     let dec = t.ctrls[ni - t.lo].route(&view, &mut header, in_port, VcId(iv as u8));
     // write back header updates
@@ -329,7 +327,7 @@ fn emit_route_wait(
 ) {
     if ctx.sink_on {
         let ctrl = t.ctrls[n.idx() - t.lo].as_mut();
-        let wants = probe_wants(ctx, &mut t.scr.view, ctrl, n, header, in_port, VcId(iv as u8));
+        let wants = probe_wants(ctx, ctrl, n, header, in_port, VcId(iv as u8));
         t.scr.emit(ctx, || EventKind::RouteWait { node: n, msg: header.msg.0, wants });
     }
 }

@@ -3,7 +3,6 @@
 
 use super::control::ControlDelivery;
 use super::phases::{run_shard, PhaseKind, ShardTask, StatOp, StepCtx};
-use super::view::ViewData;
 use super::{mark_active, Network};
 use crate::flit::MessageId;
 use std::collections::HashSet;
@@ -29,8 +28,6 @@ pub(super) struct StepScratch {
     doomed: HashSet<MessageId>,
     /// Control deliveries due this cycle.
     pub(super) due: Vec<ControlDelivery>,
-    /// Storage behind the `RouterView`s of hooks and `query_relation`.
-    pub(super) view: ViewData,
 }
 
 impl Network {
@@ -353,7 +350,7 @@ mod tests {
             _ip: Option<PortId>,
             _iv: VcId,
         ) -> Decision {
-            let free = view.out_free[EAST.idx()][0];
+            let free = view.free(EAST.idx(), 0);
             Decision::new(if free { Verdict::Route(EAST, VcId(0)) } else { Verdict::Wait }, 1)
         }
     }

@@ -12,13 +12,13 @@ use ftr_topo::{FaultSet, NodeId, PortId, Topology};
 /// One end of a link as seen from `(node, port)`, packed into 8 bytes (a
 /// 256×256 mesh has 262 144 of them).
 #[derive(Clone, Copy)]
-struct Wire {
+pub(crate) struct Wire {
     /// Peer node; `UNWIRED` when the port is not connected.
     peer: u32,
     /// The peer's port leading back (`Topology::port_towards(peer, node)`).
     rev: u8,
     /// `FaultSet::link_usable(node, port)`: wired, healthy, both ends alive.
-    live: bool,
+    pub(crate) live: bool,
 }
 
 const UNWIRED: u32 = u32::MAX;
@@ -73,9 +73,9 @@ impl Wiring {
         self.dead[n]
     }
 
-    /// Per port of `n`: the live-link bit.
-    pub(super) fn live_ports(&self, n: usize) -> impl Iterator<Item = bool> + '_ {
-        self.wires[n * self.degree..(n + 1) * self.degree].iter().map(|w| w.live)
+    /// Node `n`'s ports, in port order.
+    pub(super) fn row(&self, n: usize) -> &[Wire] {
+        &self.wires[n * self.degree..(n + 1) * self.degree]
     }
 
     /// Re-derives the bits a fault or repair of node `n` (`port == None`)
@@ -112,9 +112,10 @@ impl Wiring {
         topo.nodes().all(|n| {
             self.dead[n.idx()] == faults.node_faulty(n)
                 && self
-                    .live_ports(n.idx())
+                    .row(n.idx())
+                    .iter()
                     .zip(topo.ports())
-                    .all(|(l, p)| l == faults.link_usable(topo, n, p))
+                    .all(|(w, p)| w.live == faults.link_usable(topo, n, p))
         })
     }
 }

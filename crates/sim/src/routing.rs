@@ -7,41 +7,115 @@
 //! adjacent nodes to propagate fault knowledge (the "wave like" state
 //! propagation of NAFTA/ROUTE_C).
 
+use crate::arena::OutRows;
 use crate::flit::Header;
+use crate::network::wiring::Wire;
 use ftr_obs::EventKind;
 use ftr_topo::{NodeId, PortId, Topology, VcId};
 
-/// What the control unit can observe at its node when deciding — produced
-/// by the router's information units each decision.
+/// What the control unit can observe at its node when deciding: a window
+/// on the router's information units, read in place (Figure 3: the control
+/// unit *reads* link status and output load; nothing is copied for it).
+/// Ports and virtual channels are addressed by index.
 pub struct RouterView<'a> {
     /// This node.
     pub node: NodeId,
     /// Current cycle.
     pub cycle: u64,
-    /// Per `[port][vc]`: output channel allocatable right now (VC idle and
-    /// at least one credit).
-    pub out_free: &'a [Vec<bool>],
-    /// Per port: amount of data (flits) still assigned to this output —
-    /// NAFTA's adaptivity criterion ("the amount of data that still has to
-    /// pass a node").
-    pub out_load: &'a [u32],
-    /// Per port: the *local* link status (healthy link and live neighbour —
-    /// assumption ii makes this locally observable).
-    pub link_alive: &'a [bool],
+    pub(crate) traced: bool,
+    pub(crate) vcs: usize,
+    pub(crate) rows: Rows<'a>,
 }
 
-impl RouterView<'_> {
+/// Where a [`RouterView`] reads from.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// The router itself: the node's wiring row and its arena rows.
+    Live(&'a [Wire], OutRows<'a>),
+    /// An idealised router without load: of the channels on live links
+    /// only the given one is free — all of them for `None`.
+    Ideal(&'a [Wire], Option<(usize, usize)>),
+    /// Tables the caller owns ([`RouterView::from_tables`]).
+    Tables { free: &'a [Vec<bool>], load: &'a [u32], alive: &'a [bool] },
+}
+
+impl<'a> RouterView<'a> {
+    /// A view over caller-owned tables, for driving a controller outside a
+    /// network: `free[p][v]`, `load[p]` and `alive[p]` are handed out as
+    /// they are. Never [`traced`](Self::traced).
+    pub fn from_tables(
+        node: NodeId,
+        cycle: u64,
+        free: &'a [Vec<bool>],
+        load: &'a [u32],
+        alive: &'a [bool],
+    ) -> Self {
+        let (vcs, rows) = (free.first().map_or(0, Vec::len), Rows::Tables { free, load, alive });
+        RouterView { node, cycle, traced: false, vcs, rows }
+    }
+
+    /// Network ports of this router.
+    pub fn degree(&self) -> usize {
+        match self.rows {
+            Rows::Live(wires, _) | Rows::Ideal(wires, _) => wires.len(),
+            Rows::Tables { alive, .. } => alive.len(),
+        }
+    }
+
+    /// Virtual channels per port.
+    pub fn vcs(&self) -> usize {
+        self.vcs
+    }
+
+    /// The *local* link status of port `p` (healthy link and live
+    /// neighbour — assumption ii makes this locally observable).
+    #[inline]
+    pub fn alive(&self, p: usize) -> bool {
+        match self.rows {
+            Rows::Live(wires, _) | Rows::Ideal(wires, _) => wires[p].live,
+            Rows::Tables { alive, .. } => alive[p],
+        }
+    }
+
+    /// Output channel `(p, v)` is allocatable right now: the link is
+    /// alive, the VC idle, and at least one credit is left.
+    #[inline]
+    pub fn free(&self, p: usize, v: usize) -> bool {
+        debug_assert!(v < self.vcs, "port {p} has no VC {v}");
+        match self.rows {
+            Rows::Live(wires, out) => wires[p].live && out.free(p * self.vcs + v),
+            Rows::Ideal(wires, only) => wires[p].live && only.is_none_or(|c| c == (p, v)),
+            Rows::Tables { free, .. } => free[p][v],
+        }
+    }
+
+    /// Amount of data (flits) still assigned to output `p`, the one in its
+    /// link register included — NAFTA's adaptivity criterion ("the amount
+    /// of data that still has to pass a node").
+    #[inline]
+    pub fn load(&self, p: usize) -> u32 {
+        match self.rows {
+            Rows::Live(_, out) => out.load(p),
+            Rows::Ideal(..) => 0,
+            Rows::Tables { load, .. } => load[p],
+        }
+    }
+
     /// True if any VC of `port` is allocatable.
     pub fn any_vc_free(&self, port: PortId) -> bool {
-        self.out_free[port.idx()].iter().any(|&b| b)
+        (0..self.vcs).any(|v| self.free(port.idx(), v))
     }
 
     /// First allocatable VC of `port` within a VC range.
     pub fn free_vc_in(&self, port: PortId, vcs: std::ops::Range<usize>) -> Option<VcId> {
-        self.out_free[port.idx()][vcs.clone()]
-            .iter()
-            .position(|&b| b)
-            .map(|i| VcId((vcs.start + i) as u8))
+        vcs.into_iter().find(|&v| self.free(port.idx(), v)).map(|v| VcId(v as u8))
+    }
+
+    /// Whether a trace sink collects what [`NodeController::drain_events`]
+    /// returns after this hook; if not, nobody drains and nothing should
+    /// be buffered.
+    pub fn traced(&self) -> bool {
+        self.traced
     }
 }
 
@@ -111,10 +185,10 @@ pub trait NodeController: Send {
     /// A head that was told to wait is *parked*: the engine does not ask
     /// again until something the answer may depend on has changed at this
     /// node. So a [`Verdict::Wait`] from [`Decision::new`] must be a
-    /// function of the header, `in_port`, `in_vc`, `view.out_free`,
-    /// `view.link_alive` and controller state that only this node's hooks
+    /// function of the header, `in_port`, `in_vc`, `view.free(..)`,
+    /// `view.alive(..)` and controller state that only this node's hooks
     /// (`on_tick`, `on_control`, `on_fault`, `on_repair`) change, and it
-    /// must leave the header untouched. `view.out_load` and `view.cycle`
+    /// must leave the header untouched. `view.load(..)` and `view.cycle`
     /// may rank the outputs a grant chooses from, but never turn a `Wait`
     /// into one. A controller that wants to be re-asked for any other
     /// reason — its answer reads the load, the clock, or state another
@@ -144,8 +218,9 @@ pub trait NodeController: Send {
 
     /// Drains trace events the controller wants recorded (heartbeats,
     /// suspicions, alarms). The network calls this after each control-plane
-    /// hook (`on_tick`/`on_control`/`on_fault`/`on_repair`) and stamps the
-    /// events with the current cycle. Default: none.
+    /// hook (`on_tick`/`on_control`/`on_fault`/`on_repair`) whose view was
+    /// [`traced`](RouterView::traced), and stamps the events with the
+    /// current cycle. Default: none.
     fn drain_events(&mut self) -> Vec<EventKind> {
         Vec::new()
     }
@@ -227,15 +302,9 @@ mod tests {
     #[test]
     fn view_helpers() {
         let out_free = vec![vec![false, true], vec![false, false]];
-        let out_load = vec![3, 0];
-        let link_alive = vec![true, false];
-        let v = RouterView {
-            node: NodeId(0),
-            cycle: 0,
-            out_free: &out_free,
-            out_load: &out_load,
-            link_alive: &link_alive,
-        };
+        let v = RouterView::from_tables(NodeId(0), 0, &out_free, &[3, 0], &[true, false]);
+        assert_eq!((v.degree(), v.vcs()), (2, 2));
+        assert_eq!((v.load(0), v.alive(0), v.alive(1)), (3, true, false));
         assert!(v.any_vc_free(PortId(0)));
         assert!(!v.any_vc_free(PortId(1)));
         assert_eq!(v.free_vc_in(PortId(0), 0..2), Some(VcId(1)));

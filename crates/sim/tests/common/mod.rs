@@ -70,9 +70,9 @@ impl NodeController for Xy {
         } else {
             return Decision::new(Verdict::Deliver, self.steps);
         };
-        let verdict = if !view.link_alive[p.idx()] {
+        let verdict = if !view.alive(p.idx()) {
             Verdict::Unroutable
-        } else if view.out_free[p.idx()][0] {
+        } else if view.free(p.idx(), 0) {
             Verdict::Route(p, VcId(0))
         } else {
             Verdict::Wait
@@ -87,4 +87,14 @@ pub fn mesh_net(side: u32, steps: u32, cfg: SimConfig) -> (Arc<Mesh2D>, Network)
     let algo = Xy::with_steps((*topo).clone(), steps);
     let net = Network::builder(topo.clone()).config(cfg).build(&algo).expect("valid config");
     (topo, net)
+}
+
+/// Starts one 4 000-flit worm per node of a 6×6 mesh and runs 500 warm-up
+/// cycles: flits then move on every link for thousands of cycles without a
+/// send or a delivery, and every scratch vector has reached its size.
+pub fn stream_worms(net: &mut Network) {
+    for i in 0..36 {
+        net.send(NodeId(i), NodeId(35 - i), 4_000).unwrap();
+    }
+    net.run(500);
 }

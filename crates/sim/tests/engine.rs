@@ -45,7 +45,7 @@ impl NodeController for GreedyCtl {
         _iv: VcId,
     ) -> Decision {
         for p in self.mesh.minimal_directions(view.node, h.dst) {
-            if view.out_free[p.idx()][0] {
+            if view.free(p.idx(), 0) {
                 return Decision::new(Verdict::Route(p, VcId(0)), 1);
             }
         }
@@ -332,8 +332,8 @@ fn control_plane_propagates_with_unit_latency() {
         }
         fn on_fault(&mut self, view: &RouterView<'_>, _port: PortId) -> Vec<ControlMsg> {
             // flood a token to all alive neighbours
-            (0..view.link_alive.len())
-                .filter(|&p| view.link_alive[p])
+            (0..view.degree())
+                .filter(|&p| view.alive(p))
                 .map(|p| ControlMsg { port: PortId(p as u8), payload: vec![1] })
                 .collect()
         }
@@ -345,8 +345,8 @@ fn control_plane_propagates_with_unit_latency() {
         ) -> Vec<ControlMsg> {
             if self.heard == 0 && payload == [1] {
                 self.heard = 1;
-                (0..view.link_alive.len())
-                    .filter(|&p| view.link_alive[p])
+                (0..view.degree())
+                    .filter(|&p| view.alive(p))
                     .map(|p| ControlMsg { port: PortId(p as u8), payload: vec![1] })
                     .collect()
             } else {
