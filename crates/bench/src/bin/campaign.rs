@@ -20,7 +20,7 @@
 use ftr_algos::Nafta;
 use ftr_bench::{harness, results};
 use ftr_obs::{json, FtbHeader};
-use ftr_sim::sweep::run_sweep;
+use ftr_sim::sweep::{run_sweep, worker_count};
 use ftr_sim::{FaultPlan, Network, Pattern, RetryPolicy, TrafficSource};
 use ftr_topo::Mesh2D;
 use ftr_trace::DiagnoserSink;
@@ -148,9 +148,10 @@ fn main() {
         "E15 dynamic-fault campaign: {SIDE}x{SIDE} NAFTA mesh, load {load}, \
          transient link faults repaired after {REPAIR_AFTER} cycles"
     );
-    println!("{total} runs ({runs_per_cell} per cell) on {} threads\n", harness::threads());
+    let threads = worker_count();
+    println!("{total} runs ({runs_per_cell} per cell) on {threads} threads\n");
 
-    let outs = run_sweep(specs.clone(), harness::threads(), run_one);
+    let outs = run_sweep(specs.clone(), threads, run_one);
 
     // hard invariants: every run, no exceptions
     let mut violations = 0usize;

@@ -26,7 +26,7 @@
 use ftr_bench::fleetjob::{specs, Campaign, FAULT_COUNTS, SIDE};
 use ftr_bench::{harness, results};
 use ftr_obs::json;
-use ftr_sim::run_fleet;
+use ftr_sim::{run_fleet, worker_count};
 
 fn main() {
     let args = harness::Args::parse();
@@ -44,7 +44,7 @@ fn main() {
         "E21 fleet: {runs} dynamic-fault runs on a {SIDE}x{SIDE} NAFTA mesh, \
          load {load}, retry on, manifest {manifest}"
     );
-    let threads = harness::threads();
+    let threads = worker_count();
     let start = std::time::Instant::now();
     let outcome = run_fleet(&Campaign, &fleet, std::path::Path::new(&manifest), threads)
         .expect("fleet manifest I/O");

@@ -34,7 +34,7 @@ fn curve<T: Topology + Clone + Sync + 'static>(
     cfg: SimConfig,
 ) -> Vec<LoadPoint> {
     let inputs: Vec<f64> = LOADS.to_vec();
-    ftr_sim::run_sweep(inputs, harness::threads(), |&load| {
+    ftr_sim::run_sweep(inputs, ftr_sim::worker_count(), |&load| {
         measure_load(topo, algo, faults, Pattern::Uniform, load, 4, WARMUP, WINDOW, 42, cfg)
     })
 }

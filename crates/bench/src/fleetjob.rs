@@ -1,13 +1,10 @@
 //! The E21 fleet campaign job: one dynamic-fault run, keyed, executed
 //! and journaled through [`ftr_sim::fleet`].
 //!
-//! Shared between the `fleet` driver (which scales it to 10⁴ runs) and
-//! `trace_perf` (which times small fleets for the wall-clock half of
-//! `BENCH_trace.json`), so both measure exactly the same workload: a
-//! 6x6 NAFTA mesh under uniform traffic with scripted transient link
-//! faults, source retransmission on, the online deadlock diagnoser
-//! attached, and (with `FTR_TRACE_DIR` set) a compact binary `.ftb`
-//! capture per run.
+//! The `fleet` driver scales it to 10⁴ runs: a 6x6 NAFTA mesh under
+//! uniform traffic with scripted transient link faults, source
+//! retransmission on, the online deadlock diagnoser attached, and (with
+//! `FTR_TRACE_DIR` set) a compact binary `.ftb` capture per run.
 //!
 //! Every run asserts its own invariants — accounting balanced, network
 //! drained, no watchdog or diagnoser deadlock verdict, no trace events
@@ -25,15 +22,15 @@ use std::sync::Arc;
 /// Mesh side of the campaign fabric.
 pub const SIDE: u32 = 6;
 /// Cycles until a transient link fault repairs.
-pub const REPAIR_AFTER: u64 = 150;
+const REPAIR_AFTER: u64 = 150;
 /// Cycle window the scripted faults strike in.
-pub const FAULT_WINDOW: std::ops::Range<u64> = 100..700;
+const FAULT_WINDOW: std::ops::Range<u64> = 100..700;
 /// Cycles of offered load per run.
-pub const WARM_CYCLES: u64 = 900;
+const WARM_CYCLES: u64 = 900;
 /// Drain budget per run.
-pub const DRAIN_BUDGET: u64 = 30_000;
+const DRAIN_BUDGET: u64 = 30_000;
 /// Message length (flits).
-pub const MSG_LEN: u32 = 12;
+const MSG_LEN: u32 = 12;
 /// Fault counts cycled across a fleet.
 pub const FAULT_COUNTS: [usize; 5] = [0, 4, 8, 12, 16];
 

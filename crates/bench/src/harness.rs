@@ -6,7 +6,8 @@
 //! `"wrote …"` tail. This module owns those pieces once, so an
 //! E-experiment definition stays a one-screen description of *what* is
 //! measured: parse [`Args`], size the run with [`Args::smoke`] /
-//! [`threads`], offer load with [`drive`], and finish with [`export`].
+//! [`ftr_sim::worker_count`], offer load with [`drive`], and finish
+//! with [`export`].
 
 use ftr_sim::{Network, TrafficSource};
 use std::path::PathBuf;
@@ -52,13 +53,6 @@ impl Args {
                 .unwrap_or_else(|_| panic!("argument {} ({what}): cannot parse {raw:?}", idx + 1)),
         }
     }
-}
-
-/// Worker parallelism for sweeps and the sharded engine: the
-/// `FTR_THREADS` override when set, else the machine's logical CPU
-/// count (see [`ftr_sim::worker_count`]).
-pub fn threads() -> usize {
-    ftr_sim::worker_count()
 }
 
 /// Offers load for `cycles` cycles: ticks `tf` against the engine's own

@@ -2,8 +2,8 @@
 //!
 //! Regenerates every table and quantitative claim of the paper's
 //! evaluation. Each experiment is a binary under `src/bin/` (see
-//! `DESIGN.md` §3 for the experiment index); Criterion micro-benchmarks
-//! live under `benches/`.
+//! `DESIGN.md` §3 for the experiment index); E9's Criterion
+//! micro-benchmark lives under `benches/`.
 //!
 //! Shared helpers for the binaries live here.
 
@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 pub mod fleetjob;
 pub mod harness;
-pub mod regress;
 pub mod results;
 
 /// One point of a latency/throughput curve.

@@ -6,7 +6,8 @@
 //! a `RingSink` sized to hold all of it, a `BinSink` file and the
 //! online diagnoser. The decoded capture must then equal the ring event
 //! for event — not just in aggregate — and `EventReader` + `replay`
-//! must fold it into the same `JourneyBook` as the in-memory events.
+//! must fold it into the same `JourneyBook` as the in-memory events,
+//! and the capture must stay at or under 16 bytes per event.
 //! The diagnoser must stay silent on every cell (these runs are
 //! deadlock-free by construction).
 
@@ -63,12 +64,19 @@ fn run_cell(retry: bool, faults: usize, seed: u64) -> (Vec<TraceEvent>, std::pat
     assert_eq!(ring.dropped(), 0, "cell {tag}: the ring must hold the whole run");
     let live = ring.events();
     assert_eq!(live.len() as u64, ftb.written(), "cell {tag}: sinks saw different event counts");
+    // deterministic, so a bar: a capture is only worth keeping for every
+    // run while an event stays this small
+    let bytes = ftb.bytes_written();
+    assert!(
+        bytes <= 16 * ftb.written(),
+        "cell {tag}: FTB grew to {:.1} B/event (bar 16)",
+        bytes as f64 / ftb.written() as f64
+    );
     (live, ftb_path)
 }
 
-// (the name predates the JSONL sink's retirement; the reference is the live stream)
 #[test]
-fn ftb_equals_jsonl_event_for_event_across_the_campaign_matrix() {
+fn ftb_equals_the_live_stream_event_for_event_across_the_campaign_matrix() {
     let mut total_events = 0usize;
     for (cell, &(retry, faults)) in [false, true]
         .iter()

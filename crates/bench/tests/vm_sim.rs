@@ -11,9 +11,6 @@
 //! * the mesh suite (xy, west_first, nafta, naive_adaptive) on a replayed
 //!   injection schedule;
 //! * rule-driven ROUTE_C on a hypercube with a node fault.
-//!
-//! Plus the `FTR_BACKEND` selector: the env var picks the backend at
-//! configuration time (serialized through the workspace env lock).
 
 use ftr_analyze::{opt, TopoFacts};
 use ftr_core::{configure, CubeRuleRouter, RouterConfiguration, RuleRouter};
@@ -60,9 +57,7 @@ impl TraceSink for DigestSink {
 }
 
 fn table_and_bytecode(name: &str, src: &str) -> (RouterConfiguration, RouterConfiguration) {
-    // pin both backends explicitly so an ambient FTR_BACKEND cannot skew
-    // the comparison
-    let table = configure(name, src).unwrap().with_backend(Backend::Table).unwrap();
+    let table = configure(name, src).unwrap();
     let bytecode = configure(name, src).unwrap().with_backend(Backend::Bytecode).unwrap();
     assert!(bytecode.bytecode.is_some(), "{name}: bytecode must be lowered once per config");
     (table, bytecode)
@@ -121,17 +116,12 @@ fn bytecode_composes_with_the_optimizer_and_step_weights() {
     // StepWeights, optimized *bytecode* with the same StepWeights — the
     // modeled decision_steps must survive both rewritings at once
     let mesh = Mesh2D::new(SIDE, SIDE);
-    let baseline = configure("nafta", ftr_algos::rules_src::NAFTA)
-        .unwrap()
-        .with_backend(Backend::Table)
-        .unwrap();
+    let baseline = configure("nafta", ftr_algos::rules_src::NAFTA).unwrap();
     let oopts = opt::OptOptions { topo: TopoFacts::mesh(SIDE, SIDE), ..opt::OptOptions::default() };
     let optimized = opt::optimize_rulebase("nafta", &baseline.compiled.prog, &oopts).unwrap();
     let opt_table = RouterConfiguration::from_compiled("nafta", optimized.compiled.clone())
         .unwrap()
-        .with_step_weights(optimized.step_weights.clone())
-        .with_backend(Backend::Table)
-        .unwrap();
+        .with_step_weights(optimized.step_weights.clone());
     let opt_byte = RouterConfiguration::from_compiled("nafta", optimized.compiled)
         .unwrap()
         .with_step_weights(optimized.step_weights)
@@ -219,23 +209,4 @@ fn bytecode_matches_table_on_route_c_hypercube() {
     let b = run(byte_cfg);
     assert!(t.0.delivered_msgs > 0, "cube campaign delivers");
     assert_eq!(t, b, "route_c: bytecode run diverged from table");
-}
-
-#[test]
-fn ftr_backend_env_var_selects_the_backend_at_configuration_time() {
-    let mut env = ftr_sim::envlock::EnvGuard::new();
-    env.set("FTR_BACKEND", "bytecode");
-    let cfg = configure("xy", ftr_algos::rules_src::XY).unwrap();
-    assert_eq!(cfg.backend, Backend::Bytecode);
-    assert!(cfg.bytecode.is_some(), "selector must lower the program");
-    env.set("FTR_BACKEND", "table");
-    let cfg = configure("xy", ftr_algos::rules_src::XY).unwrap();
-    assert_eq!(cfg.backend, Backend::Table);
-    assert!(cfg.bytecode.is_none());
-    env.set("FTR_BACKEND", "quantum");
-    let cfg = configure("xy", ftr_algos::rules_src::XY).unwrap();
-    assert_eq!(cfg.backend, Backend::Table, "unknown values fall back to the table");
-    env.remove("FTR_BACKEND");
-    let cfg = configure("xy", ftr_algos::rules_src::XY).unwrap();
-    assert_eq!(cfg.backend, Backend::Table, "unset defaults to the table");
 }

@@ -55,9 +55,9 @@ pub struct RouterConfiguration {
     /// True when `compiled` came out of the certified optimizer rather
     /// than straight from source.
     pub optimized: bool,
-    /// Which rule-execution backend node machines run on. Defaults to the
-    /// `FTR_BACKEND` environment variable (`table` unless it says
-    /// `bytecode`); override with [`RouterConfiguration::with_backend`].
+    /// Which rule-execution backend node machines run on: the table
+    /// interpreter unless [`RouterConfiguration::with_backend`] picks
+    /// another.
     pub backend: Backend,
     /// The lowered bytecode, shared by every node machine when `backend`
     /// is [`Backend::Bytecode`] (lowered once per configuration, not per
@@ -73,7 +73,7 @@ impl RouterConfiguration {
     pub fn from_compiled(name: &str, compiled: impl Into<Arc<CompiledProgram>>) -> Result<Self> {
         let compiled = compiled.into();
         let cost = cost::analyze_compiled(&compiled);
-        RouterConfiguration {
+        Ok(RouterConfiguration {
             name: name.to_string(),
             compiled,
             cost,
@@ -81,8 +81,7 @@ impl RouterConfiguration {
             optimized: false,
             backend: Backend::Table,
             bytecode: None,
-        }
-        .with_backend(Backend::from_env())
+        })
     }
 
     /// Installs modeled per-rule step weights and tags the configuration

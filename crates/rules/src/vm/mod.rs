@@ -54,18 +54,6 @@ pub enum Backend {
     Bytecode,
 }
 
-impl Backend {
-    /// Reads the `FTR_BACKEND` environment variable: `bytecode` selects
-    /// the VM, `table` (or anything else, including unset) the table
-    /// interpreter.
-    pub fn from_env() -> Self {
-        match std::env::var("FTR_BACKEND").as_deref() {
-            Ok("bytecode") => Backend::Bytecode,
-            _ => Backend::Table,
-        }
-    }
-}
-
 /// Index of a value slot in the per-fire scratch frame.
 pub type Slot = u16;
 
@@ -751,13 +739,5 @@ END update_state;
         assert_eq!(bytecode.0, 14, "weighted cascade steps");
         assert_eq!(bytecode.2, vec![4], "per_base counts physical interpretations");
         assert_eq!(bytecode.3.len(), 12, "three stages per dispatched fire");
-    }
-
-    #[test]
-    fn backend_from_env_defaults_to_table() {
-        // Reads only; env mutation in tests goes through ftr_sim::envlock.
-        if std::env::var("FTR_BACKEND").is_err() {
-            assert_eq!(Backend::from_env(), Backend::Table);
-        }
     }
 }
