@@ -18,8 +18,7 @@ use ftr_sim::routing::{
 };
 use ftr_topo::spanning::SpanningTree;
 use ftr_topo::{FaultSet, NodeId, PortId, Topology, VcId};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Spanning-tree routing over any topology.
 pub struct SpanningTreeRouting<T: Topology + Clone + 'static> {
@@ -71,6 +70,14 @@ struct TreeController<T: Topology + Clone> {
     hop_limit: u32,
 }
 
+impl<T: Topology + Clone> TreeController<T> {
+    /// The shared tree, taken back from a poisoned lock: every network
+    /// built from one algorithm value shares it, across sweep workers too.
+    fn shared(&self) -> MutexGuard<'_, SharedTree> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 impl<T: Topology + Clone + 'static> NodeController for TreeController<T> {
     fn route(
         &mut self,
@@ -85,7 +92,7 @@ impl<T: Topology + Clone + 'static> NodeController for TreeController<T> {
         if view.node == h.dst {
             return Decision::new(Verdict::Deliver, 1);
         }
-        let shared = self.shared.lock();
+        let shared = self.shared();
         let Some(next) = shared.tree.next_hop(view.node, h.dst) else {
             return Decision::new(Verdict::Unroutable, 1);
         };
@@ -114,7 +121,7 @@ impl<T: Topology + Clone + 'static> NodeController for TreeController<T> {
         _in_port: Option<PortId>,
         _in_vc: VcId,
     ) -> Vec<(PortId, VcId)> {
-        let shared = self.shared.lock();
+        let shared = self.shared();
         let Some(next) = shared.tree.next_hop(view.node, h.dst) else {
             return Vec::new();
         };
@@ -129,7 +136,7 @@ impl<T: Topology + Clone + 'static> NodeController for TreeController<T> {
 
     fn on_fault(&mut self, _view: &RouterView<'_>, port: PortId) -> Vec<ControlMsg> {
         // global reconfiguration: record the fault and rebuild the tree
-        let mut shared = self.shared.lock();
+        let mut shared = self.shared();
         shared.faults.fail_link(&self.topo, self.node, port);
         // pick the lowest alive root
         let root = self.topo.nodes().find(|&n| !shared.faults.node_faulty(n)).unwrap_or(NodeId(0));

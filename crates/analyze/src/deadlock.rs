@@ -511,14 +511,16 @@ impl CubeProgramLift {
     }
 }
 
-/// [`MeshProgramLift::verify`] on a fresh lift. `mode` must be the data
-/// path the program's declarations select ([`MeshProgramLift::mode`]): it
-/// cannot be chosen, so a proof is never about a router nobody builds.
+/// [`MeshProgramLift::verify`] on a fresh lift, asserting that `mode` is
+/// the data path the program's declarations select
+/// ([`MeshProgramLift::mode`]). Kept only because the ledger
+/// (`benchmark/`) still calls it; it goes with ROADMAP 1(b)/(c).
 ///
 /// # Panics
 ///
 /// If [`MeshProgramLift::new`] refuses the program (the message is its
 /// error), or `mode` is not the derived one.
+#[deprecated(note = "the data path is derived from the program: use `MeshProgramLift::verify`")]
 pub fn verify_mesh(
     program_name: &str,
     compiled: &CompiledProgram,

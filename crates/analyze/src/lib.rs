@@ -31,9 +31,10 @@ pub mod opt;
 pub mod progress;
 
 pub use absint::{analyze_program, AbsEnv, AbsVal, Facts, Monotonicity, TopoFacts};
+#[allow(deprecated)] // the ledger's entry point until ROADMAP 1(b)/(c)
+pub use deadlock::verify_mesh;
 pub use deadlock::{
-    verify_cube, verify_mesh, CubeProgramLift, CycleWitness, DeadlockReport, MeshProgramLift,
-    MeshVcMode,
+    verify_cube, CubeProgramLift, CycleWitness, DeadlockReport, MeshProgramLift, MeshVcMode,
 };
 pub use diag::{Diagnostic, LintCode, Severity};
 pub use lints::{

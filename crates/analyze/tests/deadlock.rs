@@ -3,7 +3,7 @@
 //! their declarations select, and the naive fully-adaptive baseline must
 //! produce a concrete cycle witness.
 
-use ftr_analyze::{verify_cube, verify_mesh, CubeProgramLift, MeshProgramLift, MeshVcMode};
+use ftr_analyze::{verify_cube, CubeProgramLift, DeadlockReport, MeshProgramLift, MeshVcMode};
 use ftr_rules::{compile, parse, CompileOptions, CompiledProgram};
 use ftr_topo::cdg::RoutingRelation;
 use ftr_topo::{FaultSet, Hypercube, Mesh2D, NodeId, PortId, Topology, VcId, EAST};
@@ -11,6 +11,12 @@ use ftr_topo::{FaultSet, Hypercube, Mesh2D, NodeId, PortId, Topology, VcId, EAST
 fn compiled(src: &str) -> CompiledProgram {
     let prog = parse(src).expect("parse");
     compile(&prog, &CompileOptions::default()).expect("compile")
+}
+
+/// [`MeshProgramLift::verify`] of `c` on a `w`×`h` mesh.
+fn verify_on(name: &str, c: &CompiledProgram, (w, h): (u32, u32), faults: usize) -> DeadlockReport {
+    let lift = MeshProgramLift::new(c.clone(), Mesh2D::new(w, h)).expect("binds");
+    lift.verify(name, faults, 1 << 20)
 }
 
 fn shipped(name: &str) -> CompiledProgram {
@@ -24,22 +30,21 @@ fn shipped(name: &str) -> CompiledProgram {
 
 #[test]
 fn xy_program_is_deadlock_free_fault_free() {
-    let report = verify_mesh("xy", &shipped("xy"), 4, 4, MeshVcMode::SingleVc, 0, 16);
+    let report = verify_on("xy", &shipped("xy"), (4, 4), 0);
     assert!(report.verified(), "{}", report.summary());
     assert_eq!(report.fault_sets_checked, 1);
 }
 
 #[test]
 fn west_first_program_is_deadlock_free_fault_free() {
-    let report =
-        verify_mesh("west_first", &shipped("west_first"), 4, 4, MeshVcMode::SingleVc, 0, 16);
+    let report = verify_on("west_first", &shipped("west_first"), (4, 4), 0);
     assert!(report.verified(), "{}", report.summary());
 }
 
 #[test]
 fn naive_adaptive_baseline_has_a_cycle_witness() {
     let c = compiled(ftr_algos::rules_src::NAIVE_ADAPTIVE);
-    let report = verify_mesh("adaptive", &c, 3, 3, MeshVcMode::SingleVc, 0, 16);
+    let report = verify_on("adaptive", &c, (3, 3), 0);
     assert!(!report.verified(), "the naive adaptive baseline must deadlock");
     let witness = &report.failures[0];
     assert_eq!(witness.faults, "fault-free");
@@ -52,24 +57,25 @@ fn nafta_is_deadlock_free_with_up_to_two_link_faults_exhaustively() {
     // 3x3 mesh has 12 links: 1 + 12 + C(12,2) = 79 fault scenarios, all
     // checked exhaustively under the two-virtual-network discipline the
     // program's `invc` declaration selects.
-    let report = verify_mesh("nafta", &shipped("nafta"), 3, 3, MeshVcMode::NaraPair, 2, 1 << 20);
+    let report = verify_on("nafta", &shipped("nafta"), (3, 3), 2);
     assert!(report.verified(), "{}", report.summary());
     assert_eq!(report.fault_sets_checked, 79);
 }
 
 #[test]
 fn nafta_is_deadlock_free_on_4x4_with_single_link_faults() {
-    let report = verify_mesh("nafta", &shipped("nafta"), 4, 4, MeshVcMode::NaraPair, 1, 1 << 20);
+    let report = verify_on("nafta", &shipped("nafta"), (4, 4), 1);
     assert!(report.verified(), "{}", report.summary());
     assert_eq!(report.fault_sets_checked, 25); // 24 links + fault-free
 }
 
 #[test]
+#[allow(deprecated)] // the wrapper the ledger calls until ROADMAP 1(b)/(c)
 #[should_panic(expected = "nafta: its declarations select the NaraPair data path")]
 fn a_mode_other_than_the_derived_one_is_refused() {
     // the data path is derived, not chosen: asking for a proof about a
     // router nobody builds is an error, not a verdict
-    verify_mesh("nafta", &shipped("nafta"), 3, 3, MeshVcMode::SingleVc, 0, 16);
+    ftr_analyze::verify_mesh("nafta", &shipped("nafta"), 3, 3, MeshVcMode::SingleVc, 0, 16);
 }
 
 #[test]

@@ -93,7 +93,7 @@ impl ProgReport {
     }
 }
 
-fn measure(name: &'static str, src: &str, vcs: usize, mesh: &Mesh2D, cycles: u64) -> ProgReport {
+fn measure(name: &'static str, src: &str, mesh: &Mesh2D, cycles: u64) -> ProgReport {
     let baseline = configure(name, src).expect("program compiles");
     let prog = &baseline.compiled.prog;
     let oopts = opt::OptOptions { topo: TopoFacts::mesh(SIDE, SIDE), ..opt::OptOptions::default() };
@@ -115,12 +115,12 @@ fn measure(name: &'static str, src: &str, vcs: usize, mesh: &Mesh2D, cycles: u64
 
         let base_prof = Arc::new(InterpProfiler::with_tag("baseline"));
         let base_algo =
-            RuleRouter::new(baseline.clone(), mesh.clone(), vcs).with_profiler(base_prof.clone());
+            RuleRouter::for_mesh(baseline.clone(), mesh.clone()).with_profiler(base_prof.clone());
         let base_stats = replay(&base_algo, mesh, &sched);
 
         let opt_prof = Arc::new(InterpProfiler::with_tag("optimized"));
         let opt_algo =
-            RuleRouter::new(opt_cfg.clone(), mesh.clone(), vcs).with_profiler(opt_prof.clone());
+            RuleRouter::for_mesh(opt_cfg.clone(), mesh.clone()).with_profiler(opt_prof.clone());
         let opt_stats = replay(&opt_algo, mesh, &sched);
 
         // the optimizer's contract, checked on live traffic: same
@@ -179,9 +179,9 @@ fn main() {
 
     let mesh = Mesh2D::new(SIDE, SIDE);
     let reports = [
-        measure("nafta", ftr_algos::rules_src::NAFTA, 2, &mesh, cycles),
-        measure("xy", ftr_algos::rules_src::XY, 1, &mesh, cycles),
-        measure("west_first", ftr_algos::rules_src::WEST_FIRST, 1, &mesh, cycles),
+        measure("nafta", ftr_algos::rules_src::NAFTA, &mesh, cycles),
+        measure("xy", ftr_algos::rules_src::XY, &mesh, cycles),
+        measure("west_first", ftr_algos::rules_src::WEST_FIRST, &mesh, cycles),
     ];
 
     let nafta = &reports[0];

@@ -19,7 +19,7 @@ fn every_channel_the_rule_host_grants_is_in_the_lifted_relation() {
     let mesh = Mesh2D::new(6, 6);
     let cfg = registry::configuration("nafta").unwrap();
     let lift = MeshProgramLift::new((*cfg.compiled).clone(), mesh.clone()).expect("binds");
-    let router = RuleRouter::new(cfg, mesh.clone(), lift.num_vcs());
+    let router = RuleRouter::for_mesh(cfg, mesh.clone());
     let ring = Arc::new(RingSink::new(1 << 20));
     let mut net = Network::builder(Arc::new(mesh.clone()))
         .trace(ring.clone())

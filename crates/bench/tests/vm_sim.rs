@@ -96,8 +96,8 @@ fn bytecode_nafta_is_bit_identical_on_the_campaign_matrix() {
     let mesh = Mesh2D::new(SIDE, SIDE);
     let (table_cfg, byte_cfg) = table_and_bytecode("nafta", ftr_algos::rules_src::NAFTA);
     for (faults, seed) in [(0usize, 1u64), (6, 7919), (10, 15838)] {
-        let t_algo = RuleRouter::new(table_cfg.clone(), mesh.clone(), 2);
-        let b_algo = RuleRouter::new(byte_cfg.clone(), mesh.clone(), 2);
+        let t_algo = RuleRouter::for_mesh(table_cfg.clone(), mesh.clone());
+        let b_algo = RuleRouter::for_mesh(byte_cfg.clone(), mesh.clone());
         let (t_stats, t_trace) = campaign_run(&mesh, &t_algo, faults, seed);
         let (b_stats, b_trace) = campaign_run(&mesh, &b_algo, faults, seed);
         assert!(t_stats.injected_msgs > 0, "campaign must inject traffic");
@@ -129,9 +129,9 @@ fn bytecode_composes_with_the_optimizer_and_step_weights() {
         .unwrap();
 
     let (faults, seed) = (6usize, 7919u64);
-    let (a, ta) = campaign_run(&mesh, &RuleRouter::new(baseline, mesh.clone(), 2), faults, seed);
-    let (b, tb) = campaign_run(&mesh, &RuleRouter::new(opt_table, mesh.clone(), 2), faults, seed);
-    let (c, tc) = campaign_run(&mesh, &RuleRouter::new(opt_byte, mesh.clone(), 2), faults, seed);
+    let (a, ta) = campaign_run(&mesh, &RuleRouter::for_mesh(baseline, mesh.clone()), faults, seed);
+    let (b, tb) = campaign_run(&mesh, &RuleRouter::for_mesh(opt_table, mesh.clone()), faults, seed);
+    let (c, tc) = campaign_run(&mesh, &RuleRouter::for_mesh(opt_byte, mesh.clone()), faults, seed);
     assert_eq!(a, b, "optimized table diverged from baseline");
     assert_eq!(a, c, "optimized bytecode diverged from baseline");
     assert_eq!(ta, tb, "optimized table trace diverged");
@@ -146,17 +146,17 @@ fn bytecode_matches_table_across_the_mesh_algo_suite() {
     const CYCLES: u64 = 300;
     let mesh = Mesh2D::new(4, 4);
     let faults = ftr_topo::FaultSet::new();
-    for (name, src, vcs) in [
-        ("xy", ftr_algos::rules_src::XY, 1),
-        ("west_first", ftr_algos::rules_src::WEST_FIRST, 1),
-        ("nafta", ftr_algos::rules_src::NAFTA, 2),
-        ("naive_adaptive", ftr_algos::rules_src::NAIVE_ADAPTIVE, 1),
+    for (name, src) in [
+        ("xy", ftr_algos::rules_src::XY),
+        ("west_first", ftr_algos::rules_src::WEST_FIRST),
+        ("nafta", ftr_algos::rules_src::NAFTA),
+        ("naive_adaptive", ftr_algos::rules_src::NAIVE_ADAPTIVE),
     ] {
         let mut tf = TrafficSource::new(Pattern::Uniform, 0.1, 8, 0xa160 ^ name.len() as u64);
         let sched: Vec<Vec<_>> = (0..CYCLES).map(|_| tf.tick(&mesh, &faults)).collect();
         let (table_cfg, byte_cfg) = table_and_bytecode(name, src);
         let run = |cfg: RouterConfiguration| {
-            let algo = RuleRouter::new(cfg, mesh.clone(), vcs);
+            let algo = RuleRouter::for_mesh(cfg, mesh.clone());
             let sink = Arc::new(DigestSink::default());
             let mut net = Network::builder(Arc::new(mesh.clone()))
                 .trace(sink.clone())

@@ -5,10 +5,9 @@
 //! FT-only share, decision steps, and virtual-channel demand.
 
 use crate::RouterConfiguration;
-use serde::Serialize;
 
 /// Summary of a configuration's hardware demands.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct HardwareReport {
     /// Configuration name.
     pub name: String,

@@ -38,26 +38,37 @@ pub struct RuleRouter {
 }
 
 impl RuleRouter {
-    /// Builds a rule router from a configuration. `vcs` is the number of
-    /// virtual channels the data path provides (the program addresses them
-    /// through the `invc` input).
+    /// Builds a rule router from a configuration, on the data path the
+    /// program's declarations select ([`MeshIo::mode`]): one virtual
+    /// channel, or the NARA pair when `invc` spans two networks.
     ///
     /// # Panics
     ///
     /// If the program cannot drive this mesh: it has no parameterless
     /// entry rule base, declares a name of the message interface with
     /// another shape or element type, or declares a domain too small for
-    /// `mesh` or `vcs`, or declares two virtual networks when `vcs` is not
-    /// 2. The message names the declaration.
-    pub fn new(config: RouterConfiguration, mesh: Mesh2D, vcs: usize) -> Self {
+    /// `mesh`. The message names the declaration.
+    pub fn for_mesh(config: RouterConfiguration, mesh: Mesh2D) -> Self {
         let prog = &config.compiled.prog;
         let bound = rule_io::entry(prog).and_then(|_| {
             let io = MeshIo::bind(prog)?;
-            io.fits(prog, mesh.width(), mesh.height(), vcs)?;
+            io.fits(prog, mesh.width(), mesh.height(), io.mode(prog).num_vcs())?;
             Ok(io)
         });
         let io = bound.unwrap_or_else(|e| panic!("rule program `{}`: {e}", config.name));
+        let vcs = io.mode(prog).num_vcs();
         RuleRouter { config: Arc::new(config), mesh, io, vcs, probe: None }
+    }
+
+    /// [`RuleRouter::for_mesh`], asserting that `vcs` is the count the
+    /// program's declarations select. Kept only because the ledger
+    /// (`benchmark/`) still calls it; it goes with ROADMAP 1(b)/(c).
+    #[deprecated(note = "the VC count is derived from the program: use `RuleRouter::for_mesh`")]
+    pub fn new(config: RouterConfiguration, mesh: Mesh2D, vcs: usize) -> Self {
+        let router = Self::for_mesh(config, mesh);
+        let (name, derived) = (&router.config.name, router.vcs);
+        assert_eq!(vcs, derived, "rule program `{name}` selects {derived} virtual channel(s)");
+        router
     }
 
     /// Attaches a per-stage interpreter probe (e.g. an
@@ -157,7 +168,7 @@ mod tests {
 
     fn rule_net(src: &str, name: &str, mesh: Mesh2D) -> Network {
         let cfg = configure(name, src).unwrap();
-        let algo = RuleRouter::new(cfg, mesh.clone(), 1);
+        let algo = RuleRouter::for_mesh(cfg, mesh.clone());
         Network::builder(Arc::new(mesh)).build(&algo).expect("valid config")
     }
 
@@ -227,7 +238,7 @@ mod tests {
         let mesh = Mesh2D::new(4, 4);
         let cfg = configure("xy", rules_src::XY).unwrap();
         let probe = Arc::new(CountProbe(AtomicU64::new(0)));
-        let algo = RuleRouter::new(cfg, mesh.clone(), 1)
+        let algo = RuleRouter::for_mesh(cfg, mesh.clone())
             .with_profiler(probe.clone() as Arc<dyn InterpProbe>);
         let mut net = Network::builder(Arc::new(mesh.clone())).build(&algo).expect("valid config");
         net.send(mesh.node_at(0, 0), mesh.node_at(3, 0), 2).unwrap();
@@ -245,8 +256,8 @@ mod tests {
         let (busy, load, alive) = (vec![vec![false; 2]; 4], vec![7, 0, 3, 1], vec![true; 4]);
         let node = mesh.node_at(1, 1);
         let view = RouterView::from_tables(node, 9, &busy, &load, &alive);
-        let wait = |name: &str, src: &str, vcs: usize| {
-            let algo = RuleRouter::new(configure(name, src).unwrap(), mesh.clone(), vcs);
+        let wait = |name: &str, src: &str| {
+            let algo = RuleRouter::for_mesh(configure(name, src).unwrap(), mesh.clone());
             let mut header = Header::new(ftr_sim::MessageId(1), node, mesh.node_at(3, 3), 4);
             let before = header;
             let d = algo.controller(&mesh, node).route(&view, &mut header, None, VcId(0));
@@ -254,32 +265,18 @@ mod tests {
             d
         };
         // xy.rules reads `free` and `linkok` only: the engine may park it
-        assert_eq!(wait("xy", rules_src::XY, 1), Decision::new(Verdict::Wait, 1));
+        assert_eq!(wait("xy", rules_src::XY), Decision::new(Verdict::Wait, 1));
         // nafta.rules and west_first.rules declare `out_queue`; the host
         // cannot see that their RETURN(14) rules never read it
-        let nafta = wait("nafta", rules_src::NAFTA, 2);
+        let nafta = wait("nafta", rules_src::NAFTA);
         assert_eq!(nafta, Decision::polled_wait(nafta.steps));
-        assert_eq!(wait("west_first", rules_src::WEST_FIRST, 1), Decision::polled_wait(1));
+        assert_eq!(wait("west_first", rules_src::WEST_FIRST), Decision::polled_wait(1));
     }
 
     #[test]
     #[should_panic(expected = "`xdes` must be declared as integer scalar covering 0 TO 39, but is")]
     fn a_mesh_wider_than_the_coordinate_domain_is_refused_at_construction() {
-        RuleRouter::new(configure("xy", rules_src::XY).unwrap(), Mesh2D::new(40, 4), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "`invc` must be declared as integer scalar covering 0 TO 2, but is")]
-    fn more_virtual_channels_than_invc_holds_are_refused_at_construction() {
-        RuleRouter::new(configure("nafta", rules_src::NAFTA).unwrap(), Mesh2D::new(6, 6), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "`invc` is declared over two virtual networks")]
-    fn a_two_network_program_is_refused_on_one_virtual_channel() {
-        // the verifier proves nafta.rules on the NARA pair; a router that
-        // ran it on one network would be one nobody proved
-        RuleRouter::new(configure("nafta", rules_src::NAFTA).unwrap(), Mesh2D::new(6, 6), 1);
+        RuleRouter::for_mesh(configure("xy", rules_src::XY).unwrap(), Mesh2D::new(40, 4));
     }
 
     #[test]
@@ -288,7 +285,7 @@ mod tests {
     )]
     fn a_scalar_free_is_refused_at_construction() {
         let src = "INPUT free IN bool\nON route_msg() RETURNS 0 TO 15\n IF free THEN RETURN(0);\nEND route_msg;";
-        RuleRouter::new(configure("scalar_free", src).unwrap(), Mesh2D::new(4, 4), 1);
+        RuleRouter::for_mesh(configure("scalar_free", src).unwrap(), Mesh2D::new(4, 4));
     }
 
     #[test]

@@ -178,9 +178,10 @@ fn route_c(dead: Option<NodeId>) -> Probe {
 /// A mesh program on 6×6: a corner, an edge and the nodes around `dead`
 /// links × every destination × every arrival channel × every free/busy
 /// pattern of the output channels.
-fn mesh(name: &str, src: &str, vcs: usize, dead: &[(NodeId, PortId)]) -> Probe {
+fn mesh(name: &str, src: &str, dead: &[(NodeId, PortId)]) -> Probe {
     let mesh = Mesh2D::new(6, 6);
-    let algo = RuleRouter::new(configure(name, src).unwrap(), mesh.clone(), vcs);
+    let algo = RuleRouter::for_mesh(configure(name, src).unwrap(), mesh.clone());
+    let vcs = algo.num_vcs();
     let is_dead = |n: NodeId, p: PortId| {
         let far = mesh.neighbor(n, p).map(|m| (m, opposite(p)));
         dead.iter().any(|&l| l == (n, p) || Some(l) == far)
@@ -223,13 +224,11 @@ fn rule_driven_route_does_not_allocate() {
     }
     let m = Mesh2D::new(6, 6);
     let faulty = [(m.node_at(2, 2), EAST), (m.node_at(3, 3), NORTH)];
-    for (name, src, vcs) in [
-        ("xy", rules_src::XY, 1),
-        ("west_first", rules_src::WEST_FIRST, 1),
-        ("nafta", rules_src::NAFTA, 2),
-    ] {
+    for (name, src) in
+        [("xy", rules_src::XY), ("west_first", rules_src::WEST_FIRST), ("nafta", rules_src::NAFTA)]
+    {
         for dead in [&[][..], &faulty[..]] {
-            let p = mesh(name, src, vcs, dead);
+            let p = mesh(name, src, dead);
             assert!(p.calls >= 3_000, "{name}: {} calls", p.calls);
             assert_eq!(p.allocations, 0, "in {} {name} route calls, dead links {dead:?}", p.calls);
         }

@@ -34,11 +34,12 @@
 //! campaign runs in `crates/bench/tests/ftb_diff.rs`.
 
 use crate::event::{EventKind, RouteOutcome, TraceEvent};
+use crate::lock;
 use crate::sink::TraceSink;
 use ftr_topo::{NodeId, PortId, VcId};
-use parking_lot::Mutex;
 use std::io::{BufRead, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::Mutex;
 
 /// File magic: the first four bytes of every FTB stream.
 pub const FTB_MAGIC: [u8; 4] = *b"FTB1";
@@ -516,25 +517,25 @@ impl<W: Write + Send> BinSink<W> {
 
     /// Events successfully written so far.
     pub fn written(&self) -> u64 {
-        self.inner.lock().written
+        lock(&self.inner).written
     }
 
     /// Events (or flushes) lost to write failures — a trace with
     /// `write_errors() > 0` is incomplete.
     pub fn write_errors(&self) -> u64 {
-        self.inner.lock().write_errors
+        lock(&self.inner).write_errors
     }
 
     /// Total bytes handed to the writer, header and END marker included.
     pub fn bytes_written(&self) -> u64 {
-        self.inner.lock().bytes
+        lock(&self.inner).bytes
     }
 
     /// Writes the END marker and flushes. Idempotent; events recorded
     /// after finalization are counted as write errors rather than
     /// corrupting the terminated stream.
     pub fn finalize(&self) -> std::io::Result<()> {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         if g.finalized {
             return Ok(());
         }
@@ -555,7 +556,7 @@ impl<W: Write + Send> BinSink<W> {
 
 impl<W: Write + Send> TraceSink for BinSink<W> {
     fn record(&self, ev: &TraceEvent) {
-        let g = &mut *self.inner.lock();
+        let g = &mut *lock(&self.inner);
         if g.finalized {
             g.write_errors += 1;
             return;
@@ -573,7 +574,7 @@ impl<W: Write + Send> TraceSink for BinSink<W> {
     }
 
     fn flush(&self) {
-        let g = &mut *self.inner.lock();
+        let g = &mut *lock(&self.inner);
         if g.out.flush().is_err() {
             g.write_errors += 1;
         }
@@ -723,7 +724,7 @@ mod tests {
         } else {
             sink.flush();
         }
-        let bytes = sink.inner.lock().out.get_ref().clone();
+        let bytes = lock(&sink.inner).out.get_ref().clone();
         bytes
     }
 
@@ -756,7 +757,7 @@ mod tests {
         assert_eq!(sink.written(), events.len() as u64);
         assert_eq!(sink.write_errors(), 0);
         let bytes = {
-            let g = sink.inner.lock();
+            let g = lock(&sink.inner);
             g.out.get_ref().clone()
         };
         assert_eq!(bytes.len() as u64, sink.bytes_written());

@@ -1,13 +1,12 @@
 //! Minimal JSON emission and parsing.
 //!
-//! The workspace builds hermetically (the `serde` dependency is a
-//! derive-only shim with no serializer), so the observability layer
-//! carries its own small writer and reader. The writer covers exactly
-//! what the exporters need — objects, arrays, strings, integers and
-//! finite floats — and always produces valid UTF-8 JSON. The reader
-//! ([`parse`] → [`Value`], and the counting [`validate`]) implements the
-//! strict RFC 8259 grammar and backs the CI smoke checks and the fleet
-//! journal.
+//! The workspace builds hermetically, with no serialization crate, so the
+//! observability layer carries its own small writer and reader. The
+//! writer covers exactly what the exporters need — objects, arrays,
+//! strings, integers and finite floats — and always produces valid UTF-8
+//! JSON. The reader ([`parse`] → [`Value`], and the counting
+//! [`validate`]) implements the strict RFC 8259 grammar and backs the CI
+//! smoke checks and the fleet journal.
 
 use std::fmt::Write as _;
 

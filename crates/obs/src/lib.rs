@@ -46,3 +46,12 @@ pub use json::Value;
 pub use metrics::{Counter, HistSnapshot, Histogram, MetricsRegistry};
 pub use profile::{InterpProfiler, StageCost};
 pub use sink::{RingSink, TeeSink, TraceSink};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, taking the guard back from a poisoned lock: sinks and
+/// registries are shared across sweep workers, and a job that panicked
+/// holding one must not take every other job's instruments down with it.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

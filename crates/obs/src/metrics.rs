@@ -9,10 +9,10 @@
 //! instruments once and record through the handles.
 
 use crate::json::{self, Obj};
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Monotone counter handle.
 #[derive(Clone, Default)]
@@ -100,7 +100,7 @@ impl Default for Histogram {
 impl Histogram {
     /// Records one observation.
     pub fn observe(&self, v: u64) {
-        let mut h = self.0.lock();
+        let mut h = lock(&self.0);
         if h.count == 0 {
             h.min = v;
             h.max = v;
@@ -117,7 +117,7 @@ impl Histogram {
 
     /// Copy of the current state.
     pub fn snapshot(&self) -> HistSnapshot {
-        self.0.lock().clone()
+        lock(&self.0).clone()
     }
 }
 
@@ -140,33 +140,33 @@ impl MetricsRegistry {
 
     /// Returns (registering on first use) the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        self.counters.lock().entry(name.to_string()).or_default().clone()
+        lock(&self.counters).entry(name.to_string()).or_default().clone()
     }
 
     /// Returns (registering on first use) the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.hists.lock().entry(name.to_string()).or_default().clone()
+        lock(&self.hists).entry(name.to_string()).or_default().clone()
     }
 
     /// Counter value, if registered.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters.lock().get(name).map(Counter::get)
+        lock(&self.counters).get(name).map(Counter::get)
     }
 
     /// Histogram snapshot, if registered.
     pub fn histogram_snapshot(&self, name: &str) -> Option<HistSnapshot> {
-        self.hists.lock().get(name).map(Histogram::snapshot)
+        lock(&self.hists).get(name).map(Histogram::snapshot)
     }
 
     /// Renders the whole registry as one JSON object:
     /// `{"counters":{...},"histograms":{name:{count,sum,min,max,mean,buckets}}}`.
     pub fn to_json(&self) -> String {
         let mut counters = Obj::new();
-        for (name, c) in self.counters.lock().iter() {
+        for (name, c) in lock(&self.counters).iter() {
             counters.num(name, c.get());
         }
         let mut hists = Obj::new();
-        for (name, h) in self.hists.lock().iter() {
+        for (name, h) in lock(&self.hists).iter() {
             let s = h.snapshot();
             let mut o = Obj::new();
             o.num("count", s.count)

@@ -7,9 +7,10 @@
 //! feeds the profile.
 
 use crate::json::{self, Obj};
+use crate::lock;
 use ftr_rules::{InterpProbe, Stage};
-use parking_lot::Mutex;
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 /// Accumulated cost of one (rule base, stage) cell.
 #[derive(Clone, Copy, Debug, Default)]
@@ -69,17 +70,17 @@ impl InterpProfiler {
 
     /// Snapshot of the `(base, stage)` cost matrix.
     pub fn snapshot(&self) -> Vec<[StageCost; 3]> {
-        self.cells.lock().clone()
+        lock(&self.cells).clone()
     }
 
     /// Cost of one cell (zero if never seen).
     pub fn cost(&self, base: usize, stage: Stage) -> StageCost {
-        self.cells.lock().get(base).map_or(StageCost::default(), |c| c[stage_idx(stage)])
+        lock(&self.cells).get(base).map_or(StageCost::default(), |c| c[stage_idx(stage)])
     }
 
     /// Total interpretations observed (premise executions).
     pub fn interpretations(&self) -> u64 {
-        self.cells.lock().iter().map(|c| c[0].count).sum()
+        lock(&self.cells).iter().map(|c| c[0].count).sum()
     }
 
     /// Human-readable table. `names[i]` labels rule base `i`; missing
@@ -133,7 +134,7 @@ impl InterpProfiler {
 
 impl InterpProbe for InterpProfiler {
     fn record_stage(&self, base: usize, stage: Stage, nanos: u64) {
-        let mut cells = self.cells.lock();
+        let mut cells = lock(&self.cells);
         if cells.len() <= base {
             cells.resize(base + 1, [StageCost::default(); 3]);
         }

@@ -11,8 +11,9 @@
 //! across worker threads.
 
 use crate::event::TraceEvent;
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// Consumer of trace events.
 pub trait TraceSink: Send + Sync {
@@ -47,36 +48,36 @@ impl RingSink {
 
     /// Snapshot of the retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.buf.lock().iter().cloned().collect()
+        lock(&self.buf).iter().cloned().collect()
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.buf.lock().len()
+        lock(&self.buf).len()
     }
 
     /// True if no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.buf.lock().is_empty()
+        lock(&self.buf).is_empty()
     }
 
     /// Events evicted due to the capacity bound.
     pub fn dropped(&self) -> u64 {
-        *self.dropped.lock()
+        *lock(&self.dropped)
     }
 
     /// Drains and returns all retained events, oldest first.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        self.buf.lock().drain(..).collect()
+        lock(&self.buf).drain(..).collect()
     }
 }
 
 impl TraceSink for RingSink {
     fn record(&self, ev: &TraceEvent) {
-        let mut buf = self.buf.lock();
+        let mut buf = lock(&self.buf);
         if buf.len() == self.capacity {
             buf.pop_front();
-            *self.dropped.lock() += 1;
+            *lock(&self.dropped) += 1;
         }
         buf.push_back(ev.clone());
     }

@@ -7,10 +7,9 @@
 
 use crate::error::Pos;
 use crate::value::{low_mask, Domain, Type, Value};
-use serde::{Deserialize, Serialize};
 
 /// A declared symbol type (`CONSTANT states = {safe, faulty, ...}`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SymType {
     /// Type name (also names the full-set constant).
     pub name: String,
@@ -20,7 +19,7 @@ pub struct SymType {
 }
 
 /// A named constant (`CONSTANT radix = 8`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ConstDecl {
     /// Constant name.
     pub name: String,
@@ -34,7 +33,7 @@ pub struct ConstDecl {
 ///
 /// Registers are the algorithm state of §4.2; their widths are the register
 /// bits counted in the paper's §5 evaluation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VarDecl {
     /// Register name.
     pub name: String,
@@ -51,7 +50,7 @@ pub struct VarDecl {
 /// An external input (`INPUT name[index_doms] IN elem`): header fields, link
 /// states, buffer occupancies — anything the router hardware feeds to the
 /// rule interpreter per invocation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InputDecl {
     /// Input name.
     pub name: String,
@@ -131,7 +130,7 @@ struct Resolved {
 }
 
 /// An event parameter (`ON update_state(dir IN dirs)`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Param {
     /// Parameter name.
     pub name: String,
@@ -140,7 +139,7 @@ pub struct Param {
 }
 
 /// What a name refers to after resolution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Ref {
     /// Constant index in [`Program::consts`].
     Const(usize),
@@ -155,7 +154,7 @@ pub enum Ref {
 }
 
 /// Array-like reference targets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IndexedRef {
     /// Indexed register.
     Var(usize),
@@ -164,7 +163,7 @@ pub enum IndexedRef {
 }
 
 /// Binary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -193,7 +192,7 @@ pub enum BinOp {
 }
 
 /// Unary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// `NOT`
     Not,
@@ -202,7 +201,7 @@ pub enum UnOp {
 }
 
 /// Quantifier kinds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Quant {
     /// `EXISTS x IN S: body`
     Exists,
@@ -213,7 +212,7 @@ pub enum Quant {
 /// Built-in functions ("functions allowed in premise and conclusion
 /// expressions", §4.2). Each maps to a specific FCFB kind in the hardware
 /// cost model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Builtin {
     /// `min(a, b)` of two integers.
     Min,
@@ -253,7 +252,7 @@ pub enum Builtin {
 }
 
 /// A typed expression.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Literal value.
     Lit(Value),
@@ -294,7 +293,7 @@ pub enum Expr {
 }
 
 /// A conclusion command.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Command {
     /// `name(indices) <- value`
     Assign {
@@ -330,7 +329,7 @@ pub enum Command {
 }
 
 /// One `IF premise THEN commands;` rule.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Rule {
     /// Boolean premise.
     pub premise: Expr,
@@ -341,7 +340,7 @@ pub struct Rule {
 }
 
 /// An event-triggered rule base (`ON name(params) ... END name;`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RuleBase {
     /// Name == the event that triggers it.
     pub name: String,
@@ -359,7 +358,7 @@ pub struct RuleBase {
 }
 
 /// A complete rule program.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Program {
     /// Declared symbol types.
     pub sym_types: Vec<SymType>,
@@ -373,7 +372,6 @@ pub struct Program {
     /// Rule bases.
     pub rulebases: Vec<RuleBase>,
     /// Sizes, layouts and event targets of the declarations above.
-    #[serde(skip)]
     resolved: Resolved,
 }
 

@@ -18,10 +18,9 @@ use crate::compile::{compile, CompileOptions};
 use crate::error::Result;
 use crate::fcfb::{inventory, FcfbInventory};
 use crate::interp::CompiledProgram;
-use serde::{Deserialize, Serialize};
 
 /// Cost of one compiled rule base.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RuleBaseCost {
     /// Rule base / event name.
     pub name: String,
@@ -40,7 +39,7 @@ pub struct RuleBaseCost {
 }
 
 /// Cost of one register.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RegisterCost {
     /// Register name.
     pub name: String,
@@ -60,7 +59,7 @@ pub struct RegisterCost {
 }
 
 /// Aggregate cost report for a program.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProgramCost {
     /// Per rule base.
     pub rulebases: Vec<RuleBaseCost>,

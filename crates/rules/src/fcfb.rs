@@ -10,13 +10,12 @@
 
 use crate::ast::*;
 use crate::value::{Domain, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Kinds of configurable function blocks, mirroring the units named in the
 /// paper's tables.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FcfbKind {
     /// Integer comparison between two computed values.
     MagnitudeComparator,

@@ -12,10 +12,9 @@
 use crate::compile::{survey, CompileOptions, Feature, FeatureKind};
 use crate::error::{Result, RuleError};
 use crate::Program;
-use serde::{Deserialize, Serialize};
 
 /// Cost of fusing a chain of rule bases into a single interpretation step.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FusedCost {
     /// Names of the fused bases, in chain order.
     pub names: Vec<String>,

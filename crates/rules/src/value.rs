@@ -8,11 +8,10 @@
 //! elements).
 
 use crate::error::{Result, RuleError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A finite scalar carrier set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Integers `lo..=hi`.
     Int {
@@ -99,7 +98,7 @@ pub fn low_mask(n: u64) -> u64 {
 }
 
 /// The type of an expression: a scalar from a domain, or a subset of one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Type {
     /// A single element of the domain.
     Scalar(Domain),
@@ -126,7 +125,7 @@ impl Type {
 }
 
 /// A runtime value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Value {
     /// Integer (held as `i64`; the declared domain bounds it).
     Int(i64),

@@ -9,12 +9,11 @@
 //! channel allocation/credits, and per-port registers. Two properties
 //! matter beyond cache behaviour:
 //!
-//! - **Node-major layout**: every array is ordered by node id, so a
-//!   contiguous node range maps to contiguous sub-slices of every array.
-//!   [`Channels::split_mut`] cuts the arena into disjoint per-shard
-//!   mutable views ([`ChanRef`]) with `split_at_mut` — no locks, no
-//!   unsafe — which is what makes the sharded step of
-//!   [`crate::Network::step`] possible.
+//! - **Node-major layout**: every array is ordered by node id, so one
+//!   node's lanes, output channels and port registers are contiguous in
+//!   every array — the rows a [`crate::routing::RouterView`] windows
+//!   ([`Channels::out_rows`]) and the slices the scheduler's activation
+//!   predicate ([`Channels::has_work`]) scans.
 //! - **Bounded FIFOs**: credit-based flow control guarantees a virtual
 //!   channel never holds more than `buffer_depth` flits, so each lane is a
 //!   ring of exactly `depth` slots; an overflow is a hard assertion (a
@@ -28,7 +27,7 @@ use crate::router::{DecisionPhase, RouteState};
 use ftr_topo::VcId;
 use std::collections::VecDeque;
 
-/// Array-shape parameters shared by [`Channels`] and every [`ChanRef`].
+/// Array-shape parameters of [`Channels`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Geometry {
     /// Total nodes in the network.
@@ -95,15 +94,6 @@ impl OutRows<'_> {
     }
 }
 
-/// Sends parked lanes back to their controller.
-fn wake_lanes(phase: &mut [Option<DecisionPhase>]) {
-    for ph in phase {
-        if *ph == Some(DecisionPhase::Parked) {
-            *ph = Some(DecisionPhase::Ready);
-        }
-    }
-}
-
 /// The arena itself — see the module docs for the layout.
 pub(crate) struct Channels {
     geo: Geometry,
@@ -161,8 +151,6 @@ impl Channels {
         self.geo
     }
 
-    // ------------------------------------------------- read-only queries
-
     #[inline]
     fn lane(&self, n: usize, ip: usize, iv: usize) -> usize {
         n * self.geo.lanes + self.geo.lane_of(ip, iv)
@@ -172,6 +160,13 @@ impl Channels {
     fn oc(&self, n: usize, p: usize, v: usize) -> usize {
         (n * self.geo.degree + p) * self.geo.vcs + v
     }
+
+    #[inline]
+    fn np(&self, n: usize, p: usize) -> usize {
+        n * self.geo.degree + p
+    }
+
+    // ------------------------------------------------------- FIFO rings
 
     pub fn fifo_len(&self, n: usize, ip: usize, iv: usize) -> usize {
         self.fifo_len[self.lane(n, ip, iv)] as usize
@@ -183,218 +178,6 @@ impl Channels {
         let (d, head, len) =
             (self.geo.depth, self.fifo_head[l] as usize, self.fifo_len[l] as usize);
         (0..len).map(move |i| &self.fifo_buf[l * d + (head + i) % d])
-    }
-
-    pub fn route(&self, n: usize, ip: usize, iv: usize) -> RouteState {
-        self.route[self.lane(n, ip, iv)]
-    }
-
-    pub fn phase_of(&self, n: usize, ip: usize, iv: usize) -> Option<DecisionPhase> {
-        self.phase[self.lane(n, ip, iv)]
-    }
-
-    pub fn out_owner(&self, n: usize, p: usize, v: usize) -> Option<MessageId> {
-        self.out_owner[self.oc(n, p, v)]
-    }
-
-    pub fn out_credits(&self, n: usize, p: usize, v: usize) -> u32 {
-        self.out_credits[self.oc(n, p, v)]
-    }
-
-    pub fn out_reg(&self, n: usize, p: usize) -> Option<&(VcId, Flit)> {
-        self.out_reg[n * self.geo.degree + p].as_ref()
-    }
-
-    pub fn staging(&self, n: usize) -> &VecDeque<Flit> {
-        &self.staging[n]
-    }
-
-    pub fn staging_mut(&mut self, n: usize) -> &mut VecDeque<Flit> {
-        &mut self.staging[n]
-    }
-
-    pub fn out_rows(&self, n: usize) -> OutRows<'_> {
-        let (c, p, g) = (self.oc(n, 0, 0), n * self.geo.degree, self.geo);
-        OutRows {
-            owner: &self.out_owner[c..c + g.degree * g.vcs],
-            credits: &self.out_credits[c..c + g.degree * g.vcs],
-            assigned: &self.out_assigned[p..p + g.degree],
-            reg: &self.out_reg[p..p + g.degree],
-        }
-    }
-
-    /// [`ChanRef::wake`] from the master, between phases.
-    pub fn wake(&mut self, n: usize) {
-        wake_lanes(&mut self.phase[n * self.geo.lanes..][..self.geo.lanes]);
-    }
-
-    /// Total flits buffered at node `n` (inputs + output registers),
-    /// excluding the staging queue.
-    pub fn buffered_flits(&self, n: usize) -> usize {
-        let mut total = 0usize;
-        for l in n * self.geo.lanes..(n + 1) * self.geo.lanes {
-            total += self.fifo_len[l] as usize;
-        }
-        for p in 0..self.geo.degree {
-            total += self.out_reg[n * self.geo.degree + p].is_some() as usize;
-        }
-        total
-    }
-
-    /// Whether node `n` has any flit-bearing work — the activation
-    /// predicate of the active-set scheduler.
-    pub fn has_work(&self, n: usize) -> bool {
-        if !self.staging[n].is_empty() {
-            return true;
-        }
-        if self.fifo_len[n * self.geo.lanes..(n + 1) * self.geo.lanes].iter().any(|&l| l > 0) {
-            return true;
-        }
-        self.out_reg[n * self.geo.degree..(n + 1) * self.geo.degree].iter().any(|r| r.is_some())
-    }
-
-    /// Resets node `n` to power-on state (fresh buffers, credits, rr,
-    /// registers) — node repair hands back empty hardware.
-    pub fn reset_node(&mut self, n: usize) {
-        let geo = self.geo;
-        for l in n * geo.lanes..(n + 1) * geo.lanes {
-            self.fifo_head[l] = 0;
-            self.fifo_len[l] = 0;
-            self.route[l] = RouteState::Unrouted;
-            self.phase[l] = None;
-            self.counted[l] = false;
-            self.misrouted[l] = false;
-        }
-        for c in n * geo.degree * geo.vcs..(n + 1) * geo.degree * geo.vcs {
-            self.out_owner[c] = None;
-            self.out_credits[c] = geo.depth as u32;
-        }
-        for p in n * geo.degree..(n + 1) * geo.degree {
-            self.out_reg[p] = None;
-            self.rr[p] = 0;
-            self.out_assigned[p] = 0;
-        }
-        self.staging[n].clear();
-    }
-
-    // ----------------------------------------------------- shard views
-
-    /// One mutable view over the whole arena (the master/sequential path).
-    pub fn full_mut(&mut self) -> ChanRef<'_> {
-        let geo = self.geo;
-        ChanRef {
-            base: 0,
-            geo,
-            fifo_buf: &mut self.fifo_buf,
-            fifo_head: &mut self.fifo_head,
-            fifo_len: &mut self.fifo_len,
-            route: &mut self.route,
-            phase: &mut self.phase,
-            counted: &mut self.counted,
-            misrouted: &mut self.misrouted,
-            out_owner: &mut self.out_owner,
-            out_credits: &mut self.out_credits,
-            out_reg: &mut self.out_reg,
-            rr: &mut self.rr,
-            out_assigned: &mut self.out_assigned,
-            staging: &mut self.staging,
-        }
-    }
-
-    /// Cuts the arena into disjoint mutable views along `bounds` (node
-    /// indices, ascending, `bounds[0] == 0`, last == `nodes`), one view at
-    /// a time as the iterator is consumed. Each view addresses nodes
-    /// `bounds[i]..bounds[i+1]` with *global* node ids.
-    pub fn split_mut<'a>(
-        &'a mut self,
-        bounds: &'a [usize],
-    ) -> impl Iterator<Item = ChanRef<'a>> + 'a {
-        debug_assert!(bounds.len() >= 2);
-        debug_assert_eq!(bounds[0], 0);
-        debug_assert_eq!(*bounds.last().expect("non-empty"), self.geo.nodes);
-        let mut rest = self.full_mut();
-        bounds.windows(2).map(move |w| rest.split_front(w[1] - w[0]))
-    }
-}
-
-/// Detaches the first `k` elements of `*s`, leaving the remainder in place.
-fn cut<'a, T>(s: &mut &'a mut [T], k: usize) -> &'a mut [T] {
-    let (front, rest) = std::mem::take(s).split_at_mut(k);
-    *s = rest;
-    front
-}
-
-/// Mutable view over a contiguous node range of the arena. All accessors
-/// take *global* node ids; a view created by [`Channels::split_mut`] may
-/// only touch nodes inside its range (debug-asserted).
-pub(crate) struct ChanRef<'a> {
-    base: usize,
-    geo: Geometry,
-    fifo_buf: &'a mut [Flit],
-    fifo_head: &'a mut [u32],
-    fifo_len: &'a mut [u32],
-    route: &'a mut [RouteState],
-    phase: &'a mut [Option<DecisionPhase>],
-    counted: &'a mut [bool],
-    misrouted: &'a mut [bool],
-    out_owner: &'a mut [Option<MessageId>],
-    out_credits: &'a mut [u32],
-    out_reg: &'a mut [Option<(VcId, Flit)>],
-    rr: &'a mut [u32],
-    out_assigned: &'a mut [u32],
-    staging: &'a mut [VecDeque<Flit>],
-}
-
-impl<'a> ChanRef<'a> {
-    /// Splits off a view of the first `cnt` nodes; `self` keeps the rest.
-    fn split_front(&mut self, cnt: usize) -> ChanRef<'a> {
-        let geo = self.geo;
-        let front = ChanRef {
-            base: self.base,
-            geo,
-            fifo_buf: cut(&mut self.fifo_buf, cnt * geo.lanes * geo.depth),
-            fifo_head: cut(&mut self.fifo_head, cnt * geo.lanes),
-            fifo_len: cut(&mut self.fifo_len, cnt * geo.lanes),
-            route: cut(&mut self.route, cnt * geo.lanes),
-            phase: cut(&mut self.phase, cnt * geo.lanes),
-            counted: cut(&mut self.counted, cnt * geo.lanes),
-            misrouted: cut(&mut self.misrouted, cnt * geo.lanes),
-            out_owner: cut(&mut self.out_owner, cnt * geo.degree * geo.vcs),
-            out_credits: cut(&mut self.out_credits, cnt * geo.degree * geo.vcs),
-            out_reg: cut(&mut self.out_reg, cnt * geo.degree),
-            rr: cut(&mut self.rr, cnt * geo.degree),
-            out_assigned: cut(&mut self.out_assigned, cnt * geo.degree),
-            staging: cut(&mut self.staging, cnt),
-        };
-        self.base += cnt;
-        front
-    }
-
-    #[inline]
-    fn local(&self, n: usize) -> usize {
-        debug_assert!(n >= self.base, "node {n} below shard base {}", self.base);
-        n - self.base
-    }
-
-    #[inline]
-    fn lane(&self, n: usize, ip: usize, iv: usize) -> usize {
-        self.local(n) * self.geo.lanes + self.geo.lane_of(ip, iv)
-    }
-
-    #[inline]
-    fn oc(&self, n: usize, p: usize, v: usize) -> usize {
-        (self.local(n) * self.geo.degree + p) * self.geo.vcs + v
-    }
-
-    #[inline]
-    fn np(&self, n: usize, p: usize) -> usize {
-        self.local(n) * self.geo.degree + p
-    }
-
-    // ------------------------------------------------------- FIFO rings
-
-    pub fn fifo_len(&self, n: usize, ip: usize, iv: usize) -> usize {
-        self.fifo_len[self.lane(n, ip, iv)] as usize
     }
 
     pub fn fifo_push_back(&mut self, n: usize, ip: usize, iv: usize, f: Flit) {
@@ -493,8 +276,11 @@ impl<'a> ChanRef<'a> {
     /// their `Wait` may depend on changed — `out_channel_free` of a channel
     /// flipped (the two setters below), a hook ran, a link bit was rewritten.
     pub fn wake(&mut self, n: usize) {
-        let l = self.local(n) * self.geo.lanes;
-        wake_lanes(&mut self.phase[l..l + self.geo.lanes]);
+        for ph in &mut self.phase[n * self.geo.lanes..][..self.geo.lanes] {
+            if *ph == Some(DecisionPhase::Parked) {
+                *ph = Some(DecisionPhase::Ready);
+            }
+        }
     }
 
     /// Resets per-message decision state (after a tail leaves or a kill).
@@ -596,13 +382,61 @@ impl<'a> ChanRef<'a> {
 
     // ------------------------------------------------------------ nodes
 
-    pub fn staging_mut(&mut self, n: usize) -> &mut VecDeque<Flit> {
-        let i = self.local(n);
-        &mut self.staging[i]
+    pub fn staging(&self, n: usize) -> &VecDeque<Flit> {
+        &self.staging[n]
     }
 
-    pub fn staging(&self, n: usize) -> &VecDeque<Flit> {
-        &self.staging[self.local(n)]
+    pub fn staging_mut(&mut self, n: usize) -> &mut VecDeque<Flit> {
+        &mut self.staging[n]
+    }
+
+    /// Total flits buffered at node `n` (inputs + output registers),
+    /// excluding the staging queue.
+    pub fn buffered_flits(&self, n: usize) -> usize {
+        let mut total = 0usize;
+        for l in n * self.geo.lanes..(n + 1) * self.geo.lanes {
+            total += self.fifo_len[l] as usize;
+        }
+        for p in 0..self.geo.degree {
+            total += self.out_reg[n * self.geo.degree + p].is_some() as usize;
+        }
+        total
+    }
+
+    /// Whether node `n` has any flit-bearing work — the activation
+    /// predicate of the active-set scheduler.
+    pub fn has_work(&self, n: usize) -> bool {
+        if !self.staging[n].is_empty() {
+            return true;
+        }
+        if self.fifo_len[n * self.geo.lanes..(n + 1) * self.geo.lanes].iter().any(|&l| l > 0) {
+            return true;
+        }
+        self.out_reg[n * self.geo.degree..(n + 1) * self.geo.degree].iter().any(|r| r.is_some())
+    }
+
+    /// Resets node `n` to power-on state (fresh buffers, credits, rr,
+    /// registers) — node repair hands back empty hardware.
+    pub fn reset_node(&mut self, n: usize) {
+        let geo = self.geo;
+        for l in n * geo.lanes..(n + 1) * geo.lanes {
+            self.fifo_head[l] = 0;
+            self.fifo_len[l] = 0;
+            self.route[l] = RouteState::Unrouted;
+            self.phase[l] = None;
+            self.counted[l] = false;
+            self.misrouted[l] = false;
+        }
+        for c in n * geo.degree * geo.vcs..(n + 1) * geo.degree * geo.vcs {
+            self.out_owner[c] = None;
+            self.out_credits[c] = geo.depth as u32;
+        }
+        for p in n * geo.degree..(n + 1) * geo.degree {
+            self.out_reg[p] = None;
+            self.rr[p] = 0;
+            self.out_assigned[p] = 0;
+        }
+        self.staging[n].clear();
     }
 }
 

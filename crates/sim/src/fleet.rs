@@ -29,6 +29,7 @@ use crate::sweep::{par_map, unwrap_or_report};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 /// One campaign job: how to key, execute and journal a run.
 ///
@@ -127,9 +128,8 @@ pub fn run_fleet<J: FleetJob>(
                 std::fs::create_dir_all(dir)?;
             }
         }
-        let writer = parking_lot::Mutex::new(
-            std::fs::OpenOptions::new().create(true).append(true).open(manifest)?,
-        );
+        let writer =
+            Mutex::new(std::fs::OpenOptions::new().create(true).append(true).open(manifest)?);
         let ran = par_map(executed, max_threads, |p| {
             let i = pending[p];
             let out = job.run(&inputs[i]);
@@ -137,7 +137,7 @@ pub fn run_fleet<J: FleetJob>(
             // once its line is durably appended
             let line = format!("{} {}\n", keys[i], job.encode(&out));
             debug_assert_eq!(line.matches('\n').count(), 1, "payload must be one line");
-            let mut w = writer.lock();
+            let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
             // a failed append is not fatal: the run itself succeeded, so keep
             // its output and let a future resume re-execute it instead
             let _ = w.write_all(line.as_bytes()).and_then(|()| w.flush());

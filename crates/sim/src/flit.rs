@@ -6,10 +6,9 @@
 //! the head reserved.
 
 use ftr_topo::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Unique message identifier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MessageId(pub u64);
 
 /// Routing information carried in the head flit. The message interface of
@@ -17,7 +16,7 @@ pub struct MessageId(pub u64);
 /// Avoidance": messages on non-minimal paths due to faults are marked and
 /// treated exceptionally), so the fields here are mutable state, not
 /// immutable metadata.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Header {
     /// Message id.
     pub msg: MessageId,
@@ -46,7 +45,7 @@ impl Header {
 }
 
 /// Flit payload kind.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlitKind {
     /// Head flit carrying the header.
     Head(Header),
@@ -57,7 +56,7 @@ pub enum FlitKind {
 }
 
 /// One flow-control unit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Flit {
     /// Kind (head carries the header).
     pub kind: FlitKind,

@@ -27,15 +27,6 @@ pub struct SimConfig {
     /// Favour misrouted messages in switch allocation (§3: compensate "the
     /// double disadvantage of the longer path and higher loaded links").
     pub prioritize_misrouted: bool,
-    /// Worker shards for the sharded step. `1` is the sequential engine;
-    /// `0` resolves to [`crate::sweep::worker_count`] at build time.
-    /// Results are bit-identical for every value.
-    pub threads: usize,
-    /// Minimum working-set size (nodes in the cycle's active set) before a
-    /// multi-shard step fans out to OS threads; below it the shards run
-    /// inline on the calling thread (same results, no spawn overhead).
-    /// `0` forces OS threads whenever more than one shard exists.
-    pub spawn_threshold: usize,
     /// Period (cycles) of the autonomous control-plane tick: every
     /// `tick_period` cycles each live controller's
     /// [`crate::routing::NodeController::on_tick`] runs (heartbeat probing, suspicion
@@ -51,8 +42,6 @@ impl Default for SimConfig {
             decision_cycles_per_step: 1,
             deadlock_threshold: 2_000,
             prioritize_misrouted: false,
-            threads: 1,
-            spawn_threshold: 2_048,
             tick_period: 0,
         }
     }
@@ -112,12 +101,10 @@ impl std::error::Error for BuildError {}
 /// let sink = Arc::new(ftr_obs::RingSink::new(1024));
 /// let net = NetworkBuilder::new(Arc::new(Mesh2D::new(4, 4)))
 ///     .buffer_depth(8)
-///     .threads(2) // sharded step; results identical to threads(1)
 ///     .trace(sink.clone())
 ///     .build(&Stay)
 ///     .expect("valid configuration");
 /// assert_eq!(net.cycle(), 0);
-/// assert_eq!(net.threads(), 2);
 /// ```
 pub struct NetworkBuilder {
     topo: Arc<dyn Topology>,
@@ -179,18 +166,12 @@ impl NetworkBuilder {
         self
     }
 
-    /// Worker shards for the sharded step (`1` = sequential, `0` = auto
-    /// from [`crate::sweep::worker_count`]). Bit-identical results for
-    /// every value; capped at the node count.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.threads = n;
-        self
-    }
-
-    /// Working-set size below which a multi-shard step runs its shards
-    /// inline instead of on OS threads (`0` forces OS threads).
-    pub fn spawn_threshold(mut self, nodes: usize) -> Self {
-        self.cfg.spawn_threshold = nodes;
+    /// Does nothing: the engine has one sequential step, so every build is
+    /// the same whatever `n` says. Kept only because the ledger
+    /// (`benchmark/`) still calls it; ROADMAP 1(b) drops that call and 1(c)
+    /// deletes this method.
+    #[deprecated(note = "the engine has no parallel step; this is a no-op")]
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -239,10 +220,6 @@ impl NetworkBuilder {
         }
         let degree = self.topo.degree();
         let cfg = self.cfg;
-        let threads = if cfg.threads == 0 { crate::sweep::worker_count() } else { cfg.threads };
-        let shards = threads.min(n).max(1);
-        // contiguous equal-size node ranges: the spatial partition
-        let shard_bounds: Vec<usize> = (0..=shards).map(|i| i * n / shards).collect();
         let chans = Channels::new(Geometry::new(n, degree, vcs, cfg.buffer_depth as usize));
         let ctrls = (0..n).map(|i| algo.controller(self.topo.as_ref(), NodeId(i as u32))).collect();
         let stats = SimStats::for_nodes(n);
@@ -270,8 +247,6 @@ impl NetworkBuilder {
             dense_reference: false,
             last_moved: false,
             scratch: Default::default(),
-            shard_bounds,
-            shard_scratch: (0..shards).map(|_| Default::default()).collect(),
         })
     }
 }

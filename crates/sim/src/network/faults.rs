@@ -38,8 +38,8 @@ impl Network {
             (None, true) => self.faults.fail_node(n),
             (None, false) => self.faults.repair_node(n),
         }
-        let mut ch = self.chans.full_mut();
-        self.wiring.refresh(topo, &self.faults, n, port, |m| ch.wake(m.idx()));
+        let chans = &mut self.chans;
+        self.wiring.refresh(topo, &self.faults, n, port, |m| chans.wake(m.idx()));
         debug_assert!(self.wiring_consistent(), "wiring table out of step with the fault set");
     }
 
@@ -256,38 +256,35 @@ impl Network {
             return;
         }
         let geo = self.chans.geo();
-        {
-            let mut ch = self.chans.full_mut();
-            for n in 0..geo.nodes {
-                ch.staging_mut(n).retain(|f| !ids.contains(&f.msg));
-                for ip in 0..=geo.degree {
-                    for iv in 0..geo.vcs_at(ip) {
-                        // a route whose flits are all in flight is
-                        // identified through the output-channel owner;
-                        // otherwise through the FIFO front
-                        let stale = match ch.route(n, ip, iv) {
-                            RouteState::Out(p, v) => {
-                                ch.out_owner(n, p.idx(), v.idx()).is_some_and(|m| ids.contains(&m))
-                            }
-                            _ => false,
-                        };
-                        let front_dead =
-                            ch.fifo_front(n, ip, iv).is_some_and(|f| ids.contains(&f.msg));
-                        ch.fifo_retain(n, ip, iv, |f| !ids.contains(&f.msg));
-                        if front_dead || stale {
-                            ch.reset_route(n, ip, iv);
+        let ch = &mut self.chans;
+        for n in 0..geo.nodes {
+            ch.staging_mut(n).retain(|f| !ids.contains(&f.msg));
+            for ip in 0..=geo.degree {
+                for iv in 0..geo.vcs_at(ip) {
+                    // a route whose flits are all in flight is
+                    // identified through the output-channel owner;
+                    // otherwise through the FIFO front
+                    let stale = match ch.route(n, ip, iv) {
+                        RouteState::Out(p, v) => {
+                            ch.out_owner(n, p.idx(), v.idx()).is_some_and(|m| ids.contains(&m))
                         }
+                        _ => false,
+                    };
+                    let front_dead = ch.fifo_front(n, ip, iv).is_some_and(|f| ids.contains(&f.msg));
+                    ch.fifo_retain(n, ip, iv, |f| !ids.contains(&f.msg));
+                    if front_dead || stale {
+                        ch.reset_route(n, ip, iv);
                     }
                 }
-                for p in 0..geo.degree {
-                    for v in 0..geo.vcs {
-                        if ch.out_owner(n, p, v).is_some_and(|m| ids.contains(&m)) {
-                            ch.set_out_owner(n, p, v, None);
-                        }
+            }
+            for p in 0..geo.degree {
+                for v in 0..geo.vcs {
+                    if ch.out_owner(n, p, v).is_some_and(|m| ids.contains(&m)) {
+                        ch.set_out_owner(n, p, v, None);
                     }
-                    if ch.out_reg(n, p).is_some_and(|(_, f)| ids.contains(&f.msg)) {
-                        ch.set_out_reg(n, p, None);
-                    }
+                }
+                if ch.out_reg(n, p).is_some_and(|(_, f)| ids.contains(&f.msg)) {
+                    ch.set_out_reg(n, p, None);
                 }
             }
         }
@@ -384,7 +381,7 @@ impl Network {
     fn recompute_credits_and_loads(&mut self) {
         let geo = self.chans.geo();
         let depth = self.cfg.buffer_depth;
-        let mut ch = self.chans.full_mut();
+        let ch = &mut self.chans;
         for n in 0..geo.nodes {
             for p in 0..geo.degree {
                 let Some((m, q)) = self.wiring.peer(n, p) else { continue };

@@ -21,17 +21,13 @@
 //!   every [`NodeController`] control-plane hook;
 //! - `faults` — the fault/repair surface, worm kills, the credit rebuild,
 //!   and the fault-plan and retry drains;
-//! - `step` — [`Network::step`] and the barrier merges between phases;
-//! - `phases` — the data path: the per-shard phase functions.
+//! - `step` — [`Network::step`] and the barriers between phases;
+//! - `phases` — the data path: link traversal, injection, routing,
+//!   ejection and switch allocation.
 //!
 //! All data-path state lives in the struct-of-arrays `crate::arena`; the
-//! step executes as a sequence of node-local *phases* over spatially
-//! contiguous shards with a conservative barrier between phases. With one
-//! shard the engine is the classic sequential simulator; with N shards the
-//! phases run on OS threads and the barriers merge cross-shard effects
-//! (flit handoffs, trace events, stats ops, credit returns) in shard order,
-//! which reproduces the sequential ascending-node order exactly — results
-//! are bit-identical for every thread count. See `DESIGN.md` §14.
+//! step executes as a sequence of *phases*, each over the cycle's working
+//! set in ascending node order. See `DESIGN.md` §14.
 
 mod builder;
 mod control;
@@ -196,10 +192,6 @@ pub struct Network {
     /// Whether the most recent `step` moved any flit.
     last_moved: bool,
     scratch: step::StepScratch,
-    /// Shard partition: shard `i` owns nodes
-    /// `shard_bounds[i]..shard_bounds[i + 1]`.
-    shard_bounds: Vec<usize>,
-    shard_scratch: Vec<phases::ShardScratch>,
 }
 
 impl Network {
@@ -230,12 +222,6 @@ impl Network {
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Number of shards the step partitions the network into (1 = the
-    /// sequential engine).
-    pub fn threads(&self) -> usize {
-        self.shard_bounds.len() - 1
     }
 
     /// Switches `step` onto the reference path: every phase iterates

@@ -1,9 +1,8 @@
-//! One simulated cycle: [`Network::step`], the phase fan-out over the
-//! shards, and the barriers that merge what the shards produced.
+//! One simulated cycle: [`Network::step`] and the barriers between its
+//! phases.
 
 use super::control::ControlDelivery;
-use super::phases::{run_shard, PhaseKind, ShardTask, StatOp, StepCtx};
-use super::{mark_active, Network};
+use super::Network;
 use crate::flit::MessageId;
 use std::collections::HashSet;
 
@@ -11,12 +10,11 @@ use std::collections::HashSet;
 /// metrics registry when one is attached.
 const OCCUPANCY_SAMPLE_PERIOD: u64 = 64;
 
-/// Reusable per-cycle scratch buffers of the master loop.
+/// Reusable per-cycle scratch buffers of the step.
 ///
 /// Every phase of [`Network::step`] used to heap-allocate fresh working
 /// storage each cycle; keeping the buffers on the network and clearing
 /// instead of dropping makes the per-cycle fixed cost allocation-free.
-/// Per-shard working storage lives in `ShardScratch`.
 #[derive(Default)]
 pub(super) struct StepScratch {
     /// The working set at step entry (node indices, ascending).
@@ -25,7 +23,14 @@ pub(super) struct StepScratch {
     cur_ext: Vec<u32>,
     /// Messages to kill at the current barrier (caught on a just-dead
     /// link, or declared unroutable by this cycle's routing decisions).
-    doomed: HashSet<MessageId>,
+    pub(super) doomed: HashSet<MessageId>,
+    /// Credits to return upstream after switch allocation: `(node, port,
+    /// vc)` of the freed input slot.
+    pub(super) credit_returns: Vec<(u32, u8, u8)>,
+    /// Slot sets of the node `phase_eject_switch` is serving.
+    pub(super) arb: Vec<u64>,
+    /// Whether this cycle moved any flit.
+    pub(super) moved: bool,
     /// Control deliveries due this cycle.
     pub(super) due: Vec<ControlDelivery>,
 }
@@ -39,11 +44,8 @@ impl Network {
     /// heads whose answer can have changed; see `DESIGN.md` §12 for the
     /// activation and parked-lane invariants. The retained dense, polling
     /// scan ([`Network::set_dense_reference`]) is observably identical and
-    /// serves as the differential-testing oracle. With more
-    /// than one shard the phases run in parallel over disjoint node ranges
-    /// and the cross-shard effects merge at conservative barriers, in
-    /// shard order — bit-identical to the sequential engine (`DESIGN.md`
-    /// §14).
+    /// serves as the differential-testing oracle. Kills and credit returns
+    /// wait for the barrier after their phase (`DESIGN.md` §14).
     pub fn step(&mut self) {
         // 0. scripted fault-plan actions and due retry re-injections
         self.run_plan();
@@ -75,16 +77,11 @@ impl Network {
             self.active_list.sort_unstable();
             cur.append(&mut self.active_list);
         }
-        for scr in &mut self.shard_scratch {
-            scr.moved = false;
-        }
+        self.scratch.moved = false;
 
         // 2. link traversal: output registers -> downstream input FIFOs
-        // (cross-shard arrivals park in the handoff queues and apply at
-        // the barrier, in shard order = ascending sender order)
-        self.run_phase(PhaseKind::Link, &cur, &cur);
-        self.apply_handoffs_and_marks();
-        self.merge_dropped_and_kill();
+        self.phase_link(&cur);
+        self.kill_doomed(false);
 
         // nodes that received their first flit during link traversal must
         // route and arbitrate it THIS cycle, exactly as the dense scan does
@@ -95,19 +92,17 @@ impl Network {
             cur_ext.sort_unstable();
         }
 
-        // 3. injection (staging -> injection FIFO) + 4. routing decisions;
-        // both touch only node-local state, so they fuse into one parallel
-        // phase — injection over `cur`, routing over `cur_ext`
-        self.run_phase(PhaseKind::InjectRoute, &cur, &cur_ext);
-        self.flush_shards();
-        self.merge_unroutable_and_kill();
+        // 3. injection (staging -> injection FIFO) over `cur` + 4. routing
+        // decisions over `cur_ext`
+        self.phase_inject(&cur);
+        self.phase_route(&cur_ext);
+        self.kill_doomed(true);
 
         // 5. ejection + switch allocation
-        self.run_phase(PhaseKind::EjectSwitch, &cur, &cur_ext);
-        self.flush_shards();
+        self.phase_eject_switch(&cur_ext);
         self.apply_credit_returns();
 
-        let moved = self.shard_scratch.iter().any(|s| s.moved);
+        let moved = self.scratch.moved;
 
         // 6. watchdog (messages waiting out a retry backoff are in flight
         // but legitimately motionless — not a deadlock)
@@ -148,101 +143,9 @@ impl Network {
         self.cycle += 1;
     }
 
-    /// Runs one phase over every shard — inline when the working set is
-    /// small (or there is a single shard), on scoped OS threads otherwise.
-    /// Shards only touch their own node range; anything that crosses a
-    /// boundary lands in the shard's scratch for the master to merge. The
-    /// tasks are cut from the arena as they run or spawn: no allocation.
-    fn run_phase(&mut self, phase: PhaseKind, cur: &[u32], cur_ext: &[u32]) {
-        let ctx = &StepCtx {
-            wiring: &self.wiring,
-            cfg: self.cfg,
-            vcs: self.vcs,
-            degree: self.chans.geo().degree,
-            cycle: self.cycle,
-            sink_on: self.sink.is_some(),
-            poll_waits: self.dense_reference,
-        };
-        let mut ctrls = self.ctrls.as_mut_slice();
-        let mut tasks = self
-            .chans
-            .split_mut(&self.shard_bounds)
-            .zip(self.shard_scratch.iter_mut())
-            .zip(self.shard_bounds.windows(2))
-            .map(|((ch, scr), w)| {
-                let (lo, hi) = (w[0], w[1]);
-                let (head, rest) = std::mem::take(&mut ctrls).split_at_mut(hi - lo);
-                ctrls = rest;
-                let (cur, cur_ext) = (sub_range(cur, lo, hi), sub_range(cur_ext, lo, hi));
-                ShardTask { lo, hi, ch, ctrls: head, scr, cur, cur_ext }
-            });
-        if self.shard_bounds.len() > 2 && cur_ext.len() >= self.cfg.spawn_threshold {
-            crossbeam::thread::scope(|s| {
-                let mut first = tasks.next().expect("at least one shard");
-                for mut t in tasks {
-                    s.spawn(move |_| run_shard(ctx, phase, &mut t));
-                }
-                run_shard(ctx, phase, &mut first);
-            })
-            .expect("simulation shard panicked");
-        } else {
-            tasks.for_each(|mut t| run_shard(ctx, phase, &mut t));
-        }
-    }
-
-    /// Barrier after link traversal: applies cross-shard flit handoffs and
-    /// activation marks, in shard order (= ascending sender order, which
-    /// is what the sequential scan produced).
-    fn apply_handoffs_and_marks(&mut self) {
-        let Network { chans, shard_scratch, active_mask, active_list, .. } = self;
-        let mut ch = chans.full_mut();
-        for scr in shard_scratch {
-            for h in scr.handoff.drain(..) {
-                ch.fifo_push_back(h.node as usize, h.port as usize, h.vc as usize, h.flit);
-                mark_active(active_mask, active_list, h.node as usize);
-            }
-            for ni in scr.newly_active.drain(..) {
-                mark_active(active_mask, active_list, ni as usize);
-            }
-        }
-    }
-
-    /// Barrier after link traversal, part 2: flits caught on just-dead
-    /// links. The shards report candidates; the master applies the
-    /// liveness gate and the kill, exactly as the sequential loop did.
-    fn merge_dropped_and_kill(&mut self) {
-        let Network { shard_scratch, scratch, stats, .. } = self;
-        for scr in shard_scratch {
-            for msg in scr.dropped.drain(..) {
-                // flit caught on a just-failed link. The fault injector
-                // rips every worm touching a dying link, so the message is
-                // normally already killed and untracked; if it IS still
-                // live (a fault path that missed the worm), dropping the
-                // flit silently would leak the message — stats accounting
-                // would never balance and drain() would hang. Kill it
-                // through the normal path instead.
-                if stats.tracks(msg) {
-                    stats.flits_dropped_on_dead_link += 1;
-                    scratch.doomed.insert(msg);
-                }
-            }
-        }
-        self.kill_doomed(false);
-    }
-
-    /// Barrier after routing: merges per-shard unroutable verdicts and
-    /// kills them (trace/retry order is id-sorted inside kill_messages, so
-    /// the merge order does not leak).
-    fn merge_unroutable_and_kill(&mut self) {
-        let Network { shard_scratch, scratch, .. } = self;
-        for scr in shard_scratch {
-            scratch.doomed.extend(scr.unroutable.drain(..));
-        }
-        self.kill_doomed(true);
-    }
-
     /// Kills the messages a barrier collected in `scratch.doomed`, keeping
-    /// the set's allocation for the next cycle.
+    /// the set's allocation for the next cycle (trace/retry order is
+    /// id-sorted inside kill_messages, so the set's order does not leak).
     fn kill_doomed(&mut self, unroutable: bool) {
         if self.scratch.doomed.is_empty() {
             return;
@@ -253,67 +156,17 @@ impl Network {
         self.scratch.doomed = doomed;
     }
 
-    /// Drains per-shard trace events into the sink and replays per-shard
-    /// stats ops, in shard order — concatenating the shard-local streams
-    /// reproduces the sequential ascending-node emission order.
-    fn flush_shards(&mut self) {
-        let Network { shard_scratch, sink, stats, metrics, cycle, .. } = self;
-        let (metrics, cycle) = (metrics.as_ref(), *cycle);
-        for scr in shard_scratch {
-            // (events are only buffered while a sink is attached)
-            if let Some(sink) = sink {
-                for e in scr.events.drain(..) {
-                    sink.record(&e);
-                }
-            }
-            for op in scr.ops.drain(..) {
-                match op {
-                    StatOp::Decision(steps) => {
-                        stats.decision_steps.add(steps);
-                        if let Some(m) = metrics {
-                            m.decision_steps.observe(steps);
-                        }
-                    }
-                    StatOp::HeadArrival(msg, hops) => stats.on_head_arrival(msg, hops),
-                    StatOp::Deliver(msg) => {
-                        let meta = stats.on_deliver(msg, cycle);
-                        if let Some(m) = metrics {
-                            m.delivered.inc();
-                            if let Some(meta) = meta {
-                                m.latency.observe(cycle - meta.inject_cycle);
-                                m.hops.observe(meta.hops as u64);
-                                m.excess_hops
-                                    .observe(meta.hops.saturating_sub(meta.min_dist) as u64);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Barrier after ejection/switch: returns freed credits to the
-    /// upstream senders (each input lane frees at most one slot per cycle,
-    /// so the increments commute; shard order matches the sequential
-    /// application order anyway).
+    /// upstream senders. Deferred so that no switch of this cycle sees a
+    /// credit freed in the same cycle (`DESIGN.md` §14).
     fn apply_credit_returns(&mut self) {
         let depth = self.cfg.buffer_depth;
-        let mut ch = self.chans.full_mut();
-        for scr in &mut self.shard_scratch {
-            for (ni, p, iv) in scr.credit_returns.drain(..) {
-                let Some((m, q)) = self.wiring.peer(ni as usize, p as usize) else { continue };
-                let c = ch.out_credits(m.idx(), q.idx(), iv as usize);
-                ch.set_out_credits(m.idx(), q.idx(), iv as usize, (c + 1).min(depth));
-            }
+        for (ni, p, iv) in self.scratch.credit_returns.drain(..) {
+            let Some((m, q)) = self.wiring.peer(ni as usize, p as usize) else { continue };
+            let c = self.chans.out_credits(m.idx(), q.idx(), iv as usize);
+            self.chans.set_out_credits(m.idx(), q.idx(), iv as usize, (c + 1).min(depth));
         }
     }
-}
-
-/// Restricts a sorted node-id slice to the half-open range `lo..hi`.
-fn sub_range(xs: &[u32], lo: usize, hi: usize) -> &[u32] {
-    let a = xs.partition_point(|&x| (x as usize) < lo);
-    let b = xs.partition_point(|&x| (x as usize) < hi);
-    &xs[a..b]
 }
 
 /// The two engine tests that must reach private state; everything else

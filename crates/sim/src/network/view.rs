@@ -7,44 +7,43 @@
 //! routers here — [`Network::query_relation`]'s and the `RouteWait`
 //! probe's — have no state to read.
 
-use super::phases::StepCtx;
 use super::Network;
 use crate::flit::Header;
-use crate::routing::{NodeController, RouterView, Rows, Verdict};
+use crate::routing::{RouterView, Rows, Verdict};
 use ftr_topo::{NodeId, PortId, VcId};
 
-/// Output channels the controller would accept *right now* for a head it
-/// asked to wait: each live `(port, vc)` is probed under a synthetic view
-/// where exactly that channel is free, and kept when the controller grants
-/// it. Runs only while a trace sink is attached (the `RouteWait` wait-for
-/// edges); header mutations made by the probed decisions are discarded, so
-/// a controller whose `route` is a pure function of view + header — every
-/// in-tree algorithm — is unperturbed.
-pub(super) fn probe_wants(
-    ctx: &StepCtx<'_>,
-    ctrl: &mut dyn NodeController,
-    n: NodeId,
-    header: &Header,
-    in_port: Option<PortId>,
-    in_vc: VcId,
-) -> Vec<(PortId, VcId)> {
-    let (wires, cycle, traced) = (ctx.wiring.row(n.idx()), ctx.cycle, ctx.sink_on);
-    let mut wants = Vec::new();
-    for (p, _) in wires.iter().enumerate().filter(|(_, w)| w.live) {
-        for v in 0..ctx.vcs {
-            let rows = Rows::Ideal(wires, Some((p, v)));
-            let view = RouterView { node: n, cycle, traced, vcs: ctx.vcs, rows };
-            let mut h = *header;
-            let dec = ctrl.route(&view, &mut h, in_port, in_vc);
-            if dec.verdict == Verdict::Route(PortId(p as u8), VcId(v as u8)) {
-                wants.push((PortId(p as u8), VcId(v as u8)));
+impl Network {
+    /// Output channels the controller would accept *right now* for a head
+    /// it asked to wait: each live `(port, vc)` is probed under a synthetic
+    /// view where exactly that channel is free, and kept when the
+    /// controller grants it. Runs only while a trace sink is attached (the
+    /// `RouteWait` wait-for edges); header mutations made by the probed
+    /// decisions are discarded, so a controller whose `route` is a pure
+    /// function of view + header — every in-tree algorithm — is unperturbed.
+    pub(super) fn probe_wants(
+        &mut self,
+        n: NodeId,
+        header: &Header,
+        in_port: Option<PortId>,
+        in_vc: VcId,
+    ) -> Vec<(PortId, VcId)> {
+        let (wires, cycle, traced) = (self.wiring.row(n.idx()), self.cycle, self.sink.is_some());
+        let ctrl = &mut self.ctrls[n.idx()];
+        let mut wants = Vec::new();
+        for (p, _) in wires.iter().enumerate().filter(|(_, w)| w.live) {
+            for v in 0..self.vcs {
+                let rows = Rows::Ideal(wires, Some((p, v)));
+                let view = RouterView { node: n, cycle, traced, vcs: self.vcs, rows };
+                let mut h = *header;
+                let dec = ctrl.route(&view, &mut h, in_port, in_vc);
+                if dec.verdict == Verdict::Route(PortId(p as u8), VcId(v as u8)) {
+                    wants.push((PortId(p as u8), VcId(v as u8)));
+                }
             }
         }
+        wants
     }
-    wants
-}
 
-impl Network {
     /// Queries a controller's full routing relation under an idealised
     /// all-free view (used by deadlock and conditions analyses).
     pub fn query_relation(
@@ -168,49 +167,33 @@ mod tests {
         // owners, credits down to 0, assigned counts, occupied registers
         let mut chans = Channels::new(Geometry::new(9, 4, vcs, 4));
         let mut assigned = [[0u32; 4]; 9];
-        let mut ch = chans.full_mut();
         for n in 0..9 {
             for p in 0..4 {
                 for v in 0..vcs {
-                    ch.set_out_owner(n, p, v, (rnd(3) == 0).then_some(MessageId(rnd(99))));
-                    ch.set_out_credits(n, p, v, rnd(3) as u32);
+                    chans.set_out_owner(n, p, v, (rnd(3) == 0).then_some(MessageId(rnd(99))));
+                    chans.set_out_credits(n, p, v, rnd(3) as u32);
                 }
                 assigned[n][p] = rnd(40) as u32;
-                ch.set_out_assigned(n, p, assigned[n][p]);
+                chans.set_out_assigned(n, p, assigned[n][p]);
                 let flit = Flit { kind: FlitKind::Body, msg: MessageId(rnd(99)), seq: 1 };
-                ch.set_out_reg(n, p, (rnd(2) == 0).then_some((VcId(0), flit)));
+                chans.set_out_reg(n, p, (rnd(2) == 0).then_some((VcId(0), flit)));
             }
         }
 
         let (cycle, traced) = (noise[1], noise[2] & 1 == 1);
-        {
-            // a consult's window: cut from the shard that starts at node 4
-            let shard = chans.split_mut(&[0, 4, 9]).nth(1).expect("two shards");
-            for n in 4..9 {
-                let node = NodeId(n as u32);
-                let view = live(&wiring, shard.out_rows(n), vcs, node, cycle, traced);
-                prop_assert_eq!((view.node, view.cycle, view.traced()), (node, cycle, traced));
-                let copied = fill(
-                    &wiring,
-                    n,
-                    vcs,
-                    |p, v| shard.out_channel_free(n, p, v),
-                    |p| assigned[n][p] + shard.out_reg(n, p).is_some() as u32,
-                );
-                same(&view, &copied, vcs)?;
-            }
-        }
         for n in 0..9 {
-            // a hook's window: cut from the whole arena
+            // a consult's and a hook's window: cut from the whole arena
             let node = NodeId(n as u32);
+            let view = live(&wiring, chans.out_rows(n), vcs, node, cycle, traced);
+            prop_assert_eq!((view.node, view.cycle, view.traced()), (node, cycle, traced));
             let copied = fill(
                 &wiring,
                 n,
                 vcs,
-                |p, v| chans.out_owner(n, p, v).is_none() && chans.out_credits(n, p, v) > 0,
+                |p, v| chans.out_channel_free(n, p, v),
                 |p| assigned[n][p] + chans.out_reg(n, p).is_some() as u32,
             );
-            same(&live(&wiring, chans.out_rows(n), vcs, node, cycle, traced), &copied, vcs)?;
+            same(&view, &copied, vcs)?;
             // `query_relation`'s window, then the probe's for every channel
             let all_free = fill(&wiring, n, vcs, |_, _| true, |_| 0);
             same(&ideal(&wiring, vcs, node, cycle, traced, None), &all_free, vcs)?;

@@ -2,7 +2,6 @@
 
 use crate::flit::MessageId;
 use ftr_topo::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-message bookkeeping.
@@ -29,7 +28,7 @@ pub struct MsgMeta {
 }
 
 /// Online mean/min/max accumulator.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Accum {
     /// Number of samples.
     pub count: u64,

@@ -1,12 +1,12 @@
 //! Parallel parameter sweeps.
 //!
 //! Latency-throughput curves need one independent simulation per offered
-//! load; sweeps fan the runs out over OS threads with `crossbeam::scope`
-//! (each simulation is single-threaded and deterministic for its seed, so
-//! results are reproducible regardless of scheduling).
+//! load; sweeps fan the runs out over scoped OS threads (each simulation
+//! is single-threaded and deterministic for its seed, so results are
+//! reproducible regardless of scheduling).
 
-use crossbeam::thread;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 
 /// Best-effort rendering of a panic payload (panics carry `&str` or
 /// `String` in practice; anything else gets a placeholder).
@@ -32,26 +32,31 @@ where
     // one lock per output slot: writers never contend with each other (each
     // index is claimed by exactly one worker), unlike a single global mutex
     // around the whole result vector which serialises every store
-    let slots: Vec<parking_lot::Mutex<Option<std::thread::Result<O>>>> =
-        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<std::thread::Result<O>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
     // indices are handed out through a shared atomic cursor (Relaxed is
     // enough: fetch_add is an atomic RMW, so every index is claimed exactly
     // once, and the scope join publishes the slot writes)
     let cursor = std::sync::atomic::AtomicUsize::new(0);
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..max_threads.max(1).min(n) {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
                 let out = catch_unwind(AssertUnwindSafe(|| job(i)));
-                *slots[i].lock() = Some(out);
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
             });
         }
-    })
-    .expect("worker panicked outside a job");
-    slots.into_iter().map(|s| s.into_inner().expect("every index ran before the join")).collect()
+    });
+    slots
+        .into_iter()
+        .map(|s| {
+            let slot = s.into_inner().unwrap_or_else(PoisonError::into_inner);
+            slot.expect("every index ran before the join")
+        })
+        .collect()
 }
 
 /// Unwraps index-aligned job results, or re-raises every failure as one
@@ -102,8 +107,8 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
-/// Worker-thread count for sweeps and the sharded engine: the `FTR_THREADS`
-/// environment variable when set to a positive integer, else
+/// Worker-thread count for the sweep, campaign and fleet pools: the
+/// `FTR_THREADS` environment variable when set to a positive integer, else
 /// [`default_threads`]. Lets CI and shared machines pin parallelism without
 /// touching every call site.
 pub fn worker_count() -> usize {

@@ -139,7 +139,7 @@ proptest! {
     /// Active-set scheduling with parked heads is observationally
     /// identical to the dense, polling scan under arbitrary scripted
     /// fault/repair sequences with source retransmission, from idle to far
-    /// beyond saturation, at any decision latency and shard count: same
+    /// beyond saturation, at any decision latency: same
     /// stats, same trace, same per-cycle movement — and the run never
     /// strands work (drains once the plan is exhausted).
     #[test]
@@ -150,7 +150,6 @@ proptest! {
             (10u64..300, 0u32..16, 0u8..4, 20u64..150), 0..6),
         retry_arm in 0u8..2,
         cycles_per_step in 0u32..4,
-        threads in 1usize..4,
     ) {
         let retry = retry_arm == 1;
         let mesh = Mesh2D::new(4, 4);
@@ -164,7 +163,6 @@ proptest! {
             let sink = Arc::new(ftr_obs::RingSink::new(1 << 16));
             let mut b = Network::builder(Arc::new(mesh.clone()))
                 .fault_plan(plan.clone())
-                .threads(threads)
                 .decision_cycles_per_step(cycles_per_step)
                 .trace(sink.clone());
             if retry {

@@ -11,11 +11,10 @@
 
 use crate::ids::{LinkId, NodeId, PortId};
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A set of known link and node faults.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultSet {
     links: BTreeSet<LinkId>,
     nodes: BTreeSet<NodeId>,

@@ -8,10 +8,9 @@
 
 use crate::ids::{NodeId, PortId};
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// An `n`-dimensional binary hypercube.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Hypercube {
     dim: u32,
 }

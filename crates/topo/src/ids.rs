@@ -4,11 +4,10 @@
 //! of indexing a per-port array with a node id. All ids are small `Copy`
 //! types so they can be passed by value everywhere.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a network node (router + attached processing element).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -33,7 +32,7 @@ impl fmt::Display for NodeId {
 
 /// Identifier of a router port (one per attached link, plus the local
 /// injection/ejection port which is handled separately by the simulator).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortId(pub u8);
 
 impl PortId {
@@ -57,7 +56,7 @@ impl fmt::Display for PortId {
 }
 
 /// Identifier of a virtual channel multiplexed onto a physical link.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VcId(pub u8);
 
 impl VcId {
@@ -86,7 +85,7 @@ impl fmt::Display for VcId {
 /// are bi-directional and both directions fail together". A link is named by
 /// its lower-numbered endpoint and the port leaving that endpoint, so the two
 /// directed views of the same wire compare equal.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct LinkId {
     /// The lower-numbered endpoint of the link.
     pub node: NodeId,

@@ -12,10 +12,9 @@
 
 use crate::ids::{NodeId, PortId};
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A k-ary n-cube.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KAryNCube {
     radix: u32,
     dims: u32,

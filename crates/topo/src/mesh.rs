@@ -6,7 +6,6 @@
 
 use crate::ids::{NodeId, PortId};
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Port leading in +x direction.
 pub const EAST: PortId = PortId(0);
@@ -26,7 +25,7 @@ pub fn opposite(p: PortId) -> PortId {
 }
 
 /// A `width × height` two-dimensional mesh.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Mesh2D {
     width: u32,
     height: u32,

@@ -6,10 +6,9 @@
 use crate::ids::{NodeId, PortId};
 use crate::mesh::{EAST, NORTH, SOUTH, WEST};
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A `width × height` torus.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Torus2D {
     width: u32,
     height: u32,

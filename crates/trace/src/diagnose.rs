@@ -32,8 +32,8 @@
 //! reported once, whether or not it participates in a knot.
 
 use ftr_obs::{EventKind, TraceEvent, TraceSink};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Channel identity `(node, out_port, out_vc)` — same key as the
 /// journey book's channel table.
@@ -158,33 +158,39 @@ impl DiagnoserSink {
         self.cfg
     }
 
+    /// The diagnoser's state, taken back from a poisoned lock: a sink is
+    /// shared across sweep workers and outlives a job that panicked.
+    fn locked(&self) -> MutexGuard<'_, DiagState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The first deadlock witness found, if any.
     pub fn deadlock(&self) -> Option<DeadlockWitness> {
-        self.state.lock().deadlock.clone()
+        self.locked().deadlock.clone()
     }
 
     /// Every starvation reported so far (each message at most once per
     /// attempt).
     pub fn starved(&self) -> Vec<Starvation> {
-        self.state.lock().starved.clone()
+        self.locked().starved.clone()
     }
 
     /// Number of wait-for-graph scans performed.
     pub fn scans(&self) -> u64 {
-        self.state.lock().scans
+        self.locked().scans
     }
 
     /// Forces a scan at the current cycle — call after the trace ends,
     /// so a knot formed less than `scan_period` cycles before the end is
     /// still found.
     pub fn scan_now(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.locked();
         let cycle = st.cycle;
         self.scan(&mut st, cycle);
     }
 
     fn ingest(&self, ev: &TraceEvent) {
-        let mut st = self.state.lock();
+        let mut st = self.locked();
         st.cycle = st.cycle.max(ev.cycle);
         let cycle = ev.cycle;
         match &ev.kind {

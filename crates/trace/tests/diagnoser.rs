@@ -9,6 +9,7 @@
 //!   test is structural, so congestion alone cannot fake a cycle.
 
 use ftr_algos::Nafta;
+use ftr_analyze::MeshProgramLift;
 use ftr_core::{configure, RuleRouter};
 use ftr_obs::{RingSink, TeeSink, TraceSink};
 use ftr_sim::{FaultPlan, Network, Pattern, RetryPolicy, TrafficSource};
@@ -29,7 +30,7 @@ fn diag_cfg() -> DiagnoserConfig {
 fn adaptive_run(seed: u64) -> (bool, Arc<DiagnoserSink>, Arc<RingSink>) {
     let mesh = Mesh2D::new(4, 4);
     let cfg = configure("adaptive", ADAPTIVE_SRC).expect("fixture compiles");
-    let algo = RuleRouter::new(cfg, mesh.clone(), 1);
+    let algo = RuleRouter::for_mesh(cfg, mesh.clone());
     let diag = Arc::new(DiagnoserSink::new(diag_cfg()));
     let ring = Arc::new(RingSink::new(1 << 20));
     let tee = Arc::new(TeeSink::new(vec![ring.clone(), diag.clone()]));
@@ -69,15 +70,8 @@ fn diagnoser_flags_the_statically_proven_adaptive_deadlock() {
     // static half: the verifier proves the CDG cyclic on the same 4x4
     // mesh configuration the dynamic run uses
     let cfg = configure("adaptive", ADAPTIVE_SRC).expect("fixture compiles");
-    let report = ftr_analyze::verify_mesh(
-        "adaptive",
-        &cfg.compiled,
-        4,
-        4,
-        ftr_analyze::MeshVcMode::SingleVc,
-        0,
-        16,
-    );
+    let lift = MeshProgramLift::new((*cfg.compiled).clone(), Mesh2D::new(4, 4)).expect("binds");
+    let report = lift.verify("adaptive", 0, 16);
     assert!(!report.verified(), "the static verifier must condemn this program");
 
     // dynamic half: find seeds where the engine actually deadlocks, and

@@ -59,7 +59,7 @@ fn run(name: &str, src: &str, mesh: &Mesh2D) -> (u64, u64) {
         cfg.cost.total_table_bits(),
         cfg.cost.rulebases.len()
     );
-    let router = RuleRouter::new(cfg, mesh.clone(), 1);
+    let router = RuleRouter::for_mesh(cfg, mesh.clone());
     let mut net = Network::builder(Arc::new(mesh.clone())).build(&router).expect("valid config");
     // fault on the x-first path from (0,2) to (3,1)
     net.inject_link_fault(mesh.node_at(1, 2), EAST);

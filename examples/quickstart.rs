@@ -22,7 +22,7 @@ fn main() {
     //    observability layer attached: a ring of recent trace events and
     //    a metrics registry.
     let mesh = Mesh2D::new(4, 4);
-    let router = RuleRouter::new(cfg, mesh.clone(), 1);
+    let router = RuleRouter::for_mesh(cfg, mesh.clone());
     let sink = Arc::new(RingSink::new(1 << 16));
     let registry = Arc::new(MetricsRegistry::new());
     let mut net = Network::builder(Arc::new(mesh.clone()))

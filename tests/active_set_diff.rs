@@ -1,20 +1,18 @@
-//! Lockstep differential test: every step backend against every other.
+//! Lockstep differential test: the active-set step against the dense
+//! reference.
 //!
 //! `Network::step` normally iterates only nodes with work (the active
 //! set) and leaves a head that was told to wait *parked* until its node's
 //! channel state changes; `set_dense_reference(true)` retains the
 //! original every-node scan that puts every waiting head to its
-//! controller every cycle; `NetworkBuilder::threads(n)` shards the scan
-//! across `n` regions with a conservative barrier (DESIGN.md §14). All
-//! backends must be indistinguishable to any observer: bit-identical
-//! `SimStats`, bit-identical trace-event streams, and the same per-cycle
-//! `moved` flag. This runs the E15 campaign shape — retrying NAFTA on a
+//! controller every cycle. The two must be indistinguishable to any
+//! observer: bit-identical `SimStats`, bit-identical trace-event streams,
+//! and the same per-cycle `moved` flag. This runs the E15 campaign shape — retrying NAFTA on a
 //! faulty 6x6 mesh — across a (retry x fault-count x seed) matrix, a
 //! ROUTE_C 4-cube arm, and the cases that make parking matter (a mesh
 //! beyond saturation, detection, rule-driven hosts, decision latencies 0
-//! and 3), advancing dense, active, 2-thread-sharded (inline) and 3- and
-//! 8-thread-sharded (forced OS threads) networks in lockstep. Every
-//! algorithm is wrapped in a `route`-call counter: the parking arms must
+//! and 3), advancing a dense and an active network in lockstep. Every
+//! algorithm is wrapped in a `route`-call counter: the parking arm must
 //! ask strictly less often than the reference where heads wait on a
 //! native controller, and exactly as often where the host polls.
 
@@ -89,7 +87,7 @@ impl NodeController for CountedCtl {
     }
 }
 
-/// One backend under test: a network plus its own trace sink, `route`
+/// One arm under test: a network plus its own trace sink, `route`
 /// counter and an identically seeded traffic source.
 struct Arm {
     name: &'static str,
@@ -99,31 +97,11 @@ struct Arm {
     tf: TrafficSource,
 }
 
-/// How an [`Arm`] computes its cycles.
-#[derive(Clone, Copy)]
-enum Backend {
-    /// The reference: every node scanned, every waiting head asked.
-    Dense,
-    Active,
-    /// `threads` shards; `force_spawn` pins the spawn threshold to zero
-    /// so real OS threads run even on a 36-node mesh.
-    Sharded {
-        threads: usize,
-        force_spawn: bool,
-    },
-}
+/// The two arms every differential test runs, by whether the arm is the
+/// dense reference: every node scanned, every waiting head asked.
+const ARMS: [(&str, bool); 2] = [("dense", true), ("active", false)];
 
-/// The standard backend matrix every differential test runs: both
-/// sequential scans, an inline-sharded and two really-threaded engines.
-const BACKENDS: [(&str, Backend); 5] = [
-    ("dense", Backend::Dense),
-    ("active", Backend::Active),
-    ("sharded-2 (inline)", Backend::Sharded { threads: 2, force_spawn: false }),
-    ("sharded-3 (spawned)", Backend::Sharded { threads: 3, force_spawn: true }),
-    ("sharded-8 (spawned)", Backend::Sharded { threads: 8, force_spawn: true }),
-];
-
-/// How the parking arms' `route`-call count must relate to the
+/// How the parking arm's `route`-call count must relate to the
 /// reference arm's.
 #[derive(Clone, Copy)]
 enum Asks {
@@ -141,7 +119,7 @@ struct Squad {
 }
 
 impl Squad {
-    /// Builds one arm per backend, each running `algo` behind a call
+    /// Builds one arm per entry of [`ARMS`], each running `algo` behind a call
     /// counter and tracing into its own ring. `tune` finishes a pre-tuned
     /// builder (fault plan, retry, config); `tf` seeds one traffic source
     /// per arm.
@@ -151,19 +129,15 @@ impl Squad {
         tune: impl Fn(NetworkBuilder) -> NetworkBuilder,
         tf: impl Fn() -> TrafficSource,
     ) -> Self {
-        let arms = BACKENDS
+        let arms = ARMS
             .iter()
-            .map(|&(name, backend)| {
-                let mut b = Network::builder(topo.clone());
-                if let Backend::Sharded { threads, force_spawn } = backend {
-                    b = b.threads(threads);
-                    b = b.spawn_threshold(if force_spawn { 0 } else { usize::MAX });
-                }
+            .map(|&(name, dense)| {
                 let sink = Arc::new(RingSink::new(1 << 17));
                 let calls = Arc::new(AtomicU64::new(0));
                 let counted = Counted { inner: algo, calls: calls.clone() };
-                let mut net = tune(b).trace(sink.clone()).build(&counted).expect("valid config");
-                net.set_dense_reference(matches!(backend, Backend::Dense));
+                let b = tune(Network::builder(topo.clone())).trace(sink.clone());
+                let mut net = b.build(&counted).expect("valid config");
+                net.set_dense_reference(dense);
                 net.set_measuring(true);
                 Arm { name, net, sink, calls, tf: tf() }
             })
@@ -315,12 +289,13 @@ fn rule_driven_hosts_park_only_what_they_can_prove() {
     // and ROUTE_C read it, so their hosts poll — call for call what the
     // reference does.
     let mesh = Mesh2D::new(6, 6);
-    let xy =
-        RuleRouter::new(configure("xy", ftrouter::algos::rules_src::XY).unwrap(), mesh.clone(), 1);
-    let nafta = RuleRouter::new(
+    let xy = RuleRouter::for_mesh(
+        configure("xy", ftrouter::algos::rules_src::XY).unwrap(),
+        mesh.clone(),
+    );
+    let nafta = RuleRouter::for_mesh(
         configure("nafta", ftrouter::algos::rules_src::NAFTA).unwrap(),
         mesh.clone(),
-        2,
     );
     // (every blocked head costs the traced arms eight probe fires a cycle,
     // so the two-channel program gets the lighter — still saturating — load)

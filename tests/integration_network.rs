@@ -88,7 +88,7 @@ fn rule_driven_nafta_program_matches_nara_fault_free() {
     // single-interpretation decisions, everything delivered
     let mesh = Mesh2D::new(4, 4);
     let cfg = configure("nafta", ftrouter::algos::rules_src::NAFTA).unwrap();
-    let router = RuleRouter::new(cfg, mesh.clone(), 2);
+    let router = RuleRouter::for_mesh(cfg, mesh.clone());
     let net = all_pairs(&mesh, &router);
     assert_eq!(net.stats.delivered_msgs, 240);
     assert_eq!(net.stats.excess_hops, 0, "minimal like NARA");
@@ -154,12 +154,12 @@ fn rule_driven_routers_survive_sustained_traffic() {
     let mesh = Mesh2D::new(6, 6);
     let dead_links =
         [(mesh.node_at(2, 2), EAST), (mesh.node_at(4, 1), NORTH), (mesh.node_at(1, 4), EAST)];
-    for (name, vcs, faults, expected) in [
-        ("xy", 1, &[][..], (835, 0, 6896, 3279, 3279, false)),
-        ("west_first", 1, &[][..], (835, 0, 6763, 3279, 3279, false)),
-        ("nafta", 2, &dead_links[..], (831, 4, 7703, 3432, 3926, false)),
+    for (name, faults, expected) in [
+        ("xy", &[][..], (835, 0, 6896, 3279, 3279, false)),
+        ("west_first", &[][..], (835, 0, 6763, 3279, 3279, false)),
+        ("nafta", &dead_links[..], (831, 4, 7703, 3432, 3926, false)),
     ] {
-        let router = RuleRouter::new(registry::configuration(name).unwrap(), mesh.clone(), vcs);
+        let router = RuleRouter::for_mesh(registry::configuration(name).unwrap(), mesh.clone());
         let mut net = mesh_net(&mesh, &router, 1, faults);
         assert_eq!(sustained(&mesh, &mut net, 0.15, 600), expected, "{name}");
     }
@@ -178,7 +178,7 @@ fn rule_driven_nafta_runs_where_one_virtual_network_wedged() {
     // every configuration here ended in the watchdog while the rule host
     // answered on the arrival VC and never told the program a link was dead
     let mesh = Mesh2D::new(6, 6);
-    let rule = RuleRouter::new(registry::configuration("nafta").unwrap(), mesh.clone(), 2);
+    let rule = RuleRouter::for_mesh(registry::configuration("nafta").unwrap(), mesh.clone());
     let native = Nafta::new(mesh.clone());
 
     // fault-free at one cycle per step, rule-driven NAFTA *is* native NAFTA:
@@ -209,7 +209,7 @@ fn rule_driven_nafta_runs_where_one_virtual_network_wedged() {
     // one message on an empty mesh whose only minimal link is dead: the
     // host reports the link, the program misroutes around it
     let mesh = Mesh2D::new(4, 4);
-    let rule = RuleRouter::new(registry::configuration("nafta").unwrap(), mesh.clone(), 2);
+    let rule = RuleRouter::for_mesh(registry::configuration("nafta").unwrap(), mesh.clone());
     let mut net = mesh_net(&mesh, &rule, 1, &[(mesh.node_at(1, 1), EAST)]);
     net.send(mesh.node_at(1, 1), mesh.node_at(3, 1), 4).unwrap();
     assert!(net.drain(2_000), "delivered long before the watchdog");
