@@ -12,7 +12,7 @@ pub fn max_hops(num_nodes: usize) -> u32 {
 }
 
 /// Among `candidates`, picks the output with the lowest assigned load
-/// (NAFTA's adaptivity criterion: prefer the port with the least data still
+/// (NAFTA's selection function: prefer the port with the least data still
 /// to pass). Ties break to the earliest candidate.
 pub fn least_loaded(
     view: &RouterView<'_>,

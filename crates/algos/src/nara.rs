@@ -7,7 +7,7 @@
 //! where *every* turn among {E, W, N} is legal — a dependency cycle in a
 //! mesh must contain both a north and a south hop, so each network is
 //! acyclic on its own and minimal routing inside it is *fully* adaptive
-//! (condition 1). The adaptivity criterion is NAFTA's: prefer the output
+//! (condition 1). The selection function is NAFTA's: prefer the output
 //! with the least data still assigned to it.
 
 use crate::common::{allocatable, least_loaded, max_hops};

@@ -4,13 +4,13 @@
 //! combined forms a partial order. Therefore the propagation scheme
 //! settles fast." NAFTA's wave propagation is likewise monotone. This
 //! binary injects growing fault counts and measures cycles until the
-//! control plane goes quiet, plus the control-message volume — both from
-//! the metrics registry the network records into. Rows print to stdout
-//! and land in `results/settling.json`.
+//! control plane goes quiet, plus the control-message volume from the
+//! network's `SimStats`. Rows print to stdout and land in
+//! `results/settling.json`.
 
 use ftr_algos::{Nafta, RouteC};
 use ftr_bench::harness;
-use ftr_obs::{json, MetricsRegistry};
+use ftr_obs::json;
 use ftr_sim::routing::RoutingAlgorithm;
 use ftr_sim::Network;
 use ftr_topo::{FaultSet, Hypercube, Mesh2D, Topology};
@@ -29,20 +29,14 @@ fn settle<T: Topology + Clone + 'static>(
     algo: &dyn RoutingAlgorithm,
     faults: &FaultSet,
 ) -> Row {
-    let registry = Arc::new(MetricsRegistry::new());
-    let mut net = Network::builder(Arc::new(topo.clone()))
-        .metrics(registry.clone())
-        .build(algo)
-        .expect("valid config");
+    let mut net = Network::builder(Arc::new(topo.clone())).build(algo).expect("valid config");
     net.apply_fault_set(faults);
     let cycles = net.settle_control(1_000_000).expect("monotone propagation settles");
-    let ctrl_msgs = registry.counter_value("sim.control_msgs").unwrap_or(0);
-    assert_eq!(ctrl_msgs, net.stats.control_msgs, "registry mirrors stats");
     Row {
         series,
         faults: faults.faulty_links().count() + faults.faulty_nodes().count(),
         cycles,
-        ctrl_msgs,
+        ctrl_msgs: net.stats.control_msgs,
     }
 }
 

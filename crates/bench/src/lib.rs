@@ -2,8 +2,7 @@
 //!
 //! Regenerates every table and quantitative claim of the paper's
 //! evaluation. Each experiment is a binary under `src/bin/` (see
-//! `DESIGN.md` §3 for the experiment index); E9's Criterion
-//! micro-benchmark lives under `benches/`.
+//! `DESIGN.md` §3 for the experiment index).
 //!
 //! Shared helpers for the binaries live here.
 

@@ -1,12 +1,11 @@
 //! # ftr-obs — observability layer
 //!
-//! Structured instrumentation for the fault-tolerant router stack: the
-//! paper's central claims are *per-decision* numbers (interpretation
-//! steps per routed message, decision-latency overhead, settling waves),
-//! and this crate is where they become observable without hand-rolled
-//! counters in every binary.
+//! Structured instrumentation for the fault-tolerant router stack. A
+//! run's totals live in `ftr_sim::SimStats`; this crate makes the
+//! *per-decision* story behind them observable (interpretation steps per
+//! routed message, decision-latency overhead, settling waves).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! - **Event tracing** ([`event`], [`sink`], [`ftb`]): typed,
 //!   cycle-stamped [`TraceEvent`]s (injection, per-hop routing decisions
@@ -17,9 +16,6 @@
 //!   event, read back by the streaming [`FtbReader`]), or a [`TeeSink`]
 //!   over several. The simulator emits through closures, so with no
 //!   sink attached no event is ever constructed.
-//! - **Metrics** ([`metrics`]): a [`MetricsRegistry`] of named counters
-//!   and log₂-bucketed histograms with a JSON exporter; the bench
-//!   binaries publish their results through it into `results/*.json`.
 //! - **Interpreter profiling** ([`profile`]): [`InterpProfiler`]
 //!   implements `ftr_rules::InterpProbe` and attributes wall-clock time to
 //!   the three hardware stages (premise / kernel / conclusion) per rule
@@ -36,21 +32,19 @@
 pub mod event;
 pub mod ftb;
 pub mod json;
-pub mod metrics;
 pub mod profile;
 pub mod sink;
 
 pub use event::{EventKind, RouteOutcome, TraceEvent};
 pub use ftb::{BinSink, FtbHeader, FtbReader, ReadError};
 pub use json::Value;
-pub use metrics::{Counter, HistSnapshot, Histogram, MetricsRegistry};
 pub use profile::{InterpProfiler, StageCost};
 pub use sink::{RingSink, TeeSink, TraceSink};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, taking the guard back from a poisoned lock: sinks and
-/// registries are shared across sweep workers, and a job that panicked
+/// profilers are shared across sweep workers, and a job that panicked
 /// holding one must not take every other job's instruments down with it.
 fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)

@@ -390,19 +390,6 @@ impl Channels {
         &mut self.staging[n]
     }
 
-    /// Total flits buffered at node `n` (inputs + output registers),
-    /// excluding the staging queue.
-    pub fn buffered_flits(&self, n: usize) -> usize {
-        let mut total = 0usize;
-        for l in n * self.geo.lanes..(n + 1) * self.geo.lanes {
-            total += self.fifo_len[l] as usize;
-        }
-        for p in 0..self.geo.degree {
-            total += self.out_reg[n * self.geo.degree + p].is_some() as usize;
-        }
-        total
-    }
-
     /// Whether node `n` has any flit-bearing work — the activation
     /// predicate of the active-set scheduler.
     pub fn has_work(&self, n: usize) -> bool {

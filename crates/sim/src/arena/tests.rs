@@ -112,5 +112,4 @@ fn reset_node_restores_power_on_state() {
     assert_eq!(ch.route(1, 0, 1), RouteState::Unrouted);
     assert_eq!(ch.out_owner(1, 1, 0), None);
     assert_eq!(ch.out_credits(1, 1, 0), 4);
-    assert_eq!(ch.buffered_flits(1), 0);
 }

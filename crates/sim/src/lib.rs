@@ -54,8 +54,9 @@
 //! assert_eq!(net.stats.delivered_msgs, 1);
 //! ```
 //!
-//! To observe *why* the numbers come out the way they do, attach a trace
-//! sink and/or metrics registry via [`NetworkBuilder`] — see `ftr-obs`.
+//! [`SimStats`] is the run's record. To observe *why* its numbers come out
+//! the way they do, attach a trace sink via [`NetworkBuilder`] — see
+//! `ftr-obs`.
 
 mod arena;
 pub mod detect;

@@ -3,12 +3,12 @@
 //! layer.
 
 use super::wiring::Wiring;
-use super::{Network, RetryPolicy, SimMetrics};
+use super::{Network, RetryPolicy};
 use crate::arena::{Channels, Geometry};
 use crate::plan::FaultPlan;
 use crate::routing::RoutingAlgorithm;
 use crate::stats::SimStats;
-use ftr_obs::{MetricsRegistry, TraceSink};
+use ftr_obs::TraceSink;
 use ftr_topo::{FaultSet, NodeId, Topology};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -110,7 +110,6 @@ pub struct NetworkBuilder {
     topo: Arc<dyn Topology>,
     cfg: SimConfig,
     sink: Option<Arc<dyn TraceSink>>,
-    metrics: Option<Arc<MetricsRegistry>>,
     retry: Option<RetryPolicy>,
     plan: Option<FaultPlan>,
 }
@@ -118,14 +117,7 @@ pub struct NetworkBuilder {
 impl NetworkBuilder {
     /// Starts a builder over `topo` with the default [`SimConfig`].
     pub fn new(topo: Arc<dyn Topology>) -> Self {
-        NetworkBuilder {
-            topo,
-            cfg: SimConfig::default(),
-            sink: None,
-            metrics: None,
-            retry: None,
-            plan: None,
-        }
+        NetworkBuilder { topo, cfg: SimConfig::default(), sink: None, retry: None, plan: None }
     }
 
     /// Replaces the whole engine configuration at once.
@@ -182,13 +174,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Attaches a metrics registry; the network records its counters and
-    /// histograms under `sim.*` names.
-    pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
     /// Enables source retransmission of killed/unroutable messages.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
@@ -238,7 +223,6 @@ impl NetworkBuilder {
             measuring: false,
             stats,
             sink: self.sink,
-            metrics: self.metrics.map(SimMetrics::new),
             retry: self.retry,
             retries: VecDeque::new(),
             plan: self.plan,

@@ -66,9 +66,6 @@ impl Network {
     fn drop_control(&mut self, node: NodeId, port: PortId) {
         self.stats.control_dropped += 1;
         self.emit(|| EventKind::ControlDrop { node, port });
-        if let Some(m) = &self.metrics {
-            m.control_dropped.inc();
-        }
     }
 
     fn enqueue_control(&mut self, from: NodeId, msgs: Vec<ControlMsg>) {
@@ -81,9 +78,6 @@ impl Network {
             };
             self.stats.control_msgs += 1;
             self.emit(|| EventKind::ControlSend { from, to });
-            if let Some(m) = &self.metrics {
-                m.control_msgs.inc();
-            }
             self.control.push_back(ControlDelivery {
                 due: self.cycle + 1,
                 to,

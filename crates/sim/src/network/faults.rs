@@ -6,7 +6,7 @@
 use super::control::Hook;
 use super::{closes_worm, Network, RetryPolicy};
 use crate::flit::{Flit, Header, MessageId};
-use crate::plan::{FaultAction, FaultPlan};
+use crate::plan::FaultAction;
 use crate::router::RouteState;
 use ftr_obs::EventKind;
 use ftr_topo::{FaultSet, NodeId, PortId};
@@ -47,18 +47,6 @@ impl Network {
     /// fault set answers (debug-asserted after every fault and repair).
     pub fn wiring_consistent(&self) -> bool {
         self.wiring.consistent(self.topo.as_ref(), &self.faults)
-    }
-
-    /// Attaches (or replaces) a scripted fault plan mid-run; actions whose
-    /// cycle already passed fire on the next step.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.plan = Some(plan);
-    }
-
-    /// Enables, replaces or (with `None`) disables source retransmission.
-    /// Messages already waiting out a backoff keep their schedule.
-    pub fn set_retry_policy(&mut self, policy: Option<RetryPolicy>) {
-        self.retry = policy;
     }
 
     /// The active retry policy, if any.
@@ -324,16 +312,6 @@ impl Network {
         if abandoned {
             self.stats.abandoned_msgs += 1;
         }
-        if let Some(m) = &self.metrics {
-            if abandoned {
-                m.abandoned.inc();
-            }
-            if unroutable {
-                m.unroutable.inc();
-            } else {
-                m.killed.inc();
-            }
-        }
     }
 
     /// Executes fault-plan actions due at the current cycle.
@@ -369,9 +347,6 @@ impl Network {
             self.stats.on_retry(r.id);
             let attempt = meta.attempts + 1;
             self.emit(|| EventKind::Retry { msg: r.id.0, attempt });
-            if let Some(m) = &self.metrics {
-                m.retried.inc();
-            }
             self.stage(Header::new(r.id, meta.src, meta.dst, meta.len_flits));
         }
     }

@@ -44,7 +44,7 @@ use crate::flit::{Flit, FlitKind, Header, MessageId};
 use crate::plan::FaultPlan;
 use crate::routing::NodeController;
 use crate::stats::{MsgMeta, SimStats};
-use ftr_obs::{Counter, EventKind, Histogram, MetricsRegistry, TraceEvent, TraceSink};
+use ftr_obs::{EventKind, TraceEvent, TraceSink};
 use ftr_topo::{FaultSet, NodeId, PortId, Topology};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -90,48 +90,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Pre-resolved metric handles — looked up once at build so the hot path
-/// never touches the registry's name maps.
-struct SimMetrics {
-    registry: Arc<MetricsRegistry>,
-    injected: Counter,
-    delivered: Counter,
-    killed: Counter,
-    unroutable: Counter,
-    retried: Counter,
-    abandoned: Counter,
-    rejected_sends: Counter,
-    control_msgs: Counter,
-    control_dropped: Counter,
-    latency: Histogram,
-    hops: Histogram,
-    excess_hops: Histogram,
-    decision_steps: Histogram,
-    buffer_occupancy: Histogram,
-}
-
-impl SimMetrics {
-    fn new(registry: Arc<MetricsRegistry>) -> Self {
-        SimMetrics {
-            injected: registry.counter("sim.injected"),
-            delivered: registry.counter("sim.delivered"),
-            killed: registry.counter("sim.killed"),
-            unroutable: registry.counter("sim.unroutable"),
-            retried: registry.counter("sim.retried"),
-            abandoned: registry.counter("sim.abandoned"),
-            rejected_sends: registry.counter("sim.rejected_sends"),
-            control_msgs: registry.counter("sim.control_msgs"),
-            control_dropped: registry.counter("sim.control_dropped"),
-            latency: registry.histogram("sim.latency"),
-            hops: registry.histogram("sim.hops"),
-            excess_hops: registry.histogram("sim.excess_hops"),
-            decision_steps: registry.histogram("sim.decision_steps"),
-            buffer_occupancy: registry.histogram("sim.buffer_occupancy"),
-            registry,
-        }
-    }
-}
-
 /// True for the flit that closes its worm: a tail, or the head of a
 /// single-flit message.
 fn closes_worm(f: &Flit) -> bool {
@@ -171,10 +129,9 @@ pub struct Network {
     next_msg: u64,
     last_move: u64,
     measuring: bool,
-    /// Aggregated statistics.
+    /// Aggregated statistics: the run's only record.
     pub stats: SimStats,
     sink: Option<Arc<dyn TraceSink>>,
-    metrics: Option<SimMetrics>,
     retry: Option<RetryPolicy>,
     retries: VecDeque<faults::RetryEntry>,
     plan: Option<FaultPlan>,
@@ -212,11 +169,6 @@ impl Network {
     /// The attached trace sink, if any.
     pub fn trace_sink(&self) -> Option<&Arc<dyn TraceSink>> {
         self.sink.as_ref()
-    }
-
-    /// The attached metrics registry, if any.
-    pub fn metrics_registry(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref().map(|m| &m.registry)
     }
 
     /// Current cycle.
@@ -287,9 +239,9 @@ impl Network {
     /// An injection the network must refuse — a faulty endpoint (a
     /// scheduled send racing a dynamic fault; assumption iii: no messages
     /// to faulty nodes) or `src == dst` — returns a [`SendError`], is
-    /// counted in [`SimStats::rejected_sends`] and the `sim.rejected_sends`
-    /// metric, and traced as [`EventKind::SendRejected`]; it never aborts
-    /// the run, in any build profile.
+    /// counted in [`SimStats::rejected_sends`] and traced as
+    /// [`EventKind::SendRejected`]; it never aborts the run, in any build
+    /// profile.
     pub fn send(
         &mut self,
         src: NodeId,
@@ -308,9 +260,6 @@ impl Network {
         if let Some(e) = rejection {
             self.stats.rejected_sends += 1;
             self.emit(|| EventKind::SendRejected { src, dst });
-            if let Some(m) = &self.metrics {
-                m.rejected_sends.inc();
-            }
             return Err(e);
         }
         let id = MessageId(self.next_msg);
@@ -330,9 +279,6 @@ impl Network {
             },
         );
         self.emit(|| EventKind::Inject { msg: id.0, src, dst, len_flits });
-        if let Some(m) = &self.metrics {
-            m.injected.inc();
-        }
         self.stage(header);
         Ok(id)
     }

@@ -5,7 +5,7 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the hardware structure
 
 use super::{closes_worm, mark_active, Network};
-use crate::flit::{Header, MessageId};
+use crate::flit::Header;
 use crate::router::{DecisionPhase, RouteState};
 use crate::routing::{RouterView, Rows, Verdict};
 use ftr_obs::{EventKind, RouteOutcome};
@@ -112,7 +112,7 @@ impl Network {
             let first = !self.chans.counted(ni, ip, iv);
             self.chans.set_counted(ni, ip, iv, true);
             if first {
-                self.count_decision(0);
+                self.stats.decision_steps.add(0);
                 self.emit(|| EventKind::RouteDecision {
                     node: n,
                     msg: header_copy.msg.0,
@@ -141,7 +141,7 @@ impl Network {
         if first_sight {
             if !self.chans.counted(ni, ip, iv) {
                 self.chans.set_counted(ni, ip, iv, true);
-                self.count_decision(dec.steps as u64);
+                self.stats.decision_steps.add(dec.steps as u64);
                 self.emit(|| EventKind::RouteDecision {
                     node: n,
                     msg: header_copy.msg.0,
@@ -218,27 +218,6 @@ impl Network {
         }
     }
 
-    /// Counts a routing decision's interpretation steps.
-    fn count_decision(&mut self, steps: u64) {
-        self.stats.decision_steps.add(steps);
-        if let Some(m) = &self.metrics {
-            m.decision_steps.observe(steps);
-        }
-    }
-
-    /// A tail ejected: the message is delivered at the current cycle.
-    fn deliver(&mut self, msg: MessageId) {
-        let meta = self.stats.on_deliver(msg, self.cycle);
-        if let Some(m) = &self.metrics {
-            m.delivered.inc();
-            if let Some(meta) = meta {
-                m.latency.observe(self.cycle - meta.inject_cycle);
-                m.hops.observe(meta.hops as u64);
-                m.excess_hops.observe(meta.hops.saturating_sub(meta.min_dist) as u64);
-            }
-        }
-    }
-
     /// Ejection then switch allocation over the extended working set.
     ///
     /// Slot `s = ip * vcs + iv` names input lane `(ip, iv)`, in round-robin
@@ -281,7 +260,7 @@ impl Network {
                                 self.stats.on_head_arrival(flit.msg, h.hops);
                             }
                             if closes_worm(&flit) {
-                                self.deliver(flit.msg);
+                                self.stats.on_deliver(flit.msg, self.cycle);
                                 self.emit(|| EventKind::Deliver { node: n, msg: flit.msg.0 });
                                 self.chans.reset_route(ni, ip, iv);
                             }

@@ -6,10 +6,6 @@ use super::Network;
 use crate::flit::MessageId;
 use std::collections::HashSet;
 
-/// How often (in cycles) per-node buffer occupancy is sampled into the
-/// metrics registry when one is attached.
-const OCCUPANCY_SAMPLE_PERIOD: u64 = 64;
-
 /// Reusable per-cycle scratch buffers of the step.
 ///
 /// Every phase of [`Network::step`] used to heap-allocate fresh working
@@ -50,18 +46,6 @@ impl Network {
         // 0. scripted fault-plan actions and due retry re-injections
         self.run_plan();
         self.run_retries();
-
-        // periodic buffer-occupancy sampling (only when metrics attached);
-        // cycle 0 — before any traffic can have entered the network — is
-        // skipped so short runs don't skew the histogram's low bins with a
-        // guaranteed all-zero sample per node
-        if let Some(m) = &self.metrics {
-            if self.cycle != 0 && self.cycle.is_multiple_of(OCCUPANCY_SAMPLE_PERIOD) {
-                for ni in 0..self.chans.geo().nodes {
-                    m.buffer_occupancy.observe(self.chans.buffered_flits(ni) as u64);
-                }
-            }
-        }
 
         // 1. the control plane: periodic tick, then the deliveries due
         self.run_tick();
@@ -169,14 +153,14 @@ impl Network {
     }
 }
 
-/// The two engine tests that must reach private state; everything else
-/// lives in `crates/sim/tests/engine.rs`.
+/// The engine test that must reach private state; everything else lives
+/// in `crates/sim/tests/engine.rs`.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flit::Header;
     use crate::routing::{Decision, NodeController, RouterView, RoutingAlgorithm, Verdict};
-    use ftr_obs::{EventKind, MetricsRegistry, RingSink};
+    use ftr_obs::{EventKind, RingSink};
     use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, EAST};
     use std::sync::Arc;
 
@@ -243,25 +227,5 @@ mod tests {
         assert!(killed, "kill event emitted");
         assert!(net.drain(1_000), "engine still drains after the drop");
         assert_eq!(net.in_flight(), 0);
-    }
-
-    #[test]
-    fn occupancy_sampling_skips_cycle_zero() {
-        let topo = Arc::new(Mesh2D::new(4, 4));
-        // shorter than one period: no samples at all (cycle 0 used to
-        // contribute a guaranteed all-zero sample per node)
-        let registry = Arc::new(MetricsRegistry::new());
-        let mut net =
-            Network::builder(topo.clone()).metrics(registry.clone()).build(&East).expect("valid");
-        net.run(OCCUPANCY_SAMPLE_PERIOD);
-        let snap = registry.histogram_snapshot("sim.buffer_occupancy").expect("registered");
-        assert_eq!(snap.count, 0, "no sample before the first full period");
-        // k cycles sample at p, 2p, ... floor(k/p) times, once per node
-        let registry = Arc::new(MetricsRegistry::new());
-        let mut net =
-            Network::builder(topo.clone()).metrics(registry.clone()).build(&East).expect("valid");
-        net.run(2 * OCCUPANCY_SAMPLE_PERIOD + 1); // cycles 0..=2p run; p and 2p sample
-        let snap = registry.histogram_snapshot("sim.buffer_occupancy").expect("registered");
-        assert_eq!(snap.count, 2 * topo.num_nodes() as u64);
     }
 }

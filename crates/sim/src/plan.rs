@@ -48,9 +48,8 @@ pub struct PlannedAction {
 ///
 /// Build one with [`FaultPlan::at`] / [`FaultPlan::transient_link`] or the
 /// random generators, attach it through
-/// [`crate::NetworkBuilder::fault_plan`] (or
-/// [`crate::Network::set_fault_plan`]), and the network drains due actions
-/// every cycle.
+/// [`crate::NetworkBuilder::fault_plan`], and the network drains due
+/// actions every cycle.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     /// Sorted by cycle (stable: equal-cycle actions keep insertion order).

@@ -90,7 +90,7 @@ impl<'a> RouterView<'a> {
     }
 
     /// Amount of data (flits) still assigned to output `p`, the one in its
-    /// link register included — NAFTA's adaptivity criterion ("the amount
+    /// link register included — NAFTA's selection function ("the amount
     /// of data that still has to pass a node").
     #[inline]
     pub fn load(&self, p: usize) -> u32 {

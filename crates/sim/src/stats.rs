@@ -146,13 +146,10 @@ impl SimStats {
         }
     }
 
-    /// Registers a completed delivery (tail ejected) at `cycle`. Returns
-    /// the message's bookkeeping so callers (the network's observability
-    /// hooks) can derive latency and dilation without double-tracking.
-    pub fn on_deliver(&mut self, id: MessageId, cycle: u64) -> Option<MsgMeta> {
+    /// Registers a completed delivery (tail ejected) at `cycle`.
+    pub fn on_deliver(&mut self, id: MessageId, cycle: u64) {
         self.delivered_msgs += 1;
-        let meta = self.meta.remove(&id);
-        if let Some(m) = meta {
+        if let Some(m) = self.meta.remove(&id) {
             if m.measured {
                 self.measured_delivered += 1;
                 self.measured_flits += m.len_flits as u64;
@@ -167,7 +164,6 @@ impl SimStats {
                 self.excess_hops += (m.hops.saturating_sub(m.min_dist)) as u64;
             }
         }
-        meta
     }
 
     /// Registers a killed message.

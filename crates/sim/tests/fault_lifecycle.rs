@@ -36,13 +36,14 @@ fn send_to_faulty_endpoint_is_rejected_not_fatal() {
 
 #[test]
 fn fault_plan_drives_injections_and_repairs_from_step() {
-    let (topo, mut net) = mesh_net(4, 1, SimConfig::default());
+    let topo = Arc::new(Mesh2D::new(4, 4));
     let n = topo.node_at(1, 1);
     let plan = FaultPlan::new()
         .transient_link(10, n, EAST, 40)
         .at(20, FaultAction::FailNode(topo.node_at(3, 3)))
         .at(35, FaultAction::RepairNode(topo.node_at(3, 3)));
-    net.set_fault_plan(plan);
+    let mut net =
+        Network::builder(topo.clone()).fault_plan(plan).build(&Xy::new((*topo).clone())).unwrap();
 
     net.run(5);
     assert!(!net.faults().link_faulty(topo.as_ref(), n, EAST));
@@ -61,11 +62,13 @@ fn fault_plan_drives_injections_and_repairs_from_step() {
 
 #[test]
 fn transient_link_fault_round_trip_with_per_cycle_accounting() {
-    let (topo, mut net) = mesh_net(4, 1, SimConfig::default());
+    let topo = Arc::new(Mesh2D::new(4, 4));
     let src = topo.node_at(0, 1);
     let dst = topo.node_at(3, 1);
     // fail the link mid-worm, repair it 50 cycles later
-    net.set_fault_plan(FaultPlan::new().transient_link(8, topo.node_at(1, 1), EAST, 50));
+    let plan = FaultPlan::new().transient_link(8, topo.node_at(1, 1), EAST, 50);
+    let mut net =
+        Network::builder(topo.clone()).fault_plan(plan).build(&Xy::new((*topo).clone())).unwrap();
 
     net.send(src, dst, 24).expect("alive endpoints"); // long worm across the row
     for _ in 0..12 {
@@ -139,8 +142,10 @@ fn retry_policy_recovers_what_the_baseline_loses() {
 
 #[test]
 fn retry_exhaustion_abandons_and_accounts() {
-    let (topo, mut net) = mesh_net(4, 1, SimConfig::default());
-    net.set_retry_policy(Some(RetryPolicy { max_attempts: 3, backoff_cycles: 10 }));
+    let topo = Arc::new(Mesh2D::new(4, 4));
+    let retry = RetryPolicy { max_attempts: 3, backoff_cycles: 10 };
+    let mut net =
+        Network::builder(topo.clone()).retry(retry).build(&Xy::new((*topo).clone())).unwrap();
     // permanent fault on the XY path: every attempt dies unroutable
     net.inject_link_fault(topo.node_at(1, 1), EAST);
     net.send(topo.node_at(0, 1), topo.node_at(3, 1), 4).expect("alive");
@@ -154,8 +159,10 @@ fn retry_exhaustion_abandons_and_accounts() {
 
 #[test]
 fn retry_to_dead_endpoint_is_abandoned_not_stuck() {
-    let (topo, mut net) = mesh_net(4, 1, SimConfig::default());
-    net.set_retry_policy(Some(RetryPolicy { max_attempts: 10, backoff_cycles: 10 }));
+    let topo = Arc::new(Mesh2D::new(4, 4));
+    let retry = RetryPolicy { max_attempts: 10, backoff_cycles: 10 };
+    let mut net =
+        Network::builder(topo.clone()).retry(retry).build(&Xy::new((*topo).clone())).unwrap();
     net.send(topo.node_at(0, 1), topo.node_at(3, 1), 24).expect("alive");
     net.run(6);
     // destination dies while the worm is in flight: kill + scheduled retry

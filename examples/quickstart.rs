@@ -19,15 +19,12 @@ fn main() {
     }
 
     // 2. Load it into the router and build a 4x4 mesh network with the
-    //    observability layer attached: a ring of recent trace events and
-    //    a metrics registry.
+    //    observability layer attached: a ring of recent trace events.
     let mesh = Mesh2D::new(4, 4);
     let router = RuleRouter::for_mesh(cfg, mesh.clone());
     let sink = Arc::new(RingSink::new(1 << 16));
-    let registry = Arc::new(MetricsRegistry::new());
     let mut net = Network::builder(Arc::new(mesh.clone()))
         .trace(sink.clone())
-        .metrics(registry.clone())
         .build(&router)
         .expect("valid config");
 
@@ -43,7 +40,7 @@ fn main() {
     }
     assert!(net.drain(50_000), "network drains");
 
-    // 4. Report.
+    // 4. Report from the run's record.
     let s = &net.stats;
     println!("\nafter {} cycles on {}:", net.cycle(), mesh.name());
     println!("  delivered        {}", s.delivered_msgs);
@@ -53,7 +50,7 @@ fn main() {
     assert_eq!(s.delivered_msgs, s.injected_msgs);
 
     // 5. The same run, seen through the observability layer: the ring
-    //    holds the most recent typed events, the registry the aggregates.
+    //    holds the most recent typed events.
     let events = sink.events();
     let decisions = events.iter().filter(|e| e.kind.tag() == "route_decision").count();
     println!(
@@ -62,7 +59,6 @@ fn main() {
         sink.dropped(),
         decisions
     );
-    println!("metrics: sim.delivered = {:?}", registry.counter_value("sim.delivered"));
     println!("\nEvery message was routed by the compiled rule tables. Swap the");
     println!("program (e.g. rules_src::WEST_FIRST) to change the network's");
     println!("behaviour without touching the router — the paper's flexibility claim.");

@@ -329,27 +329,24 @@ fn rule_driven_route_c_matches_native_behaviour() {
 }
 
 /// A refused self-message is accounted like every other rejection: the
-/// stats, the metrics registry and a replay of the trace all see it, and
-/// the call returns `Err` instead of panicking in any build profile.
+/// stats and a replay of the trace both see it, and the call returns
+/// `Err` instead of panicking in any build profile.
 #[test]
 fn self_message_is_rejected_on_every_ledger() {
-    use ftrouter::obs::{MetricsRegistry, RingSink};
+    use ftrouter::obs::RingSink;
     use ftrouter::sim::SendError;
     use ftrouter::trace::JourneyBook;
 
     let mesh = Mesh2D::new(3, 3);
     let sink = Arc::new(RingSink::new(64));
-    let registry = Arc::new(MetricsRegistry::new());
     let mut net = Network::builder(Arc::new(mesh.clone()))
         .trace(sink.clone())
-        .metrics(registry.clone())
         .build(&XyRouting::new(mesh.clone()))
         .expect("valid config");
     let n = mesh.node_at(1, 1);
     assert_eq!(net.send(n, n, 4), Err(SendError::SelfMessage));
     assert_eq!(net.stats.rejected_sends, 1);
     assert_eq!(net.stats.injected_msgs, 0, "nothing entered the network");
-    assert_eq!(registry.counter_value("sim.rejected_sends"), Some(1));
     let mut book = JourneyBook::new();
     book.fold_all(&sink.events());
     assert_eq!(book.summary().rejected_sends, 1);
