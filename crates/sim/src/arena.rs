@@ -1,13 +1,11 @@
 //! Struct-of-arrays channel arena: the flit and channel storage of every
 //! router in one set of flat, node-major arrays.
 //!
-//! The engine used to keep a `Vec<RouterNode>` of per-node structs, each
-//! holding nested `Vec<Vec<InputVc>>` / `VecDeque<Flit>` heap structures —
-//! three pointer hops and an allocator round-trip per FIFO touch. The
-//! arena replaces that with fixed-capacity ring FIFOs packed into one
-//! `Vec<Flit>` plus parallel arrays for per-lane routing state, per-output
-//! channel allocation/credits, and per-port registers. Two properties
-//! matter beyond cache behaviour:
+//! Fixed-capacity ring FIFOs packed into one `Vec<Flit>`, plus parallel
+//! arrays for per-lane routing state, per-output channel allocation and
+//! credits, and per-port registers. A flit is 8 bytes — its message id and
+//! two bits — and a link register 16: the header is not here, the network
+//! keeps one per message. Two properties matter beyond cache behaviour:
 //!
 //! - **Node-major layout**: every array is ordered by node id, so one
 //!   node's lanes, output channels and port registers are contiguous in
@@ -22,7 +20,7 @@
 //! Lane layout per node: ports `0..degree` each contribute `vcs` input
 //! lanes, followed by one injection lane (port index `degree`, VC 0).
 
-use crate::flit::{Flit, FlitKind, MessageId};
+use crate::flit::{Flit, MessageId};
 use crate::router::{DecisionPhase, RouteState};
 use ftr_topo::VcId;
 use std::collections::VecDeque;
@@ -66,7 +64,7 @@ impl Geometry {
     }
 }
 
-const PLACEHOLDER: Flit = Flit { kind: FlitKind::Body, msg: MessageId(0), seq: 0 };
+const PLACEHOLDER: Flit = Flit::new(MessageId(0), false, false);
 
 /// One node's rows of `out_owner`, `out_credits`, `out_assigned` and
 /// `out_reg`, borrowed in place: what the node's information units read
@@ -207,14 +205,6 @@ impl Channels {
             return None;
         }
         Some(&self.fifo_buf[l * self.geo.depth + self.fifo_head[l] as usize])
-    }
-
-    pub fn fifo_front_mut(&mut self, n: usize, ip: usize, iv: usize) -> Option<&mut Flit> {
-        let l = self.lane(n, ip, iv);
-        if self.fifo_len[l] == 0 {
-            return None;
-        }
-        Some(&mut self.fifo_buf[l * self.geo.depth + self.fifo_head[l] as usize])
     }
 
     /// Keeps only flits matching `pred`, compacting the ring in order.

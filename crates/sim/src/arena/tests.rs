@@ -2,19 +2,19 @@
 
 use super::*;
 
-fn flit(msg: u64, seq: u32) -> Flit {
-    Flit { kind: FlitKind::Body, msg: MessageId(msg), seq }
+fn flit(msg: u64, head: bool) -> Flit {
+    Flit::new(MessageId(msg), head, false)
 }
 
 #[test]
 fn ring_fifo_push_pop_wraps() {
     let mut ch = Channels::new(Geometry::new(2, 2, 1, 3));
     for round in 0..5u64 {
-        ch.fifo_push_back(1, 0, 0, flit(round, 0));
-        ch.fifo_push_back(1, 0, 0, flit(round + 100, 1));
+        ch.fifo_push_back(1, 0, 0, flit(round, true));
+        ch.fifo_push_back(1, 0, 0, flit(round + 100, false));
         assert_eq!(ch.fifo_len(1, 0, 0), 2);
-        assert_eq!(ch.fifo_pop_front(1, 0, 0).unwrap().msg, MessageId(round));
-        assert_eq!(ch.fifo_pop_front(1, 0, 0).unwrap().msg, MessageId(round + 100));
+        assert_eq!(ch.fifo_pop_front(1, 0, 0).unwrap().msg(), MessageId(round));
+        assert_eq!(ch.fifo_pop_front(1, 0, 0).unwrap().msg(), MessageId(round + 100));
         assert!(ch.fifo_pop_front(1, 0, 0).is_none());
     }
 }
@@ -23,23 +23,23 @@ fn ring_fifo_push_pop_wraps() {
 #[should_panic(expected = "credit invariant")]
 fn ring_fifo_overflow_is_fatal() {
     let mut ch = Channels::new(Geometry::new(1, 1, 1, 2));
-    ch.fifo_push_back(0, 0, 0, flit(1, 0));
-    ch.fifo_push_back(0, 0, 0, flit(1, 1));
-    ch.fifo_push_back(0, 0, 0, flit(1, 2));
+    ch.fifo_push_back(0, 0, 0, flit(1, true));
+    ch.fifo_push_back(0, 0, 0, flit(1, false));
+    ch.fifo_push_back(0, 0, 0, flit(1, false));
 }
 
 #[test]
 fn retain_compacts_in_order() {
     let mut ch = Channels::new(Geometry::new(1, 1, 1, 4));
     // wrap the ring first so retain must handle a non-zero head
-    ch.fifo_push_back(0, 0, 0, flit(9, 0));
+    ch.fifo_push_back(0, 0, 0, flit(9, true));
     ch.fifo_pop_front(0, 0, 0);
-    for (m, s) in [(1u64, 0u32), (2, 0), (1, 1), (2, 1)] {
-        ch.fifo_push_back(0, 0, 0, flit(m, s));
+    for (m, head) in [(1u64, true), (2, true), (1, false), (2, false)] {
+        ch.fifo_push_back(0, 0, 0, flit(m, head));
     }
-    ch.fifo_retain(0, 0, 0, |f| f.msg != MessageId(2));
-    let kept: Vec<_> = ch.fifo_iter(0, 0, 0).map(|f| (f.msg.0, f.seq)).collect();
-    assert_eq!(kept, vec![(1, 0), (1, 1)]);
+    ch.fifo_retain(0, 0, 0, |f| f.msg() != MessageId(2));
+    let kept: Vec<_> = ch.fifo_iter(0, 0, 0).map(|f| (f.msg().0, f.is_head())).collect();
+    assert_eq!(kept, vec![(1, true), (1, false)]);
 }
 
 #[test]
@@ -99,13 +99,13 @@ fn only_a_flip_of_channel_free_wakes_parked_lanes() {
 #[test]
 fn reset_node_restores_power_on_state() {
     let mut ch = Channels::new(Geometry::new(2, 2, 2, 4));
-    ch.fifo_push_back(1, 0, 1, flit(3, 0));
+    ch.fifo_push_back(1, 0, 1, flit(3, true));
     ch.set_route(1, 0, 1, RouteState::Local);
     ch.set_out_owner(1, 1, 0, Some(MessageId(3)));
     ch.set_out_credits(1, 1, 0, 1);
     ch.set_rr(1, 0, 3);
-    ch.set_out_reg(1, 1, Some((VcId(0), flit(3, 1))));
-    ch.staging_mut(1).push_back(flit(4, 0));
+    ch.set_out_reg(1, 1, Some((VcId(0), flit(3, false))));
+    ch.staging_mut(1).push_back(flit(4, true));
     assert!(ch.has_work(1) && !ch.has_work(0));
     ch.reset_node(1);
     assert!(!ch.has_work(1));

@@ -2,20 +2,23 @@
 //!
 //! Wormhole switching (§2.2): "every message in the network is divided into
 //! flits (flow control units) transmitted in a pipelined fashion". Only the
-//! head flit carries routing information; body/tail flits follow the path
-//! the head reserved.
+//! head flit carries routing information; body and tail flits follow the
+//! path the head reserved. So a [`Flit`] is only its message id and two
+//! bits, and the network keeps each message's [`Header`] once, beside the
+//! flits, for the head to be routed by.
 
 use ftr_topo::NodeId;
+use std::num::NonZeroU64;
 
 /// Unique message identifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MessageId(pub u64);
 
-/// Routing information carried in the head flit. The message interface of
-/// the rule-based router can *modify* headers in flight (§3 "Lifelock
-/// Avoidance": messages on non-minimal paths due to faults are marked and
-/// treated exceptionally), so the fields here are mutable state, not
-/// immutable metadata.
+/// Routing information of a message, read and written when its head flit
+/// is routed. The message interface of the rule-based router can *modify*
+/// headers in flight (§3 "Lifelock Avoidance": messages on non-minimal
+/// paths due to faults are marked and treated exceptionally), so the fields
+/// here are mutable state, not immutable metadata.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Header {
     /// Message id.
@@ -44,66 +47,66 @@ impl Header {
     }
 }
 
-/// Flit payload kind.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlitKind {
-    /// Head flit carrying the header.
-    Head(Header),
-    /// Body flit.
-    Body,
-    /// Tail flit (releases channel state as it passes).
-    Tail,
-}
+/// Always set, so a flit is never zero and `Option<(VcId, Flit)>` needs
+/// no tag of its own.
+const PRESENT: u64 = 1 << 63;
+const HEAD: u64 = 1 << 62;
+const CLOSES: u64 = 1 << 61;
 
-/// One flow-control unit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Flit {
-    /// Kind (head carries the header).
-    pub kind: FlitKind,
-    /// Owning message.
-    pub msg: MessageId,
-    /// Sequence number within the message (0 = head).
-    pub seq: u32,
-}
+/// One flow-control unit: the owning message's id, whether this is the
+/// head flit, and whether it closes the worm (a tail, or the head of a
+/// single-flit message).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Flit(NonZeroU64);
+
+const _: () = assert!(std::mem::size_of::<Flit>() == 8);
+const _: () = assert!(std::mem::size_of::<Option<(ftr_topo::VcId, Flit)>>() <= 16);
 
 impl Flit {
-    /// Builds the flit sequence of a whole message. A 1-flit message is a
-    /// single head flit that also acts as tail.
-    pub fn sequence(header: Header) -> Vec<Flit> {
-        let n = header.len_flits.max(1);
-        (0..n)
-            .map(|seq| {
-                let kind = if seq == 0 {
-                    FlitKind::Head(header)
-                } else if seq == n - 1 {
-                    FlitKind::Tail
-                } else {
-                    FlitKind::Body
-                };
-                Flit { kind, msg: header.msg, seq }
-            })
-            .collect()
+    /// Largest message id a flit can carry.
+    const MAX_MSG: u64 = CLOSES - 1;
+
+    /// Packs one flit of message `msg`.
+    pub const fn new(msg: MessageId, head: bool, closes: bool) -> Self {
+        assert!(msg.0 <= Self::MAX_MSG, "message id does not fit in a flit");
+        let bits = PRESENT | msg.0 | if head { HEAD } else { 0 } | if closes { CLOSES } else { 0 };
+        Flit(NonZeroU64::new(bits).expect("the PRESENT bit is set"))
     }
 
-    /// True for the last flit of its message (head-only messages included).
-    pub fn is_tail(&self, len_flits: u32) -> bool {
-        self.seq + 1 == len_flits.max(1)
+    /// The flits of a whole message, head first. A 1-flit message is a
+    /// single head flit that also closes the worm.
+    pub fn sequence(header: Header) -> impl ExactSizeIterator<Item = Flit> {
+        let (msg, n) = (header.msg, header.len_flits.max(1));
+        (0..n).map(move |i| Flit::new(msg, i == 0, i == n - 1))
     }
 
-    /// The header if this is a head flit.
-    pub fn header(&self) -> Option<&Header> {
-        match &self.kind {
-            FlitKind::Head(h) => Some(h),
-            _ => None,
-        }
+    /// The owning message.
+    #[inline]
+    pub fn msg(self) -> MessageId {
+        MessageId(self.0.get() & Self::MAX_MSG)
     }
 
-    /// Mutable header access for the message interface.
-    pub fn header_mut(&mut self) -> Option<&mut Header> {
-        match &mut self.kind {
-            FlitKind::Head(h) => Some(h),
-            _ => None,
-        }
+    /// True for the head flit, the one routed by its message's header.
+    #[inline]
+    pub fn is_head(self) -> bool {
+        self.0.get() & HEAD != 0
+    }
+
+    /// True for the flit that closes its worm and releases the channels
+    /// behind it.
+    #[inline]
+    pub fn closes_worm(self) -> bool {
+        self.0.get() & CLOSES != 0
+    }
+}
+
+impl std::fmt::Debug for Flit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Flit")
+            .field("msg", &self.msg().0)
+            .field("head", &self.is_head())
+            .field("closes", &self.closes_worm())
+            .finish()
     }
 }
 
@@ -112,36 +115,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sequence_structure() {
-        let h = Header::new(MessageId(1), NodeId(0), NodeId(5), 4);
-        let seq = Flit::sequence(h);
-        assert_eq!(seq.len(), 4);
-        assert!(matches!(seq[0].kind, FlitKind::Head(_)));
-        assert!(matches!(seq[1].kind, FlitKind::Body));
-        assert!(matches!(seq[2].kind, FlitKind::Body));
-        assert!(matches!(seq[3].kind, FlitKind::Tail));
-        assert!(seq[3].is_tail(4));
-        assert!(!seq[0].is_tail(4));
+    fn packing_round_trips_up_to_the_largest_id() {
+        for id in [0, 1, 7, 1 << 40, Flit::MAX_MSG] {
+            for (head, closes) in [(false, false), (true, false), (false, true), (true, true)] {
+                let f = Flit::new(MessageId(id), head, closes);
+                assert_eq!((f.msg(), f.is_head(), f.closes_worm()), (MessageId(id), head, closes));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn an_id_past_the_largest_is_refused() {
+        Flit::new(MessageId(Flit::MAX_MSG + 1), true, false);
     }
 
     #[test]
     fn single_flit_message() {
         let h = Header::new(MessageId(2), NodeId(1), NodeId(2), 1);
-        let seq = Flit::sequence(h);
-        assert_eq!(seq.len(), 1);
-        assert!(matches!(seq[0].kind, FlitKind::Head(_)));
-        assert!(seq[0].is_tail(1));
+        let seq: Vec<Flit> = Flit::sequence(h).collect();
+        assert_eq!(seq, [Flit::new(MessageId(2), true, true)]);
     }
 
     #[test]
-    fn header_mutation_through_flit() {
-        let h = Header::new(MessageId(3), NodeId(0), NodeId(9), 2);
-        let mut seq = Flit::sequence(h);
-        seq[0].header_mut().unwrap().misrouted = true;
-        seq[0].header_mut().unwrap().hops = 7;
-        let hh = seq[0].header().unwrap();
-        assert!(hh.misrouted);
-        assert_eq!(hh.hops, 7);
-        assert!(seq[1].header().is_none());
+    fn sequence_structure() {
+        for len in [1u32, 2, 8] {
+            let h = Header::new(MessageId(9), NodeId(0), NodeId(5), len);
+            let seq: Vec<Flit> = Flit::sequence(h).collect();
+            assert_eq!(seq.len(), len as usize);
+            for (i, f) in seq.iter().enumerate() {
+                assert_eq!(f.msg(), MessageId(9));
+                assert_eq!(f.is_head(), i == 0, "flit {i} of {len}");
+                assert_eq!(f.closes_worm(), i + 1 == len as usize, "flit {i} of {len}");
+            }
+        }
     }
 }

@@ -73,7 +73,7 @@ pub mod traffic;
 
 pub use detect::{Detector, DetectorConfig, DetectorController, WithDetection};
 pub use fleet::{run_fleet, FleetJob, FleetOutcome};
-pub use flit::{Flit, FlitKind, Header, MessageId};
+pub use flit::{Flit, Header, MessageId};
 pub use network::{BuildError, Network, NetworkBuilder, RetryPolicy, SendError, SimConfig};
 pub use plan::{FaultAction, FaultPlan, PlannedAction};
 pub use routing::{ControlMsg, Decision, NodeController, RouterView, RoutingAlgorithm, Verdict};

@@ -222,6 +222,7 @@ impl NetworkBuilder {
             last_move: 0,
             measuring: false,
             stats,
+            headers: Default::default(),
             sink: self.sink,
             retry: self.retry,
             retries: VecDeque::new(),

@@ -4,7 +4,7 @@
 //! retry queue.
 
 use super::control::Hook;
-use super::{closes_worm, Network, RetryPolicy};
+use super::{Network, RetryPolicy};
 use crate::flit::{Flit, Header, MessageId};
 use crate::plan::FaultAction;
 use crate::router::RouteState;
@@ -82,18 +82,15 @@ impl Network {
         let mut dead: HashSet<MessageId> = HashSet::new();
         for (node, port) in [(n, p), (m, q)] {
             if let Some((_, f)) = self.chans.out_reg(node.idx(), port.idx()) {
-                dead.insert(f.msg);
+                dead.insert(f.msg());
             }
             for v in 0..self.vcs {
                 // messages with flits in the FIFO fed by the dead link are
                 // still streaming over it unless their tail already crossed
-                let flits: Vec<Flit> =
-                    self.chans.fifo_iter(node.idx(), port.idx(), v).copied().collect();
-                for f in &flits {
-                    if !flits.iter().any(|g| g.msg == f.msg && closes_worm(g)) {
-                        dead.insert(f.msg);
-                    }
-                }
+                let fifo = || self.chans.fifo_iter(node.idx(), port.idx(), v).copied();
+                let closed: HashSet<MessageId> =
+                    fifo().filter(|f| f.closes_worm()).map(Flit::msg).collect();
+                dead.extend(fifo().map(Flit::msg).filter(|m| !closed.contains(m)));
                 // worms routed OUT across the dead link: the output-channel
                 // owner tracks the holding message even when its flits are
                 // all in flight elsewhere
@@ -129,25 +126,26 @@ impl Network {
         let geo = self.chans.geo();
         let mut dead: HashSet<MessageId> = HashSet::new();
         // everything held by the dead node, messages destined to it
-        // anywhere in the network, and — at its neighbours — worms routed
-        // into it (tracked by the output-channel owners) and flits
-        // mid-flight towards it
+        // anywhere in the network (found through their head flits), and —
+        // at its neighbours — worms routed into it (tracked by the
+        // output-channel owners) and flits mid-flight towards it
+        let headers = &self.headers;
         for node in self.topo.nodes() {
             let ni = node.idx();
-            let doomed = |f: &Flit| node == n || f.header().is_some_and(|h| h.dst == n);
+            let doomed = |f: &Flit| node == n || (f.is_head() && headers[&f.msg()].dst == n);
             for ip in 0..=geo.degree {
                 for iv in 0..geo.vcs_at(ip) {
                     dead.extend(
-                        self.chans.fifo_iter(ni, ip, iv).filter(|f| doomed(f)).map(|f| f.msg),
+                        self.chans.fifo_iter(ni, ip, iv).filter(|f| doomed(f)).map(|f| f.msg()),
                     );
                 }
             }
-            dead.extend(self.chans.staging(ni).iter().filter(|f| doomed(f)).map(|f| f.msg));
+            dead.extend(self.chans.staging(ni).iter().filter(|f| doomed(f)).map(|f| f.msg()));
             for p in 0..geo.degree {
                 let into_n = self.wiring.peer(ni, p).is_some_and(|(m, _)| m == n);
                 if let Some((_, f)) = self.chans.out_reg(ni, p) {
                     if into_n || doomed(f) {
-                        dead.insert(f.msg);
+                        dead.insert(f.msg());
                     }
                 }
                 if into_n {
@@ -244,9 +242,12 @@ impl Network {
             return;
         }
         let geo = self.chans.geo();
+        for id in ids {
+            self.headers.remove(id);
+        }
         let ch = &mut self.chans;
         for n in 0..geo.nodes {
-            ch.staging_mut(n).retain(|f| !ids.contains(&f.msg));
+            ch.staging_mut(n).retain(|f| !ids.contains(&f.msg()));
             for ip in 0..=geo.degree {
                 for iv in 0..geo.vcs_at(ip) {
                     // a route whose flits are all in flight is
@@ -258,8 +259,9 @@ impl Network {
                         }
                         _ => false,
                     };
-                    let front_dead = ch.fifo_front(n, ip, iv).is_some_and(|f| ids.contains(&f.msg));
-                    ch.fifo_retain(n, ip, iv, |f| !ids.contains(&f.msg));
+                    let front_dead =
+                        ch.fifo_front(n, ip, iv).is_some_and(|f| ids.contains(&f.msg()));
+                    ch.fifo_retain(n, ip, iv, |f| !ids.contains(&f.msg()));
                     if front_dead || stale {
                         ch.reset_route(n, ip, iv);
                     }
@@ -271,7 +273,7 @@ impl Network {
                         ch.set_out_owner(n, p, v, None);
                     }
                 }
-                if ch.out_reg(n, p).is_some_and(|(_, f)| ids.contains(&f.msg)) {
+                if ch.out_reg(n, p).is_some_and(|(_, f)| ids.contains(&f.msg())) {
                     ch.set_out_reg(n, p, None);
                 }
             }

@@ -40,13 +40,14 @@ pub(crate) mod wiring;
 pub use builder::{BuildError, NetworkBuilder, SimConfig};
 
 use crate::arena::Channels;
-use crate::flit::{Flit, FlitKind, Header, MessageId};
+use crate::flit::{Flit, Header, MessageId};
 use crate::plan::FaultPlan;
 use crate::routing::NodeController;
 use crate::stats::{MsgMeta, SimStats};
 use ftr_obs::{EventKind, TraceEvent, TraceSink};
 use ftr_topo::{FaultSet, NodeId, PortId, Topology};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Why [`Network::send`] rejected an injection.
@@ -90,13 +91,28 @@ impl Default for RetryPolicy {
     }
 }
 
-/// True for the flit that closes its worm: a tail, or the head of a
-/// single-flit message.
-fn closes_worm(f: &Flit) -> bool {
-    match f.kind {
-        FlitKind::Tail => true,
-        FlitKind::Head(h) => h.len_flits <= 1,
-        FlitKind::Body => false,
+/// The header of every message with a flit in the network, stored once
+/// per message (§2.2: only the head flit carries routing information).
+/// Looked up by id, never iterated, so its order cannot leak into a run.
+type Headers = HashMap<MessageId, Header, BuildHasherDefault<IdHasher>>;
+
+/// FxHash's multiplicative step: message ids are handed out in sequence,
+/// which a multiply by an odd constant spreads over the table, and the
+/// table needs none of SipHash's defence against chosen keys.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -131,6 +147,10 @@ pub struct Network {
     measuring: bool,
     /// Aggregated statistics: the run's only record.
     pub stats: SimStats,
+    /// One header per message with flits staged or in the network: written
+    /// by `stage`, read and written when the head is routed or crosses a
+    /// switch, removed at delivery or kill.
+    headers: Headers,
     sink: Option<Arc<dyn TraceSink>>,
     retry: Option<RetryPolicy>,
     retries: VecDeque<faults::RetryEntry>,
@@ -287,6 +307,7 @@ impl Network {
     /// injection and retry re-injection alike).
     fn stage(&mut self, header: Header) {
         let src = header.src.idx();
+        self.headers.insert(header.msg, header);
         self.chans.staging_mut(src).extend(Flit::sequence(header));
         mark_active(&mut self.active_mask, &mut self.active_list, src);
     }
@@ -316,7 +337,9 @@ impl Network {
             }
             self.step();
         }
-        self.in_flight() == 0
+        let drained = self.in_flight() == 0;
+        debug_assert!(!drained || self.headers.is_empty(), "a drained network keeps a header");
+        drained
     }
 
     /// Human-readable dump of every occupied buffer — debugging aid for
@@ -334,17 +357,14 @@ impl Network {
                             "n{ni} in[{ip}][{iv}] route={:?} phase={:?} flits={:?}",
                             self.chans.route(ni, ip, iv),
                             self.chans.phase_of(ni, ip, iv),
-                            self.chans
-                                .fifo_iter(ni, ip, iv)
-                                .map(|f| (f.msg, f.seq))
-                                .collect::<Vec<_>>()
+                            self.chans.fifo_iter(ni, ip, iv).map(|f| f.msg().0).collect::<Vec<_>>()
                         );
                     }
                 }
             }
             for p in 0..geo.degree {
                 if let Some((v, f)) = self.chans.out_reg(ni, p) {
-                    let _ = writeln!(s, "n{ni} outreg[{p}] vc={v} msg={:?}", f.msg);
+                    let _ = writeln!(s, "n{ni} outreg[{p}] vc={v} msg={}", f.msg().0);
                 }
             }
             for p in 0..geo.degree {

@@ -4,8 +4,8 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the hardware structure
 
-use super::{closes_worm, mark_active, Network};
-use crate::flit::Header;
+use super::{mark_active, Network};
+use crate::flit::MessageId;
 use crate::router::{DecisionPhase, RouteState};
 use crate::routing::{RouterView, Rows, Verdict};
 use ftr_obs::{EventKind, RouteOutcome};
@@ -29,9 +29,9 @@ impl Network {
                     // dropping the flit silently would leak the message —
                     // stats accounting would never balance and drain()
                     // would hang. Kill it at the barrier instead.
-                    if self.stats.tracks(flit.msg) {
+                    if self.stats.tracks(flit.msg()) {
                         self.stats.flits_dropped_on_dead_link += 1;
-                        self.scratch.doomed.insert(flit.msg);
+                        self.scratch.doomed.insert(flit.msg());
                     }
                     continue;
                 };
@@ -78,7 +78,7 @@ impl Network {
         if self.chans.route(ni, ip, iv) != RouteState::Unrouted {
             return;
         }
-        let Some(header_copy) = self.chans.fifo_front(ni, ip, iv).and_then(|f| f.header()).copied()
+        let Some(msg) = self.chans.fifo_front(ni, ip, iv).filter(|f| f.is_head()).map(|f| f.msg())
         else {
             return;
         };
@@ -95,7 +95,7 @@ impl Network {
             Some(DecisionPhase::Parked) if !self.dense_reference => {
                 // nothing the `Wait` depends on changed since it was given
                 // (every such change wakes the lane): the answer stands
-                self.emit_route_wait(n, &header_copy, in_port, iv);
+                self.emit_route_wait(n, msg, in_port, iv);
                 return;
             }
             Some(DecisionPhase::Waiting(_) | DecisionPhase::Parked) => {
@@ -106,6 +106,9 @@ impl Network {
             Some(DecisionPhase::Ready) | None => {}
         }
 
+        let header = self.headers.get_mut(&msg).expect("a head flit's message has a header");
+        let header_copy = *header;
+
         // destination reached: deliver without consulting the algorithm
         if header_copy.dst == n {
             self.chans.set_route(ni, ip, iv, RouteState::Local);
@@ -115,7 +118,7 @@ impl Network {
                 self.stats.decision_steps.add(0);
                 self.emit(|| EventKind::RouteDecision {
                     node: n,
-                    msg: header_copy.msg.0,
+                    msg: msg.0,
                     in_port,
                     in_vc: VcId(iv as u8),
                     outcome: RouteOutcome::Deliver,
@@ -130,12 +133,9 @@ impl Network {
         let rows = Rows::Live(self.wiring.row(ni), self.chans.out_rows(ni));
         let (cycle, traced) = (self.cycle, self.sink.is_some());
         let view = RouterView { node: n, cycle, traced, vcs: self.vcs, rows };
-        let mut header = header_copy;
-        let dec = self.ctrls[ni].route(&view, &mut header, in_port, VcId(iv as u8));
-        // write back header updates
-        if let Some(h) = self.chans.fifo_front_mut(ni, ip, iv).and_then(|f| f.header_mut()) {
-            *h = header;
-        }
+        // the controller edits the message's only header in place
+        let dec = self.ctrls[ni].route(&view, header, in_port, VcId(iv as u8));
+        let misrouted = header.misrouted;
 
         let first_sight = self.chans.phase_of(ni, ip, iv).is_none();
         if first_sight {
@@ -144,7 +144,7 @@ impl Network {
                 self.stats.decision_steps.add(dec.steps as u64);
                 self.emit(|| EventKind::RouteDecision {
                     node: n,
-                    msg: header_copy.msg.0,
+                    msg: msg.0,
                     in_port,
                     in_vc: VcId(iv as u8),
                     outcome: match dec.verdict {
@@ -154,7 +154,7 @@ impl Network {
                         Verdict::Unroutable => RouteOutcome::Unroutable,
                     },
                     steps: dec.steps,
-                    misrouted: header.misrouted,
+                    misrouted,
                 });
             }
             // Modeled decision latency: steps × cycles-per-step total cycles,
@@ -181,27 +181,26 @@ impl Network {
                 if !dec.polled {
                     self.chans.set_phase(ni, ip, iv, Some(DecisionPhase::Parked));
                 }
-                self.emit_route_wait(n, &header, in_port, iv);
+                self.emit_route_wait(n, msg, in_port, iv);
             }
             Verdict::Unroutable => {
-                self.scratch.doomed.insert(header_copy.msg);
+                self.scratch.doomed.insert(msg);
             }
             Verdict::Route(p, v) => {
                 let ok = p.idx() < degree
                     && v.idx() < self.vcs
                     && self.wiring.live_peer(ni, p.idx()).is_some()
                     && self.chans.out_channel_free(ni, p.idx(), v.idx());
-                let msg = header_copy.msg.0;
                 if ok {
-                    self.chans.set_out_owner(ni, p.idx(), v.idx(), Some(header_copy.msg));
+                    self.chans.set_out_owner(ni, p.idx(), v.idx(), Some(msg));
                     self.chans.set_route(ni, ip, iv, RouteState::Out(p, v));
-                    self.chans.set_misrouted(ni, ip, iv, header.misrouted);
+                    self.chans.set_misrouted(ni, ip, iv, misrouted);
                     self.chans.add_out_assigned(ni, p.idx(), header_copy.len_flits);
-                    self.emit(|| EventKind::VcAcquire { node: n, msg, port: p, vc: v });
+                    self.emit(|| EventKind::VcAcquire { node: n, msg: msg.0, port: p, vc: v });
                 } else {
                     // granted a route but the output channel is unusable
                     // this cycle: a VC-allocation stall
-                    self.emit(|| EventKind::VcStall { node: n, msg, port: p, vc: v });
+                    self.emit(|| EventKind::VcStall { node: n, msg: msg.0, port: p, vc: v });
                 }
             }
         }
@@ -211,10 +210,11 @@ impl Network {
     /// (the controller withheld the grant), so each blocked cycle — asked or
     /// parked — and the channels that would unblock it are recorded here: the
     /// diagnoser's wait-for edges.
-    fn emit_route_wait(&mut self, n: NodeId, header: &Header, in_port: Option<PortId>, iv: usize) {
+    fn emit_route_wait(&mut self, n: NodeId, msg: MessageId, in_port: Option<PortId>, iv: usize) {
         if self.sink.is_some() {
-            let wants = self.probe_wants(n, header, in_port, VcId(iv as u8));
-            self.emit(|| EventKind::RouteWait { node: n, msg: header.msg.0, wants });
+            let header = self.headers[&msg];
+            let wants = self.probe_wants(n, &header, in_port, VcId(iv as u8));
+            self.emit(|| EventKind::RouteWait { node: n, msg: msg.0, wants });
         }
     }
 
@@ -255,13 +255,15 @@ impl Network {
                         RouteState::Local if !ejected => {
                             ejected = true;
                             let flit = self.chans.fifo_pop_front(ni, ip, iv).expect("checked");
+                            let msg = flit.msg();
                             self.scratch.moved = true;
-                            if let Some(h) = flit.header() {
-                                self.stats.on_head_arrival(flit.msg, h.hops);
+                            if flit.is_head() {
+                                self.stats.on_head_arrival(msg, self.headers[&msg].hops);
                             }
-                            if closes_worm(&flit) {
-                                self.stats.on_deliver(flit.msg, self.cycle);
-                                self.emit(|| EventKind::Deliver { node: n, msg: flit.msg.0 });
+                            if flit.closes_worm() {
+                                self.headers.remove(&msg);
+                                self.stats.on_deliver(msg, self.cycle);
+                                self.emit(|| EventKind::Deliver { node: n, msg: msg.0 });
                                 self.chans.reset_route(ni, ip, iv);
                             }
                             if ip < degree {
@@ -307,17 +309,20 @@ impl Network {
                     unreachable!("only routed lanes request an output")
                 };
                 block_port(blocked, ip, vcs);
-                let mut flit = self.chans.fifo_pop_front(ni, ip, iv).expect("winner has flit");
+                let flit = self.chans.fifo_pop_front(ni, ip, iv).expect("winner has flit");
                 self.scratch.moved = true;
-                if let Some(h) = flit.header_mut() {
-                    h.hops += 1;
+                if flit.is_head() {
+                    self.headers
+                        .get_mut(&flit.msg())
+                        .expect("a head flit's message has a header")
+                        .hops += 1;
                 }
-                if closes_worm(&flit) {
+                if flit.closes_worm() {
                     self.chans.reset_route(ni, ip, iv);
                     self.chans.set_out_owner(ni, p, ov.idx(), None);
                     self.emit(|| EventKind::VcRelease {
                         node: n,
-                        msg: flit.msg.0,
+                        msg: flit.msg().0,
                         port: PortId(p as u8),
                         vc: ov,
                     });

@@ -124,6 +124,13 @@ impl Network {
         cur_ext.clear();
         self.scratch.cur_ext = cur_ext;
 
+        // every message in flight has its header in the table, unless it
+        // is waiting out a retry backoff with no flit anywhere
+        debug_assert_eq!(
+            self.headers.len() + self.retries.len(),
+            self.stats.in_flight(),
+            "header table out of step with the messages in flight"
+        );
         self.cycle += 1;
     }
 

@@ -66,7 +66,7 @@ mod tests {
     use super::super::wiring::Wiring;
     use super::*;
     use crate::arena::{Channels, Geometry, OutRows};
-    use crate::flit::{Flit, FlitKind, MessageId};
+    use crate::flit::{Flit, MessageId};
     use ftr_topo::{FaultSet, Mesh2D, Topology};
     use proptest::prelude::*;
 
@@ -175,7 +175,7 @@ mod tests {
                 }
                 assigned[n][p] = rnd(40) as u32;
                 chans.set_out_assigned(n, p, assigned[n][p]);
-                let flit = Flit { kind: FlitKind::Body, msg: MessageId(rnd(99)), seq: 1 };
+                let flit = Flit::new(MessageId(rnd(99)), false, false);
                 chans.set_out_reg(n, p, (rnd(2) == 0).then_some((VcId(0), flit)));
             }
         }

@@ -1,20 +1,29 @@
 //! A counting global allocator for the allocation gates. Each gate is a
-//! test file of its own holding exactly one test: the counter is
-//! process-wide, so a second test running beside it would be counted too.
+//! test file of its own holding exactly one test.
+//!
+//! Only the measuring thread's allocations count. The test harness's own
+//! thread may still be doing its bookkeeping for the test it just started
+//! (4 allocations) when a short warm-up ends, and a process-wide count
+//! charged those to the cycle path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Set on the thread inside [`allocations_in`]; const-initialised and
+    /// without a destructor, so reading it never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// The system allocator, counting every allocation and reallocation made
-/// while `COUNTING` is set.
+/// on a thread while its `COUNTING` is set.
 struct Counting;
 
 impl Counting {
     fn note(&self) {
-        if COUNTING.load(Ordering::Relaxed) {
+        if COUNTING.with(Cell::get) {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -40,11 +49,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations and reallocations `f` makes.
+/// Allocations and reallocations `f` makes on the calling thread.
 pub fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
+    COUNTING.set(true);
     f();
-    COUNTING.store(false, Ordering::Relaxed);
+    COUNTING.set(false);
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }

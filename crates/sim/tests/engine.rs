@@ -13,6 +13,7 @@ use ftr_sim::routing::{
 };
 use ftr_sim::{BuildError, FaultPlan, Network, Pattern, RetryPolicy, SimConfig, TrafficSource};
 use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, EAST};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Fully adaptive minimal on one VC — deadlocks under heavy load.
@@ -245,6 +246,93 @@ fn node_fault_kills_transiting_and_destined_messages() {
     net.inject_node_fault(topo.node_at(2, 1));
     assert_eq!(net.stats.killed_msgs, 2);
     assert!(net.drain(1_000));
+}
+
+/// Only the header names a message's destination: a worm whose head is
+/// still three hops short of the node that dies touches none of that
+/// node's channels, and is killed all the same.
+#[test]
+fn node_fault_kills_a_message_destined_to_it_from_afar() {
+    let (topo, mut net) = mesh_net(6, 1, SimConfig::default());
+    let doomed = net.send(topo.node_at(0, 1), topo.node_at(5, 1), 2).unwrap();
+    let bystander = net.send(topo.node_at(0, 3), topo.node_at(3, 3), 2).unwrap();
+    // the head sits in the (1,1) -> (2,1) link register
+    while !net.output_register_occupied(topo.node_at(1, 1), EAST) {
+        assert!(net.cycle() < 50, "the head must reach the link");
+        net.step();
+    }
+    net.inject_node_fault(topo.node_at(5, 1));
+    assert_eq!(net.stats.killed_msgs, 1);
+    assert!(!net.stats.tracks(doomed) && net.stats.tracks(bystander));
+    assert!(net.drain(1_000));
+    assert_eq!(net.stats.delivered_msgs, 1);
+}
+
+/// Wraps [`Xy`]: marks each header at its source, and at every later
+/// consult checks that the marks and the hop count come back. The
+/// network holds the only copy of a header, so this is the copy.
+#[derive(Clone)]
+struct Marker {
+    xy: Xy,
+    mesh: Mesh2D,
+    checked: Arc<AtomicU64>,
+}
+
+impl RoutingAlgorithm for Marker {
+    fn name(&self) -> String {
+        "marker".into()
+    }
+    fn num_vcs(&self) -> usize {
+        1
+    }
+    fn controller(&self, _t: &dyn Topology, _n: NodeId) -> Box<dyn NodeController> {
+        Box::new(self.clone())
+    }
+}
+
+impl NodeController for Marker {
+    fn route(
+        &mut self,
+        view: &RouterView<'_>,
+        h: &mut Header,
+        ip: Option<PortId>,
+        iv: VcId,
+    ) -> Decision {
+        if view.node == h.src {
+            (h.vnet, h.phase, h.misrouted) = (3, 5, true);
+        } else {
+            let (dx, dy) = self.mesh.offset(h.src, view.node);
+            assert_eq!((h.vnet, h.phase, h.misrouted), (3, 5, true), "marks at {:?}", view.node);
+            assert_eq!(h.hops, dx.unsigned_abs() + dy.unsigned_abs(), "hops at {:?}", view.node);
+            self.checked.fetch_add(1, Ordering::Relaxed);
+        }
+        self.xy.route(view, h, ip, iv)
+    }
+}
+
+#[test]
+fn header_edits_persist_in_the_only_copy() {
+    let topo = Arc::new(Mesh2D::new(5, 5));
+    let mesh = (*topo).clone();
+    let checked = Arc::new(AtomicU64::new(0));
+    let algo = Marker { xy: Xy::new(mesh.clone()), mesh, checked: checked.clone() };
+    // traced, so a parked head's `RouteWait` probe reads the table too
+    let sink = Arc::new(ftr_obs::RingSink::new(1 << 16));
+    let mut net = Network::builder(topo.clone()).trace(sink).build(&algo).expect("valid");
+    net.set_measuring(true);
+    // crossing worms of several lengths: many headers in the table at once
+    let mut hops = 0;
+    for y in 0..5 {
+        for (src, dst, len) in [((0, y), (4, 4 - y), 1 + 3 * y), ((4, y), (0, y), 6)] {
+            net.send(topo.node_at(src.0, src.1), topo.node_at(dst.0, dst.1), len).unwrap();
+            hops += src.0.abs_diff(dst.0) + src.1.abs_diff(dst.1);
+        }
+    }
+    assert!(net.drain(2_000));
+    assert_eq!(net.stats.delivered_msgs, 10);
+    assert_eq!(net.stats.hops.sum, hops as u64, "hops counted on the table's header");
+    // every consult between source and destination checked the marks
+    assert!(checked.load(Ordering::Relaxed) >= hops as u64 - 10);
 }
 
 #[test]
