@@ -26,16 +26,19 @@
 //! fault sets up to a configurable budget, reporting a concrete cycle
 //! witness on failure.
 
+use crate::lints::{walk_cmds, walk_expr};
 use ftr_algos::rule_io::{self, CubeIo, DirSets, MeshIo, PortInfo, Ret, DECIDE_DIR, DECIDE_VC};
 use ftr_algos::vnet::Lane;
 pub use ftr_algos::vnet::MeshVcMode;
+use ftr_rules::ast::{Builtin, Expr, IndexedRef, Ref};
+use ftr_rules::compile::FeatureKind;
 use ftr_rules::value::{Type, Value};
 use ftr_rules::{CompiledProgram, InputMap, Machine, Program, RegFile, Result};
 use ftr_topo::cdg::{Channel, ChannelDependencyGraph};
 use ftr_topo::faults::SimpleRng;
 use ftr_topo::mesh::MESH_PORTS;
 use ftr_topo::{FaultSet, Hypercube, Mesh2D, NodeId, PortId, Topology, VcId};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
 
 /// One falsification: a fault scenario whose channel dependency graph
@@ -67,6 +70,8 @@ pub struct DeadlockReport {
     /// Scenarios with a dependency cycle (empty ⇒ deadlock-free for every
     /// checked scenario).
     pub failures: Vec<CycleWitness>,
+    /// Rule cascades the lift fired to build the checked relations.
+    pub interpretations: u64,
 }
 
 impl DeadlockReport {
@@ -81,21 +86,27 @@ impl DeadlockReport {
             format!("{}: skipped on {} — does not drive this topology", self.program, self.topology)
         } else if self.verified() {
             format!(
-                "{}: deadlock-free on {} ({} VCs) — CDG acyclic for all {} fault scenarios",
-                self.program, self.topology, self.num_vcs, self.fault_sets_checked
+                "{}: deadlock-free on {} ({} VCs) — CDG acyclic for all {} fault scenarios \
+                 ({} interpretations)",
+                self.program,
+                self.topology,
+                self.num_vcs,
+                self.fault_sets_checked,
+                self.interpretations
             )
         } else {
             let w = &self.failures[0];
             format!(
                 "{}: DEADLOCK POSSIBLE on {} ({} VCs) — {}/{} scenarios cyclic; \
-                 e.g. [{}] cycle {:?}",
+                 e.g. [{}] cycle {:?} ({} interpretations)",
                 self.program,
                 self.topology,
                 self.num_vcs,
                 self.failures.len(),
                 self.fault_sets_checked,
                 w.faults,
-                w.cycle
+                w.cycle,
+                self.interpretations
             )
         }
     }
@@ -118,23 +129,104 @@ fn reset_to_defaults(im: &mut InputMap, prog: &Program) {
 // ---------------------------------------------------------------------------
 // mesh lift
 
+/// A class of the cells the mesh lift enumerates, as a bit: the `free`
+/// input.
+const FREE: u8 = 1;
+/// The `out_queue` input, read directly or through `argmin`/`argmax`.
+const QUEUE: u8 = 2;
+/// The `de_east`/`de_west` registers.
+const DEADEND: u8 = 4;
+/// What a failed cascade counts as having read.
+const EVERYTHING: u8 = FREE | QUEUE | DEADEND;
+/// A memo slot not computed yet (direction masks use the low four bits).
+const UNKNOWN: u8 = u8::MAX;
+/// The dead-end flag values the lift tries (`(de_east, de_west)`).
+const DEAD_ENDS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+
+/// Which enumerated classes each step of a cascade can read: per rule
+/// base, every feature (the table executor evaluates them all), and per
+/// rule, its conclusion.
+struct ReadClasses {
+    bases: Vec<u8>,
+    rules: Vec<Vec<u8>>,
+}
+
+impl ReadClasses {
+    fn new(compiled: &CompiledProgram, io: &MeshIo) -> Self {
+        let input = |i: usize| {
+            (if io.free == Some(i) { FREE } else { 0 })
+                | (if io.out_queue == Some(i) { QUEUE } else { 0 })
+        };
+        let class = |e: &Expr| match e {
+            Expr::Ref(Ref::Input(i)) | Expr::Indexed { target: IndexedRef::Input(i), .. } => {
+                input(*i)
+            }
+            // the queue input sits in the builtin, not among its arguments
+            Expr::Call { builtin: Builtin::ArgMin(i) | Builtin::ArgMax(i), .. } => input(*i),
+            Expr::Ref(Ref::Var(v)) | Expr::Indexed { target: IndexedRef::Var(v), .. }
+                if [io.de_east, io.de_west].contains(&Some(*v)) =>
+            {
+                DEADEND
+            }
+            _ => 0,
+        };
+        let bases = compiled
+            .bases
+            .iter()
+            .map(|cb| {
+                let mut read = 0;
+                for f in &cb.features {
+                    let (FeatureKind::Direct { subject: e, .. }
+                    | FeatureKind::Predicate { expr: e }) = &f.kind;
+                    walk_expr(e, &mut |e| read |= class(e));
+                }
+                read
+            })
+            .collect();
+        let rules = compiled
+            .prog
+            .rulebases
+            .iter()
+            .map(|rb| {
+                let conclusion = |cmds| {
+                    let mut read = 0;
+                    walk_cmds(cmds, &mut |e| read |= class(e));
+                    read
+                };
+                rb.rules.iter().map(|r| conclusion(&r.conclusion)).collect()
+            })
+            .collect();
+        ReadClasses { bases, rules }
+    }
+
+    /// What a cascade that interpreted `path` read.
+    fn of(&self, path: &[(usize, Option<usize>)]) -> u8 {
+        path.iter()
+            .fold(0, |read, &(b, r)| read | self.bases[b] | r.map_or(0, |r| self.rules[b][r]))
+    }
+}
+
 /// Lifts a compiled 2-D mesh program (the [`MeshIo`] convention of the
 /// rule router) into a routing relation. Decisions are memoised on
 /// everything they can depend on: (node, destination, virtual network,
-/// open-direction mask, dead-end flags).
+/// open-direction mask).
 pub struct MeshProgramLift {
     mesh: Mesh2D,
     prog: Program,
     io: MeshIo,
-    /// The entry event (the rule-router convention); a program without
-    /// one, or one that cannot read where the message is going, makes no
-    /// routing decision on a mesh and lifts to the empty relation.
-    entry: Option<String>,
+    /// False for a program without the entry base (the rule-router
+    /// convention) or one that cannot read where the message is going: it
+    /// makes no routing decision on a mesh and lifts to the empty relation.
+    drives: bool,
     mode: MeshVcMode,
+    reads: ReadClasses,
     machine: RefCell<Machine>,
     inputs: RefCell<InputMap>,
-    #[allow(clippy::type_complexity)]
-    memo: RefCell<HashMap<(u32, u32, u8, u8, bool, bool), Vec<u8>>>,
+    /// Direction masks indexed by (node, destination, virtual network,
+    /// open mask); [`UNKNOWN`] where not computed yet.
+    memo: RefCell<Vec<u8>>,
+    /// Cascades fired so far.
+    fired: Cell<u64>,
 }
 
 impl MeshProgramLift {
@@ -146,18 +238,21 @@ impl MeshProgramLift {
         let io = MeshIo::bind(&prog)?;
         let mode = io.mode(&prog);
         io.fits(&prog, mesh.width(), mesh.height(), mode.num_vcs())?;
+        // every fire overwrites the same cells, so one reset serves all
+        let mut inputs = InputMap::new();
+        reset_to_defaults(&mut inputs, &prog);
+        let n = mesh.num_nodes();
         Ok(MeshProgramLift {
+            drives: rule_io::entry(&prog).is_ok() && io.xdes.is_some() && io.ydes.is_some(),
+            reads: ReadClasses::new(&compiled, &io),
+            memo: RefCell::new(vec![UNKNOWN; n * n * mode.num_vcs() * 16]),
             mesh,
             io,
-            entry: rule_io::entry(&prog)
-                .ok()
-                .filter(|_| io.xdes.is_some() && io.ydes.is_some())
-                .map(|rb| rb.name.clone()),
             prog,
             mode,
             machine: RefCell::new(Machine::from_compiled(compiled)),
-            inputs: RefCell::new(InputMap::new()),
-            memo: RefCell::new(HashMap::new()),
+            inputs: RefCell::new(inputs),
+            fired: Cell::new(0),
         })
     }
 
@@ -171,57 +266,85 @@ impl MeshProgramLift {
         self.mode.num_vcs()
     }
 
-    /// Every direction the program can return for this query, across all
-    /// free-output patterns, queue-minimum positions, and (implicitly,
-    /// via the caller's enumeration) dead-end flags.
-    fn raw_dirs(
-        &self,
-        cur: NodeId,
-        dst: NodeId,
-        lane: Lane,
-        live: u8,
-        dead_ends: (bool, bool),
-    ) -> Vec<u8> {
-        let Some(entry) = self.entry.as_deref() else { return Vec::new() };
-        let open = live & lane.permitted;
-        let key = (cur.0, dst.0, lane.vnet, open, dead_ends.0, dead_ends.1);
-        if let Some(hit) = self.memo.borrow().get(&key) {
-            return hit.clone();
+    /// Every direction the program can return for this query, as a mask.
+    fn dirs(&self, cur: NodeId, dst: NodeId, lane: Lane, live: u8) -> u8 {
+        if !self.drives {
+            return 0;
         }
-        let mut out: BTreeSet<u8> = BTreeSet::new();
-        let (mut machine, mut im) = (self.machine.borrow_mut(), self.inputs.borrow_mut());
-        // every pattern below overwrites the same cells, so one reset serves all
-        reset_to_defaults(&mut im, &self.prog);
+        let open = live & lane.permitted;
+        let n = self.mesh.num_nodes();
+        let key = ((cur.idx() * n + dst.idx()) * self.num_vcs() + usize::from(lane.vnet)) * 16
+            + usize::from(open);
+        let hit = self.memo.borrow()[key];
+        if hit != UNKNOWN {
+            return hit;
+        }
+        let dirs = self.fire_patterns(cur, dst, lane, open);
+        self.memo.borrow_mut()[key] = dirs;
+        dirs
+    }
 
-        // free patterns: everything open free, each open direction alone,
-        // and nothing free (the escalation path)
-        let mut free_patterns: Vec<u8> = vec![open, 0];
-        free_patterns.extend((0..4).map(|d| 1 << d).filter(|bit| open & bit != 0));
-        for fp in free_patterns {
-            // queue patterns: each direction as the unique argmin
-            for qmin in 0..4usize {
-                let regs = machine.regs_mut();
-                *regs = RegFile::new(&self.prog);
-                self.io.init_node(&self.prog, regs, self.mesh.coords(cur));
-                let dst = self.mesh.coords(dst);
-                let legal = self.io.present(&self.prog, regs, &mut im, dst, lane, dead_ends, |d| {
-                    PortInfo {
-                        free: fp & (1 << d) != 0,
-                        linkok: live & (1 << d) != 0,
-                        out_queue: if d == qmin { 0 } else { 9 },
-                    }
-                });
-                if let Ok(casc) = machine.fire_cascade(entry, &[], &im) {
-                    if let Some(Ret::Dir(d)) = casc.last_return().map(rule_io::decode) {
-                        if d < 4 && legal >> d & 1 != 0 {
-                            out.insert(d);
+    /// Fires the entry cascade over the free patterns (everything open
+    /// free, nothing free — the escalation path — and each open direction
+    /// alone), each direction as the unique queue minimum and every
+    /// dead-end flag combination; returns the union of the legal answers.
+    ///
+    /// A cascade is a deterministic function of the cells it reads, so a
+    /// pattern that differs from a fired one only in classes the fired
+    /// path never read replays that path and is skipped: the flag loop
+    /// stops at a path that did not read a flag, the queue loop at a
+    /// position where no fire read a queue, the free loop after the first
+    /// pattern if no fire read `free`.
+    fn fire_patterns(&self, cur: NodeId, dst: NodeId, lane: Lane, open: u8) -> u8 {
+        let (mut machine, mut im) = (self.machine.borrow_mut(), self.inputs.borrow_mut());
+        let mut template = RegFile::new(&self.prog);
+        self.io.init_node(&self.prog, &mut template, self.mesh.coords(cur));
+        let dst = self.mesh.coords(dst);
+        let dead_ends = if self.io.de_east.is_some() { &DEAD_ENDS[..] } else { &DEAD_ENDS[..1] };
+        let frees = std::iter::once(open)
+            .chain((open != 0).then_some(0))
+            .chain((0..4).map(|d| 1 << d).filter(|&bit| open & bit != 0 && bit != open));
+
+        let mut dirs = 0;
+        for (i, free) in frees.enumerate() {
+            let mut read_free = false;
+            for qmin in 0..MESH_PORTS.len() {
+                let mut read_queue = false;
+                for &de in dead_ends {
+                    machine.regs_mut().clone_from(&template);
+                    self.io.present(&self.prog, machine.regs_mut(), &mut im, dst, lane, de, |d| {
+                        PortInfo {
+                            free: free & (1 << d) != 0,
+                            linkok: open & (1 << d) != 0,
+                            out_queue: if d == qmin { 0 } else { 9 },
                         }
+                    });
+                    self.fired.set(self.fired.get() + 1);
+                    let read = match machine.fire_base(rule_io::ENTRY, &[], &im) {
+                        Ok(fired) => {
+                            if let Some(Ret::Dir(d @ 0..=3)) =
+                                fired.last_return.map(rule_io::decode)
+                            {
+                                dirs |= open & 1 << d;
+                            }
+                            self.reads.of(machine.path())
+                        }
+                        Err(_) => EVERYTHING,
+                    };
+                    read_free |= read & FREE != 0;
+                    read_queue |= read & QUEUE != 0;
+                    if read & DEADEND == 0 {
+                        break;
                     }
                 }
+                if !read_queue {
+                    break;
+                }
+            }
+            if i == 0 && !read_free {
+                break;
             }
         }
-        let dirs: Vec<u8> = out.into_iter().collect();
-        self.memo.borrow_mut().insert(key, dirs.clone());
         dirs
     }
 
@@ -234,29 +357,25 @@ impl MeshProgramLift {
         &'s self,
         faults: &'s FaultSet,
     ) -> impl Fn(NodeId, Option<(PortId, VcId)>, NodeId) -> Vec<(PortId, VcId)> + 's {
-        move |cur, inc, dst| {
-            let mut live: u8 = 0;
-            for &p in &MESH_PORTS {
-                if let Some(nb) = self.mesh.neighbor(cur, p) {
-                    if faults.link_usable(&self.mesh, cur, p) && !faults.node_faulty(nb) {
-                        live |= 1 << p.idx();
+        let mesh = &self.mesh;
+        let live: Vec<u8> = mesh
+            .nodes()
+            .map(|cur| {
+                MESH_PORTS.iter().fold(0, |live, &p| match mesh.neighbor(cur, p) {
+                    Some(nb) if faults.link_usable(mesh, cur, p) && !faults.node_faulty(nb) => {
+                        live | 1 << p.idx()
                     }
-                }
-            }
-            // dead-end flags depend on global fault knowledge; enumerate
-            // both values of each (conservative union)
-            let de_combos: &[(bool, bool)] = if self.io.de_east.is_some() {
-                &[(false, false), (true, false), (false, true), (true, true)]
-            } else {
-                &[(false, false)]
-            };
+                    _ => live,
+                })
+            })
+            .collect();
+        move |cur, inc, dst| {
             let mut out = Vec::new();
-            for lane in self.mode.lanes(inc, self.mesh.offset(cur, dst)) {
-                let mut dirs: BTreeSet<u8> = BTreeSet::new();
-                for &de in de_combos {
-                    dirs.extend(self.raw_dirs(cur, dst, lane, live, de));
-                }
-                out.extend(dirs.into_iter().map(|d| (PortId(d), VcId(lane.vnet))));
+            for lane in self.mode.lanes(inc, mesh.offset(cur, dst)) {
+                let dirs = self.dirs(cur, dst, lane, live[cur.idx()]);
+                out.extend(
+                    (0..4).filter(|d| dirs >> d & 1 != 0).map(|d| (PortId(d), VcId(lane.vnet))),
+                );
             }
             out
         }
@@ -282,6 +401,8 @@ pub struct CubeProgramLift {
     inputs: RefCell<InputMap>,
     #[allow(clippy::type_complexity)]
     memo: RefCell<HashMap<(u32, u32, u8), Vec<(u8, u8)>>>,
+    /// Cascades fired so far.
+    fired: Cell<u64>,
 }
 
 impl CubeProgramLift {
@@ -305,6 +426,7 @@ impl CubeProgramLift {
             machine: RefCell::new(Machine::from_compiled(compiled)),
             inputs: RefCell::new(InputMap::new()),
             memo: RefCell::new(HashMap::new()),
+            fired: Cell::new(0),
         })
     }
 
@@ -330,6 +452,7 @@ impl CubeProgramLift {
         reset_to_defaults(&mut im, prog);
         self.io.load_dir(prog, &mut im, sets, |_| 0);
         *machine.regs_mut() = RegFile::new(prog);
+        self.fired.set(self.fired.get() + 1);
         let cands = match machine.fire_cascade(DECIDE_DIR, &[], &im).map(|c| c.last_return()) {
             Ok(Some(Value::Set { mask, .. })) => mask,
             _ => 0,
@@ -342,6 +465,7 @@ impl CubeProgramLift {
             for fv in 0..rule_io::CUBE_VCS {
                 self.io.load_vc(prog, &mut im, sets, cands, |v| v == fv);
                 *machine.regs_mut() = RegFile::new(prog);
+                self.fired.set(self.fired.get() + 1);
                 let Ok(casc) = machine.fire_cascade(DECIDE_VC, &[], &im) else { continue };
                 match self.io.channel(prog, machine.regs(), casc.last_return()) {
                     Some((port, vc)) if port < dim as usize && cands & (1 << port) != 0 => {
@@ -443,7 +567,9 @@ fn describe_faults(topo: &dyn Topology, set: &[(NodeId, PortId)]) -> String {
 }
 
 /// Builds the CDG of every enumerated link-fault set of `topo` with
-/// `cdg` and checks acyclicity by exhaustion over destinations.
+/// `cdg` and checks acyclicity by exhaustion over destinations; `fired`
+/// counts the lift's cascades.
+#[allow(clippy::too_many_arguments)]
 fn verify(
     program: &str,
     topo: &dyn Topology,
@@ -451,8 +577,10 @@ fn verify(
     num_vcs: usize,
     max_faults: usize,
     max_fault_sets: usize,
+    fired: &Cell<u64>,
     cdg: impl Fn(&FaultSet) -> ChannelDependencyGraph,
 ) -> DeadlockReport {
+    let before = fired.get();
     let mut report = DeadlockReport {
         program: program.into(),
         topology,
@@ -460,6 +588,7 @@ fn verify(
         fault_sets_checked: 0,
         channels_used: 0,
         failures: Vec::new(),
+        interpretations: 0,
     };
     for set in &fault_sets(&unique_links(topo), max_faults, max_fault_sets, 0x5eed) {
         let mut faults = FaultSet::new();
@@ -473,6 +602,7 @@ fn verify(
             report.failures.push(CycleWitness { faults: describe_faults(topo, set), cycle });
         }
     }
+    report.interpretations = fired.get() - before;
     report
 }
 
@@ -488,7 +618,7 @@ impl MeshProgramLift {
     ) -> DeadlockReport {
         let (mesh, vcs) = (&self.mesh, self.num_vcs());
         let topology = format!("mesh {}x{}", mesh.width(), mesh.height());
-        verify(program, mesh, topology, vcs, max_faults, max_fault_sets, |faults| {
+        verify(program, mesh, topology, vcs, max_faults, max_fault_sets, &self.fired, |faults| {
             ChannelDependencyGraph::build(mesh, faults, vcs, &self.relation(faults))
         })
     }
@@ -505,7 +635,7 @@ impl CubeProgramLift {
     ) -> DeadlockReport {
         let (cube, vcs) = (&self.cube, rule_io::CUBE_VCS);
         let topology = format!("hypercube d={}", cube.dim());
-        verify(program, cube, topology, vcs, max_faults, max_fault_sets, |faults| {
+        verify(program, cube, topology, vcs, max_faults, max_fault_sets, &self.fired, |faults| {
             ChannelDependencyGraph::build(cube, faults, vcs, &self.relation(faults))
         })
     }

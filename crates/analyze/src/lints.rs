@@ -588,7 +588,7 @@ fn for_each_expr(rule: &Rule, f: &mut impl FnMut(&Expr)) {
     walk_cmds(&rule.conclusion, f);
 }
 
-fn walk_cmds(cmds: &[Command], f: &mut impl FnMut(&Expr)) {
+pub(crate) fn walk_cmds(cmds: &[Command], f: &mut impl FnMut(&Expr)) {
     for cmd in cmds {
         match cmd {
             Command::Assign { indices, value, .. } => {
@@ -611,7 +611,7 @@ fn walk_cmds(cmds: &[Command], f: &mut impl FnMut(&Expr)) {
     }
 }
 
-fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
+pub(crate) fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
     f(e);
     match e {
         Expr::Lit(_) | Expr::Ref(_) => {}

@@ -30,9 +30,21 @@ fn index_error(name: &str, layout: &CellLayout, indices: &[Value], prog: &Progra
 /// (the paper's "registers ... updated by using arithmetic or logical
 /// units"). Arrays are stored flattened in row-major order of their index
 /// domains ([`Program::var_layout`]).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct RegFile {
     slots: Vec<Vec<Value>>,
+}
+
+/// `clone_from` reuses the cells: resetting a machine's registers to a
+/// template allocates nothing once the shapes match.
+impl Clone for RegFile {
+    fn clone(&self) -> Self {
+        RegFile { slots: self.slots.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+    }
 }
 
 impl RegFile {

@@ -125,6 +125,9 @@ pub struct Machine {
     host: Vec<Queued>,
     /// Arguments of `pending` and `host`.
     args: Vec<Value>,
+    /// The last cascade's interpretations, in order: rule base and the
+    /// rule it fired (`None` for a gap).
+    path: Vec<(usize, Option<usize>)>,
     probe: Option<Arc<dyn InterpProbe>>,
     step_weights: Option<Arc<StepWeights>>,
     /// When set, rule bases execute on the bytecode VM instead of the
@@ -157,6 +160,7 @@ impl Machine {
             pending: Vec::new(),
             host: Vec::new(),
             args: Vec::new(),
+            path: Vec::new(),
             probe: None,
             step_weights: None,
             vm: None,
@@ -286,6 +290,13 @@ impl Machine {
         self.host.iter().map(move |(id, at)| (events[*id].name.as_str(), &self.args[at.clone()]))
     }
 
+    /// The interpretations of the last cascade, in order: the rule base
+    /// and the rule it fired (`None` for a gap). A cascade that failed
+    /// leaves the ones before the failure.
+    pub fn path(&self) -> &[(usize, Option<usize>)] {
+        &self.path
+    }
+
     /// One cascade: interprets `base(args)` and every internal event it
     /// leads to, each counting one step (times its weight); `each` sees
     /// every interpretation's rule and frame before the next one reuses it.
@@ -296,11 +307,12 @@ impl Machine {
         inputs: &InputMap,
         mut each: impl FnMut(&Program, Option<usize>, &Frame),
     ) -> Result<Fired> {
-        let Machine { compiled, regs, frame, pending, host, args: arena, stats, .. } = self;
+        let Machine { compiled, regs, frame, pending, host, args: arena, path, stats, .. } = self;
         let (prog, probe) = (&compiled.prog, self.probe.as_deref());
         stats.last_fire_steps = 0;
         pending.clear();
         host.clear();
+        path.clear();
         arena.clear();
         arena.extend_from_slice(args);
         pending.push((base, 0..args.len()));
@@ -321,6 +333,7 @@ impl Machine {
                 Some(vm) => vm.bases[base].fire_in(prog, params, regs, inputs, frame, probe)?,
                 None => compiled.bases[base].fire_in(prog, params, regs, inputs, frame, probe)?,
             };
+            path.push((base, rule));
             // modeled steps: a fused rule counts as every interpretation it
             // replaced, so step-derived quantities match the original program
             let w = self.step_weights.as_ref().map_or(1, |sw| sw.weight(base, rule));
@@ -366,6 +379,7 @@ mod tests {
         assert_eq!(host.len(), 1);
         assert_eq!(host[0].event, "notify_host");
         assert_eq!(m.stats.last_fire_steps, 2, "a + b = two interpretations");
+        assert_eq!(m.path(), [(0, Some(0)), (1, Some(0))]);
     }
 
     #[test]
@@ -386,6 +400,7 @@ mod tests {
         m.max_internal_events = 50;
         let e = m.fire("a", &[], &InputMap::new());
         assert!(e.is_err());
+        assert_eq!(m.path().len(), 51, "the interpretations before the guard tripped");
     }
 
     #[test]
