@@ -523,8 +523,8 @@ fn unique_links(topo: &dyn Topology) -> Vec<(NodeId, PortId)> {
 }
 
 /// Every subset of `links` with at most `max_faults` elements; if that
-/// exceeds `cap`, a deterministic sample (always including the fault-free
-/// scenario).
+/// exceeds `cap`, a deterministic sample without repeats: the fault-free
+/// scenario first, then `cap - 1` distinct others.
 fn fault_sets(
     links: &[(NodeId, PortId)],
     max_faults: usize,
@@ -546,13 +546,15 @@ fn fault_sets(
         }
         frontier = next;
     }
+    let cap = cap.max(1);
     if sets.len() > cap {
+        // a partial Fisher–Yates shuffle of everything after the fault-free set
         let mut rng = SimpleRng::new(seed);
-        let mut sampled = vec![sets[0].clone()];
-        while sampled.len() < cap {
-            sampled.push(sets[1 + rng.below(sets.len() - 1)].clone());
+        for i in 1..cap {
+            let j = i + rng.below(sets.len() - i);
+            sets.swap(i, j);
         }
-        sets = sampled;
+        sets.truncate(cap);
     }
     sets
 }
@@ -711,5 +713,18 @@ mod tests {
         let sets = fault_sets(&links, 2, 10, 7);
         assert_eq!(sets.len(), 10);
         assert!(sets[0].is_empty());
+    }
+
+    #[test]
+    fn sampling_draws_distinct_scenarios() {
+        // the 4-cube with at most one dead link: 33 scenarios
+        let links = unique_links(&Hypercube::new(4));
+        for cap in [1, 2, 16, 32, 33, 34, 512] {
+            let sets = fault_sets(&links, 1, cap, 0x5eed);
+            assert_eq!(sets.len(), cap.min(33), "cap {cap}");
+            assert!(sets[0].is_empty(), "cap {cap}");
+            let distinct: BTreeSet<_> = sets.iter().collect();
+            assert_eq!(distinct.len(), sets.len(), "cap {cap}: a scenario repeats");
+        }
     }
 }
