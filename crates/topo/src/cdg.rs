@@ -13,7 +13,7 @@
 use crate::faults::FaultSet;
 use crate::ids::{NodeId, PortId, VcId};
 use crate::Topology;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A directed virtual channel: the channel leaving `node` through `port` on
 /// virtual lane `vc`.
@@ -41,8 +41,9 @@ pub type RoutingRelation<'a> =
 pub struct ChannelDependencyGraph {
     num_vcs: usize,
     degree: usize,
-    /// Adjacency: edges[c] = set of channels that c may wait on.
-    edges: Vec<BTreeSet<u32>>,
+    /// Adjacency: edges[c] = the channels that c may wait on, ascending
+    /// and without repeats.
+    edges: Vec<Vec<u32>>,
     /// Channels actually reachable by some message.
     used: Vec<bool>,
 }
@@ -76,18 +77,19 @@ impl ChannelDependencyGraph {
         let mut g = ChannelDependencyGraph {
             num_vcs,
             degree,
-            edges: vec![BTreeSet::new(); n_chan],
+            edges: vec![Vec::new(); n_chan],
             used: vec![false; n_chan],
         };
 
+        // BFS over "channel states", one destination at a time. A state is
+        // a held channel; successors are the channels requested next.
+        let mut seen = vec![false; n_chan];
+        let mut queue: VecDeque<Channel> = VecDeque::new();
         for dst in topo.nodes() {
             if faults.node_faulty(dst) {
                 continue;
             }
-            // BFS over "channel states" for this destination. A state is a
-            // held channel; successors are the channels requested next.
-            let mut seen = vec![false; n_chan];
-            let mut queue: VecDeque<Channel> = VecDeque::new();
+            seen.fill(false);
 
             // Injection: any alive source may request its first channel.
             for src in topo.nodes() {
@@ -125,7 +127,7 @@ impl ChannelDependencyGraph {
                     }
                     let next = Channel { node: here, port: p, vc };
                     let ni = g.chan_index(next);
-                    g.edges[ci].insert(ni as u32);
+                    g.edges[ci].push(ni as u32);
                     g.used[ni] = true;
                     if !seen[ni] {
                         seen[ni] = true;
@@ -133,6 +135,10 @@ impl ChannelDependencyGraph {
                     }
                 }
             }
+        }
+        for e in &mut g.edges {
+            e.sort_unstable();
+            e.dedup();
         }
         g
     }
@@ -165,22 +171,19 @@ impl ChannelDependencyGraph {
             if color[start] != WHITE || !self.used[start] {
                 continue;
             }
-            // Iterative DFS with explicit stack of (node, neighbour iterator
-            // position); BTreeSet iteration is restarted via skipping.
-            let mut stack: Vec<(usize, Vec<u32>, usize)> = Vec::new();
-            let neigh: Vec<u32> = self.edges[start].iter().copied().collect();
+            // Iterative DFS with an explicit stack of (node, position in
+            // its edge list).
+            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
             color[start] = GRAY;
-            stack.push((start, neigh, 0));
-            while let Some((u, neigh, pos)) = stack.last_mut() {
-                if *pos < neigh.len() {
-                    let v = neigh[*pos] as usize;
+            while let Some((u, pos)) = stack.last_mut() {
+                if let Some(&v) = self.edges[*u].get(*pos) {
+                    let v = v as usize;
                     *pos += 1;
                     match color[v] {
                         WHITE => {
                             parent[v] = *u as u32;
                             color[v] = GRAY;
-                            let nn: Vec<u32> = self.edges[v].iter().copied().collect();
-                            stack.push((v, nn, 0));
+                            stack.push((v, 0));
                         }
                         GRAY => {
                             // found a back edge u -> v: reconstruct cycle
