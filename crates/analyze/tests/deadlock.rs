@@ -3,10 +3,14 @@
 //! their declarations select, and the naive fully-adaptive baseline must
 //! produce a concrete cycle witness.
 
+use ftr_algos::rule_io::{self, MeshIo, PortInfo, Ret};
+use ftr_algos::vnet::Lane;
 use ftr_analyze::{verify_cube, CubeProgramLift, DeadlockReport, MeshProgramLift, MeshVcMode};
-use ftr_rules::{compile, parse, CompileOptions, CompiledProgram};
+use ftr_rules::{compile, parse, CompileOptions, CompiledProgram, InputMap, Machine, Program};
+use ftr_rules::{RegFile, Type, Value};
 use ftr_topo::cdg::RoutingRelation;
-use ftr_topo::{FaultSet, Hypercube, Mesh2D, NodeId, PortId, Topology, VcId, EAST};
+use ftr_topo::{FaultSet, Hypercube, Mesh2D, NodeId, PortId, Topology, VcId, EAST, WEST};
+use std::collections::HashMap;
 
 fn compiled(src: &str) -> CompiledProgram {
     let prog = parse(src).expect("parse");
@@ -167,4 +171,243 @@ fn lifted_relations_are_pinned() {
         [0xb9d1_03fd_6854_a325, 0xb9d1_03fd_6854_a325], // route_c_nft: the empty relation
     ];
     assert_eq!(got, pinned.concat());
+}
+
+#[test]
+fn nafta_lift_fires_a_pinned_number_of_cascades() {
+    // the read-class prune's saving, pinned: the exhaustive enumeration
+    // fired every free pattern x 4 queue positions x 4 flag combinations
+    let report = verify_on("nafta", &shipped("nafta"), (4, 4), 1);
+    assert_eq!(report.fault_sets_checked, 25);
+    assert_eq!(report.interpretations, 6_772);
+}
+
+#[test]
+fn route_c_on_the_4_cube_is_cyclic_under_every_single_dead_link() {
+    // The current verdict, pinned — not a claim that it is right: whether
+    // live ROUTE_C can deadlock on one dead link, or the lift
+    // over-approximates (fresh `neighb_state`, any free misroute class),
+    // is open (ROADMAP item 3).
+    let report = verify_cube("route_c", &shipped("route_c"), 4, 1, 64);
+    assert_eq!(report.fault_sets_checked, 33); // 32 links + fault-free
+    assert_eq!(report.failures.len(), 32, "{}", report.summary());
+    assert!(report.failures.iter().all(|w| w.faults.starts_with("link ")), "{}", report.summary());
+}
+
+/// The lift's enumeration without its prune, built from public pieces
+/// only: every free pattern (everything open free, nothing free, each
+/// open direction alone) x every direction as the unique queue minimum x
+/// every dead-end flag combination, each fired on fresh registers.
+struct BruteForce {
+    mesh: Mesh2D,
+    prog: Program,
+    io: MeshIo,
+    mode: MeshVcMode,
+    machine: Machine,
+    inputs: InputMap,
+    memo: HashMap<(NodeId, NodeId, u8, u8, u8), u8>,
+}
+
+impl BruteForce {
+    fn new(c: &CompiledProgram, mesh: Mesh2D) -> Self {
+        let prog = c.prog.clone();
+        let io = MeshIo::bind(&prog).expect("binds");
+        let mut inputs = InputMap::new();
+        for decl in &prog.inputs {
+            let lowest = match decl.elem {
+                Type::Scalar(d) => d.value_at(0),
+                Type::Set(d) => Value::empty_set(d),
+            };
+            inputs.set_default(&prog, &decl.name, lowest).expect("declared");
+        }
+        let mode = io.mode(&prog);
+        let machine = Machine::from_compiled(c.clone());
+        BruteForce { mesh, prog, io, mode, machine, inputs, memo: HashMap::new() }
+    }
+
+    fn dirs(&mut self, cur: NodeId, dst: NodeId, lane: Lane, live: u8) -> u8 {
+        let key = (cur, dst, lane.vnet, lane.permitted, live);
+        if let Some(&dirs) = self.memo.get(&key) {
+            return dirs;
+        }
+        let open = live & lane.permitted;
+        let mut frees = vec![open, 0];
+        frees.extend((0..4).map(|d| 1 << d).filter(|bit| open & bit != 0));
+        let dead_ends: &[(bool, bool)] = if self.io.de_east.is_some() {
+            &[(false, false), (true, false), (false, true), (true, true)]
+        } else {
+            &[(false, false)]
+        };
+        let (prog, io) = (&self.prog, self.io);
+        let mut dirs = 0;
+        for free in frees {
+            for qmin in 0..4 {
+                for &de in dead_ends {
+                    let regs = self.machine.regs_mut();
+                    *regs = RegFile::new(prog);
+                    io.init_node(prog, regs, self.mesh.coords(cur));
+                    let dst = self.mesh.coords(dst);
+                    let legal =
+                        io.present(prog, regs, &mut self.inputs, dst, lane, de, |d| PortInfo {
+                            free: free >> d & 1 != 0,
+                            linkok: live >> d & 1 != 0,
+                            out_queue: if d == qmin { 0 } else { 9 },
+                        });
+                    let Ok(fired) = self.machine.fire_base(rule_io::ENTRY, &[], &self.inputs)
+                    else {
+                        continue;
+                    };
+                    if let Some(Ret::Dir(d @ 0..=3)) = fired.last_return.map(rule_io::decode) {
+                        dirs |= legal & 1 << d;
+                    }
+                }
+            }
+        }
+        self.memo.insert(key, dirs);
+        dirs
+    }
+
+    fn relation(
+        &mut self,
+        faults: &FaultSet,
+        cur: NodeId,
+        inc: Option<(PortId, VcId)>,
+        dst: NodeId,
+    ) -> Vec<(PortId, VcId)> {
+        let mut live = 0;
+        for p in self.mesh.ports() {
+            if let Some(nb) = self.mesh.neighbor(cur, p) {
+                if faults.link_usable(&self.mesh, cur, p) && !faults.node_faulty(nb) {
+                    live |= 1 << p.idx();
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for lane in self.mode.lanes(inc, self.mesh.offset(cur, dst)) {
+            let dirs = self.dirs(cur, dst, lane, live);
+            out.extend((0..4).filter(|d| dirs >> d & 1 != 0).map(|d| (PortId(d), VcId(lane.vnet))));
+        }
+        out
+    }
+}
+
+/// The fault-free mesh and every single dead link.
+fn single_link_faults(mesh: &Mesh2D) -> Vec<FaultSet> {
+    let mut sets = vec![FaultSet::new()];
+    for n in mesh.nodes() {
+        for p in mesh.ports() {
+            if mesh.neighbor(n, p).is_some_and(|nb| n < nb) {
+                let mut faults = FaultSet::new();
+                faults.fail_link(mesh, n, p);
+                sets.push(faults);
+            }
+        }
+    }
+    sets
+}
+
+/// Asserts that the lift's relation equals the brute force's for every
+/// query under the fault-free mesh and every single dead link.
+fn assert_lift_equals_brute_force(name: &str, c: &CompiledProgram, mesh: &Mesh2D) {
+    let lift = MeshProgramLift::new(c.clone(), mesh.clone()).expect("binds");
+    let mut brute = BruteForce::new(c, mesh.clone());
+    let mut arrivals = vec![None];
+    for p in mesh.ports() {
+        arrivals.extend((0..lift.num_vcs()).map(|v| Some((p, VcId(v as u8)))));
+    }
+    for faults in single_link_faults(mesh) {
+        let relation = lift.relation(&faults);
+        for cur in mesh.nodes() {
+            for dst in mesh.nodes() {
+                for &inc in &arrivals {
+                    assert_eq!(
+                        relation(cur, inc, dst),
+                        brute.relation(&faults, cur, inc, dst),
+                        "{name} on {}x{}: {cur:?} -> {dst:?} arriving on {inc:?} under {faults:?}",
+                        mesh.width(),
+                        mesh.height()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_pruned_lift_equals_the_brute_force_enumeration() {
+    for name in ["xy", "west_first", "nafta", "naive_adaptive"] {
+        for (w, h) in [(3, 3), (4, 4)] {
+            assert_lift_equals_brute_force(name, &shipped(name), &Mesh2D::new(w, h));
+        }
+    }
+}
+
+/// The part every fixture below shares: the interface it binds and an
+/// entry base that delivers at the destination, else escalates to `next`.
+fn fixture(next: &str, rest: &str) -> CompiledProgram {
+    compiled(&format!(
+        "CONSTANT dirs = 0 TO 3\n\
+         VARIABLE xpos IN 0 TO 31\n\
+         VARIABLE ypos IN 0 TO 31\n\
+         VARIABLE de_east IN bool INIT FALSE\n\
+         VARIABLE de_west IN bool INIT FALSE\n\
+         INPUT xdes IN 0 TO 31\n\
+         INPUT ydes IN 0 TO 31\n\
+         INPUT free[dirs] IN bool\n\
+         INPUT out_queue[dirs] IN 0 TO 255\n\
+         ON route() RETURNS 0 TO 15\n\
+           IF xpos = xdes AND ypos = ydes THEN RETURN(15);\n\
+           IF TRUE THEN !{next}();\n\
+         END route;\n\
+         {rest}"
+    ))
+}
+
+#[test]
+fn a_prune_that_ignored_a_read_class_would_drop_a_direction() {
+    // each fixture answers east or west depending on exactly one class;
+    // a lift that missed the read would never try the other value
+    let fixtures = [
+        // (a) a dead-end flag, read only in the third cascaded base
+        (
+            "de_east in a third base",
+            fixture(
+                "second",
+                "ON second() RETURNS 0 TO 15\n IF TRUE THEN !third();\nEND second;\n\
+                 ON third() RETURNS 0 TO 15\n\
+                   IF de_east THEN RETURN(1);\n\
+                   IF TRUE THEN RETURN(0);\n\
+                 END third;",
+            ),
+        ),
+        // (b) the queue, read only through `argmin` in one conclusion
+        (
+            "out_queue through argmin",
+            fixture(
+                "pick",
+                "ON pick() RETURNS 0 TO 15\n\
+                   IF TRUE THEN RETURN(argmin(out_queue, {0, 1}));\n\
+                 END pick;",
+            ),
+        ),
+        // (c) the free pattern, read only in the escalated base
+        (
+            "free in an escalated base",
+            fixture(
+                "escalate",
+                "ON escalate() RETURNS 0 TO 15\n\
+                   IF free(1) THEN RETURN(1);\n\
+                   IF TRUE THEN RETURN(0);\n\
+                 END escalate;",
+            ),
+        ),
+    ];
+    let mesh = Mesh2D::new(3, 3);
+    for (name, c) in &fixtures {
+        let lift = MeshProgramLift::new(c.clone(), mesh.clone()).expect("binds");
+        let (centre, corner) = (mesh.node_at(1, 1), mesh.node_at(0, 0));
+        let both = vec![(EAST, VcId(0)), (WEST, VcId(0))];
+        assert_eq!(lift.relation(&FaultSet::new())(centre, None, corner), both, "{name}");
+        assert_lift_equals_brute_force(name, c, &mesh);
+    }
 }
