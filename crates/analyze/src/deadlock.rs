@@ -30,7 +30,7 @@ use crate::lints::{walk_cmds, walk_expr};
 use ftr_algos::rule_io::{self, CubeIo, DirSets, MeshIo, PortInfo, Ret, DECIDE_DIR, DECIDE_VC};
 use ftr_algos::vnet::Lane;
 pub use ftr_algos::vnet::MeshVcMode;
-use ftr_rules::ast::{Builtin, Expr, IndexedRef, Ref};
+use ftr_rules::ast::{Builtin, Expr, IndexedRef, Ref, Rule};
 use ftr_rules::compile::FeatureKind;
 use ftr_rules::value::{Type, Value};
 use ftr_rules::{CompiledProgram, InputMap, Machine, Program, RegFile, Result};
@@ -188,12 +188,12 @@ impl ReadClasses {
             .rulebases
             .iter()
             .map(|rb| {
-                let conclusion = |cmds| {
+                let conclusion = |r: &Rule| {
                     let mut read = 0;
-                    walk_cmds(cmds, &mut |e| read |= class(e));
+                    walk_cmds(&r.conclusion, &mut |e| read |= class(e));
                     read
                 };
-                rb.rules.iter().map(|r| conclusion(&r.conclusion)).collect()
+                rb.rules.iter().map(conclusion).collect()
             })
             .collect();
         ReadClasses { bases, rules }
