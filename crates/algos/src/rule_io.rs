@@ -19,12 +19,6 @@ use crate::vnet::{Lane, MeshVcMode};
 use ftr_rules::ast::{Program, RuleBase};
 use ftr_rules::{Domain, InputMap, RegFile, Result, RuleError, Type, Value};
 
-/// Cube rule base, step 1: returns the legal output dimensions.
-pub const DECIDE_DIR: &str = "decide_dir";
-/// Cube rule base, step 2: returns the channel class, leaves the output in `chosen`.
-pub const DECIDE_VC: &str = "decide_vc";
-/// Cube rule base taking one neighbour-state report.
-pub const UPDATE_STATE: &str = "update_state";
 /// Host event `send_newmessage(dim, code)`: report state `code` across `dim`.
 pub const SEND_NEWMESSAGE: &str = "send_newmessage";
 /// Mesh register: this node's x coordinate.
@@ -473,9 +467,6 @@ mod tests {
             assert_eq!(absent(io.slots()), Vec::<&str>::new());
             io.require_all(&prog).unwrap();
             io.fits(&prog, 4).unwrap();
-            for name in [DECIDE_DIR, DECIDE_VC, UPDATE_STATE] {
-                assert!(io.slots().iter().any(|s| s.0 == name), "{name}");
-            }
         }
         let four = parse(&rules_src::route_c_source(4)).unwrap();
         let err = CubeIo::bind(&four).unwrap().fits(&four, 5).unwrap_err().to_string();

@@ -27,7 +27,7 @@
 //! witness on failure.
 
 use crate::lints::{walk_cmds, walk_expr};
-use ftr_algos::rule_io::{self, CubeIo, DirSets, MeshIo, PortInfo, Ret, DECIDE_DIR, DECIDE_VC};
+use ftr_algos::rule_io::{self, CubeIo, DirSets, MeshIo, PortInfo, Ret};
 use ftr_algos::vnet::Lane;
 pub use ftr_algos::vnet::MeshVcMode;
 use ftr_rules::ast::{Builtin, Expr, IndexedRef, Ref, Rule};
@@ -393,10 +393,13 @@ pub struct CubeProgramLift {
     cube: Hypercube,
     prog: Program,
     io: CubeIo,
-    /// False for a program that does not declare the whole interface (the
-    /// stripped `route_c_nft`, any mesh program): it makes no cube
-    /// decision and lifts to the empty relation.
-    drives: bool,
+    /// The `decide_dir` and `decide_vc` bases `io` bound; `None` for a
+    /// program that does not declare the whole interface (the stripped
+    /// `route_c_nft`, any mesh program): it makes no cube decision and
+    /// lifts to the empty relation.
+    decide: Option<(usize, usize)>,
+    /// Fresh registers, copied into the machine before every fire.
+    regs: RegFile,
     machine: RefCell<Machine>,
     inputs: RefCell<InputMap>,
     #[allow(clippy::type_complexity)]
@@ -414,14 +417,15 @@ impl CubeProgramLift {
     pub fn new(compiled: CompiledProgram, cube: Hypercube) -> Result<Self> {
         let prog = compiled.prog.clone();
         let io = CubeIo::bind(&prog)?;
-        let drives = io.require_all(&prog).is_ok();
-        if drives {
+        let decide = io.require_all(&prog).ok().and(io.decide_dir.zip(io.decide_vc));
+        if decide.is_some() {
             io.fits(&prog, cube.dim())?;
         }
         Ok(CubeProgramLift {
             cube,
             io,
-            drives,
+            decide,
+            regs: RegFile::new(&prog),
             prog,
             machine: RefCell::new(Machine::from_compiled(compiled)),
             inputs: RefCell::new(InputMap::new()),
@@ -434,9 +438,9 @@ impl CubeProgramLift {
     /// query, across every free-channel pattern and queue-minimum
     /// position.
     fn raw_channels(&self, cur: NodeId, dst: NodeId, ok: u8) -> Vec<(u8, u8)> {
-        if !self.drives {
+        let Some((decide_dir, decide_vc)) = self.decide else {
             return Vec::new();
-        }
+        };
         let key = (cur.0, dst.0, ok);
         if let Some(hit) = self.memo.borrow().get(&key) {
             return hit.clone();
@@ -451,9 +455,9 @@ impl CubeProgramLift {
         // step 1: decide_dir is deterministic in the direction sets
         reset_to_defaults(&mut im, prog);
         self.io.load_dir(prog, &mut im, sets, |_| 0);
-        *machine.regs_mut() = RegFile::new(prog);
+        machine.regs_mut().clone_from(&self.regs);
         self.fired.set(self.fired.get() + 1);
-        let cands = match machine.fire_cascade(DECIDE_DIR, &[], &im).map(|c| c.last_return()) {
+        let cands = match machine.fire_base(decide_dir, &[], &im).map(|f| f.last_return) {
             Ok(Some(Value::Set { mask, .. })) => mask,
             _ => 0,
         };
@@ -464,10 +468,10 @@ impl CubeProgramLift {
             self.io.load_dir(prog, &mut im, sets, |d| if d == qmin { 0 } else { 9 });
             for fv in 0..rule_io::CUBE_VCS {
                 self.io.load_vc(prog, &mut im, sets, cands, |v| v == fv);
-                *machine.regs_mut() = RegFile::new(prog);
+                machine.regs_mut().clone_from(&self.regs);
                 self.fired.set(self.fired.get() + 1);
-                let Ok(casc) = machine.fire_cascade(DECIDE_VC, &[], &im) else { continue };
-                match self.io.channel(prog, machine.regs(), casc.last_return()) {
+                let Ok(fired) = machine.fire_base(decide_vc, &[], &im) else { continue };
+                match self.io.channel(prog, machine.regs(), fired.last_return) {
                     Some((port, vc)) if port < dim as usize && cands & (1 << port) != 0 => {
                         out.insert((port as u8, vc as u8));
                     }

@@ -7,7 +7,7 @@
 //!    started from INIT — same returns, same host events, same register
 //!    effects — and the emitted certificate must replay through the
 //!    independent checker.
-//! 2. **Backend contract** — the three rule-execution arms (reference
+//! 2. **Executor contract** — the three rule-execution arms (reference
 //!    evaluator, compiled table interpreter, direct-threaded bytecode VM)
 //!    must be trajectory-identical on the same program family, with the
 //!    bytecode arm additionally checked over E18-optimized tables.

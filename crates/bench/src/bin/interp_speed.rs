@@ -4,10 +4,9 @@
 //! interpreter which is able to outperform software solutions and offers
 //! more complex realizations than table-based methods." In software the
 //! analogous comparison is: compiled-table interpretation (premise
-//! features + one lookup) and its bytecode lowering vs naive sequential
-//! rule scanning (the reference evaluator, the "software solution"), with
-//! a raw precomputed table lookup and a native Rust implementation as the
-//! two bounds.
+//! features + one lookup) vs naive sequential rule scanning (the reference
+//! evaluator, the "software solution"), with a raw precomputed table
+//! lookup and a native Rust implementation as the two bounds.
 //!
 //! Each row is the median, over batches, of the mean time per decision
 //! in a batch; one register file serves a whole row. `--smoke` runs
@@ -43,7 +42,6 @@ fn main() {
 
     let prog = parse(rules_src::XY).unwrap();
     let compiled = compile(&prog, &CompileOptions::default()).unwrap();
-    let vm = ftr_rules::VmProgram::lower(&compiled).unwrap();
     let base = &compiled.bases[0];
     let mut regs = RegFile::new(&prog);
     // node (2, 3)
@@ -67,11 +65,6 @@ fn main() {
     let table = median_ns(batches, iters, |i| {
         black_box(base.fire(&prog, &[], &mut r, input(i)).unwrap());
     });
-    let mut r = regs.clone();
-    let mut scratch = ftr_rules::vm::Scratch::new();
-    let bytecode = median_ns(batches, iters, |i| {
-        black_box(vm.bases[0].fire(&prog, &[], &mut r, input(i), &mut scratch).unwrap());
-    });
     let mut r = regs;
     let scan = median_ns(batches, iters, |i| {
         black_box(fire_reference(&prog, 0, &[], &mut r, input(i)).unwrap());
@@ -91,7 +84,6 @@ fn main() {
     println!("{:<36} {:>12}", "path", "ns/decision");
     for (path, ns) in [
         ("compiled table interpreter", table),
-        ("direct-threaded bytecode", bytecode),
         ("sequential rule scan (reference)", scan),
         ("raw table lookup", lookup),
         ("native Rust XY", native),

@@ -5,12 +5,16 @@
 //! Host and lift ask one allocator (`ftr_algos::vnet`) and present through
 //! one function (`MeshIo::present`), so this holds by construction; the
 //! test is what notices if either is ever given a second path.
+//!
+//! The cube host has no such shared path: its `relation` is a hand copy of
+//! what `route_c.rules` decides, and the second test pins where the two
+//! part.
 
-use ftr_analyze::MeshProgramLift;
-use ftr_core::{registry, RuleRouter};
+use ftr_analyze::{CubeProgramLift, MeshProgramLift};
+use ftr_core::{configure, registry, CubeRuleRouter, RuleRouter};
 use ftr_obs::{EventKind, RingSink};
-use ftr_sim::{Network, Pattern, TrafficSource};
-use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, EAST, NORTH};
+use ftr_sim::{Header, MessageId, Network, Pattern, TrafficSource};
+use ftr_topo::{Hypercube, Mesh2D, NodeId, PortId, Topology, VcId, EAST, NORTH};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -71,4 +75,61 @@ fn every_channel_the_rule_host_grants_is_in_the_lifted_relation() {
         }
     }
     assert!(granted > 3_000, "only {granted} grants checked");
+}
+
+#[test]
+fn the_cube_hosts_hand_relation_differs_from_the_lift_in_one_shape_only() {
+    // Every (cur, dst) of the 4-cube, fault-free and under each single
+    // dead link. Where the host's `relation` and the lifted program part,
+    // the ports agree and the class does not: with every increasing
+    // dimension dead, `decide_dir` falls through to `diffdown`, while
+    // `CubeIo::load_vc` still derives `phase = (up == 0) = 0`, so the
+    // program takes the decreasing hop on class 0 and the hand copy on
+    // class 1. Fixing either side changes behaviour (ROADMAP item 1).
+    let cube = Hypercube::new(4);
+    let src = ftr_algos::rules_src::route_c_source(4);
+    let cfg = configure("route_c", &src).unwrap();
+    let lift = CubeProgramLift::new((*cfg.compiled).clone(), cube.clone()).expect("binds");
+    let router = CubeRuleRouter::new(cfg, cube.clone());
+    let links: Vec<(NodeId, PortId)> = cube
+        .nodes()
+        .flat_map(|n| cube.ports().map(move |p| (n, p)))
+        .filter(|&(n, p)| cube.neighbor(n, p).is_some_and(|nb| n.idx() < nb.idx()))
+        .collect();
+    assert_eq!(links.len(), 32);
+
+    let (mut pairs, mut differ) = (0, 0);
+    for dead in std::iter::once(None).chain(links.into_iter().map(Some)) {
+        let mut net = Network::builder(Arc::new(cube.clone())).build(&router).expect("valid");
+        if let Some((n, p)) = dead {
+            net.inject_link_fault(n, p);
+        }
+        net.settle_control(10_000).expect("settles");
+        let faults = net.faults().clone();
+        let lifted = lift.relation(&faults);
+        for cur in cube.nodes() {
+            for dst in cube.nodes().filter(|&d| d != cur) {
+                let h = Header::new(MessageId(0), cur, dst, 1);
+                let mut host = net.query_relation(cur, &h, None, VcId(0));
+                let mut program = lifted(cur, None, dst);
+                host.sort();
+                program.sort();
+                pairs += 1;
+                if host == program {
+                    continue;
+                }
+                differ += 1;
+                let on_class_1: Vec<_> = program.iter().map(|&(p, _)| (p, VcId(1))).collect();
+                let up = cube.diff(cur, dst) & !cur.0;
+                let up_dead = (0..4u8)
+                    .all(|d| up & 1 << d == 0 || !faults.link_usable(&cube, cur, PortId(d)));
+                assert!(
+                    program.iter().all(|c| c.1 == VcId(0)) && host == on_class_1,
+                    "{dead:?} {cur:?}->{dst:?}: host {host:?}, program {program:?}"
+                );
+                assert!(up != 0 && up_dead, "{dead:?} {cur:?}->{dst:?}: an increasing link lives");
+            }
+        }
+    }
+    assert_eq!((pairs, differ), (7_920, 76));
 }

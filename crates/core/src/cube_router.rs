@@ -317,6 +317,54 @@ mod tests {
         assert!(net.stats.delivered_msgs > 200);
     }
 
+    /// Many-to-one traffic at node 0 across its dead link 0#0: `rounds`
+    /// rounds of one `len`-flit worm from each source, five cycles apart,
+    /// then a drain. Returns (delivered, sent, deadlock).
+    fn hot_spot_on_dead_link(
+        algo: &dyn ftr_sim::RoutingAlgorithm,
+        sources: &[u32],
+        len: u32,
+    ) -> (u64, u64, bool) {
+        let mut net = Network::builder(Arc::new(Hypercube::new(4))).build(algo).expect("valid");
+        net.inject_link_fault(NodeId(0), PortId(0));
+        net.settle_control(10_000).expect("settles");
+        for _ in 0..200 {
+            for &s in sources {
+                net.send(NodeId(s), NodeId(0), len).unwrap();
+            }
+            for _ in 0..5 {
+                net.step();
+            }
+        }
+        net.drain(400_000);
+        (net.stats.delivered_msgs, 200 * sources.len() as u64, net.stats.deadlock)
+    }
+
+    #[test]
+    fn rule_driven_route_c_deadlocks_on_one_dead_link_where_native_drains() {
+        // Pins today's verdict, not the wanted one: the rule host deadlocks
+        // on this schedule and native ROUTE_C does not. Fixing the rule arm
+        // (ROADMAP item 1(a)) flips the first two rows to full delivery.
+        let cube = Hypercube::new(4);
+        let rules =
+            CubeRuleRouter::new(configure("route_c", &route_c_source(4)).unwrap(), cube.clone());
+        let native = ftr_algos::RouteC::new(cube);
+        let odd: Vec<u32> = (1..16).step_by(2).collect();
+        for (sources, len, rule_arm) in [
+            (&[1, 3, 5, 9][..], 16, (499, 800, true)),
+            (&odd[..], 32, (1_446, 1_600, true)),
+            (&[1, 3, 5, 9][..], 4, (800, 800, false)),
+        ] {
+            assert_eq!(
+                hot_spot_on_dead_link(&rules, sources, len),
+                rule_arm,
+                "{sources:?} x {len}"
+            );
+            let (delivered, sent, deadlock) = hot_spot_on_dead_link(&native, sources, len);
+            assert_eq!((delivered, deadlock), (sent, false), "native {sources:?} x {len}");
+        }
+    }
+
     #[test]
     #[should_panic(
         expected = "rule program `route_c_nft`: resolve error: the program does not declare `okdirs`"

@@ -30,8 +30,8 @@ pub use report::HardwareReport;
 pub use rule_router::RuleRouter;
 
 use ftr_rules::{
-    compile, cost, Backend, CompileOptions, CompiledProgram, InterpProbe, Machine, ProgramCost,
-    Result, StepWeights, VmProgram,
+    compile, cost, CompileOptions, CompiledProgram, InterpProbe, Machine, ProgramCost, Result,
+    StepWeights,
 };
 use ftr_sim::routing::{Decision, Verdict};
 use std::sync::Arc;
@@ -55,21 +55,14 @@ pub struct RouterConfiguration {
     /// True when `compiled` came out of the certified optimizer rather
     /// than straight from source.
     pub optimized: bool,
-    /// Which rule-execution backend node machines run on: the table
-    /// interpreter unless [`RouterConfiguration::with_backend`] picks
-    /// another.
-    pub backend: Backend,
-    /// The lowered bytecode, shared by every node machine when `backend`
-    /// is [`Backend::Bytecode`] (lowered once per configuration, not per
-    /// node).
-    pub bytecode: Option<Arc<VmProgram>>,
 }
 
 impl RouterConfiguration {
     /// Builds a configuration from an already-compiled program — the
     /// entry point for programs rewritten by the certified optimizer
     /// (`ftr_analyze::opt::optimize_rulebase`), whose output is a
-    /// standard [`CompiledProgram`].
+    /// standard [`CompiledProgram`]. It cannot fail; the `Result` stays
+    /// for the callers that map its error.
     pub fn from_compiled(name: &str, compiled: impl Into<Arc<CompiledProgram>>) -> Result<Self> {
         let compiled = compiled.into();
         let cost = cost::analyze_compiled(&compiled);
@@ -79,8 +72,6 @@ impl RouterConfiguration {
             cost,
             step_weights: None,
             optimized: false,
-            backend: Backend::Table,
-            bytecode: None,
         })
     }
 
@@ -93,21 +84,8 @@ impl RouterConfiguration {
         self
     }
 
-    /// Selects the rule-execution backend. [`Backend::Bytecode`] lowers
-    /// the compiled program once here; every node machine then shares the
-    /// lowered [`VmProgram`]. Lowering validates the code, so a
-    /// configuration carrying bytecode is known-loadable.
-    pub fn with_backend(mut self, backend: Backend) -> Result<Self> {
-        self.backend = backend;
-        self.bytecode = match backend {
-            Backend::Table => None,
-            Backend::Bytecode => Some(Arc::new(VmProgram::lower(&self.compiled)?)),
-        };
-        Ok(self)
-    }
-
-    /// One node's rule machine: this configuration's program on its
-    /// backend, with its step weights and, if given, a per-stage probe.
+    /// One node's rule machine: this configuration's program with its
+    /// step weights and, if given, a per-stage probe.
     pub fn machine(&self, probe: Option<&Arc<dyn InterpProbe>>) -> Machine {
         let mut machine = Machine::from_compiled(Arc::clone(&self.compiled));
         if let Some(probe) = probe {
@@ -115,11 +93,6 @@ impl RouterConfiguration {
         }
         if let Some(w) = &self.step_weights {
             machine.set_step_weights(Arc::clone(w));
-        }
-        if let Some(vm) = &self.bytecode {
-            machine
-                .set_bytecode(Arc::clone(vm))
-                .expect("bytecode was validated when the configuration was built");
         }
         machine
     }

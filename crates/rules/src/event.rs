@@ -22,7 +22,6 @@ use crate::frame::Frame;
 use crate::interp::CompiledProgram;
 use crate::probe::InterpProbe;
 use crate::value::Value;
-use crate::vm::{Backend, VmProgram};
 use std::sync::Arc;
 
 /// Execution statistics of a machine.
@@ -48,7 +47,7 @@ pub struct MachineStats {
 /// `StepWeights` records how many original interpretations each rule of
 /// the rewritten program stands for; the machine's dispatch loop adds
 /// the weight instead of 1, so `MachineStats::last_fire_steps` and
-/// [`CascadeOutcome::steps`] remain bit-identical to the original while
+/// [`Fired::steps`] remain bit-identical to the original while
 /// `MachineStats::per_base` keeps counting *physical* interpretations.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StepWeights {
@@ -74,25 +73,6 @@ impl StepWeights {
             None => ws.len().saturating_sub(1),
         };
         ws.get(slot).copied().unwrap_or(1)
-    }
-}
-
-/// Everything a cascaded fire produced, owned: what the name-keyed
-/// [`Machine::fire_cascade`] returns.
-#[derive(Clone, Debug, Default)]
-pub struct CascadeOutcome {
-    /// Per-base outcomes, in firing order.
-    pub outcomes: Vec<FireOutcome>,
-    /// Events that escaped to the host.
-    pub host_events: Vec<EventInstance>,
-    /// Total rule interpretations of the cascade.
-    pub steps: u32,
-}
-
-impl CascadeOutcome {
-    /// The value of the last `RETURN` executed anywhere in the cascade.
-    pub fn last_return(&self) -> Option<Value> {
-        self.outcomes.iter().rev().find_map(|o| o.returned)
     }
 }
 
@@ -130,9 +110,6 @@ pub struct Machine {
     path: Vec<(usize, Option<usize>)>,
     probe: Option<Arc<dyn InterpProbe>>,
     step_weights: Option<Arc<StepWeights>>,
-    /// When set, rule bases execute on the bytecode VM instead of the
-    /// table interpreter.
-    vm: Option<Arc<VmProgram>>,
     /// Safety budget per external fire: livelock guard for cyclic event
     /// generation.
     pub max_internal_events: u32,
@@ -163,42 +140,8 @@ impl Machine {
             path: Vec::new(),
             probe: None,
             step_weights: None,
-            vm: None,
             max_internal_events: 10_000,
             stats: MachineStats { per_base: vec![0; n], ..Default::default() },
-        }
-    }
-
-    /// Selects the rule-execution backend. `Backend::Bytecode` lowers the
-    /// compiled program on the spot; use [`Machine::set_bytecode`] to share
-    /// one lowered program across machines.
-    pub fn set_backend(&mut self, backend: Backend) -> Result<()> {
-        match backend {
-            Backend::Table => {
-                self.vm = None;
-                Ok(())
-            }
-            Backend::Bytecode => {
-                let vm = VmProgram::lower(&self.compiled)?;
-                self.set_bytecode(Arc::new(vm))
-            }
-        }
-    }
-
-    /// Installs a pre-lowered bytecode program (validated against this
-    /// machine's compiled program before it is accepted).
-    pub fn set_bytecode(&mut self, vm: Arc<VmProgram>) -> Result<()> {
-        vm.validate(&self.compiled)?;
-        self.vm = Some(vm);
-        Ok(())
-    }
-
-    /// The backend this machine currently executes on.
-    pub fn backend(&self) -> Backend {
-        if self.vm.is_some() {
-            Backend::Bytecode
-        } else {
-            Backend::Table
         }
     }
 
@@ -233,46 +176,30 @@ impl Machine {
 
     /// Fires external event `event(args)`, then drains all internally
     /// generated events. Returns the outcome of the *directly fired* base
-    /// plus every event that escaped to the host.
+    /// plus every event that escaped to the host. The name is looked up
+    /// and everything returned is owned; a host on the cycle path binds
+    /// the index once and calls [`Machine::fire_base`].
     pub fn fire(
         &mut self,
         event: &str,
         args: &[Value],
         inputs: &InputMap,
     ) -> Result<(FireOutcome, Vec<EventInstance>)> {
-        let casc = self.fire_cascade(event, args, inputs)?;
-        let direct = casc.outcomes.into_iter().next().unwrap_or_default();
-        Ok((direct, casc.host_events))
-    }
-
-    /// Like [`Machine::fire`], but returns every rule-base outcome of the
-    /// cascade in firing order — a multi-step routing decision (e.g.
-    /// NAFTA's `incoming_message` → `in_message_ft` → `test_exception`)
-    /// delivers its verdict from the *last* base that returned a value.
-    /// The name is looked up and everything returned is owned; a host on
-    /// the cycle path binds the index once and calls
-    /// [`Machine::fire_base`].
-    pub fn fire_cascade(
-        &mut self,
-        event: &str,
-        args: &[Value],
-        inputs: &InputMap,
-    ) -> Result<CascadeOutcome> {
         let Some((base, _)) = self.compiled.prog.rulebase(event) else {
             // an event without a rule base is the host's
             self.stats.last_fire_steps = 0;
             let escaped = EventInstance { event: event.to_string(), args: args.to_vec() };
-            return Ok(CascadeOutcome { host_events: vec![escaped], ..Default::default() });
+            return Ok((FireOutcome::default(), vec![escaped]));
         };
-        let mut outcomes = Vec::new();
-        let fired = self.cascade(base, args, inputs, |prog, rule, frame| {
-            outcomes.push(frame.outcome(prog, rule))
+        let mut direct = None;
+        self.cascade(base, args, inputs, |prog, rule, frame| {
+            direct.get_or_insert_with(|| frame.outcome(prog, rule));
         })?;
         let host_events = self
             .host_events()
             .map(|(event, args)| EventInstance { event: event.to_string(), args: args.to_vec() })
             .collect();
-        Ok(CascadeOutcome { outcomes, host_events, steps: fired.steps })
+        Ok((direct.unwrap_or_default(), host_events))
     }
 
     /// Fires rule base `base` (index into `Program::rulebases`) with
@@ -328,11 +255,8 @@ impl Machine {
             }
             next += 1;
             stats.per_base[base] += 1;
-            let params = &arena[at];
-            let rule = match &self.vm {
-                Some(vm) => vm.bases[base].fire_in(prog, params, regs, inputs, frame, probe)?,
-                None => compiled.bases[base].fire_in(prog, params, regs, inputs, frame, probe)?,
-            };
+            let rule =
+                compiled.bases[base].fire_in(prog, &arena[at], regs, inputs, frame, probe)?;
             path.push((base, rule));
             // modeled steps: a fused rule counts as every interpretation it
             // replaced, so step-derived quantities match the original program
@@ -358,6 +282,8 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use crate::probe::Stage;
+    use std::sync::Mutex;
 
     fn int(v: i64) -> Value {
         Value::Int(v)
@@ -432,10 +358,44 @@ mod tests {
         let mut w = StepWeights::identity(m.program());
         w.per_base[0] = vec![3, 1, 2]; // rule0→3, rule1→1, gap→2
         m.set_step_weights(Arc::new(w));
-        let casc = m.fire_cascade("a", &[], &InputMap::new()).unwrap();
-        assert_eq!(casc.steps, 3, "rule 0 fired with weight 3");
+        let fired = m.fire_base(0, &[], &InputMap::new()).unwrap();
+        assert_eq!(fired.steps, 3, "rule 0 fired with weight 3");
         assert_eq!(m.stats.total_steps, 3);
         assert_eq!(m.stats.per_base[0], 1, "physical count unscaled");
+    }
+
+    #[test]
+    fn probe_sees_every_stage_under_non_uniform_step_weights() {
+        // weights scale the modeled steps only: the probe still records
+        // three stages per physical interpretation
+        #[derive(Default)]
+        struct Recorder(Mutex<Vec<(usize, Stage)>>);
+        impl InterpProbe for Recorder {
+            fn record_stage(&self, base: usize, stage: Stage, _nanos: u64) {
+                self.0.lock().unwrap().push((base, stage));
+            }
+        }
+
+        let p = parse(
+            "VARIABLE n IN 0 TO 7 INIT 0\n\
+             ON a()\n IF n < 3 THEN n <- n + 1, !a();\n IF n = 3 THEN !done(n);\nEND a;",
+        )
+        .unwrap();
+        let mut m = Machine::new(p, &CompileOptions::default()).unwrap();
+        let mut w = StepWeights::identity(m.program());
+        w.per_base[0] = vec![3, 5, 2]; // rule 0, rule 1, gap
+        m.set_step_weights(Arc::new(w));
+        let rec = Arc::new(Recorder::default());
+        m.set_probe(rec.clone());
+        let fired = m.fire_base(0, &[], &InputMap::new()).unwrap();
+        // 3 fires of rule 0 (weight 3) + 1 fire of rule 1 (weight 5)
+        assert_eq!(fired.steps, 14, "weighted cascade steps");
+        assert_eq!(m.stats.total_steps, 14);
+        assert_eq!(m.stats.per_base, vec![4], "per_base counts physical interpretations");
+        let seen = rec.0.lock().unwrap().clone();
+        assert_eq!(seen.len(), 12, "three stages per dispatched fire");
+        let stages = [(0, Stage::Premise), (0, Stage::Kernel), (0, Stage::Conclusion)];
+        assert!(seen.chunks(3).all(|c| c == stages), "{seen:?}");
     }
 
     #[test]

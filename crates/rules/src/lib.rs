@@ -43,4 +43,4 @@ pub use interp::{CompiledProgram, CompiledRuleBase};
 pub use parser::parse;
 pub use probe::{InterpProbe, Stage};
 pub use value::{Domain, Type, Value};
-pub use vm::{Backend, VmProgram};
+pub use vm::VmProgram;

@@ -4,11 +4,7 @@
 //! table interpreter: the premise block accumulates the mixed-radix table
 //! index, the kernel is one jump-table lookup, and the selected conclusion
 //! block queues effects into the [`Frame`] the table interpreter queues
-//! into, which commits them with the parallel-write semantics. The probe
-//! sees the exact `(base, stage)` sequence the table interpreter reports —
-//! including the error cases (premise error: nothing recorded; kernel
-//! error: Premise only; conclusion error: all three stages recorded before
-//! the error returns).
+//! into, which commits them with the parallel-write semantics.
 
 use super::{BaseCode, Op, Slot, SlotRange};
 use crate::ast::Program;
@@ -17,7 +13,6 @@ use crate::error::{Result, RuleError};
 use crate::eval::{absent, apply_bin, apply_builtin, FireOutcome, Members};
 use crate::frame::Frame;
 use crate::interp::not_a_digit;
-use crate::probe::{InterpProbe, Stage, StageClock};
 use crate::value::Value;
 
 #[cold]
@@ -137,36 +132,6 @@ impl Exec<'_> {
 }
 
 impl BaseCode {
-    /// Kernel stage: one table lookup, checked like
-    /// [`crate::interp::CompiledRuleBase::entry`].
-    fn kernel(&self, idx: u64) -> Result<u32> {
-        self.jump_table.get(idx as usize).copied().ok_or_else(|| {
-            RuleError::eval(format!(
-                "corrupt rule table: index {idx} outside {} entries",
-                self.jump_table.len()
-            ))
-        })
-    }
-
-    fn conclude(
-        &self,
-        prog: &Program,
-        params: &[Value],
-        regs: &mut RegFile,
-        inputs: &InputMap,
-        frame: &mut Frame,
-        target: u32,
-    ) -> Result<Option<usize>> {
-        let halt = Exec { prog, code: self, params, regs, inputs, sc: frame }.run(target)?;
-        match halt {
-            Halt::Done(None) => Ok(None),
-            Halt::Done(Some(rule)) => frame.commit(prog, regs).map(|()| Some(rule as usize)),
-            Halt::AtDispatch(_) => {
-                Err(RuleError::eval("bytecode re-entered dispatch in a conclusion".to_string()))
-            }
-        }
-    }
-
     /// One full interpretation: premise block, kernel jump, conclusion
     /// block, commit. Behaviour (outcome, register effects, error-ness)
     /// matches [`crate::interp::CompiledRuleBase::fire`] exactly.
@@ -178,59 +143,39 @@ impl BaseCode {
         inputs: &InputMap,
         scratch: &mut Frame,
     ) -> Result<FireOutcome> {
-        let rule = self.fire_in(prog, params, regs, inputs, scratch, None)?;
-        Ok(scratch.outcome(prog, rule))
-    }
-
-    /// Like [`BaseCode::fire`], but reports per-stage wall-clock cost to
-    /// `probe` with the same record points as the table interpreter's
-    /// `fire_probed`.
-    pub fn fire_probed(
-        &self,
-        prog: &Program,
-        params: &[Value],
-        regs: &mut RegFile,
-        inputs: &InputMap,
-        scratch: &mut Frame,
-        probe: &dyn InterpProbe,
-    ) -> Result<FireOutcome> {
-        let rule = self.fire_in(prog, params, regs, inputs, scratch, Some(probe))?;
-        Ok(scratch.outcome(prog, rule))
-    }
-
-    /// The bytecode counterpart of
-    /// [`crate::interp::CompiledRuleBase::fire_in`].
-    pub(crate) fn fire_in(
-        &self,
-        prog: &Program,
-        params: &[Value],
-        regs: &mut RegFile,
-        inputs: &InputMap,
-        frame: &mut Frame,
-        probe: Option<&dyn InterpProbe>,
-    ) -> Result<Option<usize>> {
-        let mut clock = StageClock::start(self.rb, probe);
-        frame.begin();
+        scratch.begin();
         // The lowering only ever emits def-before-use slot accesses (every
         // op writes its `dst` before any later op reads it, on every
         // control-flow path — including entry into a conclusion block via
         // the kernel jump), so values left over from the previous fire are
         // unobservable and the buffers are grown, not cleared.
-        if frame.slots.len() < self.slot_count as usize {
-            frame.slots.resize(self.slot_count as usize, Value::Bool(false));
+        if scratch.slots.len() < self.slot_count as usize {
+            scratch.slots.resize(self.slot_count as usize, Value::Bool(false));
         }
-        if frame.iters.len() < self.iter_count as usize {
-            frame.iters.resize(self.iter_count as usize, Members::NONE);
+        if scratch.iters.len() < self.iter_count as usize {
+            scratch.iters.resize(self.iter_count as usize, Members::NONE);
         }
-        let halt = Exec { prog, code: self, params, regs, inputs, sc: frame }.run(0)?;
+        let halt = Exec { prog, code: self, params, regs, inputs, sc: scratch }.run(0)?;
         let Halt::AtDispatch(idx) = halt else {
             return Err(RuleError::eval("bytecode premise block did not dispatch".to_string()));
         };
-        clock.lap(Stage::Premise);
-        let target = self.kernel(idx)?;
-        clock.lap(Stage::Kernel);
-        let done = self.conclude(prog, params, regs, inputs, frame, target);
-        clock.lap(Stage::Conclusion);
-        done
+        // kernel stage: one table lookup, checked like `CompiledRuleBase::entry`
+        let target = self.jump_table.get(idx as usize).copied().ok_or_else(|| {
+            let n = self.jump_table.len();
+            RuleError::eval(format!("corrupt rule table: index {idx} outside {n} entries"))
+        })?;
+        let halt = Exec { prog, code: self, params, regs, inputs, sc: scratch }.run(target)?;
+        let rule = match halt {
+            Halt::Done(rule) => rule.map(usize::from),
+            Halt::AtDispatch(_) => {
+                return Err(RuleError::eval(
+                    "bytecode re-entered dispatch in a conclusion".to_string(),
+                ))
+            }
+        };
+        if rule.is_some() {
+            scratch.commit(prog, regs)?;
+        }
+        Ok(scratch.outcome(prog, rule))
     }
 }

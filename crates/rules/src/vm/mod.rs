@@ -1,16 +1,11 @@
-//! ftr-vm — a direct-threaded bytecode backend for compiled rule programs.
+//! ftr-vm — a direct-threaded bytecode lowering of compiled rule programs.
 //!
 //! The ARON table interpreter ([`crate::interp`]) re-walks the feature ASTs
 //! on every interpretation. This module lowers a [`CompiledProgram`] once
 //! into flat, register-indexed bytecode and executes it with a dispatch
 //! loop, eliminating the per-fire AST traversal while preserving the
-//! interpreter's observable behaviour **exactly**:
+//! interpreter's outcomes and register effects **exactly**:
 //!
-//! * the three-stage cost contract — [`crate::probe::InterpProbe`] sees the
-//!   same `(base, stage)` record sequence (Premise → Kernel → Conclusion)
-//!   per interpretation, and [`crate::event::MachineStats`] /
-//!   `StepWeights` scaling are untouched because the [`crate::event::Machine`]
-//!   dispatch layer is shared;
 //! * rule selection — the lowered **cascade jump table** is derived from
 //!   the filled ARON table with the same checked entry decode, but stores
 //!   *code offsets* instead of rule indices (the direct-threaded part):
@@ -33,6 +28,10 @@
 //! slot/iter indices, variable/input/event/rule references and builtin
 //! arities are all range-checked against the program, so malformed or
 //! corrupted code is rejected before it can execute.
+//!
+//! No router runs this code: a [`crate::event::Machine`] executes the
+//! table. The cost ledger (`benchmark/`) still lowers every shipped
+//! program and times one fire of the lowered XY base.
 
 mod exec;
 mod lower;
@@ -43,16 +42,6 @@ use crate::ast::{BinOp, Builtin, Program};
 use crate::error::{Result, RuleError};
 use crate::interp::CompiledProgram;
 use crate::value::{Domain, Value};
-
-/// Which rule-execution backend a machine/router uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// The ARON table interpreter (the reference hardware model).
-    #[default]
-    Table,
-    /// The lowered direct-threaded bytecode VM.
-    Bytecode,
-}
 
 /// Index of a value slot in the per-fire scratch frame.
 pub type Slot = u16;
@@ -465,10 +454,7 @@ mod tests {
     use super::*;
     use crate::compile::{compile, CompileOptions};
     use crate::env::{InputMap, RegFile};
-    use crate::event::{Machine, StepWeights};
     use crate::parser::parse;
-    use crate::probe::{InterpProbe, Stage};
-    use std::sync::{Arc, Mutex};
 
     fn int(v: i64) -> Value {
         Value::Int(v)
@@ -557,37 +543,6 @@ END update_state;
         assert_eq!(t, b, "FORALL emissions must match in content and order");
         assert_eq!(t.emitted.len(), 6);
         assert_eq!(regs_a, regs_b);
-    }
-
-    #[test]
-    fn probe_sequence_and_outcome_parity() {
-        #[derive(Default)]
-        struct Recorder(Mutex<Vec<(usize, Stage)>>);
-        impl InterpProbe for Recorder {
-            fn record_stage(&self, base: usize, stage: Stage, _nanos: u64) {
-                self.0.lock().unwrap().push((base, stage));
-            }
-        }
-
-        let p = parse(SRC).unwrap();
-        let c = compile(&p, &CompileOptions::default()).unwrap();
-        let vm = VmProgram::lower(&c).unwrap();
-        let mut sc = Scratch::new();
-        let mut inp = InputMap::new();
-        inp.set_default(&p, "level", int(7)).unwrap();
-
-        let rec_t = Recorder::default();
-        let rec_b = Recorder::default();
-        let mut regs_a = RegFile::new(&p);
-        let mut regs_b = regs_a.clone();
-        let t = c.bases[0].fire_probed(&p, &[int(1)], &mut regs_a, &inp, &rec_t).unwrap();
-        let b = vm.bases[0].fire_probed(&p, &[int(1)], &mut regs_b, &inp, &mut sc, &rec_b).unwrap();
-        assert_eq!(t, b);
-        assert_eq!(regs_a, regs_b);
-        let seen_t = rec_t.0.lock().unwrap().clone();
-        let seen_b = rec_b.0.lock().unwrap().clone();
-        assert_eq!(seen_t, seen_b, "stage record sequences must be identical");
-        assert_eq!(seen_b, vec![(0, Stage::Premise), (0, Stage::Kernel), (0, Stage::Conclusion)]);
     }
 
     #[test]
@@ -683,61 +638,5 @@ END update_state;
 
         // the untouched program still validates
         assert!(good.validate(&c).is_ok());
-    }
-
-    #[test]
-    fn machine_backend_selection_preserves_cascades_and_stats() {
-        let src = "VARIABLE n IN 0 TO 7 INIT 0\n\
-             ON a()\n IF n < 3 THEN n <- n + 1, !a();\n IF n = 3 THEN !done(n);\nEND a;";
-        let run = |backend: Backend| {
-            let p = parse(src).unwrap();
-            let mut m = Machine::new(p, &CompileOptions::default()).unwrap();
-            m.set_backend(backend).unwrap();
-            assert_eq!(m.backend(), backend);
-            let casc = m.fire_cascade("a", &[], &InputMap::new()).unwrap();
-            (casc.outcomes, casc.host_events, casc.steps, m.stats.clone())
-        };
-        let table = run(Backend::Table);
-        let bytecode = run(Backend::Bytecode);
-        assert_eq!(table, bytecode, "cascade outcomes and stats must be bit-identical");
-        assert_eq!(bytecode.1.len(), 1, "host event from the cascade");
-    }
-
-    #[test]
-    fn probe_and_step_weights_compose_identically_on_both_backends() {
-        // The modeled-cost contract under *both* hooks at once: with a
-        // probe attached and non-uniform `StepWeights` installed, the
-        // bytecode machine must report the same stage-record sequence and
-        // the same weighted step counts as the table machine.
-        #[derive(Default)]
-        struct Recorder(Mutex<Vec<(usize, Stage)>>);
-        impl InterpProbe for Recorder {
-            fn record_stage(&self, base: usize, stage: Stage, _nanos: u64) {
-                self.0.lock().unwrap().push((base, stage));
-            }
-        }
-
-        let src = "VARIABLE n IN 0 TO 7 INIT 0\n\
-             ON a()\n IF n < 3 THEN n <- n + 1, !a();\n IF n = 3 THEN !done(n);\nEND a;";
-        let run = |backend: Backend| {
-            let p = parse(src).unwrap();
-            let mut m = Machine::new(p, &CompileOptions::default()).unwrap();
-            m.set_backend(backend).unwrap();
-            let mut w = StepWeights::identity(m.program());
-            w.per_base[0] = vec![3, 5, 2]; // rule 0, rule 1, gap
-            m.set_step_weights(Arc::new(w));
-            let rec = Arc::new(Recorder::default());
-            m.set_probe(rec.clone());
-            let casc = m.fire_cascade("a", &[], &InputMap::new()).unwrap();
-            let seen = rec.0.lock().unwrap().clone();
-            (casc.steps, m.stats.total_steps, m.stats.per_base.clone(), seen)
-        };
-        let table = run(Backend::Table);
-        let bytecode = run(Backend::Bytecode);
-        assert_eq!(table, bytecode, "probe records and weighted steps must match");
-        // 3 fires of rule 0 (weight 3) + 1 fire of rule 1 (weight 5)
-        assert_eq!(bytecode.0, 14, "weighted cascade steps");
-        assert_eq!(bytecode.2, vec![4], "per_base counts physical interpretations");
-        assert_eq!(bytecode.3.len(), 12, "three stages per dispatched fire");
     }
 }
