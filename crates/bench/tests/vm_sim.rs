@@ -1,25 +1,28 @@
-//! Sim-level acceptance of the bytecode VM backend: on live traffic the
-//! bytecode arm must be observationally indistinguishable from the table
-//! interpreter — bit-identical `SimStats` (deliveries, kills, retries,
-//! latencies, and the modeled `decision_steps`) *and* bit-identical trace
-//! streams — across the rule-program algo suite:
-//!
-//! * NAFTA on the full E15 campaign matrix (6x6 mesh, transient link
-//!   faults with repair, source retransmission), traced;
-//! * NAFTA through the E18 optimizer with its `StepWeights` installed,
-//!   so weight scaling composes with the bytecode backend;
-//! * the mesh suite (xy, west_first, nafta, naive_adaptive) on a replayed
-//!   injection schedule;
-//! * rule-driven ROUTE_C on a hypercube with a node fault.
+//! Sim-level acceptance of the bytecode lowering under the optimizer: no
+//! router executes bytecode, so a test host drives it. The host mirrors
+//! `RuleRouter`'s consult (same lane, same `MeshIo::present`, same verdict
+//! decoding) but answers from the optimized NAFTA program lowered to
+//! bytecode, cascading its internal events and counting steps through the
+//! optimizer's `StepWeights`. Every consult also fires the optimized
+//! table machine on the same inputs and checks that both agree on the
+//! return, the modeled steps and the registers. On an E15 campaign cell
+//! (6x6 mesh, transient link faults with repair, source retransmission)
+//! the bytecode-driven run must match the plain table `RuleRouter` run
+//! bit for bit: `SimStats` (including `decision_steps`) and trace stream.
 
+use ftr_algos::rule_io::{self, MeshIo, PortInfo, Ret};
+use ftr_algos::vnet::MeshVcMode;
 use ftr_analyze::{opt, TopoFacts};
-use ftr_core::{configure, CubeRuleRouter, RouterConfiguration, RuleRouter};
+use ftr_core::{configure, RouterConfiguration, RuleRouter};
 use ftr_obs::{TraceEvent, TraceSink};
-use ftr_rules::Backend;
+use ftr_rules::vm::Scratch;
+use ftr_rules::{CompiledProgram, Fired, InputMap, Machine, RegFile, StepWeights, VmProgram};
+use ftr_sim::flit::Header;
+use ftr_sim::routing::{Decision, NodeController, RouterView, Verdict};
 use ftr_sim::{
     FaultPlan, Network, Pattern, RetryPolicy, RoutingAlgorithm, SimStats, TrafficSource,
 };
-use ftr_topo::{Hypercube, Mesh2D, NodeId};
+use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId};
 use std::sync::{Arc, Mutex};
 
 const SIDE: u32 = 6;
@@ -29,21 +32,8 @@ const LOAD: f64 = 0.15;
 
 /// Order-sensitive digest of the trace stream: every event folds its
 /// debug rendering into an FNV-1a accumulator, so two runs compare whole
-/// streams without buffering them (a campaign run emits far too many
-/// events to retain).
+/// streams without buffering them.
 struct DigestSink(Mutex<(u64, u64)>); // (fnv-1a hash, event count)
-
-impl Default for DigestSink {
-    fn default() -> Self {
-        DigestSink(Mutex::new((0xcbf2_9ce4_8422_2325, 0)))
-    }
-}
-
-impl DigestSink {
-    fn digest(&self) -> (u64, u64) {
-        *self.0.lock().unwrap()
-    }
-}
 
 impl TraceSink for DigestSink {
     fn record(&self, ev: &TraceEvent) {
@@ -56,22 +46,14 @@ impl TraceSink for DigestSink {
     }
 }
 
-fn table_and_bytecode(name: &str, src: &str) -> (RouterConfiguration, RouterConfiguration) {
-    let table = configure(name, src).unwrap();
-    let bytecode = configure(name, src).unwrap().with_backend(Backend::Bytecode).unwrap();
-    assert!(bytecode.bytecode.is_some(), "{name}: bytecode must be lowered once per config");
-    (table, bytecode)
-}
-
-/// One E15 campaign cell, traced; returns the final stats and the trace
-/// digest.
+/// One E15 campaign cell, traced: the final stats and the trace digest.
 fn campaign_run(
     mesh: &Mesh2D,
     algo: &dyn RoutingAlgorithm,
     faults: usize,
     seed: u64,
 ) -> (SimStats, (u64, u64)) {
-    let sink = Arc::new(DigestSink::default());
+    let sink = Arc::new(DigestSink(Mutex::new((0xcbf2_9ce4_8422_2325, 0))));
     let plan = FaultPlan::random_transient_links(mesh, faults, 100..450, 120, seed);
     let mut net = Network::builder(Arc::new(mesh.clone()))
         .fault_plan(plan)
@@ -88,125 +70,187 @@ fn campaign_run(
         net.step();
     }
     net.drain(60_000);
-    (net.stats, sink.digest())
+    let digest = *sink.0.lock().unwrap();
+    (net.stats, digest)
 }
 
-#[test]
-fn bytecode_nafta_is_bit_identical_on_the_campaign_matrix() {
-    let mesh = Mesh2D::new(SIDE, SIDE);
-    let (table_cfg, byte_cfg) = table_and_bytecode("nafta", ftr_algos::rules_src::NAFTA);
-    for (faults, seed) in [(0usize, 1u64), (6, 7919), (10, 15838)] {
-        let t_algo = RuleRouter::for_mesh(table_cfg.clone(), mesh.clone());
-        let b_algo = RuleRouter::for_mesh(byte_cfg.clone(), mesh.clone());
-        let (t_stats, t_trace) = campaign_run(&mesh, &t_algo, faults, seed);
-        let (b_stats, b_trace) = campaign_run(&mesh, &b_algo, faults, seed);
-        assert!(t_stats.injected_msgs > 0, "campaign must inject traffic");
+/// An optimized program, its bytecode and its step weights.
+struct Lowered {
+    config: RouterConfiguration,
+    code: VmProgram,
+    weights: StepWeights,
+}
+
+impl Lowered {
+    fn compiled(&self) -> &CompiledProgram {
+        &self.config.compiled
+    }
+
+    /// One cascade on the bytecode, as `Machine::fire_base` runs it on the
+    /// table: `base(args)`, then every internal event in emission order;
+    /// events without a rule base are the host's and are dropped, as the
+    /// mesh host drops them.
+    fn cascade(
+        &self,
+        base: usize,
+        regs: &mut RegFile,
+        inputs: &InputMap,
+        scratch: &mut Scratch,
+    ) -> ftr_rules::Result<Fired> {
+        let prog = &self.compiled().prog;
+        let mut pending = vec![(base, Vec::new())];
+        let mut fired = Fired::default();
+        let mut next = 0;
+        while let Some((base, args)) = pending.get(next).cloned() {
+            next += 1;
+            let out = self.code.bases[base].fire(prog, &args, regs, inputs, scratch)?;
+            fired.steps += self.weights.weight(base, out.rule);
+            fired.last_return = out.returned.or(fired.last_return);
+            for ev in out.emitted {
+                if let Some((target, _)) = prog.rulebase(&ev.event) {
+                    pending.push((target, ev.args));
+                }
+            }
+        }
+        Ok(fired)
+    }
+}
+
+/// Mesh host whose decisions come from the bytecode of a [`Lowered`]
+/// program.
+struct BytecodeRouter {
+    lowered: Arc<Lowered>,
+    mesh: Mesh2D,
+    io: MeshIo,
+    mode: MeshVcMode,
+}
+
+impl RoutingAlgorithm for BytecodeRouter {
+    fn name(&self) -> String {
+        format!("bytecode:{}", self.lowered.config.name)
+    }
+
+    fn num_vcs(&self) -> usize {
+        self.mode.num_vcs()
+    }
+
+    fn controller(&self, _topo: &dyn Topology, node: NodeId) -> Box<dyn NodeController> {
+        let prog = &self.lowered.compiled().prog;
+        let mut table = self.lowered.config.machine(None);
+        let mut regs = RegFile::new(prog);
+        let coords = self.mesh.coords(node);
+        self.io.init_node(prog, table.regs_mut(), coords);
+        self.io.init_node(prog, &mut regs, coords);
+        Box::new(BytecodeController {
+            lowered: Arc::clone(&self.lowered),
+            table,
+            regs,
+            scratch: Scratch::new(),
+            mesh: self.mesh.clone(),
+            io: self.io,
+            mode: self.mode,
+            inputs: InputMap::new(),
+        })
+    }
+}
+
+struct BytecodeController {
+    lowered: Arc<Lowered>,
+    /// The same optimized program on the table, fired alongside.
+    table: Machine,
+    /// The bytecode's registers.
+    regs: RegFile,
+    scratch: Scratch,
+    mesh: Mesh2D,
+    io: MeshIo,
+    mode: MeshVcMode,
+    inputs: InputMap,
+}
+
+impl NodeController for BytecodeController {
+    fn route(
+        &mut self,
+        view: &RouterView<'_>,
+        h: &mut Header,
+        in_port: Option<PortId>,
+        in_vc: VcId,
+    ) -> Decision {
+        let prog = &self.lowered.compiled().prog;
+        let arrival = in_port.map(|p| (p, in_vc));
+        let lane = self
+            .mode
+            .lanes(arrival, self.mesh.offset(view.node, h.dst))
+            .next()
+            .expect("the allocator always offers a lane");
+        let vc = lane.vnet as usize;
+        let dst = self.mesh.coords(h.dst);
+        let port =
+            |d| PortInfo { free: view.free(d, vc), linkok: view.alive(d), out_queue: view.load(d) };
+        self.inputs.clear();
+        let table_regs = self.table.regs_mut();
+        let open =
+            self.io.present(prog, table_regs, &mut self.inputs, dst, lane, (false, false), port);
+        self.io.present(prog, &mut self.regs, &mut self.inputs, dst, lane, (false, false), port);
+
+        let table = self.table.fire_base(rule_io::ENTRY, &[], &self.inputs).ok();
+        let byte =
+            self.lowered.cascade(rule_io::ENTRY, &mut self.regs, &self.inputs, &mut self.scratch);
+        let byte = byte.ok();
         assert_eq!(
-            t_stats, b_stats,
-            "faults={faults} seed={seed}: bytecode campaign stats diverged"
+            table, byte,
+            "node {:?} dst {:?}: bytecode and table fires differ",
+            view.node, h.dst
         );
-        assert!(t_trace.1 > 0, "campaign must emit trace events");
-        assert_eq!(t_trace, b_trace, "faults={faults} seed={seed}: bytecode trace stream diverged");
+        assert_eq!(self.table.regs(), &self.regs, "node {:?}: registers diverged", view.node);
+
+        let Some(fired) = byte else {
+            return Decision::new(Verdict::Unroutable, 1);
+        };
+        let verdict = match fired.last_return.map_or(Ret::Wait, rule_io::decode) {
+            Ret::Dir(d) if d < 4 && open >> d & 1 != 0 && view.free(d as usize, vc) => {
+                h.vnet = lane.vnet;
+                Verdict::Route(PortId(d), VcId(lane.vnet))
+            }
+            Ret::Dir(_) | Ret::Wait => Verdict::Wait,
+            Ret::Deliver => Verdict::Deliver,
+            Ret::Unroutable => Verdict::Unroutable,
+        };
+        let steps = fired.steps.max(1);
+        if verdict == Verdict::Wait && self.io.out_queue.is_some() {
+            Decision::polled_wait(steps)
+        } else {
+            Decision::new(verdict, steps)
+        }
     }
 }
 
 #[test]
 fn bytecode_composes_with_the_optimizer_and_step_weights() {
-    // three arms on one campaign cell: plain table, optimized table with
-    // StepWeights, optimized *bytecode* with the same StepWeights — the
+    // two arms on one campaign cell: the plain table router, and the
+    // optimized program's bytecode with the optimizer's StepWeights — the
     // modeled decision_steps must survive both rewritings at once
     let mesh = Mesh2D::new(SIDE, SIDE);
     let baseline = configure("nafta", ftr_algos::rules_src::NAFTA).unwrap();
     let oopts = opt::OptOptions { topo: TopoFacts::mesh(SIDE, SIDE), ..opt::OptOptions::default() };
     let optimized = opt::optimize_rulebase("nafta", &baseline.compiled.prog, &oopts).unwrap();
-    let opt_table = RouterConfiguration::from_compiled("nafta", optimized.compiled.clone())
+    assert!(
+        optimized.step_weights.per_base.iter().flatten().any(|&w| w > 1),
+        "the optimizer must fuse something, or the weights are not exercised"
+    );
+    let code = VmProgram::lower(&optimized.compiled).unwrap();
+    let config = RouterConfiguration::from_compiled("nafta", optimized.compiled)
         .unwrap()
         .with_step_weights(optimized.step_weights.clone());
-    let opt_byte = RouterConfiguration::from_compiled("nafta", optimized.compiled)
-        .unwrap()
-        .with_step_weights(optimized.step_weights)
-        .with_backend(Backend::Bytecode)
-        .unwrap();
+    let io = MeshIo::bind(&config.compiled.prog).unwrap();
+    let mode = io.mode(&config.compiled.prog);
+    let lowered = Arc::new(Lowered { config, code, weights: optimized.step_weights });
+    let bytecode = BytecodeRouter { lowered, mesh: mesh.clone(), io, mode };
 
     let (faults, seed) = (6usize, 7919u64);
     let (a, ta) = campaign_run(&mesh, &RuleRouter::for_mesh(baseline, mesh.clone()), faults, seed);
-    let (b, tb) = campaign_run(&mesh, &RuleRouter::for_mesh(opt_table, mesh.clone()), faults, seed);
-    let (c, tc) = campaign_run(&mesh, &RuleRouter::for_mesh(opt_byte, mesh.clone()), faults, seed);
-    assert_eq!(a, b, "optimized table diverged from baseline");
+    let (c, tc) = campaign_run(&mesh, &bytecode, faults, seed);
+    assert!(a.delivered_msgs > 0, "campaign must deliver traffic");
+    assert!(ta.1 > 0, "campaign must emit trace events");
     assert_eq!(a, c, "optimized bytecode diverged from baseline");
-    assert_eq!(ta, tb, "optimized table trace diverged");
     assert_eq!(ta, tc, "optimized bytecode trace diverged");
-}
-
-#[test]
-fn bytecode_matches_table_across_the_mesh_algo_suite() {
-    // pre-drawn injection schedule replayed against both backends; the
-    // suite includes the naive-adaptive negative exemplar, whose
-    // (deterministic) pathologies must also reproduce bit-identically
-    const CYCLES: u64 = 300;
-    let mesh = Mesh2D::new(4, 4);
-    let faults = ftr_topo::FaultSet::new();
-    for (name, src) in [
-        ("xy", ftr_algos::rules_src::XY),
-        ("west_first", ftr_algos::rules_src::WEST_FIRST),
-        ("nafta", ftr_algos::rules_src::NAFTA),
-        ("naive_adaptive", ftr_algos::rules_src::NAIVE_ADAPTIVE),
-    ] {
-        let mut tf = TrafficSource::new(Pattern::Uniform, 0.1, 8, 0xa160 ^ name.len() as u64);
-        let sched: Vec<Vec<_>> = (0..CYCLES).map(|_| tf.tick(&mesh, &faults)).collect();
-        let (table_cfg, byte_cfg) = table_and_bytecode(name, src);
-        let run = |cfg: RouterConfiguration| {
-            let algo = RuleRouter::for_mesh(cfg, mesh.clone());
-            let sink = Arc::new(DigestSink::default());
-            let mut net = Network::builder(Arc::new(mesh.clone()))
-                .trace(sink.clone())
-                .build(&algo)
-                .expect("valid config");
-            net.set_measuring(true);
-            for cycle in &sched {
-                for &(s, d, l) in cycle {
-                    let _ = net.send(s, d, l);
-                }
-                net.step();
-            }
-            let _ = net.drain(30_000);
-            (net.stats, sink.digest())
-        };
-        let t = run(table_cfg);
-        let b = run(byte_cfg);
-        assert!(t.0.injected_msgs > 0, "{name}: schedule must inject traffic");
-        assert_eq!(t, b, "{name}: bytecode run diverged from table");
-    }
-}
-
-#[test]
-fn bytecode_matches_table_on_route_c_hypercube() {
-    let dim = 4u32;
-    let cube = Hypercube::new(dim);
-    let src = ftr_algos::rules_src::route_c_source(dim);
-    let (table_cfg, byte_cfg) = table_and_bytecode("route_c", &src);
-    let run = |cfg: RouterConfiguration| {
-        let algo = CubeRuleRouter::new(cfg, cube.clone());
-        let sink = Arc::new(DigestSink::default());
-        let mut net = Network::builder(Arc::new(cube.clone()))
-            .trace(sink.clone())
-            .build(&algo)
-            .expect("valid config");
-        net.inject_node_fault(NodeId(5));
-        net.settle_control(10_000).expect("control settles");
-        net.set_measuring(true);
-        let mut tf = TrafficSource::new(Pattern::Uniform, 0.1, 4, 9);
-        for _ in 0..400 {
-            for (s, d, l) in tf.tick(&cube, net.faults()) {
-                net.send(s, d, l).unwrap();
-            }
-            net.step();
-        }
-        assert!(net.drain(50_000), "cube campaign drains");
-        (net.stats, sink.digest())
-    };
-    let t = run(table_cfg);
-    let b = run(byte_cfg);
-    assert!(t.0.delivered_msgs > 0, "cube campaign delivers");
-    assert_eq!(t, b, "route_c: bytecode run diverged from table");
 }
