@@ -213,11 +213,6 @@ impl NaftaController {
         }
     }
 
-    /// True once the node deactivated itself.
-    pub fn is_deactivated(&self) -> bool {
-        self.deactivated
-    }
-
     /// A direction is unusable for forwarding: boundary, dead, or leads to
     /// a deactivated node (other than the destination itself).
     fn dir_blocked(&self, d: PortId, dst: NodeId) -> bool {

@@ -17,7 +17,9 @@
 
 use crate::vnet::{Lane, MeshVcMode};
 use ftr_rules::ast::{Program, RuleBase};
-use ftr_rules::{Domain, InputMap, RegFile, Result, RuleError, Type, Value};
+use ftr_rules::{Domain, InputMap, Machine, RegFile, Result, RuleError, Type, Value};
+use ftr_topo::{Hypercube, NodeId, PortId, VcId};
+use std::collections::BTreeSet;
 
 /// Host event `send_newmessage(dim, code)`: report state `code` across `dim`.
 pub const SEND_NEWMESSAGE: &str = "send_newmessage";
@@ -177,6 +179,20 @@ interface! {
     }
 }
 
+/// Empties `im`, then defaults every input to the lowest element of its
+/// domain (the empty set for sets): what an enumeration does not drive
+/// reads as that.
+pub fn reset_to_defaults(im: &mut InputMap, prog: &Program) {
+    im.clear();
+    for decl in &prog.inputs {
+        let lowest = match decl.elem {
+            Type::Scalar(d) => d.value_at(0),
+            Type::Set(d) => Value::empty_set(d),
+        };
+        im.set_default(prog, &decl.name, lowest).expect("the name is declared");
+    }
+}
+
 fn put(im: &mut InputMap, prog: &Program, slot: Option<usize>, idx: &[Value], v: Value) {
     if let Some(i) = slot {
         im.set_at(prog, i, idx, v).expect("bind() fixed the arity and fits() the index range");
@@ -314,6 +330,13 @@ pub struct DirSets {
 }
 
 impl DirSets {
+    /// The sets of the decision `cur → dst` on `cube`, given the usable
+    /// dimensions `ok`.
+    pub fn new(cube: &Hypercube, cur: NodeId, dst: NodeId, ok: u64) -> Self {
+        let (diff, here) = (u64::from(cube.diff(cur, dst)), u64::from(cur.0));
+        DirSets { dim: cube.dim(), up: diff & !here, down: diff & here, ok }
+    }
+
     fn value(&self, mask: u64) -> Value {
         Value::Set { dom: Domain::Int { lo: 0, hi: i64::from(self.dim) - 1 }, mask }
     }
@@ -392,6 +415,52 @@ impl CubeIo {
             }
             _ => None,
         }
+    }
+
+    /// Every channel the two steps can choose for one decision with sets
+    /// `s`, whatever the queues and free channel classes hold: `decide_dir`
+    /// once, then `decide_vc` with each candidate as the unique queue
+    /// minimum and each channel class alone free. Every fire starts from
+    /// the registers `regs` and the inputs' defaults. Returns the channels
+    /// in order and the cascades fired; nothing unless both rule bases are
+    /// bound. The live host's `relation` and the static lift both ask here.
+    pub fn channels(
+        &self,
+        machine: &mut Machine,
+        im: &mut InputMap,
+        regs: &RegFile,
+        s: DirSets,
+    ) -> (Vec<(PortId, VcId)>, u64) {
+        let (Some(decide_dir), Some(decide_vc)) = (self.decide_dir, self.decide_vc) else {
+            return (Vec::new(), 0);
+        };
+        let mut fired = 0;
+        let mut fire = |machine: &mut Machine, base: usize, im: &InputMap| {
+            fired += 1;
+            machine.regs_mut().clone_from(regs);
+            machine.fire_base(base, &[], im).ok().and_then(|f| f.last_return)
+        };
+        // step 1: decide_dir is deterministic in the direction sets
+        reset_to_defaults(im, machine.program());
+        self.load_dir(machine.program(), im, s, |_| 0);
+        let cands = match fire(machine, decide_dir, im) {
+            Some(Value::Set { mask, .. }) => mask,
+            _ => 0,
+        };
+        let mut out = BTreeSet::new();
+        // step 2: decide_vc across argmin positions (one per candidate
+        // output) × free-channel-class singletons
+        for qmin in (0..s.dim as usize).filter(|q| cands & (1 << q) != 0) {
+            self.load_dir(machine.program(), im, s, |d| if d == qmin { 0 } else { 9 });
+            for fv in 0..CUBE_VCS {
+                self.load_vc(machine.program(), im, s, cands, |v| v == fv);
+                let ret = fire(machine, decide_vc, im);
+                let chan = self.channel(machine.program(), machine.regs(), ret);
+                let chan = chan.filter(|&(p, _)| p < s.dim as usize && cands & (1 << p) != 0);
+                out.extend(chan.map(|(port, vc)| (PortId(port as u8), VcId(vc as u8))));
+            }
+        }
+        (out.into_iter().collect(), fired)
     }
 
     /// `update_state(dir)` inputs: the neighbour across `dir` reported

@@ -285,11 +285,6 @@ impl TopoFacts {
         self.host_written.iter().any(|h| h == name)
     }
 
-    /// Facts read off a concrete mesh topology.
-    pub fn from_mesh(m: &ftr_topo::Mesh2D) -> TopoFacts {
-        TopoFacts::mesh(m.width(), m.height())
-    }
-
     fn bound_for(&self, name: &str) -> Option<(i64, i64)> {
         self.int_bounds.iter().find(|(n, _, _)| n == name).map(|&(_, lo, hi)| (lo, hi))
     }

@@ -32,14 +32,13 @@ use ftr_algos::vnet::Lane;
 pub use ftr_algos::vnet::MeshVcMode;
 use ftr_rules::ast::{Builtin, Expr, IndexedRef, Ref, Rule};
 use ftr_rules::compile::FeatureKind;
-use ftr_rules::value::{Type, Value};
 use ftr_rules::{CompiledProgram, InputMap, Machine, Program, RegFile, Result};
 use ftr_topo::cdg::{Channel, ChannelDependencyGraph};
 use ftr_topo::faults::SimpleRng;
 use ftr_topo::mesh::MESH_PORTS;
 use ftr_topo::{FaultSet, Hypercube, Mesh2D, NodeId, PortId, Topology, VcId};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// One falsification: a fault scenario whose channel dependency graph
 /// contains a cycle.
@@ -109,20 +108,6 @@ impl DeadlockReport {
                 self.interpretations
             )
         }
-    }
-}
-
-/// Empties `im`, then defaults every input to the lowest element of its
-/// domain (the empty set for sets): what a lift does not drive reads as
-/// that.
-fn reset_to_defaults(im: &mut InputMap, prog: &Program) {
-    im.clear();
-    for decl in &prog.inputs {
-        let lowest = match decl.elem {
-            Type::Scalar(d) => d.value_at(0),
-            Type::Set(d) => Value::empty_set(d),
-        };
-        im.set_default(prog, &decl.name, lowest).expect("the name is declared");
     }
 }
 
@@ -240,7 +225,7 @@ impl MeshProgramLift {
         io.fits(&prog, mesh.width(), mesh.height(), mode.num_vcs())?;
         // every fire overwrites the same cells, so one reset serves all
         let mut inputs = InputMap::new();
-        reset_to_defaults(&mut inputs, &prog);
+        rule_io::reset_to_defaults(&mut inputs, &prog);
         let n = mesh.num_nodes();
         Ok(MeshProgramLift {
             drives: rule_io::entry(&prog).is_ok() && io.xdes.is_some() && io.ydes.is_some(),
@@ -391,19 +376,16 @@ impl MeshProgramLift {
 /// relation.
 pub struct CubeProgramLift {
     cube: Hypercube,
-    prog: Program,
-    io: CubeIo,
-    /// The `decide_dir` and `decide_vc` bases `io` bound; `None` for a
-    /// program that does not declare the whole interface (the stripped
-    /// `route_c_nft`, any mesh program): it makes no cube decision and
-    /// lifts to the empty relation.
-    decide: Option<(usize, usize)>,
+    /// The bound interface; `None` for a program that does not declare all
+    /// of it (the stripped `route_c_nft`, any mesh program): it makes no
+    /// cube decision and lifts to the empty relation.
+    io: Option<CubeIo>,
     /// Fresh registers, copied into the machine before every fire.
     regs: RegFile,
     machine: RefCell<Machine>,
     inputs: RefCell<InputMap>,
     #[allow(clippy::type_complexity)]
-    memo: RefCell<HashMap<(u32, u32, u8), Vec<(u8, u8)>>>,
+    memo: RefCell<HashMap<(u32, u32, u64), Vec<(PortId, VcId)>>>,
     /// Cascades fired so far.
     fired: Cell<u64>,
 }
@@ -415,18 +397,16 @@ impl CubeProgramLift {
     /// differently, or is a full ROUTE_C program for fewer dimensions than
     /// `cube` has.
     pub fn new(compiled: CompiledProgram, cube: Hypercube) -> Result<Self> {
-        let prog = compiled.prog.clone();
-        let io = CubeIo::bind(&prog)?;
-        let decide = io.require_all(&prog).ok().and(io.decide_dir.zip(io.decide_vc));
-        if decide.is_some() {
-            io.fits(&prog, cube.dim())?;
+        let prog = &compiled.prog;
+        let io = CubeIo::bind(prog)?;
+        let io = io.require_all(prog).is_ok().then_some(io);
+        if let Some(io) = io {
+            io.fits(prog, cube.dim())?;
         }
         Ok(CubeProgramLift {
             cube,
             io,
-            decide,
-            regs: RegFile::new(&prog),
-            prog,
+            regs: RegFile::new(prog),
             machine: RefCell::new(Machine::from_compiled(compiled)),
             inputs: RefCell::new(InputMap::new()),
             memo: RefCell::new(HashMap::new()),
@@ -434,76 +414,29 @@ impl CubeProgramLift {
         })
     }
 
-    /// All (port, vc) pairs the two-step decision can produce for this
-    /// query, across every free-channel pattern and queue-minimum
-    /// position.
-    fn raw_channels(&self, cur: NodeId, dst: NodeId, ok: u8) -> Vec<(u8, u8)> {
-        let Some((decide_dir, decide_vc)) = self.decide else {
-            return Vec::new();
-        };
-        let key = (cur.0, dst.0, ok);
-        if let Some(hit) = self.memo.borrow().get(&key) {
-            return hit.clone();
-        }
-        let (dim, prog) = (self.cube.dim(), &self.prog);
-        let (mut machine, mut im) = (self.machine.borrow_mut(), self.inputs.borrow_mut());
-        let diff = self.cube.diff(cur, dst) as u64;
-        let (up, down) = (diff & !(cur.0 as u64), diff & cur.0 as u64);
-        let sets = DirSets { dim, up, down, ok: ok.into() };
-        let mut out: BTreeSet<(u8, u8)> = BTreeSet::new();
-
-        // step 1: decide_dir is deterministic in the direction sets
-        reset_to_defaults(&mut im, prog);
-        self.io.load_dir(prog, &mut im, sets, |_| 0);
-        machine.regs_mut().clone_from(&self.regs);
-        self.fired.set(self.fired.get() + 1);
-        let cands = match machine.fire_base(decide_dir, &[], &im).map(|f| f.last_return) {
-            Ok(Some(Value::Set { mask, .. })) => mask,
-            _ => 0,
-        };
-
-        // step 2: decide_vc across free-channel-class singletons × argmin
-        // positions (one per candidate output)
-        for qmin in (0..dim as usize).filter(|q| cands & (1 << q) != 0) {
-            self.io.load_dir(prog, &mut im, sets, |d| if d == qmin { 0 } else { 9 });
-            for fv in 0..rule_io::CUBE_VCS {
-                self.io.load_vc(prog, &mut im, sets, cands, |v| v == fv);
-                machine.regs_mut().clone_from(&self.regs);
-                self.fired.set(self.fired.get() + 1);
-                let Ok(fired) = machine.fire_base(decide_vc, &[], &im) else { continue };
-                match self.io.channel(prog, machine.regs(), fired.last_return) {
-                    Some((port, vc)) if port < dim as usize && cands & (1 << port) != 0 => {
-                        out.insert((port as u8, vc as u8));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let chans: Vec<(u8, u8)> = out.into_iter().collect();
-        self.memo.borrow_mut().insert(key, chans.clone());
-        chans
-    }
-
-    /// The full routing relation under a fault set.
+    /// The full routing relation under a fault set: what
+    /// [`CubeIo::channels`] answers with the dimensions whose links are
+    /// usable (link and both endpoints alive), memoized.
     #[allow(clippy::type_complexity)]
     pub fn relation<'s>(
         &'s self,
         faults: &'s FaultSet,
     ) -> impl Fn(NodeId, Option<(PortId, VcId)>, NodeId) -> Vec<(PortId, VcId)> + 's {
         move |cur, _inc, dst| {
-            let dim = self.cube.dim() as usize;
-            let mut ok: u8 = 0;
-            for d in 0..dim {
-                let p = PortId(d as u8);
-                if let Some(nb) = self.cube.neighbor(cur, p) {
-                    if faults.link_usable(&self.cube, cur, p)
-                        && (nb == dst || !faults.node_faulty(nb))
-                    {
-                        ok |= 1 << d;
-                    }
-                }
+            let Some(io) = self.io else { return Vec::new() };
+            let ok = (0..self.cube.dim() as u8)
+                .filter(|&d| faults.link_usable(&self.cube, cur, PortId(d)))
+                .fold(0, |ok, d| ok | 1 << d);
+            let key = (cur.0, dst.0, ok);
+            if let Some(hit) = self.memo.borrow().get(&key) {
+                return hit.clone();
             }
-            self.raw_channels(cur, dst, ok).into_iter().map(|(p, v)| (PortId(p), VcId(v))).collect()
+            let sets = DirSets::new(&self.cube, cur, dst, ok);
+            let (mut machine, mut im) = (self.machine.borrow_mut(), self.inputs.borrow_mut());
+            let (chans, fired) = io.channels(&mut machine, &mut im, &self.regs, sets);
+            self.fired.set(self.fired.get() + fired);
+            self.memo.borrow_mut().insert(key, chans.clone());
+            chans
         }
     }
 }
@@ -697,6 +630,7 @@ pub fn verify_cube(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn fault_set_enumeration_counts() {

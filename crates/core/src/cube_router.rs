@@ -108,7 +108,6 @@ impl CubeRuleController {
     /// not known to be unsafe.
     fn dir_sets(&self, view: &RouterView<'_>, dst: NodeId) -> DirSets {
         let (prog, regs) = (self.machine.program(), self.machine.regs());
-        let diff = self.cube.diff(view.node, dst) as u64;
         let mut ok = 0u64;
         for d in 0..self.cube.dim() as usize {
             let nb = self.cube.neighbor(view.node, PortId(d as u8)).expect("cube port");
@@ -117,8 +116,7 @@ impl CubeRuleController {
                 ok |= 1 << d;
             }
         }
-        let (up, down) = (diff & !(view.node.0 as u64), diff & view.node.0 as u64);
-        DirSets { dim: self.cube.dim(), up, down, ok }
+        DirSets::new(&self.cube, view.node, dst, ok)
     }
 
     /// Drives `update_state(dir)` with a reported neighbour state; converts
@@ -201,23 +199,16 @@ impl NodeController for CubeRuleController {
         _in_port: Option<PortId>,
         _in_vc: VcId,
     ) -> Vec<(PortId, VcId)> {
-        // conservative relation for deadlock analysis: same sets the rule
-        // program would compute, all candidate (dim, vc-class) pairs
+        // every channel the program can choose here, whatever the queues
+        // and free classes hold: the static lift's enumeration, run on a
+        // copy of this node's registers
         if view.node == h.dst {
             return Vec::new();
         }
-        let DirSets { dim, up, down, ok } = self.dir_sets(view, h.dst);
-        let (cands, vcs): (u64, &[u8]) = if up & ok != 0 {
-            (up & ok, &[0])
-        } else if down & ok != 0 {
-            (down & ok, &[1])
-        } else {
-            (ok & !(up | down), &[2, 3, 4])
-        };
-        (0..dim as u8)
-            .filter(|d| cands & (1 << d) != 0)
-            .flat_map(|d| vcs.iter().map(move |&v| (PortId(d), VcId(v))))
-            .collect()
+        let (sets, regs) = (self.dir_sets(view, h.dst), self.machine.regs().clone());
+        let (chans, _) = self.io.channels(&mut self.machine, &mut self.inputs, &regs, sets);
+        self.machine.regs_mut().clone_from(&regs);
+        chans
     }
 
     fn on_fault(&mut self, _view: &RouterView<'_>, port: PortId) -> Vec<ControlMsg> {
@@ -252,11 +243,16 @@ mod tests {
     use ftr_algos::rules_src::route_c_source;
     use ftr_sim::{Network, Pattern, TrafficSource};
 
+    fn rule_route_c(dim: u32) -> CubeRuleRouter {
+        CubeRuleRouter::new(
+            configure("route_c", &route_c_source(dim)).unwrap(),
+            Hypercube::new(dim),
+        )
+    }
+
     fn rule_cube_net(dim: u32) -> Network {
-        let cube = Hypercube::new(dim);
-        let cfg = configure("route_c", &route_c_source(dim)).unwrap();
-        let algo = CubeRuleRouter::new(cfg, cube.clone());
-        Network::builder(Arc::new(cube)).build(&algo).expect("valid config")
+        let cube = Arc::new(Hypercube::new(dim));
+        Network::builder(cube).build(&rule_route_c(dim)).expect("valid config")
     }
 
     #[test]
@@ -264,9 +260,7 @@ mod tests {
         // `decide_vc` takes `argmin(out_queue, cands)` over *all*
         // candidates and the host waits when the chosen one is busy, so a
         // load change alone can end the wait: it must be re-asked
-        let cube = Hypercube::new(4);
-        let algo =
-            CubeRuleRouter::new(configure("route_c", &route_c_source(4)).unwrap(), cube.clone());
+        let (cube, algo) = (Hypercube::new(4), rule_route_c(4));
         let (busy, load, alive) = (vec![vec![false; 5]; 4], vec![2, 0, 5, 1], vec![true; 4]);
         let view = RouterView::from_tables(NodeId(3), 0, &busy, &load, &alive);
         let mut header = Header::new(ftr_sim::MessageId(1), NodeId(3), NodeId(12), 4);
@@ -345,9 +339,7 @@ mod tests {
         // Pins today's verdict, not the wanted one: the rule host deadlocks
         // on this schedule and native ROUTE_C does not. Fixing the rule arm
         // (ROADMAP item 1(a)) flips the first two rows to full delivery.
-        let cube = Hypercube::new(4);
-        let rules =
-            CubeRuleRouter::new(configure("route_c", &route_c_source(4)).unwrap(), cube.clone());
+        let (cube, rules) = (Hypercube::new(4), rule_route_c(4));
         let native = ftr_algos::RouteC::new(cube);
         let odd: Vec<u32> = (1..16).step_by(2).collect();
         for (sources, len, rule_arm) in [
@@ -362,6 +354,39 @@ mod tests {
             );
             let (delivered, sent, deadlock) = hot_spot_on_dead_link(&native, sources, len);
             assert_eq!((delivered, deadlock), (sent, false), "native {sources:?} x {len}");
+        }
+    }
+
+    #[test]
+    fn native_route_c_knots_on_two_dead_links_at_one_node() {
+        // ROADMAP item 1's open question, answered: native ROUTE_C's
+        // cycle does become a knot. Links 0#0 and 0#1 dead, uniform load
+        // 0.3 in 8-flit worms for 1 500 cycles, rejected sends dropped.
+        // Pins today's verdicts: (delivered, sent, deadlock) per seed.
+        let (cube, rules) = (Hypercube::new(4), rule_route_c(4));
+        let native = ftr_algos::RouteC::new(cube.clone());
+        let run = |algo: &dyn ftr_sim::RoutingAlgorithm, seed| {
+            let mut net = Network::builder(Arc::new(cube.clone())).build(algo).expect("valid");
+            net.inject_link_fault(NodeId(0), PortId(0));
+            net.inject_link_fault(NodeId(0), PortId(1));
+            net.settle_control(10_000).expect("settles");
+            let (mut tf, mut sent) = (TrafficSource::new(Pattern::Uniform, 0.3, 8, seed), 0);
+            for _ in 0..1_500 {
+                for (s, d, l) in tf.tick(&cube, net.faults()) {
+                    sent += u64::from(net.send(s, d, l).is_ok());
+                }
+                net.step();
+            }
+            net.drain(100_000);
+            (net.stats.delivered_msgs, sent, net.stats.deadlock)
+        };
+        for (seed, native_arm, rule_arm) in [
+            (5, (297, 891, true), (888, 891, true)),
+            (6, (638, 895, true), (895, 895, false)),
+            (7, (470, 881, true), (858, 881, true)),
+        ] {
+            assert_eq!(run(&native, seed), native_arm, "native, seed {seed}");
+            assert_eq!(run(&rules, seed), rule_arm, "rules, seed {seed}");
         }
     }
 

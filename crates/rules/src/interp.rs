@@ -3,7 +3,7 @@
 //! One invocation performs the three hardware steps:
 //!
 //! 1. **premise processing** — the FCFBs evaluate the extracted features
-//!    against the current inputs/registers ([`CompiledRuleBase::feature_vector`]);
+//!    against the current inputs/registers;
 //! 2. **RBR-kernel** — a single lookup in the completely filled rule table
 //!    selects the applicable rule;
 //! 3. **conclusion processing** — the selected rule's commands execute
@@ -12,8 +12,8 @@
 //!
 //! The paper's delay model — "the sum of the delays in the configurable
 //! wiring (negligible), two times the FCFBs and one memory access" — is
-//! captured by [`CompiledRuleBase::DECISION_DELAY_UNITS`], which the
-//! simulator converts into routing-decision cycles.
+//! one interpretation step; the simulator charges each step
+//! `SimConfig::decision_cycles_per_step` cycles.
 
 use crate::ast::Program;
 use crate::compile::{CompileWarning, Feature, FeatureKind};
@@ -67,10 +67,6 @@ pub struct CompiledRuleBase {
 }
 
 impl CompiledRuleBase {
-    /// Abstract delay of one interpretation in FCFB units: wiring
-    /// (negligible) + 2 × FCFB + 1 memory access (§4.3).
-    pub const DECISION_DELAY_UNITS: u32 = 3;
-
     /// Total table size in bits (the paper's `entries × width` figure).
     pub fn table_bits(&self) -> u64 {
         self.entries * self.width_bits as u64
@@ -137,22 +133,9 @@ impl CompiledRuleBase {
         }
     }
 
-    /// Step 1: computes the feature digits from live inputs/registers (for
-    /// reports and analyses; an interpretation folds them straight into
-    /// the table index).
-    pub fn feature_vector(
-        &self,
-        prog: &Program,
-        params: &[Value],
-        regs: &RegFile,
-        inputs: &InputMap,
-    ) -> Result<Vec<u64>> {
-        let mut ctx = EvalCtx::new(prog, regs, inputs, params);
-        self.features.iter().map(|f| Self::digit(&mut ctx, f)).collect()
-    }
-
-    /// Step 1 folded into [`CompiledRuleBase::index`]: the mixed-radix
-    /// table index, accumulated digit by digit.
+    /// Steps 1 and 2: the feature digits, computed from live
+    /// inputs/registers, folded straight into the mixed-radix table index
+    /// ([`CompiledRuleBase::index`]).
     fn table_index(&self, ctx: &mut EvalCtx<'_>) -> Result<u64> {
         let (mut idx, mut stride) = (0u64, 1u64);
         for (f, r) in self.features.iter().zip(&self.radices) {

@@ -257,11 +257,6 @@ impl DetectorController {
     pub fn new(inner: Box<dyn NodeController>, det: Detector) -> Self {
         DetectorController { inner, det }
     }
-
-    /// The embedded detector (diagnostics).
-    pub fn detector(&self) -> &Detector {
-        &self.det
-    }
 }
 
 impl NodeController for DetectorController {

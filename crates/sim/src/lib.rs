@@ -60,7 +60,6 @@
 
 mod arena;
 pub mod detect;
-pub mod envlock;
 pub mod fleet;
 pub mod flit;
 pub mod network;

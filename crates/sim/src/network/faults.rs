@@ -4,7 +4,7 @@
 //! retry queue.
 
 use super::control::Hook;
-use super::{Network, RetryPolicy};
+use super::Network;
 use crate::flit::{Flit, Header, MessageId};
 use crate::plan::FaultAction;
 use crate::router::RouteState;
@@ -47,11 +47,6 @@ impl Network {
     /// fault set answers (debug-asserted after every fault and repair).
     pub fn wiring_consistent(&self) -> bool {
         self.wiring.consistent(self.topo.as_ref(), &self.faults)
-    }
-
-    /// The active retry policy, if any.
-    pub fn retry_policy(&self) -> Option<RetryPolicy> {
-        self.retry
     }
 
     /// Fails the link leaving `n` through `p` at the current cycle: rips

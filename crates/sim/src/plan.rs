@@ -117,32 +117,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Generates `count` random transient node faults (distinct nodes,
-    /// random fault cycle in `window`, repair after `repair_after`).
-    pub fn random_transient_nodes(
-        topo: &dyn Topology,
-        count: usize,
-        window: std::ops::Range<u64>,
-        repair_after: u64,
-        seed: u64,
-    ) -> Self {
-        let mut rng = SimpleRng::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let n = topo.num_nodes();
-        let mut picked: Vec<usize> = Vec::new();
-        let mut plan = FaultPlan::new();
-        let span = window.end.saturating_sub(window.start).max(1);
-        while picked.len() < count.min(n) {
-            let i = rng.below(n);
-            if picked.contains(&i) {
-                continue;
-            }
-            picked.push(i);
-            let at = window.start + rng.next_u64() % span;
-            plan = plan.transient_node(at, NodeId(i as u32), repair_after);
-        }
-        plan
-    }
-
     /// Converts every scripted action into its silent (no-oracle)
     /// counterpart: same cycles, same physical effects, but controllers
     /// get no `on_fault`/`on_repair` notification and must rely on the

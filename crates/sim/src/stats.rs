@@ -215,13 +215,6 @@ impl SimStats {
         self.meta.contains_key(&id)
     }
 
-    /// Ids of all in-flight messages (diagnostics).
-    pub fn in_flight_ids(&self) -> Vec<MessageId> {
-        let mut v: Vec<MessageId> = self.meta.keys().copied().collect();
-        v.sort();
-        v
-    }
-
     /// Accepted throughput in flits/node/cycle over the measurement window.
     pub fn throughput(&self) -> f64 {
         if self.measured_cycles == 0 || self.num_nodes == 0 {

@@ -114,9 +114,15 @@ pub fn default_threads() -> usize {
 pub fn worker_count() -> usize {
     std::env::var("FTR_THREADS")
         .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+        .as_deref()
+        .and_then(parse_threads)
         .unwrap_or_else(default_threads)
+}
+
+/// An `FTR_THREADS` value as a worker count: a positive integer, spaces
+/// around it allowed.
+fn parse_threads(s: &str) -> Option<usize> {
+    s.trim().parse().ok().filter(|&n| n >= 1)
 }
 
 #[cfg(test)]
@@ -176,20 +182,11 @@ mod tests {
 
     #[test]
     fn worker_count_respects_env_override() {
-        // mutating the process environment is global: serialize through
-        // the workspace-wide env lock, which also restores the pre-test
-        // value of FTR_THREADS on drop (even on panic)
-        let mut env = crate::envlock::EnvGuard::new();
-        env.set("FTR_THREADS", "3");
-        assert_eq!(worker_count(), 3);
-        env.set("FTR_THREADS", " 5 ");
-        assert_eq!(worker_count(), 5, "whitespace-tolerant");
-        env.set("FTR_THREADS", "0");
-        assert_eq!(worker_count(), default_threads(), "zero falls back");
-        env.set("FTR_THREADS", "lots");
-        assert_eq!(worker_count(), default_threads(), "garbage falls back");
-        env.remove("FTR_THREADS");
-        assert_eq!(worker_count(), default_threads());
+        assert_eq!(parse_threads("3"), Some(3));
+        assert_eq!(parse_threads(" 5 "), Some(5), "whitespace-tolerant");
+        assert_eq!(parse_threads("0"), None, "zero falls back");
+        assert_eq!(parse_threads("lots"), None, "garbage falls back");
+        assert_eq!(parse_threads(""), None);
     }
 
     #[test]

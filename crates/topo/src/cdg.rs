@@ -143,11 +143,6 @@ impl ChannelDependencyGraph {
         g
     }
 
-    /// Number of dependency edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.iter().map(|s| s.len()).sum()
-    }
-
     /// Number of channels any message can occupy.
     pub fn num_used_channels(&self) -> usize {
         self.used.iter().filter(|&&u| u).count()

@@ -34,11 +34,6 @@ impl FaultSet {
         }
     }
 
-    /// Marks a canonical link as faulty.
-    pub fn fail_link_id(&mut self, l: LinkId) {
-        self.links.insert(l);
-    }
-
     /// Marks a node as faulty.
     pub fn fail_node(&mut self, n: NodeId) {
         self.nodes.insert(n);
@@ -88,11 +83,6 @@ impl FaultSet {
     /// Number of faulty links.
     pub fn num_link_faults(&self) -> usize {
         self.links.len()
-    }
-
-    /// Number of faulty nodes.
-    pub fn num_node_faults(&self) -> usize {
-        self.nodes.len()
     }
 
     /// True if nothing is faulty.
