@@ -31,10 +31,11 @@ pub mod opt;
 pub mod progress;
 
 pub use absint::{analyze_program, AbsEnv, AbsVal, Facts, Monotonicity, TopoFacts};
-#[allow(deprecated)] // the ledger's entry point until ROADMAP 1(b)/(c)
+#[allow(deprecated)] // the ledger's entry point until item 2(b)/(c)
 pub use deadlock::verify_mesh;
 pub use deadlock::{
     verify_cube, CubeProgramLift, CycleWitness, DeadlockReport, MeshProgramLift, MeshVcMode,
+    ProgramLift,
 };
 pub use diag::{Diagnostic, LintCode, Severity};
 pub use lints::{

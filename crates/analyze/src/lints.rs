@@ -15,7 +15,9 @@
 use crate::absint::{self, TopoFacts};
 use crate::diag::{Diagnostic, LintCode, Severity};
 use crate::progress;
-use ftr_rules::ast::{Builtin, Command, Expr, IndexedRef, Program, Ref, Rule, RuleBase};
+use ftr_rules::ast::{
+    walk_cmds, walk_expr, Builtin, Command, Expr, IndexedRef, Program, Ref, Rule, RuleBase,
+};
 use ftr_rules::compile::CompileWarning;
 use ftr_rules::error::Result;
 use ftr_rules::pretty::describe_expr;
@@ -586,55 +588,6 @@ fn check_parallel(
 fn for_each_expr(rule: &Rule, f: &mut impl FnMut(&Expr)) {
     walk_expr(&rule.premise, f);
     walk_cmds(&rule.conclusion, f);
-}
-
-pub(crate) fn walk_cmds(cmds: &[Command], f: &mut impl FnMut(&Expr)) {
-    for cmd in cmds {
-        match cmd {
-            Command::Assign { indices, value, .. } => {
-                for ix in indices {
-                    walk_expr(ix, f);
-                }
-                walk_expr(value, f);
-            }
-            Command::Return(e) => walk_expr(e, f),
-            Command::Emit { args, .. } => {
-                for a in args {
-                    walk_expr(a, f);
-                }
-            }
-            Command::ForAll { set, body, .. } => {
-                walk_expr(set, f);
-                walk_cmds(body, f);
-            }
-        }
-    }
-}
-
-pub(crate) fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match e {
-        Expr::Lit(_) | Expr::Ref(_) => {}
-        Expr::Indexed { indices, .. } => {
-            for ix in indices {
-                walk_expr(ix, f);
-            }
-        }
-        Expr::Un(_, a) => walk_expr(a, f),
-        Expr::Bin(_, a, b) => {
-            walk_expr(a, f);
-            walk_expr(b, f);
-        }
-        Expr::Quant { set, body, .. } => {
-            walk_expr(set, f);
-            walk_expr(body, f);
-        }
-        Expr::Call { args, .. } => {
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

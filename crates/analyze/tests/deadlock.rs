@@ -3,7 +3,7 @@
 //! their declarations select, and the naive fully-adaptive baseline must
 //! produce a concrete cycle witness.
 
-use ftr_algos::rule_io::{self, MeshIo, PortInfo, Ret};
+use ftr_algos::rule_io::{self, MeshIo, PortInfo, Ret, RuleIo};
 use ftr_algos::vnet::Lane;
 use ftr_analyze::{verify_cube, CubeProgramLift, DeadlockReport, MeshProgramLift, MeshVcMode};
 use ftr_rules::{compile, parse, CompileOptions, CompiledProgram, InputMap, Machine, Program};
@@ -74,7 +74,7 @@ fn nafta_is_deadlock_free_on_4x4_with_single_link_faults() {
 }
 
 #[test]
-#[allow(deprecated)] // the wrapper the ledger calls until ROADMAP 1(b)/(c)
+#[allow(deprecated)] // the wrapper the ledger calls until item 2(b)/(c)
 #[should_panic(expected = "nafta: its declarations select the NaraPair data path")]
 fn a_mode_other_than_the_derived_one_is_refused() {
     // the data path is derived, not chosen: asking for a proof about a
@@ -187,7 +187,7 @@ fn route_c_on_the_4_cube_is_cyclic_under_every_single_dead_link() {
     // The current verdict, pinned — not a claim that it is right: whether
     // live ROUTE_C can deadlock on one dead link, or the lift
     // over-approximates (fresh `neighb_state`, any free misroute class),
-    // is open (ROADMAP item 3).
+    // is open (ROADMAP item 1).
     let report = verify_cube("route_c", &shipped("route_c"), 4, 1, 64);
     assert_eq!(report.fault_sets_checked, 33); // 32 links + fault-free
     assert_eq!(report.failures.len(), 32, "{}", report.summary());
@@ -220,7 +220,7 @@ impl BruteForce {
             };
             inputs.set_default(&prog, &decl.name, lowest).expect("declared");
         }
-        let mode = io.mode(&prog);
+        let mode = io.mode;
         let machine = Machine::from_compiled(c.clone());
         BruteForce { mesh, prog, io, mode, machine, inputs, memo: HashMap::new() }
     }
@@ -243,9 +243,9 @@ impl BruteForce {
         for free in frees {
             for qmin in 0..4 {
                 for &de in dead_ends {
+                    *self.machine.regs_mut() = RegFile::new(prog);
+                    io.init(&self.mesh, cur, &mut self.machine);
                     let regs = self.machine.regs_mut();
-                    *regs = RegFile::new(prog);
-                    io.init_node(prog, regs, self.mesh.coords(cur));
                     let dst = self.mesh.coords(dst);
                     let legal =
                         io.present(prog, regs, &mut self.inputs, dst, lane, de, |d| PortInfo {

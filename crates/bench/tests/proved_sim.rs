@@ -2,11 +2,10 @@
 //! rule host grants on a live, faulty, loaded network is a member of the
 //! relation `ftr-analyze` lifts from the same program under the same
 //! faults — the relation whose channel dependency graph it proves acyclic.
-//! On the mesh, host and lift ask one allocator (`ftr_algos::vnet`) and
-//! present through one function (`MeshIo::present`); on the cube, the
-//! host's `relation` and the lift run one enumeration (`CubeIo::channels`).
-//! So this holds by construction; the tests are what notice if either is
-//! ever given a second path.
+//! The host's `relation` and the lift run one enumeration per topology
+//! (`RuleIo::channels`), and on the mesh both ask one allocator
+//! (`ftr_algos::vnet`). So this holds by construction; the tests are what
+//! notice if either is ever given a second path.
 
 use ftr_analyze::{CubeProgramLift, MeshProgramLift};
 use ftr_core::{configure, registry, CubeRuleRouter, RuleRouter};
@@ -83,6 +82,41 @@ fn every_channel_the_rule_host_grants_is_in_the_lifted_relation() {
         );
     }
     assert!(granted.len() > 3_000, "only {} grants checked", granted.len());
+}
+
+#[test]
+fn the_mesh_hosts_relation_is_the_lifted_programs() {
+    // Every (cur, dst) of the 4x4 mesh at injection, fault-free and under
+    // each single dead link: 6 000 pairs per program. When the host still
+    // answered only the channel `route` picks on an idle network, it
+    // differed from the lift on 0 (xy), 1 656 (west_first) and 4 530
+    // (nafta) of them.
+    let mesh = Mesh2D::new(4, 4);
+    let links = mesh.nodes().flat_map(|n| [(n, EAST), (n, NORTH)]);
+    let links: Vec<_> = links.filter(|&(n, p)| mesh.neighbor(n, p).is_some()).collect();
+    for name in ["xy", "west_first", "nafta"] {
+        let cfg = registry::configuration(name).unwrap();
+        let lift = MeshProgramLift::new((*cfg.compiled).clone(), mesh.clone()).expect("binds");
+        let router = RuleRouter::for_mesh(cfg, mesh.clone());
+        let mut pairs = 0;
+        for dead in std::iter::once(None).chain(links.iter().map(Some)) {
+            let mut net = Network::builder(Arc::new(mesh.clone())).build(&router).expect("valid");
+            if let Some(&(n, p)) = dead {
+                net.inject_link_fault(n, p);
+            }
+            let faults = net.faults().clone();
+            let lifted = lift.relation(&faults);
+            for cur in mesh.nodes() {
+                for dst in mesh.nodes().filter(|&d| d != cur) {
+                    let h = Header::new(MessageId(0), cur, dst, 1);
+                    let host = net.query_relation(cur, &h, None, VcId(0));
+                    assert_eq!(host, lifted(cur, None, dst), "{name} {dead:?}: {cur:?}->{dst:?}");
+                    pairs += 1;
+                }
+            }
+        }
+        assert_eq!(pairs, 6_000, "{name}");
+    }
 }
 
 /// ROUTE_C on the 4-cube: the cube, its lift and its rule host.

@@ -10,7 +10,7 @@
 //! the bytecode-driven run must match the plain table `RuleRouter` run
 //! bit for bit: `SimStats` (including `decision_steps`) and trace stream.
 
-use ftr_algos::rule_io::{self, MeshIo, PortInfo, Ret};
+use ftr_algos::rule_io::{self, MeshIo, PortInfo, Ret, RuleIo};
 use ftr_algos::vnet::MeshVcMode;
 use ftr_analyze::{opt, TopoFacts};
 use ftr_core::{configure, RouterConfiguration, RuleRouter};
@@ -135,12 +135,9 @@ impl RoutingAlgorithm for BytecodeRouter {
     }
 
     fn controller(&self, _topo: &dyn Topology, node: NodeId) -> Box<dyn NodeController> {
-        let prog = &self.lowered.compiled().prog;
         let mut table = self.lowered.config.machine(None);
-        let mut regs = RegFile::new(prog);
-        let coords = self.mesh.coords(node);
-        self.io.init_node(prog, table.regs_mut(), coords);
-        self.io.init_node(prog, &mut regs, coords);
+        self.io.init(&self.mesh, node, &mut table);
+        let regs = table.regs().clone();
         Box::new(BytecodeController {
             lowered: Arc::clone(&self.lowered),
             table,
@@ -242,7 +239,7 @@ fn bytecode_composes_with_the_optimizer_and_step_weights() {
         .unwrap()
         .with_step_weights(optimized.step_weights.clone());
     let io = MeshIo::bind(&config.compiled.prog).unwrap();
-    let mode = io.mode(&config.compiled.prog);
+    let mode = io.mode;
     let lowered = Arc::new(Lowered { config, code, weights: optimized.step_weights });
     let bytecode = BytecodeRouter { lowered, mesh: mesh.clone(), io, mode };
 

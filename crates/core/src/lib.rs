@@ -11,11 +11,13 @@
 //!
 //! * [`configure`] is the "Rule Compiler": rule-language source →
 //!   [`RouterConfiguration`] (compiled tables + hardware cost report).
-//! * [`RuleRouter`] plugs a configuration into `ftr-sim` as a
-//!   [`ftr_sim::routing::RoutingAlgorithm`], so a network can be *driven
-//!   entirely by rule programs* — loading a different program changes the
-//!   routing behaviour without touching the router (the paper's
-//!   flexibility claim).
+//! * [`RuleHost`] plugs a configuration into `ftr-sim` as a
+//!   [`ftr_sim::routing::RoutingAlgorithm`] on any topology a message
+//!   interface is written for ([`RuleRouter`] on meshes, [`CubeRuleRouter`]
+//!   on hypercubes), so a network can be *driven entirely by rule
+//!   programs* — loading a different program changes the routing
+//!   behaviour without touching the router (the paper's flexibility
+//!   claim).
 //! * [`registry`] names the shipped configurations (xy, west_first, nafta,
 //!   route_c, route_c_nft).
 
@@ -27,13 +29,12 @@ pub mod rule_router;
 pub use cube_router::CubeRuleRouter;
 pub use registry::{configuration, list_configurations};
 pub use report::HardwareReport;
-pub use rule_router::RuleRouter;
+pub use rule_router::{RuleHost, RuleRouter};
 
 use ftr_rules::{
     compile, cost, CompileOptions, CompiledProgram, InterpProbe, Machine, ProgramCost, Result,
     StepWeights,
 };
-use ftr_sim::routing::{Decision, Verdict};
 use std::sync::Arc;
 
 /// A compiled router configuration: the output of the paper's "rule
@@ -100,19 +101,6 @@ impl RouterConfiguration {
     /// The name a router driven by this configuration reports.
     pub(crate) fn algorithm_name(&self) -> String {
         format!("rule:{}{}", self.name, if self.optimized { "+opt" } else { "" })
-    }
-}
-
-/// A rule host's decision. The host sees which inputs its program
-/// declares, not which of them a given `RETURN` read, so a program that
-/// declares the load input (`loads_queue`) may have waited on it and its
-/// `Wait` is re-asked every cycle; a program without it can only have
-/// waited on what the `NodeController::route` contract allows.
-pub(crate) fn decision(verdict: Verdict, steps: u32, loads_queue: bool) -> Decision {
-    if verdict == Verdict::Wait && loads_queue {
-        Decision::polled_wait(steps)
-    } else {
-        Decision::new(verdict, steps)
     }
 }
 

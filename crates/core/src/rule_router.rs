@@ -1,74 +1,55 @@
-//! The rule-driven router: a [`RoutingAlgorithm`] whose control unit is a
-//! compiled rule program executed by the event manager.
+//! The rule host: a [`RoutingAlgorithm`] whose control unit is a compiled
+//! rule program executed by the event manager, on any topology a message
+//! interface ([`RuleIo`]) is written for.
 //!
 //! Every node holds one [`ftr_rules::Machine`] (the "Rule Bases" block of
-//! Figure 3). On each head flit the data path's channel allocator
-//! ([`ftr_algos::vnet`], selected by what the program declares) names the
-//! virtual network the head decides in and the directions it may take;
-//! the message interface ([`ftr_algos::rule_io::MeshIo`], bound once when
-//! the router is built) presents header fields and the permitted, live
-//! links to the program, the machine fires the entry rule base by its
-//! index, and [`rule_io::decode`] reads the cascade's last `RETURN` value
-//! (a direction, or 13 unroutable / 14 wait / 15 deliver). The direction
-//! leaves on the allocator's VC.
-//!
-//! The number of rule interpretations the cascade used becomes the
-//! decision's step count — the rule router therefore exhibits the very
-//! overhead the paper measures (1 step for XY, up to 3 for a NAFTA-style
-//! escalation chain).
+//! Figure 3). The interface, bound once when the router is built, does
+//! everything topology-specific: it presents a head to the program, fires
+//! it and decodes the answer ([`RuleIo::route`]), enumerates every answer
+//! the program can give ([`RuleIo::channels`], which the static lift in
+//! `ftr-analyze` runs too), and turns fault reports into the program's
+//! control messages. The interpretations a decision used become its step
+//! count, so the host exhibits the very overhead the paper measures.
 
 use crate::RouterConfiguration;
-use ftr_algos::rule_io::{self, MeshIo, PortInfo, Ret};
-use ftr_algos::vnet::MeshVcMode;
-use ftr_rules::{CompiledProgram, InputMap, InterpProbe, Machine};
+use ftr_algos::rule_io::{self, MeshIo, Query, RuleIo, Unit};
+use ftr_rules::{InputMap, InterpProbe};
 use ftr_sim::flit::Header;
-use ftr_sim::routing::{Decision, NodeController, RouterView, RoutingAlgorithm, Verdict};
+use ftr_sim::routing::{ControlMsg, Decision, NodeController, RouterView, RoutingAlgorithm};
 use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId};
 use std::sync::Arc;
 
-pub use ftr_algos::rule_io::{RET_DELIVER, RET_UNROUTABLE, RET_WAIT};
-
-/// A rule-driven routing algorithm for 2-D meshes.
-pub struct RuleRouter {
+/// A rule-driven routing algorithm on the topology of message interface `I`.
+pub struct RuleHost<I: RuleIo> {
     config: Arc<RouterConfiguration>,
-    mesh: Mesh2D,
-    io: MeshIo,
-    vcs: usize,
+    topo: I::Topo,
+    io: I,
+    reads: Arc<I::Reads>,
     probe: Option<Arc<dyn InterpProbe>>,
 }
 
-impl RuleRouter {
-    /// Builds a rule router from a configuration, on the data path the
-    /// program's declarations select ([`MeshIo::mode`]): one virtual
-    /// channel, or the NARA pair when `invc` spans two networks.
+/// The rule host for 2-D meshes ([`MeshIo`]): the channel allocator
+/// ([`ftr_algos::vnet`]) names the network and directions a head may
+/// take, the entry rule base answers a direction or 13 unroutable / 14
+/// wait / 15 deliver, and the direction leaves on the allocator's VC.
+pub type RuleRouter = RuleHost<MeshIo>;
+
+impl<I: RuleIo> RuleHost<I> {
+    /// Builds the host of a configuration on `topo`.
     ///
     /// # Panics
     ///
-    /// If the program cannot drive this mesh: it has no parameterless
-    /// entry rule base, declares a name of the message interface with
-    /// another shape or element type, or declares a domain too small for
-    /// `mesh`. The message names the declaration.
-    pub fn for_mesh(config: RouterConfiguration, mesh: Mesh2D) -> Self {
+    /// If the program cannot drive `topo` ([`RuleIo::bind_for`],
+    /// [`RuleIo::drives`]): it lacks a declaration or rule base the
+    /// interface requires, declares one with another shape or element
+    /// type, or declares a domain too small for `topo`. The message names
+    /// the declaration.
+    pub fn bind(config: RouterConfiguration, topo: I::Topo) -> Self {
         let prog = &config.compiled.prog;
-        let bound = rule_io::entry(prog).and_then(|_| {
-            let io = MeshIo::bind(prog)?;
-            io.fits(prog, mesh.width(), mesh.height(), io.mode(prog).num_vcs())?;
-            Ok(io)
-        });
-        let io = bound.unwrap_or_else(|e| panic!("rule program `{}`: {e}", config.name));
-        let vcs = io.mode(prog).num_vcs();
-        RuleRouter { config: Arc::new(config), mesh, io, vcs, probe: None }
-    }
-
-    /// [`RuleRouter::for_mesh`], asserting that `vcs` is the count the
-    /// program's declarations select. Kept only because the ledger
-    /// (`benchmark/`) still calls it; it goes with ROADMAP 1(b)/(c).
-    #[deprecated(note = "the VC count is derived from the program: use `RuleRouter::for_mesh`")]
-    pub fn new(config: RouterConfiguration, mesh: Mesh2D, vcs: usize) -> Self {
-        let router = Self::for_mesh(config, mesh);
-        let (name, derived) = (&router.config.name, router.vcs);
-        assert_eq!(vcs, derived, "rule program `{name}` selects {derived} virtual channel(s)");
-        router
+        let io = I::bind_for(prog, &topo).and_then(|io| io.drives(prog).map(|()| io));
+        let io = io.unwrap_or_else(|e| panic!("rule program `{}`: {e}", config.name));
+        let reads = Arc::new(io.reads(&config.compiled));
+        RuleHost { config: Arc::new(config), topo, io, reads, probe: None }
     }
 
     /// Attaches a per-stage interpreter probe (e.g. an
@@ -78,48 +59,53 @@ impl RuleRouter {
         self.probe = Some(probe);
         self
     }
+}
 
-    /// The configuration driving this router.
-    pub fn configuration(&self) -> &RouterConfiguration {
-        &self.config
+impl RuleRouter {
+    /// Builds a mesh rule router on the data path the program's
+    /// declarations select (`MeshIo::mode`): one virtual channel, or the
+    /// NARA pair when `invc` spans two networks. Panics like
+    /// [`RuleHost::bind`].
+    pub fn for_mesh(config: RouterConfiguration, mesh: Mesh2D) -> Self {
+        Self::bind(config, mesh)
+    }
+
+    /// [`RuleRouter::for_mesh`], asserting that `vcs` is the count the
+    /// program's declarations select. Kept only because the ledger
+    /// (`benchmark/`) still calls it; it goes with item 2(b)/(c).
+    #[deprecated(note = "the VC count is derived from the program: use `RuleRouter::for_mesh`")]
+    pub fn new(config: RouterConfiguration, mesh: Mesh2D, vcs: usize) -> Self {
+        let router = Self::for_mesh(config, mesh);
+        let (name, derived) = (&router.config.name, router.io.num_vcs());
+        assert_eq!(vcs, derived, "rule program `{name}` selects {derived} virtual channel(s)");
+        router
     }
 }
 
-impl RoutingAlgorithm for RuleRouter {
+impl<I: RuleIo> RoutingAlgorithm for RuleHost<I> {
     fn name(&self) -> String {
         self.config.algorithm_name()
     }
 
     fn num_vcs(&self) -> usize {
-        self.vcs
+        self.io.num_vcs()
     }
 
     fn controller(&self, _topo: &dyn Topology, node: NodeId) -> Box<dyn NodeController> {
-        let mut machine = self.config.machine(self.probe.as_ref());
-        let coords = self.mesh.coords(node);
-        self.io.init_node(&self.config.compiled.prog, machine.regs_mut(), coords);
-        Box::new(RuleNodeController {
-            compiled: Arc::clone(&self.config.compiled),
-            machine,
-            mesh: self.mesh.clone(),
-            io: self.io,
-            mode: self.io.mode(&self.config.compiled.prog),
-            inputs: InputMap::new(),
-        })
+        let (mut machine, topo) = (self.config.machine(self.probe.as_ref()), self.topo.clone());
+        let node = self.io.init(&topo, node, &mut machine);
+        let unit = Unit { topo, machine, inputs: InputMap::new(), node };
+        Box::new(RuleController { io: self.io, reads: Arc::clone(&self.reads), unit })
     }
 }
 
-struct RuleNodeController {
-    compiled: Arc<CompiledProgram>,
-    machine: Machine,
-    mesh: Mesh2D,
-    io: MeshIo,
-    mode: MeshVcMode,
-    /// Reused for every decision.
-    inputs: InputMap,
+struct RuleController<I: RuleIo> {
+    io: I,
+    reads: Arc<I::Reads>,
+    unit: Unit<I>,
 }
 
-impl NodeController for RuleNodeController {
+impl<I: RuleIo> NodeController for RuleController<I> {
     fn route(
         &mut self,
         view: &RouterView<'_>,
@@ -127,35 +113,43 @@ impl NodeController for RuleNodeController {
         in_port: Option<PortId>,
         in_vc: VcId,
     ) -> Decision {
-        // one fire per consult: at injection the first lane stands for both
-        let arrival = in_port.map(|p| (p, in_vc));
-        let mut lanes = self.mode.lanes(arrival, self.mesh.offset(view.node, h.dst));
-        let lane = lanes.next().expect("the allocator always offers a lane");
-        let vc = lane.vnet as usize;
-        self.inputs.clear();
-        // the dead-end waves are not wired to this host: both flags read false
-        let open = self.io.present(
-            &self.compiled.prog,
-            self.machine.regs_mut(),
-            &mut self.inputs,
-            self.mesh.coords(h.dst),
-            lane,
-            (false, false),
-            |d| PortInfo { free: view.free(d, vc), linkok: view.alive(d), out_queue: view.load(d) },
-        );
-        let Ok(fired) = self.machine.fire_base(rule_io::ENTRY, &[], &self.inputs) else {
-            return Decision::new(Verdict::Unroutable, 1);
-        };
-        let verdict = match fired.last_return.map_or(Ret::Wait, rule_io::decode) {
-            Ret::Dir(d) if d < 4 && open >> d & 1 != 0 && view.free(d as usize, vc) => {
-                h.vnet = lane.vnet;
-                Verdict::Route(PortId(d), VcId(lane.vnet))
-            }
-            Ret::Dir(_) | Ret::Wait => Verdict::Wait,
-            Ret::Deliver => Verdict::Deliver,
-            Ret::Unroutable => Verdict::Unroutable,
-        };
-        crate::decision(verdict, fired.steps.max(1), self.io.out_queue.is_some())
+        self.io.route(&mut self.unit, view, h, in_port.map(|p| (p, in_vc)))
+    }
+
+    fn relation(
+        &mut self,
+        view: &RouterView<'_>,
+        h: &Header,
+        in_port: Option<PortId>,
+        in_vc: VcId,
+    ) -> Vec<(PortId, VcId)> {
+        // every channel the program can choose here, whatever the loads
+        // and free channels hold: the static lift's enumeration
+        let (io, u, cur, dst) = (self.io, &mut self.unit, view.node, h.dst);
+        if cur == dst {
+            return Vec::new();
+        }
+        let (topo, ok) = (u.topo.clone(), io.usable(u, view, dst));
+        rule_io::relation(&io, &topo, (cur, dst), in_port.map(|p| (p, in_vc)), |lane| {
+            io.channels(u, &self.reads, Query { cur, dst, lane, ok }).0
+        })
+    }
+
+    fn on_fault(&mut self, _view: &RouterView<'_>, port: PortId) -> Vec<ControlMsg> {
+        self.io.on_fault(&mut self.unit, port)
+    }
+
+    fn on_control(
+        &mut self,
+        _view: &RouterView<'_>,
+        from: PortId,
+        payload: &[i64],
+    ) -> Vec<ControlMsg> {
+        self.io.on_control(&mut self.unit, from, payload)
+    }
+
+    fn state_word(&self) -> i64 {
+        self.io.state_word(&self.unit.machine)
     }
 }
 
@@ -164,6 +158,7 @@ mod tests {
     use super::*;
     use crate::configure;
     use ftr_algos::rules_src;
+    use ftr_sim::routing::Verdict;
     use ftr_sim::{Network, Pattern, TrafficSource};
 
     fn rule_net(src: &str, name: &str, mesh: Mesh2D) -> Network {

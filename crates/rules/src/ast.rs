@@ -478,3 +478,56 @@ impl Program {
         }
     }
 }
+
+/// Applies `f` to every expression reachable from `cmds`: assignment
+/// indices and values, return values, emit arguments, quantified sets and
+/// bodies, each expression before its operands.
+pub fn walk_cmds(cmds: &[Command], f: &mut impl FnMut(&Expr)) {
+    for cmd in cmds {
+        match cmd {
+            Command::Assign { indices, value, .. } => {
+                for ix in indices {
+                    walk_expr(ix, f);
+                }
+                walk_expr(value, f);
+            }
+            Command::Return(e) => walk_expr(e, f),
+            Command::Emit { args, .. } => {
+                for a in args {
+                    walk_expr(a, f);
+                }
+            }
+            Command::ForAll { set, body, .. } => {
+                walk_expr(set, f);
+                walk_cmds(body, f);
+            }
+        }
+    }
+}
+
+/// Applies `f` to `e`, then to each of its operands, recursively.
+pub fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
+    f(e);
+    match e {
+        Expr::Lit(_) | Expr::Ref(_) => {}
+        Expr::Indexed { indices, .. } => {
+            for ix in indices {
+                walk_expr(ix, f);
+            }
+        }
+        Expr::Un(_, a) => walk_expr(a, f),
+        Expr::Bin(_, a, b) => {
+            walk_expr(a, f);
+            walk_expr(b, f);
+        }
+        Expr::Quant { set, body, .. } => {
+            walk_expr(set, f);
+            walk_expr(body, f);
+        }
+        Expr::Call { args, .. } => {
+            for a in args {
+                walk_expr(a, f);
+            }
+        }
+    }
+}

@@ -174,6 +174,12 @@ impl Machine {
         &mut self.regs
     }
 
+    /// The program and the register file at once, for a host that writes
+    /// registers by the program's declarations.
+    pub fn program_and_regs(&mut self) -> (&Program, &mut RegFile) {
+        (&self.compiled.prog, &mut self.regs)
+    }
+
     /// Fires external event `event(args)`, then drains all internally
     /// generated events. Returns the outcome of the *directly fired* base
     /// plus every event that escaped to the host. The name is looked up

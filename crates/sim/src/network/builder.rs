@@ -160,7 +160,7 @@ impl NetworkBuilder {
 
     /// Does nothing: the engine has one sequential step, so every build is
     /// the same whatever `n` says. Kept only because the ledger
-    /// (`benchmark/`) still calls it; ROADMAP 1(b) drops that call and 1(c)
+    /// (`benchmark/`) still calls it; item 2(b) drops that call and 2(c)
     /// deletes this method.
     #[deprecated(note = "the engine has no parallel step; this is a no-op")]
     pub fn threads(self, _n: usize) -> Self {

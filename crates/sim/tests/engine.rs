@@ -532,7 +532,7 @@ fn active_set_matches_dense_reference_under_faults_and_retries() {
 }
 
 /// `NetworkBuilder::threads` is a deprecated no-op that the ledger still
-/// calls (ROADMAP 1(b) drops the call, 1(c) the method, and this test with
+/// calls (item 2(b) drops the call, 2(c) the method, and this test with
 /// them): a `threads(2)` build runs the E15-shaped workload of the lockstep
 /// test above exactly as a default build does.
 #[test]
