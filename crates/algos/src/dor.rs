@@ -1,27 +1,53 @@
-//! Dimension-order (oblivious) routing baselines: XY on 2-D meshes and
-//! e-cube on hypercubes.
+//! Dimension-order (oblivious) routing baselines: XY on 2-D meshes,
+//! e-cube on hypercubes and DOR on k-ary n-cube meshes.
 //!
 //! These are the classic deadlock-free oblivious routers the paper's
 //! introduction contrasts with ("using oblivious routing the whole path
 //! through the network is fixed"). They need one virtual channel, one rule
 //! interpretation per message, and no fault state — the zero-cost end of
-//! the fault-tolerance overhead scale.
+//! the fault-tolerance overhead scale. One controller serves all three;
+//! the topology's [`DimensionOrder`] names the one output.
 
 use crate::common::max_hops;
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{Decision, NodeController, RouterView, RoutingAlgorithm, Verdict};
-use ftr_topo::{Hypercube, Mesh2D, NodeId, PortId, Topology, VcId, EAST, NORTH, SOUTH, WEST};
+use ftr_topo::{
+    Hypercube, KAryNCube, Mesh2D, NodeId, PortId, Topology, VcId, EAST, NORTH, SOUTH, WEST,
+};
+
+/// Dimension-order routing on a topology whose [`DimensionOrder`] fixes
+/// the path.
+#[derive(Clone)]
+pub struct Dor<T> {
+    topo: T,
+}
 
 /// XY dimension-order routing on a 2-D mesh.
-#[derive(Clone)]
-pub struct XyRouting {
-    mesh: Mesh2D,
+pub type XyRouting = Dor<Mesh2D>;
+
+/// E-cube routing on a hypercube: resolve differing address bits in
+/// ascending dimension order.
+pub type EcubeRouting = Dor<Hypercube>;
+
+/// Dimension-order routing on a general k-ary n-cube mesh (lowest
+/// dimension first). Wrap-around variants are rejected at construction:
+/// plain DOR deadlocks on rings, which is precisely why torus algorithms
+/// need schemes like negative-hop.
+pub type KAryDor = Dor<KAryNCube>;
+
+/// A topology with a fixed dimension order.
+pub trait DimensionOrder: Topology + Clone + 'static {
+    /// The algorithm's name in reports.
+    fn dor_name(&self) -> String;
+
+    /// The single output towards `dst`, `None` at the destination.
+    fn dor_port(&self, node: NodeId, dst: NodeId) -> Option<PortId>;
 }
 
 impl XyRouting {
     /// Creates the algorithm for a mesh.
     pub fn new(mesh: Mesh2D) -> Self {
-        XyRouting { mesh }
+        Dor { topo: mesh }
     }
 
     /// The single XY output for a (node, dst) pair, `None` at destination.
@@ -41,9 +67,65 @@ impl XyRouting {
     }
 }
 
-impl RoutingAlgorithm for XyRouting {
-    fn name(&self) -> String {
+impl DimensionOrder for Mesh2D {
+    fn dor_name(&self) -> String {
         "xy".into()
+    }
+
+    fn dor_port(&self, node: NodeId, dst: NodeId) -> Option<PortId> {
+        XyRouting::next_port(self, node, dst)
+    }
+}
+
+impl EcubeRouting {
+    /// Creates the algorithm for a hypercube.
+    pub fn new(cube: Hypercube) -> Self {
+        Dor { topo: cube }
+    }
+}
+
+impl DimensionOrder for Hypercube {
+    fn dor_name(&self) -> String {
+        "ecube".into()
+    }
+
+    /// Lowest differing dimension.
+    fn dor_port(&self, node: NodeId, dst: NodeId) -> Option<PortId> {
+        let diff = self.diff(node, dst);
+        (diff != 0).then(|| PortId(diff.trailing_zeros() as u8))
+    }
+}
+
+impl KAryDor {
+    /// Creates DOR for a k-ary n-cube. Panics on wrap-around cubes.
+    pub fn new(cube: KAryNCube) -> Self {
+        assert!(!cube.wraps(), "plain dimension-order routing deadlocks on wrap-around links");
+        Dor { topo: cube }
+    }
+}
+
+impl DimensionOrder for KAryNCube {
+    fn dor_name(&self) -> String {
+        format!("dor:{}", self.name())
+    }
+
+    fn dor_port(&self, node: NodeId, dst: NodeId) -> Option<PortId> {
+        let (a, b) = (self.coords(node), self.coords(dst));
+        for d in 0..self.dims() as usize {
+            use std::cmp::Ordering::*;
+            match a[d].cmp(&b[d]) {
+                Less => return Some(PortId((2 * d) as u8)),
+                Greater => return Some(PortId((2 * d + 1) as u8)),
+                Equal => {}
+            }
+        }
+        None
+    }
+}
+
+impl<T: DimensionOrder> RoutingAlgorithm for Dor<T> {
+    fn name(&self) -> String {
+        self.topo.dor_name()
     }
 
     fn num_vcs(&self) -> usize {
@@ -51,19 +133,17 @@ impl RoutingAlgorithm for XyRouting {
     }
 
     fn controller(&self, _topo: &dyn Topology, _node: NodeId) -> Box<dyn NodeController> {
-        Box::new(XyController {
-            mesh: self.mesh.clone(),
-            hop_limit: max_hops(self.mesh.num_nodes()),
-        })
+        let hop_limit = max_hops(self.topo.num_nodes());
+        Box::new(DorController { topo: self.topo.clone(), hop_limit })
     }
 }
 
-struct XyController {
-    mesh: Mesh2D,
+struct DorController<T> {
+    topo: T,
     hop_limit: u32,
 }
 
-impl NodeController for XyController {
+impl<T: DimensionOrder> NodeController for DorController<T> {
     fn route(
         &mut self,
         view: &RouterView<'_>,
@@ -74,7 +154,7 @@ impl NodeController for XyController {
         if h.hops > self.hop_limit {
             return Decision::new(Verdict::Unroutable, 1);
         }
-        let Some(p) = XyRouting::next_port(&self.mesh, view.node, h.dst) else {
+        let Some(p) = self.topo.dor_port(view.node, h.dst) else {
             return Decision::new(Verdict::Deliver, 1);
         };
         if !view.alive(p.idx()) {
@@ -86,99 +166,6 @@ impl NodeController for XyController {
         } else {
             Decision::new(Verdict::Wait, 1)
         }
-    }
-
-    fn relation(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &Header,
-        _in_port: Option<PortId>,
-        _in_vc: VcId,
-    ) -> Vec<(PortId, VcId)> {
-        XyRouting::next_port(&self.mesh, view.node, h.dst)
-            .map(|p| (p, VcId(0)))
-            .into_iter()
-            .collect()
-    }
-}
-
-/// E-cube routing on a hypercube: resolve differing address bits in
-/// ascending dimension order.
-#[derive(Clone)]
-pub struct EcubeRouting {
-    cube: Hypercube,
-}
-
-impl EcubeRouting {
-    /// Creates the algorithm for a hypercube.
-    pub fn new(cube: Hypercube) -> Self {
-        EcubeRouting { cube }
-    }
-
-    /// Lowest differing dimension, `None` at destination.
-    pub fn next_port(cube: &Hypercube, node: NodeId, dst: NodeId) -> Option<PortId> {
-        let diff = cube.diff(node, dst);
-        (diff != 0).then(|| PortId(diff.trailing_zeros() as u8))
-    }
-}
-
-impl RoutingAlgorithm for EcubeRouting {
-    fn name(&self) -> String {
-        "ecube".into()
-    }
-
-    fn num_vcs(&self) -> usize {
-        1
-    }
-
-    fn controller(&self, _topo: &dyn Topology, _node: NodeId) -> Box<dyn NodeController> {
-        Box::new(EcubeController {
-            cube: self.cube.clone(),
-            hop_limit: max_hops(self.cube.num_nodes()),
-        })
-    }
-}
-
-struct EcubeController {
-    cube: Hypercube,
-    hop_limit: u32,
-}
-
-impl NodeController for EcubeController {
-    fn route(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &mut Header,
-        _in_port: Option<PortId>,
-        _in_vc: VcId,
-    ) -> Decision {
-        if h.hops > self.hop_limit {
-            return Decision::new(Verdict::Unroutable, 1);
-        }
-        let Some(p) = EcubeRouting::next_port(&self.cube, view.node, h.dst) else {
-            return Decision::new(Verdict::Deliver, 1);
-        };
-        if !view.alive(p.idx()) {
-            return Decision::new(Verdict::Unroutable, 1);
-        }
-        if view.free(p.idx(), 0) {
-            Decision::new(Verdict::Route(p, VcId(0)), 1)
-        } else {
-            Decision::new(Verdict::Wait, 1)
-        }
-    }
-
-    fn relation(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &Header,
-        _in_port: Option<PortId>,
-        _in_vc: VcId,
-    ) -> Vec<(PortId, VcId)> {
-        EcubeRouting::next_port(&self.cube, view.node, h.dst)
-            .map(|p| (p, VcId(0)))
-            .into_iter()
-            .collect()
     }
 }
 
@@ -254,7 +241,7 @@ mod tests {
 
         let cube = Hypercube::new(4);
         assert_eq!(
-            EcubeRouting::next_port(&cube, NodeId(0b0000), NodeId(0b1010)),
+            cube.dor_port(NodeId(0b0000), NodeId(0b1010)),
             Some(PortId(1)),
             "lowest differing dimension first"
         );
@@ -269,99 +256,6 @@ mod tests {
         assert!(!g.has_cycle());
         let _ = algo;
         let _: Option<ChannelDependencyGraph> = None;
-    }
-}
-
-/// Dimension-order routing on a general k-ary n-cube mesh (lowest
-/// dimension first). Wrap-around variants are rejected at construction:
-/// plain DOR deadlocks on rings, which is precisely why torus algorithms
-/// need schemes like negative-hop.
-#[derive(Clone)]
-pub struct KAryDor {
-    cube: ftr_topo::KAryNCube,
-}
-
-impl KAryDor {
-    /// Creates DOR for a k-ary n-cube. Panics on wrap-around cubes.
-    pub fn new(cube: ftr_topo::KAryNCube) -> Self {
-        assert!(!cube.wraps(), "plain dimension-order routing deadlocks on wrap-around links");
-        KAryDor { cube }
-    }
-
-    /// The single DOR output port, `None` at the destination.
-    pub fn next_port(cube: &ftr_topo::KAryNCube, node: NodeId, dst: NodeId) -> Option<PortId> {
-        let a = cube.coords(node);
-        let b = cube.coords(dst);
-        for d in 0..cube.dims() as usize {
-            use std::cmp::Ordering::*;
-            match a[d].cmp(&b[d]) {
-                Less => return Some(PortId((2 * d) as u8)),
-                Greater => return Some(PortId((2 * d + 1) as u8)),
-                Equal => {}
-            }
-        }
-        None
-    }
-}
-
-impl RoutingAlgorithm for KAryDor {
-    fn name(&self) -> String {
-        format!("dor:{}", self.cube.name())
-    }
-
-    fn num_vcs(&self) -> usize {
-        1
-    }
-
-    fn controller(&self, _topo: &dyn Topology, _node: NodeId) -> Box<dyn NodeController> {
-        Box::new(KAryDorController {
-            cube: self.cube.clone(),
-            hop_limit: max_hops(self.cube.num_nodes()),
-        })
-    }
-}
-
-struct KAryDorController {
-    cube: ftr_topo::KAryNCube,
-    hop_limit: u32,
-}
-
-impl NodeController for KAryDorController {
-    fn route(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &mut Header,
-        _in_port: Option<PortId>,
-        _in_vc: VcId,
-    ) -> Decision {
-        if h.hops > self.hop_limit {
-            return Decision::new(Verdict::Unroutable, 1);
-        }
-        let Some(p) = KAryDor::next_port(&self.cube, view.node, h.dst) else {
-            return Decision::new(Verdict::Deliver, 1);
-        };
-        if !view.alive(p.idx()) {
-            return Decision::new(Verdict::Unroutable, 1);
-        }
-        if view.free(p.idx(), 0) {
-            Decision::new(Verdict::Route(p, VcId(0)), 1)
-        } else {
-            Decision::new(Verdict::Wait, 1)
-        }
-    }
-
-    fn relation(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &Header,
-        _in_port: Option<PortId>,
-        _in_vc: VcId,
-    ) -> Vec<(PortId, VcId)> {
-        KAryDor::next_port(&self.cube, view.node, h.dst)
-            .filter(|p| view.alive(p.idx()))
-            .map(|p| (p, VcId(0)))
-            .into_iter()
-            .collect()
     }
 }
 
@@ -412,9 +306,9 @@ mod kary_tests {
         let a = cube.node_at(&[0, 2, 1]);
         let b = cube.node_at(&[3, 0, 1]);
         // dimension 0 first (+x), then dimension 1 (-y)
-        assert_eq!(KAryDor::next_port(&cube, a, b), Some(PortId(0)));
+        assert_eq!(cube.dor_port(a, b), Some(PortId(0)));
         let mid = cube.node_at(&[3, 2, 1]);
-        assert_eq!(KAryDor::next_port(&cube, mid, b), Some(PortId(3)));
-        assert_eq!(KAryDor::next_port(&cube, b, b), None);
+        assert_eq!(cube.dor_port(mid, b), Some(PortId(3)));
+        assert_eq!(cube.dor_port(b, b), None);
     }
 }

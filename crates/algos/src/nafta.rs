@@ -326,8 +326,8 @@ impl NaftaController {
     }
 
     /// Candidate outputs for a message in `lane`, with the step count of
-    /// the decision. Deterministic in (node, dst, lane) so the same
-    /// function backs `route` and `relation`.
+    /// the decision. Deterministic in (node, dst, lane), so `route` keeps
+    /// its grant contract.
     fn candidates(&self, dst: NodeId, lane: Lane) -> (Ports, u32, bool) {
         let (dx, dy) = self.mesh.offset(self.node, dst);
         let vnet = lane.vnet;
@@ -415,28 +415,6 @@ impl NodeController for NaftaController {
         } else {
             Decision::new(Verdict::Wait, steps)
         }
-    }
-
-    fn relation(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &Header,
-        in_port: Option<PortId>,
-        in_vc: VcId,
-    ) -> Vec<(PortId, VcId)> {
-        if view.node == h.dst {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for lane in self.lanes(h.dst, in_port, in_vc) {
-            let (opts, _steps, _mis) = self.candidates(h.dst, lane);
-            for &p in opts.as_slice() {
-                if view.alive(p.idx()) {
-                    out.push((p, VcId(lane.vnet)));
-                }
-            }
-        }
-        out
     }
 
     fn on_fault(&mut self, _view: &RouterView<'_>, port: PortId) -> Vec<ControlMsg> {

@@ -103,18 +103,6 @@ impl NodeController for NaraController {
             Decision::new(Verdict::Unroutable, 1)
         }
     }
-
-    fn relation(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &Header,
-        in_port: Option<PortId>,
-        in_vc: VcId,
-    ) -> Vec<(PortId, VcId)> {
-        let mut out = self.candidates(view.node, h.dst, in_port, in_vc);
-        out.retain(|(p, _)| view.alive(p.idx()));
-        out
-    }
 }
 
 #[cfg(test)]

@@ -146,19 +146,6 @@ impl NodeController for NhController {
             Decision::new(Verdict::Wait, 1)
         }
     }
-
-    fn relation(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &Header,
-        in_port: Option<PortId>,
-        in_vc: VcId,
-    ) -> Vec<(PortId, VcId)> {
-        if view.node == h.dst {
-            return Vec::new();
-        }
-        self.candidates(view, h.dst, in_port, in_vc, h.hops)
-    }
 }
 
 #[cfg(test)]

@@ -295,25 +295,6 @@ impl NodeController for RouteCController {
         }
     }
 
-    fn relation(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &Header,
-        _in_port: Option<PortId>,
-        _in_vc: VcId,
-    ) -> Vec<(PortId, VcId)> {
-        if view.node == h.dst {
-            return Vec::new();
-        }
-        let (ports, phase, misroute) = self.decide_dir(h.dst);
-        let vcr = self.vc_range(phase, misroute);
-        ports
-            .iter()
-            .filter(|p| view.alive(p.idx()))
-            .flat_map(|&p| vcr.clone().map(move |v| (p, VcId(v as u8))))
-            .collect()
-    }
-
     fn on_fault(&mut self, _view: &RouterView<'_>, port: PortId) -> Vec<ControlMsg> {
         self.link_dead[port.idx()] = true;
         self.update_state()

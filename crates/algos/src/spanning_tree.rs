@@ -114,26 +114,6 @@ impl<T: Topology + Clone + 'static> NodeController for TreeController<T> {
         }
     }
 
-    fn relation(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &Header,
-        _in_port: Option<PortId>,
-        _in_vc: VcId,
-    ) -> Vec<(PortId, VcId)> {
-        let shared = self.shared();
-        let Some(next) = shared.tree.next_hop(view.node, h.dst) else {
-            return Vec::new();
-        };
-        drop(shared);
-        self.topo
-            .port_towards(view.node, next)
-            .filter(|p| view.alive(p.idx()))
-            .map(|p| (p, VcId(0)))
-            .into_iter()
-            .collect()
-    }
-
     fn on_fault(&mut self, _view: &RouterView<'_>, port: PortId) -> Vec<ControlMsg> {
         // global reconfiguration: record the fault and rebuild the tree
         let mut shared = self.shared();

@@ -96,20 +96,6 @@ impl NodeController for WfController {
             Decision::new(Verdict::Unroutable, 1)
         }
     }
-
-    fn relation(
-        &mut self,
-        view: &RouterView<'_>,
-        h: &Header,
-        _in_port: Option<PortId>,
-        _in_vc: VcId,
-    ) -> Vec<(PortId, VcId)> {
-        WestFirst::options(&self.mesh, view.node, h.dst)
-            .into_iter()
-            .filter(|p| view.alive(p.idx()))
-            .map(|p| (p, VcId(0)))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! controller state changes. That is sound exactly when such a `Wait`
 //! leaves the header as it was and does not depend on `view.load(..)` or
 //! `view.cycle` — checked here for every native algorithm, after random
-//! `on_fault`/`on_control`/`on_repair` histories, under random views.
+//! `on_fault`/`on_control`/`on_repair` histories, under random views. So is
+//! the grant contract: a granted channel is in the controller's relation.
 
 use ftr_algos::{
     EcubeRouting, KAryDor, Nafta, Nara, NegativeHop, RouteC, SpanningTreeRouting, WestFirst,
@@ -80,6 +81,10 @@ fn consult(algo: usize, noise: [u64; 10]) -> Result<bool, TestCaseError> {
 
     let mut h = header;
     let first = ctrl.route(&view(&load_a, noise[5]), &mut h, in_port, in_vc);
+    if let Verdict::Route(p, v) = first.verdict {
+        let relation = ctrl.relation(&view(&load_a, noise[5]), &header, in_port, in_vc);
+        prop_assert!(relation.contains(&(p, v)), "granted {:?} outside {:?}", (p, v), relation);
+    }
     if first.verdict != Verdict::Wait || first.polled {
         return Ok(false);
     }

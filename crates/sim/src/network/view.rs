@@ -3,23 +3,20 @@
 //! Every [`RouterView`] the engine hands a [`NodeController`] is a window
 //! on the node's own row of the wiring table, and nothing is copied for
 //! it: beside that row, routing consults (`phases`) and control-plane
-//! hooks (`control`) read the node's arena rows, while the two idealised
-//! routers here — [`Network::query_relation`]'s and the `RouteWait`
-//! probe's — have no state to read.
+//! hooks (`control`) read the node's arena rows, while the idealised
+//! router here — [`Network::query_relation`]'s and the `RouteWait`
+//! probe's — has no state to read.
 
 use super::Network;
 use crate::flit::Header;
-use crate::routing::{RouterView, Rows, Verdict};
+use crate::routing::{one_free_grants, NodeController, RouterView, Rows};
 use ftr_topo::{NodeId, PortId, VcId};
 
 impl Network {
     /// Output channels the controller would accept *right now* for a head
-    /// it asked to wait: each live `(port, vc)` is probed under a synthetic
-    /// view where exactly that channel is free, and kept when the
-    /// controller grants it. Runs only while a trace sink is attached (the
-    /// `RouteWait` wait-for edges); header mutations made by the probed
-    /// decisions are discarded, so a controller whose `route` is a pure
-    /// function of view + header — every in-tree algorithm — is unperturbed.
+    /// it asked to wait, in the grant contract's terms: its
+    /// [`one_free_grants`] under this node's idealised router. Runs only
+    /// while a trace sink is attached (the `RouteWait` wait-for edges).
     pub(super) fn probe_wants(
         &mut self,
         n: NodeId,
@@ -27,21 +24,8 @@ impl Network {
         in_port: Option<PortId>,
         in_vc: VcId,
     ) -> Vec<(PortId, VcId)> {
-        let (wires, cycle, traced) = (self.wiring.row(n.idx()), self.cycle, self.sink.is_some());
-        let ctrl = &mut self.ctrls[n.idx()];
-        let mut wants = Vec::new();
-        for (p, _) in wires.iter().enumerate().filter(|(_, w)| w.live) {
-            for v in 0..self.vcs {
-                let rows = Rows::Ideal(wires, Some((p, v)));
-                let view = RouterView { node: n, cycle, traced, vcs: self.vcs, rows };
-                let mut h = *header;
-                let dec = ctrl.route(&view, &mut h, in_port, in_vc);
-                if dec.verdict == Verdict::Route(PortId(p as u8), VcId(v as u8)) {
-                    wants.push((PortId(p as u8), VcId(v as u8)));
-                }
-            }
-        }
-        wants
+        let (view, ctrl) = self.idealised(n);
+        one_free_grants(ctrl, &view, header, in_port, in_vc)
     }
 
     /// Queries a controller's full routing relation under an idealised
@@ -53,10 +37,17 @@ impl Network {
         in_port: Option<PortId>,
         in_vc: VcId,
     ) -> Vec<(PortId, VcId)> {
+        let (view, ctrl) = self.idealised(n);
+        ctrl.relation(&view, header, in_port, in_vc)
+    }
+
+    /// Node `n`'s controller and its router idealised: no load, every
+    /// channel on a live link free.
+    fn idealised(&mut self, n: NodeId) -> (RouterView<'_>, &mut dyn NodeController) {
         let (cycle, traced, rows) =
             (self.cycle, self.sink.is_some(), Rows::Ideal(self.wiring.row(n.idx()), None));
         let view = RouterView { node: n, cycle, traced, vcs: self.vcs, rows };
-        self.ctrls[n.idx()].relation(&view, header, in_port, in_vc)
+        (view, self.ctrls[n.idx()].as_mut())
     }
 }
 

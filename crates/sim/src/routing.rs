@@ -35,8 +35,14 @@ pub(crate) enum Rows<'a> {
     /// An idealised router without load: of the channels on live links
     /// only the given one is free — all of them for `None`.
     Ideal(&'a [Wire], Option<(usize, usize)>),
-    /// Tables the caller owns ([`RouterView::from_tables`]).
-    Tables { free: &'a [Vec<bool>], load: &'a [u32], alive: &'a [bool] },
+    /// Tables the caller owns ([`RouterView::from_tables`]); with `only`,
+    /// that channel alone is free.
+    Tables {
+        free: &'a [Vec<bool>],
+        load: &'a [u32],
+        alive: &'a [bool],
+        only: Option<(usize, usize)>,
+    },
 }
 
 impl<'a> RouterView<'a> {
@@ -50,8 +56,20 @@ impl<'a> RouterView<'a> {
         load: &'a [u32],
         alive: &'a [bool],
     ) -> Self {
-        let (vcs, rows) = (free.first().map_or(0, Vec::len), Rows::Tables { free, load, alive });
-        RouterView { node, cycle, traced: false, vcs, rows }
+        let rows = Rows::Tables { free, load, alive, only: None };
+        RouterView { node, cycle, traced: false, vcs: free.first().map_or(0, Vec::len), rows }
+    }
+
+    /// This router idealised: of the channels on live links only `(p, v)`
+    /// is free — the window [`one_free_grants`] probes a controller with.
+    fn only(&self, p: usize, v: usize) -> RouterView<'a> {
+        let rows = match self.rows {
+            Rows::Live(wires, _) | Rows::Ideal(wires, _) => Rows::Ideal(wires, Some((p, v))),
+            Rows::Tables { free, load, alive, .. } => {
+                Rows::Tables { free, load, alive, only: Some((p, v)) }
+            }
+        };
+        RouterView { node: self.node, cycle: self.cycle, traced: self.traced, vcs: self.vcs, rows }
     }
 
     /// Network ports of this router.
@@ -85,7 +103,7 @@ impl<'a> RouterView<'a> {
         match self.rows {
             Rows::Live(wires, out) => wires[p].live && out.free(p * self.vcs + v),
             Rows::Ideal(wires, only) => wires[p].live && only.is_none_or(|c| c == (p, v)),
-            Rows::Tables { free, .. } => free[p][v],
+            Rows::Tables { free, only, .. } => only.map_or(free[p][v], |c| c == (p, v)),
         }
     }
 
@@ -195,6 +213,13 @@ pub trait NodeController: Send {
     /// node's hook or its own `route` writes — must answer
     /// [`Decision::polled_wait`] instead: a parked head nobody wakes never
     /// moves again, and the watchdog reports it as a deadlock.
+    ///
+    /// # The grant contract
+    ///
+    /// A channel granted under some set of free channels is also granted
+    /// when it alone is free. So the channels [`one_free_grants`] finds are
+    /// all a head can ever be granted — its [`relation`](Self::relation)
+    /// and, for a parked head, the channels that would wake it.
     fn route(
         &mut self,
         view: &RouterView<'_>,
@@ -263,9 +288,8 @@ pub trait NodeController: Send {
     /// The *full routing relation* for a message: every output channel the
     /// algorithm might select in some load state. Used by the
     /// channel-dependency deadlock checker and the conditions-1..3
-    /// experiments; the default derives a singleton from [`Self::route`]
-    /// under an all-free view, which is correct only for oblivious
-    /// algorithms — adaptive ones must override.
+    /// experiments; by the grant contract on [`Self::route`] these are its
+    /// [`one_free_grants`].
     fn relation(
         &mut self,
         view: &RouterView<'_>,
@@ -273,12 +297,32 @@ pub trait NodeController: Send {
         in_port: Option<PortId>,
         in_vc: VcId,
     ) -> Vec<(PortId, VcId)> {
-        let mut h = *header;
-        match self.route(view, &mut h, in_port, in_vc).verdict {
-            Verdict::Route(p, v) => vec![(p, v)],
-            _ => Vec::new(),
+        one_free_grants(self, view, header, in_port, in_vc)
+    }
+}
+
+/// Every channel on a live link that `ctrl` grants when that channel alone
+/// is free, in port-then-VC order: the default
+/// [`NodeController::relation`] and the `RouteWait` trace event's wanted
+/// channels. Header writes of the probed decisions are discarded.
+pub fn one_free_grants<C: NodeController + ?Sized>(
+    ctrl: &mut C,
+    view: &RouterView<'_>,
+    header: &Header,
+    in_port: Option<PortId>,
+    in_vc: VcId,
+) -> Vec<(PortId, VcId)> {
+    let mut grants = Vec::new();
+    for p in (0..view.degree()).filter(|&p| view.alive(p)) {
+        for v in 0..view.vcs {
+            let (port, vc, mut h) = (PortId(p as u8), VcId(v as u8), *header);
+            let verdict = ctrl.route(&view.only(p, v), &mut h, in_port, in_vc).verdict;
+            if verdict == Verdict::Route(port, vc) {
+                grants.push((port, vc));
+            }
         }
     }
+    grants
 }
 
 /// A routing algorithm: a factory for per-node controllers.
@@ -309,5 +353,14 @@ mod tests {
         assert!(!v.any_vc_free(PortId(1)));
         assert_eq!(v.free_vc_in(PortId(0), 0..2), Some(VcId(1)));
         assert_eq!(v.free_vc_in(PortId(0), 0..1), None);
+    }
+
+    #[test]
+    fn a_probe_of_tables_frees_one_channel() {
+        let out_free = vec![vec![false, true], vec![true, true]];
+        let v = RouterView::from_tables(NodeId(0), 0, &out_free, &[3, 0], &[true, false]);
+        let one = v.only(0, 0);
+        assert!(one.free(0, 0) && !one.free(0, 1) && !one.free(1, 0));
+        assert_eq!((one.load(0), one.alive(1)), (3, false));
     }
 }
