@@ -10,8 +10,12 @@
 //! - **Node-major layout**: every array is ordered by node id, so one
 //!   node's lanes, output channels and port registers are contiguous in
 //!   every array — the rows a [`crate::routing::RouterView`] windows
-//!   ([`Channels::out_rows`]) and the slices the scheduler's activation
-//!   predicate ([`Channels::has_work`]) scans.
+//!   ([`Channels::out_rows`]).
+//! - **Occupancy masks**: per node, one bit per lane (set ⟺ its FIFO holds
+//!   a flit) and one bit per port (set ⟺ its link register holds one),
+//!   written only by the FIFO and register mutators below. The phases walk
+//!   their set bits instead of every lane and port, and the scheduler's
+//!   activation predicate ([`Channels::has_work`]) tests their words.
 //! - **Bounded FIFOs**: credit-based flow control guarantees a virtual
 //!   channel never holds more than `buffer_depth` flits, so each lane is a
 //!   ring of exactly `depth` slots; an overflow is a hard assertion (a
@@ -38,11 +42,14 @@ pub(crate) struct Geometry {
     pub depth: usize,
     /// Input lanes per node: `degree * vcs` network lanes + 1 injection.
     pub lanes: usize,
+    /// Words of a node's lane mask: `lanes.div_ceil(64)`.
+    pub lane_words: usize,
 }
 
 impl Geometry {
     pub fn new(nodes: usize, degree: usize, vcs: usize, depth: usize) -> Self {
-        Geometry { nodes, degree, vcs, depth, lanes: degree * vcs + 1 }
+        let lanes = degree * vcs + 1;
+        Geometry { nodes, degree, vcs, depth, lanes, lane_words: lanes.div_ceil(64) }
     }
 
     /// Lanes (VCs) on input port `ip`; the injection port has one.
@@ -121,6 +128,11 @@ pub(crate) struct Channels {
     out_assigned: Vec<u32>,
     /// Per node: locally generated flits awaiting the injection FIFO.
     staging: Vec<VecDeque<Flit>>,
+    /// Per node `lane_words` words: bit `l` set ⟺ lane `l`'s FIFO is
+    /// non-empty.
+    lane_mask: Vec<u64>,
+    /// Per node one word: bit `p` set ⟺ port `p`'s link register is full.
+    reg_mask: Vec<u64>,
 }
 
 impl Channels {
@@ -141,6 +153,8 @@ impl Channels {
             rr: vec![0; n * geo.degree],
             out_assigned: vec![0; n * geo.degree],
             staging: (0..n).map(|_| VecDeque::new()).collect(),
+            lane_mask: vec![0; n * geo.lane_words],
+            reg_mask: vec![0; n],
         }
     }
 
@@ -164,6 +178,52 @@ impl Channels {
         n * self.geo.degree + p
     }
 
+    /// Sets or clears the bit of node `n`'s lane at arena index `l`.
+    #[inline]
+    fn mark_lane(&mut self, n: usize, l: usize, occupied: bool) {
+        let l = l - n * self.geo.lanes;
+        let (w, bit) = (n * self.geo.lane_words + l / 64, 1u64 << (l % 64));
+        if occupied {
+            self.lane_mask[w] |= bit;
+        } else {
+            self.lane_mask[w] &= !bit;
+        }
+    }
+
+    // -------------------------------------------------- occupancy masks
+
+    /// Word `w` of node `n`'s lane mask: bit `l` covers lane `w * 64 + l`,
+    /// which is `(ip, iv) = (lane / vcs, lane % vcs)`.
+    #[inline]
+    pub fn lane_word(&self, n: usize, w: usize) -> u64 {
+        self.lane_mask[n * self.geo.lane_words + w]
+    }
+
+    /// Node `n`'s register mask: bit `p` set ⟺ port `p`'s link register
+    /// holds a flit.
+    #[inline]
+    pub fn reg_word(&self, n: usize) -> u64 {
+        self.reg_mask[n]
+    }
+
+    /// Whether every mask bit equals what the arrays it caches answer —
+    /// lane bit ⟺ `fifo_len > 0`, register bit ⟺ `out_reg.is_some()`.
+    pub fn masks_consistent(&self) -> bool {
+        fn word(bits: impl Iterator<Item = usize>) -> u64 {
+            bits.fold(0, |m, b| m | 1 << (b % 64))
+        }
+        let g = self.geo;
+        (0..g.nodes).all(|n| {
+            let lanes_ok = (0..g.lane_words).all(|w| {
+                let full = (w * 64..g.lanes.min(w * 64 + 64))
+                    .filter(|&l| self.fifo_len[n * g.lanes + l] > 0);
+                self.lane_word(n, w) == word(full)
+            });
+            let full = (0..g.degree).filter(|&p| self.out_reg[self.np(n, p)].is_some());
+            lanes_ok && self.reg_mask[n] == word(full)
+        })
+    }
+
     // ------------------------------------------------------- FIFO rings
 
     pub fn fifo_len(&self, n: usize, ip: usize, iv: usize) -> usize {
@@ -185,6 +245,7 @@ impl Channels {
         assert!(len < d, "VC FIFO overflow: the credit invariant was violated");
         self.fifo_buf[l * d + (self.fifo_head[l] as usize + len) % d] = f;
         self.fifo_len[l] += 1;
+        self.mark_lane(n, l, true);
     }
 
     pub fn fifo_pop_front(&mut self, n: usize, ip: usize, iv: usize) -> Option<Flit> {
@@ -196,6 +257,9 @@ impl Channels {
         let f = self.fifo_buf[l * d + self.fifo_head[l] as usize];
         self.fifo_head[l] = ((self.fifo_head[l] as usize + 1) % d) as u32;
         self.fifo_len[l] -= 1;
+        if self.fifo_len[l] == 0 {
+            self.mark_lane(n, l, false);
+        }
         Some(f)
     }
 
@@ -222,6 +286,7 @@ impl Channels {
             }
         }
         self.fifo_len[l] = kept as u32;
+        self.mark_lane(n, l, kept > 0);
     }
 
     // ------------------------------------------------------- lane state
@@ -338,11 +403,13 @@ impl Channels {
 
     pub fn take_out_reg(&mut self, n: usize, p: usize) -> Option<(VcId, Flit)> {
         let i = self.np(n, p);
+        self.reg_mask[n] &= !(1 << p);
         self.out_reg[i].take()
     }
 
     pub fn set_out_reg(&mut self, n: usize, p: usize, r: Option<(VcId, Flit)>) {
         let i = self.np(n, p);
+        self.reg_mask[n] = (self.reg_mask[n] & !(1 << p)) | (r.is_some() as u64) << p;
         self.out_reg[i] = r;
     }
 
@@ -383,13 +450,10 @@ impl Channels {
     /// Whether node `n` has any flit-bearing work — the activation
     /// predicate of the active-set scheduler.
     pub fn has_work(&self, n: usize) -> bool {
-        if !self.staging[n].is_empty() {
-            return true;
-        }
-        if self.fifo_len[n * self.geo.lanes..(n + 1) * self.geo.lanes].iter().any(|&l| l > 0) {
-            return true;
-        }
-        self.out_reg[n * self.geo.degree..(n + 1) * self.geo.degree].iter().any(|r| r.is_some())
+        let w = self.geo.lane_words;
+        !self.staging[n].is_empty()
+            || self.reg_mask[n] != 0
+            || self.lane_mask[n * w..(n + 1) * w].iter().any(|&m| m != 0)
     }
 
     /// Resets node `n` to power-on state (fresh buffers, credits, rr,
@@ -414,6 +478,8 @@ impl Channels {
             self.out_assigned[p] = 0;
         }
         self.staging[n].clear();
+        self.lane_mask[n * geo.lane_words..(n + 1) * geo.lane_words].fill(0);
+        self.reg_mask[n] = 0;
     }
 }
 

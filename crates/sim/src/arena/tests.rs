@@ -1,6 +1,7 @@
 //! Unit tests of the channel arena.
 
 use super::*;
+use proptest::prelude::*;
 
 fn flit(msg: u64, head: bool) -> Flit {
     Flit::new(MessageId(msg), head, false)
@@ -112,4 +113,79 @@ fn reset_node_restores_power_on_state() {
     assert_eq!(ch.route(1, 0, 1), RouteState::Unrouted);
     assert_eq!(ch.out_owner(1, 1, 0), None);
     assert_eq!(ch.out_credits(1, 1, 0), 4);
+}
+
+/// The activation predicate the occupancy masks replaced: a scan of the
+/// node's staging queue, FIFO lengths and link registers.
+fn has_work_by_scan(ch: &Channels, n: usize) -> bool {
+    let g = ch.geo;
+    !ch.staging[n].is_empty()
+        || ch.fifo_len[n * g.lanes..(n + 1) * g.lanes].iter().any(|&l| l > 0)
+        || ch.out_reg[n * g.degree..(n + 1) * g.degree].iter().any(|r| r.is_some())
+}
+
+#[test]
+fn the_injection_lane_of_sixteen_vcs_opens_the_second_word() {
+    let mut ch = Channels::new(Geometry::new(2, 4, 16, 2));
+    assert_eq!(ch.geo().lane_words, 2);
+    ch.fifo_push_back(1, 4, 0, flit(1, true));
+    assert_eq!([ch.lane_word(1, 0), ch.lane_word(1, 1)], [0, 1]);
+    ch.fifo_push_back(1, 3, 15, flit(2, true));
+    assert_eq!(ch.lane_word(1, 0), 1 << 63);
+    ch.fifo_pop_front(1, 4, 0);
+    assert_eq!(ch.lane_word(1, 1), 0);
+    assert!(ch.has_work(1) && !ch.has_work(0) && ch.masks_consistent());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random pushes, pops, retains, register writes and takes, staging
+    /// edits and resets on three mask widths — 9 lanes (one word), 65 (the
+    /// injection lane alone in word 1) and 129 (three words): after every
+    /// operation each mask bit equals what it caches, and `has_work` equals
+    /// the scan it replaced.
+    #[test]
+    fn masks_track_every_mutation_across_mask_widths(
+        geo in 0usize..3,
+        ops in proptest::collection::vec((0u8..12, any::<u64>()), 1..300),
+    ) {
+        let (degree, vcs) = [(4usize, 2usize), (4, 16), (4, 32)][geo];
+        let mut ch = Channels::new(Geometry::new(3, degree, vcs, 3));
+        let g = ch.geo();
+        for (op, r) in ops {
+            let n = (r % 3) as usize;
+            let ip = (r >> 8) as usize % (degree + 1);
+            let iv = (r >> 16) as usize % g.vcs_at(ip);
+            let p = (r >> 24) as usize % degree;
+            let (msg, head) = (r >> 32 & 3, r >> 40 & 1 == 1);
+            match op {
+                0..=4 => {
+                    if ch.fifo_len(n, ip, iv) < g.depth {
+                        ch.fifo_push_back(n, ip, iv, flit(msg, head));
+                    }
+                }
+                5 | 6 => {
+                    ch.fifo_pop_front(n, ip, iv);
+                }
+                7 => ch.fifo_retain(n, ip, iv, |f| f.msg() != MessageId(msg)),
+                8 => ch.set_out_reg(n, p, head.then_some((VcId(0), flit(msg, false)))),
+                9 => {
+                    ch.take_out_reg(n, p);
+                }
+                10 => {
+                    if head {
+                        ch.staging_mut(n).push_back(flit(msg, true));
+                    } else {
+                        ch.staging_mut(n).pop_front();
+                    }
+                }
+                _ => ch.reset_node(n),
+            }
+            prop_assert!(ch.masks_consistent(), "op {} on node {}", op, n);
+            for m in 0..3 {
+                prop_assert_eq!(ch.has_work(m), has_work_by_scan(&ch, m));
+            }
+        }
+    }
 }

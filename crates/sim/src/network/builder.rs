@@ -58,6 +58,9 @@ pub enum BuildError {
     NoVirtualChannels,
     /// The topology has no nodes.
     EmptyTopology,
+    /// The topology's degree is 64 or more: a node's ports, the injection
+    /// port (index `degree`) among them, are bits of one 64-bit mask.
+    TooManyPorts(usize),
 }
 
 impl std::fmt::Display for BuildError {
@@ -69,6 +72,7 @@ impl std::fmt::Display for BuildError {
                 write!(f, "routing algorithm must use >= 1 virtual channel")
             }
             BuildError::EmptyTopology => write!(f, "topology has no nodes"),
+            BuildError::TooManyPorts(d) => write!(f, "topology degree {d} exceeds 63 ports"),
         }
     }
 }
@@ -204,6 +208,9 @@ impl NetworkBuilder {
             return Err(BuildError::EmptyTopology);
         }
         let degree = self.topo.degree();
+        if degree >= 64 {
+            return Err(BuildError::TooManyPorts(degree));
+        }
         let cfg = self.cfg;
         let chans = Channels::new(Geometry::new(n, degree, vcs, cfg.buffer_depth as usize));
         let ctrls = (0..n).map(|i| algo.controller(self.topo.as_ref(), NodeId(i as u32))).collect();

@@ -227,6 +227,13 @@ impl Network {
         self.chans.has_work(n.idx())
     }
 
+    /// Whether every bit of the arena's occupancy masks equals what the
+    /// FIFOs and link registers it caches answer (debug-asserted at every
+    /// step's prune).
+    pub fn masks_consistent(&self) -> bool {
+        self.chans.masks_consistent()
+    }
+
     /// Whether the output link register of `(n, p)` holds an in-flight
     /// flit (diagnostics).
     pub fn output_register_occupied(&self, n: NodeId, p: PortId) -> bool {

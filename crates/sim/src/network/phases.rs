@@ -1,8 +1,9 @@
 //! The data path: the node-local phase functions of one cycle — link
 //! traversal, injection, routing decisions, ejection and switch
 //! allocation — run in ascending node order over the cycle's working set.
-
-#![allow(clippy::needless_range_loop)] // index loops mirror the hardware structure
+//! Within a node they walk the set bits of the arena's occupancy masks in
+//! ascending order: the order of a scan over every lane or port, minus the
+//! empty lanes and registers, which have nothing to do.
 
 use super::{mark_active, Network};
 use crate::flit::MessageId;
@@ -12,15 +13,13 @@ use ftr_obs::{EventKind, RouteOutcome};
 use ftr_topo::{NodeId, PortId, VcId};
 
 impl Network {
-    /// Link traversal: drains each active node's output registers into the
-    /// downstream input FIFOs.
+    /// Link traversal: drains each active node's full output registers into
+    /// the downstream input FIFOs.
     pub(super) fn phase_link(&mut self, cur: &[u32]) {
         for &ni in cur {
             let ni = ni as usize;
-            for p in 0..self.chans.geo().degree {
-                let Some((vc, flit)) = self.chans.take_out_reg(ni, p) else {
-                    continue;
-                };
+            for p in set_bits(self.chans.reg_word(ni)) {
+                let (vc, flit) = self.chans.take_out_reg(ni, p).expect("a set bit holds a flit");
                 let Some((m, q)) = self.wiring.live_peer(ni, p) else {
                     // flit caught on a just-failed link. The fault injector
                     // rips every worm touching a dying link, so the message
@@ -55,18 +54,18 @@ impl Network {
         }
     }
 
-    /// Routing decisions over the extended working set.
+    /// Routing decisions over the extended working set: every occupied lane
+    /// `l = ip * vcs + iv`, the injection lane last.
     pub(super) fn phase_route(&mut self, cur_ext: &[u32]) {
-        let degree = self.chans.geo().degree;
+        let (vcs, words) = (self.vcs, self.chans.geo().lane_words);
         for &ni in cur_ext {
             let n = NodeId(ni);
             if self.wiring.node_dead(n.idx()) {
                 continue;
             }
-            for ip in 0..=degree {
-                let lanes = if ip == degree { 1 } else { self.vcs };
-                for iv in 0..lanes {
-                    self.route_one(n, ip, iv);
+            for w in 0..words {
+                for l in set_bits(self.chans.lane_word(n.idx(), w)).map(|b| w * 64 + b) {
+                    self.route_one(n, l / vcs, l % vcs);
                 }
             }
         }
@@ -221,17 +220,18 @@ impl Network {
     /// Ejection then switch allocation over the extended working set.
     ///
     /// Slot `s = ip * vcs + iv` names input lane `(ip, iv)`, in round-robin
-    /// order. One pass over a node's lanes ejects (one flit per input port,
-    /// delivery first) and builds, per output port, the set of slots
-    /// requesting it — routed there, flit buffered, credit left — and its
-    /// misrouted subset; each free output port then picks its winner. Serving
-    /// one port leaves the other ports' sets valid (`DESIGN.md` §14): it only
-    /// blocks the winner's input port, which later picks mask out. Freed
-    /// input slots return their credit upstream after the whole pass.
+    /// order. One pass over a node's occupied lanes ejects (one flit per
+    /// input port, delivery first) and builds, per output port, the set of
+    /// slots requesting it — routed there, flit buffered, credit left — and
+    /// its misrouted subset; each requested output port with an empty
+    /// register then picks its winner. Serving one port leaves the other
+    /// ports' sets valid (`DESIGN.md` §14): it only blocks the winner's
+    /// input port, which later picks mask out. Freed input slots return
+    /// their credit upstream after the whole pass.
     pub(super) fn phase_eject_switch(&mut self, cur_ext: &[u32]) {
-        let (degree, vcs) = (self.chans.geo().degree, self.vcs);
-        let nports = degree + 1;
-        let slots = nports * vcs;
+        let (degree, vcs, lane_words) =
+            (self.chans.geo().degree, self.vcs, self.chans.geo().lane_words);
+        let slots = (degree + 1) * vcs;
         let words = slots.div_ceil(64);
         // per output port its request row then its misrouted row; last, the
         // row of slots whose input port already moved a flit this cycle
@@ -243,17 +243,15 @@ impl Network {
             let ni = ni as usize;
             sets.fill(0);
             blocked.fill(0);
-            let mut requested = false;
-            for ip in 0..nports {
-                let lanes = if ip == degree { 1 } else { vcs };
-                let mut ejected = false;
-                for iv in 0..lanes {
-                    if self.chans.fifo_len(ni, ip, iv) == 0 {
-                        continue;
-                    }
+            // bit `ip`: input port `ip` ejected a flit; bit `p`: some lane
+            // requests output port `p`
+            let (mut ejected, mut requested) = (0u64, 0u64);
+            for w in 0..lane_words {
+                for s in set_bits(self.chans.lane_word(ni, w)).map(|b| w * 64 + b) {
+                    let (ip, iv) = (s / vcs, s % vcs);
                     match self.chans.route(ni, ip, iv) {
-                        RouteState::Local if !ejected => {
-                            ejected = true;
+                        RouteState::Local if ejected >> ip & 1 == 0 => {
+                            ejected |= 1 << ip;
                             let flit = self.chans.fifo_pop_front(ni, ip, iv).expect("checked");
                             let msg = flit.msg();
                             self.scratch.moved = true;
@@ -273,8 +271,7 @@ impl Network {
                         RouteState::Out(p, ov)
                             if self.chans.out_credits(ni, p.idx(), ov.idx()) > 0 =>
                         {
-                            requested = true;
-                            let s = ip * vcs + iv;
+                            requested |= 1 << p.idx();
                             let row = 2 * p.idx() * words + s / 64;
                             sets[row] |= 1 << (s % 64);
                             if self.chans.misrouted(ni, ip, iv) {
@@ -284,19 +281,14 @@ impl Network {
                         _ => {}
                     }
                 }
-                if ejected {
-                    block_port(blocked, ip, vcs);
-                }
             }
-            if !requested {
-                continue;
+            for ip in set_bits(ejected) {
+                block_port(blocked, ip, vcs);
             }
 
-            // switch: one flit per output port, round-robin over inputs
-            for p in 0..degree {
-                if self.chans.out_reg(ni, p).is_some() {
-                    continue;
-                }
+            // switch: one flit per requested output port whose register is
+            // empty, round-robin over inputs
+            for p in set_bits(requested & !self.chans.reg_word(ni)) {
                 let (req, mis) = sets[2 * p * words..][..2 * words].split_at(words);
                 let start = self.chans.rr(ni, p) as usize;
                 let prioritize = self.cfg.prioritize_misrouted;
@@ -338,6 +330,15 @@ impl Network {
         }
         self.scratch.arb = arb;
     }
+}
+
+/// The indices of `word`'s set bits, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let b = word.trailing_zeros() as usize;
+        word &= word.wrapping_sub(1);
+        (b < 64).then_some(b)
+    })
 }
 
 /// Marks every slot of input port `ip` as unavailable to the switch.

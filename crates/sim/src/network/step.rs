@@ -111,6 +111,7 @@ impl Network {
             self.active_list.clear();
         }
         debug_assert!(self.active_list.is_empty());
+        debug_assert!(self.chans.masks_consistent(), "occupancy mask out of step with the arena");
         for &ni in &cur_ext {
             let ni = ni as usize;
             let w = self.chans.has_work(ni);
@@ -155,7 +156,9 @@ impl Network {
         for (ni, p, iv) in self.scratch.credit_returns.drain(..) {
             let Some((m, q)) = self.wiring.peer(ni as usize, p as usize) else { continue };
             let c = self.chans.out_credits(m.idx(), q.idx(), iv as usize);
-            self.chans.set_out_credits(m.idx(), q.idx(), iv as usize, (c + 1).min(depth));
+            // credits plus the flits they stand for never exceed the buffer
+            assert!(c < depth, "credit past buffer_depth: the credit invariant was violated");
+            self.chans.set_out_credits(m.idx(), q.idx(), iv as usize, c + 1);
         }
     }
 }

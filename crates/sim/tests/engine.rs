@@ -12,7 +12,7 @@ use ftr_sim::routing::{
     ControlMsg, Decision, NodeController, RouterView, RoutingAlgorithm, Verdict,
 };
 use ftr_sim::{BuildError, FaultPlan, Network, Pattern, RetryPolicy, SimConfig, TrafficSource};
-use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, EAST};
+use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, EAST, WEST};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -82,6 +82,49 @@ fn builder_rejects_invalid_configs() {
         Network::builder(topo.clone()).build(&NoVc).err(),
         Some(BuildError::NoVirtualChannels)
     );
+}
+
+/// Two nodes with `degree` ports each, wired only east to west: the 2×1
+/// mesh with idle ports added.
+struct Star(usize);
+
+impl Topology for Star {
+    fn name(&self) -> String {
+        format!("star {}", self.0)
+    }
+    fn num_nodes(&self) -> usize {
+        2
+    }
+    fn degree(&self) -> usize {
+        self.0
+    }
+    fn neighbor(&self, n: NodeId, p: PortId) -> Option<NodeId> {
+        let wired = if n.0 == 0 { EAST } else { WEST };
+        (p == wired).then_some(NodeId(1 - n.0))
+    }
+    fn min_distance(&self, a: NodeId, b: NodeId) -> u32 {
+        (a != b) as u32
+    }
+}
+
+#[test]
+fn builder_refuses_a_degree_the_port_masks_cannot_hold() {
+    // the injection port is bit `degree` of a node's 64-bit port mask
+    let algo = Xy::with_steps(Mesh2D::new(2, 1), 1);
+    assert_eq!(
+        Network::builder(Arc::new(Star(64))).build(&algo).err(),
+        Some(BuildError::TooManyPorts(64))
+    );
+    assert_eq!(
+        Network::builder(Arc::new(Star(200))).build(&algo).err(),
+        Some(BuildError::TooManyPorts(200))
+    );
+    let mut net = Network::builder(Arc::new(Star(63))).build(&algo).expect("63 ports fit");
+    net.send(NodeId(0), NodeId(1), 3).unwrap();
+    net.send(NodeId(1), NodeId(0), 3).unwrap();
+    assert!(net.drain(100));
+    assert_eq!(net.stats.delivered_msgs, 2);
+    assert!(net.stats.accounting_balanced());
 }
 
 #[test]
@@ -173,6 +216,68 @@ fn many_messages_all_delivered() {
     assert!(!net.stats.deadlock);
     assert!(net.stats.delivered_msgs > 100);
     assert_eq!(net.stats.delivered_msgs, net.stats.injected_msgs);
+}
+
+/// XY on 16 VCs, each head taking the first free VC from `msg % 16` up:
+/// a node's 65 lanes span two occupancy-mask words, and the injection lane
+/// is bit 0 of the second.
+struct Xy16 {
+    mesh: Mesh2D,
+    /// Bit `v` set once some head was granted VC `v`.
+    granted: Arc<AtomicU64>,
+}
+
+impl RoutingAlgorithm for Xy16 {
+    fn name(&self) -> String {
+        "xy16".into()
+    }
+    fn num_vcs(&self) -> usize {
+        16
+    }
+    fn controller(&self, _t: &dyn Topology, _n: NodeId) -> Box<dyn NodeController> {
+        Box::new(Xy16 { mesh: self.mesh.clone(), granted: self.granted.clone() })
+    }
+}
+
+impl NodeController for Xy16 {
+    fn route(
+        &mut self,
+        view: &RouterView<'_>,
+        h: &mut Header,
+        _ip: Option<PortId>,
+        _iv: VcId,
+    ) -> Decision {
+        let p = self.mesh.minimal_directions(view.node, h.dst)[0];
+        let start = h.msg.0 as usize % 16;
+        match (start..start + 16).map(|v| v % 16).find(|&v| view.free(p.idx(), v)) {
+            Some(v) => {
+                self.granted.fetch_or(1 << v, Ordering::Relaxed);
+                Decision::new(Verdict::Route(p, VcId(v as u8)), 1)
+            }
+            None => Decision::new(Verdict::Wait, 1),
+        }
+    }
+}
+
+#[test]
+fn sixteen_vcs_spill_the_lane_mask_into_a_second_word() {
+    let topo = Arc::new(Mesh2D::new(4, 4));
+    let algo = Xy16 { mesh: (*topo).clone(), granted: Arc::new(AtomicU64::new(0)) };
+    let mut net = Network::builder(topo.clone()).build(&algo).expect("valid");
+    net.set_measuring(true);
+    let mut tf = TrafficSource::new(Pattern::Uniform, 0.3, 6, 11);
+    for _ in 0..400 {
+        for (s, d, l) in tf.tick(topo.as_ref(), net.faults()) {
+            net.send(s, d, l).unwrap();
+        }
+        net.step();
+    }
+    assert!(net.drain(20_000), "every message leaves through the second mask word");
+    assert!(!net.stats.deadlock);
+    assert!(net.stats.delivered_msgs > 100);
+    assert_eq!(net.stats.delivered_msgs, net.stats.injected_msgs);
+    assert!(net.stats.accounting_balanced());
+    assert_eq!(algo.granted.load(Ordering::Relaxed), 0xffff, "every VC carried a worm");
 }
 
 #[test]

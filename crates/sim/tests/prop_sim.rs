@@ -240,6 +240,7 @@ proptest! {
             }
             net.step();
             prop_assert!(net.wiring_consistent(), "stale wiring bit at cycle {}", net.cycle());
+            prop_assert!(net.masks_consistent(), "stale occupancy bit at cycle {}", net.cycle());
         }
         prop_assert!(net.drain(100_000));
         prop_assert!(net.stats.accounting_balanced());
