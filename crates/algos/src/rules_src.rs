@@ -25,8 +25,7 @@ pub const ROUTE_C_NFT: &str = include_str!("../rules/route_c_nft.rules");
 
 /// Naive fully-adaptive minimal routing on one virtual channel — the
 /// classic deadlock/livelock baseline (any free minimal direction, no
-/// turn restriction). Negative exemplar for the deadlock verifier and
-/// the FTR013 progress lint.
+/// turn restriction). Negative exemplar for the deadlock verifier.
 pub const NAIVE_ADAPTIVE: &str = include_str!("../rules/naive_adaptive.rules");
 
 /// Parses one of the shipped programs (they are tested to parse; this

@@ -15,10 +15,9 @@
 //! Everything here is a *may*-analysis: [`sat`] answering `false` is a
 //! proof of unsatisfiability (the lints and the optimizer only act on
 //! that direction); answering `true` just means the analysis could not
-//! refute the guard. The same engine backs the FTR009–FTR012 lints, the
-//! progress lint (FTR013, see [`crate::progress`]) and the certified
-//! optimizer ([`crate::opt`]), whose certificates re-validate against
-//! facts recomputed here.
+//! refute the guard. The same engine backs the FTR009–FTR012 lints and
+//! the certified optimizer ([`crate::opt`]), whose certificates
+//! re-validate against facts recomputed here.
 
 use ftr_algos::rule_io::{XDES, XPOS, YDES, YPOS};
 use ftr_rules::ast::{BinOp, Builtin, Command, Expr, IndexedRef, Program, Ref, UnOp};

@@ -9,23 +9,21 @@
 //!                      (FTR009-FTR012: semantic unreachability,
 //!                      entailment shadowing, constant registers,
 //!                      constant atoms)
-//!   --progress         run the progress/livelock lint (FTR013); proves
-//!                      a distance measure decreases or reports a
-//!                      concrete livelock counterexample
 //!   --optimize         run the certified table optimizer on each
 //!                      program and replay its certificate through the
 //!                      independent checker
-//!   --mesh WxH         topology facts for --absint/--progress/--optimize
+//!   --mesh WxH         topology facts for --absint/--optimize
 //!                      (clamps xpos/xdes/ypos/ydes; default: declared
 //!                      domains only)
 //!   --format FMT       text (default) or json: one machine-readable
 //!                      document with every diagnostic (code, severity,
 //!                      span, rule base) plus optimizer summaries, so CI
 //!                      can diff lint output instead of grepping text
-//!   --deadlock SPEC    additionally run the CDG deadlock verifier on
-//!                      each program, on the data path its declarations
-//!                      select; SPEC is mesh:WxH or cube:D. A program that
-//!                      makes no decision on SPEC is reported as skipped
+//!   --deadlock SPEC    additionally run the CDG deadlock verifier (the
+//!                      only static deadlock analysis) on each program,
+//!                      on the data path its declarations select; SPEC
+//!                      is mesh:WxH or cube:D. A program that makes no
+//!                      decision on SPEC is reported as skipped
 //!   --max-faults N     verify all link-fault sets up to size N
 //!                      (default: 0, fault-free only)
 //!   --max-sets N       cap on enumerated fault scenarios (default: 512,
@@ -36,7 +34,8 @@
 //!
 //! exit status: 0 clean, 1 findings at error severity, a dependency
 //! cycle, or a failed optimizer certificate, 2 usage/parse/compile
-//! failure
+//! failure. The closing "no findings" line is printed only when nothing
+//! warned and every proof and certificate held.
 //! ```
 
 use ftr_analyze::{
@@ -51,7 +50,6 @@ struct Options {
     files: Vec<String>,
     builtin: bool,
     absint: bool,
-    progress: bool,
     optimize: bool,
     mesh: Option<(u32, u32)>,
     json: bool,
@@ -63,7 +61,7 @@ struct Options {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ftr-lint [--builtin] [--absint] [--progress] [--optimize] [--mesh WxH] \
+        "usage: ftr-lint [--builtin] [--absint] [--optimize] [--mesh WxH] \
          [--format text|json] [--deadlock mesh:WxH|cube:D] [--max-faults N] [--max-sets N] \
          [--verbose] [FILE.rules ...]"
     );
@@ -84,7 +82,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         files: Vec::new(),
         builtin: false,
         absint: false,
-        progress: false,
         optimize: false,
         mesh: None,
         json: false,
@@ -98,7 +95,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         match a.as_str() {
             "--builtin" => opts.builtin = true,
             "--absint" => opts.absint = true,
-            "--progress" => opts.progress = true,
             "--optimize" => opts.optimize = true,
             "--mesh" => {
                 let spec = args.next().ok_or_else(usage)?;
@@ -265,8 +261,7 @@ fn main() -> ExitCode {
     }
 
     let topo = topo_facts(&opts);
-    let lint_opts =
-        LintOptions { absint: opts.absint, progress: opts.progress, topo: topo.clone() };
+    let lint_opts = LintOptions { absint: opts.absint, topo: topo.clone() };
 
     let mut worst = Severity::Note;
     let mut any_finding = false;
@@ -327,7 +322,7 @@ fn main() -> ExitCode {
         root.bool("verified", all_verified);
         root.field("programs", ftr_obs::json::array(program_objs));
         println!("{}", root.finish());
-    } else if !any_finding {
+    } else if !any_finding && all_verified {
         println!("ftr-lint: {} program(s), no findings", programs.len());
     }
     if worst >= Severity::Error || !all_verified {

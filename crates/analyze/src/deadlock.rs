@@ -88,16 +88,19 @@ impl DeadlockReport {
             )
         } else {
             let w = &self.failures[0];
+            // the ring closes back on its first channel
+            let ring: Vec<String> =
+                w.cycle.iter().chain(&w.cycle[..1]).map(|c| c.to_string()).collect();
             format!(
                 "{}: DEADLOCK POSSIBLE on {} ({} VCs) — {}/{} scenarios cyclic; \
-                 e.g. [{}] cycle {:?} ({} interpretations)",
+                 e.g. [{}] cycle {} ({} interpretations)",
                 self.program,
                 self.topology,
                 self.num_vcs,
                 self.failures.len(),
                 self.fault_sets_checked,
                 w.faults,
-                w.cycle,
+                ring.join(" → "),
                 self.interpretations
             )
         }

@@ -78,10 +78,6 @@ pub enum LintCode {
     /// FTR012: an atom inside a reachable rule's guard has a forced
     /// truth value under the declared domains and topology facts.
     ConstantAtom,
-    /// FTR013: the progress lint — either a concrete livelock witness
-    /// (a message ring that can wait on itself forever under legal
-    /// `free`/`linkok` inputs) or an inconclusive screen result.
-    ProgressViolation,
 }
 
 impl LintCode {
@@ -100,7 +96,6 @@ impl LintCode {
             LintCode::SemanticShadow => "FTR010_semantic_shadow",
             LintCode::ConstantRegister => "FTR011_constant_register",
             LintCode::ConstantAtom => "FTR012_constant_atom",
-            LintCode::ProgressViolation => "FTR013_progress",
         }
     }
 }

@@ -12,14 +12,14 @@
 //!   program into the full routing relation expected by
 //!   `ftr_topo::cdg` and proves channel-dependency-graph acyclicity by
 //!   exhaustion over destinations and enumerated fault sets, reporting a
-//!   concrete cycle witness on failure.
+//!   concrete cycle witness on failure. It is the crate's only static
+//!   deadlock analysis.
 //! * **Layer 3 — the abstract-interpretation engine** ([`absint`]): a
 //!   forward dataflow analysis over interval/mask/set domains that sees
 //!   through the table compiler's propositional abstraction. It powers
-//!   the semantic lints FTR009–FTR012, the progress lint FTR013
-//!   ([`progress`]) and the certified table optimizer ([`opt`]), whose
-//!   machine-checkable [`opt::OptCert`] re-validates every rewrite
-//!   against independently recomputed facts.
+//!   the semantic lints FTR009–FTR012 and the certified table optimizer
+//!   ([`opt`]), whose machine-checkable [`opt::OptCert`] re-validates
+//!   every rewrite against independently recomputed facts.
 //!
 //! The `ftr-lint` binary exposes all layers on the command line.
 
@@ -28,7 +28,6 @@ pub mod deadlock;
 pub mod diag;
 pub mod lints;
 pub mod opt;
-pub mod progress;
 
 pub use absint::{analyze_program, AbsEnv, AbsVal, Facts, Monotonicity, TopoFacts};
 #[allow(deprecated)] // the ledger's entry point until item 2(b)/(c)
@@ -43,4 +42,3 @@ pub use lints::{
     LintOptions,
 };
 pub use opt::{optimize_rulebase, OptCert, OptOptions, Optimized, Rewrite};
-pub use progress::{check_progress, ProgressReport, ProgressVerdict};

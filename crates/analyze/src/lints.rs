@@ -14,7 +14,6 @@
 
 use crate::absint::{self, TopoFacts};
 use crate::diag::{Diagnostic, LintCode, Severity};
-use crate::progress;
 use ftr_rules::ast::{
     walk_cmds, walk_expr, Builtin, Command, Expr, IndexedRef, Program, Ref, Rule, RuleBase,
 };
@@ -29,8 +28,6 @@ use ftr_rules::{compile, parse, CompileOptions, CompiledProgram};
 pub struct LintOptions {
     /// Run the abstract-interpretation engine (FTR009–FTR012).
     pub absint: bool,
-    /// Run the progress lint (FTR013); implies the engine's facts.
-    pub progress: bool,
     /// Topology invariants seeded into the engine.
     pub topo: TopoFacts,
 }
@@ -93,23 +90,18 @@ pub fn analyze_compiled_with(
     domain_lints(name, &compiled.prog, &mut diags);
     usage_lints(name, &compiled.prog, &mut diags);
     parallel_write_lints(name, &compiled.prog, &mut diags);
-    if opts.absint || opts.progress {
+    if opts.absint {
         let facts = absint::analyze_program(&compiled, &opts.topo);
-        if opts.absint {
-            // paranoid re-run with every register treated as host-written:
-            // findings that survive it hold under the declared domains
-            // alone (warning); findings that need INIT-derived register
-            // facts could be upset by a host write (note)
-            let paranoid_topo = TopoFacts {
-                host_written: compiled.prog.vars.iter().map(|v| v.name.clone()).collect(),
-                ..opts.topo.clone()
-            };
-            let paranoid = absint::analyze_program(&compiled, &paranoid_topo);
-            absint_lints(name, &compiled, &facts, &paranoid, &mut diags);
-        }
-        if opts.progress {
-            progress_lints(name, &compiled, &opts.topo, &mut diags);
-        }
+        // paranoid re-run with every register treated as host-written:
+        // findings that survive it hold under the declared domains alone
+        // (warning); findings that need INIT-derived register facts could
+        // be upset by a host write (note)
+        let paranoid_topo = TopoFacts {
+            host_written: compiled.prog.vars.iter().map(|v| v.name.clone()).collect(),
+            ..opts.topo.clone()
+        };
+        let paranoid = absint::analyze_program(&compiled, &paranoid_topo);
+        absint_lints(name, &compiled, &facts, &paranoid, &mut diags);
     }
     Analysis { name: name.to_string(), compiled, diagnostics: diags }
 }
@@ -219,39 +211,6 @@ fn absint_lints(
                     decl.name,
                     prog.display_value(val)
                 ),
-            });
-        }
-    }
-}
-
-/// FTR013 from the progress checker.
-fn progress_lints(
-    name: &str,
-    compiled: &CompiledProgram,
-    topo: &TopoFacts,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let report = progress::check_progress(compiled, topo);
-    match report.verdict {
-        progress::ProgressVerdict::Proved | progress::ProgressVerdict::NotApplicable => {}
-        progress::ProgressVerdict::Livelock => {
-            diags.push(Diagnostic {
-                code: LintCode::ProgressViolation,
-                severity: Severity::Warning,
-                program: name.into(),
-                pos: None,
-                rulebase: report.rulebase.clone(),
-                message: report.describe(),
-            });
-        }
-        progress::ProgressVerdict::Inconclusive => {
-            diags.push(Diagnostic {
-                code: LintCode::ProgressViolation,
-                severity: Severity::Note,
-                program: name.into(),
-                pos: None,
-                rulebase: report.rulebase.clone(),
-                message: report.describe(),
             });
         }
     }

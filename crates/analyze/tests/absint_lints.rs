@@ -1,29 +1,20 @@
-//! The abstract-interpretation lints (FTR009–FTR013) over the shipped
-//! rule programs: the production routers must come out clean, and the
-//! naive fully-adaptive baseline must produce a concrete livelock
-//! counterexample.
+//! The abstract-interpretation lints (FTR009–FTR012) over the shipped
+//! rule programs: every shipped program must come out clean, and seeded
+//! defects the table lints cannot see must be found.
 
-use ftr_analyze::{
-    analyze_source_with, check_progress, LintCode, LintOptions, ProgressVerdict, Severity,
-    TopoFacts,
-};
-use ftr_rules::{compile, parse, CompileOptions};
+use ftr_analyze::{analyze_source_with, LintCode, LintOptions, Severity, TopoFacts};
 
 fn full_opts() -> LintOptions {
-    LintOptions { absint: true, progress: true, topo: TopoFacts::mesh(8, 8) }
+    LintOptions { absint: true, topo: TopoFacts::mesh(8, 8) }
 }
 
 #[test]
 fn production_programs_are_clean_under_the_absint_lints() {
+    // every shipped program, the deadlock verifier's negative exemplar too
     for (name, src) in ftr_algos::rules_src::all() {
-        if name == "naive_adaptive" {
-            continue; // the deliberate negative exemplar, tested below
-        }
         let a =
             analyze_source_with(name, src, &full_opts()).unwrap_or_else(|e| panic!("{name}: {e}"));
-        for code in
-            [LintCode::AbsintUnreachable, LintCode::SemanticShadow, LintCode::ProgressViolation]
-        {
+        for code in [LintCode::AbsintUnreachable, LintCode::SemanticShadow] {
             let hits = a.with_code(code);
             let loud: Vec<_> = hits.iter().filter(|d| d.severity >= Severity::Warning).collect();
             assert!(
@@ -58,57 +49,6 @@ fn nafta_exception_fallbacks_shadow_at_note_level_only() {
 }
 
 #[test]
-fn xy_and_west_first_prove_progress() {
-    for name in ["xy", "west_first"] {
-        let src = ftr_algos::rules_src::all().into_iter().find(|(n, _)| *n == name).unwrap().1;
-        let prog = parse(src).unwrap();
-        let c = compile(&prog, &CompileOptions::default()).unwrap();
-        let report = check_progress(&c, &TopoFacts::mesh(8, 8));
-        assert_eq!(
-            report.verdict,
-            ProgressVerdict::Proved,
-            "{name} should prove progress: {}",
-            report.describe()
-        );
-    }
-}
-
-#[test]
-fn naive_adaptive_yields_a_livelock_counterexample() {
-    let prog = parse(ftr_algos::rules_src::NAIVE_ADAPTIVE).unwrap();
-    let c = compile(&prog, &CompileOptions::default()).unwrap();
-    let report = check_progress(&c, &TopoFacts::mesh(8, 8));
-    assert_eq!(report.verdict, ProgressVerdict::Livelock, "{}", report.describe());
-    assert_eq!(report.witness.len(), 4, "the witness is a four-message ring");
-    // every witness message names a held and a wanted channel that chain
-    // around the ring
-    for (i, m) in report.witness.iter().enumerate() {
-        let next = &report.witness[(i + 1) % 4];
-        assert_eq!(
-            m.wants,
-            next.holds,
-            "ring does not close between message {i} and {}",
-            (i + 1) % 4
-        );
-    }
-
-    // and the lint layer surfaces it as a warning-level FTR013
-    let a =
-        analyze_source_with("naive_adaptive", ftr_algos::rules_src::NAIVE_ADAPTIVE, &full_opts())
-            .unwrap();
-    let hits = a.with_code(LintCode::ProgressViolation);
-    assert!(
-        hits.iter().any(|d| d.severity == Severity::Warning),
-        "expected a warning-level FTR013: {hits:?}"
-    );
-    assert!(
-        hits[0].message.contains("ring"),
-        "the diagnostic should carry the counterexample: {}",
-        hits[0].message
-    );
-}
-
-#[test]
 fn semantic_lints_fire_on_seeded_defects() {
     // interval-provable unreachability and entailment shadowing that the
     // propositional table lints (FTR001/FTR002) cannot see
@@ -120,12 +60,9 @@ fn semantic_lints_fire_on_seeded_defects() {
                  IF n < 2 AND n > 9 THEN RETURN(2);\n\
                  IF TRUE THEN RETURN(3);\n\
                END f;";
-    let a = analyze_source_with(
-        "seeded",
-        src,
-        &LintOptions { absint: true, progress: false, topo: TopoFacts::none() },
-    )
-    .unwrap();
+    let a =
+        analyze_source_with("seeded", src, &LintOptions { absint: true, topo: TopoFacts::none() })
+            .unwrap();
     assert!(
         !a.with_code(LintCode::SemanticShadow).is_empty(),
         "n > 5 entails n > 3: {:?}",

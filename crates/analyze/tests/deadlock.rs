@@ -48,12 +48,21 @@ fn west_first_program_is_deadlock_free_fault_free() {
 #[test]
 fn naive_adaptive_baseline_has_a_cycle_witness() {
     let c = compiled(ftr_algos::rules_src::NAIVE_ADAPTIVE);
-    let report = verify_on("adaptive", &c, (3, 3), 0);
-    assert!(!report.verified(), "the naive adaptive baseline must deadlock");
-    let witness = &report.failures[0];
-    assert_eq!(witness.faults, "fault-free");
-    // a dependency cycle on a mesh needs at least four turning channels
-    assert!(witness.cycle.len() >= 4, "degenerate witness: {:?}", witness.cycle);
+    for (w, h) in [(3, 3), (8, 8)] {
+        let mesh = Mesh2D::new(w, h);
+        let report = verify_on("adaptive", &c, (w, h), 0);
+        assert!(!report.verified(), "the naive adaptive baseline must deadlock on {w}x{h}");
+        let witness = &report.failures[0];
+        assert_eq!(witness.faults, "fault-free");
+        // a dependency cycle on a mesh needs at least four turning channels
+        let ring = &witness.cycle;
+        assert!(ring.len() >= 4, "degenerate witness on {w}x{h}: {}", report.summary());
+        // and it closes: each channel leads into the node the next leaves
+        for (i, c) in ring.iter().enumerate() {
+            let next = ring[(i + 1) % ring.len()];
+            assert_eq!(mesh.neighbor(c.node, c.port), Some(next.node), "{}", report.summary());
+        }
+    }
 }
 
 #[test]

@@ -14,6 +14,7 @@ use crate::faults::FaultSet;
 use crate::ids::{NodeId, PortId, VcId};
 use crate::Topology;
 use std::collections::VecDeque;
+use std::fmt;
 
 /// A directed virtual channel: the channel leaving `node` through `port` on
 /// virtual lane `vc`.
@@ -25,6 +26,12 @@ pub struct Channel {
     pub port: PortId,
     /// Virtual lane index.
     pub vc: VcId,
+}
+
+impl fmt::Display for Channel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{}.{}", self.node, self.port, self.vc)
+    }
 }
 
 /// The routing relation handed to [`ChannelDependencyGraph::build`].

@@ -174,7 +174,7 @@ impl Squad {
     fn finish(mut self, label: &str, asks: Asks) {
         // drain all arms (bounded: a diverging arm must not hang the suite;
         // a run the watchdog stopped has nothing left to show — rule-driven
-        // NAFTA wedges near saturation, ROADMAP item 2, in every arm alike)
+        // NAFTA wedges near saturation, in every arm alike)
         let mut budget = 30_000u64;
         while self.arms.iter().any(|a| a.net.in_flight() > 0 && !a.net.stats.deadlock) && budget > 0
         {
