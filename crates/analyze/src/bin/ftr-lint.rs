@@ -319,7 +319,12 @@ fn main() -> ExitCode {
         root.str("tool", "ftr-lint");
         root.num("programs_linted", programs.len() as u64);
         root.str("worst_severity", &worst.to_string());
-        root.bool("verified", all_verified);
+        // null: no proof or certificate was asked for, so none held
+        if opts.deadlock.is_some() || opts.optimize {
+            root.bool("verified", all_verified);
+        } else {
+            root.field("verified", "null");
+        }
         root.field("programs", ftr_obs::json::array(program_objs));
         println!("{}", root.finish());
     } else if !any_finding && all_verified {

@@ -37,7 +37,7 @@ use std::cell::{Cell, RefCell};
 /// contains a cycle.
 #[derive(Clone, Debug)]
 pub struct CycleWitness {
-    /// Human-readable description of the injected faults.
+    /// The scenario's dead links (`link 0#0, link 5#2`), or `fault-free`.
     pub faults: String,
     /// The dependency cycle (consecutive channels wait on each other,
     /// wrapping around).
@@ -250,7 +250,7 @@ impl<I: RuleIo> ProgramLift<I> {
             report.fault_sets_checked += 1;
             report.channels_used = report.channels_used.max(g.num_used_channels());
             if let Some(cycle) = g.find_cycle() {
-                report.failures.push(CycleWitness { faults: describe_faults(topo, set), cycle });
+                report.failures.push(CycleWitness { faults: describe_faults(set), cycle });
             }
         }
         report.interpretations = self.fired.get() - before;
@@ -313,13 +313,13 @@ fn fault_sets(
     sets
 }
 
-fn describe_faults(topo: &dyn Topology, set: &[(NodeId, PortId)]) -> String {
+/// A scenario's dead links (`link 0#0, link 5#2`), or `fault-free`; the
+/// report's summary names the topology.
+fn describe_faults(set: &[(NodeId, PortId)]) -> String {
     if set.is_empty() {
         return "fault-free".into();
     }
     set.iter().map(|(n, p)| format!("link {}#{}", n.idx(), p.idx())).collect::<Vec<_>>().join(", ")
-        + &format!(" ({} faults)", set.len())
-        + &format!(" on {}", topo.name())
 }
 
 /// [`MeshProgramLift::verify`] on a fresh lift, asserting that `mode` is

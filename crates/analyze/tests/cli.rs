@@ -47,3 +47,38 @@ fn the_progress_flag_is_gone() {
     assert!(text(&out.stderr).starts_with("usage: ftr-lint "), "{}", text(&out.stderr));
     assert!(out.stdout.is_empty());
 }
+
+#[test]
+fn a_witness_names_its_links_once_and_its_topology_once() {
+    let out = ftr_lint(&[
+        "crates/algos/rules/route_c.rules",
+        "--deadlock",
+        "cube:4",
+        "--max-faults",
+        "1",
+    ]);
+    let stdout = text(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}{}", text(&out.stderr));
+    assert_eq!(
+        stdout,
+        "route_c: DEADLOCK POSSIBLE on hypercube d=4 (5 VCs) — 32/33 scenarios cyclic; \
+         e.g. [link 0#0] cycle n1.p1.v2 → n3.p1.v1 → n1.p1.v2 (9980 interpretations)\n"
+    );
+}
+
+/// The JSON root's `verified`: `null` when no proof or certificate was
+/// asked for, otherwise whether every one held.
+#[test]
+fn json_verified_is_null_unless_something_was_verified() {
+    let verified = |args: &[&str]| {
+        let out = ftr_lint(&[args, &["--format", "json"]].concat());
+        let v = ftr_obs::json::parse(text(&out.stdout)).expect("one JSON object");
+        let verified = v.get("verified").expect("a `verified` field");
+        (out.status.code(), verified.is_null(), verified.as_bool())
+    };
+    let xy = "crates/algos/rules/xy.rules";
+    let naive = "crates/algos/rules/naive_adaptive.rules";
+    assert_eq!(verified(&[xy]), (Some(0), true, None), "nothing asked");
+    assert_eq!(verified(&[xy, "--deadlock", "mesh:3x3"]), (Some(0), false, Some(true)));
+    assert_eq!(verified(&[naive, "--deadlock", "mesh:3x3"]), (Some(1), false, Some(false)));
+}

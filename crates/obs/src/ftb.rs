@@ -359,15 +359,21 @@ fn encode_event(ev: &TraceEvent, prev_cycle: u64, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes the event that follows an already-consumed opcode byte.
-fn decode_event(op: u8, prev_cycle: u64, r: &mut impl Read) -> Result<TraceEvent, ReadError> {
+/// Decodes the event that follows an already-consumed opcode byte. The
+/// reader runs it over its buffer's slice, or byte-wise through the
+/// `BufRead` for an event that straddles the buffer's end.
+fn decode_event<R: Read>(op: u8, prev_cycle: u64, r: &mut R) -> Result<TraceEvent, ReadError> {
     let cycle = prev_cycle.wrapping_add(unzigzag(read_varint(r)?) as u64);
-    let node = |r: &mut dyn Read| -> Result<NodeId, ReadError> {
+    fn node<R: Read>(r: &mut R) -> Result<NodeId, ReadError> {
         let v = read_varint(r)?;
         Ok(NodeId(u32::try_from(v).map_err(|_| format!("node id {v} out of range"))?))
-    };
-    let port = |r: &mut dyn Read| -> Result<PortId, ReadError> { Ok(PortId(read_u8(r)?)) };
-    let vc = |r: &mut dyn Read| -> Result<VcId, ReadError> { Ok(VcId(read_u8(r)?)) };
+    }
+    fn port<R: Read>(r: &mut R) -> Result<PortId, ReadError> {
+        Ok(PortId(read_u8(r)?))
+    }
+    fn vc<R: Read>(r: &mut R) -> Result<VcId, ReadError> {
+        Ok(VcId(read_u8(r)?))
+    }
     let small = |v: u64| -> Result<u32, ReadError> {
         Ok(u32::try_from(v).map_err(|_| format!("field {v} out of u32 range"))?)
     };
@@ -632,19 +638,16 @@ impl<R: BufRead> FtbReader<R> {
 
     /// Decodes the next record; `Ok(None)` is the clean end of stream.
     fn next_event(&mut self) -> Result<Option<TraceEvent>, ReadError> {
-        let mut op = [0u8; 1];
-        match self.r.read_exact(&mut op) {
+        let buf = self.r.fill_buf()?;
+        let Some(&op) = buf.first() else {
             // EOF where an opcode belongs: only END may end a stream
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                return Err(ReadError::Malformed(format!(
-                    "FTB stream truncated after {} events (missing END marker)",
-                    self.decoded
-                )));
-            }
-            other => other?,
-        }
-        let op = op[0];
+            return Err(ReadError::Malformed(format!(
+                "FTB stream truncated after {} events (missing END marker)",
+                self.decoded
+            )));
+        };
         if op == OP_END {
+            self.r.consume(1);
             if !self.r.fill_buf()?.is_empty() {
                 return Err(ReadError::Malformed(format!(
                     "trailing bytes after END ({} events before it)",
@@ -654,12 +657,27 @@ impl<R: BufRead> FtbReader<R> {
             self.finalized = true;
             return Ok(None);
         }
-        let ev = decode_event(op, self.last_cycle, &mut self.r).map_err(|e| match e {
-            ReadError::Malformed(m) => {
-                ReadError::Malformed(format!("malformed event {}: {m}", self.decoded + 1))
+        // an event inside the buffer decodes from its slice and only then
+        // consumes its bytes; one that runs past the buffer's end, or is
+        // malformed, is decoded again byte-wise through the reader, which
+        // refills the buffer and reports every error
+        let mut rest = &buf[1..];
+        let ev = match decode_event(op, self.last_cycle, &mut rest) {
+            Ok(ev) => {
+                let used = buf.len() - rest.len();
+                self.r.consume(used);
+                ev
             }
-            io => io,
-        })?;
+            Err(_) => {
+                self.r.consume(1);
+                decode_event(op, self.last_cycle, &mut self.r).map_err(|e| match e {
+                    ReadError::Malformed(m) => {
+                        ReadError::Malformed(format!("malformed event {}: {m}", self.decoded + 1))
+                    }
+                    io => io,
+                })?
+            }
+        };
         self.last_cycle = ev.cycle;
         self.decoded += 1;
         Ok(Some(ev))
@@ -682,6 +700,7 @@ impl<R: BufRead> Iterator for FtbReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
 
     fn ev(cycle: u64, kind: EventKind) -> TraceEvent {
         TraceEvent { cycle, kind }
@@ -825,6 +844,61 @@ mod tests {
                 matches!(&last, Err(ReadError::Io(m)) if m.contains("device gone")),
                 "cut at {n}: {last:?}"
             );
+        }
+    }
+
+    /// Serves its bytes one per `read`, so every event straddles the end
+    /// of the reader's buffer and decodes byte-wise.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// The events a reader yields, then how it stopped (`Ok` at END).
+    fn outcome(r: impl BufRead) -> (Vec<TraceEvent>, Result<(), String>) {
+        let mut events = Vec::new();
+        let reader = match FtbReader::from_reader(r) {
+            Ok(reader) => reader,
+            Err(e) => return (events, Err(format!("{e:?}"))),
+        };
+        for item in reader {
+            match item {
+                Ok(ev) => events.push(ev),
+                Err(e) => return (events, Err(format!("{e:?}"))),
+            }
+        }
+        (events, Ok(()))
+    }
+
+    #[test]
+    fn every_buffer_boundary_decodes_like_the_whole_buffer() {
+        let bytes = stream(FtbHeader::new().with("label", "cut"), &sample_events(), true);
+        let whole = outcome(&bytes[..]);
+        assert_eq!(whole, (sample_events(), Ok(())));
+        for k in 1..=40 {
+            assert_eq!(outcome(BufReader::with_capacity(k, &bytes[..])), whole, "capacity {k}");
+        }
+        assert_eq!(outcome(BufReader::new(Trickle(&bytes))), whole, "one byte per read");
+
+        // a cut capture: the byte-wise decode's prefix and message, whatever
+        // the buffer holds when the bytes run out
+        for cut in 0..bytes.len() {
+            let want = outcome(BufReader::new(Trickle(&bytes[..cut])));
+            assert!(
+                matches!(&want.1, Err(m) if m.starts_with("Malformed(")),
+                "cut at {cut}: {want:?}"
+            );
+            assert_eq!(outcome(&bytes[..cut]), want, "cut at {cut}, whole buffer");
+            for k in [1, 2, 3, 5, 8, 13, 40] {
+                let got = outcome(BufReader::with_capacity(k, &bytes[..cut]));
+                assert_eq!(got, want, "cut at {cut}, capacity {k}");
+            }
         }
     }
 

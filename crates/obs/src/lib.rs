@@ -31,12 +31,14 @@
 
 pub mod event;
 pub mod ftb;
+pub mod hash;
 pub mod json;
 pub mod profile;
 pub mod sink;
 
 pub use event::{EventKind, RouteOutcome, TraceEvent};
 pub use ftb::{BinSink, FtbHeader, FtbReader, ReadError};
+pub use hash::{IdHasher, IdMap};
 pub use json::Value;
 pub use profile::{InterpProfiler, StageCost};
 pub use sink::{RingSink, TeeSink, TraceSink};

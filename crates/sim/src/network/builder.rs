@@ -212,7 +212,9 @@ impl NetworkBuilder {
             return Err(BuildError::TooManyPorts(degree));
         }
         let cfg = self.cfg;
-        let chans = Channels::new(Geometry::new(n, degree, vcs, cfg.buffer_depth as usize));
+        let geo = Geometry::new(n, degree, vcs, cfg.buffer_depth as usize);
+        let lane_wants = vec![Vec::new(); if self.sink.is_some() { n * geo.lanes } else { 0 }];
+        let chans = Channels::new(geo);
         let ctrls = (0..n).map(|i| algo.controller(self.topo.as_ref(), NodeId(i as u32))).collect();
         let stats = SimStats::for_nodes(n);
         Ok(Network {
@@ -231,6 +233,7 @@ impl NetworkBuilder {
             stats,
             headers: Default::default(),
             sink: self.sink,
+            lane_wants,
             retry: self.retry,
             retries: VecDeque::new(),
             plan: self.plan,

@@ -44,10 +44,9 @@ use crate::flit::{Flit, Header, MessageId};
 use crate::plan::FaultPlan;
 use crate::routing::NodeController;
 use crate::stats::{MsgMeta, SimStats};
-use ftr_obs::{EventKind, TraceEvent, TraceSink};
-use ftr_topo::{FaultSet, NodeId, PortId, Topology};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use ftr_obs::{EventKind, IdMap, TraceEvent, TraceSink};
+use ftr_topo::{FaultSet, NodeId, PortId, Topology, VcId};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Why [`Network::send`] rejected an injection.
@@ -94,27 +93,7 @@ impl Default for RetryPolicy {
 /// The header of every message with a flit in the network, stored once
 /// per message (§2.2: only the head flit carries routing information).
 /// Looked up by id, never iterated, so its order cannot leak into a run.
-type Headers = HashMap<MessageId, Header, BuildHasherDefault<IdHasher>>;
-
-/// FxHash's multiplicative step: message ids are handed out in sequence,
-/// which a multiply by an odd constant spreads over the table, and the
-/// table needs none of SipHash's defence against chosen keys.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b.into()));
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+type Headers = IdMap<MessageId, Header>;
 
 /// Marks node `ni` as having flit-bearing work. Idempotent; every path
 /// that hands a node a flit (injection, retry re-injection, link
@@ -152,6 +131,9 @@ pub struct Network {
     /// switch, removed at delivery or kill.
     headers: Headers,
     sink: Option<Arc<dyn TraceSink>>,
+    /// Per input lane, the `RouteWait` wants last probed for its head: what
+    /// a parked head re-emits every cycle. Empty without a sink.
+    lane_wants: Vec<Vec<(PortId, VcId)>>,
     retry: Option<RetryPolicy>,
     retries: VecDeque<faults::RetryEntry>,
     plan: Option<FaultPlan>,

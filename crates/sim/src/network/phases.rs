@@ -9,7 +9,7 @@ use super::{mark_active, Network};
 use crate::flit::MessageId;
 use crate::router::{DecisionPhase, RouteState};
 use crate::routing::{RouterView, Rows, Verdict};
-use ftr_obs::{EventKind, RouteOutcome};
+use ftr_obs::{EventKind, RouteOutcome, TraceEvent};
 use ftr_topo::{NodeId, PortId, VcId};
 
 impl Network {
@@ -93,8 +93,9 @@ impl Network {
             }
             Some(DecisionPhase::Parked) if !self.dense_reference => {
                 // nothing the `Wait` depends on changed since it was given
-                // (every such change wakes the lane): the answer stands
-                self.emit_route_wait(n, msg, in_port, iv);
+                // (every such change wakes the lane): the answer stands,
+                // and so do the wants probed with it
+                self.emit_route_wait(n, msg, ip, iv, false);
                 return;
             }
             Some(DecisionPhase::Waiting(_) | DecisionPhase::Parked) => {
@@ -180,7 +181,7 @@ impl Network {
                 if !dec.polled {
                     self.chans.set_phase(ni, ip, iv, Some(DecisionPhase::Parked));
                 }
-                self.emit_route_wait(n, msg, in_port, iv);
+                self.emit_route_wait(n, msg, ip, iv, true);
             }
             Verdict::Unroutable => {
                 self.scratch.doomed.insert(msg);
@@ -208,13 +209,30 @@ impl Network {
     /// Trace completeness: a waiting head never reaches the `VcStall` path
     /// (the controller withheld the grant), so each blocked cycle — asked or
     /// parked — and the channels that would unblock it are recorded here: the
-    /// diagnoser's wait-for edges.
-    fn emit_route_wait(&mut self, n: NodeId, msg: MessageId, in_port: Option<PortId>, iv: usize) {
-        if self.sink.is_some() {
-            let header = self.headers[&msg];
-            let wants = self.probe_wants(n, &header, in_port, VcId(iv as u8));
-            self.emit(|| EventKind::RouteWait { node: n, msg: msg.0, wants });
+    /// diagnoser's wait-for edges. A head just asked is probed (`fresh`); a
+    /// parked one re-emits the wants its lane kept from the probe it parked
+    /// with, since whatever could change them also wakes the lane.
+    fn emit_route_wait(&mut self, n: NodeId, msg: MessageId, ip: usize, iv: usize, fresh: bool) {
+        if self.sink.is_none() {
+            return;
         }
+        let lane = n.idx() * self.chans.geo().lanes + ip * self.vcs + iv;
+        let mut wants = std::mem::take(&mut self.lane_wants[lane]);
+        if fresh {
+            let header = self.headers[&msg];
+            let in_port = (ip < self.chans.geo().degree).then_some(PortId(ip as u8));
+            wants = self.probe_wants(n, &header, in_port, VcId(iv as u8));
+        }
+        // the event borrows the lane's list and hands it back
+        let ev = TraceEvent {
+            cycle: self.cycle,
+            kind: EventKind::RouteWait { node: n, msg: msg.0, wants },
+        };
+        if let Some(sink) = &self.sink {
+            sink.record(&ev);
+        }
+        let EventKind::RouteWait { wants, .. } = ev.kind else { unreachable!() };
+        self.lane_wants[lane] = wants;
     }
 
     /// Ejection then switch allocation over the extended working set.

@@ -712,3 +712,99 @@ fn zero_cycles_per_step_models_a_free_decision_stage() {
     // steps=3, cps=1 → 2 waiting cycles at each of the 3 decisions
     assert_eq!(solo_latency(3, 1) - solo_latency(3, 0), 6);
 }
+
+/// Waits, unpolled, at every consult; under a probe's one-free view it
+/// grants the free channel when that channel is on `EAST`. Counts the two
+/// kinds of call apart: a consult sees every idle channel free, a probe
+/// exactly one.
+struct Stubborn {
+    consults: Arc<AtomicU64>,
+    probe_calls: Arc<AtomicU64>,
+}
+
+impl RoutingAlgorithm for Stubborn {
+    fn name(&self) -> String {
+        "stubborn".into()
+    }
+    fn num_vcs(&self) -> usize {
+        1
+    }
+    fn controller(&self, _t: &dyn Topology, _n: NodeId) -> Box<dyn NodeController> {
+        Box::new(Stubborn {
+            consults: self.consults.clone(),
+            probe_calls: self.probe_calls.clone(),
+        })
+    }
+}
+
+impl NodeController for Stubborn {
+    fn route(
+        &mut self,
+        view: &RouterView<'_>,
+        _h: &mut Header,
+        _ip: Option<PortId>,
+        _iv: VcId,
+    ) -> Decision {
+        let free: Vec<usize> = (0..view.degree()).filter(|&p| view.free(p, 0)).collect();
+        if free.len() == 1 {
+            self.probe_calls.fetch_add(1, Ordering::Relaxed);
+            if free[0] == EAST.idx() {
+                return Decision::new(Verdict::Route(EAST, VcId(0)), 1);
+            }
+        } else {
+            self.consults.fetch_add(1, Ordering::Relaxed);
+        }
+        Decision::new(Verdict::Wait, 1)
+    }
+}
+
+#[test]
+fn a_parked_head_is_consulted_and_probed_once_until_woken() {
+    let topo = Arc::new(Mesh2D::new(3, 3));
+    let centre = topo.node_at(1, 1);
+    let run = |traced: bool| {
+        let (consults, probe_calls) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let algo = Stubborn { consults: consults.clone(), probe_calls: probe_calls.clone() };
+        let sink = Arc::new(ftr_obs::RingSink::new(1024));
+        let mut b = Network::builder(topo.clone());
+        if traced {
+            b = b.trace(sink.clone());
+        }
+        let mut net = b.build(&algo).expect("valid");
+        net.send(centre, topo.node_at(2, 2), 2).unwrap();
+        (net, sink, move || (consults.load(Ordering::Relaxed), probe_calls.load(Ordering::Relaxed)))
+    };
+    let waits = |sink: &ftr_obs::RingSink| -> Vec<Vec<(PortId, VcId)>> {
+        let events = sink.events().into_iter();
+        events
+            .filter_map(|e| match e.kind {
+                EventKind::RouteWait { wants, .. } => Some(wants),
+                _ => None,
+            })
+            .collect()
+    };
+
+    let (mut net, sink, calls) = run(true);
+    for _ in 0..10 {
+        net.step();
+    }
+    // parked at its first consult; one probe is one call per live channel
+    assert_eq!(calls(), (1, 4), "one consult, one probe over four ports");
+    let east = vec![(EAST, VcId(0))];
+    assert_eq!(waits(&sink), vec![east.clone(); 10], "one RouteWait a cycle, the same wants");
+
+    // a hook (and a link bit) at the head's node wakes it: asked once more
+    net.inject_link_fault(centre, WEST);
+    for _ in 0..5 {
+        net.step();
+    }
+    assert_eq!(calls(), (2, 4 + 3), "one more consult, one more probe over three ports");
+    assert_eq!(waits(&sink), vec![east; 15]);
+
+    // without a sink nothing is probed at all
+    let (mut net, _, calls) = run(false);
+    for _ in 0..10 {
+        net.step();
+    }
+    assert_eq!(calls(), (1, 0));
+}

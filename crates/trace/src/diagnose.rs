@@ -31,7 +31,7 @@
 //! decision, no channel acquire) for `starvation_window` cycles is
 //! reported once, whether or not it participates in a knot.
 
-use ftr_obs::{EventKind, TraceEvent, TraceSink};
+use ftr_obs::{EventKind, IdMap, TraceEvent, TraceSink};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -128,7 +128,7 @@ struct DiagState {
     cycle: u64,
     next_scan: u64,
     /// Channel → last acquirer (ownership in the wait-for sense).
-    owner: HashMap<ChannelKey, u64>,
+    owner: IdMap<ChannelKey, u64>,
     msgs: BTreeMap<u64, MsgState>,
     deadlock: Option<DeadlockWitness>,
     starved: Vec<Starvation>,
@@ -228,11 +228,10 @@ impl DiagnoserSink {
                 }
             }
             EventKind::VcStall { node, msg, port, vc } => {
-                self.note_blocked(&mut st, *msg, cycle, node.0, vec![(node.0, port.0, vc.0)]);
+                self.note_blocked(&mut st, *msg, cycle, node.0, [(node.0, port.0, vc.0)]);
             }
             EventKind::RouteWait { node, msg, wants } => {
-                let wants: Vec<ChannelKey> =
-                    wants.iter().map(|(p, v)| (node.0, p.0, v.0)).collect();
+                let wants = wants.iter().map(|(p, v)| (node.0, p.0, v.0));
                 self.note_blocked(&mut st, *msg, cycle, node.0, wants);
             }
             EventKind::VcAcquire { node, msg, port, vc } => {
@@ -274,7 +273,7 @@ impl DiagnoserSink {
         msg: u64,
         cycle: u64,
         node: u32,
-        wants: Vec<ChannelKey>,
+        wants: impl IntoIterator<Item = ChannelKey>,
     ) {
         let Some(ms) = st.msgs.get_mut(&msg) else { return };
         // stall events fire once per blocked cycle; a gap wider than the
@@ -284,7 +283,11 @@ impl DiagnoserSink {
         if !continued || ms.blocked_since.is_none() {
             ms.blocked_since = Some(cycle);
         }
-        ms.last_wait = Some((cycle, node, wants));
+        // the message's previous want list is reused, not reallocated
+        let mut list = ms.last_wait.take().map(|(.., l)| l).unwrap_or_default();
+        list.clear();
+        list.extend(wants);
+        ms.last_wait = Some((cycle, node, list));
     }
 
     /// Prunes the wait-for graph to its knot and extracts a cycle.

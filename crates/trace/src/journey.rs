@@ -17,8 +17,8 @@
 //!   during backoff (the engine terminates those without a new event, so
 //!   the *last* rip event already names the correct cause).
 
-use ftr_obs::{EventKind, TraceEvent};
-use std::collections::BTreeMap;
+use ftr_obs::{EventKind, IdMap, TraceEvent};
+use std::collections::hash_map::Entry;
 
 /// Online count/sum/min/max accumulator (the trace-side mirror of the
 /// simulator's `Accum`, kept dependency-free so `ftr-trace` does not pull
@@ -257,6 +257,14 @@ pub struct ChannelStats {
 /// Channel identity: `(node, out_port, out_vc)`.
 pub type ChannelKey = (u32, u8, u8);
 
+/// A channel's statistics and, while a worm holds it, the holder.
+#[derive(Debug, Default)]
+struct ChannelLog {
+    stats: ChannelStats,
+    /// The owning message and the cycle it acquired the channel.
+    open: Option<(u64, u64)>,
+}
+
 /// Aggregate view of a folded trace.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BookSummary {
@@ -288,14 +296,20 @@ pub struct BookSummary {
 /// Folds a cycle-ordered trace-event stream into journeys and channel
 /// statistics. Feed events through [`JourneyBook::fold`] (or
 /// [`JourneyBook::fold_all`]) in trace order, then read the results.
+///
+/// The indexes are hash maps, looked up a few times per event. Journeys
+/// are kept in injection order behind their index; the channel map's
+/// order is meaningless, so every output over it sorts (`TraceReport`).
 #[derive(Debug, Default)]
 pub struct JourneyBook {
-    journeys: BTreeMap<u64, Journey>,
-    channels: BTreeMap<ChannelKey, ChannelStats>,
-    /// Currently-owned channels: key → (owner msg, acquire cycle).
-    open: BTreeMap<ChannelKey, (u64, u64)>,
-    /// Reverse index of `open`, for closing a killed worm's channels.
-    open_by_msg: BTreeMap<u64, Vec<ChannelKey>>,
+    /// Journeys in injection order, and where each message's is.
+    journeys: Vec<Journey>,
+    by_msg: IdMap<u64, usize>,
+    channels: IdMap<ChannelKey, ChannelLog>,
+    /// Every channel each message acquired since it last terminated, for
+    /// closing a killed worm's channels. Closing checks the owner, so a
+    /// release leaves its entry here.
+    acquired_by_msg: IdMap<u64, Vec<ChannelKey>>,
     retried: u64,
     rejected_sends: u64,
     orphans: u64,
@@ -334,13 +348,20 @@ impl JourneyBook {
                     outcome: Outcome::InFlight,
                     attempts: vec![Attempt::new(1, cycle)],
                 };
-                if self.journeys.insert(*msg, j).is_some() {
-                    self.anomalies.push(format!("msg {msg}: double inject at cycle {cycle}"));
+                match self.by_msg.entry(*msg) {
+                    Entry::Occupied(at) => {
+                        self.journeys[*at.get()] = j;
+                        self.anomalies.push(format!("msg {msg}: double inject at cycle {cycle}"));
+                    }
+                    Entry::Vacant(at) => {
+                        at.insert(self.journeys.len());
+                        self.journeys.push(j);
+                    }
                 }
             }
             EventKind::Retry { msg, attempt } => {
                 self.retried += 1;
-                let Some(j) = self.journeys.get_mut(msg) else {
+                let Some(j) = self.journey_mut(*msg) else {
                     self.orphans += 1;
                     return;
                 };
@@ -360,12 +381,12 @@ impl JourneyBook {
             }
             EventKind::VcStall { node, msg, port, vc } => {
                 self.blocked_cycle(*msg, node.0, cycle);
-                self.channels.entry((node.0, port.0, vc.0)).or_default().stalled_cycles += 1;
+                self.channels.entry((node.0, port.0, vc.0)).or_default().stats.stalled_cycles += 1;
             }
             EventKind::RouteWait { node, msg, wants } => {
                 self.blocked_cycle(*msg, node.0, cycle);
                 for (p, v) in wants {
-                    self.channels.entry((node.0, p.0, v.0)).or_default().stalled_cycles += 1;
+                    self.channels.entry((node.0, p.0, v.0)).or_default().stats.stalled_cycles += 1;
                 }
             }
             EventKind::VcAcquire { node, msg, port, vc } => {
@@ -379,29 +400,25 @@ impl JourneyBook {
                         .anomalies
                         .push(format!("msg {msg}: acquire at {} without decision", node.0)),
                 }
-                if let Some((owner, since)) = self.open.insert(key, (*msg, cycle)) {
+                let ch = self.channels.entry(key).or_default();
+                ch.stats.acquires += 1;
+                if let Some((owner, since)) = ch.open.replace((*msg, cycle)) {
                     // lost release — close the stale interval here
+                    ch.stats.busy_cycles += cycle - since;
                     self.anomalies
                         .push(format!("channel {key:?}: acquired by {msg} while owned by {owner}"));
-                    let ch = self.channels.entry(key).or_default();
-                    ch.busy_cycles += cycle - since;
                 }
-                let ch = self.channels.entry(key).or_default();
-                ch.acquires += 1;
-                self.open_by_msg.entry(*msg).or_default().push(key);
+                self.acquired_by_msg.entry(*msg).or_default().push(key);
             }
             EventKind::VcRelease { node, msg, port, vc } => {
                 let key = (node.0, port.0, vc.0);
-                match self.open.get(&key) {
-                    Some((owner, since)) if owner == msg => {
-                        self.channels.entry(key).or_default().busy_cycles += cycle - since;
-                        self.open.remove(&key);
-                        if let Some(v) = self.open_by_msg.get_mut(msg) {
-                            v.retain(|k| k != &key);
-                        }
+                match self.channels.get_mut(&key) {
+                    Some(ch) if ch.open.is_some_and(|(owner, _)| owner == *msg) => {
+                        let (_, since) = ch.open.take().expect("checked");
+                        ch.stats.busy_cycles += cycle - since;
                     }
                     _ => {
-                        if self.journeys.contains_key(msg) {
+                        if self.by_msg.contains_key(msg) {
                             self.anomalies
                                 .push(format!("msg {msg}: release of unowned channel {key:?}"));
                         } else {
@@ -412,7 +429,7 @@ impl JourneyBook {
             }
             EventKind::Deliver { node, msg } => {
                 self.close_channels(*msg, cycle);
-                let Some(j) = self.journeys.get_mut(msg) else {
+                let Some(j) = self.journey_mut(*msg) else {
                     self.orphans += 1;
                     return;
                 };
@@ -424,7 +441,7 @@ impl JourneyBook {
             EventKind::Kill { msg } => {
                 // ripped worms release their channels without VcRelease
                 self.close_channels(*msg, cycle);
-                let Some(j) = self.journeys.get_mut(msg) else {
+                let Some(j) = self.journey_mut(*msg) else {
                     self.orphans += 1;
                     return;
                 };
@@ -435,7 +452,7 @@ impl JourneyBook {
             }
             EventKind::Unroutable { msg } => {
                 self.close_channels(*msg, cycle);
-                let Some(j) = self.journeys.get_mut(msg) else {
+                let Some(j) = self.journey_mut(*msg) else {
                     self.orphans += 1;
                     return;
                 };
@@ -465,14 +482,16 @@ impl JourneyBook {
         }
     }
 
+    fn journey_mut(&mut self, msg: u64) -> Option<&mut Journey> {
+        self.by_msg.get(&msg).map(|&at| &mut self.journeys[at])
+    }
+
     fn attempt_mut(&mut self, msg: u64) -> Option<&mut Attempt> {
-        match self.journeys.get_mut(&msg) {
-            Some(j) => j.attempts.last_mut(),
-            None => {
-                self.orphans += 1;
-                None
-            }
-        }
+        let Some(&at) = self.by_msg.get(&msg) else {
+            self.orphans += 1;
+            return None;
+        };
+        self.journeys[at].attempts.last_mut()
     }
 
     /// Charges one blocked cycle to the message's current hop.
@@ -498,25 +517,27 @@ impl JourneyBook {
 
     /// Closes every channel interval a terminating message still owns.
     fn close_channels(&mut self, msg: u64, cycle: u64) {
-        let Some(keys) = self.open_by_msg.remove(&msg) else { return };
+        let Some(keys) = self.acquired_by_msg.remove(&msg) else { return };
         for key in keys {
-            if let Some((owner, since)) = self.open.get(&key).copied() {
+            let Some(ch) = self.channels.get_mut(&key) else { continue };
+            if let Some((owner, since)) = ch.open {
                 if owner == msg {
-                    self.channels.entry(key).or_default().busy_cycles += cycle - since;
-                    self.open.remove(&key);
+                    ch.stats.busy_cycles += cycle - since;
+                    ch.open = None;
                 }
             }
         }
     }
 
-    /// The reconstructed journeys, by message id.
-    pub fn journeys(&self) -> &BTreeMap<u64, Journey> {
-        &self.journeys
+    /// The reconstructed journeys, in injection order.
+    pub fn journeys(&self) -> impl Iterator<Item = &Journey> {
+        self.journeys.iter()
     }
 
-    /// Per-channel utilization/contention statistics.
-    pub fn channels(&self) -> &BTreeMap<ChannelKey, ChannelStats> {
-        &self.channels
+    /// Per-channel utilization/contention statistics, in no particular
+    /// order.
+    pub fn channels(&self) -> impl Iterator<Item = (ChannelKey, ChannelStats)> + '_ {
+        self.channels.iter().map(|(k, ch)| (*k, ch.stats))
     }
 
     /// Events whose message id was never injected in this trace (nonzero
@@ -570,7 +591,7 @@ impl JourneyBook {
             rejected_sends: self.rejected_sends,
             ..BookSummary::default()
         };
-        for j in self.journeys.values() {
+        for j in &self.journeys {
             for a in &j.attempts {
                 for h in &a.hops {
                     s.steps.add(h.steps as u64);
@@ -661,7 +682,7 @@ mod tests {
         assert_eq!(book.orphans(), 0);
         assert!(book.anomalies().is_empty(), "{:?}", book.anomalies());
 
-        let j = &book.journeys()[&9];
+        let j = &book.journeys[book.by_msg[&9]];
         assert_eq!(j.latency(), Some(20));
         assert_eq!(j.hops(), Some(1));
         assert_eq!(j.retries(), 0);
@@ -673,7 +694,7 @@ mod tests {
         assert_eq!(at.transit, 15);
         assert_eq!(at.src_queue + at.blocked + at.retry_backoff + at.transit, at.total);
 
-        let ch = book.channels()[&(0, 0, 0)];
+        let ch = book.channels[&(0, 0, 0)].stats;
         assert_eq!(ch.acquires, 1);
         assert_eq!(ch.busy_cycles, 7); // 5 → 12
         assert_eq!(ch.stalled_cycles, 3);
@@ -718,7 +739,7 @@ mod tests {
             ev(44, EventKind::VcRelease { node: n0, msg: 4, port: p, vc: v }),
             ev(50, EventKind::Deliver { node: NodeId(2), msg: 4 }),
         ]);
-        let j = &book.journeys()[&4];
+        let j = &book.journeys[book.by_msg[&4]];
         assert_eq!(j.attempts.len(), 2);
         assert_eq!(j.retries(), 1);
         assert_eq!(j.outcome, Outcome::Delivered { node: 2, cycle: 50 });
@@ -729,7 +750,7 @@ mod tests {
         assert_eq!(at.src_queue, 1 + 2); // 0→1, 38→40
         assert_eq!(at.src_queue + at.blocked + at.retry_backoff + at.transit, at.total);
         // both attempts' acquires hit the channel; the kill closed 1→6
-        let ch = book.channels()[&(0, 1, 0)];
+        let ch = book.channels[&(0, 1, 0)].stats;
         assert_eq!(ch.acquires, 2);
         assert_eq!(ch.busy_cycles, (6 - 1) + (44 - 40));
         let s = book.summary();

@@ -52,8 +52,7 @@ impl TraceReport {
     /// Builds the report from a folded book and an optional diagnoser.
     /// `top` bounds both channel leaderboards.
     pub fn build(book: &JourneyBook, diag: Option<&DiagnoserSink>, top: usize) -> Self {
-        let mut by_busy: Vec<(ChannelKey, ChannelStats)> =
-            book.channels().iter().map(|(k, v)| (*k, *v)).collect();
+        let mut by_busy: Vec<(ChannelKey, ChannelStats)> = book.channels().collect();
         let mut by_stall = by_busy.clone();
         by_busy.sort_by(|a, b| b.1.busy_cycles.cmp(&a.1.busy_cycles).then(a.0.cmp(&b.0)));
         by_stall.sort_by(|a, b| b.1.stalled_cycles.cmp(&a.1.stalled_cycles).then(a.0.cmp(&b.0)));

@@ -96,7 +96,7 @@ fn reconstruction_equals_engine_stats_exactly() {
         a.total,
         "buckets partition the total"
     );
-    for j in book.journeys().values() {
+    for j in book.journeys() {
         if let Some(at) = j.attribution() {
             assert_eq!(
                 at.src_queue + at.retry_backoff + at.blocked + at.transit,
@@ -127,7 +127,7 @@ fn retried_journeys_carry_their_attempt_history() {
 
     let mut retried_then_delivered = 0u64;
     let mut backoff_total = 0u64;
-    for j in book.journeys().values() {
+    for j in book.journeys() {
         if j.retries() == 0 {
             continue;
         }

@@ -23,8 +23,9 @@ use ftrouter::sim::{DetectorConfig, Header, WithDetection};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Counts the `route` calls of every controller `inner` builds (the
-/// `RouteWait` probe's calls included — they are the same in every arm).
+/// Counts the `route` calls of every controller `inner` builds, the
+/// `RouteWait` probe's included: each arm probes a head when it asks it,
+/// so a parked head saves its probe as well as its consult.
 struct Counted<'a> {
     inner: &'a dyn RoutingAlgorithm,
     calls: Arc<AtomicU64>,
@@ -297,8 +298,9 @@ fn rule_driven_hosts_park_only_what_they_can_prove() {
         configure("nafta", ftrouter::algos::rules_src::NAFTA).unwrap(),
         mesh.clone(),
     );
-    // (every blocked head costs the traced arms eight probe fires a cycle,
-    // so the two-channel program gets the lighter — still saturating — load)
+    // (a polled head costs both traced arms eight probe fires every cycle
+    // it is asked, so the two-channel program gets the lighter — still
+    // saturating — load)
     for (name, algo, load, asks) in
         [("xy", &xy, 0.6, Asks::Fewer), ("nafta", &nafta, 0.3, Asks::Same)]
     {
