@@ -228,10 +228,9 @@ mod gen_tests {
 
     #[test]
     fn generated_matches_shipped_structure_at_d6() {
-        let p = parse_program(&route_c_source(6)).unwrap();
-        let shipped = parse_program(ROUTE_C).unwrap();
-        let names: Vec<_> = p.rulebases.iter().map(|r| r.name.clone()).collect();
-        let shipped_names: Vec<_> = shipped.rulebases.iter().map(|r| r.name.clone()).collect();
-        assert_eq!(names, shipped_names);
+        // the generator and the shipped file are one program at d = 6:
+        // equal once printed (comments and layout aside)
+        let print = |src: &str| ftr_rules::pretty::print_program(&parse_program(src).unwrap());
+        assert_eq!(print(&route_c_source(6)), print(ROUTE_C));
     }
 }

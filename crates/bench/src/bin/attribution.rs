@@ -18,20 +18,13 @@
 //! raw event stream is also kept as an FTB capture for `ftr-trace` replay.
 
 use ftr_algos::Nafta;
-use ftr_bench::{harness, results};
-use ftr_obs::{json, FtbHeader, RingSink};
-use ftr_sim::{FaultPlan, Network, Pattern, RetryPolicy, TrafficSource};
-use ftr_topo::Mesh2D;
-use ftr_trace::{DiagnoserSink, JourneyBook, TraceReport};
+use ftr_bench::campaign::{self, Spec, E16, SIDE};
+use ftr_bench::harness;
+use ftr_obs::{json, RingSink};
+use ftr_trace::{JourneyBook, TraceReport};
 use std::sync::Arc;
 
-const SIDE: u32 = 6;
 const FAULTS: usize = 10;
-const FAULT_WINDOW: std::ops::Range<u64> = 200..900;
-const REPAIR_AFTER: u64 = 150;
-const CYCLES: u64 = 1_800;
-const DRAIN_BUDGET: u64 = 60_000;
-const MSG_LEN: u32 = 16;
 
 fn main() {
     let args = harness::Args::parse();
@@ -40,31 +33,18 @@ fn main() {
 
     println!(
         "E16 latency attribution: {SIDE}x{SIDE} NAFTA mesh, load {load}, seed {seed}, \
-         {FAULTS} transient link faults repaired after {REPAIR_AFTER} cycles\n"
+         {FAULTS} transient link faults repaired after {} cycles\n",
+        E16.repair_after
     );
 
-    let mesh = Mesh2D::new(SIDE, SIDE);
-    let plan = FaultPlan::random_transient_links(&mesh, FAULTS, FAULT_WINDOW, REPAIR_AFTER, seed);
+    // the run measures from the first injection, so the trace and the
+    // stats see the same message population — the exactness check below
+    // depends on it
     let ring = Arc::new(RingSink::new(1 << 22));
-    let diag = Arc::new(DiagnoserSink::default());
-    let capture = results::Capture::open(
-        &format!("attribution_s{seed}"),
-        FtbHeader::new().with("geometry", format!("mesh{SIDE}x{SIDE}")).with("seed", seed),
-        vec![ring.clone(), diag.clone()],
-    );
-    let b = Network::builder(Arc::new(mesh.clone()))
-        .fault_plan(plan)
-        .retry(RetryPolicy { max_attempts: 2, backoff_cycles: 64 });
-    let mut net = capture.attach(b).build(&Nafta::new(mesh.clone())).expect("valid config");
-    // measure from the first injection so the trace and the stats see the
-    // same message population — the exactness check below depends on it
-    net.set_measuring(true);
-
-    let mut tf = TrafficSource::new(Pattern::Uniform, load, MSG_LEN, seed ^ 0xabcd);
-    harness::drive(&mut net, &mut tf, CYCLES);
-    assert!(net.drain(DRAIN_BUDGET), "run must drain");
-    diag.scan_now();
-    capture.finish();
+    let spec = Spec { seed, faults: FAULTS, load };
+    let label = format!("attribution_s{seed}");
+    let run = campaign::run(&E16, &spec, &label, &Nafta::new(campaign::mesh()), vec![ring.clone()]);
+    run.check();
     assert_eq!(ring.dropped(), 0, "ring must hold the full trace");
 
     let mut book = JourneyBook::new();
@@ -73,7 +53,7 @@ fn main() {
     // cross-validation: the reconstruction must agree with the engine
     // exactly, or the report below cannot be trusted
     let s = book.summary();
-    let st = &net.stats;
+    let st = &run.stats;
     assert_eq!(book.orphans(), 0, "complete trace has no orphans");
     assert!(book.anomalies().is_empty(), "anomalies: {:?}", book.anomalies());
     assert_eq!(s.injected, st.injected_msgs, "injected");
@@ -94,9 +74,8 @@ fn main() {
         a.total,
         "buckets partition the total"
     );
-    assert!(diag.deadlock().is_none(), "NAFTA run flagged: {:?}", diag.deadlock());
 
-    let report = TraceReport::build(&book, Some(&diag), 8);
+    let report = TraceReport::build(&book, Some(&run.diag), 8);
     print!("{}", report.human_summary());
 
     if a.total > 0 {
@@ -121,7 +100,7 @@ fn main() {
         root.float("load", load);
         root.num("seed", seed);
         root.num("faults", FAULTS as u64);
-        root.num("repair_after", REPAIR_AFTER);
+        root.num("repair_after", E16.repair_after);
         root.bool("exact_match", true); // asserted above, recorded for CI
         root.field("report", report.to_json());
         root.finish()

@@ -18,101 +18,26 @@
 //! to stdout and `results/campaign.json`.
 
 use ftr_algos::Nafta;
-use ftr_bench::{harness, results};
-use ftr_obs::{json, FtbHeader};
+use ftr_bench::campaign::{self, Spec, E15, E15_BASE, FAULT_COUNTS, SIDE};
+use ftr_bench::harness;
+use ftr_obs::json;
 use ftr_sim::sweep::{run_sweep, worker_count};
-use ftr_sim::{FaultPlan, Network, Pattern, RetryPolicy, TrafficSource};
-use ftr_topo::Mesh2D;
-use ftr_trace::DiagnoserSink;
-use std::sync::Arc;
-
-const SIDE: u32 = 6;
-const REPAIR_AFTER: u64 = 200;
-const FAULT_WINDOW: std::ops::Range<u64> = 200..1_400;
-const WARM_CYCLES: u64 = 1_800;
-const DRAIN_BUDGET: u64 = 60_000;
-const MSG_LEN: u32 = 16;
+use ftr_sim::SimStats;
 
 #[derive(Clone, Copy)]
 struct RunSpec {
     retry: bool,
-    faults: usize,
-    seed: u64,
-    load: f64,
+    spec: Spec,
 }
 
-struct RunOut {
-    injected: u64,
-    delivered: u64,
-    killed: u64,
-    unroutable: u64,
-    retried: u64,
-    abandoned: u64,
-    rejected: u64,
-    latency_mean: f64,
-    delivery_ratio: f64,
-    deadlock: bool,
-    drained: bool,
-    balanced: bool,
-    /// The online diagnoser's verdict: a fault-tolerant campaign run
-    /// must never look deadlocked to the wait-for-graph scan either.
-    diag_clean: bool,
-}
-
-fn run_one(spec: &RunSpec) -> RunOut {
-    let mesh = Mesh2D::new(SIDE, SIDE);
-    let plan = FaultPlan::random_transient_links(
-        &mesh,
-        spec.faults,
-        FAULT_WINDOW,
-        REPAIR_AFTER,
-        spec.seed,
-    );
-    let mut b = Network::builder(Arc::new(mesh.clone())).fault_plan(plan);
-    if spec.retry {
-        b = b.retry(RetryPolicy { max_attempts: 8, backoff_cycles: 64 });
-    }
-    // every run carries the online deadlock diagnoser; with
-    // FTR_TRACE_DIR set the same stream is also captured to disk
-    let diag = Arc::new(DiagnoserSink::default());
-    let label = format!(
-        "campaign_{}_f{}_s{}",
-        if spec.retry { "retry" } else { "base" },
-        spec.faults,
-        spec.seed
-    );
-    let header = FtbHeader::new()
-        .with("geometry", format!("mesh{SIDE}x{SIDE}"))
-        .with("seed", spec.seed)
-        .with("faults", spec.faults);
-    let capture = results::Capture::open(&label, header, vec![diag.clone()]);
-    let mut net = capture.attach(b).build(&Nafta::new(mesh.clone())).expect("valid config");
-    net.set_measuring(true);
-
-    let mut tf = TrafficSource::new(Pattern::Uniform, spec.load, MSG_LEN, spec.seed ^ 0x5ca1e);
-    // link faults never kill endpoints here, but a rejected send must be
-    // counted, not fatal — harness::drive has exactly those semantics
-    harness::drive(&mut net, &mut tf, WARM_CYCLES);
-    let drained = net.drain(DRAIN_BUDGET);
-    diag.scan_now();
-    capture.finish();
-
-    let s = &net.stats;
-    RunOut {
-        injected: s.injected_msgs,
-        delivered: s.delivered_msgs,
-        killed: s.killed_msgs,
-        unroutable: s.unroutable_msgs,
-        retried: s.retried_msgs,
-        abandoned: s.abandoned_msgs,
-        rejected: s.rejected_sends,
-        latency_mean: s.latency.mean(),
-        delivery_ratio: s.delivery_ratio(),
-        deadlock: s.deadlock,
-        drained,
-        balanced: s.accounting_balanced(),
-        diag_clean: diag.deadlock().is_none(),
-    }
+/// One run; a run that breaks the liveness check panics, and
+/// `run_sweep` reports every panicking run.
+fn run_one(r: &RunSpec) -> SimStats {
+    let (shape, arm) = if r.retry { (&E15, "retry") } else { (&E15_BASE, "base") };
+    let label = format!("campaign_{arm}_f{}_s{}", r.spec.faults, r.spec.seed);
+    let run = campaign::run(shape, &r.spec, &label, &Nafta::new(campaign::mesh()), Vec::new());
+    run.check();
+    run.stats
 }
 
 struct Cell {
@@ -134,80 +59,54 @@ fn main() {
     let runs_per_cell: usize = args.pos(0, "runs-per-cell", 25);
     let load: f64 = args.pos(1, "load", 0.15);
 
-    let fault_counts = [0usize, 4, 8, 12, 16];
     let mut specs = Vec::new();
     for &retry in &[false, true] {
-        for &faults in &fault_counts {
+        for faults in FAULT_COUNTS {
             for seed in 0..runs_per_cell as u64 {
-                specs.push(RunSpec { retry, faults, seed: 1 + seed * 7919, load });
+                specs.push(RunSpec { retry, spec: Spec { seed: 1 + seed * 7919, faults, load } });
             }
         }
     }
     let total = specs.len();
     println!(
         "E15 dynamic-fault campaign: {SIDE}x{SIDE} NAFTA mesh, load {load}, \
-         transient link faults repaired after {REPAIR_AFTER} cycles"
+         transient link faults repaired after {} cycles",
+        E15.repair_after
     );
     let threads = worker_count();
     println!("{total} runs ({runs_per_cell} per cell) on {threads} threads\n");
 
     let outs = run_sweep(specs.clone(), threads, run_one);
 
-    // hard invariants: every run, no exceptions
-    let mut violations = 0usize;
-    for (spec, out) in specs.iter().zip(&outs) {
-        if !out.balanced || out.deadlock || !out.drained || !out.diag_clean {
-            violations += 1;
-            eprintln!(
-                "INVARIANT VIOLATION: retry={} faults={} seed={} \
-                 balanced={} deadlock={} drained={} diagnoser_clean={}",
-                spec.retry,
-                spec.faults,
-                spec.seed,
-                out.balanced,
-                out.deadlock,
-                out.drained,
-                out.diag_clean
-            );
-        }
-    }
-    assert_eq!(
-        violations, 0,
-        "campaign runs must stay balanced, drained, and deadlock-free \
-         (watchdog and online diagnoser)"
-    );
-
     let mut cells: Vec<Cell> = Vec::new();
     for &retry in &[false, true] {
-        for &faults in &fault_counts {
-            let sel: Vec<&RunOut> = specs
+        for faults in FAULT_COUNTS {
+            let sel: Vec<&SimStats> = specs
                 .iter()
                 .zip(&outs)
-                .filter(|(s, _)| s.retry == retry && s.faults == faults)
-                .map(|(_, o)| o)
+                .filter(|(r, _)| r.retry == retry && r.spec.faults == faults)
+                .map(|(_, s)| s)
                 .collect();
-            let injected: u64 = sel.iter().map(|o| o.injected).sum();
-            let delivered: u64 = sel.iter().map(|o| o.delivered).sum();
-            let done: u64 = delivered
-                + sel.iter().map(|o| o.killed).sum::<u64>()
-                + sel.iter().map(|o| o.unroutable).sum::<u64>();
-            let lat_n: f64 = sel.iter().filter(|o| o.delivered > 0).count() as f64;
+            let sum = |f: fn(&SimStats) -> u64| sel.iter().map(|s| f(s)).sum::<u64>();
+            let delivered = sum(|s| s.delivered_msgs);
+            let done = sum(SimStats::terminated);
+            let lat_n = sel.iter().filter(|s| s.delivered_msgs > 0).count() as f64;
             cells.push(Cell {
                 retry,
                 faults,
                 runs: sel.len(),
-                injected,
+                injected: sum(|s| s.injected_msgs),
                 delivery_ratio: if done == 0 { 0.0 } else { delivered as f64 / done as f64 },
                 latency_mean: if lat_n == 0.0 {
                     0.0
                 } else {
-                    sel.iter().map(|o| o.latency_mean).sum::<f64>() / lat_n
+                    sel.iter().map(|s| s.latency.mean()).sum::<f64>() / lat_n
                 },
-                killed: sel.iter().map(|o| o.killed).sum(),
-                unroutable: sel.iter().map(|o| o.unroutable).sum(),
-                retried: sel.iter().map(|o| o.retried).sum(),
-                abandoned: sel.iter().map(|o| o.abandoned).sum(),
-                worst_ratio: sel.iter().map(|o| o.delivery_ratio).fold(1.0, f64::min),
+                killed: sum(|s| s.killed_msgs),
+                unroutable: sum(|s| s.unroutable_msgs),
+                retried: sum(|s| s.retried_msgs),
+                abandoned: sum(|s| s.abandoned_msgs),
+                worst_ratio: sel.iter().map(|s| s.delivery_ratio()).fold(1.0, f64::min),
             });
         }
     }
@@ -258,7 +157,7 @@ fn main() {
         root.str("topology", &format!("mesh {SIDE}x{SIDE}"));
         root.str("algorithm", "nafta");
         root.float("load", load);
-        root.num("repair_after", REPAIR_AFTER);
+        root.num("repair_after", E15.repair_after);
         root.num("runs", total as u64);
         root.num("runs_per_cell", runs_per_cell as u64);
         root.field(
@@ -282,7 +181,7 @@ fn main() {
         root.finish()
     };
 
-    let rejected: u64 = outs.iter().map(|o| o.rejected).sum();
+    let rejected: u64 = outs.iter().map(|s| s.rejected_sends).sum();
     println!("\nall {total} runs balanced, drained, deadlock-free ({rejected} rejected sends)");
     harness::export("campaign", &payload);
 }

@@ -15,12 +15,13 @@
 //!    link fault to the first alarm; (c) alarms under link *flapping*
 //!    shorter than the suspicion window — the transient-tolerance the
 //!    threshold buys.
-//! 2. **The no-oracle campaign.** The E21 campaign fabric (6x6 NAFTA,
-//!    uniform load, scripted link faults, retransmission) run three
-//!    ways: faults announced by the oracle; faults silent with no
-//!    detection (delivery collapses — the watchdog eventually declares
-//!    deadlock); faults silent with the detection layer (delivery
-//!    recovers to the oracle baseline).
+//! 2. **The no-oracle campaign.** The campaign fabric (6x6 NAFTA,
+//!    uniform load, scripted link faults, retransmission) in its E22
+//!    shape (permanent faults, 8-flit worms) run three ways: faults
+//!    announced by the oracle; faults silent with no detection
+//!    (delivery collapses — the watchdog eventually declares deadlock);
+//!    faults silent with the detection layer (delivery recovers to the
+//!    oracle baseline).
 //!
 //! ```text
 //! detect [--smoke]
@@ -29,36 +30,21 @@
 //! Exports `results/BENCH_detect.json`; the asserts below are the gate.
 
 use ftr_algos::Nafta;
-use ftr_bench::{harness, results};
-use ftr_obs::{json, EventKind, FtbHeader, RingSink};
+use ftr_bench::campaign::{self, Run, Shape, Spec, E22, SIDE};
+use ftr_bench::harness;
+use ftr_obs::{json, EventKind, RingSink};
 use ftr_sim::detect::{DetectorConfig, WithDetection, MIN_SAFE_TICK_PERIOD};
-use ftr_sim::{
-    FaultAction, FaultPlan, Network, Pattern, RetryPolicy, RoutingAlgorithm, TrafficSource,
-};
-use ftr_topo::{Mesh2D, PortId, EAST, NORTH};
-use ftr_trace::DiagnoserSink;
+use ftr_sim::{FaultAction, FaultPlan, Network, Pattern, RoutingAlgorithm, TrafficSource};
+use ftr_topo::{PortId, EAST, NORTH};
 use std::sync::Arc;
 
-const SIDE: u32 = 6;
-const MSG_LEN: u32 = 8;
 const LOAD: f64 = 0.10;
 /// The configuration the rest of the repo treats as the default.
 const DEFAULT_PERIOD: u64 = 8;
 const DEFAULT_THRESHOLD: u32 = 3;
-/// Campaign fault window; repairs are scheduled far beyond the run so
-/// the scripted faults are effectively permanent — a silent fault that
-/// heals by itself would mask the detection layer's contribution.
-const FAULT_WINDOW: std::ops::Range<u64> = 100..400;
-const NEVER: u64 = 10_000_000;
-const WARM_CYCLES: u64 = 900;
-const DRAIN_BUDGET: u64 = 30_000;
-
-fn mesh() -> Mesh2D {
-    Mesh2D::new(SIDE, SIDE)
-}
 
 fn detect_algo(threshold: u32) -> WithDetection<Nafta> {
-    WithDetection::new(Nafta::new(mesh()), DetectorConfig { miss_threshold: threshold })
+    WithDetection::new(Nafta::new(campaign::mesh()), DetectorConfig { miss_threshold: threshold })
 }
 
 /// The middle sample of an odd-sized set (the sweep probes one or three
@@ -80,20 +66,20 @@ fn alarm_cycles(sink: &RingSink) -> Vec<u64> {
 /// positive.
 fn false_positives(period: u64, threshold: u32, cycles: u64) -> u64 {
     let sink = Arc::new(RingSink::new(1 << 20));
-    let mut net = Network::builder(Arc::new(mesh()))
+    let mut net = Network::builder(Arc::new(campaign::mesh()))
         .tick_period(period)
         .trace(sink.clone())
         .build(&detect_algo(threshold))
         .expect("valid");
-    let mut tf = TrafficSource::new(Pattern::Uniform, LOAD, MSG_LEN, 0xfae);
+    let mut tf = TrafficSource::new(Pattern::Uniform, LOAD, E22.msg_len, 0xfae);
     harness::drive(&mut net, &mut tf, cycles);
-    net.drain(DRAIN_BUDGET);
+    net.drain(E22.drain_budget);
     alarm_cycles(&sink).len() as u64
 }
 
 /// Cycles from a silent permanent link fault to the first alarm.
 fn detection_latency(period: u64, threshold: u32, site: (u32, u32, PortId)) -> u64 {
-    let m = mesh();
+    let m = campaign::mesh();
     let at = 101;
     let plan =
         FaultPlan::new().at(at, FaultAction::FailLinkSilent(m.node_at(site.0, site.1), site.2));
@@ -117,7 +103,7 @@ fn detection_latency(period: u64, threshold: u32, site: (u32, u32, PortId)) -> u
 /// ping's send and its reply), so the longest outage a threshold `t`
 /// detector is guaranteed to ride out is `(t - 1) * period - 1`.
 fn flap_alarms(period: u64, threshold: u32, flap_len: u64) -> u64 {
-    let m = mesh();
+    let m = campaign::mesh();
     let n = m.node_at(2, 3);
     let plan = FaultPlan::new()
         .at(101, FaultAction::FailLinkSilent(n, EAST))
@@ -133,84 +119,29 @@ fn flap_alarms(period: u64, threshold: u32, flap_len: u64) -> u64 {
     alarm_cycles(&sink).len() as u64
 }
 
-/// One campaign arm: the E21 fabric with `faults` scripted link faults.
-struct Arm {
-    injected: u64,
-    delivered: u64,
-    killed: u64,
-    unroutable: u64,
-    abandoned: u64,
-    control_dropped: u64,
-    deadlock: bool,
-    drained: bool,
+/// One campaign arm's row, read off the run.
+fn arm_json(run: &Run) -> String {
+    let s = &run.stats;
+    let mut o = json::Obj::new();
+    o.num("injected", s.injected_msgs)
+        .num("delivered", s.delivered_msgs)
+        .num("killed", s.killed_msgs)
+        .num("unroutable", s.unroutable_msgs)
+        .num("abandoned", s.abandoned_msgs)
+        .num("control_dropped", s.control_dropped)
+        .bool("deadlock", s.deadlock)
+        .bool("drained", run.drained)
+        .float("delivery_ratio", delivered_share(run));
+    o.finish()
 }
 
-impl Arm {
-    fn delivery_ratio(&self) -> f64 {
-        if self.injected == 0 {
-            return 1.0;
-        }
-        self.delivered as f64 / self.injected as f64
+/// Delivered / injected (1 when nothing was injected).
+fn delivered_share(run: &Run) -> f64 {
+    let s = &run.stats;
+    if s.injected_msgs == 0 {
+        return 1.0;
     }
-
-    fn to_json(&self) -> String {
-        let mut o = json::Obj::new();
-        o.num("injected", self.injected)
-            .num("delivered", self.delivered)
-            .num("killed", self.killed)
-            .num("unroutable", self.unroutable)
-            .num("abandoned", self.abandoned)
-            .num("control_dropped", self.control_dropped)
-            .bool("deadlock", self.deadlock)
-            .bool("drained", self.drained)
-            .float("delivery_ratio", self.delivery_ratio());
-        o.finish()
-    }
-}
-
-/// One campaign arm. `expect_live` arms attach the online deadlock
-/// diagnoser and require it silent — the no-detection arm genuinely
-/// wedges, so there it only records what the watchdog saw.
-fn campaign_arm(
-    label: &str,
-    algo: &dyn RoutingAlgorithm,
-    plan: FaultPlan,
-    period: u64,
-    seed: u64,
-    expect_live: bool,
-) -> Arm {
-    let diag = Arc::new(DiagnoserSink::default());
-    // with FTR_TRACE_DIR set the arm's full event stream (heartbeats,
-    // suspicions, alarms, control drops) is captured for ftr-trace replay
-    let header = FtbHeader::new().with("geometry", format!("mesh{SIDE}x{SIDE}")).with("seed", seed);
-    let capture = results::Capture::open(label, header, vec![diag.clone()]);
-    let mut b = Network::builder(Arc::new(mesh()))
-        .fault_plan(plan)
-        .retry(RetryPolicy { max_attempts: 8, backoff_cycles: 64 });
-    if period != 0 {
-        b = b.tick_period(period);
-    }
-    let mut net = capture.attach(b).build(algo).expect("valid");
-    net.set_measuring(true);
-    let mut tf = TrafficSource::new(Pattern::Uniform, LOAD, MSG_LEN, seed ^ 0x5ca1e);
-    harness::drive(&mut net, &mut tf, WARM_CYCLES);
-    let drained = net.drain(DRAIN_BUDGET);
-    diag.scan_now();
-    capture.finish();
-    if expect_live {
-        assert!(diag.deadlock().is_none(), "online diagnoser must stay silent on a live arm");
-    }
-    let s = &net.stats;
-    Arm {
-        injected: s.injected_msgs,
-        delivered: s.delivered_msgs,
-        killed: s.killed_msgs,
-        unroutable: s.unroutable_msgs,
-        abandoned: s.abandoned_msgs,
-        control_dropped: s.control_dropped,
-        deadlock: s.deadlock,
-        drained,
-    }
+    s.delivered_msgs as f64 / s.injected_msgs as f64
 }
 
 fn main() {
@@ -289,52 +220,36 @@ fn main() {
     let mut worst_detect = f64::INFINITY;
     let mut worst_oracle_gap = f64::NEG_INFINITY;
     for &faults in fault_counts {
-        let seed = 11 + faults as u64;
-        let plan = FaultPlan::random_transient_links(&mesh(), faults, FAULT_WINDOW, NEVER, seed);
-        let oracle = campaign_arm(
-            &format!("detect_oracle_f{faults}"),
-            &Nafta::new(mesh()),
-            plan.clone(),
-            0,
-            seed,
-            true,
-        );
-        let nodetect = campaign_arm(
-            &format!("detect_nodetect_f{faults}"),
-            &Nafta::new(mesh()),
-            plan.clone().silenced(),
-            0,
-            seed,
-            false,
-        );
-        let detect = campaign_arm(
-            &format!("detect_detect_f{faults}"),
-            &detect_algo(DEFAULT_THRESHOLD),
-            plan.silenced(),
-            DEFAULT_PERIOD,
-            seed,
-            true,
-        );
+        let spec = Spec { seed: 11 + faults as u64, faults, load: LOAD };
+        let arm = |shape: &Shape, name: &str, algo: &dyn RoutingAlgorithm| {
+            campaign::run(shape, &spec, &format!("detect_{name}_f{faults}"), algo, Vec::new())
+        };
+        // the oracle and detect arms must stay live; the nodetect arm
+        // genuinely wedges, so there only the watchdog's verdict is kept
+        let oracle = arm(&E22, "oracle", &Nafta::new(campaign::mesh()));
+        oracle.check();
+        let silent = Shape { silent: true, ..E22 };
+        let nodetect = arm(&silent, "nodetect", &Nafta::new(campaign::mesh()));
+        let with_tick = Shape { tick_period: DEFAULT_PERIOD, ..silent };
+        let detect = arm(&with_tick, "detect", &detect_algo(DEFAULT_THRESHOLD));
+        detect.check();
+        let (o, n, d) =
+            (delivered_share(&oracle), delivered_share(&nodetect), delivered_share(&detect));
         println!(
-            "{faults:>7} {:>16.3} {:>18.3} {:>16.3}{}",
-            oracle.delivery_ratio(),
-            nodetect.delivery_ratio(),
-            detect.delivery_ratio(),
-            if nodetect.deadlock { "   (nodetect deadlocked)" } else { "" }
+            "{faults:>7} {o:>16.3} {n:>18.3} {d:>16.3}{}",
+            if nodetect.stats.deadlock { "   (nodetect deadlocked)" } else { "" }
         );
-        assert!(nodetect.deadlock, "silent faults with nobody watching must deadlock");
-        assert!(!detect.deadlock, "detection must keep the fabric live");
-        assert!(detect.drained, "detection arm must terminate every message");
-        worst_margin = worst_margin.min(detect.delivery_ratio() - nodetect.delivery_ratio());
-        worst_detect = worst_detect.min(detect.delivery_ratio());
-        worst_oracle_gap = worst_oracle_gap.max(oracle.delivery_ratio() - detect.delivery_ratio());
-        let mut o = json::Obj::new();
-        o.num("faults", faults as u64)
-            .field("oracle", oracle.to_json())
-            .field("silent_nodetect", nodetect.to_json())
-            .field("silent_detect", detect.to_json())
-            .float("recovery_margin", detect.delivery_ratio() - nodetect.delivery_ratio());
-        campaigns.push(o.finish());
+        assert!(nodetect.stats.deadlock, "silent faults with nobody watching must deadlock");
+        worst_margin = worst_margin.min(d - n);
+        worst_detect = worst_detect.min(d);
+        worst_oracle_gap = worst_oracle_gap.max(o - d);
+        let mut row = json::Obj::new();
+        row.num("faults", faults as u64)
+            .field("oracle", arm_json(&oracle))
+            .field("silent_nodetect", arm_json(&nodetect))
+            .field("silent_detect", arm_json(&detect))
+            .float("recovery_margin", d - n);
+        campaigns.push(row.finish());
     }
     println!(
         "\nworst-case: detect-over-nodetect margin {worst_margin:.3}, \

@@ -15,7 +15,7 @@
 //! Hard invariants, per run, attributed to the run's seed on failure:
 //! message accounting balances, the network drains, neither the
 //! watchdog nor the online diagnoser reports a deadlock, and the trace
-//! capture loses no events (see [`ftr_bench::fleetjob`]).
+//! capture loses no events (see [`ftr_bench::campaign`]).
 //!
 //! ```text
 //! fleet [runs] [load] [manifest] [--smoke]
@@ -23,7 +23,7 @@
 //!
 //! Aggregates go to stdout and `results/fleet.json`.
 
-use ftr_bench::fleetjob::{specs, Campaign, FAULT_COUNTS, SIDE};
+use ftr_bench::campaign::{specs, Fleet, FAULT_COUNTS, SIDE};
 use ftr_bench::{harness, results};
 use ftr_obs::json;
 use ftr_sim::{run_fleet, worker_count};
@@ -46,7 +46,7 @@ fn main() {
     );
     let threads = worker_count();
     let start = std::time::Instant::now();
-    let outcome = run_fleet(&Campaign, &fleet, std::path::Path::new(&manifest), threads)
+    let outcome = run_fleet(&Fleet, &fleet, std::path::Path::new(&manifest), threads)
         .expect("fleet manifest I/O");
     let elapsed = start.elapsed().as_secs_f64();
     println!(

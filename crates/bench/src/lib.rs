@@ -12,7 +12,7 @@ use ftr_sim::{Network, Pattern, SimConfig, TrafficSource};
 use ftr_topo::Topology;
 use std::sync::Arc;
 
-pub mod fleetjob;
+pub mod campaign;
 pub mod harness;
 pub mod results;
 

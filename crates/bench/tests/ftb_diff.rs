@@ -12,52 +12,28 @@
 //! deadlock-free by construction).
 
 use ftr_algos::Nafta;
-use ftr_obs::{BinSink, FtbHeader, RingSink, TeeSink, TraceEvent};
-use ftr_sim::{FaultPlan, Network, Pattern, RetryPolicy, TrafficSource};
-use ftr_topo::Mesh2D;
-use ftr_trace::{DiagnoserSink, EventReader, JourneyBook};
+use ftr_bench::campaign::{self, Spec, E15, E15_BASE, FAULT_COUNTS};
+use ftr_obs::{BinSink, FtbHeader, RingSink, TraceEvent};
+use ftr_trace::{EventReader, JourneyBook};
 use std::sync::Arc;
 
-const SIDE: u32 = 6;
-const REPAIR_AFTER: u64 = 200;
-const FAULT_WINDOW: std::ops::Range<u64> = 200..1_400;
-const WARM_CYCLES: u64 = 1_800;
-const DRAIN_BUDGET: u64 = 60_000;
-const LOAD: f64 = 0.15;
-const MSG_LEN: u32 = 16;
-
-/// Runs one E15 cell with the ring, the capture and the diagnoser
-/// attached; returns the live events and the capture's path.
+/// Runs one E15 cell with the ring and the capture attached next to the
+/// diagnoser; returns the live events and the capture's path.
 fn run_cell(retry: bool, faults: usize, seed: u64) -> (Vec<TraceEvent>, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("ftr-ftb-diff-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let tag = format!("{}_f{faults}_s{seed}", if retry { "retry" } else { "base" });
     let ftb_path = dir.join(format!("{tag}.ftb"));
 
-    let mesh = Mesh2D::new(SIDE, SIDE);
-    let plan = FaultPlan::random_transient_links(&mesh, faults, FAULT_WINDOW, REPAIR_AFTER, seed);
     let ring = Arc::new(RingSink::new(1 << 20));
     let ftb = Arc::new(
         BinSink::create(&ftb_path, FtbHeader::new().with("seed", seed).with("label", &tag))
             .unwrap(),
     );
-    let diag = Arc::new(DiagnoserSink::default());
-    let mut b = Network::builder(Arc::new(mesh.clone()))
-        .fault_plan(plan)
-        .trace(Arc::new(TeeSink::new(vec![ring.clone(), ftb.clone(), diag.clone()])));
-    if retry {
-        b = b.retry(RetryPolicy { max_attempts: 8, backoff_cycles: 64 });
-    }
-    let mut net = b.build(&Nafta::new(mesh.clone())).expect("valid config");
-    net.set_measuring(true);
-
-    let mut tf = TrafficSource::new(Pattern::Uniform, LOAD, MSG_LEN, seed ^ 0x5ca1e);
-    ftr_bench::harness::drive(&mut net, &mut tf, WARM_CYCLES);
-    assert!(net.drain(DRAIN_BUDGET), "cell {tag} failed to drain");
-    diag.scan_now();
-    assert!(net.stats.accounting_balanced(), "cell {tag} out of balance");
-    assert!(!net.stats.deadlock, "cell {tag}: watchdog deadlock");
-    assert!(diag.deadlock().is_none(), "cell {tag}: diagnoser deadlock");
+    let shape = if retry { &E15 } else { &E15_BASE };
+    let spec = Spec { seed, faults, load: 0.15 };
+    let sinks = vec![ring.clone() as _, ftb.clone() as _];
+    campaign::run(shape, &spec, &tag, &Nafta::new(campaign::mesh()), sinks).check();
 
     ftb.finalize().unwrap();
     assert_eq!(ftb.write_errors(), 0);
@@ -80,7 +56,7 @@ fn ftb_equals_the_live_stream_event_for_event_across_the_campaign_matrix() {
     let mut total_events = 0usize;
     for (cell, &(retry, faults)) in [false, true]
         .iter()
-        .flat_map(|&r| [0usize, 4, 8, 12, 16].iter().map(move |&f| (r, f)))
+        .flat_map(|&r| FAULT_COUNTS.iter().map(move |&f| (r, f)))
         .collect::<Vec<_>>()
         .iter()
         .enumerate()

@@ -5,74 +5,27 @@
 //! bytecode, cascading its internal events and counting steps through the
 //! optimizer's `StepWeights`. Every consult also fires the optimized
 //! table machine on the same inputs and checks that both agree on the
-//! return, the modeled steps and the registers. On an E15 campaign cell
-//! (6x6 mesh, transient link faults with repair, source retransmission)
-//! the bytecode-driven run must match the plain table `RuleRouter` run
-//! bit for bit: `SimStats` (including `decision_steps`) and trace stream.
+//! return, the modeled steps and the registers. On a campaign cell
+//! (`common::campaign_run`: 6x6 mesh, transient link faults with repair,
+//! source retransmission) the bytecode-driven run must match the plain
+//! table `RuleRouter` run bit for bit: `SimStats` (including
+//! `decision_steps`) and trace stream.
 
+mod common;
+
+use common::campaign_run;
 use ftr_algos::rule_io::{self, MeshIo, PortInfo, Ret, RuleIo};
 use ftr_algos::vnet::MeshVcMode;
 use ftr_analyze::{opt, TopoFacts};
+use ftr_bench::campaign::{self, SIDE};
 use ftr_core::{configure, RouterConfiguration, RuleRouter};
-use ftr_obs::{TraceEvent, TraceSink};
 use ftr_rules::vm::Scratch;
 use ftr_rules::{CompiledProgram, Fired, InputMap, Machine, RegFile, StepWeights, VmProgram};
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{Decision, NodeController, RouterView, Verdict};
-use ftr_sim::{
-    FaultPlan, Network, Pattern, RetryPolicy, RoutingAlgorithm, SimStats, TrafficSource,
-};
+use ftr_sim::RoutingAlgorithm;
 use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId};
-use std::sync::{Arc, Mutex};
-
-const SIDE: u32 = 6;
-const WARM_CYCLES: u64 = 600;
-const MSG_LEN: u32 = 16;
-const LOAD: f64 = 0.15;
-
-/// Order-sensitive digest of the trace stream: every event folds its
-/// debug rendering into an FNV-1a accumulator, so two runs compare whole
-/// streams without buffering them.
-struct DigestSink(Mutex<(u64, u64)>); // (fnv-1a hash, event count)
-
-impl TraceSink for DigestSink {
-    fn record(&self, ev: &TraceEvent) {
-        let line = format!("{ev:?}");
-        let mut g = self.0.lock().unwrap();
-        for b in line.as_bytes() {
-            g.0 = (g.0 ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        g.1 += 1;
-    }
-}
-
-/// One E15 campaign cell, traced: the final stats and the trace digest.
-fn campaign_run(
-    mesh: &Mesh2D,
-    algo: &dyn RoutingAlgorithm,
-    faults: usize,
-    seed: u64,
-) -> (SimStats, (u64, u64)) {
-    let sink = Arc::new(DigestSink(Mutex::new((0xcbf2_9ce4_8422_2325, 0))));
-    let plan = FaultPlan::random_transient_links(mesh, faults, 100..450, 120, seed);
-    let mut net = Network::builder(Arc::new(mesh.clone()))
-        .fault_plan(plan)
-        .retry(RetryPolicy { max_attempts: 8, backoff_cycles: 64 })
-        .trace(sink.clone())
-        .build(algo)
-        .expect("valid config");
-    net.set_measuring(true);
-    let mut tf = TrafficSource::new(Pattern::Uniform, LOAD, MSG_LEN, seed ^ 0x5ca1e);
-    for _ in 0..WARM_CYCLES {
-        for (s, d, l) in tf.tick(mesh, net.faults()) {
-            let _ = net.send(s, d, l);
-        }
-        net.step();
-    }
-    net.drain(60_000);
-    let digest = *sink.0.lock().unwrap();
-    (net.stats, digest)
-}
+use std::sync::Arc;
 
 /// An optimized program, its bytecode and its step weights.
 struct Lowered {
@@ -226,7 +179,7 @@ fn bytecode_composes_with_the_optimizer_and_step_weights() {
     // two arms on one campaign cell: the plain table router, and the
     // optimized program's bytecode with the optimizer's StepWeights — the
     // modeled decision_steps must survive both rewritings at once
-    let mesh = Mesh2D::new(SIDE, SIDE);
+    let mesh = campaign::mesh();
     let baseline = configure("nafta", ftr_algos::rules_src::NAFTA).unwrap();
     let oopts = opt::OptOptions { topo: TopoFacts::mesh(SIDE, SIDE), ..opt::OptOptions::default() };
     let optimized = opt::optimize_rulebase("nafta", &baseline.compiled.prog, &oopts).unwrap();
@@ -244,8 +197,8 @@ fn bytecode_composes_with_the_optimizer_and_step_weights() {
     let bytecode = BytecodeRouter { lowered, mesh: mesh.clone(), io, mode };
 
     let (faults, seed) = (6usize, 7919u64);
-    let (a, ta) = campaign_run(&mesh, &RuleRouter::for_mesh(baseline, mesh.clone()), faults, seed);
-    let (c, tc) = campaign_run(&mesh, &bytecode, faults, seed);
+    let (a, ta) = campaign_run(&RuleRouter::for_mesh(baseline, mesh.clone()), faults, seed);
+    let (c, tc) = campaign_run(&bytecode, faults, seed);
     assert!(a.delivered_msgs > 0, "campaign must deliver traffic");
     assert!(ta.1 > 0, "campaign must emit trace events");
     assert_eq!(a, c, "optimized bytecode diverged from baseline");

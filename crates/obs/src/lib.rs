@@ -29,6 +29,7 @@
 //! `ftr-trace --to-jsonl` streams over a decoded capture — traces are
 //! never stored or read back as JSON.
 
+pub mod accum;
 pub mod event;
 pub mod ftb;
 pub mod hash;
@@ -36,6 +37,7 @@ pub mod json;
 pub mod profile;
 pub mod sink;
 
+pub use accum::Accum;
 pub use event::{EventKind, RouteOutcome, TraceEvent};
 pub use ftb::{BinSink, FtbHeader, FtbReader, ReadError};
 pub use hash::{IdHasher, IdMap};

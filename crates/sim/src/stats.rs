@@ -1,6 +1,7 @@
 //! Simulation statistics: latency, throughput, routing-decision overhead.
 
 use crate::flit::MessageId;
+pub use ftr_obs::Accum;
 use ftr_topo::NodeId;
 use std::collections::HashMap;
 
@@ -25,43 +26,6 @@ pub struct MsgMeta {
     pub min_dist: u32,
     /// Injection attempts so far (1 = original injection).
     pub attempts: u32,
-}
-
-/// Online mean/min/max accumulator.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Accum {
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: u64,
-    /// Minimum (0 if empty).
-    pub min: u64,
-    /// Maximum.
-    pub max: u64,
-}
-
-impl Accum {
-    /// Adds a sample.
-    pub fn add(&mut self, v: u64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum += v;
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// Aggregated results of one simulation.

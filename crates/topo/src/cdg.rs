@@ -395,16 +395,16 @@ mod tests {
     /// `vcs = 1` the wrap links close dependency rings, with `vcs = 2` a
     /// dateline upgrade (VC 1 after crossing the wrap link) breaks them.
     fn torus_dor(
-        t: &crate::Torus2D,
+        t: &crate::KAryNCube,
         vcs: usize,
     ) -> impl Fn(NodeId, Option<(PortId, VcId)>, NodeId) -> Vec<(PortId, VcId)> + '_ {
         move |cur, inc, dst| {
             if cur == dst {
                 return vec![];
             }
-            let (cx, cy) = t.coords(cur);
-            let (dx, dy) = t.coords(dst);
-            let (w, h) = (t.width(), t.height());
+            let (c, d) = (t.coords(cur), t.coords(dst));
+            let ((cx, cy), (dx, dy)) = ((c[0], c[1]), (d[0], d[1]));
+            let (w, h) = (t.radix(), t.radix());
             let ring = |off: u32, size: u32, pos: u32, fwd: PortId, bwd: PortId| {
                 let forward = off <= size / 2;
                 let port = if forward { fwd } else { bwd };
@@ -431,7 +431,7 @@ mod tests {
 
     #[test]
     fn torus_wraparound_closes_a_ring_on_one_vc() {
-        let t = crate::Torus2D::new(4, 4);
+        let t = crate::KAryNCube::torus(4, 2);
         let f = FaultSet::new();
         let g = ChannelDependencyGraph::build(&t, &f, 1, &torus_dor(&t, 1));
         let cyc = g.find_cycle().expect("torus DOR without datelines deadlocks");
@@ -443,7 +443,7 @@ mod tests {
 
     #[test]
     fn torus_dateline_virtual_channels_are_acyclic() {
-        let t = crate::Torus2D::new(4, 4);
+        let t = crate::KAryNCube::torus(4, 2);
         let f = FaultSet::new();
         let g = ChannelDependencyGraph::build(&t, &f, 2, &torus_dor(&t, 2));
         assert!(!g.has_cycle(), "dateline VCs break torus wrap cycles");

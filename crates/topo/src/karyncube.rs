@@ -3,12 +3,12 @@
 //! for the planar adaptive router.
 //!
 //! Ports follow the workspace convention `2·dim + sign`: port `2d` moves
-//! +1 in dimension `d`, port `2d+1` moves −1. [`Mesh2D`]/[`Torus2D`] are
-//! the ergonomic 2-D specialisations; this type covers higher dimensions
-//! (3-D meshes, rings, hyper-tori).
+//! +1 in dimension `d`, port `2d+1` moves −1. [`Mesh2D`] is the
+//! ergonomic 2-D mesh; this type covers the 2-D torus (`torus(k, 2)`, the
+//! ports of [`crate::mesh`]) and higher dimensions (3-D meshes, rings,
+//! hyper-tori).
 //!
 //! [`Mesh2D`]: crate::mesh::Mesh2D
-//! [`Torus2D`]: crate::torus::Torus2D
 
 use crate::ids::{NodeId, PortId};
 use crate::Topology;
@@ -141,8 +141,7 @@ impl Topology for KAryNCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mesh::Mesh2D;
-    use crate::torus::Torus2D;
+    use crate::mesh::{Mesh2D, SOUTH, WEST};
 
     #[test]
     fn matches_mesh2d_structure() {
@@ -159,14 +158,21 @@ mod tests {
 
     #[test]
     fn matches_torus2d_structure() {
-        let k = KAryNCube::torus(4, 2);
-        let t = Torus2D::new(4, 4);
-        assert_eq!(k.links().len(), t.links().len());
+        // the 2-D torus: four wired ports everywhere, 2N links, wrap links
+        // at the edges, and the shorter way round in each dimension
+        let k = KAryNCube::torus(5, 2);
+        assert_eq!(k.links().len(), 2 * k.num_nodes());
+        let ring = |a: u32, b: u32| a.abs_diff(b).min(5 - a.abs_diff(b));
         for a in k.nodes() {
+            assert_eq!(k.neighbors(a).len(), 4);
             for b in k.nodes() {
-                assert_eq!(k.min_distance(a, b), t.min_distance(a, b));
+                let (ca, cb) = (k.coords(a), k.coords(b));
+                assert_eq!(k.min_distance(a, b), ring(ca[0], cb[0]) + ring(ca[1], cb[1]));
             }
         }
+        let corner = k.node_at(&[0, 0]);
+        assert_eq!(k.neighbor(corner, WEST), Some(k.node_at(&[4, 0])));
+        assert_eq!(k.neighbor(corner, SOUTH), Some(k.node_at(&[0, 4])));
     }
 
     #[test]

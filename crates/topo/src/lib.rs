@@ -26,7 +26,6 @@ pub mod ids;
 pub mod karyncube;
 pub mod mesh;
 pub mod spanning;
-pub mod torus;
 
 pub use cdg::{Channel, ChannelDependencyGraph};
 pub use faults::{FaultSet, SimpleRng};
@@ -34,7 +33,6 @@ pub use hypercube::Hypercube;
 pub use ids::{LinkId, NodeId, PortId, VcId};
 pub use karyncube::KAryNCube;
 pub use mesh::{Mesh2D, EAST, NORTH, SOUTH, WEST};
-pub use torus::Torus2D;
 
 /// A regular interconnection topology.
 ///

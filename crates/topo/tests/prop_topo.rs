@@ -1,15 +1,15 @@
 //! Property-based tests of the topology substrate.
 
 use ftr_topo::spanning::SpanningTree;
-use ftr_topo::{graph, FaultSet, Hypercube, Mesh2D, NodeId, Topology, Torus2D};
+use ftr_topo::{graph, FaultSet, Hypercube, KAryNCube, Mesh2D, NodeId, Topology};
 use proptest::prelude::*;
 
 fn arb_mesh() -> impl Strategy<Value = Mesh2D> {
     (1u32..=8, 1u32..=8).prop_map(|(w, h)| Mesh2D::new(w, h))
 }
 
-fn arb_torus() -> impl Strategy<Value = Torus2D> {
-    (3u32..=7, 3u32..=7).prop_map(|(w, h)| Torus2D::new(w, h))
+fn arb_torus() -> impl Strategy<Value = KAryNCube> {
+    (3u32..=7, 1u32..=3).prop_map(|(k, n)| KAryNCube::torus(k, n))
 }
 
 fn arb_cube() -> impl Strategy<Value = Hypercube> {

@@ -17,47 +17,8 @@
 //!   during backoff (the engine terminates those without a new event, so
 //!   the *last* rip event already names the correct cause).
 
-use ftr_obs::{EventKind, IdMap, TraceEvent};
+use ftr_obs::{Accum, EventKind, IdMap, TraceEvent};
 use std::collections::hash_map::Entry;
-
-/// Online count/sum/min/max accumulator (the trace-side mirror of the
-/// simulator's `Accum`, kept dependency-free so `ftr-trace` does not pull
-/// the engine in).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Tally {
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: u64,
-    /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample (0 when empty).
-    pub max: u64,
-}
-
-impl Tally {
-    /// Folds one sample in.
-    pub fn add(&mut self, v: u64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum += v;
-    }
-
-    /// Mean of the samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
 
 /// How a journey ended (or that it has not).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -284,11 +245,11 @@ pub struct BookSummary {
     /// Send rejections (endpoint faulty at send time).
     pub rejected_sends: u64,
     /// Latency of delivered messages.
-    pub latency: Tally,
+    pub latency: Accum,
     /// Hops of delivered messages (final attempt).
-    pub hops: Tally,
+    pub hops: Accum,
     /// Rule-interpretation steps over every routing decision.
-    pub steps: Tally,
+    pub steps: Accum,
     /// Sum of per-journey attributions over delivered messages.
     pub attribution: Attribution,
 }

@@ -38,6 +38,6 @@ pub use diagnose::{DeadlockWitness, DiagnoserConfig, DiagnoserSink, Starvation, 
 pub use input::{replay, EventReader, ReadError};
 pub use journey::{
     Attempt, Attribution, BookSummary, ChannelKey, ChannelStats, ChannelUse, Hop, Journey,
-    JourneyBook, Outcome, Tally,
+    JourneyBook, Outcome,
 };
 pub use report::TraceReport;

@@ -1,8 +1,9 @@
 //! Machine-readable report and human summary over a folded trace.
 
 use crate::diagnose::{DeadlockWitness, DiagnoserSink, Starvation};
-use crate::journey::{BookSummary, ChannelKey, ChannelStats, JourneyBook, Tally};
+use crate::journey::{BookSummary, ChannelKey, ChannelStats, JourneyBook};
 use ftr_obs::json::{self, Obj};
+use ftr_obs::Accum;
 use std::fmt::Write as _;
 
 /// Everything `ftr-trace` reports about one trace: aggregate journey
@@ -90,7 +91,7 @@ impl TraceReport {
     /// strict in-tree grammar by construction; the CLI re-validates
     /// before writing).
     pub fn to_json(&self) -> String {
-        let tally = |t: &Tally| {
+        let tally = |t: &Accum| {
             let mut o = Obj::new();
             o.num("count", t.count);
             o.num("sum", t.sum);
