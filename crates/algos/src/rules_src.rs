@@ -117,120 +117,43 @@ mod tests {
     }
 }
 
-/// Generates the ROUTE_C rule program for an arbitrary hypercube dimension
-/// (the shipped [`ROUTE_C`] constant is the d = 6, a = 2 instance used by
-/// Table 2). This is the practical upside the paper claims over
-/// table-based routers: supporting a different network size means
-/// regenerating and recompiling the rule program, not new silicon.
+/// The ROUTE_C rule program for an arbitrary hypercube dimension: the
+/// shipped [`ROUTE_C`] with its one `CONSTANT d = 6` line set to `dim`
+/// (so `route_c_source(6) == ROUTE_C`). This is the practical upside the
+/// paper claims over table-based routers: supporting a different network
+/// size means recompiling the rule program, not new silicon.
 pub fn route_c_source(dim: u32) -> String {
     assert!((2..=16).contains(&dim), "hypercube dimension out of range");
-    let d = dim;
-    let dm1 = d - 1;
-    let count_hi = d + 1; // counters range 0..=d
-    format!(
-        "-- ROUTE_C rule program, generated for a {d}-dimensional hypercube
-CONSTANT dims = 0 TO {dm1}
-CONSTANT vcsd = 0 TO 4
-CONSTANT phases = 0 TO 1
-CONSTANT fault_states = {{safe, lfault, ounsafe, sunsafe, faulty}}
-
-VARIABLE state IN fault_states INIT safe
-VARIABLE neighb_state[dims] IN fault_states INIT safe
-VARIABLE number_unsafe IN 0 TO {count_hi} INIT 0
-VARIABLE number_faulty IN 0 TO {count_hi} INIT 0
-VARIABLE adapt IN 0 TO 3 INIT 0
-VARIABLE chosen IN dims INIT 0
-VARIABLE load_est[dims] IN 0 TO 255
-
-INPUT diffup IN SETOF dims
-INPUT diffdown IN SETOF dims
-INPUT okdirs IN SETOF dims
-INPUT cands IN SETOF dims
-INPUT out_queue[dims] IN 0 TO 255
-INPUT new_state[dims] IN fault_states
-INPUT phase IN phases
-INPUT misr IN bool
-INPUT freevc[vcsd] IN bool
-
-ON decide_dir() RETURNS SETOF dims NFT
-  IF NOT (card(isect(diffup, okdirs)) = 0) THEN RETURN(isect(diffup, okdirs));
-  IF NOT (card(isect(diffdown, okdirs)) = 0) THEN RETURN(isect(diffdown, okdirs));
-  IF TRUE THEN RETURN(diff(okdirs, union(diffup, diffdown)));
-END decide_dir;
-
-ON decide_vc() RETURNS 0 TO 7
-  IF misr AND freevc(2) THEN chosen <- argmin(out_queue, cands), RETURN(2);
-  IF misr AND freevc(3) THEN chosen <- argmin(out_queue, cands), RETURN(3);
-  IF misr AND freevc(4) THEN chosen <- argmin(out_queue, cands), RETURN(4);
-  IF misr THEN RETURN(7);
-  IF phase = 0 AND freevc(0)
-    THEN chosen <- argmin(out_queue, cands),
-         adapt <- min(adapt + 1, 3),
-         RETURN(0);
-  IF phase = 1 AND freevc(1)
-    THEN chosen <- argmin(out_queue, cands),
-         adapt <- min(adapt + 1, 3),
-         RETURN(1);
-  IF TRUE THEN RETURN(7);
-END decide_vc;
-
-ON update_state(dir IN dims)
-  IF new_state(dir) IN {{faulty, lfault}} AND number_faulty = 0
-    THEN neighb_state(dir) <- new_state(dir),
-         number_faulty <- number_faulty + 1,
-         number_unsafe <- number_unsafe + 1;
-  IF new_state(dir) IN {{faulty, lfault}} AND number_faulty = 1 AND state = safe
-    THEN state <- ounsafe,
-         number_faulty <- min(number_faulty + 1, {count_hi}),
-         number_unsafe <- min(number_unsafe + 1, {count_hi}),
-         FORALL i IN dims: !send_newmessage(i, 2),
-         neighb_state(dir) <- new_state(dir);
-  IF new_state(dir) IN {{faulty, lfault}} AND number_faulty > 0
-    THEN neighb_state(dir) <- new_state(dir),
-         number_faulty <- min(number_faulty + 1, {count_hi}),
-         number_unsafe <- min(number_unsafe + 1, {count_hi});
-  IF new_state(dir) IN {{sunsafe, ounsafe}} AND state = safe AND number_unsafe = 2
-    THEN state <- ounsafe,
-         number_unsafe <- number_unsafe + 1,
-         FORALL i IN dims: !send_newmessage(i, 2),
-         neighb_state(dir) <- new_state(dir);
-  IF new_state(dir) IN {{sunsafe, ounsafe}} AND number_unsafe = {dm1}
-    THEN state <- latmax(state, sunsafe),
-         number_unsafe <- number_unsafe + 1,
-         FORALL i IN dims: !send_newmessage(i, 3),
-         neighb_state(dir) <- new_state(dir);
-  IF new_state(dir) IN {{sunsafe, ounsafe}}
-    THEN neighb_state(dir) <- new_state(dir),
-         number_unsafe <- min(number_unsafe + 1, {count_hi});
-END update_state;
-
-ON adaptivity(dir IN dims) NFT
-  IF load_est(dir) < 255 THEN load_est(dir) <- load_est(dir) + 1;
-END adaptivity;
-"
-    )
+    let mut out = String::with_capacity(ROUTE_C.len() + 1);
+    let mut matched = 0;
+    for line in ROUTE_C.split_inclusive('\n') {
+        if line.trim_end() == "CONSTANT d = 6" {
+            matched += 1;
+            out.push_str("CONSTANT d = ");
+            out.push_str(&dim.to_string());
+            out.push('\n');
+        } else {
+            out.push_str(line);
+        }
+    }
+    assert_eq!(matched, 1, "ROUTE_C declares `CONSTANT d = 6` on exactly one line");
+    out
 }
 
 #[cfg(test)]
 mod gen_tests {
     use super::*;
-    use ftr_rules::{compile, CompileOptions};
+    use ftr_rules::{compile, CompileOptions, Domain, Type};
 
     #[test]
     fn generated_route_c_compiles_for_many_dims() {
+        assert_eq!(route_c_source(6), ROUTE_C);
         for d in [3u32, 4, 5, 6, 8] {
             let src = route_c_source(d);
             let p = parse_program(&src).unwrap_or_else(|e| panic!("d={d}: {e}"));
             compile(&p, &CompileOptions::default()).unwrap_or_else(|e| panic!("d={d}: {e}"));
             assert_eq!(p.rulebases.len(), 4);
+            assert_eq!(p.inputs[0].elem, Type::Set(Domain::Int { lo: 0, hi: d as i64 - 1 }));
         }
-    }
-
-    #[test]
-    fn generated_matches_shipped_structure_at_d6() {
-        // the generator and the shipped file are one program at d = 6:
-        // equal once printed (comments and layout aside)
-        let print = |src: &str| ftr_rules::pretty::print_program(&parse_program(src).unwrap());
-        assert_eq!(print(&route_c_source(6)), print(ROUTE_C));
     }
 }

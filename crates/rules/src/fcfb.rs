@@ -104,12 +104,25 @@ fn note(kind: FcfbKind, e: &Expr, seen: &mut Vec<(FcfbKind, Expr)>) {
     }
 }
 
-fn is_int_lit(e: &Expr) -> bool {
-    matches!(e, Expr::Lit(Value::Int(_)))
+/// The value of a constant integer expression (`d - 1`): hardware wires
+/// it in, so it needs no block and compares as a literal.
+fn const_int(prog: &Program, e: &Expr) -> Option<i64> {
+    match e {
+        Expr::Lit(Value::Int(v)) => Some(*v),
+        Expr::Ref(Ref::Const(i)) => prog.consts[*i].value.as_int().ok(),
+        Expr::Un(UnOp::Neg, x) => const_int(prog, x)?.checked_neg(),
+        Expr::Bin(BinOp::Add, l, r) => const_int(prog, l)?.checked_add(const_int(prog, r)?),
+        Expr::Bin(BinOp::Sub, l, r) => const_int(prog, l)?.checked_sub(const_int(prog, r)?),
+        _ => None,
+    }
 }
 
-fn is_zero_lit(e: &Expr) -> bool {
-    matches!(e, Expr::Lit(Value::Int(0)))
+fn is_int_lit(prog: &Program, e: &Expr) -> bool {
+    const_int(prog, e).is_some()
+}
+
+fn is_zero_lit(prog: &Program, e: &Expr) -> bool {
+    const_int(prog, e) == Some(0)
 }
 
 fn is_sym_or_bool_subject(prog: &Program, rb: &RuleBase, e: &Expr) -> bool {
@@ -142,6 +155,9 @@ fn scalar_domain(prog: &Program, rb: &RuleBase, e: &Expr) -> Option<Domain> {
 }
 
 fn walk_expr(prog: &Program, rb: &RuleBase, e: &Expr, seen: &mut Vec<(FcfbKind, Expr)>) {
+    if is_int_lit(prog, e) {
+        return;
+    }
     match e {
         Expr::Lit(_) | Expr::Ref(_) => {}
         Expr::Indexed { indices, .. } => {
@@ -155,7 +171,7 @@ fn walk_expr(prog: &Program, rb: &RuleBase, e: &Expr, seen: &mut Vec<(FcfbKind, 
             walk_expr(prog, rb, r, seen);
             match op {
                 BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    if is_int_lit(l) || is_int_lit(r) {
+                    if is_int_lit(prog, l) || is_int_lit(prog, r) {
                         note(FcfbKind::CompareConst, e, seen);
                     } else {
                         note(FcfbKind::MagnitudeComparator, e, seen);
@@ -168,9 +184,9 @@ fn walk_expr(prog: &Program, rb: &RuleBase, e: &Expr, seen: &mut Vec<(FcfbKind, 
                         || (matches!(&**l, Expr::Lit(_)) && is_sym_or_bool_subject(prog, rb, r));
                     if sym_direct {
                         // no FCFB needed
-                    } else if is_zero_lit(l) || is_zero_lit(r) {
+                    } else if is_zero_lit(prog, l) || is_zero_lit(prog, r) {
                         note(FcfbKind::ZeroCheck, e, seen);
-                    } else if is_int_lit(l) || is_int_lit(r) {
+                    } else if is_int_lit(prog, l) || is_int_lit(prog, r) {
                         note(FcfbKind::CompareConst, e, seen);
                     } else {
                         note(FcfbKind::MagnitudeComparator, e, seen);
@@ -285,6 +301,18 @@ mod tests {
         );
         assert_eq!(inv.get(&FcfbKind::ZeroCheck), Some(&1));
         assert_eq!(inv.get(&FcfbKind::CompareConst), Some(&1));
+        // a constant expression is wired in, like a literal
+        let with_const = inv_of(
+            "CONSTANT k = 3\nVARIABLE n IN 0 TO 7\n\
+             ON f() IF n = k - 3 OR n > k - 1 THEN n <- min(n, k + 1); END f;",
+        );
+        let mut lit = inv_of(
+            "VARIABLE n IN 0 TO 7\n\
+             ON f() IF n = 0 OR n > 2 THEN n <- min(n, 4); END f;",
+        );
+        assert_eq!(with_const, lit);
+        lit.remove(&FcfbKind::MinSelection);
+        assert_eq!(lit, inv);
     }
 
     #[test]

@@ -211,8 +211,24 @@ impl Parser {
         Ok(())
     }
 
-    /// An integer bound: literal or previously declared integer constant.
+    /// An integer bound: a constant expression, `+`/`-` over integer
+    /// literals and previously declared integer constants (`d - 1`).
     fn const_int_bound(&mut self) -> Result<i64> {
+        let mut v = self.const_int_term()?;
+        loop {
+            let neg = match self.peek() {
+                Tok::Plus => false,
+                Tok::Minus => true,
+                _ => return Ok(v),
+            };
+            self.bump();
+            let t = self.const_int_term()?;
+            v = if neg { v.checked_sub(t) } else { v.checked_add(t) }
+                .ok_or_else(|| RuleError::resolve("constant expression overflows".to_string()))?;
+        }
+    }
+
+    fn const_int_term(&mut self) -> Result<i64> {
         match self.peek().clone() {
             Tok::Int(_) | Tok::Minus => self.int_lit(),
             Tok::Ident(name) => {
@@ -228,48 +244,29 @@ impl Parser {
         }
     }
 
-    /// A domain expression: `lo TO hi`, a named domain, or `bool`.
+    /// A domain expression: `lo TO hi` over constant expressions, a named
+    /// domain, or `bool`.
     fn domain(&mut self) -> Result<Domain> {
-        match self.peek().clone() {
-            Tok::Int(_) | Tok::Minus => {
-                let lo = self.int_lit()?;
-                self.expect_kw(Kw::To)?;
-                let hi = self.const_int_bound()?;
-                if hi < lo {
-                    return Err(RuleError::resolve(format!("empty range {lo} TO {hi}")));
-                }
-                Ok(Domain::Int { lo, hi })
-            }
-            Tok::Ident(name) => {
+        if let Tok::Ident(name) = self.peek().clone() {
+            if name == "bool" {
                 self.bump();
-                if name == "bool" {
-                    return Ok(Domain::Bool);
-                }
-                // Could be `name TO hi` where name is an int constant.
-                if self.peek() == &Tok::Kw(Kw::To) {
-                    let lo = self
-                        .prog
-                        .consts
-                        .iter()
-                        .find(|c| c.name == name)
-                        .and_then(|c| c.value.as_int().ok())
-                        .ok_or_else(|| {
-                            RuleError::resolve(format!("unknown integer constant `{name}`"))
-                        })?;
-                    self.bump();
-                    let hi = self.const_int_bound()?;
-                    if hi < lo {
-                        return Err(RuleError::resolve(format!("empty range {lo} TO {hi}")));
-                    }
-                    return Ok(Domain::Int { lo, hi });
-                }
-                self.domains
-                    .get(&name)
-                    .copied()
-                    .ok_or_else(|| RuleError::resolve(format!("unknown domain `{name}`")))
+                return Ok(Domain::Bool);
             }
-            other => Err(self.err(format!("expected domain, found {other}"))),
+            if let Some(&dom) = self.domains.get(&name) {
+                self.bump();
+                return Ok(dom);
+            }
+            if !self.prog.consts.iter().any(|c| c.name == name) {
+                return Err(RuleError::resolve(format!("unknown domain `{name}`")));
+            }
         }
+        let lo = self.const_int_bound()?;
+        self.expect_kw(Kw::To)?;
+        let hi = self.const_int_bound()?;
+        if hi < lo {
+            return Err(RuleError::resolve(format!("empty range {lo} TO {hi}")));
+        }
+        Ok(Domain::Int { lo, hi })
     }
 
     /// A type expression: domain or `SETOF domain`.
@@ -1214,6 +1211,32 @@ END pick;
         let p = parse("CONSTANT n = 8\nVARIABLE x IN 0 TO n INIT 3\n").unwrap();
         assert_eq!(p.vars[0].elem, Type::Scalar(Domain::Int { lo: 0, hi: 8 }));
         assert_eq!(p.vars[0].init, Value::Int(3));
+    }
+
+    #[test]
+    fn constant_expressions_in_bounds_and_rules() {
+        let p = parse(
+            "CONSTANT d = 4\nCONSTANT dims = 0 TO d - 1\nCONSTANT top = d + 1 - 2\n\
+             VARIABLE x IN 0 TO d + 1 INIT 0\nINPUT q[d - 3 TO d] IN bool\n\
+             ON f(i IN 1 - d TO -1 + d) IF x = d - 1 THEN x <- min(x + 1, d + 1); END f;",
+        )
+        .unwrap();
+        assert_eq!(p.consts[1].ty, Type::Set(Domain::Int { lo: 0, hi: 3 }));
+        assert_eq!(p.consts[2].value, Value::Int(3));
+        assert_eq!(p.vars[0].elem, Type::Scalar(Domain::Int { lo: 0, hi: 5 }));
+        assert_eq!(p.inputs[0].index_domains, vec![Domain::Int { lo: 1, hi: 4 }]);
+        assert_eq!(p.rulebases[0].params[0].dom, Domain::Int { lo: -3, hi: 3 });
+        // in a premise the constant stays a reference; compile folds it
+        let Expr::Bin(BinOp::Eq, _, rhs) = &p.rulebases[0].rules[0].premise else { panic!() };
+        assert!(matches!(&**rhs, Expr::Bin(BinOp::Sub, l, _) if **l == Expr::Ref(Ref::Const(0))));
+        let folded = crate::compile::fold_consts(&p, rhs).unwrap();
+        assert_eq!(folded, Expr::Lit(Value::Int(3)));
+        for bad in [
+            "CONSTANT d = 4\nVARIABLE x IN 0 TO d - 5\n",
+            "CONSTANT s = 0 TO 3\nCONSTANT e = s + 1\n",
+        ] {
+            assert!(matches!(parse(bad), Err(RuleError::Resolve { .. })), "{bad}");
+        }
     }
 
     #[test]
