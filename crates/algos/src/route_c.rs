@@ -22,7 +22,8 @@
 //!   interpretations (`decide_dir` then `decide_vc`); the stripped
 //!   non-fault-tolerant variant needs one (§5).
 
-use crate::common::{allocatable, least_loaded, max_hops};
+use crate::common::max_hops;
+use crate::rule_io::DirSets;
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{
     ControlMsg, Decision, NodeController, RouterView, RoutingAlgorithm, Verdict,
@@ -199,50 +200,37 @@ impl RouteCController {
         out
     }
 
-    /// Candidate dimensions for the current phase. Returns
-    /// `(ports, phase, misroute)` where phase 0 = increasing coordinates,
-    /// 1 = decreasing (the deadlock scheme "first all links with increasing
-    /// coordinates ... afterwards all links with decreasing coordinates").
-    fn decide_dir(&self, dst: NodeId) -> (Vec<PortId>, u8, bool) {
-        let diff = self.cube.diff(self.node, dst);
-        let dim = self.cube.dim();
-        let increasing: Vec<PortId> = (0..dim)
-            .filter(|i| diff & (1 << i) != 0 && self.node.0 & (1 << i) == 0)
-            .map(|i| PortId(i as u8))
-            .collect();
-        let decreasing: Vec<PortId> = (0..dim)
-            .filter(|i| diff & (1 << i) != 0 && self.node.0 & (1 << i) != 0)
-            .map(|i| PortId(i as u8))
-            .collect();
-        let (minimal, phase) =
-            if !increasing.is_empty() { (increasing, 0u8) } else { (decreasing, 1u8) };
-        let usable = |p: &PortId| -> bool {
-            if self.link_dead[p.idx()] {
-                return false;
+    /// Dimensions that may be taken towards `dst`: the link is alive and
+    /// the neighbour is not unsafe, unless it is the destination.
+    fn usable(&self, dst: NodeId) -> u64 {
+        let mut ok = 0;
+        for d in 0..self.cube.dim() as usize {
+            let nb = self.cube.neighbor(self.node, PortId(d as u8)).expect("cube port");
+            let safe = self.stripped || nb == dst || !self.neighbor_state[d].is_unsafe();
+            if !self.link_dead[d] && safe {
+                ok |= 1 << d;
             }
-            if self.stripped {
-                return true;
-            }
-            let nb = self.cube.neighbor(self.node, *p).expect("cube port");
-            // avoid unsafe transit nodes, but always allow the destination
-            nb == dst || !self.neighbor_state[p.idx()].is_unsafe()
-        };
-        let open: Vec<PortId> = minimal.iter().copied().filter(usable).collect();
-        if !open.is_empty() || self.stripped {
-            return (open, phase, false);
+        }
+        ok
+    }
+
+    /// Candidate dimensions for the current phase, as masks. Returns
+    /// `(first, then, phase, misroute)` where phase 0 = increasing
+    /// coordinates, 1 = decreasing (the deadlock scheme "first all links
+    /// with increasing coordinates ... afterwards all links with decreasing
+    /// coordinates"); a misroute tries `first` before `then`.
+    fn decide_dir(&self, dst: NodeId) -> (u64, u64, u8, bool) {
+        let s = DirSets::new(&self.cube, self.node, dst, self.usable(dst));
+        let (minimal, phase) = if s.up != 0 { (s.up, 0u8) } else { (s.down, 1u8) };
+        let open = minimal & s.ok;
+        if open != 0 || self.stripped {
+            return (open, 0, phase, false);
         }
         // fault mode (the extra virtual channels): prefer dimensions that
         // are still minimal — just in the other phase — over spare
         // dimensions that lengthen the path
-        let mut mis: Vec<PortId> = (0..dim)
-            .map(|i| PortId(i as u8))
-            .filter(|p| diff & (1 << p.idx()) != 0)
-            .filter(usable)
-            .collect();
-        mis.extend(
-            (0..dim).map(|i| PortId(i as u8)).filter(|p| diff & (1 << p.idx()) == 0).filter(usable),
-        );
-        (mis, phase, true)
+        let diff = s.up | s.down;
+        (diff & s.ok, !diff & s.ok, phase, true)
     }
 
     /// The VC range legal for `(phase, misroute)` — `decide_vc`'s job.
@@ -273,17 +261,23 @@ impl NodeController for RouteCController {
         if view.node == h.dst {
             return Decision::new(Verdict::Deliver, steps);
         }
-        let (ports, phase, misroute) = self.decide_dir(h.dst);
-        if ports.is_empty() {
+        let (first, then, phase, misroute) = self.decide_dir(h.dst);
+        if first | then == 0 {
             return Decision::new(Verdict::Unroutable, steps);
         }
         let vcr = self.vc_range(phase, misroute);
-        let cand: Vec<(PortId, VcId)> =
-            ports.iter().flat_map(|&p| vcr.clone().map(move |v| (p, VcId(v as u8)))).collect();
-        let avail = allocatable(view, &cand);
+        let ports = |mask: u64| (0..self.cube.dim() as usize).filter(move |d| mask >> d & 1 != 0);
+        let grant = |p: usize| {
+            let v = view.alive(p).then(|| view.free_vc_in(PortId(p as u8), vcr.clone()));
+            v.flatten().map(|v| (PortId(p as u8), v))
+        };
         // misrouting follows decide_dir's preference order (minimal dims of
         // the other phase first); normal routing balances load
-        let pick = if misroute { avail.first().copied() } else { least_loaded(view, &avail) };
+        let pick = if misroute {
+            ports(first).chain(ports(then)).find_map(grant)
+        } else {
+            ports(first).filter_map(grant).min_by_key(|(p, _)| (view.load(p.idx()), p.idx()))
+        };
         if let Some((p, v)) = pick {
             h.phase = phase;
             if misroute {

@@ -689,19 +689,19 @@ fn queue_len(q: u32) -> Value {
 /// The direction sets of one decision on a `dim`-cube, as dimension
 /// bitmasks: the dimensions to correct 0 → 1, those to correct 1 → 0, and
 /// those that may be taken at all (link alive, neighbour safe or the
-/// destination).
+/// destination). Native `RouteC` builds its phases from the same sets.
 #[derive(Clone, Copy, Debug)]
-struct DirSets {
+pub(crate) struct DirSets {
     dim: u32,
-    up: u64,
-    down: u64,
-    ok: u64,
+    pub(crate) up: u64,
+    pub(crate) down: u64,
+    pub(crate) ok: u64,
 }
 
 impl DirSets {
     /// The sets of the decision `cur → dst` on `cube`, given the usable
     /// dimensions `ok`.
-    fn new(cube: &Hypercube, cur: NodeId, dst: NodeId, ok: u64) -> Self {
+    pub(crate) fn new(cube: &Hypercube, cur: NodeId, dst: NodeId, ok: u64) -> Self {
         let (diff, here) = (u64::from(cube.diff(cur, dst)), u64::from(cur.0));
         DirSets { dim: cube.dim(), up: diff & !here, down: diff & here, ok }
     }

@@ -2,7 +2,9 @@
 //! the inputs, both ROUTE_C interpretations (or a mesh program's whole
 //! cascade), the set operations, the queued writes and the commit all work
 //! in storage the controller already owns — the dense `InputMap`, the
-//! machine's effects frame and its event queue.
+//! machine's effects frame and its event queue. Native ROUTE_C, the
+//! baseline a rule decision is timed against, decides on masks and does
+//! not allocate either.
 //!
 //! Every decision is made twice: the first pass lets each buffer grow to
 //! the largest decision of the sweep, the second pass is counted. The control plane may allocate what it returns — the
@@ -93,15 +95,14 @@ impl Probe {
     }
 }
 
-/// ROUTE_C on a 4-cube: every live node × every destination × every
+/// ROUTE_C (`algo`, rule-driven or native) on a 4-cube: every live node × every destination × every
 /// free/busy pattern of channel classes 0 and 1 (classes 2..4 toggled with
 /// the pattern's parity so the misrouting rules see both). With `dead`,
 /// that node's neighbours learnt the failure through `on_fault` and the
 /// announcements ran to a fixpoint through `on_control` first.
-fn route_c(dead: Option<NodeId>) -> Probe {
+fn route_c(algo: &dyn RoutingAlgorithm, dead: Option<NodeId>) -> Probe {
     let cube = Hypercube::new(4);
     let dims = cube.dim() as usize;
-    let algo = CubeRuleRouter::new(configure("route_c", &route_c_source(4)).unwrap(), cube.clone());
     let mut ctrls: Vec<_> = cube.nodes().map(|n| algo.controller(&cube, n)).collect();
     let is_dead = |n: NodeId| Some(n) == dead;
     let alive_at = |n: NodeId| -> Vec<bool> {
@@ -217,10 +218,16 @@ fn mesh(name: &str, src: &str, dead: &[(NodeId, PortId)]) -> Probe {
 
 #[test]
 fn rule_driven_route_does_not_allocate() {
-    for dead in [None, Some(NodeId(5))] {
-        let p = route_c(dead);
-        assert!(p.calls >= 50_000, "{} calls", p.calls);
-        assert_eq!(p.allocations, 0, "in {} ROUTE_C route calls, dead node {dead:?}", p.calls);
+    let cube = Hypercube::new(4);
+    let rules =
+        CubeRuleRouter::new(configure("route_c", &route_c_source(4)).unwrap(), cube.clone());
+    let native = ftr_algos::RouteC::new(cube);
+    for (arm, algo) in [("rule", &rules as &dyn RoutingAlgorithm), ("native", &native)] {
+        for dead in [None, Some(NodeId(5))] {
+            let p = route_c(algo, dead);
+            assert!(p.calls >= 50_000, "{arm}: {} calls", p.calls);
+            assert_eq!(p.allocations, 0, "in {} {arm} ROUTE_C calls, dead node {dead:?}", p.calls);
+        }
     }
     let m = Mesh2D::new(6, 6);
     let faulty = [(m.node_at(2, 2), EAST), (m.node_at(3, 3), NORTH)];
