@@ -219,9 +219,22 @@ impl RouteCController {
     /// coordinates, 1 = decreasing (the deadlock scheme "first all links
     /// with increasing coordinates ... afterwards all links with decreasing
     /// coordinates"); a misroute tries `first` before `then`.
-    fn decide_dir(&self, dst: NodeId) -> (u64, u64, u8, bool) {
+    ///
+    /// `stay_down` is set for a worm that has misrouted and last moved in
+    /// phase 1. A spare hop 1 → 0 there makes that dimension "increasing"
+    /// at the next node, and phase 0 would take the worm straight back
+    /// over the hop it just made, into a channel its own tail may hold
+    /// (ROADMAP item 19). So while decreasing hops remain it stays in
+    /// phase 1, and corrects the misrouted dimension last. The paper's §5
+    /// names the two phases, the safety states and the extra channels of
+    /// fault mode, and leaves the misroute itself to \[ChW96\]; this use
+    /// of the header's memory goes beyond it. The last, increasing hop
+    /// re-enters phase 0 after phase 1, as every misrouted worm already
+    /// could, so the phase order's acyclicity does not cover it.
+    fn decide_dir(&self, dst: NodeId, stay_down: bool) -> (u64, u64, u8, bool) {
         let s = DirSets::new(&self.cube, self.node, dst, self.usable(dst));
-        let (minimal, phase) = if s.up != 0 { (s.up, 0u8) } else { (s.down, 1u8) };
+        let down_first = stay_down && s.down != 0;
+        let (minimal, phase) = if s.up != 0 && !down_first { (s.up, 0u8) } else { (s.down, 1u8) };
         let open = minimal & s.ok;
         if open != 0 || self.stripped {
             return (open, 0, phase, false);
@@ -261,7 +274,7 @@ impl NodeController for RouteCController {
         if view.node == h.dst {
             return Decision::new(Verdict::Deliver, steps);
         }
-        let (first, then, phase, misroute) = self.decide_dir(h.dst);
+        let (first, then, phase, misroute) = self.decide_dir(h.dst, h.misrouted && h.phase == 1);
         if first | then == 0 {
             return Decision::new(Verdict::Unroutable, steps);
         }

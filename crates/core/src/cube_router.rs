@@ -180,6 +180,56 @@ mod tests {
         }
     }
 
+    /// ROADMAP item 19's run: a 4-cube with link `node#port` dead and
+    /// settled, uniform 8-flit worms at 0.1 for 600 cycles (rejected sends
+    /// dropped), then a drain. True when worms are left in flight.
+    fn stuck_on_dead_link(algo: &dyn RoutingAlgorithm, (node, port): (u32, u8), seed: u64) -> bool {
+        let cube = Hypercube::new(4);
+        let mut net = Network::builder(Arc::new(cube.clone())).build(algo).expect("valid");
+        net.inject_link_fault(NodeId(node), PortId(port));
+        net.settle_control(10_000).expect("settles");
+        let mut tf = TrafficSource::new(Pattern::Uniform, 0.1, 8, seed);
+        for _ in 0..600 {
+            for (s, d, l) in tf.tick(&cube, net.faults()) {
+                let _ = net.send(s, d, l);
+            }
+            net.step();
+        }
+        !net.drain(100_000)
+    }
+
+    /// Every link of the 4-cube once, as `(node, port)` from its lower end.
+    fn cube4_links() -> impl Iterator<Item = (u32, u8)> {
+        (0..16u32).flat_map(|n| (0..4u8).filter(move |p| n & 1 << p == 0).map(move |p| (n, p)))
+    }
+
+    #[test]
+    fn native_route_c_drains_on_link_7_3() {
+        // ROADMAP item 19's witness: message 4 (15 → 7) misroutes 15 → 14
+        // around the dead link, and a phase recomputed at 14 used to send
+        // it straight back on n14.p0.v0 until it waited on its own tail
+        let native = ftr_algos::RouteC::new(Hypercube::new(4));
+        assert!(!stuck_on_dead_link(&native, (7, 3), 1));
+    }
+
+    #[test]
+    fn the_single_dead_link_sweep() {
+        // item 19(d): every single dead link of the 4-cube. Native has no
+        // stuck run. The rule arm still derives the phase at every node
+        // (item 19(b)): a known defect, pinned by its count. Its runs
+        // cost ~10x native's in a debug build, so it samples seeds 1-3.
+        let cube = Hypercube::new(4);
+        let native = ftr_algos::RouteC::new(cube);
+        let rules = rule_route_c(4);
+        let stuck = |algo: &dyn RoutingAlgorithm, seeds: std::ops::RangeInclusive<u64>| {
+            let runs = cube4_links().flat_map(|l| seeds.clone().map(move |s| (l, s)));
+            runs.filter(|&(l, s)| stuck_on_dead_link(algo, l, s)).count()
+        };
+        assert_eq!(cube4_links().count(), 32);
+        assert_eq!(stuck(&native, 1..=10), 0, "native stuck runs of 320");
+        assert_eq!(stuck(&rules, 1..=3), 28, "rule stuck runs of 96 (item 19(b))");
+    }
+
     #[test]
     #[should_panic(
         expected = "rule program `route_c_nft`: resolve error: the program does not declare `okdirs`"
