@@ -195,9 +195,10 @@ interface! {
     /// (dimensions, channel classes).
     CubeIo(g: (usize, usize)) {
         diffup: input(Scalar(g.0), SET), diffdown: input(Scalar(g.0), SET),
-        okdirs: input(Scalar(g.0), SET), cands: input(Scalar(g.0), SET),
-        out_queue: input(Array(g.0), INT), new_state: input(Array(g.0), SYM),
-        phase: input(Scalar(0), INT), misr: input(Scalar(0), BOOL), freevc: input(Array(g.1), BOOL),
+        okdirs: input(Scalar(g.0), SET), out_queue: input(Array(g.0), INT),
+        new_state: input(Array(g.0), SYM), phase: input(Scalar(0), INT),
+        misr: input(Scalar(0), BOOL), freevc: input(Array(g.1), BOOL),
+        freedirs: input(Array(g.1), SET),
         neighb_state: var(Array(g.0), SYM), chosen: var(Scalar(g.0), INT),
         state: var(Scalar(0), SYM),
         decide_dir: base(), decide_vc: base(), update_state: base(),
@@ -789,22 +790,23 @@ impl CubeIo {
     }
 
     /// Step 2 inputs, derived from step 1's candidate set: the phase and
-    /// the misroute flag (both returned, for the header) and which channel
-    /// classes are free.
+    /// the misroute flag (both returned, for the header) and, per channel
+    /// class, the candidates `free` holds it free on (`freevc`: any).
     fn load_vc(
         &self,
         prog: &Program,
         im: &mut InputMap,
         s: DirSets,
         cands: u64,
-        freevc: impl Fn(usize) -> bool,
+        free: impl Fn(usize) -> u64,
     ) -> (u8, bool) {
         let (phase, misr) = (u8::from(s.up == 0), cands & (s.up | s.down) == 0);
-        put(im, prog, self.cands, &[], s.value(cands));
         put(im, prog, self.phase, &[], Value::Int(i64::from(phase)));
         put(im, prog, self.misr, &[], Value::Bool(misr));
         for v in 0..CUBE_VCS {
-            put(im, prog, self.freevc, &[Value::Int(v as i64)], Value::Bool(freevc(v)));
+            let (class, dirs) = (Value::Int(v as i64), free(v));
+            put(im, prog, self.freevc, &[class], Value::Bool(dirs != 0));
+            put(im, prog, self.freedirs, &[class], s.value(dirs));
         }
         (phase, misr)
     }
@@ -933,10 +935,12 @@ impl RuleIo for CubeIo {
         };
         let cand = |d: usize| d < dim as usize && cands & (1 << d) != 0;
 
-        // --- step 2: decide_vc (channel + adaptivity argmin); a channel
-        // class is usable if any candidate output has it free
-        let freevc = |vc: usize| (0..dim as usize).any(|d| cand(d) && open(d, vc));
-        let (phase, misr) = self.load_vc(u.machine.program(), &mut u.inputs, sets, cands, freevc);
+        // --- step 2: decide_vc (channel + adaptivity argmin over the
+        // candidates that hold the class free)
+        let free = |vc: usize| {
+            (0..dim as usize).filter(|&d| cand(d) && open(d, vc)).fold(0, |m, d| m | 1 << d)
+        };
+        let (phase, misr) = self.load_vc(u.machine.program(), &mut u.inputs, sets, cands, free);
         let Ok(step2) = u.machine.fire_base(u.node.decide_vc, &[], &u.inputs) else {
             return Decision::new(Verdict::Unroutable, step1.steps.max(1) + 1);
         };
@@ -966,8 +970,8 @@ impl RuleIo for CubeIo {
     }
 
     /// `decide_dir` once, then `decide_vc` with each candidate as the
-    /// unique queue minimum and each channel class alone free, every fire
-    /// from the inputs' defaults.
+    /// unique queue minimum and each channel class alone free on every
+    /// candidate, every fire from the inputs' defaults.
     fn channels(&self, u: &mut Unit<Self>, _: &(), q: Query) -> (u64, u64) {
         let (s, regs) = (DirSets::new(&u.topo, q.cur, q.dst, q.ok), u.machine.regs().clone());
         let (machine, im, node) = (&mut u.machine, &mut u.inputs, &u.node);
@@ -990,7 +994,7 @@ impl RuleIo for CubeIo {
         for qmin in (0..s.dim as usize).filter(|q| cands & (1 << q) != 0) {
             self.load_dir(machine.program(), im, s, |d| if d == qmin { 0 } else { 9 });
             for fv in 0..CUBE_VCS {
-                self.load_vc(machine.program(), im, s, cands, |v| v == fv);
+                self.load_vc(machine.program(), im, s, cands, |v| if v == fv { cands } else { 0 });
                 let ret = fire(machine, node.decide_vc, im);
                 match self.channel(machine, ret) {
                     Some((p, vc)) if p < s.dim as usize && cands & (1 << p) != 0 => {
@@ -1079,10 +1083,10 @@ mod tests {
             absent(io.slots()),
             [
                 "okdirs",
-                "cands",
                 "new_state",
                 "phase",
                 "misr",
+                "freedirs",
                 "neighb_state",
                 "state",
                 "decide_vc",

@@ -67,22 +67,22 @@ const PINNED: &[(&str, &str, u64)] = &[
     ("nafta", "message_from_info_channel", 0xa47d_2dee_3be4_72a7),
     ("nafta", "consider_neighbor_state", 0x4b04_530c_25ab_8e84),
     ("route_c", "decide_dir", 0x21b5_7619_b63f_9807),
-    ("route_c", "decide_vc", 0x64a3_4d98_ba45_9d00),
+    ("route_c", "decide_vc", 0x806d_c23e_ec70_bc80),
     ("route_c", "update_state", 0xc160_5444_c497_abdc),
     ("route_c", "adaptivity", 0xc836_7f2c_c050_e866),
     ("route_c_nft", "decide_dir", 0x6b8d_b48c_dcb8_6e4c),
     ("route_c_nft", "adaptivity", 0xc836_7f2c_c050_e866),
     ("naive_adaptive", "route_msg", 0xe51b_8982_572a_4d1f),
     ("route_c_d3", "decide_dir", 0x21b5_7619_b63f_9807),
-    ("route_c_d3", "decide_vc", 0x64a3_4d98_ba45_9d00),
+    ("route_c_d3", "decide_vc", 0x806d_c23e_ec70_bc80),
     ("route_c_d3", "update_state", 0x8e18_c2c7_546a_c083),
     ("route_c_d3", "adaptivity", 0xc836_7f2c_c050_e866),
     ("route_c_d4", "decide_dir", 0x21b5_7619_b63f_9807),
-    ("route_c_d4", "decide_vc", 0x64a3_4d98_ba45_9d00),
+    ("route_c_d4", "decide_vc", 0x806d_c23e_ec70_bc80),
     ("route_c_d4", "update_state", 0xc160_5444_c497_abdc),
     ("route_c_d4", "adaptivity", 0xc836_7f2c_c050_e866),
     ("route_c_d5", "decide_dir", 0x21b5_7619_b63f_9807),
-    ("route_c_d5", "decide_vc", 0x64a3_4d98_ba45_9d00),
+    ("route_c_d5", "decide_vc", 0x806d_c23e_ec70_bc80),
     ("route_c_d5", "update_state", 0xc160_5444_c497_abdc),
     ("route_c_d5", "adaptivity", 0xc836_7f2c_c050_e866),
 ];
