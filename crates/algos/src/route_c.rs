@@ -200,20 +200,6 @@ impl RouteCController {
         out
     }
 
-    /// Dimensions that may be taken towards `dst`: the link is alive and
-    /// the neighbour is not unsafe, unless it is the destination.
-    fn usable(&self, dst: NodeId) -> u64 {
-        let mut ok = 0;
-        for d in 0..self.cube.dim() as usize {
-            let nb = self.cube.neighbor(self.node, PortId(d as u8)).expect("cube port");
-            let safe = self.stripped || nb == dst || !self.neighbor_state[d].is_unsafe();
-            if !self.link_dead[d] && safe {
-                ok |= 1 << d;
-            }
-        }
-        ok
-    }
-
     /// Candidate dimensions for the current phase, as masks. Returns
     /// `(first, then, phase, misroute)` where phase 0 = increasing
     /// coordinates, 1 = decreasing (the deadlock scheme "first all links
@@ -232,7 +218,13 @@ impl RouteCController {
     /// re-enters phase 0 after phase 1, as every misrouted worm already
     /// could, so the phase order's acyclicity does not cover it.
     fn decide_dir(&self, dst: NodeId, stay_down: bool) -> (u64, u64, u8, bool) {
-        let s = DirSets::new(&self.cube, self.node, dst, self.usable(dst));
+        // usable: link alive, neighbour not unsafe unless it is the destination
+        let safe = |d: usize| {
+            let nb = self.cube.neighbor(self.node, PortId(d as u8)).expect("cube port");
+            self.stripped || nb == dst || !self.neighbor_state[d].is_unsafe()
+        };
+        let ok = (0..self.cube.dim() as usize).filter(|&d| !self.link_dead[d] && safe(d));
+        let s = DirSets::new(&self.cube, self.node, dst, ok.fold(0, |m, d| m | 1 << d));
         let down_first = stay_down && s.down != 0;
         let (minimal, phase) = if s.up != 0 && !down_first { (s.up, 0u8) } else { (s.down, 1u8) };
         let open = minimal & s.ok;
@@ -244,18 +236,6 @@ impl RouteCController {
         // dimensions that lengthen the path
         let diff = s.up | s.down;
         (diff & s.ok, !diff & s.ok, phase, true)
-    }
-
-    /// The VC range legal for `(phase, misroute)` — `decide_vc`'s job.
-    fn vc_range(&self, phase: u8, misroute: bool) -> std::ops::Range<usize> {
-        if self.stripped {
-            return (phase as usize)..(phase as usize + 1);
-        }
-        if misroute {
-            2..5
-        } else {
-            (phase as usize)..(phase as usize + 1)
-        }
     }
 }
 
@@ -278,7 +258,9 @@ impl NodeController for RouteCController {
         if first | then == 0 {
             return Decision::new(Verdict::Unroutable, steps);
         }
-        let vcr = self.vc_range(phase, misroute);
+        // decide_vc's job: the phase's class, or the misroute classes
+        // (the stripped variant never misroutes)
+        let vcr = if misroute { 2..5 } else { usize::from(phase)..usize::from(phase) + 1 };
         let ports = |mask: u64| (0..self.cube.dim() as usize).filter(move |d| mask >> d & 1 != 0);
         let grant = |p: usize| {
             let v = view.alive(p).then(|| view.free_vc_in(PortId(p as u8), vcr.clone()));

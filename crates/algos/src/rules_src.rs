@@ -124,20 +124,9 @@ mod tests {
 /// size means recompiling the rule program, not new silicon.
 pub fn route_c_source(dim: u32) -> String {
     assert!((2..=16).contains(&dim), "hypercube dimension out of range");
-    let mut out = String::with_capacity(ROUTE_C.len() + 1);
-    let mut matched = 0;
-    for line in ROUTE_C.split_inclusive('\n') {
-        if line.trim_end() == "CONSTANT d = 6" {
-            matched += 1;
-            out.push_str("CONSTANT d = ");
-            out.push_str(&dim.to_string());
-            out.push('\n');
-        } else {
-            out.push_str(line);
-        }
-    }
-    assert_eq!(matched, 1, "ROUTE_C declares `CONSTANT d = 6` on exactly one line");
-    out
+    const D6: &str = "\nCONSTANT d = 6\n";
+    assert_eq!(ROUTE_C.matches(D6).count(), 1, "ROUTE_C declares `CONSTANT d = 6` on one line");
+    ROUTE_C.replacen(D6, &["\nCONSTANT d = ", &dim.to_string(), "\n"].concat(), 1)
 }
 
 #[cfg(test)]

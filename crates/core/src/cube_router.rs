@@ -149,22 +149,11 @@ mod tests {
         // 0.3 in 8-flit worms for 1 500 cycles, rejected sends dropped.
         // Pins today's verdicts: (delivered, sent, deadlock) per seed; the
         // rule arm's seed 7 read 858 before 1(a) and is still a knot.
-        let (cube, rules) = (Hypercube::new(4), rule_route_c(4));
-        let native = ftr_algos::RouteC::new(cube.clone());
-        let run = |algo: &dyn ftr_sim::RoutingAlgorithm, seed| {
-            let mut net = Network::builder(Arc::new(cube.clone())).build(algo).expect("valid");
-            net.inject_link_fault(NodeId(0), PortId(0));
-            net.inject_link_fault(NodeId(0), PortId(1));
-            net.settle_control(10_000).expect("settles");
-            let (mut tf, mut sent) = (TrafficSource::new(Pattern::Uniform, 0.3, 8, seed), 0);
-            for _ in 0..1_500 {
-                for (s, d, l) in tf.tick(&cube, net.faults()) {
-                    sent += u64::from(net.send(s, d, l).is_ok());
-                }
-                net.step();
-            }
-            net.drain(100_000);
-            (net.stats.delivered_msgs, sent, net.stats.deadlock)
+        let (rules, native) = (rule_route_c(4), ftr_algos::RouteC::new(Hypercube::new(4)));
+        let run = |algo: &dyn RoutingAlgorithm, seed| {
+            let (delivered, sent, deadlock, _) =
+                uniform_on_dead_links(algo, &[(0, 0), (0, 1)], 0.3, 1_500, seed);
+            (delivered, sent, deadlock)
         };
         for (seed, native_arm, rule_arm) in [
             (5, (297, 891, true), (888, 891, true)),
@@ -176,27 +165,37 @@ mod tests {
         }
     }
 
-    /// ROADMAP item 19's run: a 4-cube with link `node#port` dead and
-    /// settled, uniform 8-flit worms at 0.1 for 600 cycles (rejected sends
-    /// dropped), then a drain. True when worms are left in flight.
-    fn stuck_on_dead_link(algo: &dyn RoutingAlgorithm, (node, port): (u32, u8), seed: u64) -> bool {
+    /// A 4-cube with the `(node, port)` links `dead` killed and settled,
+    /// `cycles` cycles of uniform 8-flit worms at `load` (rejected sends
+    /// dropped), then a drain: (delivered, sent, deadlock, drained).
+    fn uniform_on_dead_links(
+        algo: &dyn RoutingAlgorithm,
+        dead: &[(u32, u8)],
+        load: f64,
+        cycles: u32,
+        seed: u64,
+    ) -> (u64, u64, bool, bool) {
         let cube = Hypercube::new(4);
         let mut net = Network::builder(Arc::new(cube.clone())).build(algo).expect("valid");
-        net.inject_link_fault(NodeId(node), PortId(port));
+        for &(node, port) in dead {
+            net.inject_link_fault(NodeId(node), PortId(port));
+        }
         net.settle_control(10_000).expect("settles");
-        let mut tf = TrafficSource::new(Pattern::Uniform, 0.1, 8, seed);
-        for _ in 0..600 {
+        let (mut tf, mut sent) = (TrafficSource::new(Pattern::Uniform, load, 8, seed), 0);
+        for _ in 0..cycles {
             for (s, d, l) in tf.tick(&cube, net.faults()) {
-                let _ = net.send(s, d, l);
+                sent += u64::from(net.send(s, d, l).is_ok());
             }
             net.step();
         }
-        !net.drain(100_000)
+        let drained = net.drain(100_000);
+        (net.stats.delivered_msgs, sent, net.stats.deadlock, drained)
     }
 
-    /// Every link of the 4-cube once, as `(node, port)` from its lower end.
-    fn cube4_links() -> impl Iterator<Item = (u32, u8)> {
-        (0..16u32).flat_map(|n| (0..4u8).filter(move |p| n & 1 << p == 0).map(move |p| (n, p)))
+    /// ROADMAP item 19's run on one dead link: true when worms are left in
+    /// flight after the drain.
+    fn stuck_on_dead_link(algo: &dyn RoutingAlgorithm, link: (u32, u8), seed: u64) -> bool {
+        !uniform_on_dead_links(algo, &[link], 0.1, 600, seed).3
     }
 
     #[test]
@@ -214,14 +213,14 @@ mod tests {
         // stuck run. The rule arm still derives the phase at every node
         // (item 19(b)): a known defect, pinned by its count. Its runs
         // cost ~10x native's in a debug build, so it samples seeds 1-3.
-        let cube = Hypercube::new(4);
-        let native = ftr_algos::RouteC::new(cube);
-        let rules = rule_route_c(4);
+        let (rules, native) = (rule_route_c(4), ftr_algos::RouteC::new(Hypercube::new(4)));
+        // every link once, as `(node, port)` from its lower end
+        let links =
+            (0..16u32).flat_map(|n| (0..4u8).filter(move |p| n & 1 << p == 0).map(move |p| (n, p)));
         let stuck = |algo: &dyn RoutingAlgorithm, seeds: std::ops::RangeInclusive<u64>| {
-            let runs = cube4_links().flat_map(|l| seeds.clone().map(move |s| (l, s)));
+            let runs = links.clone().flat_map(|l| seeds.clone().map(move |s| (l, s)));
             runs.filter(|&(l, s)| stuck_on_dead_link(algo, l, s)).count()
         };
-        assert_eq!(cube4_links().count(), 32);
         assert_eq!(stuck(&native, 1..=10), 0, "native stuck runs of 320");
         assert_eq!(stuck(&rules, 1..=3), 27, "rule stuck runs of 96 (item 19(b))");
     }

