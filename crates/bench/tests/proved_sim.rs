@@ -131,8 +131,7 @@ fn route_c_4() -> (Hypercube, CubeProgramLift, CubeRuleRouter) {
 fn every_channel_the_cube_rule_host_grants_is_in_the_lifted_relation() {
     // Three runs on the 4-cube, at most one dead link: uniform load
     // fault-free and with link 0#0 dead, then ROADMAP item 1's hot spot
-    // across that link, which deadlocked the host at 499 of 800 before
-    // 1(a) and now drains.
+    // across that link, which drains since 1(a).
     let (cube, lift, router) = route_c_4();
     for (dead, hot_spot, want) in [(false, false, 1_919), (true, false, 1_945), (true, true, 2_826)]
     {

@@ -147,8 +147,7 @@ mod tests {
         // ROADMAP item 1's open question, answered: native ROUTE_C's
         // cycle does become a knot. Links 0#0 and 0#1 dead, uniform load
         // 0.3 in 8-flit worms for 1 500 cycles, rejected sends dropped.
-        // Pins today's verdicts: (delivered, sent, deadlock) per seed; the
-        // rule arm's seed 7 read 858 before 1(a) and is still a knot.
+        // Pins today's verdicts: (delivered, sent, deadlock) per seed.
         let (rules, native) = (rule_route_c(4), ftr_algos::RouteC::new(Hypercube::new(4)));
         let run = |algo: &dyn RoutingAlgorithm, seed| {
             let (delivered, sent, deadlock, _) =
