@@ -747,6 +747,90 @@ mod tests {
         bytes
     }
 
+    /// One event of every kind plus the codec's edges: both `in_port`
+    /// arms, all four outcomes, empty and three-entry `wants`, `u64::MAX`
+    /// and `u32::MAX` ids, and cycle jumps that wrap in both directions.
+    fn golden_events() -> Vec<TraceEvent> {
+        let (n, p, v) = (NodeId, PortId, VcId);
+        let decision = |in_port, outcome, misrouted| EventKind::RouteDecision {
+            node: n(3),
+            msg: u64::MAX,
+            in_port,
+            in_vc: v(1),
+            outcome,
+            steps: u32::MAX,
+            misrouted,
+        };
+        let kinds = [
+            EventKind::Inject { msg: u64::MAX, src: n(0), dst: n(u32::MAX), len_flits: 16 },
+            decision(Some(p(2)), RouteOutcome::Routed(p(255), v(3)), false),
+            decision(None, RouteOutcome::Wait, true),
+            decision(Some(p(0)), RouteOutcome::Deliver, false),
+            decision(None, RouteOutcome::Unroutable, true),
+            EventKind::VcStall { node: n(4), msg: 300, port: p(1), vc: v(0) },
+            EventKind::VcAcquire { node: n(5), msg: 301, port: p(2), vc: v(1) },
+            EventKind::VcRelease { node: n(6), msg: 302, port: p(3), vc: v(2) },
+            EventKind::RouteWait { node: n(7), msg: 303, wants: vec![] },
+            EventKind::RouteWait {
+                node: n(8),
+                msg: u64::MAX,
+                wants: vec![(p(0), v(0)), (p(2), v(1)), (p(3), v(4))],
+            },
+            EventKind::Deliver { node: n(9), msg: 304 },
+            EventKind::Kill { msg: u64::MAX },
+            EventKind::Unroutable { msg: 305 },
+            EventKind::LinkFault { node: n(10), port: p(1) },
+            EventKind::NodeFault { node: n(11) },
+            EventKind::LinkRepair { node: n(12), port: p(2) },
+            EventKind::NodeRepair { node: n(13) },
+            EventKind::Retry { msg: 306, attempt: 2 },
+            EventKind::SendRejected { src: n(14), dst: n(15) },
+            EventKind::ControlSend { from: n(16), to: n(17) },
+            EventKind::ControlSettled { cycles: u64::MAX },
+            EventKind::Heartbeat { node: n(18), port: p(0), pong: false },
+            EventKind::Heartbeat { node: n(19), port: p(1), pong: true },
+            EventKind::Suspect { node: n(20), port: p(2), misses: 3 },
+            EventKind::Alarm { node: n(21), port: p(3) },
+            EventKind::ControlDrop { node: n(22), port: p(0) },
+        ];
+        let cycles = [0, 1, u64::MAX, 2, 2, 1 << 63, 7];
+        kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| ev(cycles[i % cycles.len()].wrapping_add(i as u64 / 7), kind))
+            .collect()
+    }
+
+    /// `golden_events()` under a `label = golden` header, as the encoder
+    /// wrote them when the format was pinned: any difference is a change
+    /// of the wire format, even one the encoder and decoder agree on.
+    const GOLDEN: &[u8] = &[
+        70, 84, 66, 49, 1, 1, 5, 108, 97, 98, 101, 108, 6, 103, 111, 108, 100, 101, 110, 1, 0, 255,
+        255, 255, 255, 255, 255, 255, 255, 255, 1, 0, 255, 255, 255, 255, 15, 16, 2, 2, 3, 255,
+        255, 255, 255, 255, 255, 255, 255, 255, 1, 1, 2, 1, 0, 255, 3, 255, 255, 255, 255, 15, 0,
+        2, 3, 3, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1, 0, 1, 1, 255, 255, 255, 255, 15,
+        1, 2, 6, 3, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1, 1, 0, 1, 2, 255, 255, 255, 255,
+        15, 0, 2, 0, 3, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1, 0, 1, 3, 255, 255, 255,
+        255, 15, 1, 3, 252, 255, 255, 255, 255, 255, 255, 255, 255, 1, 4, 172, 2, 1, 0, 4, 241,
+        255, 255, 255, 255, 255, 255, 255, 255, 1, 5, 173, 2, 2, 1, 5, 11, 6, 174, 2, 3, 2, 6, 2,
+        7, 175, 2, 0, 6, 3, 8, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1, 3, 0, 0, 2, 1, 3, 4,
+        7, 6, 9, 176, 2, 8, 0, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1, 9, 252, 255, 255,
+        255, 255, 255, 255, 255, 255, 1, 177, 2, 10, 241, 255, 255, 255, 255, 255, 255, 255, 255,
+        1, 10, 1, 11, 11, 11, 12, 2, 12, 2, 13, 3, 13, 14, 6, 178, 2, 2, 15, 0, 14, 15, 16, 252,
+        255, 255, 255, 255, 255, 255, 255, 255, 1, 16, 17, 17, 241, 255, 255, 255, 255, 255, 255,
+        255, 255, 1, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1, 18, 11, 18, 0, 0, 18, 2, 19,
+        1, 1, 19, 3, 20, 2, 3, 20, 6, 21, 3, 21, 0, 22, 0, 0,
+    ];
+
+    #[test]
+    fn wire_format_is_pinned_byte_for_byte() {
+        let bytes = stream(FtbHeader::new().with("label", "golden"), &golden_events(), true);
+        assert_eq!(bytes, GOLDEN, "the encoder's bytes moved");
+        let back: Vec<TraceEvent> =
+            FtbReader::from_reader(GOLDEN).unwrap().map(|r| r.unwrap()).collect();
+        assert_eq!(back, golden_events(), "the decoder's reading moved");
+    }
+
     #[test]
     fn varint_round_trips_boundaries() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX - 1, u64::MAX] {
