@@ -4,9 +4,16 @@
 //! variant of [`EventKind`]; a [`TraceEvent`] stamps it with the cycle it
 //! happened on. Message ids are plain `u64` (the simulator's `MessageId`
 //! newtype lives above this crate in the dependency graph).
+//!
+//! The `events!` table below is the schema: per kind, its FTB opcode, tag,
+//! variant and fields in wire order. The enum, [`EventKind::tag`], the FTB
+//! field codec and the JSON view of [`TraceEvent::to_json`] come from it,
+//! each field through the one `Field` codec of its type.
 
+use crate::ftb::{put_varint, read_u8, read_varint, ReadError};
 use crate::json::{self, Obj};
 use ftr_topo::{NodeId, PortId, VcId};
+use std::io::Read;
 
 /// What a routing decision concluded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,272 +28,432 @@ pub enum RouteOutcome {
     Unroutable,
 }
 
-impl RouteOutcome {
-    fn name(self) -> &'static str {
+/// One field type's codec: its FTB bytes, read back, and its JSON
+/// rendering under the field's name (which also labels a malformed value).
+pub(crate) trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn read<R: Read>(r: &mut R, name: &str) -> Result<Self, ReadError>;
+    fn json(&self, o: &mut Obj, name: &str);
+}
+
+/// A LEB128 varint.
+impl Field for u64 {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, *self);
+    }
+    #[inline]
+    fn read<R: Read>(r: &mut R, _: &str) -> Result<Self, ReadError> {
+        read_varint(r)
+    }
+    fn json(&self, o: &mut Obj, name: &str) {
+        o.num(name, *self);
+    }
+}
+
+/// A varint that must fit 32 bits.
+impl Field for u32 {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        u64::from(*self).put(out);
+    }
+    #[inline]
+    fn read<R: Read>(r: &mut R, name: &str) -> Result<Self, ReadError> {
+        let v = read_varint(r)?;
+        Ok(u32::try_from(v).map_err(|_| format!("`{name}` {v} out of u32 range"))?)
+    }
+    fn json(&self, o: &mut Obj, name: &str) {
+        o.num(name, *self);
+    }
+}
+
+/// One raw byte.
+impl Field for u8 {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    #[inline]
+    fn read<R: Read>(r: &mut R, _: &str) -> Result<Self, ReadError> {
+        read_u8(r)
+    }
+    fn json(&self, o: &mut Obj, name: &str) {
+        o.num(name, *self);
+    }
+}
+
+/// One byte, 0 or 1.
+impl Field for bool {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    #[inline]
+    fn read<R: Read>(r: &mut R, name: &str) -> Result<Self, ReadError> {
+        match read_u8(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("bad `{name}` byte {b}").into()),
+        }
+    }
+    fn json(&self, o: &mut Obj, name: &str) {
+        o.bool(name, *self);
+    }
+}
+
+/// Ids are coded as the integer they wrap: a node id as a `u32`
+/// varint, a port or virtual channel as one byte.
+macro_rules! id_fields {
+    ($($id:ident($int:ty)),*) => {$(
+        impl Field for $id {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                self.0.put(out);
+            }
+            #[inline]
+            fn read<R: Read>(r: &mut R, name: &str) -> Result<Self, ReadError> {
+                Ok($id(<$int>::read(r, name)?))
+            }
+            fn json(&self, o: &mut Obj, name: &str) {
+                self.0.json(o, name);
+            }
+        }
+    )*};
+}
+
+id_fields!(NodeId(u32), PortId(u8), VcId(u8));
+
+/// A presence byte (0 absent, 1 present), then the value; JSON `null`
+/// when absent.
+impl<T: Field> Field for Option<T> {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(self.is_some()));
+        if let Some(v) = self {
+            v.put(out);
+        }
+    }
+    #[inline]
+    fn read<R: Read>(r: &mut R, name: &str) -> Result<Self, ReadError> {
+        match read_u8(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::read(r, name)?)),
+            b => Err(format!("bad `{name}` presence byte {b}").into()),
+        }
+    }
+    fn json(&self, o: &mut Obj, name: &str) {
+        if let Some(v) = self {
+            v.json(o, name);
+        } else {
+            o.field(name, "null");
+        }
+    }
+}
+
+/// A verdict byte (0 routed, 1 wait, 2 deliver, 3 unroutable); a grant
+/// carries its channel as `out_port`, `out_vc`.
+impl Field for RouteOutcome {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
         match self {
+            RouteOutcome::Routed(p, v) => out.extend([0, p.0, v.0]),
+            RouteOutcome::Wait => out.push(1),
+            RouteOutcome::Deliver => out.push(2),
+            RouteOutcome::Unroutable => out.push(3),
+        }
+    }
+    #[inline]
+    fn read<R: Read>(r: &mut R, name: &str) -> Result<Self, ReadError> {
+        Ok(match read_u8(r)? {
+            0 => RouteOutcome::Routed(Field::read(r, "out_port")?, Field::read(r, "out_vc")?),
+            1 => RouteOutcome::Wait,
+            2 => RouteOutcome::Deliver,
+            3 => RouteOutcome::Unroutable,
+            b => return Err(format!("bad `{name}` byte {b}").into()),
+        })
+    }
+    fn json(&self, o: &mut Obj, name: &str) {
+        let verdict = match self {
             RouteOutcome::Routed(..) => "routed",
             RouteOutcome::Wait => "wait",
             RouteOutcome::Deliver => "deliver",
             RouteOutcome::Unroutable => "unroutable",
+        };
+        o.str(name, verdict);
+        if let RouteOutcome::Routed(p, v) = self {
+            p.json(o, "out_port");
+            v.json(o, "out_vc");
         }
     }
 }
 
-/// One observable occurrence inside the simulated network.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EventKind {
-    /// A message entered the network at its source.
-    Inject {
-        /// Message id.
-        msg: u64,
-        /// Source node.
-        src: NodeId,
-        /// Destination node.
-        dst: NodeId,
-        /// Message length in flits.
-        len_flits: u32,
-    },
-    /// A routing decision completed for the head flit at `node` (emitted
-    /// once per message per node, when the decision's step count is
-    /// charged — the paper's per-decision quantity).
-    RouteDecision {
-        /// Deciding node.
-        node: NodeId,
-        /// Message id.
-        msg: u64,
-        /// Input port (`None` = injection queue).
-        in_port: Option<PortId>,
-        /// Input virtual channel.
-        in_vc: VcId,
-        /// The verdict.
-        outcome: RouteOutcome,
-        /// Consecutive rule interpretations the decision took (§5).
-        steps: u32,
-        /// The message is travelling a non-minimal path due to faults.
-        misrouted: bool,
-    },
-    /// A routed message could not take its granted output channel this
-    /// cycle (VC busy or no credit) — allocation stall.
-    VcStall {
-        /// Stalling node.
-        node: NodeId,
-        /// Message id.
-        msg: u64,
-        /// Output port the verdict chose.
-        port: PortId,
-        /// Output virtual channel the verdict chose.
-        vc: VcId,
-    },
-    /// The head flit acquired its granted output virtual channel: the
-    /// channel's owner is now this message (wormhole allocation point).
-    VcAcquire {
-        /// Allocating node.
-        node: NodeId,
-        /// Message id.
-        msg: u64,
-        /// Acquired output port.
-        port: PortId,
-        /// Acquired output virtual channel.
-        vc: VcId,
-    },
-    /// The tail flit passed the switch at `node`: the output channel is
-    /// free for re-allocation (killed worms release without this event).
-    VcRelease {
-        /// Releasing node.
-        node: NodeId,
-        /// Message id.
-        msg: u64,
-        /// Released output port.
-        port: PortId,
-        /// Released output virtual channel.
-        vc: VcId,
-    },
-    /// The algorithm asked the head flit to wait — blocked with no granted
-    /// channel. `wants` lists every output channel the algorithm would
-    /// accept right now (probed under single-free views), the edge set the
-    /// online deadlock diagnoser consumes. Emitted once per blocked cycle.
-    RouteWait {
-        /// Blocking node.
-        node: NodeId,
-        /// Message id.
-        msg: u64,
-        /// Acceptable output channels `(port, vc)` this cycle.
-        wants: Vec<(PortId, VcId)>,
-    },
-    /// Tail flit ejected: the message is fully delivered.
-    Deliver {
-        /// Destination node.
-        node: NodeId,
-        /// Message id.
-        msg: u64,
-    },
-    /// The message was ripped by a dynamic fault and removed network-wide.
-    Kill {
-        /// Message id.
-        msg: u64,
-    },
-    /// The algorithm declared the message unroutable; it was removed.
-    Unroutable {
-        /// Message id.
-        msg: u64,
-    },
-    /// The link leaving `node` through `port` failed.
-    LinkFault {
-        /// Link endpoint.
-        node: NodeId,
-        /// Failed port.
-        port: PortId,
-    },
-    /// `node` failed.
-    NodeFault {
-        /// The failed node.
-        node: NodeId,
-    },
-    /// The link leaving `node` through `port` was repaired and re-armed.
-    LinkRepair {
-        /// Link endpoint.
-        node: NodeId,
-        /// Repaired port.
-        port: PortId,
-    },
-    /// `node` was repaired and rejoined the network.
-    NodeRepair {
-        /// The repaired node.
-        node: NodeId,
-    },
-    /// A killed or unroutable message was re-injected at its source by the
-    /// retry policy.
-    Retry {
-        /// Message id (stable across attempts).
-        msg: u64,
-        /// Attempt number of the re-injection (first retry = 2).
-        attempt: u32,
-    },
-    /// An injection was rejected because an endpoint was faulty at send
-    /// time (a scheduled send racing a dynamic fault).
-    SendRejected {
-        /// Intended source.
-        src: NodeId,
-        /// Intended destination.
-        dst: NodeId,
-    },
-    /// A control-plane message was sent over a link (fault/state
-    /// propagation traffic).
-    ControlSend {
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-    },
-    /// The control plane went quiet after fault injection (E10 settling
-    /// wave complete).
-    ControlSettled {
-        /// Cycles from the settle request until quiescence.
-        cycles: u64,
-    },
-    /// A liveness probe (ping) or its response (pong) left `node` through
-    /// `port` — detection-layer heartbeat traffic.
-    Heartbeat {
-        /// Probing node.
-        node: NodeId,
-        /// Port the probe left through.
-        port: PortId,
-        /// `false` = ping, `true` = pong.
-        pong: bool,
-    },
-    /// The detector at `node` began suspecting the neighbour behind
-    /// `port` after consecutive missed heartbeats.
-    Suspect {
-        /// Suspecting node.
-        node: NodeId,
-        /// Port towards the suspected neighbour.
-        port: PortId,
-        /// Consecutive misses when suspicion was raised.
-        misses: u32,
-    },
-    /// Suspicion hardened into an alarm: the detector at `node` declared
-    /// the link through `port` faulty and triggered reconfiguration.
-    Alarm {
-        /// Alarming node.
-        node: NodeId,
-        /// Port of the locally declared fault.
-        port: PortId,
-    },
-    /// A control-plane message was discarded at `node` because the link
-    /// through `port` was unusable (at send or at delivery time).
-    ControlDrop {
-        /// Endpoint where the drop happened.
-        node: NodeId,
-        /// Port of the unusable link at that endpoint.
-        port: PortId,
-    },
+/// A varint count, then `(port, vc)` byte pairs; JSON `[[port,vc],…]`.
+impl Field for Vec<(PortId, VcId)> {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        for (p, v) in self {
+            out.extend([p.0, v.0]);
+        }
+    }
+    #[inline]
+    fn read<R: Read>(r: &mut R, name: &str) -> Result<Self, ReadError> {
+        let len = read_varint(r)?;
+        if len > 1 << 16 {
+            return Err(format!("`{name}` list of {len} entries is implausible").into());
+        }
+        (0..len).map(|_| Ok((Field::read(r, name)?, Field::read(r, name)?))).collect()
+    }
+    fn json(&self, o: &mut Obj, name: &str) {
+        o.field(name, json::array(self.iter().map(|(p, v)| format!("[{},{}]", p.0, v.0))));
+    }
 }
 
-impl EventKind {
-    /// Stable lowercase tag for exporters and filters.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            EventKind::Inject { .. } => "inject",
-            EventKind::RouteDecision { .. } => "route_decision",
-            EventKind::VcStall { .. } => "vc_stall",
-            EventKind::VcAcquire { .. } => "vc_acquire",
-            EventKind::VcRelease { .. } => "vc_release",
-            EventKind::RouteWait { .. } => "route_wait",
-            EventKind::Deliver { .. } => "deliver",
-            EventKind::Kill { .. } => "kill",
-            EventKind::Unroutable { .. } => "unroutable",
-            EventKind::LinkFault { .. } => "link_fault",
-            EventKind::NodeFault { .. } => "node_fault",
-            EventKind::LinkRepair { .. } => "link_repair",
-            EventKind::NodeRepair { .. } => "node_repair",
-            EventKind::Retry { .. } => "retry",
-            EventKind::SendRejected { .. } => "send_rejected",
-            EventKind::ControlSend { .. } => "control_send",
-            EventKind::ControlSettled { .. } => "control_settled",
-            EventKind::Heartbeat { .. } => "heartbeat",
-            EventKind::Suspect { .. } => "suspect",
-            EventKind::Alarm { .. } => "alarm",
-            EventKind::ControlDrop { .. } => "control_drop",
+/// Declares the event schema: per kind, `opcode "tag" Variant { fields }`
+/// with the fields in wire order (which is also their JSON order).
+macro_rules! events {
+    ($(#[$meta:meta])* pub enum $name:ident {
+        $($(#[$doc:meta])* $op:literal $tag:literal $kind:ident {
+            $($(#[$fdoc:meta])* $field:ident: $ty:ty,)*
+        },)*
+    }) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$doc])* $kind { $($(#[$fdoc])* $field: $ty,)* },)*
         }
-    }
 
-    /// The message the event is about, if any.
-    pub fn msg(&self) -> Option<u64> {
-        match self {
-            EventKind::Inject { msg, .. }
-            | EventKind::RouteDecision { msg, .. }
-            | EventKind::VcStall { msg, .. }
-            | EventKind::VcAcquire { msg, .. }
-            | EventKind::VcRelease { msg, .. }
-            | EventKind::RouteWait { msg, .. }
-            | EventKind::Deliver { msg, .. }
-            | EventKind::Kill { msg }
-            | EventKind::Unroutable { msg }
-            | EventKind::Retry { msg, .. } => Some(*msg),
-            _ => None,
-        }
-    }
+        impl $name {
+            /// Stable lowercase tag for exporters and filters.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $($name::$kind { .. } => $tag,)*
+                }
+            }
 
-    /// The node the event happened at, if the event is node-local.
-    pub fn node(&self) -> Option<NodeId> {
-        match self {
-            EventKind::Inject { src, .. } => Some(*src),
-            EventKind::RouteDecision { node, .. }
-            | EventKind::VcStall { node, .. }
-            | EventKind::VcAcquire { node, .. }
-            | EventKind::VcRelease { node, .. }
-            | EventKind::RouteWait { node, .. }
-            | EventKind::Deliver { node, .. }
-            | EventKind::LinkFault { node, .. }
-            | EventKind::NodeFault { node }
-            | EventKind::LinkRepair { node, .. }
-            | EventKind::NodeRepair { node }
-            | EventKind::Heartbeat { node, .. }
-            | EventKind::Suspect { node, .. }
-            | EventKind::Alarm { node, .. }
-            | EventKind::ControlDrop { node, .. } => Some(*node),
-            _ => None,
+            /// The FTB opcode.
+            #[inline]
+            pub(crate) fn opcode(&self) -> u8 {
+                match self {
+                    $($name::$kind { .. } => $op,)*
+                }
+            }
+
+            /// Appends the fields in wire order.
+            #[inline]
+            pub(crate) fn put_fields(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($name::$kind { $($field),* } => { $($field.put(out);)* })*
+                }
+            }
+
+            /// Reads the fields of the kind with opcode `op`.
+            #[inline]
+            pub(crate) fn read_fields(op: u8, r: &mut impl Read) -> Result<Self, ReadError> {
+                Ok(match op {
+                    $($op => $name::$kind { $($field: Field::read(r, stringify!($field))?,)* },)*
+                    _ => return Err(format!("unknown FTB opcode {op:#04x}").into()),
+                })
+            }
+
+            /// Adds every field to `o` under its own name.
+            fn json_fields(&self, o: &mut Obj) {
+                match self {
+                    $($name::$kind { $($field),* } => { $($field.json(o, stringify!($field));)* })*
+                }
+            }
         }
+    };
+}
+
+events! {
+    /// One observable occurrence inside the simulated network.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum EventKind {
+        /// A message entered the network at its source.
+        1 "inject" Inject {
+            /// Message id.
+            msg: u64,
+            /// Source node.
+            src: NodeId,
+            /// Destination node.
+            dst: NodeId,
+            /// Message length in flits.
+            len_flits: u32,
+        },
+        /// A routing decision completed for the head flit at `node` (emitted
+        /// once per message per node, when the decision's step count is
+        /// charged — the paper's per-decision quantity).
+        2 "route_decision" RouteDecision {
+            /// Deciding node.
+            node: NodeId,
+            /// Message id.
+            msg: u64,
+            /// Input port (`None` = injection queue).
+            in_port: Option<PortId>,
+            /// Input virtual channel.
+            in_vc: VcId,
+            /// The verdict.
+            outcome: RouteOutcome,
+            /// Consecutive rule interpretations the decision took (§5).
+            steps: u32,
+            /// The message is travelling a non-minimal path due to faults.
+            misrouted: bool,
+        },
+        /// A routed message could not take its granted output channel this
+        /// cycle (VC busy or no credit) — allocation stall.
+        3 "vc_stall" VcStall {
+            /// Stalling node.
+            node: NodeId,
+            /// Message id.
+            msg: u64,
+            /// Output port the verdict chose.
+            port: PortId,
+            /// Output virtual channel the verdict chose.
+            vc: VcId,
+        },
+        /// The head flit acquired its granted output virtual channel: the
+        /// channel's owner is now this message (wormhole allocation point).
+        4 "vc_acquire" VcAcquire {
+            /// Allocating node.
+            node: NodeId,
+            /// Message id.
+            msg: u64,
+            /// Acquired output port.
+            port: PortId,
+            /// Acquired output virtual channel.
+            vc: VcId,
+        },
+        /// The tail flit passed the switch at `node`: the output channel is
+        /// free for re-allocation (killed worms release without this event).
+        5 "vc_release" VcRelease {
+            /// Releasing node.
+            node: NodeId,
+            /// Message id.
+            msg: u64,
+            /// Released output port.
+            port: PortId,
+            /// Released output virtual channel.
+            vc: VcId,
+        },
+        /// The algorithm asked the head flit to wait — blocked with no granted
+        /// channel. `wants` lists every output channel the algorithm would
+        /// accept right now (probed under single-free views), the edge set the
+        /// online deadlock diagnoser consumes. Emitted once per blocked cycle.
+        6 "route_wait" RouteWait {
+            /// Blocking node.
+            node: NodeId,
+            /// Message id.
+            msg: u64,
+            /// Acceptable output channels `(port, vc)` this cycle.
+            wants: Vec<(PortId, VcId)>,
+        },
+        /// Tail flit ejected: the message is fully delivered.
+        7 "deliver" Deliver {
+            /// Destination node.
+            node: NodeId,
+            /// Message id.
+            msg: u64,
+        },
+        /// The message was ripped by a dynamic fault and removed network-wide.
+        8 "kill" Kill {
+            /// Message id.
+            msg: u64,
+        },
+        /// The algorithm declared the message unroutable; it was removed.
+        9 "unroutable" Unroutable {
+            /// Message id.
+            msg: u64,
+        },
+        /// The link leaving `node` through `port` failed.
+        10 "link_fault" LinkFault {
+            /// Link endpoint.
+            node: NodeId,
+            /// Failed port.
+            port: PortId,
+        },
+        /// `node` failed.
+        11 "node_fault" NodeFault {
+            /// The failed node.
+            node: NodeId,
+        },
+        /// The link leaving `node` through `port` was repaired and re-armed.
+        12 "link_repair" LinkRepair {
+            /// Link endpoint.
+            node: NodeId,
+            /// Repaired port.
+            port: PortId,
+        },
+        /// `node` was repaired and rejoined the network.
+        13 "node_repair" NodeRepair {
+            /// The repaired node.
+            node: NodeId,
+        },
+        /// A killed or unroutable message was re-injected at its source by the
+        /// retry policy.
+        14 "retry" Retry {
+            /// Message id (stable across attempts).
+            msg: u64,
+            /// Attempt number of the re-injection (first retry = 2).
+            attempt: u32,
+        },
+        /// An injection was rejected because an endpoint was faulty at send
+        /// time (a scheduled send racing a dynamic fault).
+        15 "send_rejected" SendRejected {
+            /// Intended source.
+            src: NodeId,
+            /// Intended destination.
+            dst: NodeId,
+        },
+        /// A control-plane message was sent over a link (fault/state
+        /// propagation traffic).
+        16 "control_send" ControlSend {
+            /// Sender.
+            from: NodeId,
+            /// Receiver.
+            to: NodeId,
+        },
+        /// The control plane went quiet after fault injection (E10 settling
+        /// wave complete).
+        17 "control_settled" ControlSettled {
+            /// Cycles from the settle request until quiescence.
+            cycles: u64,
+        },
+        /// A liveness probe (ping) or its response (pong) left `node` through
+        /// `port` — detection-layer heartbeat traffic.
+        18 "heartbeat" Heartbeat {
+            /// Probing node.
+            node: NodeId,
+            /// Port the probe left through.
+            port: PortId,
+            /// `false` = ping, `true` = pong.
+            pong: bool,
+        },
+        /// The detector at `node` began suspecting the neighbour behind
+        /// `port` after consecutive missed heartbeats.
+        19 "suspect" Suspect {
+            /// Suspecting node.
+            node: NodeId,
+            /// Port towards the suspected neighbour.
+            port: PortId,
+            /// Consecutive misses when suspicion was raised.
+            misses: u32,
+        },
+        /// Suspicion hardened into an alarm: the detector at `node` declared
+        /// the link through `port` faulty and triggered reconfiguration.
+        20 "alarm" Alarm {
+            /// Alarming node.
+            node: NodeId,
+            /// Port of the locally declared fault.
+            port: PortId,
+        },
+        /// A control-plane message was discarded at `node` because the link
+        /// through `port` was unusable (at send or at delivery time).
+        21 "control_drop" ControlDrop {
+            /// Endpoint where the drop happened.
+            node: NodeId,
+            /// Port of the unusable link at that endpoint.
+            port: PortId,
+        },
     }
 }
 
@@ -308,151 +475,7 @@ impl TraceEvent {
         let mut o = Obj::new();
         o.num("cycle", self.cycle);
         o.str("event", self.kind.tag());
-        match &self.kind {
-            EventKind::Inject { msg, src, dst, len_flits } => {
-                o.num("msg", *msg);
-                o.num("src", src.0);
-                o.num("dst", dst.0);
-                o.num("len_flits", *len_flits);
-            }
-            EventKind::RouteDecision { node, msg, in_port, in_vc, outcome, steps, misrouted } => {
-                o.num("node", node.0);
-                o.num("msg", *msg);
-                match in_port {
-                    Some(p) => o.num("in_port", p.0),
-                    None => o.field("in_port", "null"),
-                };
-                o.num("in_vc", in_vc.0);
-                o.str("outcome", outcome.name());
-                if let RouteOutcome::Routed(p, v) = outcome {
-                    o.num("out_port", p.0);
-                    o.num("out_vc", v.0);
-                }
-                o.num("steps", *steps);
-                o.bool("misrouted", *misrouted);
-            }
-            EventKind::VcStall { node, msg, port, vc }
-            | EventKind::VcAcquire { node, msg, port, vc }
-            | EventKind::VcRelease { node, msg, port, vc } => {
-                o.num("node", node.0);
-                o.num("msg", *msg);
-                o.num("port", port.0);
-                o.num("vc", vc.0);
-            }
-            EventKind::RouteWait { node, msg, wants } => {
-                o.num("node", node.0);
-                o.num("msg", *msg);
-                o.field(
-                    "wants",
-                    json::array(wants.iter().map(|(p, v)| format!("[{},{}]", p.0, v.0))),
-                );
-            }
-            EventKind::Deliver { node, msg } => {
-                o.num("node", node.0);
-                o.num("msg", *msg);
-            }
-            EventKind::Kill { msg } | EventKind::Unroutable { msg } => {
-                o.num("msg", *msg);
-            }
-            EventKind::LinkFault { node, port } | EventKind::LinkRepair { node, port } => {
-                o.num("node", node.0);
-                o.num("port", port.0);
-            }
-            EventKind::NodeFault { node } | EventKind::NodeRepair { node } => {
-                o.num("node", node.0);
-            }
-            EventKind::Retry { msg, attempt } => {
-                o.num("msg", *msg);
-                o.num("attempt", *attempt);
-            }
-            EventKind::SendRejected { src, dst } => {
-                o.num("src", src.0);
-                o.num("dst", dst.0);
-            }
-            EventKind::ControlSend { from, to } => {
-                o.num("from", from.0);
-                o.num("to", to.0);
-            }
-            EventKind::ControlSettled { cycles } => {
-                o.num("cycles", *cycles);
-            }
-            EventKind::Heartbeat { node, port, pong } => {
-                o.num("node", node.0);
-                o.num("port", port.0);
-                o.bool("pong", *pong);
-            }
-            EventKind::Suspect { node, port, misses } => {
-                o.num("node", node.0);
-                o.num("port", port.0);
-                o.num("misses", *misses);
-            }
-            EventKind::Alarm { node, port } | EventKind::ControlDrop { node, port } => {
-                o.num("node", node.0);
-                o.num("port", port.0);
-            }
-        }
+        self.kind.json_fields(&mut o);
         o.finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::json::validate;
-
-    #[test]
-    fn every_variant_renders_valid_json() {
-        let kinds = [
-            EventKind::Inject { msg: 1, src: NodeId(0), dst: NodeId(5), len_flits: 4 },
-            EventKind::RouteDecision {
-                node: NodeId(2),
-                msg: 1,
-                in_port: Some(PortId(3)),
-                in_vc: VcId(0),
-                outcome: RouteOutcome::Routed(PortId(1), VcId(1)),
-                steps: 3,
-                misrouted: true,
-            },
-            EventKind::RouteDecision {
-                node: NodeId(2),
-                msg: 1,
-                in_port: None,
-                in_vc: VcId(0),
-                outcome: RouteOutcome::Wait,
-                steps: 1,
-                misrouted: false,
-            },
-            EventKind::VcStall { node: NodeId(2), msg: 1, port: PortId(0), vc: VcId(0) },
-            EventKind::VcAcquire { node: NodeId(2), msg: 1, port: PortId(0), vc: VcId(1) },
-            EventKind::VcRelease { node: NodeId(2), msg: 1, port: PortId(0), vc: VcId(1) },
-            EventKind::RouteWait { node: NodeId(2), msg: 1, wants: vec![] },
-            EventKind::RouteWait {
-                node: NodeId(2),
-                msg: 1,
-                wants: vec![(PortId(0), VcId(0)), (PortId(3), VcId(1))],
-            },
-            EventKind::Deliver { node: NodeId(5), msg: 1 },
-            EventKind::Kill { msg: 1 },
-            EventKind::Unroutable { msg: 1 },
-            EventKind::LinkFault { node: NodeId(1), port: PortId(2) },
-            EventKind::NodeFault { node: NodeId(1) },
-            EventKind::LinkRepair { node: NodeId(1), port: PortId(2) },
-            EventKind::NodeRepair { node: NodeId(1) },
-            EventKind::Retry { msg: 1, attempt: 2 },
-            EventKind::SendRejected { src: NodeId(3), dst: NodeId(4) },
-            EventKind::ControlSend { from: NodeId(1), to: NodeId(2) },
-            EventKind::ControlSettled { cycles: 9 },
-            EventKind::Heartbeat { node: NodeId(1), port: PortId(2), pong: false },
-            EventKind::Heartbeat { node: NodeId(2), port: PortId(0), pong: true },
-            EventKind::Suspect { node: NodeId(1), port: PortId(2), misses: 3 },
-            EventKind::Alarm { node: NodeId(1), port: PortId(2) },
-            EventKind::ControlDrop { node: NodeId(1), port: PortId(2) },
-        ];
-        for kind in kinds {
-            let ev = TraceEvent { cycle: 7, kind };
-            let j = ev.to_json();
-            assert!(validate(&j).is_ok(), "invalid json: {j}");
-            assert!(j.contains(&format!("\"event\":\"{}\"", ev.kind.tag())), "{j}");
-        }
     }
 }

@@ -28,15 +28,16 @@
 //! [`BinSink`] is the writing half (a [`TraceSink`] with buffered writes
 //! and an explicit [`BinSink::finalize`]); [`FtbReader`] is a streaming
 //! iterator that decodes one event at a time through a `BufRead` and
-//! never materializes the file. The encode/decode pair is proven
-//! lossless over every [`EventKind`] variant in `tests/ftb_roundtrip.rs`
-//! and event-for-event equal to the live in-memory stream on full
-//! campaign runs in `crates/bench/tests/ftb_diff.rs`.
+//! never materializes the file. Opcodes and fields come from the table
+//! in `event.rs`. The bytes are pinned by a golden stream (below), the
+//! encode/decode pair is proven lossless over every [`EventKind`]
+//! variant in `tests/ftb_roundtrip.rs` and event-for-event equal to the
+//! live in-memory stream on full campaign runs in
+//! `crates/bench/tests/ftb_diff.rs`.
 
-use crate::event::{EventKind, RouteOutcome, TraceEvent};
+use crate::event::{EventKind, TraceEvent};
 use crate::lock;
 use crate::sink::TraceSink;
-use ftr_topo::{NodeId, PortId, VcId};
 use std::io::{BufRead, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Mutex;
@@ -92,7 +93,7 @@ impl From<String> for ReadError {
 // ---------------------------------------------------------------------
 
 /// Appends `v` as a LEB128 varint (7 bits per byte, high bit = more).
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -116,7 +117,7 @@ fn unzigzag(v: u64) -> i64 {
 
 /// Reads one LEB128 varint. At most 10 bytes (ceil(64/7)); anything
 /// longer is a malformed stream, not a bigger number.
-fn read_varint<R: Read + ?Sized>(r: &mut R) -> Result<u64, ReadError> {
+pub(crate) fn read_varint<R: Read + ?Sized>(r: &mut R) -> Result<u64, ReadError> {
     let mut v: u64 = 0;
     for shift in 0..10 {
         let byte = read_u8(r)?;
@@ -132,7 +133,7 @@ fn read_varint<R: Read + ?Sized>(r: &mut R) -> Result<u64, ReadError> {
     Err(ReadError::Malformed("varint longer than 10 bytes".into()))
 }
 
-fn read_u8<R: Read + ?Sized>(r: &mut R) -> Result<u8, ReadError> {
+pub(crate) fn read_u8<R: Read + ?Sized>(r: &mut R) -> Result<u8, ReadError> {
     let mut b = [0u8; 1];
     r.read_exact(&mut b)?;
     Ok(b[0])
@@ -237,126 +238,14 @@ impl FtbHeader {
 // event codec
 // ---------------------------------------------------------------------
 
-fn opcode(kind: &EventKind) -> u8 {
-    match kind {
-        EventKind::Inject { .. } => 1,
-        EventKind::RouteDecision { .. } => 2,
-        EventKind::VcStall { .. } => 3,
-        EventKind::VcAcquire { .. } => 4,
-        EventKind::VcRelease { .. } => 5,
-        EventKind::RouteWait { .. } => 6,
-        EventKind::Deliver { .. } => 7,
-        EventKind::Kill { .. } => 8,
-        EventKind::Unroutable { .. } => 9,
-        EventKind::LinkFault { .. } => 10,
-        EventKind::NodeFault { .. } => 11,
-        EventKind::LinkRepair { .. } => 12,
-        EventKind::NodeRepair { .. } => 13,
-        EventKind::Retry { .. } => 14,
-        EventKind::SendRejected { .. } => 15,
-        EventKind::ControlSend { .. } => 16,
-        EventKind::ControlSettled { .. } => 17,
-        EventKind::Heartbeat { .. } => 18,
-        EventKind::Suspect { .. } => 19,
-        EventKind::Alarm { .. } => 20,
-        EventKind::ControlDrop { .. } => 21,
-    }
-}
-
 /// Encodes `ev` into `out` as `opcode, zigzag(cycle − prev_cycle),
 /// fields…`. Wrapping subtraction means every (prev, cycle) pair is
 /// representable, including a jump of nearly `u64::MAX` in either
 /// direction.
 fn encode_event(ev: &TraceEvent, prev_cycle: u64, out: &mut Vec<u8>) {
-    out.push(opcode(&ev.kind));
+    out.push(ev.kind.opcode());
     put_varint(out, zigzag(ev.cycle.wrapping_sub(prev_cycle) as i64));
-    let node = |out: &mut Vec<u8>, n: NodeId| put_varint(out, u64::from(n.0));
-    match &ev.kind {
-        EventKind::Inject { msg, src, dst, len_flits } => {
-            put_varint(out, *msg);
-            node(out, *src);
-            node(out, *dst);
-            put_varint(out, u64::from(*len_flits));
-        }
-        EventKind::RouteDecision { node: n, msg, in_port, in_vc, outcome, steps, misrouted } => {
-            node(out, *n);
-            put_varint(out, *msg);
-            match in_port {
-                Some(p) => {
-                    out.push(1);
-                    out.push(p.0);
-                }
-                None => out.push(0),
-            }
-            out.push(in_vc.0);
-            match outcome {
-                RouteOutcome::Routed(p, v) => {
-                    out.push(0);
-                    out.push(p.0);
-                    out.push(v.0);
-                }
-                RouteOutcome::Wait => out.push(1),
-                RouteOutcome::Deliver => out.push(2),
-                RouteOutcome::Unroutable => out.push(3),
-            }
-            put_varint(out, u64::from(*steps));
-            out.push(u8::from(*misrouted));
-        }
-        EventKind::VcStall { node: n, msg, port, vc }
-        | EventKind::VcAcquire { node: n, msg, port, vc }
-        | EventKind::VcRelease { node: n, msg, port, vc } => {
-            node(out, *n);
-            put_varint(out, *msg);
-            out.push(port.0);
-            out.push(vc.0);
-        }
-        EventKind::RouteWait { node: n, msg, wants } => {
-            node(out, *n);
-            put_varint(out, *msg);
-            put_varint(out, wants.len() as u64);
-            for (p, v) in wants {
-                out.push(p.0);
-                out.push(v.0);
-            }
-        }
-        EventKind::Deliver { node: n, msg } => {
-            node(out, *n);
-            put_varint(out, *msg);
-        }
-        EventKind::Kill { msg } | EventKind::Unroutable { msg } => put_varint(out, *msg),
-        EventKind::LinkFault { node: n, port } | EventKind::LinkRepair { node: n, port } => {
-            node(out, *n);
-            out.push(port.0);
-        }
-        EventKind::NodeFault { node: n } | EventKind::NodeRepair { node: n } => node(out, *n),
-        EventKind::Retry { msg, attempt } => {
-            put_varint(out, *msg);
-            put_varint(out, u64::from(*attempt));
-        }
-        EventKind::SendRejected { src, dst } => {
-            node(out, *src);
-            node(out, *dst);
-        }
-        EventKind::ControlSend { from, to } => {
-            node(out, *from);
-            node(out, *to);
-        }
-        EventKind::ControlSettled { cycles } => put_varint(out, *cycles),
-        EventKind::Heartbeat { node: n, port, pong } => {
-            node(out, *n);
-            out.push(port.0);
-            out.push(u8::from(*pong));
-        }
-        EventKind::Suspect { node: n, port, misses } => {
-            node(out, *n);
-            out.push(port.0);
-            put_varint(out, u64::from(*misses));
-        }
-        EventKind::Alarm { node: n, port } | EventKind::ControlDrop { node: n, port } => {
-            node(out, *n);
-            out.push(port.0);
-        }
-    }
+    ev.kind.put_fields(out);
 }
 
 /// Decodes the event that follows an already-consumed opcode byte. The
@@ -364,105 +253,7 @@ fn encode_event(ev: &TraceEvent, prev_cycle: u64, out: &mut Vec<u8>) {
 /// `BufRead` for an event that straddles the buffer's end.
 fn decode_event<R: Read>(op: u8, prev_cycle: u64, r: &mut R) -> Result<TraceEvent, ReadError> {
     let cycle = prev_cycle.wrapping_add(unzigzag(read_varint(r)?) as u64);
-    fn node<R: Read>(r: &mut R) -> Result<NodeId, ReadError> {
-        let v = read_varint(r)?;
-        Ok(NodeId(u32::try_from(v).map_err(|_| format!("node id {v} out of range"))?))
-    }
-    fn port<R: Read>(r: &mut R) -> Result<PortId, ReadError> {
-        Ok(PortId(read_u8(r)?))
-    }
-    fn vc<R: Read>(r: &mut R) -> Result<VcId, ReadError> {
-        Ok(VcId(read_u8(r)?))
-    }
-    let small = |v: u64| -> Result<u32, ReadError> {
-        Ok(u32::try_from(v).map_err(|_| format!("field {v} out of u32 range"))?)
-    };
-    let kind = match op {
-        1 => EventKind::Inject {
-            msg: read_varint(r)?,
-            src: node(r)?,
-            dst: node(r)?,
-            len_flits: small(read_varint(r)?)?,
-        },
-        2 => {
-            let n = node(r)?;
-            let msg = read_varint(r)?;
-            let in_port = match read_u8(r)? {
-                0 => None,
-                1 => Some(port(r)?),
-                other => return Err(format!("bad in_port presence byte {other}").into()),
-            };
-            let in_vc = vc(r)?;
-            let outcome = match read_u8(r)? {
-                0 => RouteOutcome::Routed(port(r)?, vc(r)?),
-                1 => RouteOutcome::Wait,
-                2 => RouteOutcome::Deliver,
-                3 => RouteOutcome::Unroutable,
-                other => return Err(format!("bad route outcome byte {other}").into()),
-            };
-            let steps = small(read_varint(r)?)?;
-            let misrouted = match read_u8(r)? {
-                0 => false,
-                1 => true,
-                other => return Err(format!("bad misrouted byte {other}").into()),
-            };
-            EventKind::RouteDecision { node: n, msg, in_port, in_vc, outcome, steps, misrouted }
-        }
-        3..=5 => {
-            let n = node(r)?;
-            let msg = read_varint(r)?;
-            let p = port(r)?;
-            let v = vc(r)?;
-            match op {
-                3 => EventKind::VcStall { node: n, msg, port: p, vc: v },
-                4 => EventKind::VcAcquire { node: n, msg, port: p, vc: v },
-                _ => EventKind::VcRelease { node: n, msg, port: p, vc: v },
-            }
-        }
-        6 => {
-            let n = node(r)?;
-            let msg = read_varint(r)?;
-            let len = read_varint(r)?;
-            if len > 1 << 16 {
-                return Err(format!("wants list of {len} entries is implausible").into());
-            }
-            let mut wants = Vec::with_capacity(len as usize);
-            for _ in 0..len {
-                let p = port(r)?;
-                let v = vc(r)?;
-                wants.push((p, v));
-            }
-            EventKind::RouteWait { node: n, msg, wants }
-        }
-        7 => EventKind::Deliver { node: node(r)?, msg: read_varint(r)? },
-        8 => EventKind::Kill { msg: read_varint(r)? },
-        9 => EventKind::Unroutable { msg: read_varint(r)? },
-        10 => EventKind::LinkFault { node: node(r)?, port: port(r)? },
-        11 => EventKind::NodeFault { node: node(r)? },
-        12 => EventKind::LinkRepair { node: node(r)?, port: port(r)? },
-        13 => EventKind::NodeRepair { node: node(r)? },
-        14 => EventKind::Retry { msg: read_varint(r)?, attempt: small(read_varint(r)?)? },
-        15 => EventKind::SendRejected { src: node(r)?, dst: node(r)? },
-        16 => EventKind::ControlSend { from: node(r)?, to: node(r)? },
-        17 => EventKind::ControlSettled { cycles: read_varint(r)? },
-        18 => {
-            let n = node(r)?;
-            let p = port(r)?;
-            let pong = match read_u8(r)? {
-                0 => false,
-                1 => true,
-                other => return Err(format!("bad pong byte {other}").into()),
-            };
-            EventKind::Heartbeat { node: n, port: p, pong }
-        }
-        19 => {
-            EventKind::Suspect { node: node(r)?, port: port(r)?, misses: small(read_varint(r)?)? }
-        }
-        20 => EventKind::Alarm { node: node(r)?, port: port(r)? },
-        21 => EventKind::ControlDrop { node: node(r)?, port: port(r)? },
-        other => return Err(format!("unknown FTB opcode {other:#04x}").into()),
-    };
-    Ok(TraceEvent { cycle, kind })
+    Ok(TraceEvent { cycle, kind: EventKind::read_fields(op, r)? })
 }
 
 // ---------------------------------------------------------------------
@@ -700,6 +491,8 @@ impl<R: BufRead> Iterator for FtbReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::RouteOutcome;
+    use ftr_topo::{NodeId, PortId, VcId};
     use std::io::BufReader;
 
     fn ev(cycle: u64, kind: EventKind) -> TraceEvent {
@@ -983,6 +776,28 @@ mod tests {
                 let got = outcome(BufReader::with_capacity(k, &bytes[..cut]));
                 assert_eq!(got, want, "cut at {cut}, capacity {k}");
             }
+        }
+    }
+
+    #[test]
+    fn malformed_fields_are_named() {
+        // hand-written sixth events after the five sample ones:
+        // opcode, cycle delta 0, fields
+        let cases: [(&[u8], &str); 6] = [
+            (&[2, 0, 0, 1, 2, 0, 1, 0, 0, 0], "bad `in_port` presence byte 2"),
+            (&[2, 0, 0, 1, 0, 0, 4, 0, 0], "bad `outcome` byte 4"),
+            (&[2, 0, 0, 1, 0, 0, 1, 0, 7], "bad `misrouted` byte 7"),
+            (&[18, 0, 0, 0, 2], "bad `pong` byte 2"),
+            (&[1, 0, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 4], "`dst` 4294967296 out of u32 range"),
+            (&[0x16, 0], "unknown FTB opcode 0x16"),
+        ];
+        for (event, want) in cases {
+            let mut bytes = stream(FtbHeader::new(), &sample_events(), false);
+            bytes.extend_from_slice(event);
+            bytes.push(OP_END);
+            let (events, end) = outcome(&bytes[..]);
+            assert_eq!(events, sample_events(), "{want}");
+            assert_eq!(end, Err(format!("Malformed(\"malformed event 6: {want}\")")));
         }
     }
 
