@@ -210,7 +210,8 @@ impl Field for Vec<(PortId, VcId)> {
 }
 
 /// Declares the event schema: per kind, `opcode "tag" Variant { fields }`
-/// with the fields in wire order (which is also their JSON order).
+/// with the fields in wire order (which is also their JSON order). A
+/// repeated opcode is an unreachable pattern in `read_fields`.
 macro_rules! events {
     ($(#[$meta:meta])* pub enum $name:ident {
         $($(#[$doc:meta])* $op:literal $tag:literal $kind:ident {
