@@ -4,8 +4,6 @@
 //! binaries `table1` and `table2` run [`ftr_rules::cost::analyze`] on
 //! [`NAFTA`] and [`ROUTE_C`] to regenerate the paper's tables.
 
-use ftr_rules::{parse, Program, Result};
-
 /// XY dimension-order routing (oblivious baseline; drives the rule router
 /// in the quickstart example).
 pub const XY: &str = include_str!("../rules/xy.rules");
@@ -28,12 +26,6 @@ pub const ROUTE_C_NFT: &str = include_str!("../rules/route_c_nft.rules");
 /// turn restriction). Negative exemplar for the deadlock verifier.
 pub const NAIVE_ADAPTIVE: &str = include_str!("../rules/naive_adaptive.rules");
 
-/// Parses one of the shipped programs (they are tested to parse; this
-/// returns `Result` so callers can reuse it for user-supplied sources).
-pub fn parse_program(src: &str) -> Result<Program> {
-    parse(src)
-}
-
 /// All shipped programs as `(name, source)` pairs.
 pub fn all() -> Vec<(&'static str, &'static str)> {
     vec![
@@ -49,26 +41,26 @@ pub fn all() -> Vec<(&'static str, &'static str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftr_rules::{compile, CompileOptions};
+    use ftr_rules::{compile, parse, CompileOptions};
 
     #[test]
     fn all_programs_parse() {
         for (name, src) in all() {
-            parse_program(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 
     #[test]
     fn all_programs_compile() {
         for (name, src) in all() {
-            let p = parse_program(src).unwrap();
+            let p = parse(src).unwrap();
             compile(&p, &CompileOptions::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 
     #[test]
     fn nafta_has_the_eleven_table1_bases() {
-        let p = parse_program(NAFTA).unwrap();
+        let p = parse(NAFTA).unwrap();
         let names: Vec<&str> = p.rulebases.iter().map(|r| r.name.as_str()).collect();
         for expected in [
             "incoming_message",
@@ -90,7 +82,7 @@ mod tests {
 
     #[test]
     fn nafta_nft_subset_matches_paper() {
-        let p = parse_program(NAFTA).unwrap();
+        let p = parse(NAFTA).unwrap();
         let nft: Vec<&str> =
             p.rulebases.iter().filter(|r| r.nft).map(|r| r.name.as_str()).collect();
         assert_eq!(
@@ -108,7 +100,7 @@ mod tests {
 
     #[test]
     fn route_c_has_the_table2_bases() {
-        let p = parse_program(ROUTE_C).unwrap();
+        let p = parse(ROUTE_C).unwrap();
         let names: Vec<&str> = p.rulebases.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["decide_dir", "decide_vc", "update_state", "adaptivity"]);
         let nft: Vec<&str> =
@@ -132,14 +124,14 @@ pub fn route_c_source(dim: u32) -> String {
 #[cfg(test)]
 mod gen_tests {
     use super::*;
-    use ftr_rules::{compile, CompileOptions, Domain, Type};
+    use ftr_rules::{compile, parse, CompileOptions, Domain, Type};
 
     #[test]
     fn generated_route_c_compiles_for_many_dims() {
         assert_eq!(route_c_source(6), ROUTE_C);
         for d in [3u32, 4, 5, 6, 8] {
             let src = route_c_source(d);
-            let p = parse_program(&src).unwrap_or_else(|e| panic!("d={d}: {e}"));
+            let p = parse(&src).unwrap_or_else(|e| panic!("d={d}: {e}"));
             compile(&p, &CompileOptions::default()).unwrap_or_else(|e| panic!("d={d}: {e}"));
             assert_eq!(p.rulebases.len(), 4);
             assert_eq!(p.inputs[0].elem, Type::Set(Domain::Int { lo: 0, hi: d as i64 - 1 }));

@@ -2,52 +2,15 @@
 //! virtual-network choice, the allowed and minimal direction lists, the
 //! trap lookahead, the misrouting preferences and the channel pick — works
 //! on the stack, fault-free and with fault state learnt.
-//!
-//! This file holds exactly one test: the counter is process-wide, so a
-//! second test running beside it would be counted too.
 
 use ftr_algos::Nafta;
 use ftr_sim::routing::{ControlMsg, NodeController, RouterView, RoutingAlgorithm};
 use ftr_sim::{Header, MessageId};
 use ftr_topo::mesh::opposite;
 use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId, EAST, NORTH};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting every allocation and reallocation made
-/// while `COUNTING` is set.
-struct Counting;
-
-impl Counting {
-    fn note(&self) {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one `GlobalAlloc` states; the counter touches no memory
-// the allocator manages.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.note();
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.note();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+#[path = "../../sim/tests/common/counting.rs"]
+mod counting;
 
 /// Whether the link behind `(n, p)` is one of `dead`, named from either end.
 fn is_dead(mesh: &Mesh2D, dead: &[(NodeId, PortId)], n: NodeId, p: PortId) -> bool {
@@ -90,7 +53,7 @@ fn nafta_route_does_not_allocate() {
         let mut ctrls = controllers(&mesh, dead);
         let mut out_free = vec![vec![false; 2]; 4];
         let out_load = vec![3, 0, 2, 1];
-        let mut calls = 0u64;
+        let (mut calls, mut allocations) = (0u64, 0u64);
         // a corner, an edge, and the nodes around the dead links
         for node in
             [(0, 0), (3, 0), (2, 2), (3, 2), (3, 3), (2, 3)].map(|(x, y)| mesh.node_at(x, y))
@@ -111,17 +74,15 @@ fn nafta_route_does_not_allocate() {
                         let view =
                             RouterView::from_tables(node, calls, &out_free, &out_load, &link_alive);
                         let mut h = Header::new(MessageId(1), node, dst, 4);
-                        COUNTING.store(true, Ordering::Relaxed);
-                        let decision = ctrl.route(&view, &mut h, in_port, in_vc);
-                        COUNTING.store(false, Ordering::Relaxed);
-                        std::hint::black_box(decision);
+                        allocations += counting::allocations_in(|| {
+                            std::hint::black_box(ctrl.route(&view, &mut h, in_port, in_vc));
+                        });
                         calls += 1;
                     }
                 }
             }
         }
         assert!(calls >= 10_000, "{calls} calls");
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed);
         assert_eq!(allocations, 0, "allocations in {calls} route calls, dead links {dead:?}");
     }
 }

@@ -190,7 +190,7 @@ fn run_optimize(
     analysis: &ftr_analyze::Analysis,
     topo: &TopoFacts,
 ) -> (String, String, bool) {
-    let oopts = opt::OptOptions { topo: topo.clone(), ..opt::OptOptions::default() };
+    let oopts = opt::OptOptions { topo: topo.clone() };
     let prog = &analysis.compiled.prog;
     match opt::optimize_rulebase(name, prog, &oopts) {
         Ok(o) => {

@@ -7,7 +7,7 @@
 //! router, cost model) can run unchanged. Five passes:
 //!
 //! 1. **specialize** — registers the engine proves constant (and that
-//!    the host does not write, see [`OptOptions::host_written`]) are
+//!    the host does not write, see [`TopoFacts::host_written`]) are
 //!    replaced by their value at every read;
 //! 2. **fold atoms** — guard subexpressions with a forced truth value
 //!    become literals, deleting their feature bit from the table;
@@ -37,44 +37,17 @@ use ftr_rules::value::Value;
 use ftr_rules::{compile, CompileOptions, CompiledProgram, StepWeights};
 
 /// Optimizer configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OptOptions {
-    /// Registers the host writes directly (outside the rule semantics) —
-    /// never specialized even when the rules alone would make them
-    /// constant. Mesh routers get their coordinates written at
-    /// configuration time, hence the default.
-    pub host_written: Vec<String>,
-    /// Enable the specialize-constant-registers pass.
-    pub specialize: bool,
-    /// Enable the fold-constant-atoms pass.
-    pub fold_atoms: bool,
-    /// Enable the delete-dead-rules pass.
-    pub delete_dead: bool,
-    /// Enable tail-emit fusion.
-    pub fuse: bool,
-    /// Enable disjoint-rule reordering.
-    pub reorder: bool,
-    /// Table-size ceiling for fused bases; a fusion that would exceed it
-    /// is rolled back.
-    pub max_fused_entries: u64,
-    /// Topology facts seeded into the engine.
+    /// Topology facts seeded into the engine. Its
+    /// [`TopoFacts::host_written`] registers are never specialized, even
+    /// when the rules alone would make them constant.
     pub topo: TopoFacts,
 }
 
-impl Default for OptOptions {
-    fn default() -> Self {
-        OptOptions {
-            host_written: TopoFacts::default().host_written,
-            specialize: true,
-            fold_atoms: true,
-            delete_dead: true,
-            fuse: true,
-            reorder: true,
-            max_fused_entries: 1 << 20,
-            topo: TopoFacts::default(),
-        }
-    }
-}
+/// Table-size ceiling for every recompiled base; a fusion that would
+/// exceed it is rolled back.
+const MAX_FUSED_ENTRIES: u64 = 1 << 20;
 
 /// One certified rewrite step, in application order.
 #[derive(Clone, Debug, PartialEq)]
@@ -276,7 +249,7 @@ fn justify(
 ) -> Result<(), String> {
     match rw {
         Rewrite::SpecializeRegister { var, value } => {
-            if opts.host_written.iter().any(|h| h == var) {
+            if opts.topo.is_host_written(var) {
                 return Err(format!("`{var}` is host-written; cannot specialize"));
             }
             let vi = prog
@@ -480,24 +453,11 @@ fn apply(work: &mut Work, rw: &Rewrite) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 // the optimizer driver
 
-/// Folds [`OptOptions::host_written`] into the topology facts so the
-/// abstract engine never INIT-pins a register the optimizer must also
-/// treat as host-writable.
-fn merged(opts: &OptOptions) -> OptOptions {
-    let mut o = opts.clone();
-    for h in &opts.host_written {
-        if !o.topo.host_written.contains(h) {
-            o.topo.host_written.push(h.clone());
-        }
-    }
-    o
-}
-
 /// A program's tables and the facts derived from them.
 type Analyzed = (CompiledProgram, Facts);
 
 fn recompute(prog: &Program, opts: &OptOptions) -> Result<Analyzed, String> {
-    let compiled = compile(prog, &CompileOptions { max_entries: opts.max_fused_entries })
+    let compiled = compile(prog, &CompileOptions { max_entries: MAX_FUSED_ENTRIES })
         .map_err(|e| format!("recompile failed: {e}"))?;
     let facts = absint::analyze_program(&compiled, &opts.topo);
     Ok((compiled, facts))
@@ -527,7 +487,6 @@ pub fn optimize_rulebase(
     prog: &Program,
     opts: &OptOptions,
 ) -> Result<Optimized, String> {
-    let opts = &merged(opts);
     let mut work = Work::new(prog);
     let mut cert = OptCert { program: name.into(), rewrites: Vec::new() };
     // the analysis of `work.prog`, while no rewrite has outdated it
@@ -544,15 +503,18 @@ pub fn optimize_rulebase(
         Ok(())
     };
 
+    // each pass drops its analysis when it ends: once a rewrite has
+    // outdated one, holding on to it only raises the peak heap
+
     // pass 1: specialize constant registers
-    if opts.specialize {
+    {
         let now = analyzed(&mut held, &work.prog, opts)?;
         let candidates: Vec<(String, Value)> = work
             .prog
             .vars
             .iter()
             .enumerate()
-            .filter(|(_, v)| !opts.host_written.iter().any(|h| h == &v.name))
+            .filter(|(_, v)| !opts.topo.is_host_written(&v.name))
             .filter_map(|(i, v)| now.1.const_regs[i].map(|val| (v.name.clone(), val)))
             .collect();
         if candidates.is_empty() {
@@ -565,7 +527,7 @@ pub fn optimize_rulebase(
     }
 
     // pass 2: fold constant atoms
-    if opts.fold_atoms {
+    {
         let now = analyzed(&mut held, &work.prog, opts)?;
         let mut folds = Vec::new();
         for (bi, rb) in work.prog.rulebases.iter().enumerate() {
@@ -588,50 +550,44 @@ pub fn optimize_rulebase(
     }
 
     // pass 3: delete dead rules (one at a time — indices stay honest)
-    if opts.delete_dead {
-        loop {
-            let now = analyzed(&mut held, &work.prog, opts)?;
-            let Some(rw) = find_dead(&work.prog, &now.0, &now.1) else {
-                held = Some(now);
-                break;
-            };
-            commit(&mut work, &mut cert, rw, &now)?;
-        }
+    loop {
+        let now = analyzed(&mut held, &work.prog, opts)?;
+        let Some(rw) = find_dead(&work.prog, &now.0, &now.1) else {
+            held = Some(now);
+            break;
+        };
+        commit(&mut work, &mut cert, rw, &now)?;
     }
 
     // pass 4: fuse tail-emit chains, bottom-up, rolling back oversize fusions
-    if opts.fuse {
-        let mut vetoed: Vec<(String, String)> = Vec::new();
-        for _ in 0..work.prog.rulebases.len() {
-            let Some((base, target)) = find_fusion(&work.prog, &vetoed) else { break };
-            let snapshot = work.clone();
-            let before = analyzed(&mut held, &work.prog, opts)?;
-            let rw = Rewrite::FuseTail { base: base.clone(), target: target.clone() };
-            commit(&mut work, &mut cert, rw, &before)?;
-            // compiling the fused program is also the size probe
-            held = match recompute(&work.prog, opts) {
-                Ok(after) => Some(after),
-                Err(_) => {
-                    // fused table exceeds the ceiling: roll back
-                    work = snapshot;
-                    cert.rewrites.pop();
-                    vetoed.push((base, target));
-                    Some(before)
-                }
-            };
-        }
+    let mut vetoed: Vec<(String, String)> = Vec::new();
+    for _ in 0..work.prog.rulebases.len() {
+        let Some((base, target)) = find_fusion(&work.prog, &vetoed) else { break };
+        let snapshot = work.clone();
+        let before = analyzed(&mut held, &work.prog, opts)?;
+        let rw = Rewrite::FuseTail { base: base.clone(), target: target.clone() };
+        commit(&mut work, &mut cert, rw, &before)?;
+        // compiling the fused program is also the size probe
+        held = match recompute(&work.prog, opts) {
+            Ok(after) => Some(after),
+            Err(_) => {
+                // fused table exceeds the ceiling: roll back
+                work = snapshot;
+                cert.rewrites.pop();
+                vetoed.push((base, target));
+                Some(before)
+            }
+        };
     }
 
     // pass 5: bubble cheap disjoint rules forward
-    if opts.reorder {
-        for _ in 0..32 {
-            let now = analyzed(&mut held, &work.prog, opts)?;
-            let Some(rw) = find_swap(&work.prog, &now.0, &now.1, opts) else {
-                held = Some(now);
-                break;
-            };
-            commit(&mut work, &mut cert, rw, &now)?;
-        }
+    for _ in 0..32 {
+        let now = analyzed(&mut held, &work.prog, opts)?;
+        let Some(rw) = find_swap(&work.prog, &now.0, &now.1, opts) else {
+            held = Some(now);
+            break;
+        };
+        commit(&mut work, &mut cert, rw, &now)?;
     }
 
     let (compiled, _) = analyzed(&mut held, &work.prog, opts)?;
@@ -738,7 +694,6 @@ pub fn verify_cert(
     cert: &OptCert,
     opts: &OptOptions,
 ) -> Result<(Program, StepWeights), String> {
-    let opts = &merged(opts);
     let mut work = Work::new(original);
     for (i, rw) in cert.rewrites.iter().enumerate() {
         let (compiled, facts) = recompute(&work.prog, opts)?;
@@ -769,10 +724,6 @@ mod tests {
     use ftr_rules::eval::fire_reference;
     use ftr_rules::parse;
 
-    fn opts() -> OptOptions {
-        OptOptions { max_fused_entries: 1 << 16, ..OptOptions::default() }
-    }
-
     #[test]
     fn specializes_and_deletes_dead() {
         let prog = parse(
@@ -785,7 +736,7 @@ mod tests {
              END f;",
         )
         .unwrap();
-        let o = optimize_rulebase("t", &prog, &opts()).unwrap();
+        let o = optimize_rulebase("t", &prog, &OptOptions::default()).unwrap();
         // flag is never written -> FALSE; rule 1 dies; the flag feature bit
         // disappears from the table
         assert_eq!(o.compiled.prog.rulebases[0].rules.len(), 2);
@@ -795,7 +746,7 @@ mod tests {
             .iter()
             .any(|r| matches!(r, Rewrite::SpecializeRegister { var, .. } if var == "flag")));
         assert!(o.cert.rewrites.iter().any(|r| matches!(r, Rewrite::DeleteRule { .. })));
-        verify(&prog, &o, &opts()).unwrap();
+        verify(&prog, &o, &OptOptions::default()).unwrap();
     }
 
     #[test]
@@ -813,12 +764,12 @@ mod tests {
              END b;",
         )
         .unwrap();
-        let o = optimize_rulebase("t", &prog, &opts()).unwrap();
+        let o = optimize_rulebase("t", &prog, &OptOptions::default()).unwrap();
         let a = &o.compiled.prog.rulebases[0];
         assert_eq!(a.rules.len(), 3, "x=0 + inlined y=0 + inlined TRUE");
         // inlined rules are modeled at depth 2
         assert_eq!(o.step_weights.per_base[0], vec![1, 2, 2, 2]);
-        verify(&prog, &o, &opts()).unwrap();
+        verify(&prog, &o, &OptOptions::default()).unwrap();
     }
 
     #[test]
@@ -837,7 +788,7 @@ mod tests {
              END b;",
         )
         .unwrap();
-        let o = optimize_rulebase("t", &prog, &opts()).unwrap();
+        let o = optimize_rulebase("t", &prog, &OptOptions::default()).unwrap();
         // exhaustive: original cascade (a then, on emit, b) vs fused a
         for x in 0..4i64 {
             for y in 0..4i64 {
@@ -869,6 +820,53 @@ mod tests {
         }
     }
 
+    /// `a` returns 1 when its `na` inputs all hold and tail-emits `b`
+    /// otherwise; `b` tests `nb` other inputs.
+    fn chain(na: usize, nb: usize) -> Program {
+        let decl = |p: &str, n: usize| -> String {
+            (0..n).map(|i| format!("INPUT {p}{i} IN bool\n")).collect()
+        };
+        let all = |p: &str, n: usize| (0..n).map(|i| format!("{p}{i}")).collect::<Vec<_>>();
+        parse(&format!(
+            "{}{}ON a() RETURNS 0 TO 3\n\
+               IF {} THEN RETURN(1);\n\
+               IF TRUE THEN !b();\n\
+             END a;\n\
+             ON b() RETURNS 0 TO 3\n\
+               IF {} THEN RETURN(2);\n\
+               IF TRUE THEN RETURN(0);\n\
+             END b;",
+            decl("x", na),
+            decl("y", nb),
+            all("x", na).join(" AND "),
+            all("y", nb).join(" AND "),
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn an_oversize_fusion_is_rolled_back() {
+        let entries =
+            |o: &Optimized| o.compiled.bases.iter().map(|b| b.entries).collect::<Vec<_>>();
+        let fused =
+            |o: &Optimized| o.cert.rewrites.iter().any(|r| matches!(r, Rewrite::FuseTail { .. }));
+        let opts = OptOptions::default();
+
+        // 2^11 * 2^10 entries would exceed the ceiling: the fusion is vetoed
+        let prog = chain(11, 10);
+        let o = optimize_rulebase("t", &prog, &opts).unwrap();
+        assert!(!fused(&o), "{:?}", o.cert.rewrites);
+        assert_eq!(entries(&o), [2048, 1024]);
+        verify(&prog, &o, &opts).unwrap();
+
+        // control: the same shape at 2^9 * 2^9 fuses
+        let prog = chain(9, 9);
+        let o = optimize_rulebase("t", &prog, &opts).unwrap();
+        assert!(fused(&o), "{:?}", o.cert.rewrites);
+        assert_eq!(entries(&o)[0], 262_144);
+        verify(&prog, &o, &opts).unwrap();
+    }
+
     #[test]
     fn tampered_cert_is_rejected() {
         let prog = parse(
@@ -881,16 +879,16 @@ mod tests {
              END f;",
         )
         .unwrap();
-        let o = optimize_rulebase("t", &prog, &opts()).unwrap();
+        let o = optimize_rulebase("t", &prog, &OptOptions::default()).unwrap();
         // claim a live rule is dead
         let mut bad = o.cert.clone();
         bad.rewrites = vec![Rewrite::DeleteRule { base: "f".into(), rule: 1 }];
-        assert!(verify_cert(&prog, &bad, &opts()).is_err());
+        assert!(verify_cert(&prog, &bad, &OptOptions::default()).is_err());
         // claim a varying register is constant
         let mut bad2 = o.cert.clone();
         bad2.rewrites =
             vec![Rewrite::SpecializeRegister { var: "flag".into(), value: Value::Bool(true) }];
-        assert!(verify_cert(&prog, &bad2, &opts()).is_err());
+        assert!(verify_cert(&prog, &bad2, &OptOptions::default()).is_err());
     }
 
     #[test]
@@ -906,9 +904,9 @@ mod tests {
              END f;",
         )
         .unwrap();
-        let o = optimize_rulebase("t", &prog, &opts()).unwrap();
+        let o = optimize_rulebase("t", &prog, &OptOptions::default()).unwrap();
         if o.cert.rewrites.iter().any(|r| matches!(r, Rewrite::SwapRules { .. })) {
-            verify(&prog, &o, &opts()).unwrap();
+            verify(&prog, &o, &OptOptions::default()).unwrap();
         }
         // decisions must be identical either way
         for x in 0..8i64 {

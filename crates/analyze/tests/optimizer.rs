@@ -16,7 +16,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use std::sync::OnceLock;
 
 fn opts() -> OptOptions {
-    OptOptions { topo: TopoFacts::mesh(6, 6), ..OptOptions::default() }
+    OptOptions { topo: TopoFacts::mesh(6, 6) }
 }
 
 fn nafta() -> &'static Program {

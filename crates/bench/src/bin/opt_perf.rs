@@ -9,9 +9,9 @@
 //! installed, so the *modeled* `decision_steps` statistic keeps the
 //! original program's latency semantics). The final `SimStats` of both
 //! runs must be equal — the optimizer's decision-identity contract,
-//! checked on live traffic rather than isolated fires — while the
-//! tagged `InterpProfiler`s count the *physical* rule interpretations
-//! each run actually executed.
+//! checked on live traffic rather than isolated fires — while a
+//! counting probe counts the *physical* rule interpretations each run
+//! actually executed.
 //!
 //! The headline is NAFTA: fusing its three-deep decision chain
 //! (incoming_message → in_message_ft → test_exception) plus the
@@ -24,9 +24,11 @@
 use ftr_analyze::{opt, TopoFacts};
 use ftr_bench::harness;
 use ftr_core::{configure, RouterConfiguration, RuleRouter};
-use ftr_obs::{json, InterpProfiler};
+use ftr_obs::json;
+use ftr_rules::{InterpProbe, Stage};
 use ftr_sim::{Network, Pattern, SimStats, TrafficSource};
 use ftr_topo::{Mesh2D, NodeId};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const SIDE: u32 = 6;
@@ -36,6 +38,18 @@ const SEED: u64 = 0x0f7e18;
 const LOADS: [f64; 2] = [0.1, 0.2];
 
 type Schedule = Vec<Vec<(NodeId, NodeId, u32)>>;
+
+/// Counts completed premise stages: one per physical rule interpretation.
+#[derive(Default)]
+struct Interpretations(AtomicU64);
+
+impl InterpProbe for Interpretations {
+    fn record_stage(&self, _base: usize, stage: Stage, _nanos: u64) {
+        if stage == Stage::Premise {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
 
 fn schedule(mesh: &Mesh2D, load: f64, cycles: u64) -> Schedule {
     let faults = ftr_topo::FaultSet::new();
@@ -96,7 +110,7 @@ impl ProgReport {
 fn measure(name: &'static str, src: &str, mesh: &Mesh2D, cycles: u64) -> ProgReport {
     let baseline = configure(name, src).expect("program compiles");
     let prog = &baseline.compiled.prog;
-    let oopts = opt::OptOptions { topo: TopoFacts::mesh(SIDE, SIDE), ..opt::OptOptions::default() };
+    let oopts = opt::OptOptions { topo: TopoFacts::mesh(SIDE, SIDE) };
     let optimized = opt::optimize_rulebase(name, prog, &oopts).expect("program optimizes");
     opt::verify(prog, &optimized, &oopts).expect("certificate replays");
     let opt_cfg = RouterConfiguration::from_compiled(name, optimized.compiled.clone())
@@ -113,12 +127,12 @@ fn measure(name: &'static str, src: &str, mesh: &Mesh2D, cycles: u64) -> ProgRep
     for load in LOADS {
         let sched = schedule(mesh, load, cycles);
 
-        let base_prof = Arc::new(InterpProfiler::with_tag("baseline"));
+        let base_prof = Arc::new(Interpretations::default());
         let base_algo =
             RuleRouter::for_mesh(baseline.clone(), mesh.clone()).with_profiler(base_prof.clone());
         let base_stats = replay(&base_algo, mesh, &sched);
 
-        let opt_prof = Arc::new(InterpProfiler::with_tag("optimized"));
+        let opt_prof = Arc::new(Interpretations::default());
         let opt_algo =
             RuleRouter::for_mesh(opt_cfg.clone(), mesh.clone()).with_profiler(opt_prof.clone());
         let opt_stats = replay(&opt_algo, mesh, &sched);
@@ -132,8 +146,8 @@ fn measure(name: &'static str, src: &str, mesh: &Mesh2D, cycles: u64) -> ProgRep
         );
         let p = Point {
             load,
-            baseline_steps: base_prof.interpretations(),
-            optimized_steps: opt_prof.interpretations(),
+            baseline_steps: base_prof.0.load(Ordering::Relaxed),
+            optimized_steps: opt_prof.0.load(Ordering::Relaxed),
         };
         println!(
             "{name:>12}  load {load:>4.2}  interpretations {:>9} -> {:>9}  (-{:>5.1}%)  \

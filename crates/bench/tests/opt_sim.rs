@@ -17,13 +17,13 @@ use ftr_core::{configure, RouterConfiguration, RuleRouter};
 fn optimized_nafta_is_bit_identical_on_the_campaign_config() {
     let mesh = campaign::mesh();
     let baseline = configure("nafta", ftr_algos::rules_src::NAFTA).unwrap();
-    let oopts = opt::OptOptions { topo: TopoFacts::mesh(SIDE, SIDE), ..opt::OptOptions::default() };
+    let oopts = opt::OptOptions { topo: TopoFacts::mesh(SIDE, SIDE) };
     let optimized = opt::optimize_rulebase("nafta", &baseline.compiled.prog, &oopts).unwrap();
     assert!(!optimized.cert.rewrites.is_empty(), "NAFTA must actually get rewritten");
     let opt_cfg = RouterConfiguration::from_compiled("nafta", optimized.compiled.clone())
         .unwrap()
         .with_step_weights(optimized.step_weights.clone());
-    assert!(opt_cfg.optimized);
+    assert!(opt_cfg.optimized());
 
     for (faults, seed) in [(0usize, 1u64), (6, 7919), (10, 15838)] {
         let base_algo = RuleRouter::for_mesh(baseline.clone(), mesh.clone());

@@ -181,7 +181,7 @@ fn bytecode_composes_with_the_optimizer_and_step_weights() {
     // modeled decision_steps must survive both rewritings at once
     let mesh = campaign::mesh();
     let baseline = configure("nafta", ftr_algos::rules_src::NAFTA).unwrap();
-    let oopts = opt::OptOptions { topo: TopoFacts::mesh(SIDE, SIDE), ..opt::OptOptions::default() };
+    let oopts = opt::OptOptions { topo: TopoFacts::mesh(SIDE, SIDE) };
     let optimized = opt::optimize_rulebase("nafta", &baseline.compiled.prog, &oopts).unwrap();
     assert!(
         optimized.step_weights.per_base.iter().flatten().any(|&w| w > 1),

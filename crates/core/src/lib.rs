@@ -53,9 +53,6 @@ pub struct RouterConfiguration {
     /// machine (set for optimized programs so `decision_steps` stays
     /// comparable to the original program's interpretation counts).
     pub step_weights: Option<Arc<StepWeights>>,
-    /// True when `compiled` came out of the certified optimizer rather
-    /// than straight from source.
-    pub optimized: bool,
 }
 
 impl RouterConfiguration {
@@ -67,22 +64,22 @@ impl RouterConfiguration {
     pub fn from_compiled(name: &str, compiled: impl Into<Arc<CompiledProgram>>) -> Result<Self> {
         let compiled = compiled.into();
         let cost = cost::analyze_compiled(&compiled);
-        Ok(RouterConfiguration {
-            name: name.to_string(),
-            compiled,
-            cost,
-            step_weights: None,
-            optimized: false,
-        })
+        Ok(RouterConfiguration { name: name.to_string(), compiled, cost, step_weights: None })
     }
 
-    /// Installs modeled per-rule step weights and tags the configuration
-    /// as optimized; routers propagate the weights into every node
-    /// machine via `Machine::set_step_weights`.
+    /// Installs modeled per-rule step weights, which mark the
+    /// configuration as [`optimized`](Self::optimized); routers propagate
+    /// the weights into every node machine via `Machine::set_step_weights`.
     pub fn with_step_weights(mut self, weights: StepWeights) -> Self {
         self.step_weights = Some(Arc::new(weights));
-        self.optimized = true;
         self
+    }
+
+    /// True when `compiled` came out of the certified optimizer rather
+    /// than straight from source: only optimized programs carry step
+    /// weights.
+    pub fn optimized(&self) -> bool {
+        self.step_weights.is_some()
     }
 
     /// One node's rule machine: this configuration's program with its
@@ -100,7 +97,7 @@ impl RouterConfiguration {
 
     /// The name a router driven by this configuration reports.
     pub(crate) fn algorithm_name(&self) -> String {
-        format!("rule:{}{}", self.name, if self.optimized { "+opt" } else { "" })
+        format!("rule:{}{}", self.name, if self.optimized() { "+opt" } else { "" })
     }
 }
 

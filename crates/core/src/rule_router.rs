@@ -52,9 +52,8 @@ impl<I: RuleIo> RuleHost<I> {
         RuleHost { config: Arc::new(config), topo, io, reads, probe: None }
     }
 
-    /// Attaches a per-stage interpreter probe (e.g. an
-    /// `ftr_obs::InterpProfiler`); every node machine built afterwards
-    /// reports premise/kernel/conclusion timings to it.
+    /// Attaches a per-stage interpreter probe; every node machine built
+    /// afterwards reports premise/kernel/conclusion timings to it.
     pub fn with_profiler(mut self, probe: Arc<dyn InterpProbe>) -> Self {
         self.probe = Some(probe);
         self

@@ -7,11 +7,9 @@
 //! not allocate either.
 //!
 //! Every decision is made twice: the first pass lets each buffer grow to
-//! the largest decision of the sweep, the second pass is counted. The control plane may allocate what it returns — the
-//! `Vec<ControlMsg>` and each message's payload — and nothing else.
-//!
-//! This file holds exactly one test: the counter is process-wide, so a
-//! second test running beside it would be counted too.
+//! the largest decision of the sweep, the second pass is counted. The
+//! control plane may allocate what it returns — the `Vec<ControlMsg>` and
+//! each message's payload — and nothing else.
 
 use ftr_algos::rule_io::CUBE_VCS;
 use ftr_algos::rules_src::{self, route_c_source};
@@ -20,53 +18,9 @@ use ftr_sim::routing::{ControlMsg, NodeController, RouterView, RoutingAlgorithm}
 use ftr_sim::{Header, MessageId};
 use ftr_topo::mesh::opposite;
 use ftr_topo::{Hypercube, Mesh2D, NodeId, PortId, Topology, VcId, EAST, NORTH};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting every allocation and reallocation made
-/// while `COUNTING` is set.
-struct Counting;
-
-impl Counting {
-    fn note(&self) {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one `GlobalAlloc` states; the counter touches no memory
-// the allocator manages.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.note();
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.note();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` with the counter on; returns what it returned and how many
-/// allocations it made.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let out = f();
-    COUNTING.store(false, Ordering::Relaxed);
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
-}
+#[path = "../../sim/tests/common/counting.rs"]
+mod counting;
 
 /// `route` calls made and the allocations counted in them.
 struct Probe {
@@ -83,8 +37,9 @@ impl Probe {
         in_vc: VcId,
     ) {
         let mut h = Header::new(MessageId(1), view.node, dst, 4);
-        let (decision, n) = counted(|| ctrl.route(view, &mut h, None, in_vc));
-        std::hint::black_box(decision);
+        let n = counting::allocations_in(|| {
+            std::hint::black_box(ctrl.route(view, &mut h, None, in_vc));
+        });
         self.calls += 1;
         self.allocations += n;
     }
@@ -160,7 +115,8 @@ fn route_c(algo: &dyn RoutingAlgorithm, dead: Option<NodeId>) -> Probe {
     let (mut sized, mut silent, mut telling) = (false, 0, 0);
     for report in 0..2 * dims {
         let from = PortId((report % dims) as u8);
-        let (msgs, n) = counted(|| ctrls[at.idx()].on_control(&view, from, &[2]));
+        let mut msgs = Vec::new();
+        let n = counting::allocations_in(|| msgs = ctrls[at.idx()].on_control(&view, from, &[2]));
         match msgs.len() as u64 {
             0 if report > 0 => {
                 assert_eq!(n, 0, "report {report} set off nothing, allocated {n} times");

@@ -157,14 +157,6 @@ impl Value {
         }
     }
 
-    /// The value as `i64` if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => i64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
     /// The value as `f64` (integers convert losslessly when possible).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -528,15 +520,13 @@ mod tests {
         let v = parse(r#"{"a":1,"b":-2.5,"c":"x","d":[true,null],"e":{"f":18446744073709551615}}"#)
             .unwrap();
         assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("a").unwrap().as_i64(), Some(1));
         assert_eq!(v.get("b").unwrap().as_f64(), Some(-2.5));
         assert_eq!(v.get("c").unwrap().as_str(), Some("x"));
         let arr = v.get("d").unwrap().as_arr().unwrap();
         assert_eq!(arr[0].as_bool(), Some(true));
         assert!(arr[1].is_null());
-        // u64::MAX has no i64 representation but stays exact as an integer
+        // u64::MAX stays exact as an integer
         assert_eq!(v.get("e").unwrap().get("f").unwrap().as_u64(), Some(u64::MAX));
-        assert_eq!(v.get("e").unwrap().get("f").unwrap().as_i64(), None);
     }
 
     #[test]

@@ -92,6 +92,10 @@ pub struct Fired {
 /// and where its arguments lie in the machine's argument storage.
 type Queued = (usize, std::ops::Range<usize>);
 
+/// Safety budget per external fire: livelock guard for cyclic event
+/// generation.
+const MAX_INTERNAL_EVENTS: usize = 10_000;
+
 /// A running rule machine: compiled program + registers + event queue.
 pub struct Machine {
     compiled: Arc<CompiledProgram>,
@@ -110,9 +114,6 @@ pub struct Machine {
     path: Vec<(usize, Option<usize>)>,
     probe: Option<Arc<dyn InterpProbe>>,
     step_weights: Option<Arc<StepWeights>>,
-    /// Safety budget per external fire: livelock guard for cyclic event
-    /// generation.
-    pub max_internal_events: u32,
     /// Statistics.
     pub stats: MachineStats,
 }
@@ -140,7 +141,6 @@ impl Machine {
             path: Vec::new(),
             probe: None,
             step_weights: None,
-            max_internal_events: 10_000,
             stats: MachineStats { per_base: vec![0; n], ..Default::default() },
         }
     }
@@ -253,10 +253,9 @@ impl Machine {
         let mut last_return = None;
         let mut next = 0;
         while let Some((base, at)) = pending.get(next).cloned() {
-            if next > self.max_internal_events as usize {
+            if next > MAX_INTERNAL_EVENTS {
                 return Err(RuleError::eval(format!(
-                    "event livelock: more than {} internal events from one fire",
-                    self.max_internal_events
+                    "event livelock: more than {MAX_INTERNAL_EVENTS} internal events from one fire"
                 )));
             }
             next += 1;
@@ -329,10 +328,9 @@ mod tests {
     fn livelock_guard_trips() {
         let p = parse("ON a() IF TRUE THEN !a(); END a;").unwrap();
         let mut m = Machine::new(p, &CompileOptions::default()).unwrap();
-        m.max_internal_events = 50;
         let e = m.fire("a", &[], &InputMap::new());
         assert!(e.is_err());
-        assert_eq!(m.path().len(), 51, "the interpretations before the guard tripped");
+        assert_eq!(m.path().len(), 10_001, "the interpretations before the guard tripped");
     }
 
     #[test]

@@ -216,21 +216,6 @@ impl CompiledRuleBase {
         Ok(frame.outcome(prog, rule))
     }
 
-    /// Like [`CompiledRuleBase::fire`], but reports the wall-clock cost of
-    /// each of the three interpretation stages to `probe`.
-    pub fn fire_probed(
-        &self,
-        prog: &Program,
-        params: &[Value],
-        regs: &mut RegFile,
-        inputs: &InputMap,
-        probe: &dyn InterpProbe,
-    ) -> Result<FireOutcome> {
-        let mut frame = Frame::new();
-        let rule = self.fire_in(prog, params, regs, inputs, &mut frame, Some(probe))?;
-        Ok(frame.outcome(prog, rule))
-    }
-
     /// One interpretation into a caller-owned frame: which rule fired
     /// (`None` = gap); its `RETURN` value and generated events are then in
     /// the frame. `probe` sees a stage when it completes, so an error in
@@ -377,8 +362,9 @@ END classify;
 
     #[test]
     fn probed_fire_matches_unprobed_and_sees_all_stages() {
+        use crate::event::Machine;
         use crate::probe::{InterpProbe, Stage};
-        use std::sync::Mutex;
+        use std::sync::{Arc, Mutex};
 
         #[derive(Default)]
         struct Recorder(Mutex<Vec<(usize, Stage)>>);
@@ -390,16 +376,17 @@ END classify;
 
         let p = parse(SRC).unwrap();
         let c = compile(&p, &CompileOptions::default()).unwrap();
-        let rec = Recorder::default();
-        let mut regs_a = RegFile::new(&p);
-        let mut regs_b = regs_a.clone();
+        let rec = Arc::new(Recorder::default());
+        let mut plain = Machine::from_compiled(c.clone());
+        let mut probed = Machine::from_compiled(c);
+        probed.set_probe(rec.clone());
         let mut inp = InputMap::new();
         inp.set_default(&p, "level", int(7)).unwrap();
 
-        let plain = c.bases[0].fire(&p, &[int(1)], &mut regs_a, &inp).unwrap();
-        let probed = c.bases[0].fire_probed(&p, &[int(1)], &mut regs_b, &inp, &rec).unwrap();
-        assert_eq!(plain, probed, "probing must not change semantics");
-        assert_eq!(regs_a, regs_b);
+        let a = plain.fire("classify", &[int(1)], &inp).unwrap();
+        let b = probed.fire("classify", &[int(1)], &inp).unwrap();
+        assert_eq!(a, b, "probing must not change semantics");
+        assert_eq!(plain.regs(), probed.regs());
         let seen = rec.0.lock().unwrap().clone();
         assert_eq!(seen, vec![(0, Stage::Premise), (0, Stage::Kernel), (0, Stage::Conclusion)]);
     }
@@ -436,8 +423,9 @@ END classify;
         for e in c.bases[0].table.iter_mut() {
             *e = NonZeroU16::new(77);
         }
-        let mut regs = RegFile::new(&p);
-        assert!(c.bases[0].fire_probed(&p, &[int(0)], &mut regs, &inp, &Null).is_err());
+        let mut m = crate::event::Machine::from_compiled(c);
+        m.set_probe(std::sync::Arc::new(Null));
+        assert!(m.fire("classify", &[int(0)], &inp).is_err());
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl FaultSet {
         self.links.is_empty() && self.nodes.is_empty()
     }
 
-    /// Number of healthy links incident to `n` (its residual degree).
-    pub fn healthy_degree(&self, topo: &dyn Topology, n: NodeId) -> usize {
-        topo.ports().filter(|&p| self.link_usable(topo, n, p)).count()
-    }
-
     /// Draws `count` distinct random link faults, optionally rejecting draws
     /// that disconnect the healthy part of the network. Returns the number
     /// of faults actually placed (placement can fall short if the connected
@@ -233,18 +228,6 @@ mod tests {
         f.repair_link(l);
         assert!(f.link_usable(&m, n, NORTH));
         assert!(f.is_empty());
-    }
-
-    #[test]
-    fn healthy_degree_counts() {
-        let m = Mesh2D::new(3, 3);
-        let mut f = FaultSet::new();
-        let center = m.node_at(1, 1);
-        assert_eq!(f.healthy_degree(&m, center), 4);
-        f.fail_link(&m, center, EAST);
-        f.fail_node(m.node_at(1, 2)); // north neighbour dies
-        assert_eq!(f.healthy_degree(&m, center), 2);
-        assert_eq!(f.healthy_degree(&m, m.node_at(0, 0)), 2);
     }
 
     #[test]

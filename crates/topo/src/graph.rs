@@ -2,8 +2,8 @@
 //!
 //! Everything here treats `(Topology, FaultSet)` as an undirected graph whose
 //! vertices are the alive nodes and whose edges are the usable links. These
-//! analyses back the paper's conditions 1–3 checks (§2.1): whether minimal
-//! paths survive, and whether a path exists at all.
+//! analyses back the paper's conditions 1–3 checks (§2.1): whether every
+//! minimal path is intact, and whether a path exists at all.
 
 use crate::faults::FaultSet;
 use crate::ids::NodeId;
@@ -46,33 +46,6 @@ pub fn distance(topo: &dyn Topology, faults: &FaultSet, a: NodeId, b: NodeId) ->
     (d != UNREACHABLE).then_some(d)
 }
 
-/// One shortest path (inclusive of endpoints) over usable links, or `None`.
-pub fn shortest_path(
-    topo: &dyn Topology,
-    faults: &FaultSet,
-    a: NodeId,
-    b: NodeId,
-) -> Option<Vec<NodeId>> {
-    let dist = bfs_distances(topo, faults, b);
-    if faults.node_faulty(a) || dist[a.idx()] == UNREACHABLE {
-        return None;
-    }
-    let mut path = vec![a];
-    let mut cur = a;
-    while cur != b {
-        let d = dist[cur.idx()];
-        let next = topo
-            .ports()
-            .filter(|&p| faults.link_usable(topo, cur, p))
-            .filter_map(|p| topo.neighbor(cur, p))
-            .find(|m| dist[m.idx()] + 1 == d)
-            .expect("gradient step exists on shortest path");
-        path.push(next);
-        cur = next;
-    }
-    Some(path)
-}
-
 /// True if all alive nodes form a single connected component.
 /// A network with zero alive nodes counts as connected (vacuously).
 pub fn is_connected(topo: &dyn Topology, faults: &FaultSet) -> bool {
@@ -82,32 +55,6 @@ pub fn is_connected(topo: &dyn Topology, faults: &FaultSet) -> bool {
     };
     let dist = bfs_distances(topo, faults, start);
     topo.nodes().filter(|&n| !faults.node_faulty(n)).all(|n| dist[n.idx()] != UNREACHABLE)
-}
-
-/// Component label for every node: faulty nodes get `None`, alive nodes get
-/// `Some(component_index)` with indices dense from 0.
-pub fn components(topo: &dyn Topology, faults: &FaultSet) -> Vec<Option<u32>> {
-    let mut label = vec![None; topo.num_nodes()];
-    let mut next = 0u32;
-    for n in topo.nodes() {
-        if faults.node_faulty(n) || label[n.idx()].is_some() {
-            continue;
-        }
-        let dist = bfs_distances(topo, faults, n);
-        for m in topo.nodes() {
-            if dist[m.idx()] != UNREACHABLE {
-                label[m.idx()] = Some(next);
-            }
-        }
-        next += 1;
-    }
-    label
-}
-
-/// True if at least one *minimal* (in the fault-free topology) path between
-/// `a` and `b` survives the faults — the premise of condition 2 (§2.1).
-pub fn minimal_path_survives(topo: &dyn Topology, faults: &FaultSet, a: NodeId, b: NodeId) -> bool {
-    distance(topo, faults, a, b) == Some(topo.min_distance(a, b))
 }
 
 /// True if *every* minimal path between `a` and `b` is intact — the premise
@@ -170,7 +117,7 @@ pub fn count_minimal_paths(topo: &dyn Topology, faults: &FaultSet, a: NodeId, b:
 mod tests {
     use super::*;
     use crate::hypercube::Hypercube;
-    use crate::mesh::{Mesh2D, EAST, NORTH};
+    use crate::mesh::{Mesh2D, EAST};
 
     #[test]
     fn bfs_matches_manhattan_when_fault_free() {
@@ -204,42 +151,12 @@ mod tests {
     }
 
     #[test]
-    fn shortest_path_is_valid_walk() {
-        let m = Mesh2D::new(5, 5);
-        let mut f = FaultSet::new();
-        f.inject_random_links(&m, 6, true, 3);
-        let a = m.node_at(0, 0);
-        let b = m.node_at(4, 4);
-        let path = shortest_path(&m, &f, a, b).expect("connected");
-        assert_eq!(path.first(), Some(&a));
-        assert_eq!(path.last(), Some(&b));
-        for w in path.windows(2) {
-            let p = m.port_towards(w[0], w[1]).expect("adjacent");
-            assert!(f.link_usable(&m, w[0], p));
-        }
-        assert_eq!(path.len() as u32 - 1, distance(&m, &f, a, b).unwrap());
-    }
-
-    #[test]
-    fn components_partition() {
-        let m = Mesh2D::new(2, 2);
-        let mut f = FaultSet::new();
-        // cut the square into two halves
-        f.fail_link(&m, m.node_at(0, 0), EAST);
-        f.fail_link(&m, m.node_at(0, 1), EAST);
-        let c = components(&m, &f);
-        assert_eq!(c[m.node_at(0, 0).idx()], c[m.node_at(0, 1).idx()]);
-        assert_eq!(c[m.node_at(1, 0).idx()], c[m.node_at(1, 1).idx()]);
-        assert_ne!(c[m.node_at(0, 0).idx()], c[m.node_at(1, 0).idx()]);
-    }
-
-    #[test]
     fn faulty_node_has_no_component() {
         let m = Mesh2D::new(3, 3);
         let mut f = FaultSet::new();
         f.fail_node(m.node_at(1, 1));
-        let c = components(&m, &f);
-        assert_eq!(c[m.node_at(1, 1).idx()], None);
+        // a dead node reaches nothing, not even itself
+        assert!(bfs_distances(&m, &f, m.node_at(1, 1)).iter().all(|&d| d == UNREACHABLE));
         // ring around the dead center is still one component
         assert!(is_connected(&m, &f));
     }
@@ -272,16 +189,7 @@ mod tests {
         assert!(all_minimal_paths_intact(&m, &f, a, b));
         f.fail_link(&m, m.node_at(1, 1), EAST);
         assert!(!all_minimal_paths_intact(&m, &f, a, b));
-        assert!(minimal_path_survives(&m, &f, a, b));
-        // destroy every minimal path by cutting the whole middle
-        f.fail_link(&m, m.node_at(0, 0), EAST);
-        f.fail_link(&m, m.node_at(0, 1), EAST);
-        f.fail_link(&m, m.node_at(0, 2), EAST);
-        f.fail_link(&m, m.node_at(1, 0), NORTH);
-        f.fail_link(&m, m.node_at(1, 1), NORTH);
-        f.fail_link(&m, m.node_at(1, 2), EAST);
-        if distance(&m, &f, a, b) != Some(m.min_distance(a, b)) {
-            assert!(!minimal_path_survives(&m, &f, a, b));
-        }
+        // one cut link leaves the other minimal paths
+        assert_eq!(distance(&m, &f, a, b), Some(m.min_distance(a, b)));
     }
 }

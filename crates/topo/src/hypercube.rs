@@ -33,12 +33,6 @@ impl Hypercube {
     pub fn diff(&self, a: NodeId, b: NodeId) -> u32 {
         a.0 ^ b.0
     }
-
-    /// The dimensions (as ports) along minimal paths from `a` to `b`.
-    pub fn minimal_dimensions(&self, a: NodeId, b: NodeId) -> Vec<PortId> {
-        let d = self.diff(a, b);
-        (0..self.dim).filter(|i| d & (1 << i) != 0).map(|i| PortId(i as u8)).collect()
-    }
 }
 
 impl Topology for Hypercube {
@@ -93,15 +87,6 @@ mod tests {
         let h = Hypercube::new(5);
         assert_eq!(h.min_distance(NodeId(0), NodeId(0b11111)), 5);
         assert_eq!(h.min_distance(NodeId(0b101), NodeId(0b110)), 2);
-    }
-
-    #[test]
-    fn minimal_dimensions_match_diff() {
-        let h = Hypercube::new(4);
-        let dims = h.minimal_dimensions(NodeId(0b0000), NodeId(0b1010));
-        assert_eq!(dims, vec![PortId(1), PortId(3)]);
-        // two-hop messages always have exactly two minimal orders
-        assert_eq!(dims.len(), 2);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use ftr_trace as trace;
 /// ```
 pub mod prelude {
     pub use ftr_algos::{Nafta, Nara, RouteC, XyRouting};
-    pub use ftr_obs::{EventKind, InterpProfiler, RingSink, TraceEvent, TraceSink};
+    pub use ftr_obs::{EventKind, RingSink, TraceEvent, TraceSink};
     pub use ftr_rules::{InterpProbe, Machine, Program};
     pub use ftr_sim::{
         BuildError, FaultAction, FaultPlan, Network, NetworkBuilder, Pattern, RetryPolicy,
