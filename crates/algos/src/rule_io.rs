@@ -22,7 +22,7 @@
 
 use crate::vnet::{Lane, MeshVcMode};
 use ftr_rules::ast::{
-    walk_cmds, walk_expr, Builtin, Expr, IndexedRef, Program, Ref, Rule, RuleBase,
+    walk_cmds, walk_expr, Builtin, Command, Expr, IndexedRef, Program, Ref, Rule, RuleBase,
 };
 use ftr_rules::compile::FeatureKind;
 use ftr_rules::{
@@ -203,6 +203,7 @@ interface! {
         state: var(Scalar(0), SYM),
         decide_dir: base(), decide_vc: base(), update_state: base(),
     }
+    parks: bool = false,
 }
 
 /// Empties `im`, then defaults every input to the lowest element of its
@@ -356,13 +357,14 @@ pub fn relation<I: RuleIo>(
     out
 }
 
-/// A rule host's decision. The host sees which inputs its program
-/// declares, not which of them a given `RETURN` read, so a program that
-/// declares the load input (`loads_queue`) may have waited on it and its
-/// `Wait` is re-asked every cycle; a program without it can only have
-/// waited on what the `NodeController::route` contract allows.
-fn decision(verdict: Verdict, steps: u32, loads_queue: bool) -> Decision {
-    if verdict == Verdict::Wait && loads_queue {
+/// A rule host's decision: a `Wait` that may have read what the
+/// `NodeController::route` contract rules out (`polls`) is re-asked every
+/// cycle. The mesh host sees which inputs its program declares, not which
+/// of them a given `RETURN` read, so a program that declares the load
+/// input may have waited on it; the cube host knows more
+/// ([`CubeIo::parks`]).
+fn decision(verdict: Verdict, steps: u32, polls: bool) -> Decision {
+    if verdict == Verdict::Wait && polls {
         Decision::polled_wait(steps)
     } else {
         Decision::new(verdict, steps)
@@ -737,7 +739,49 @@ pub struct CubeNode {
 impl CubeIo {
     /// Resolves the interface against `prog`, like [`MeshIo::bind`].
     pub fn bind(prog: &Program) -> Result<Self> {
-        Self::resolve(prog, (0, 0))
+        let mut io = Self::resolve(prog, (0, 0))?;
+        io.parks = io.waits_park(prog);
+        Ok(io)
+    }
+
+    /// Whether `decide_vc`'s own waits — a `RETURN` outside the channel
+    /// classes, or none — keep the `Wait` contract, so the host parks
+    /// them: no premise of either base and nothing `decide_dir` returns
+    /// reads `out_queue`, `decide_dir` only returns, and a waiting rule of
+    /// `decide_vc` returns a literal and does nothing else. `route_c.rules`
+    /// qualifies: its two `RETURN(7)` rules read `misr`, `phase` and
+    /// `freevc`, which the host derives from the free channels, the live
+    /// links and the fault states its hooks keep.
+    fn waits_park(&self, prog: &Program) -> bool {
+        let (Some(dir), Some(vc)) = (self.decide_dir, self.decide_vc) else { return false };
+        let loads = |e: &Expr| {
+            let mut read = false;
+            walk_expr(e, &mut |x| {
+                read |= match x {
+                    Expr::Ref(Ref::Input(i))
+                    | Expr::Indexed { target: IndexedRef::Input(i), .. } => {
+                        Some(*i) == self.out_queue
+                    }
+                    Expr::Call { builtin: Builtin::ArgMin(i) | Builtin::ArgMax(i), .. } => {
+                        Some(*i) == self.out_queue
+                    }
+                    _ => false,
+                }
+            });
+            read
+        };
+        let only_returns = |r: &Rule| r.conclusion.iter().all(|c| matches!(c, Command::Return(_)));
+        let class = |c: &Command| matches!(c, Command::Return(Expr::Lit(Value::Int(v))) if (0..CUBE_VCS as i64).contains(v));
+        let literal = |c: &Command| matches!(c, Command::Return(Expr::Lit(_)));
+        let (dir, vc) = (&prog.rulebases[dir].rules, &prog.rulebases[vc].rules);
+        dir.iter().all(|r| {
+            let mut read = loads(&r.premise);
+            walk_cmds(&r.conclusion, &mut |e| read |= loads(e));
+            !read && only_returns(r)
+        }) && vc.iter().all(|r| {
+            !loads(&r.premise)
+                && (r.conclusion.iter().any(class) || r.conclusion.iter().all(literal))
+        })
     }
 
     /// Checks that a `dim`-cube stays inside the domains the program
@@ -814,8 +858,10 @@ impl CubeIo {
     /// What step 2 decided: the output dimension it left in `chosen` and
     /// the channel class it returned; `None` for its wait code (7).
     fn channel(&self, m: &Machine, ret: Option<Value>) -> Option<(usize, usize)> {
-        match (m.regs().read(m.program(), self.chosen?, &[]), ret) {
-            (Ok(Value::Int(port)), Some(Value::Int(vc))) if (0..CUBE_VCS as i64).contains(&vc) => {
+        match (m.regs().raw(self.chosen?).first(), ret) {
+            (Some(&Value::Int(port)), Some(Value::Int(vc)))
+                if (0..CUBE_VCS as i64).contains(&vc) =>
+            {
                 Some((port as usize, vc as usize))
             }
             _ => None,
@@ -937,31 +983,50 @@ impl RuleIo for CubeIo {
 
         // --- step 2: decide_vc (channel + adaptivity argmin over the
         // candidates that hold the class free)
-        let free = |vc: usize| {
-            (0..dim as usize).filter(|&d| cand(d) && open(d, vc)).fold(0, |m, d| m | 1 << d)
-        };
-        let (phase, misr) = self.load_vc(u.machine.program(), &mut u.inputs, sets, cands, free);
+        let mut free = [0u64; CUBE_VCS];
+        for d in (0..dim as usize).filter(|&d| cand(d) && view.alive(d)) {
+            for (vc, dirs) in free.iter_mut().enumerate() {
+                *dirs |= u64::from(view.free(d, vc)) << d;
+            }
+        }
+        let (phase, misr) =
+            self.load_vc(u.machine.program(), &mut u.inputs, sets, cands, |vc| free[vc]);
         let Ok(step2) = u.machine.fire_base(u.node.decide_vc, &[], &u.inputs) else {
             return Decision::new(Verdict::Unroutable, step1.steps.max(1) + 1);
         };
-        let verdict = match self.channel(&u.machine, step2.last_return) {
+        let (verdict, polls) = match self.channel(&u.machine, step2.last_return) {
             Some((port, vc)) if cand(port) && open(port, vc) => {
                 h.misrouted |= misr;
                 h.phase = phase;
-                Verdict::Route(PortId(port as u8), VcId(vc as u8))
+                (Verdict::Route(PortId(port as u8), VcId(vc as u8)), false)
             }
-            _ => Verdict::Wait,
+            // a class whose chosen output is not open: the choice may have
+            // read the loads
+            Some(_) => (Verdict::Wait, true),
+            None => (Verdict::Wait, !self.parks),
         };
-        decision(verdict, step1.steps + step2.steps, self.out_queue.is_some())
+        decision(verdict, step1.steps + step2.steps, polls)
     }
 
     /// A dimension is usable if its link is alive and the neighbour behind
     /// it is the destination or not known to be unsafe.
     fn usable(&self, u: &Unit<Self>, view: &RouterView, dst: NodeId) -> u64 {
+        // the row of `neighb_state`, and the dimension its first cell holds
+        let (states, first) = match self.neighb_state {
+            Some(v) => (u.machine.regs().raw(v), u.machine.program().vars[v].index_domains[0]),
+            None => (&[][..], Domain::Bool),
+        };
+        let first = match first {
+            Domain::Int { lo, .. } => lo,
+            _ => 0,
+        };
         let mut ok = 0;
         for d in 0..u.topo.dim() as usize {
             let nb = u.topo.neighbor(view.node, PortId(d as u8)).expect("cube port");
-            let state = Self::sym(&u.machine, self.neighb_state, &[Value::Int(d as i64)]);
+            let state = match states.get((d as i64 - first) as usize) {
+                Some(&Value::Sym { idx, .. }) => idx,
+                _ => 0,
+            };
             if view.alive(d) && (nb == dst || state < u.node.states.ounsafe) {
                 ok |= 1 << d;
             }

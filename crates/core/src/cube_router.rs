@@ -27,10 +27,11 @@ mod tests {
     use super::*;
     use crate::configure;
     use ftr_algos::rules_src::route_c_source;
-    use ftr_sim::routing::{Decision, RouterView, RoutingAlgorithm};
+    use ftr_sim::routing::{Decision, RouterView, RoutingAlgorithm, Verdict};
     use ftr_sim::Header;
     use ftr_sim::{Network, Pattern, TrafficSource};
     use ftr_topo::{NodeId, PortId, VcId};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn rule_route_c(dim: u32) -> CubeRuleRouter {
@@ -46,18 +47,65 @@ mod tests {
     }
 
     #[test]
-    fn route_c_waits_are_polled() {
-        // the program reads `out_queue`, and nothing yet proves that its
-        // wait ignores the loads (ROADMAP item 7(a)), so a load change
-        // alone might end the wait: it must be re-asked
+    fn route_c_waits_are_parked() {
+        // the program reads `out_queue` only where it ranks a grant: its
+        // two `RETURN(7)` rules read `misr`, `phase` and `freevc`, so a
+        // load change alone cannot end the wait (`CubeIo::parks`)
         let (cube, algo) = (Hypercube::new(4), rule_route_c(4));
         let (busy, load, alive) = (vec![vec![false; 5]; 4], vec![2, 0, 5, 1], vec![true; 4]);
         let view = RouterView::from_tables(NodeId(3), 0, &busy, &load, &alive);
         let mut header = Header::new(ftr_sim::MessageId(1), NodeId(3), NodeId(12), 4);
         let before = header;
         let d = algo.controller(&cube, NodeId(3)).route(&view, &mut header, None, VcId(0));
-        assert_eq!(d, Decision::polled_wait(2));
+        assert_eq!(d, Decision::new(Verdict::Wait, 2));
         assert_eq!(header, before);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The `Wait` contract, for the parked waits of rule-driven
+        /// ROUTE_C: after any history of fault and control hooks, a head
+        /// told to wait under one load vector is told the same under
+        /// another, and its header is left alone.
+        #[test]
+        fn a_parked_route_c_wait_ignores_the_loads(
+            hooks in proptest::collection::vec((0u8..4, 0i64..6, any::<bool>()), 0..6),
+            free in proptest::collection::vec(any::<u8>(), 4),
+            loads in proptest::collection::vec(0u32..300, 8),
+            dead in 0u8..16,
+            dst in 1u32..16,
+            hops in 0u32..4,
+        ) {
+            let (cube, algo) = (Hypercube::new(4), rule_route_c(4));
+            let mut ctl = algo.controller(&cube, NodeId(0));
+            // control words outside 2..=4 are ignored, as a neighbour's would be
+            let idle = RouterView::from_tables(NodeId(0), 0, &[], &[], &[]);
+            for &(port, code, fault) in &hooks {
+                if fault {
+                    ctl.on_fault(&idle, PortId(port));
+                } else {
+                    ctl.on_control(&idle, PortId(port), &[code]);
+                }
+            }
+            // bit v of free[p]: channel class v of port p is free
+            let free: Vec<Vec<bool>> =
+                free.iter().map(|f| (0..5).map(|v| f >> v & 1 != 0).collect()).collect();
+            let alive: Vec<bool> = (0..4).map(|p| dead >> p & 1 == 0).collect();
+            let mut header = Header::new(ftr_sim::MessageId(1), NodeId(0), NodeId(dst), 4);
+            header.hops = hops;
+            let ask = |ctl: &mut Box<dyn ftr_sim::routing::NodeController>, load: &[u32]| {
+                let view = RouterView::from_tables(NodeId(0), 0, &free, load, &alive);
+                let mut h = header;
+                (ctl.route(&view, &mut h, None, VcId(0)), h)
+            };
+            let (first, h1) = ask(&mut ctl, &loads[..4]);
+            if first.verdict == Verdict::Wait && !first.polled {
+                let (second, h2) = ask(&mut ctl, &loads[4..]);
+                prop_assert_eq!(second, first);
+                prop_assert_eq!((h1, h2), (header, header));
+            }
+        }
     }
 
     #[test]

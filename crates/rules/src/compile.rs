@@ -32,7 +32,7 @@
 use crate::ast::*;
 use crate::env::{InputMap, RegFile};
 use crate::error::{Result, RuleError};
-use crate::interp::{CompiledProgram, CompiledRuleBase};
+use crate::interp::{CompiledProgram, CompiledRuleBase, SlotCode};
 use crate::value::{ceil_log2, Domain, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroU16;
@@ -759,6 +759,7 @@ pub fn compile_rulebase(
 
     let fill = fill_by_words(entries, &atoms, &guards?, &classes);
     let warnings = warnings_of(rb, &fill, entries);
+    let code = SlotCode::lower(prog, rb_idx, &fs.features, &radices);
     Ok(CompiledRuleBase {
         rb: rb_idx,
         features: fs.features,
@@ -769,6 +770,7 @@ pub fn compile_rulebase(
         warnings,
         rule_applicable: fill.rule_applicable,
         premises,
+        code,
     })
 }
 
@@ -778,12 +780,6 @@ pub fn compile(prog: &Program, opts: &CompileOptions) -> Result<CompiledProgram>
         (0..prog.rulebases.len()).map(|i| compile_rulebase(prog, i, opts)).collect();
     Ok(CompiledProgram { prog: prog.clone(), bases: bases? })
 }
-
-/// The random well-typed programs of `tests/prop_rules.rs`, for the fill
-/// differential below.
-#[cfg(test)]
-#[path = "../tests/common/mod.rs"]
-mod generated;
 
 #[cfg(test)]
 mod tests {
@@ -1114,10 +1110,10 @@ mod tests {
 
         #[test]
         fn word_fill_equals_entry_fill_on_generated_programs(
-            premises in proptest::collection::vec(generated::arb_premise(), 1..6),
-            conclusions in proptest::collection::vec(generated::arb_conclusion(), 6),
+            premises in proptest::collection::vec(crate::generated::arb_premise(), 1..6),
+            conclusions in proptest::collection::vec(crate::generated::arb_conclusion(), 6),
         ) {
-            assert_fills_agree(&generated::gen_program(&premises, &conclusions[..premises.len()]));
+            assert_fills_agree(&crate::generated::gen_program(&premises, &conclusions[..premises.len()]));
         }
     }
 

@@ -110,6 +110,11 @@ impl RegFile {
         Ok(())
     }
 
+    /// [`RegFile::write_cell`] of a value already checked against `var`.
+    pub(crate) fn set_cell(&mut self, var: usize, cell: usize, v: Value) {
+        self.slots[var][cell] = v;
+    }
+
     fn check_value(prog: &Program, var: usize, v: &Value) -> Result<()> {
         let decl = &prog.vars[var];
         let ok = match (decl.elem, v) {
@@ -149,7 +154,7 @@ const MAX_INPUT_CELLS: usize = 1 << 20;
 /// One row of cells per input, row-major like [`RegFile`] and sized on the
 /// first write, so a map is built without a program and a host reuses one
 /// for all its decisions: neither reads nor writes hash or, once every row
-/// has been written, allocate.
+/// has been written, allocate or resize.
 #[derive(Clone, Debug, Default)]
 pub struct InputMap {
     rows: Vec<Vec<Option<Value>>>,
@@ -184,24 +189,45 @@ impl InputMap {
 
     /// [`InputMap::set`] for a host that resolved the name once: `input`
     /// is the index into [`Program::inputs`].
+    #[inline]
     pub fn set_at(&mut self, prog: &Program, input: usize, idx: &[Value], v: Value) -> Result<()> {
+        let layout = prog.input_layout(input);
+        match self.rows.get_mut(input) {
+            Some(row) if row.len() == layout.cells => match layout.cell(idx, prog.sym_sizes()) {
+                Some(cell) => {
+                    row[cell] = Some(v);
+                    Ok(())
+                }
+                None => Err(index_error(&prog.inputs[input].name, layout, idx, prog)),
+            },
+            _ => self.set_in_new_row(prog, input, idx, v),
+        }
+    }
+
+    /// [`InputMap::set_at`] into a row not sized yet (or sized for another
+    /// program): sizes it first.
+    #[inline(never)]
+    fn set_in_new_row(
+        &mut self,
+        prog: &Program,
+        input: usize,
+        idx: &[Value],
+        v: Value,
+    ) -> Result<()> {
         let cells = prog.input_layout(input).cells;
         if self.rows.len() <= input {
             self.rows.resize_with(input + 1, Vec::new);
         }
-        let row = &mut self.rows[input];
-        if row.len() != cells {
-            // first write since `clear` (or the map last served another program)
-            if cells > MAX_INPUT_CELLS {
-                return Err(RuleError::eval(format!(
-                    "input `{}` has more than {MAX_INPUT_CELLS} cells",
-                    prog.inputs[input].name
-                )));
-            }
-            row.clear();
-            row.resize(cells, None);
+        if cells > MAX_INPUT_CELLS {
+            return Err(RuleError::eval(format!(
+                "input `{}` has more than {MAX_INPUT_CELLS} cells",
+                prog.inputs[input].name
+            )));
         }
         let cell = Self::cell(prog, input, idx)?;
+        let row = &mut self.rows[input];
+        row.clear();
+        row.resize(cells, None);
         row[cell] = Some(v);
         Ok(())
     }
@@ -216,10 +242,10 @@ impl InputMap {
         Ok(())
     }
 
-    /// Forgets every value and every default; the allocations stay, so a
-    /// host can reuse one map for all its decisions.
+    /// Forgets every value and every default; the rows keep their size
+    /// and allocation, so a host can reuse one map for all its decisions.
     pub fn clear(&mut self) {
-        self.rows.iter_mut().for_each(Vec::clear);
+        self.rows.iter_mut().for_each(|row| row.fill(None));
         self.defaults.clear();
     }
 
@@ -232,8 +258,15 @@ impl InputMap {
     /// [`InputMap::read_input`] at a flat cell of the input's layout.
     #[inline]
     pub(crate) fn read_cell(&self, prog: &Program, input: usize, cell: usize) -> Result<Value> {
+        self.value(input, cell).ok_or_else(|| unset(prog, input, cell))
+    }
+
+    /// The value at a flat cell of input `input`, or its default; `None`
+    /// if it has neither.
+    #[inline]
+    pub(crate) fn value(&self, input: usize, cell: usize) -> Option<Value> {
         let set = self.rows.get(input).and_then(|row| *row.get(cell)?);
-        set.or_else(|| *self.defaults.get(input)?).ok_or_else(|| unset(prog, input, cell))
+        set.or_else(|| *self.defaults.get(input)?)
     }
 }
 

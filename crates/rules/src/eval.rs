@@ -119,15 +119,20 @@ impl Iterator for Members {
 }
 
 /// The smallest common domain of two set domains.
-fn hull_domain(a: Domain, b: Domain) -> Result<Domain> {
+pub(crate) fn hull_domain(a: Domain, b: Domain) -> Result<Domain> {
     match (a, b) {
         (Domain::Int { lo: al, hi: ah }, Domain::Int { lo: bl, hi: bh }) => {
             Ok(Domain::Int { lo: al.min(bl), hi: ah.max(bh) })
         }
         (Domain::Sym(x), Domain::Sym(y)) if x == y => Ok(a),
         (Domain::Bool, Domain::Bool) => Ok(Domain::Bool),
-        _ => Err(RuleError::eval(format!("incompatible set domains {a:?} vs {b:?}"))),
+        _ => Err(incompatible(a, b)),
     }
+}
+
+#[cold]
+fn incompatible(a: Domain, b: Domain) -> RuleError {
+    RuleError::eval(format!("incompatible set domains {a:?} vs {b:?}"))
 }
 
 /// The live part of a set's mask moved to where its elements sit in `hull`

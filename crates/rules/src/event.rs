@@ -131,10 +131,12 @@ impl Machine {
         let compiled = compiled.into();
         let n = compiled.prog.rulebases.len();
         let regs = RegFile::new(&compiled.prog);
+        let mut frame = Frame::new();
+        frame.words.resize(compiled.words(), 0);
         Machine {
             compiled,
             regs,
-            frame: Frame::new(),
+            frame,
             pending: Vec::new(),
             host: Vec::new(),
             args: Vec::new(),

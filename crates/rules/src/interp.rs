@@ -6,24 +6,36 @@
 //!    against the current inputs/registers;
 //! 2. **RBR-kernel** — a single lookup in the completely filled rule table
 //!    selects the applicable rule;
-//! 3. **conclusion processing** — the selected rule's commands execute
-//!    (shared with the reference evaluator, so compiled and reference
-//!    semantics cannot drift).
+//! 3. **conclusion processing** — the selected rule's commands execute.
+//!
+//! Steps 1 and 3 run slot code (`interp/slots.rs`): compilation lowers
+//! each base's features and conclusions once to flat op lists over one
+//! `u64` slot array, so a fire walks no expression tree. When a runtime
+//! check fails (an unset input, an index outside its domain, conflicting
+//! writes) the fire is re-run by the reference evaluator's AST walk, the
+//! one cold path here, so outcomes and error texts are the reference's.
 //!
 //! The paper's delay model — "the sum of the delays in the configurable
 //! wiring (negligible), two times the FCFBs and one memory access" — is
 //! one interpretation step; the simulator charges each step
 //! `SimConfig::decision_cycles_per_step` cycles.
 
+mod slots;
+
 use crate::ast::Program;
 use crate::compile::{CompileWarning, Feature, FeatureKind};
 use crate::env::{InputMap, RegFile};
 use crate::error::{Result, RuleError};
-use crate::eval::{apply_rule_in, eval_expr, EvalCtx, FireOutcome};
+use crate::eval::{EvalCtx, FireOutcome};
 use crate::frame::Frame;
 use crate::probe::{InterpProbe, Stage, StageClock};
 use crate::value::{Domain, Value};
+pub(crate) use slots::SlotCode;
 use std::num::NonZeroU16;
+
+/// A fire whose frame has no slot array long enough (a one-off frame)
+/// keeps one of up to this many words on its stack.
+const STACK_WORDS: usize = 64;
 
 #[cold]
 pub(crate) fn not_a_digit(v: &Value, dom: Domain) -> RuleError {
@@ -64,6 +76,8 @@ pub struct CompiledRuleBase {
     /// should reason over; the surface premise in
     /// [`Program::rulebases`] may still contain quantifiers.
     pub premises: Vec<crate::ast::Expr>,
+    /// The features and conclusions as slot code, lowered with the table.
+    pub(crate) code: SlotCode,
 }
 
 impl CompiledRuleBase {
@@ -122,29 +136,6 @@ impl CompiledRuleBase {
         s
     }
 
-    /// One feature digit from live inputs/registers.
-    fn digit(ctx: &mut EvalCtx<'_>, f: &Feature) -> Result<u64> {
-        match &f.kind {
-            FeatureKind::Direct { subject, dom } => {
-                let v = eval_expr(ctx, subject)?;
-                dom.ordinal(&v, ctx.prog.sym_sizes()).ok_or_else(|| not_a_digit(&v, *dom))
-            }
-            FeatureKind::Predicate { expr } => Ok(u64::from(eval_expr(ctx, expr)?.as_bool()?)),
-        }
-    }
-
-    /// Steps 1 and 2: the feature digits, computed from live
-    /// inputs/registers, folded straight into the mixed-radix table index
-    /// ([`CompiledRuleBase::index`]).
-    fn table_index(&self, ctx: &mut EvalCtx<'_>) -> Result<u64> {
-        let (mut idx, mut stride) = (0u64, 1u64);
-        for (f, r) in self.features.iter().zip(&self.radices) {
-            idx += Self::digit(ctx, f)? * stride;
-            stride *= r;
-        }
-        Ok(idx)
-    }
-
     /// Step 2: mixed-radix index from the feature digits.
     pub fn index(&self, digits: &[u64]) -> u64 {
         let mut idx = 0u64;
@@ -160,6 +151,7 @@ impl CompiledRuleBase {
     /// the rule list are an error: the table is supposed to be filled by
     /// [`crate::compile::compile_rulebase`], so anything out of range is
     /// corruption (stale table, bad deserialisation, buggy rewrite).
+    #[inline]
     pub fn decode_entry(&self, e: Option<NonZeroU16>) -> Result<Option<usize>> {
         match e {
             None => Ok(None),
@@ -180,6 +172,7 @@ impl CompiledRuleBase {
 
     /// Checked kernel lookup: table entry at mixed-radix index `idx`,
     /// decoded to a rule index (`None` = gap).
+    #[inline]
     pub fn entry(&self, idx: u64) -> Result<Option<usize>> {
         let e = *self.table.get(idx as usize).ok_or_else(|| {
             RuleError::eval(format!(
@@ -188,18 +181,6 @@ impl CompiledRuleBase {
             ))
         })?;
         self.decode_entry(e)
-    }
-
-    /// Steps 1+2: which rule applies (None = gap entry / no rule).
-    pub fn select(
-        &self,
-        prog: &Program,
-        params: &[Value],
-        regs: &RegFile,
-        inputs: &InputMap,
-    ) -> Result<Option<usize>> {
-        let idx = self.table_index(&mut EvalCtx::new(prog, regs, inputs, params))?;
-        self.entry(idx)
     }
 
     /// Full interpretation: premise processing, kernel lookup, conclusion
@@ -232,13 +213,98 @@ impl CompiledRuleBase {
     ) -> Result<Option<usize>> {
         let mut clock = StageClock::start(self.rb, probe);
         frame.begin();
-        let mut ctx = EvalCtx::on_frame(prog, regs, inputs, params, frame);
-        let idx = self.table_index(&mut ctx);
-        ctx.release(frame);
-        let idx = idx?;
-        clock.lap(Stage::Premise);
-        let rule = self.entry(idx)?;
-        clock.lap(Stage::Kernel);
+        // the slot array: the frame's, unless a short one fits the stack
+        let (n, mut stack, mut heap);
+        n = self.code.words();
+        let w = if n <= frame.words.len() || n > STACK_WORDS {
+            heap = std::mem::take(&mut frame.words);
+            heap.resize(heap.len().max(n), 0);
+            &mut heap[..]
+        } else {
+            heap = Vec::new();
+            stack = [0u64; STACK_WORDS];
+            &mut stack[..]
+        };
+        let rule = match self.code.premise(w, prog, params, regs, inputs, frame) {
+            None => Err(None),
+            Some(idx) => {
+                clock.lap(Stage::Premise);
+                let rule = self.entry(idx);
+                clock.lap(Stage::Kernel);
+                match rule {
+                    Ok(Some(r))
+                        if !self.code.conclusion(w, r, prog, params, regs, inputs, frame) =>
+                    {
+                        Err(Some(r))
+                    }
+                    done => Ok(done),
+                }
+            }
+        };
+        if !heap.is_empty() {
+            frame.words = heap;
+        }
+        match rule {
+            Ok(rule) => {
+                let rule = rule?;
+                clock.lap(Stage::Conclusion);
+                Ok(rule)
+            }
+            Err(chosen) => self.walk(prog, params, regs, inputs, frame, chosen, &mut clock),
+        }
+    }
+
+    /// The fire by the AST walk, where a check of the slot code failed: in
+    /// the premise stage (`chosen` is `None`), or in the conclusion of the
+    /// rule the premise chose. Nothing was committed, so the walk starts
+    /// from the same registers and ends in the reference's outcome or
+    /// error.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        &self,
+        prog: &Program,
+        params: &[Value],
+        regs: &mut RegFile,
+        inputs: &InputMap,
+        frame: &mut Frame,
+        chosen: Option<usize>,
+        clock: &mut StageClock<'_>,
+    ) -> Result<Option<usize>> {
+        use crate::eval::{apply_rule_in, eval_expr};
+        frame.begin();
+        let rule = match chosen {
+            Some(r) => Some(r),
+            None => {
+                let mut ctx = EvalCtx::on_frame(prog, regs, inputs, params, frame);
+                let mut index = || {
+                    let (mut idx, mut stride) = (0u64, 1u64);
+                    for (f, r) in self.features.iter().zip(&self.radices) {
+                        let digit = match &f.kind {
+                            FeatureKind::Direct { subject, dom } => {
+                                let v = eval_expr(&mut ctx, subject)?;
+                                dom.ordinal(&v, prog.sym_sizes())
+                                    .ok_or_else(|| not_a_digit(&v, *dom))?
+                            }
+                            FeatureKind::Predicate { expr } => {
+                                u64::from(eval_expr(&mut ctx, expr)?.as_bool()?)
+                            }
+                        };
+                        idx += digit * stride;
+                        stride *= r;
+                    }
+                    Ok(idx)
+                };
+                let idx: Result<u64> = index();
+                ctx.release(frame);
+                let idx = idx?;
+                clock.lap(Stage::Premise);
+                let rule = self.entry(idx)?;
+                clock.lap(Stage::Kernel);
+                rule
+            }
+        };
         let done = match rule {
             Some(r) => apply_rule_in(prog, self.rb, r, params, regs, inputs, frame),
             None => Ok(()),
@@ -277,6 +343,11 @@ impl CompiledProgram {
         base.fire(&self.prog, params, regs, inputs)
     }
 
+    /// The longest slot array a fire of one of its bases needs.
+    pub(crate) fn words(&self) -> usize {
+        self.bases.iter().map(|b| b.code.words()).max().unwrap_or(0)
+    }
+
     /// Total rule-table bits across all bases.
     pub fn total_table_bits(&self) -> u64 {
         self.bases.iter().map(|b| b.table_bits()).sum()
@@ -289,6 +360,46 @@ mod tests {
     use crate::compile::{compile, CompileOptions};
     use crate::eval::fire_reference;
     use crate::parser::parse;
+
+    #[test]
+    fn slot_code_decides_every_shipped_base_without_the_walk() {
+        // inputs and registers in their domains: the premise stage never
+        // falls back, and a conclusion does exactly where the reference
+        // fails (a write outside its domain, argmin over an empty set)
+        let (mut fired, mut failed) = (0, 0);
+        for (name, src) in crate::generated::SHIPPED {
+            let p = parse(src).unwrap();
+            let c = compile(&p, &CompileOptions::default()).unwrap();
+            for seed in 0..64 {
+                let mut d = crate::generated::Draw(seed);
+                for (rb, base) in c.bases.iter().enumerate() {
+                    let at = format!("{name}::{} seed {seed}", p.rulebases[rb].name);
+                    let (regs, inputs, params) = crate::generated::random_env(&p, rb, &mut d, !0);
+                    let mut want_regs = regs.clone();
+                    let want = fire_reference(&p, rb, &params, &mut want_regs, &inputs);
+                    let (mut frame, mut w) = (Frame::new(), vec![0; base.code.words()]);
+                    frame.begin();
+                    let idx = base.code.premise(&mut w, &p, &params, &regs, &inputs, &mut frame);
+                    let rule = base.entry(idx.unwrap_or_else(|| panic!("{at}: premise"))).unwrap();
+                    let mut got_regs = regs.clone();
+                    let done = rule.is_none_or(|r| {
+                        let c = &base.code;
+                        c.conclusion(&mut w, r, &p, &params, &mut got_regs, &inputs, &mut frame)
+                    });
+                    assert_eq!(done, want.is_ok(), "{at}: {want:?}");
+                    if let Ok(want) = want {
+                        assert_eq!(frame.outcome(&p, rule), want, "{at}");
+                        assert_eq!(got_regs, want_regs, "{at}");
+                        fired += u32::from(rule.is_some());
+                    } else {
+                        assert_eq!(got_regs, regs, "{at}: a failed conclusion writes nothing");
+                        failed += 1;
+                    }
+                }
+            }
+        }
+        assert!(fired > 500 && failed > 0, "{fired} rules fired, {failed} conclusions failed");
+    }
 
     fn int(v: i64) -> Value {
         Value::Int(v)

@@ -12,6 +12,17 @@
 //! semantics live in [`eval`]; the compiled interpreter is differentially
 //! tested against them.
 
+// the test helpers `tests/common` shares with the unit tests name the crate
+#[cfg(test)]
+extern crate self as ftr_rules;
+
+/// The random well-typed programs and the shipped programs' environments
+/// of `tests/prop_rules.rs`, for the fill and executor differentials of
+/// `compile.rs` and `interp.rs`.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod generated;
+
 pub mod ast;
 pub mod compile;
 pub mod cost;

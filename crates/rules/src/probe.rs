@@ -58,10 +58,12 @@ pub(crate) struct StageClock<'a> {
 }
 
 impl<'a> StageClock<'a> {
+    #[inline]
     pub(crate) fn start(base: usize, probe: Option<&'a dyn InterpProbe>) -> Self {
         StageClock { base, probe: probe.map(|p| (p, Instant::now())) }
     }
 
+    #[inline]
     pub(crate) fn lap(&mut self, stage: Stage) {
         if let Some((probe, since)) = &mut self.probe {
             let now = Instant::now();

@@ -1,8 +1,91 @@
 //! The parametric family of random well-typed rule programs, shared by
 //! the property tests in `prop_rules.rs` and the fill differential in
-//! `src/compile.rs` (which includes this file by path).
+//! `src/compile.rs` (which includes this file by path); and the shipped
+//! programs with random environments drawn from their declarations, for
+//! the executor differentials in `prop_rules.rs` and `src/interp.rs`.
+#![allow(dead_code)]
 
+use ftr_rules::ast::Program;
+use ftr_rules::{Domain, InputMap, RegFile, Type, Value};
 use proptest::prelude::*;
+
+/// The programs `crates/algos/rules` ships, as `ftr_algos::rules_src::all`
+/// names them (`rules_src_lists_every_shipped_file` keeps the two in step).
+pub const SHIPPED: [(&str, &str); 6] = [
+    ("xy", include_str!("../../../algos/rules/xy.rules")),
+    ("west_first", include_str!("../../../algos/rules/west_first.rules")),
+    ("nafta", include_str!("../../../algos/rules/nafta.rules")),
+    ("route_c", include_str!("../../../algos/rules/route_c.rules")),
+    ("route_c_nft", include_str!("../../../algos/rules/route_c_nft.rules")),
+    ("naive_adaptive", include_str!("../../../algos/rules/naive_adaptive.rules")),
+];
+
+/// splitmix64: the draws of one environment, from one seed.
+pub struct Draw(pub u64);
+
+impl Draw {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// An element of `dom`.
+    pub fn scalar(&mut self, prog: &Program, dom: Domain) -> Value {
+        dom.value_at(self.next() % dom.size(prog.sym_sizes()))
+    }
+
+    /// A value of type `ty`: a set holds each element with chance 1/2.
+    pub fn value(&mut self, prog: &Program, ty: Type) -> Value {
+        match ty {
+            Type::Scalar(dom) => self.scalar(prog, dom),
+            Type::Set(dom) => Value::Set { dom, mask: self.next() & prog.live_mask(dom) },
+        }
+    }
+}
+
+/// Every cell of every register, input and parameter of base `rb` drawn
+/// from its declared domain, except the `unset`-th input cell (counting
+/// through every input's cells in declaration order), which is left
+/// without a value.
+pub fn random_env(
+    prog: &Program,
+    rb: usize,
+    d: &mut Draw,
+    unset: usize,
+) -> (RegFile, InputMap, Vec<Value>) {
+    let mut regs = RegFile::new(prog);
+    for (v, decl) in prog.vars.iter().enumerate() {
+        for cell in cells(&decl.index_domains, prog) {
+            regs.write(prog, v, &cell, d.value(prog, decl.elem)).unwrap();
+        }
+    }
+    let (mut inputs, mut n) = (InputMap::new(), 0);
+    for (i, decl) in prog.inputs.iter().enumerate() {
+        for cell in cells(&decl.index_domains, prog) {
+            if n != unset {
+                inputs.set_at(prog, i, &cell, d.value(prog, decl.elem)).unwrap();
+            }
+            n += 1;
+        }
+    }
+    let params = prog.rulebases[rb].params.iter().map(|p| d.scalar(prog, p.dom)).collect();
+    (regs, inputs, params)
+}
+
+/// Every index tuple of an array over `doms`, row-major.
+fn cells(doms: &[Domain], prog: &Program) -> Vec<Vec<Value>> {
+    doms.iter().fold(vec![Vec::new()], |acc, dom| {
+        let n = dom.size(prog.sym_sizes());
+        acc.iter()
+            .flat_map(|prefix| {
+                (0..n).map(move |k| [prefix.clone(), vec![dom.value_at(k)]].concat())
+            })
+            .collect()
+    })
+}
 
 /// Generates a small rule program over a fixed environment: integer
 /// counter, symbol state, bool array, int array — with randomized rule

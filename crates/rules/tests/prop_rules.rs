@@ -8,7 +8,55 @@ use ftr_rules::{compile, fire_reference, parse, CompileOptions, InputMap, RegFil
 use proptest::prelude::*;
 
 mod common;
-use common::{arb_conclusion, arb_premise, gen_program};
+use common::{arb_conclusion, arb_premise, gen_program, random_env, Draw, SHIPPED};
+
+/// Every base of every shipped program, fired by the reference evaluator
+/// and by the compiled table from one environment drawn from the
+/// declarations, `unset` naming an input cell left without a value: the
+/// same outcome and registers, or the same error. The one asymmetry is
+/// the premise stage's: the table computes every feature, so it may read
+/// the unset cell where the reference had already fired a rule.
+fn shipped_bases_agree(seed: u64, unset: usize) -> Result<(), TestCaseError> {
+    for (name, src) in SHIPPED {
+        let prog = parse(src).unwrap();
+        let compiled = compile(&prog, &CompileOptions::default()).unwrap();
+        let mut d = Draw(seed);
+        for (rb, base) in compiled.bases.iter().enumerate() {
+            let label = format!("{name}::{} seed {seed} unset {unset}", prog.rulebases[rb].name);
+            let (mut regs_a, im, params) = random_env(&prog, rb, &mut d, unset);
+            let (before, mut regs_b) = (regs_a.clone(), regs_a.clone());
+            let r = fire_reference(&prog, rb, &params, &mut regs_a, &im);
+            let k = base.fire(&prog, &params, &mut regs_b, &im);
+            match (r, k) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "outcome: {}", label),
+                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "{}", label),
+                (Ok(_), Err(b)) => {
+                    prop_assert!(b.to_string().ends_with("has no value"), "{label}: {b}");
+                    // a premise stage that fails writes nothing
+                    regs_a = before;
+                }
+                (Err(a), Ok(_)) => prop_assert!(false, "{label}: only the reference failed: {a}"),
+            }
+            prop_assert_eq!(regs_a, regs_b, "registers: {}", label);
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn shipped_lists_every_program_in_the_rules_directory() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../algos/rules");
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rules"))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let mut listed: Vec<String> = SHIPPED.iter().map(|(n, _)| n.to_string()).collect();
+    listed.sort();
+    assert_eq!(files, listed);
+}
 
 /// A randomized environment for the fixed declarations above.
 fn build_env(
@@ -37,9 +85,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The central ARON property: compiled table selection ≡ reference
-    /// first-match semantics, for random programs and random environments.
+    /// first-match semantics, for random programs and random environments,
+    /// and for every base of every shipped program ([`shipped_bases_agree`]).
     #[test]
     fn compiled_equals_reference(
+        seed in any::<u64>(),
+        unset in 0usize..96,
         premises in proptest::collection::vec(arb_premise(), 1..6),
         conclusions in proptest::collection::vec(arb_conclusion(), 6),
         state_idx in 0u32..3,
@@ -68,6 +119,7 @@ proptest! {
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(false, "one side errored: {a:?} vs {b:?}\n{src}"),
         }
+        shipped_bases_agree(seed, unset)?;
     }
 
     /// Quantifier expansion and constant folding preserve semantics of the
@@ -468,6 +520,10 @@ END f;
             prop_assert_eq!(reference.as_ref().ok(), table.as_ref().ok());
             prop_assert_eq!(reference.as_ref().ok(), bytecode.as_ref().ok());
             prop_assert_eq!((table.is_err(), bytecode.is_err()), (failed, failed));
+            // an index or a value outside its domain, or a conflict: the
+            // table fails with the reference's own words
+            let text = |r: &Result<_, ftr_rules::RuleError>| r.as_ref().err().map(|e| e.to_string());
+            prop_assert_eq!(text(&reference), text(&table));
             prop_assert_eq!(&r, &want, "reference registers");
             prop_assert_eq!(&t, &want, "table registers");
             prop_assert_eq!(&b, &want, "bytecode registers");
