@@ -9,15 +9,16 @@
 //! conclusion reuses what the premise stage computed, since both read the
 //! pre-state. An op is then a few integer instructions.
 //!
-//! The code checks at run time what the reference evaluator checks: a
-//! value read from a register, an input or a parameter must be of its
-//! declared kind and domain, an index must lie in its domain, a digit in
-//! its radix, a write in its register's domain, and two writes to one cell
-//! must agree. A failed check makes the code give up ("bail") before any
-//! register changes; the executor then re-runs the fire by the AST walk,
-//! so every outcome and every error is the reference's own. That is also
-//! why `AND` and `OR` evaluate both operands here: an operand the walk
-//! would have skipped can only cost a bail, never a different answer.
+//! The code checks at run time what the reference evaluator fails on, and
+//! what keeps a word canonical: a value read from a register, an input or
+//! a parameter must be of its declared kind (a set over its declared
+//! domain, with no bit outside it), an index must lie in its domain, a
+//! digit in its radix, a write in its register's domain, and two writes to
+//! one cell must agree. A failed check makes the code give up ("bail")
+//! before any register changes; the executor then re-runs the fire by the
+//! AST walk, so every outcome and every error is the reference's own. That
+//! is also why `AND` and `OR` evaluate both operands here: an operand the
+//! walk would have skipped can only cost a bail, never a different answer.
 
 use crate::ast::{BinOp, Builtin, CellLayout, Command, Expr, Program, Quant, Ref, RuleBase, UnOp};
 use crate::compile::{Feature, FeatureKind};
