@@ -7,10 +7,9 @@
 //!    started from INIT — same returns, same host events, same register
 //!    effects — and the emitted certificate must replay through the
 //!    independent checker.
-//! 2. **Executor contract** — the three rule-execution arms (reference
-//!    evaluator, compiled table interpreter, direct-threaded bytecode VM)
-//!    must be trajectory-identical on the same program family, with the
-//!    bytecode arm additionally checked over E18-optimized tables.
+//! 2. **Executor contract** — the reference evaluator and the compiled
+//!    table interpreter, over both the plain and the E18-optimized tables,
+//!    must be trajectory-identical on the same program family.
 
 use ftr_analyze::opt;
 use ftr_analyze::{optimize_rulebase, OptOptions};
@@ -18,8 +17,7 @@ use ftr_rules::env::{InputMap, RegFile};
 use ftr_rules::eval::{fire_reference, EventInstance, FireOutcome};
 use ftr_rules::parse;
 use ftr_rules::value::Value;
-use ftr_rules::vm::Scratch;
-use ftr_rules::{compile, CompileOptions, Program, VmProgram};
+use ftr_rules::{compile, CompileOptions, Program};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -260,10 +258,9 @@ proptest! {
         }
     }
 
-    /// The backend contract, quantified over the same program family:
-    /// reference evaluator, table interpreter, and bytecode VM (over
-    /// both the plain and the E18-optimized tables) make identical
-    /// decisions — same returns, host events, and register effects — on
+    /// The executor contract, quantified over the same program family:
+    /// the reference evaluator and the table interpreter (over both the
+    /// plain and the E18-optimized tables) make identical decisions — same returns, host events, and register effects — on
     /// every step of random trajectories from INIT. When one arm errors,
     /// every arm must error.
     #[test]
@@ -284,20 +281,13 @@ proptest! {
 
         let compiled = compile(&prog, &CompileOptions::default())
             .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
-        let vm = VmProgram::lower(&compiled)
-            .unwrap_or_else(|e| panic!("lowering failed: {e}\n{src}"));
         let o = optimize_rulebase("prop", &prog, &OptOptions::default())
             .unwrap_or_else(|e| panic!("optimize failed: {e}\n{src}"));
-        let vm_opt = VmProgram::lower(&o.compiled)
-            .unwrap_or_else(|e| panic!("lowering optimized failed: {e}\n{src}"));
 
         let mut rng = StdRng::seed_from_u64(seed);
         let mut regs_r = RegFile::new(&prog);
         let mut regs_t = RegFile::new(&compiled.prog);
-        let mut regs_v = RegFile::new(&compiled.prog);
         let mut regs_o = RegFile::new(&o.compiled.prog);
-        let mut sc_v = Scratch::new();
-        let mut sc_o = Scratch::new();
 
         let ss = prog.sym_sizes();
         'trajectory: for step in 0..40 {
@@ -314,11 +304,8 @@ proptest! {
                 let rt = cascade_with(&compiled.prog, bi, &params, &mut regs_t, &mut |b, p, rg| {
                     compiled.bases[b].fire(&compiled.prog, p, rg, &im)
                 });
-                let rv = cascade_with(&compiled.prog, bi, &params, &mut regs_v, &mut |b, p, rg| {
-                    vm.bases[b].fire(&compiled.prog, p, rg, &im, &mut sc_v)
-                });
                 let ro = cascade_with(&o.compiled.prog, bi, &params, &mut regs_o, &mut |b, p, rg| {
-                    vm_opt.bases[b].fire(&o.compiled.prog, p, rg, &im, &mut sc_o)
+                    o.compiled.bases[b].fire(&o.compiled.prog, p, rg, &im)
                 });
                 match rr {
                     Err(e) => {
@@ -326,20 +313,16 @@ proptest! {
                         // differ in evaluation-order detail); the state
                         // after an error is unspecified, so stop here
                         prop_assert!(rt.is_err(), "step {} base {}: reference erred ({}) but table succeeded\n{}", step, bi, e, src);
-                        prop_assert!(rv.is_err(), "step {} base {}: reference erred ({}) but bytecode succeeded\n{}", step, bi, e, src);
-                        prop_assert!(ro.is_err(), "step {} base {}: reference erred ({}) but optimized bytecode succeeded\n{}", step, bi, e, src);
+                        prop_assert!(ro.is_err(), "step {} base {}: reference erred ({}) but optimized table succeeded\n{}", step, bi, e, src);
                         break 'trajectory;
                     }
                     Ok(ref want) => {
                         let got_t = rt.unwrap_or_else(|e| panic!("table erred where reference succeeded: {e}\n{src}"));
-                        let got_v = rv.unwrap_or_else(|e| panic!("bytecode erred where reference succeeded: {e}\n{src}"));
-                        let got_o = ro.unwrap_or_else(|e| panic!("optimized bytecode erred where reference succeeded: {e}\n{src}"));
+                        let got_o = ro.unwrap_or_else(|e| panic!("optimized table erred where reference succeeded: {e}\n{src}"));
                         prop_assert_eq!(want, &got_t, "step {} base {}: table diverged (params {:?})\n{}", step, bi, &params, &src);
-                        prop_assert_eq!(want, &got_v, "step {} base {}: bytecode diverged (params {:?})\n{}", step, bi, &params, &src);
-                        prop_assert_eq!(want, &got_o, "step {} base {}: optimized bytecode diverged (params {:?})\n{}", step, bi, &params, &src);
+                        prop_assert_eq!(want, &got_o, "step {} base {}: optimized table diverged (params {:?})\n{}", step, bi, &params, &src);
                         prop_assert_eq!(&regs_r, &regs_t, "step {} base {}: table register state diverged\n{}", step, bi, &src);
-                        prop_assert_eq!(&regs_r, &regs_v, "step {} base {}: bytecode register state diverged\n{}", step, bi, &src);
-                        prop_assert_eq!(&regs_r, &regs_o, "step {} base {}: optimized bytecode register state diverged\n{}", step, bi, &src);
+                        prop_assert_eq!(&regs_r, &regs_o, "step {} base {}: optimized table register state diverged\n{}", step, bi, &src);
                     }
                 }
             }

@@ -104,8 +104,7 @@ pub const E22: Shape = Shape {
     ..E15
 };
 
-/// The optimizer and bytecode differentials (`tests/opt_sim.rs`,
-/// `tests/vm_sim.rs`).
+/// The optimizer differential (`tests/opt_sim.rs`).
 pub const DIFFERENTIAL: Shape =
     Shape { fault_window: 100..450, repair_after: 120, warm_cycles: 600, ..E15 };
 

@@ -1,5 +1,5 @@
-//! The traced campaign cell the optimizer and bytecode differentials
-//! compare: one [`DIFFERENTIAL`] run with a digest of its event stream.
+//! The traced campaign cell the optimizer differential (`opt_sim.rs`)
+//! compares: one [`DIFFERENTIAL`] run with a digest of its event stream.
 
 use ftr_bench::campaign::{self, Spec, DIFFERENTIAL};
 use ftr_obs::{TraceEvent, TraceSink};

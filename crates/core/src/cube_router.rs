@@ -199,7 +199,7 @@ mod tests {
         let (rules, native) = (rule_route_c(4), ftr_algos::RouteC::new(Hypercube::new(4)));
         let run = |algo: &dyn RoutingAlgorithm, seed| {
             let (delivered, sent, deadlock, _) =
-                uniform_on_dead_links(algo, &[(0, 0), (0, 1)], 0.3, 1_500, seed);
+                uniform_on_dead_links(algo, 4, &[(0, 0), (0, 1)], 0.3, 1_500, seed);
             (delivered, sent, deadlock)
         };
         for (seed, native_arm, rule_arm) in [
@@ -212,17 +212,18 @@ mod tests {
         }
     }
 
-    /// A 4-cube with the `(node, port)` links `dead` killed and settled,
-    /// `cycles` cycles of uniform 8-flit worms at `load` (rejected sends
-    /// dropped), then a drain: (delivered, sent, deadlock, drained).
+    /// A `dim`-cube with the `(node, port)` links `dead` killed and
+    /// settled, `cycles` cycles of uniform 8-flit worms at `load` (rejected
+    /// sends dropped), then a drain: (delivered, sent, deadlock, drained).
     fn uniform_on_dead_links(
         algo: &dyn RoutingAlgorithm,
+        dim: u32,
         dead: &[(u32, u8)],
         load: f64,
         cycles: u32,
         seed: u64,
     ) -> (u64, u64, bool, bool) {
-        let cube = Hypercube::new(4);
+        let cube = Hypercube::new(dim);
         let mut net = Network::builder(Arc::new(cube.clone())).build(algo).expect("valid");
         for &(node, port) in dead {
             net.inject_link_fault(NodeId(node), PortId(port));
@@ -239,10 +240,30 @@ mod tests {
         (net.stats.delivered_msgs, sent, net.stats.deadlock, drained)
     }
 
-    /// ROADMAP item 19's run on one dead link: true when worms are left in
-    /// flight after the drain.
-    fn stuck_on_dead_link(algo: &dyn RoutingAlgorithm, link: (u32, u8), seed: u64) -> bool {
-        !uniform_on_dead_links(algo, &[link], 0.1, 600, seed).3
+    /// ROADMAP item 19's run on one dead link of the `dim`-cube: true when
+    /// worms are left in flight after the drain.
+    fn stuck_on_dead_link(
+        algo: &dyn RoutingAlgorithm,
+        dim: u32,
+        link: (u32, u8),
+        seed: u64,
+    ) -> bool {
+        !uniform_on_dead_links(algo, dim, &[link], 0.1, 600, seed).3
+    }
+
+    /// How many runs of item 19's sweep are stuck: every link of the
+    /// `dim`-cube dead alone, as `(node, port)` from its lower end, once
+    /// per seed.
+    fn stuck_runs(
+        algo: &dyn RoutingAlgorithm,
+        dim: u32,
+        seeds: std::ops::RangeInclusive<u64>,
+    ) -> usize {
+        let ports = dim as u8;
+        let links = (0..1u32 << dim)
+            .flat_map(|n| (0..ports).filter(move |p| n & 1 << p == 0).map(move |p| (n, p)));
+        let runs = links.flat_map(|l| seeds.clone().map(move |s| (l, s)));
+        runs.filter(|&(l, s)| stuck_on_dead_link(algo, dim, l, s)).count()
     }
 
     #[test]
@@ -251,7 +272,7 @@ mod tests {
         // around the dead link, and a phase recomputed at 14 used to send
         // it straight back on n14.p0.v0 until it waited on its own tail
         let native = ftr_algos::RouteC::new(Hypercube::new(4));
-        assert!(!stuck_on_dead_link(&native, (7, 3), 1));
+        assert!(!stuck_on_dead_link(&native, 4, (7, 3), 1));
     }
 
     #[test]
@@ -261,15 +282,17 @@ mod tests {
         // (item 19(b)): a known defect, pinned by its count. Its runs
         // cost ~10x native's in a debug build, so it samples seeds 1-3.
         let (rules, native) = (rule_route_c(4), ftr_algos::RouteC::new(Hypercube::new(4)));
-        // every link once, as `(node, port)` from its lower end
-        let links =
-            (0..16u32).flat_map(|n| (0..4u8).filter(move |p| n & 1 << p == 0).map(move |p| (n, p)));
-        let stuck = |algo: &dyn RoutingAlgorithm, seeds: std::ops::RangeInclusive<u64>| {
-            let runs = links.clone().flat_map(|l| seeds.clone().map(move |s| (l, s)));
-            runs.filter(|&(l, s)| stuck_on_dead_link(algo, l, s)).count()
-        };
-        assert_eq!(stuck(&native, 1..=10), 0, "native stuck runs of 320");
-        assert_eq!(stuck(&rules, 1..=3), 27, "rule stuck runs of 96 (item 19(b))");
+        assert_eq!(stuck_runs(&native, 4, 1..=10), 0, "native stuck runs of 320");
+        assert_eq!(stuck_runs(&rules, 4, 1..=3), 27, "rule stuck runs of 96 (item 19(b))");
+    }
+
+    #[test]
+    fn the_single_dead_link_sweep_of_the_6_cube() {
+        // item 19(d)'s 6-cube sample: all 192 single dead links, seed 1.
+        // The rule arm's stuck runs are item 19(b)'s known defect.
+        let (rules, native) = (rule_route_c(6), ftr_algos::RouteC::new(Hypercube::new(6)));
+        assert_eq!(stuck_runs(&native, 6, 1..=1), 0, "native stuck runs of 192");
+        assert_eq!(stuck_runs(&rules, 6, 1..=1), 13, "rule stuck runs of 192 (item 19(b))");
     }
 
     #[test]

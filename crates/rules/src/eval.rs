@@ -97,8 +97,6 @@ pub(crate) struct Members {
 }
 
 impl Members {
-    pub(crate) const NONE: Members = Members { dom: Domain::Bool, rest: 0 };
-
     pub(crate) fn of(prog: &Program, set: &Value) -> Result<Self> {
         let (dom, mask) = set.as_set()?;
         Ok(Members { dom, rest: mask & prog.live_mask(dom) })
@@ -194,7 +192,7 @@ fn eval_cell(
 // node, and formatting machinery in its frame is paid for on every call.
 
 #[cold]
-pub(crate) fn absent(what: &str, which: usize) -> RuleError {
+fn absent(what: &str, which: usize) -> RuleError {
     RuleError::eval(format!("{what} {which}"))
 }
 
@@ -274,12 +272,10 @@ pub fn eval_expr(ctx: &mut EvalCtx<'_>, e: &Expr) -> Result<Value> {
 }
 
 /// Applies a non-short-circuit binary operator to evaluated operands.
-/// Shared by the reference evaluator and the bytecode backend
-/// (`crate::vm`), so operator semantics cannot drift between the two.
 /// `And`/`Or` are rejected — they are short-circuit control flow, handled
-/// by [`eval_expr`] directly and lowered to branches by the VM.
+/// by [`eval_expr`] directly.
 #[inline]
-pub(crate) fn apply_bin(prog: &Program, op: BinOp, lv: &Value, rv: &Value) -> Result<Value> {
+fn apply_bin(prog: &Program, op: BinOp, lv: &Value, rv: &Value) -> Result<Value> {
     match op {
         BinOp::Add => Ok(Value::Int(lv.as_int()? + rv.as_int()?)),
         BinOp::Sub => Ok(Value::Int(lv.as_int()? - rv.as_int()?)),
@@ -315,15 +311,8 @@ fn eval_builtin(ctx: &mut EvalCtx<'_>, b: Builtin, args: &[Expr]) -> Result<Valu
     apply_builtin(ctx.prog, ctx.inputs, b, &vals[..args.len().min(MAX_BUILTIN_ARGS)])
 }
 
-/// Applies a builtin to already-evaluated argument values. Shared by the
-/// reference evaluator and the bytecode backend (`crate::vm`), so builtin
-/// semantics cannot drift between the two.
-pub(crate) fn apply_builtin(
-    prog: &Program,
-    inputs: &InputMap,
-    b: Builtin,
-    vals: &[Value],
-) -> Result<Value> {
+/// Applies a builtin to already-evaluated argument values.
+fn apply_builtin(prog: &Program, inputs: &InputMap, b: Builtin, vals: &[Value]) -> Result<Value> {
     let arg = |i: usize| -> Result<Value> {
         vals.get(i)
             .copied()
@@ -571,28 +560,7 @@ mod tests {
 
     #[test]
     fn figure4_state_update_semantics() {
-        let src = "
-CONSTANT fault_states = {safe, ounsafe, sunsafe, lfault, faulty}
-CONSTANT dirs = 0 TO 5
-VARIABLE number_unsafe IN 0 TO 7 INIT 0
-VARIABLE number_faulty IN 0 TO 7 INIT 0
-VARIABLE neighb_state[dirs] IN fault_states INIT safe
-VARIABLE state IN fault_states INIT safe
-INPUT new_state[dirs] IN fault_states
-
-ON update_state(dir IN dirs)
-  IF new_state(dir) IN {faulty, lfault} AND number_faulty = 0
-  THEN neighb_state(dir) <- new_state(dir),
-       number_faulty <- number_faulty + 1,
-       number_unsafe <- number_unsafe + 1;
-  IF new_state(dir) IN {sunsafe, ounsafe} AND state = safe AND number_unsafe = 2
-  THEN state <- ounsafe,
-       number_unsafe <- number_unsafe + 1,
-       FORALL i IN dirs: !send_newmessage(i, ounsafe),
-       neighb_state(dir) <- new_state(dir);
-END update_state;
-";
-        let p = parse(src).unwrap();
+        let p = parse(crate::generated::FIGURE4).unwrap();
         let faulty = p.symbol_value("faulty").unwrap();
         let sunsafe = p.symbol_value("sunsafe").unwrap();
         let ounsafe = p.symbol_value("ounsafe").unwrap();

@@ -5,15 +5,15 @@
 //! The frame is where they wait in between — register writes as
 //! `(register, flat cell, value)`, the `RETURN` value, generated events as
 //! `(event id, arguments)` — together with the working storage an executor
-//! needs while it evaluates (binder stack, slot words, bytecode slots). All three
-//! executors queue into it and commit through it, so the parallel-write
-//! rules exist once; a [`crate::event::Machine`] owns one and reuses it, so
-//! a steady-state interpretation allocates nothing.
+//! needs while it evaluates (binder stack, slot words). The AST walk and
+//! the table's slot code both queue into it and commit through it, so the
+//! parallel-write rules exist once; a [`crate::event::Machine`] owns one
+//! and reuses it, so a steady-state interpretation allocates nothing.
 
 use crate::ast::Program;
 use crate::env::RegFile;
 use crate::error::{Result, RuleError};
-use crate::eval::{values_equal, EventInstance, FireOutcome, Members};
+use crate::eval::{values_equal, EventInstance, FireOutcome};
 use crate::value::Value;
 
 #[cold]
@@ -26,9 +26,6 @@ fn conflicting_returns(prev: &Value, v: &Value) -> RuleError {
 pub struct Frame {
     /// The slot array of the base in flight's slot code, grown to fit it.
     pub(crate) words: Vec<u64>,
-    /// Bytecode value slots and set iterators, grown to fit the base in flight.
-    pub(crate) slots: Vec<Value>,
-    pub(crate) iters: Vec<Members>,
     /// Quantifier binder stack of the AST walk, innermost last.
     pub(crate) bounds: Vec<Value>,
     /// Queued writes: register, flat cell, value.

@@ -38,7 +38,7 @@ use std::num::NonZeroU16;
 const STACK_WORDS: usize = 64;
 
 #[cold]
-pub(crate) fn not_a_digit(v: &Value, dom: Domain) -> RuleError {
+fn not_a_digit(v: &Value, dom: Domain) -> RuleError {
     RuleError::eval(format!("direct feature value {v} outside {dom:?}"))
 }
 
@@ -441,6 +441,33 @@ END classify;
                 }
             }
         }
+
+        // Figure 4: a FORALL command emitting one event per direction,
+        // beside writes that leave their domain at number_unsafe = 7
+        let p = parse(crate::generated::FIGURE4).unwrap();
+        let c = compile(&p, &CompileOptions::default()).unwrap();
+        let sym = |idx: i64| Value::Sym { ty: 0, idx: idx as u32 };
+        let mut most = 0;
+        for i in 0..8 * 2 * 5 * 5 {
+            let (unsafe_n, faulty_n, state, new) = (i / 50, i / 25 % 2, i / 5 % 5, i % 5);
+            let at = format!("unsafe={unsafe_n} faulty={faulty_n} state={state} new={new}");
+            let mut regs_a = RegFile::new(&p);
+            regs_a.write(&p, 0, &[], int(unsafe_n)).unwrap();
+            regs_a.write(&p, 1, &[], int(faulty_n)).unwrap();
+            regs_a.write(&p, 3, &[], sym(state)).unwrap();
+            let mut regs_b = regs_a.clone();
+            let mut inp = InputMap::new();
+            inp.set_default(&p, "new_state", sym(0)).unwrap();
+            inp.set(&p, "new_state", &[int(4)], sym(new)).unwrap();
+
+            let r = fire_reference(&p, 0, &[int(4)], &mut regs_a, &inp);
+            let k = c.fire("update_state", &[int(4)], &mut regs_b, &inp);
+            let text = |e: RuleError| e.to_string();
+            assert_eq!(r.clone().map_err(text), k.map_err(text), "{at}");
+            assert_eq!(regs_a, regs_b, "{at}: post-state diverged");
+            most = most.max(r.map_or(0, |o| o.emitted.len()));
+        }
+        assert_eq!(most, 6, "the FORALL rule emits once per direction");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The parametric family of random well-typed rule programs, shared by
 //! the property tests in `prop_rules.rs` and the fill differential in
 //! `src/compile.rs` (which includes this file by path); and the shipped
-//! programs with random environments drawn from their declarations, for
-//! the executor differentials in `prop_rules.rs` and `src/interp.rs`.
+//! programs with random environments drawn from their declarations, and
+//! the paper's Figure 4, for the executor differentials in `prop_rules.rs`
+//! and `src/interp.rs` (and `src/eval.rs`' Figure 4 test).
 #![allow(dead_code)]
 
 use ftr_rules::ast::Program;
@@ -19,6 +20,30 @@ pub const SHIPPED: [(&str, &str); 6] = [
     ("route_c_nft", include_str!("../../../algos/rules/route_c_nft.rules")),
     ("naive_adaptive", include_str!("../../../algos/rules/naive_adaptive.rules")),
 ];
+
+/// The paper's Figure 4 (ROUTE_C's `update_state`): set membership, a
+/// quantified command that emits, writes to several registers.
+pub const FIGURE4: &str = "
+CONSTANT fault_states = {safe, ounsafe, sunsafe, lfault, faulty}
+CONSTANT dirs = 0 TO 5
+VARIABLE number_unsafe IN 0 TO 7 INIT 0
+VARIABLE number_faulty IN 0 TO 7 INIT 0
+VARIABLE neighb_state[dirs] IN fault_states INIT safe
+VARIABLE state IN fault_states INIT safe
+INPUT new_state[dirs] IN fault_states
+
+ON update_state(dir IN dirs)
+  IF new_state(dir) IN {faulty, lfault} AND number_faulty = 0
+  THEN neighb_state(dir) <- new_state(dir),
+       number_faulty <- number_faulty + 1,
+       number_unsafe <- number_unsafe + 1;
+  IF new_state(dir) IN {sunsafe, ounsafe} AND state = safe AND number_unsafe = 2
+  THEN state <- ounsafe,
+       number_unsafe <- number_unsafe + 1,
+       FORALL i IN dirs: !send_newmessage(i, ounsafe),
+       neighb_state(dir) <- new_state(dir);
+END update_state;
+";
 
 /// splitmix64: the draws of one environment, from one seed.
 pub struct Draw(pub u64);

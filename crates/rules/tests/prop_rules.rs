@@ -194,13 +194,13 @@ proptest! {
 // ---------------------------------------------------------------------
 // Leaf differentials: the mask set operations against the element-list
 // oracle, the dense `InputMap` against a hash-map model, and the effects
-// frame's parallel-write rules through all three executors.
+// frame's parallel-write rules through both executors.
 
 mod leaves {
     use super::*;
     use ftr_rules::ast::{BinOp, Builtin, Expr, IndexedRef, Program, Quant, Ref};
     use ftr_rules::eval::{set_elements, values_equal};
-    use ftr_rules::{Domain, VmProgram};
+    use ftr_rules::Domain;
     use std::collections::HashMap;
 
     /// Set registers over an integer domain that does not start at 0, one
@@ -479,7 +479,6 @@ END f;
         ) {
             let prog = parse(WRITES).unwrap();
             let compiled = compile(&prog, &CompileOptions::default()).unwrap();
-            let vm = VmProgram::lower(&compiled).unwrap();
             let mut im = InputMap::new();
             for (name, v) in [("i1", i1), ("i2", i2), ("v1", v1), ("v2", v2)] {
                 im.set(&prog, name, &[], Value::Int(v)).unwrap();
@@ -511,22 +510,18 @@ END f;
             }
 
             let fresh = || RegFile::new(&prog);
-            let (mut r, mut t, mut b) = (fresh(), fresh(), fresh());
+            let (mut r, mut t) = (fresh(), fresh());
             let reference = fire_reference(&prog, 0, &[], &mut r, &im);
             let table = compiled.bases[0].fire(&prog, &[], &mut t, &im);
-            let mut frame = ftr_rules::vm::Scratch::new();
-            let bytecode = vm.bases[0].fire(&prog, &[], &mut b, &im, &mut frame);
             prop_assert_eq!(reference.is_err(), failed);
             prop_assert_eq!(reference.as_ref().ok(), table.as_ref().ok());
-            prop_assert_eq!(reference.as_ref().ok(), bytecode.as_ref().ok());
-            prop_assert_eq!((table.is_err(), bytecode.is_err()), (failed, failed));
+            prop_assert_eq!(table.is_err(), failed);
             // an index or a value outside its domain, or a conflict: the
             // table fails with the reference's own words
             let text = |r: &Result<_, ftr_rules::RuleError>| r.as_ref().err().map(|e| e.to_string());
             prop_assert_eq!(text(&reference), text(&table));
             prop_assert_eq!(&r, &want, "reference registers");
             prop_assert_eq!(&t, &want, "table registers");
-            prop_assert_eq!(&b, &want, "bytecode registers");
         }
     }
 }
