@@ -12,8 +12,9 @@
 //! `rulebases`, an absent one to `None`, a present one of another shape
 //! or element kind to an error naming it. The host then states what it
 //! requires ([`entry`], [`CubeIo::require_all`]) and checks its topology
-//! against the declared domains (`fits`). After that the `load*` methods
-//! write one decision's inputs by index and cannot fail.
+//! against the declared domains (`fits`). An input binds to a typed
+//! [`Port`] that writes words into the host's [`InputMap`], laid out for
+//! the program: the `load*` methods write one decision through them.
 //!
 //! [`RuleIo`] is everything topology-specific a host needs, so the live
 //! router (`ftr_core::RuleHost`) and the static lift
@@ -26,7 +27,8 @@ use ftr_rules::ast::{
 };
 use ftr_rules::compile::FeatureKind;
 use ftr_rules::{
-    CompiledProgram, Domain, InputMap, Machine, RegFile, Result, RuleError, Type, Value,
+    CompiledProgram, Domain, Elem, InputMap, Machine, Port, RegFile, Result, RuleError, Subset,
+    Type, Value,
 };
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{ControlMsg, Decision, RouterView, Verdict};
@@ -86,10 +88,10 @@ pub fn entry(prog: &Program) -> Result<&RuleBase> {
 
 /// An element kind: its name and its test.
 type Kind = (&'static str, fn(Type) -> bool);
-const BOOL: Kind = ("bool", |t| matches!(t, Type::Scalar(Domain::Bool)));
-const INT: Kind = ("integer", |t| matches!(t, Type::Scalar(Domain::Int { .. })));
-const SYM: Kind = ("symbol", |t| matches!(t, Type::Scalar(Domain::Sym(_))));
-const SET: Kind = ("set", |t| matches!(t, Type::Set(_)));
+const BOOL: Kind = (<bool as Elem>::KIND, <bool as Elem>::declared);
+const INT: Kind = (<i64 as Elem>::KIND, <i64 as Elem>::declared);
+const SYM: Kind = (<u32 as Elem>::KIND, <u32 as Elem>::declared);
+const SET: Kind = (Subset::KIND, Subset::declared);
 
 /// A declaration's layout: no index, or one index. `n > 0` asks the
 /// element domain (scalar) or the index domain (array) to cover `0..n`.
@@ -127,8 +129,10 @@ fn slot<'p>(
     )))
 }
 
-fn input(prog: &Program, name: &str, shape: Shape, kind: Kind) -> Result<Option<usize>> {
-    slot(prog.inputs.iter().map(|d| (&d.name, &d.index_domains, d.elem)), name, shape, kind)
+/// The typed port of input `name`, checked against `shape` and its kind.
+fn input<T: Elem>(prog: &Program, name: &str, shape: Shape) -> Result<Option<Port<T>>> {
+    let decls = prog.inputs.iter().map(|d| (&d.name, &d.index_domains, d.elem));
+    slot(decls, name, shape, (T::KIND, T::declared))?.map(|i| Port::bind(prog, i)).transpose()
 }
 
 fn var(prog: &Program, name: &str, shape: Shape, kind: Kind) -> Result<Option<usize>> {
@@ -146,16 +150,16 @@ fn undeclared(name: &str) -> RuleError {
 
 /// One table per interface: the struct of slots, its resolution and
 /// `slots` all come from it, so a name is spelled once — as the field it
-/// binds to. `$g` is the host's geometry; zeros ask for any size. Fields
-/// after the table are derived by `bind`, starting from `$init`.
+/// binds to (a `Port` or an index). `$g` is the host's geometry; zeros ask
+/// for any size. Fields after the table are derived by `bind` from `$init`.
 macro_rules! interface {
     ($(#[$doc:meta])* $io:ident($g:ident: $geom:ty) {
-        $($field:ident: $resolve:ident($($arg:expr),*),)*
+        $($field:ident: $fty:ty = $resolve:ident($($arg:expr),*),)*
     } $($derived:ident: $dty:ty = $init:expr,)*) => {
         $(#[$doc])*
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         pub struct $io {
-            $(pub $field: Option<usize>,)*
+            $(pub $field: Option<$fty>,)*
             $(pub $derived: $dty,)*
         }
 
@@ -169,7 +173,7 @@ macro_rules! interface {
 
             /// Every name of the interface with the slot it bound to.
             pub fn slots(&self) -> Vec<(&'static str, Option<usize>)> {
-                vec![$((stringify!($field), self.$field),)*]
+                vec![$((stringify!($field), self.$field.map(usize::from)),)*]
             }
         }
     };
@@ -180,11 +184,12 @@ interface! {
     /// the registers a host writes; then the data path the declarations
     /// select. Geometry: (width, height, channels).
     MeshIo(g: (usize, usize, usize)) {
-        xdes: input(Scalar(g.0), INT), ydes: input(Scalar(g.1), INT), invc: input(Scalar(g.2), INT),
-        free: input(Array(MESH_PORTS), BOOL), linkok: input(Array(MESH_PORTS), BOOL),
-        out_queue: input(Array(MESH_PORTS), INT),
-        xpos: var(Scalar(g.0), INT), ypos: var(Scalar(g.1), INT),
-        usable: var(Scalar(0), SET), de_east: var(Scalar(0), BOOL), de_west: var(Scalar(0), BOOL),
+        xdes: Port<i64> = input(Scalar(g.0)), ydes: Port<i64> = input(Scalar(g.1)),
+        invc: Port<i64> = input(Scalar(g.2)), out_queue: Port<i64> = input(Array(MESH_PORTS)),
+        free: Port<bool> = input(Array(MESH_PORTS)), linkok: Port<bool> = input(Array(MESH_PORTS)),
+        xpos: usize = var(Scalar(g.0), INT), ypos: usize = var(Scalar(g.1), INT),
+        usable: usize = var(Scalar(0), SET), de_east: usize = var(Scalar(0), BOOL),
+        de_west: usize = var(Scalar(0), BOOL),
     }
     mode: MeshVcMode = MeshVcMode::SingleVc,
 }
@@ -194,14 +199,14 @@ interface! {
     /// registers a host reads, the rule bases it fires. Geometry:
     /// (dimensions, channel classes).
     CubeIo(g: (usize, usize)) {
-        diffup: input(Scalar(g.0), SET), diffdown: input(Scalar(g.0), SET),
-        okdirs: input(Scalar(g.0), SET), out_queue: input(Array(g.0), INT),
-        new_state: input(Array(g.0), SYM), phase: input(Scalar(0), INT),
-        misr: input(Scalar(0), BOOL), freevc: input(Array(g.1), BOOL),
-        freedirs: input(Array(g.1), SET),
-        neighb_state: var(Array(g.0), SYM), chosen: var(Scalar(g.0), INT),
-        state: var(Scalar(0), SYM),
-        decide_dir: base(), decide_vc: base(), update_state: base(),
+        diffup: Port<Subset> = input(Scalar(g.0)), diffdown: Port<Subset> = input(Scalar(g.0)),
+        okdirs: Port<Subset> = input(Scalar(g.0)), out_queue: Port<i64> = input(Array(g.0)),
+        new_state: Port<u32> = input(Array(g.0)), phase: Port<i64> = input(Scalar(0)),
+        misr: Port<bool> = input(Scalar(0)), freevc: Port<bool> = input(Array(g.1)),
+        freedirs: Port<Subset> = input(Array(g.1)),
+        neighb_state: usize = var(Array(g.0), SYM), chosen: usize = var(Scalar(g.0), INT),
+        state: usize = var(Scalar(0), SYM),
+        decide_dir: usize = base(), decide_vc: usize = base(), update_state: usize = base(),
     }
     parks: bool = false,
 }
@@ -220,9 +225,10 @@ fn reset_to_defaults(im: &mut InputMap, prog: &Program) {
     }
 }
 
-fn put(im: &mut InputMap, prog: &Program, slot: Option<usize>, idx: &[Value], v: Value) {
-    if let Some(i) = slot {
-        im.set_at(prog, i, idx, v).expect("bind() fixed the arity and fits() the index range");
+/// Writes `v` at index `k` of a declared input.
+fn feed<T: Elem>(im: &mut InputMap, port: Option<Port<T>>, k: usize, v: T) {
+    if let Some(p) = port {
+        p.write(im, k, v);
     }
 }
 
@@ -396,9 +402,9 @@ pub struct ReadClasses {
 
 impl ReadClasses {
     fn new(compiled: &CompiledProgram, io: &MeshIo) -> Self {
+        let (free, queue) = (io.free.map(|p| p.input()), io.out_queue.map(|p| p.input()));
         let input = |i: usize| {
-            (if io.free == Some(i) { FREE } else { 0 })
-                | (if io.out_queue == Some(i) { QUEUE } else { 0 })
+            (if free == Some(i) { FREE } else { 0 }) | (if queue == Some(i) { QUEUE } else { 0 })
         };
         let class = |e: &Expr| match e {
             Expr::Ref(Ref::Input(i)) | Expr::Indexed { target: IndexedRef::Input(i), .. } => {
@@ -458,7 +464,8 @@ impl MeshIo {
     /// otherwise.
     pub fn bind(prog: &Program) -> Result<Self> {
         let mut io = Self::resolve(prog, (0, 0, 0))?;
-        if let Some(Domain::Int { lo: 0, hi: 1 }) = io.invc.map(|i| prog.inputs[i].elem.domain()) {
+        let invc = io.invc.map(|p| prog.inputs[p.input()].elem.domain());
+        if let Some(Domain::Int { lo: 0, hi: 1 }) = invc {
             io.mode = MeshVcMode::NaraPair;
         }
         Ok(io)
@@ -510,7 +517,7 @@ impl MeshIo {
         }
         write(regs, prog, self.de_east, Value::Bool(dead_ends.0));
         write(regs, prog, self.de_west, Value::Bool(dead_ends.1));
-        self.load(prog, im, dst, lane.vnet as usize, |d| ports[d]);
+        self.load(im, dst, lane.vnet as usize, |d| ports[d]);
         open
     }
 
@@ -518,20 +525,19 @@ impl MeshIo {
     /// `port` reports. A dead link is never `free`; `out_queue` saturates.
     fn load(
         &self,
-        prog: &Program,
         im: &mut InputMap,
         dst: (u32, u32),
         invc: usize,
         port: impl Fn(usize) -> PortInfo,
     ) {
-        put(im, prog, self.xdes, &[], Value::Int(i64::from(dst.0)));
-        put(im, prog, self.ydes, &[], Value::Int(i64::from(dst.1)));
-        put(im, prog, self.invc, &[], Value::Int(invc as i64));
+        feed(im, self.xdes, 0, i64::from(dst.0));
+        feed(im, self.ydes, 0, i64::from(dst.1));
+        feed(im, self.invc, 0, invc as i64);
         for d in 0..MESH_PORTS {
-            let (p, idx) = (port(d), [Value::Int(d as i64)]);
-            put(im, prog, self.free, &idx, Value::Bool(p.linkok && p.free));
-            put(im, prog, self.linkok, &idx, Value::Bool(p.linkok));
-            put(im, prog, self.out_queue, &idx, queue_len(p.out_queue));
+            let p = port(d);
+            feed(im, self.free, d, p.linkok && p.free);
+            feed(im, self.linkok, d, p.linkok);
+            feed(im, self.out_queue, d, queue_len(p.out_queue));
         }
     }
 }
@@ -682,8 +688,8 @@ impl RuleIo for MeshIo {
     }
 }
 
-fn queue_len(q: u32) -> Value {
-    Value::Int(i64::from(q.min(OUT_QUEUE_MAX)))
+fn queue_len(q: u32) -> i64 {
+    i64::from(q.min(OUT_QUEUE_MAX))
 }
 
 // ---------------------------------------------------------------------------
@@ -709,8 +715,9 @@ impl DirSets {
         DirSets { dim: cube.dim(), up: diff & !here, down: diff & here, ok }
     }
 
-    fn value(&self, mask: u64) -> Value {
-        Value::Set { dom: Domain::Int { lo: 0, hi: i64::from(self.dim) - 1 }, mask }
+    /// `mask` as a set of the cube's dimensions.
+    fn subset(&self, mask: u64) -> Subset {
+        Subset { dom: Domain::Int { lo: 0, hi: i64::from(self.dim) - 1 }, mask }
     }
 }
 
@@ -759,11 +766,9 @@ impl CubeIo {
             walk_expr(e, &mut |x| {
                 read |= match x {
                     Expr::Ref(Ref::Input(i))
-                    | Expr::Indexed { target: IndexedRef::Input(i), .. } => {
-                        Some(*i) == self.out_queue
-                    }
-                    Expr::Call { builtin: Builtin::ArgMin(i) | Builtin::ArgMax(i), .. } => {
-                        Some(*i) == self.out_queue
+                    | Expr::Indexed { target: IndexedRef::Input(i), .. }
+                    | Expr::Call { builtin: Builtin::ArgMin(i) | Builtin::ArgMax(i), .. } => {
+                        self.out_queue.is_some_and(|p| p.input() == *i)
                     }
                     _ => false,
                 }
@@ -824,12 +829,12 @@ impl CubeIo {
     }
 
     /// Step 1 inputs: the direction sets and the load of each output.
-    fn load_dir(&self, prog: &Program, im: &mut InputMap, s: DirSets, q: impl Fn(usize) -> u32) {
-        put(im, prog, self.diffup, &[], s.value(s.up));
-        put(im, prog, self.diffdown, &[], s.value(s.down));
-        put(im, prog, self.okdirs, &[], s.value(s.ok));
+    fn load_dir(&self, im: &mut InputMap, s: DirSets, q: impl Fn(usize) -> u32) {
+        feed(im, self.diffup, 0, s.subset(s.up));
+        feed(im, self.diffdown, 0, s.subset(s.down));
+        feed(im, self.okdirs, 0, s.subset(s.ok));
         for d in 0..s.dim as usize {
-            put(im, prog, self.out_queue, &[Value::Int(d as i64)], queue_len(q(d)));
+            feed(im, self.out_queue, d, queue_len(q(d)));
         }
     }
 
@@ -838,19 +843,18 @@ impl CubeIo {
     /// class, the candidates `free` holds it free on (`freevc`: any).
     fn load_vc(
         &self,
-        prog: &Program,
         im: &mut InputMap,
         s: DirSets,
         cands: u64,
         free: impl Fn(usize) -> u64,
     ) -> (u8, bool) {
         let (phase, misr) = (u8::from(s.up == 0), cands & (s.up | s.down) == 0);
-        put(im, prog, self.phase, &[], Value::Int(i64::from(phase)));
-        put(im, prog, self.misr, &[], Value::Bool(misr));
+        feed(im, self.phase, 0, i64::from(phase));
+        feed(im, self.misr, 0, misr);
         for v in 0..CUBE_VCS {
-            let (class, dirs) = (Value::Int(v as i64), free(v));
-            put(im, prog, self.freevc, &[class], Value::Bool(dirs != 0));
-            put(im, prog, self.freedirs, &[class], s.value(dirs));
+            let dirs = free(v);
+            feed(im, self.freevc, v, dirs != 0);
+            feed(im, self.freedirs, v, s.subset(dirs));
         }
         (phase, misr)
     }
@@ -870,14 +874,9 @@ impl CubeIo {
 
     /// `update_state(dir)` inputs: the neighbour across `dir` reported
     /// state `reported`; every other dimension reads symbol 0 (`safe`).
-    fn load_update(&self, prog: &Program, im: &mut InputMap, dim: u32, dir: usize, reported: u32) {
-        let Some(Type::Scalar(Domain::Sym(ty))) = self.new_state.map(|i| prog.inputs[i].elem)
-        else {
-            return;
-        };
+    fn load_update(&self, im: &mut InputMap, dim: u32, dir: usize, reported: u32) {
         for d in 0..dim as usize {
-            let idx = if d == dir { reported } else { 0 };
-            put(im, prog, self.new_state, &[Value::Int(d as i64)], Value::Sym { ty, idx });
+            feed(im, self.new_state, d, if d == dir { reported } else { 0 });
         }
     }
 
@@ -894,7 +893,7 @@ impl CubeIo {
     /// generated `send_newmessage` events into control messages.
     fn update(&self, u: &mut Unit<Self>, dir: PortId, reported: u32) -> Vec<ControlMsg> {
         u.inputs.clear();
-        self.load_update(u.machine.program(), &mut u.inputs, u.topo.dim(), dir.idx(), reported);
+        self.load_update(&mut u.inputs, u.topo.dim(), dir.idx(), reported);
         let args = [Value::Int(dir.idx() as i64)];
         if u.machine.fire_base(u.node.update_state, &args, &u.inputs).is_err() {
             return Vec::new();
@@ -971,7 +970,7 @@ impl RuleIo for CubeIo {
 
         // --- step 1: decide_dir
         u.inputs.clear();
-        self.load_dir(u.machine.program(), &mut u.inputs, sets, |d| view.load(d));
+        self.load_dir(&mut u.inputs, sets, |d| view.load(d));
         let Ok(step1) = u.machine.fire_base(u.node.decide_dir, &[], &u.inputs) else {
             return Decision::new(Verdict::Unroutable, 1);
         };
@@ -989,8 +988,7 @@ impl RuleIo for CubeIo {
                 *dirs |= u64::from(view.free(d, vc)) << d;
             }
         }
-        let (phase, misr) =
-            self.load_vc(u.machine.program(), &mut u.inputs, sets, cands, |vc| free[vc]);
+        let (phase, misr) = self.load_vc(&mut u.inputs, sets, cands, |vc| free[vc]);
         let Ok(step2) = u.machine.fire_base(u.node.decide_vc, &[], &u.inputs) else {
             return Decision::new(Verdict::Unroutable, step1.steps.max(1) + 1);
         };
@@ -1048,7 +1046,7 @@ impl RuleIo for CubeIo {
         };
         // step 1: decide_dir is deterministic in the direction sets
         reset_to_defaults(im, machine.program());
-        self.load_dir(machine.program(), im, s, |_| 0);
+        self.load_dir(im, s, |_| 0);
         let cands = match fire(machine, node.decide_dir, im) {
             Some(Value::Set { mask, .. }) => mask,
             _ => 0,
@@ -1057,9 +1055,9 @@ impl RuleIo for CubeIo {
         // step 2: decide_vc across argmin positions (one per candidate
         // output) × free-channel-class singletons
         for qmin in (0..s.dim as usize).filter(|q| cands & (1 << q) != 0) {
-            self.load_dir(machine.program(), im, s, |d| if d == qmin { 0 } else { 9 });
+            self.load_dir(im, s, |d| if d == qmin { 0 } else { 9 });
             for fv in 0..CUBE_VCS {
-                self.load_vc(machine.program(), im, s, cands, |v| if v == fv { cands } else { 0 });
+                self.load_vc(im, s, cands, |v| if v == fv { cands } else { 0 });
                 let ret = fire(machine, node.decide_vc, im);
                 match self.channel(machine, ret) {
                     Some((p, vc)) if p < s.dim as usize && cands & (1 << p) != 0 => {
@@ -1208,8 +1206,8 @@ mod tests {
         let io = MeshIo::bind(&prog).unwrap();
         io.fits(&prog, 8, 8, 1).unwrap();
         let ports = [(true, true, 3), (false, true, 400), (true, false, 0), (true, true, 7)];
-        let mut im = InputMap::new();
-        io.load(&prog, &mut im, (1, 2), 0, |d| PortInfo {
+        let mut im = InputMap::for_program(&prog);
+        io.load(&mut im, (1, 2), 0, |d| PortInfo {
             free: ports[d].0,
             linkok: ports[d].1,
             out_queue: ports[d].2,

@@ -39,8 +39,8 @@
 //! ```
 
 use ftr_analyze::{
-    analyze_source_with, opt, CubeProgramLift, Diagnostic, LintOptions, MeshProgramLift, Rewrite,
-    Severity, TopoFacts,
+    analyze_source_with, opt, CubeProgramLift, DeadlockReport, Diagnostic, LintOptions,
+    MeshProgramLift, Rewrite, Severity, TopoFacts,
 };
 use ftr_obs::json::Obj;
 use ftr_topo::{Hypercube, Mesh2D};
@@ -134,19 +134,18 @@ fn topo_facts(opts: &Options) -> TopoFacts {
 }
 
 /// `mesh:4x4` → Mesh verification, `cube:4` → hypercube verification.
-/// Returns (human summary, verified).
 fn run_deadlock(
     spec: &str,
     name: &str,
     analysis: &ftr_analyze::Analysis,
     opts: &Options,
-) -> Result<(String, bool), ExitCode> {
+) -> Result<DeadlockReport, ExitCode> {
     let refused = |e: ftr_rules::RuleError| {
         eprintln!("ftr-lint: {name}: cannot verify on {spec}: {e}");
         ExitCode::from(2)
     };
     let compiled = analysis.compiled.clone();
-    let report = if let Some(wh) = spec.strip_prefix("mesh:") {
+    Ok(if let Some(wh) = spec.strip_prefix("mesh:") {
         let (w, h) = parse_wh(wh).ok_or_else(|| {
             eprintln!("ftr-lint: bad mesh spec: {spec}");
             ExitCode::from(2)
@@ -164,8 +163,7 @@ fn run_deadlock(
         lift.verify(name, opts.max_faults, opts.max_sets)
     } else {
         return Err(usage());
-    };
-    Ok((report.summary(), report.verified()))
+    })
 }
 
 fn diag_json(d: &Diagnostic) -> String {
@@ -301,9 +299,12 @@ fn main() -> ExitCode {
         }
         if let Some(spec) = &opts.deadlock {
             match run_deadlock(spec, name, &analysis, &opts) {
-                Ok((summary, ok)) => {
-                    all_verified &= ok;
+                Ok(report) => {
+                    let summary = report.summary();
+                    all_verified &= report.verified();
                     pj.str("deadlock", &summary);
+                    pj.num("fault_sets_checked", report.fault_sets_checked as u64);
+                    pj.num("fault_sets_total", report.fault_sets_total as u64);
                     if !opts.json {
                         println!("{summary}");
                     }

@@ -55,6 +55,9 @@ pub struct DeadlockReport {
     pub num_vcs: usize,
     /// Number of fault scenarios whose CDG was built and checked.
     pub fault_sets_checked: usize,
+    /// Number of fault sets the bound on faults allows: more than were
+    /// checked when the checked ones are a sample.
+    pub fault_sets_total: usize,
     /// Most channels any message could occupy in one scenario; zero means
     /// the program makes no routing decision on this topology (a cube
     /// program on a mesh, a mesh program on a cube) and nothing was proved.
@@ -74,16 +77,23 @@ impl DeadlockReport {
 
     /// One-paragraph human-readable summary.
     pub fn summary(&self) -> String {
+        let sampled = match self.fault_sets_total {
+            total if total > self.fault_sets_checked => {
+                format!(", sampled {} of {total} sets", self.fault_sets_checked)
+            }
+            _ => String::new(),
+        };
         if self.channels_used == 0 {
             format!("{}: skipped on {} — does not drive this topology", self.program, self.topology)
         } else if self.verified() {
             format!(
-                "{}: deadlock-free on {} ({} VCs) — CDG acyclic for all {} fault scenarios \
+                "{}: deadlock-free on {} ({} VCs) — CDG acyclic for all {} fault scenarios{} \
                  ({} interpretations)",
                 self.program,
                 self.topology,
                 self.num_vcs,
                 self.fault_sets_checked,
+                sampled,
                 self.interpretations
             )
         } else {
@@ -92,13 +102,14 @@ impl DeadlockReport {
             let ring: Vec<String> =
                 w.cycle.iter().chain(&w.cycle[..1]).map(|c| c.to_string()).collect();
             format!(
-                "{}: DEADLOCK POSSIBLE on {} ({} VCs) — {}/{} scenarios cyclic; \
+                "{}: DEADLOCK POSSIBLE on {} ({} VCs) — {}/{} scenarios cyclic{}; \
                  e.g. [{}] cycle {} ({} interpretations)",
                 self.program,
                 self.topology,
                 self.num_vcs,
                 self.failures.len(),
                 self.fault_sets_checked,
+                sampled,
                 w.faults,
                 ring.join(" → "),
                 self.interpretations
@@ -165,7 +176,8 @@ impl<I: RuleIo> ProgramLift<I> {
         let unit = drives.then(|| {
             let mut machine = Machine::from_compiled(compiled);
             let node = io.init(&topo, NodeId(0), &mut machine);
-            RefCell::new(Unit { topo: topo.clone(), machine, inputs: InputMap::new(), node })
+            let inputs = InputMap::for_program(machine.program());
+            RefCell::new(Unit { topo: topo.clone(), machine, inputs, node })
         });
         let memo = RefCell::new(vec![0; (io.num_vcs() << ports) * n * n]);
         Ok(ProgramLift { topo, io, reads, unit, fresh, ports, memo, fired: Cell::new(0) })
@@ -232,16 +244,18 @@ impl<I: RuleIo> ProgramLift<I> {
         max_fault_sets: usize,
     ) -> DeadlockReport {
         let (topo, vcs, before) = (&self.topo, self.num_vcs(), self.fired.get());
+        let (sets, total) = fault_sets(&unique_links(topo), max_faults, max_fault_sets, 0x5eed);
         let mut report = DeadlockReport {
             program: program.into(),
             topology: I::label(topo),
             num_vcs: vcs,
             fault_sets_checked: 0,
+            fault_sets_total: total,
             channels_used: 0,
             failures: Vec::new(),
             interpretations: 0,
         };
-        for set in &fault_sets(&unique_links(topo), max_faults, max_fault_sets, 0x5eed) {
+        for set in &sets {
             let mut faults = FaultSet::new();
             for &(n, p) in set {
                 faults.fail_link(topo, n, p);
@@ -278,13 +292,14 @@ fn unique_links(topo: &dyn Topology) -> Vec<(NodeId, PortId)> {
 
 /// Every subset of `links` with at most `max_faults` elements; if that
 /// exceeds `cap`, a deterministic sample without repeats: the fault-free
-/// scenario first, then `cap - 1` distinct others.
+/// scenario first, then `cap - 1` distinct others. Also how many subsets
+/// there are.
 fn fault_sets(
     links: &[(NodeId, PortId)],
     max_faults: usize,
     cap: usize,
     seed: u64,
-) -> Vec<Vec<(NodeId, PortId)>> {
+) -> (Vec<Vec<(NodeId, PortId)>>, usize) {
     let mut sets: Vec<Vec<(NodeId, PortId)>> = vec![Vec::new()];
     let mut frontier: Vec<Vec<usize>> = vec![Vec::new()];
     for _ in 0..max_faults {
@@ -300,8 +315,8 @@ fn fault_sets(
         }
         frontier = next;
     }
-    let cap = cap.max(1);
-    if sets.len() > cap {
+    let (cap, total) = (cap.max(1), sets.len());
+    if total > cap {
         // a partial Fisher–Yates shuffle of everything after the fault-free set
         let mut rng = SimpleRng::new(seed);
         for i in 1..cap {
@@ -310,7 +325,7 @@ fn fault_sets(
         }
         sets.truncate(cap);
     }
-    sets
+    (sets, total)
 }
 
 /// A scenario's dead links (`link 0#0, link 5#2`), or `fault-free`; the
@@ -374,10 +389,10 @@ mod tests {
         let mesh = Mesh2D::new(3, 3);
         let links = unique_links(&mesh);
         assert_eq!(links.len(), 12); // 2*3*3 - 3 - 3
-        let sets = fault_sets(&links, 2, usize::MAX, 1);
+        let (sets, total) = fault_sets(&links, 2, usize::MAX, 1);
         // empty + 12 singles + C(12,2) pairs
-        assert_eq!(sets.len(), 1 + 12 + 66);
-        let sets1 = fault_sets(&links, 1, usize::MAX, 1);
+        assert_eq!((sets.len(), total), (1 + 12 + 66, 1 + 12 + 66));
+        let (sets1, _) = fault_sets(&links, 1, usize::MAX, 1);
         assert_eq!(sets1.len(), 13);
     }
 
@@ -385,8 +400,8 @@ mod tests {
     fn sampling_keeps_fault_free_scenario() {
         let mesh = Mesh2D::new(4, 4);
         let links = unique_links(&mesh);
-        let sets = fault_sets(&links, 2, 10, 7);
-        assert_eq!(sets.len(), 10);
+        let (sets, total) = fault_sets(&links, 2, 10, 7);
+        assert_eq!((sets.len(), total), (10, 1 + 24 + 276));
         assert!(sets[0].is_empty());
     }
 
@@ -395,7 +410,8 @@ mod tests {
         // the 4-cube with at most one dead link: 33 scenarios
         let links = unique_links(&Hypercube::new(4));
         for cap in [1, 2, 16, 32, 33, 34, 512] {
-            let sets = fault_sets(&links, 1, cap, 0x5eed);
+            let (sets, total) = fault_sets(&links, 1, cap, 0x5eed);
+            assert_eq!(total, 33);
             assert_eq!(sets.len(), cap.min(33), "cap {cap}");
             assert!(sets[0].is_empty(), "cap {cap}");
             let distinct: BTreeSet<_> = sets.iter().collect();

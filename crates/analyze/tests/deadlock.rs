@@ -201,6 +201,20 @@ fn route_c_on_the_4_cube_is_cyclic_under_every_single_dead_link() {
     assert_eq!(report.fault_sets_checked, 33); // 32 links + fault-free
     assert_eq!(report.failures.len(), 32, "{}", report.summary());
     assert!(report.failures.iter().all(|w| w.faults.starts_with("link ")), "{}", report.summary());
+    assert!(report.summary().contains("32/33 scenarios cyclic; e.g."), "{}", report.summary());
+}
+
+#[test]
+fn a_sampled_verdict_says_how_many_sets_it_sampled() {
+    // `ftr-lint --deadlock cube:4 --max-faults 2` at the default 512 sets:
+    // 529 sets exist (fault-free, 32 single and 496 double dead links)
+    let report = verify_cube("route_c", &shipped("route_c"), 4, 2, 512);
+    assert_eq!((report.fault_sets_checked, report.fault_sets_total), (512, 529));
+    let summary = report.summary();
+    assert!(
+        summary.contains("511/512 scenarios cyclic, sampled 512 of 529 sets; e.g."),
+        "{summary}"
+    );
 }
 
 /// The lift's enumeration without its prune, built from public pieces

@@ -93,7 +93,7 @@ impl<I: RuleIo> RoutingAlgorithm for RuleHost<I> {
     fn controller(&self, _topo: &dyn Topology, node: NodeId) -> Box<dyn NodeController> {
         let (mut machine, topo) = (self.config.machine(self.probe.as_ref()), self.topo.clone());
         let node = self.io.init(&topo, node, &mut machine);
-        let unit = Unit { topo, machine, inputs: InputMap::new(), node };
+        let unit = Unit { inputs: InputMap::for_program(machine.program()), topo, machine, node };
         Box::new(RuleController { io: self.io, reads: Arc::clone(&self.reads), unit })
     }
 }

@@ -7,6 +7,12 @@
 
 use crate::error::Pos;
 use crate::value::{low_mask, Domain, Type, Value};
+use std::hash::{DefaultHasher, Hash, Hasher};
+
+/// Most cells an [`crate::InputMap`] stores for one program: its storage
+/// is dense, and a rule program's declarations come from outside. An input
+/// whose cells would pass it is not stored, and reads only its default.
+pub const MAX_INPUT_CELLS: usize = 1 << 20;
 
 /// A declared symbol type (`CONSTANT states = {safe, faulty, ...}`).
 #[derive(Clone, Debug)]
@@ -126,6 +132,14 @@ struct Resolved {
     sym_sizes: Vec<usize>,
     vars: Vec<CellLayout>,
     inputs: Vec<CellLayout>,
+    /// Where each input's cells start in an input map; `None` for one
+    /// that would pass [`MAX_INPUT_CELLS`].
+    input_first: Vec<Option<usize>>,
+    /// Cells of every stored input.
+    input_cells: usize,
+    /// A hash of every input's element type and index domains: maps laid
+    /// out for equal keys hold their words alike. 0 for no inputs.
+    input_key: u64,
     events: Vec<EventName>,
 }
 
@@ -399,6 +413,28 @@ impl Program {
         &self.resolved.inputs[input]
     }
 
+    /// Where input `input`'s cells start in an [`crate::InputMap`] laid
+    /// out for this program (declaration order, row-major); `None` for an
+    /// input not stored (see [`MAX_INPUT_CELLS`]).
+    #[inline]
+    pub fn input_first(&self, input: usize) -> Option<usize> {
+        self.resolved.input_first[input]
+    }
+
+    /// Cells of every stored input; an input map holds one more word per
+    /// input after them, its default.
+    #[inline]
+    pub fn input_cells(&self) -> usize {
+        self.resolved.input_cells
+    }
+
+    /// What an [`crate::InputMap`] is laid out by: equal for programs
+    /// whose input declarations agree.
+    #[inline]
+    pub(crate) fn input_key(&self) -> u64 {
+        self.resolved.input_key
+    }
+
     /// Every event name a conclusion generates, indexed by
     /// [`Command::Emit`]'s `id`.
     pub fn events(&self) -> &[EventName] {
@@ -423,7 +459,18 @@ impl Program {
     }
 
     pub(crate) fn declare_input(&mut self, i: InputDecl) {
-        self.resolved.inputs.push(CellLayout::new(&i.index_domains, &self.resolved.sym_sizes));
+        let r = &mut self.resolved;
+        let layout = CellLayout::new(&i.index_domains, &r.sym_sizes);
+        let end = r.input_cells.saturating_add(layout.cells);
+        let stored = end <= MAX_INPUT_CELLS;
+        r.input_first.push(stored.then_some(r.input_cells));
+        if stored {
+            r.input_cells = end;
+        }
+        let mut h = DefaultHasher::new();
+        (r.input_key, i.elem, &i.index_domains, i.elem.domain().size(&r.sym_sizes)).hash(&mut h);
+        r.input_key = h.finish() | 1;
+        r.inputs.push(layout);
         self.inputs.push(i);
     }
 

@@ -1,9 +1,10 @@
 //! Execution environment: the register file and the inputs of one
 //! rule-base invocation.
 
-use crate::ast::{CellLayout, Program};
+use crate::ast::{CellLayout, Dim, Program, MAX_INPUT_CELLS};
 use crate::error::{Result, RuleError};
-use crate::value::{Domain, Type, Value};
+use crate::value::{low_mask, Domain, Type, Value};
+use std::marker::PhantomData;
 
 #[cold]
 pub(crate) fn wrong_count(name: &str, layout: &CellLayout, got: usize) -> RuleError {
@@ -144,27 +145,78 @@ impl RegFile {
     }
 }
 
-/// Most cells one input may have: its storage is dense, and a rule
-/// program's declarations come from outside.
-const MAX_INPUT_CELLS: usize = 1 << 20;
+/// The state of one word of an [`InputMap`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum State {
+    /// No value: a read falls back to the input's default.
+    #[default]
+    Unset,
+    /// The word of a value of the input's declared type.
+    Word,
+    /// A value of another kind or domain, kept in [`InputMap::spills`].
+    Spilled,
+}
 
 /// External input values (header fields, link states, buffer occupancies)
 /// for one rule-base invocation, with optional per-input defaults.
 ///
-/// One row of cells per input, row-major like [`RegFile`] and sized on the
-/// first write, so a map is built without a program and a host reuses one
-/// for all its decisions: neither reads nor writes hash or, once every row
-/// has been written, allocate or resize.
+/// One word store: a `u64` per cell, each input's cells at the fixed
+/// offset [`Program::input_first`], then one word per input for its
+/// default. A value of the declared type is its word, as slot code reads
+/// it (an integer, a symbol index, 0 or 1, a set mask); a value of another
+/// kind or domain is spilled and read back as it was written. A host writes
+/// words through typed [`Port`]s, resolved once; the `Value` methods
+/// convert. A map serves the program it was laid out for (its first write)
+/// and any program declaring the same inputs; to another it reads as empty,
+/// and a `Value` write lays it out anew. Once laid out it neither hashes nor
+/// allocates, so a host reuses one for all its decisions.
 #[derive(Clone, Debug, Default)]
 pub struct InputMap {
-    rows: Vec<Vec<Option<Value>>>,
-    defaults: Vec<Option<Value>>,
+    /// The [`Program::input_key`] it is laid out for; 0 before any write.
+    key: u64,
+    words: Vec<u64>,
+    state: Vec<State>,
+    /// The values of spilled words, by word index.
+    spills: Vec<(u32, Value)>,
 }
+
+/// What a map laid out for another program reads as.
+static EMPTY: InputMap =
+    InputMap { key: 0, words: Vec::new(), state: Vec::new(), spills: Vec::new() };
 
 impl InputMap {
     /// Creates an empty map (reads fail unless set or defaulted).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty map laid out for `prog`, as its [`Port`]s write it.
+    pub fn for_program(prog: &Program) -> Self {
+        let mut im = Self::new();
+        im.lay_out(prog);
+        im
+    }
+
+    /// Lays the map out for `prog` unless it is already: every value and
+    /// default of another layout is gone.
+    fn lay_out(&mut self, prog: &Program) {
+        if self.key != prog.input_key() {
+            let n = prog.input_cells() + prog.inputs.len();
+            self.key = prog.input_key();
+            self.words = vec![0; n];
+            self.state = vec![State::Unset; n];
+            self.spills.clear();
+        }
+    }
+
+    /// This map, or an empty one if it is laid out for other declarations.
+    #[inline]
+    pub(crate) fn serving(&self, prog: &Program) -> &Self {
+        if self.key == prog.input_key() {
+            self
+        } else {
+            &EMPTY
+        }
     }
 
     #[inline]
@@ -189,64 +241,53 @@ impl InputMap {
 
     /// [`InputMap::set`] for a host that resolved the name once: `input`
     /// is the index into [`Program::inputs`].
-    #[inline]
     pub fn set_at(&mut self, prog: &Program, input: usize, idx: &[Value], v: Value) -> Result<()> {
-        let layout = prog.input_layout(input);
-        match self.rows.get_mut(input) {
-            Some(row) if row.len() == layout.cells => match layout.cell(idx, prog.sym_sizes()) {
-                Some(cell) => {
-                    row[cell] = Some(v);
-                    Ok(())
-                }
-                None => Err(index_error(&prog.inputs[input].name, layout, idx, prog)),
-            },
-            _ => self.set_in_new_row(prog, input, idx, v),
+        let cell = Self::cell(prog, input, idx)?;
+        let first = prog.input_first(input).ok_or_else(|| {
+            RuleError::eval(format!(
+                "input `{}` would take the cells past the {MAX_INPUT_CELLS} an input map holds",
+                prog.inputs[input].name
+            ))
+        })?;
+        self.lay_out(prog);
+        self.put(prog, input, first + cell, v);
+        Ok(())
+    }
+
+    /// Stores `v` at word `at` of input `input`: its word if it is of the
+    /// declared type, else spilled.
+    fn put(&mut self, prog: &Program, input: usize, at: usize, v: Value) {
+        match word_of(prog, prog.inputs[input].elem, &v) {
+            Some(w) => {
+                self.words[at] = w;
+                self.state[at] = State::Word;
+            }
+            None => self.spill(at, v),
         }
     }
 
-    /// [`InputMap::set_at`] into a row not sized yet (or sized for another
-    /// program): sizes it first.
-    #[inline(never)]
-    fn set_in_new_row(
-        &mut self,
-        prog: &Program,
-        input: usize,
-        idx: &[Value],
-        v: Value,
-    ) -> Result<()> {
-        let cells = prog.input_layout(input).cells;
-        if self.rows.len() <= input {
-            self.rows.resize_with(input + 1, Vec::new);
+    #[cold]
+    fn spill(&mut self, at: usize, v: Value) {
+        self.state[at] = State::Spilled;
+        match self.spills.iter_mut().find(|s| s.0 as usize == at) {
+            Some(s) => s.1 = v,
+            None => self.spills.push((at as u32, v)),
         }
-        if cells > MAX_INPUT_CELLS {
-            return Err(RuleError::eval(format!(
-                "input `{}` has more than {MAX_INPUT_CELLS} cells",
-                prog.inputs[input].name
-            )));
-        }
-        let cell = Self::cell(prog, input, idx)?;
-        let row = &mut self.rows[input];
-        row.clear();
-        row.resize(cells, None);
-        row[cell] = Some(v);
-        Ok(())
     }
 
     /// Sets a default returned for any unset cell of input `name`.
     pub fn set_default(&mut self, prog: &Program, name: &str, v: Value) -> Result<()> {
         let input = Self::named(prog, name)?;
-        if self.defaults.len() <= input {
-            self.defaults.resize(input + 1, None);
-        }
-        self.defaults[input] = Some(v);
+        self.lay_out(prog);
+        self.put(prog, input, prog.input_cells() + input, v);
         Ok(())
     }
 
-    /// Forgets every value and every default; the rows keep their size
-    /// and allocation, so a host can reuse one map for all its decisions.
+    /// Forgets every value and every default; the layout stays, so a host
+    /// can reuse one map for all its decisions.
     pub fn clear(&mut self) {
-        self.rows.iter_mut().for_each(|row| row.fill(None));
-        self.defaults.clear();
+        self.state.fill(State::Unset);
+        self.spills.clear();
     }
 
     /// Reads input `input` (index into [`Program::inputs`]) at `indices`.
@@ -258,21 +299,237 @@ impl InputMap {
     /// [`InputMap::read_input`] at a flat cell of the input's layout.
     #[inline]
     pub(crate) fn read_cell(&self, prog: &Program, input: usize, cell: usize) -> Result<Value> {
-        self.value(input, cell).ok_or_else(|| unset(prog, input, cell))
+        let (im, elem) = (self.serving(prog), prog.inputs[input].elem);
+        let set = prog.input_first(input).and_then(|first| im.value(elem, first + cell));
+        set.or_else(|| im.value(elem, prog.input_cells() + input))
+            .ok_or_else(|| unset(prog, input, cell))
     }
 
-    /// The value at a flat cell of input `input`, or its default; `None`
-    /// if it has neither.
-    #[inline]
-    pub(crate) fn value(&self, input: usize, cell: usize) -> Option<Value> {
-        let set = self.rows.get(input).and_then(|row| *row.get(cell)?);
-        set.or_else(|| *self.defaults.get(input)?)
+    /// The value word `at` holds, read as `elem`; `None` if unset.
+    fn value(&self, elem: Type, at: usize) -> Option<Value> {
+        match self.state.get(at)? {
+            State::Unset => None,
+            State::Word => Some(value_of(elem, self.words[at])),
+            State::Spilled => self.spills.iter().find(|s| s.0 as usize == at).map(|s| s.1),
+        }
     }
+
+    /// Word `at`, or the word `default` when `at` is unset: what slot code
+    /// reads, from a map [`InputMap::serving`] the program. `None` for a
+    /// spilled value or no value, which only the AST walk reads.
+    #[inline]
+    pub(crate) fn word(&self, at: usize, default: usize) -> Option<u64> {
+        let at = match self.state.get(at) {
+            Some(State::Word) => at,
+            Some(State::Spilled) => return None,
+            _ => default,
+        };
+        (self.state.get(at) == Some(&State::Word)).then(|| self.words[at])
+    }
+}
+
+/// The word of `v` as a value of type `elem`: in the declared domain, a set
+/// over exactly it with no bit outside.
+fn word_of(prog: &Program, elem: Type, v: &Value) -> Option<u64> {
+    match (elem, *v) {
+        (Type::Scalar(d), v) if d.contains(&v, prog.sym_sizes()) => Some(match v {
+            Value::Int(x) => x as u64,
+            Value::Sym { idx, .. } => u64::from(idx),
+            Value::Bool(b) => u64::from(b),
+            Value::Set { mask, .. } => mask,
+        }),
+        (Type::Set(d), Value::Set { dom, mask }) if dom == d && mask & !prog.live_mask(d) == 0 => {
+            Some(mask)
+        }
+        _ => None,
+    }
+}
+
+/// The value a word of type `elem` stands for.
+fn value_of(elem: Type, w: u64) -> Value {
+    match elem {
+        Type::Scalar(Domain::Int { .. }) => Value::Int(w as i64),
+        Type::Scalar(Domain::Sym(ty)) => Value::Sym { ty, idx: w as u32 },
+        Type::Scalar(Domain::Bool) => Value::Bool(w != 0),
+        Type::Set(dom) => Value::Set { dom, mask: w },
+    }
+}
+
+/// A port written past its indices or into a map laid out for other
+/// declarations: a host bug, which an `assert!` here would also catch at
+/// twice the cost of a write.
+#[cold]
+#[inline(never)]
+fn misuse() -> ! {
+    panic!("a port writes its own cells of a map laid out for its program")
 }
 
 #[cold]
 fn unset(prog: &Program, input: usize, cell: usize) -> RuleError {
     RuleError::eval(format!("input `{}` (cell {cell}) has no value", prog.inputs[input].name))
+}
+
+/// An element a host writes through a [`Port`]: an integer (`i64`), a
+/// boolean, a symbol index (`u32`) or a [`Subset`].
+pub trait Elem: Copy {
+    /// How a declaration of this kind is named.
+    const KIND: &'static str;
+    /// Whether an input with elements of type `t` takes this kind.
+    fn declared(t: Type) -> bool;
+    /// The word of `self` in `dom`, whose elements have the words
+    /// `base..base + size` (`size` bits for a set); `None` outside it.
+    fn word(self, dom: Domain, base: i64, size: u64) -> Option<u64>;
+    /// `self` as the value a cell of `dom` spills.
+    fn value(self, dom: Domain) -> Value;
+}
+
+impl Elem for i64 {
+    const KIND: &'static str = "integer";
+    fn declared(t: Type) -> bool {
+        matches!(t, Type::Scalar(Domain::Int { .. }))
+    }
+    #[inline]
+    fn word(self, _: Domain, base: i64, size: u64) -> Option<u64> {
+        ((self.wrapping_sub(base) as u64) < size).then_some(self as u64)
+    }
+    fn value(self, _: Domain) -> Value {
+        Value::Int(self)
+    }
+}
+
+impl Elem for bool {
+    const KIND: &'static str = "bool";
+    fn declared(t: Type) -> bool {
+        t == Type::Scalar(Domain::Bool)
+    }
+    #[inline]
+    fn word(self, _: Domain, _: i64, _: u64) -> Option<u64> {
+        Some(u64::from(self))
+    }
+    fn value(self, _: Domain) -> Value {
+        Value::Bool(self)
+    }
+}
+
+/// A symbol of the input's symbol type, by index.
+impl Elem for u32 {
+    const KIND: &'static str = "symbol";
+    fn declared(t: Type) -> bool {
+        matches!(t, Type::Scalar(Domain::Sym(_)))
+    }
+    #[inline]
+    fn word(self, _: Domain, _: i64, size: u64) -> Option<u64> {
+        (u64::from(self) < size).then_some(u64::from(self))
+    }
+    fn value(self, dom: Domain) -> Value {
+        let Domain::Sym(ty) = dom else { unreachable!("a symbol port is over a symbol type") };
+        Value::Sym { ty, idx: self }
+    }
+}
+
+/// A subset of `dom` as a bitmask: what a set port takes. A set over
+/// another domain than the declared one spills, as it reads back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Subset {
+    /// The element domain.
+    pub dom: Domain,
+    /// Bit `k` set ⇔ `dom.value_at(k)` is a member.
+    pub mask: u64,
+}
+
+impl Elem for Subset {
+    const KIND: &'static str = "set";
+    fn declared(t: Type) -> bool {
+        matches!(t, Type::Set(_))
+    }
+    #[inline]
+    fn word(self, dom: Domain, _: i64, size: u64) -> Option<u64> {
+        (self.dom == dom && self.mask & !low_mask(size) == 0).then_some(self.mask)
+    }
+    fn value(self, _: Domain) -> Value {
+        Value::Set { dom: self.dom, mask: self.mask }
+    }
+}
+
+/// A typed port: one input of a program as a host writes it, resolved
+/// once. It holds the word of the input's cell 0 in a map laid out for the
+/// program, how many indices follow, and the element domain each write is
+/// checked against (one compare); a write outside it spills, so a fire
+/// reads it through the AST walk and fails or answers as the reference.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Port<T> {
+    input: u32,
+    first: u32,
+    len: u32,
+    key: u64,
+    dom: Domain,
+    base: i64,
+    size: u64,
+    elem: PhantomData<T>,
+}
+
+/// The input a port writes.
+impl<T: Elem> From<Port<T>> for usize {
+    fn from(port: Port<T>) -> usize {
+        port.input()
+    }
+}
+
+impl<T: Elem> Port<T> {
+    /// The port of input `input` of `prog`: a scalar, or an array over
+    /// integers indexed from 0 (index `k` is cell `k`). An error names an
+    /// input of another element kind or layout, or one not stored.
+    pub fn bind(prog: &Program, input: usize) -> Result<Self> {
+        let decl = &prog.inputs[input];
+        let refuse = |why: &str| RuleError::resolve(format!("input `{}` {why}", decl.name));
+        let first = prog.input_first(input).ok_or_else(|| refuse("has too many cells to store"))?;
+        if !T::declared(decl.elem) {
+            return Err(refuse(&format!("is not of {} elements", T::KIND)));
+        }
+        let (zero, len) = match prog.input_layout(input).dims[..] {
+            [] => (0, 1),
+            [Dim { dom: Domain::Int { lo, hi }, .. }] if lo <= 0 && hi >= 0 => (-lo, hi + 1),
+            _ => return Err(refuse("is neither a scalar nor an array indexed from 0")),
+        };
+        let dom = decl.elem.domain();
+        Ok(Port {
+            input: input as u32,
+            // a stored input's cells lie below MAX_INPUT_CELLS
+            first: (first as i64 + zero) as u32,
+            len: len as u32,
+            key: prog.input_key(),
+            dom,
+            base: dom.base(),
+            size: dom.size(prog.sym_sizes()),
+            elem: PhantomData,
+        })
+    }
+
+    /// The input it writes (index into [`Program::inputs`]).
+    pub fn input(&self) -> usize {
+        self.input as usize
+    }
+
+    /// Writes `v` at index `k` (0 for a scalar) of a map laid out for the
+    /// port's program.
+    ///
+    /// # Panics
+    /// If `k` is past the declared indices or the map is laid out for
+    /// other declarations.
+    #[inline]
+    pub fn write(&self, im: &mut InputMap, k: usize, v: T) {
+        if k >= self.len as usize || im.key != self.key {
+            misuse();
+        }
+        let at = self.first as usize + k;
+        match v.word(self.dom, self.base, self.size) {
+            Some(w) => {
+                im.words[at] = w;
+                im.state[at] = State::Word;
+            }
+            None => im.spill(at, v.value(self.dom)),
+        }
+    }
 }
 
 #[cfg(test)]

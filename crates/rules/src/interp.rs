@@ -401,6 +401,44 @@ mod tests {
         assert!(fired > 500 && failed > 0, "{fired} rules fired, {failed} conclusions failed");
     }
 
+    #[test]
+    fn a_word_outside_its_domain_is_read_by_the_walk() {
+        // `q` is read only in the conclusion: an out-of-domain or
+        // wrong-kind value spills, the slot code gives up there and the
+        // walk fails with the reference's words
+        let p = parse(
+            "VARIABLE s IN SETOF 0 TO 3\nINPUT q IN 0 TO 3\n\
+             ON f() RETURNS 0 TO 1\n IF TRUE THEN s <- include(s, q), RETURN(1);\nEND f;",
+        )
+        .unwrap();
+        let c = compile(&p, &CompileOptions::default()).unwrap();
+        let (base, port) = (&c.bases[0], crate::Port::<i64>::bind(&p, 0).unwrap());
+        let mut port_written = InputMap::for_program(&p);
+        let mut wrong_kind = InputMap::new();
+        wrong_kind.set(&p, "q", &[], Value::Bool(true)).unwrap();
+        for (q, fits) in [(2, true), (3, true), (4, false), (-1, false)] {
+            port.write(&mut port_written, 0, q);
+            assert_eq!(port_written.read_input(&p, 0, &[]).unwrap(), int(q));
+            for im in [&port_written, &wrong_kind] {
+                let (mut frame, mut w, regs) =
+                    (Frame::new(), vec![0; base.code.words()], RegFile::new(&p));
+                frame.begin();
+                let idx = base.code.premise(&mut w, &p, &[], &regs, im, &mut frame).unwrap();
+                let rule = base.entry(idx).unwrap().unwrap();
+                let mut got = regs.clone();
+                let slot = base.code.conclusion(&mut w, rule, &p, &[], &mut got, im, &mut frame);
+                let fits = fits && std::ptr::eq(im, &port_written);
+                assert_eq!(slot, fits, "q = {q}: slot code ends the fire only in the domain");
+                let (mut a, mut b) = (regs.clone(), regs.clone());
+                let text = |e: RuleError| e.to_string();
+                let want = fire_reference(&p, 0, &[], &mut a, im).map_err(text);
+                assert_eq!(base.fire(&p, &[], &mut b, im).map_err(text), want, "q = {q}");
+                assert_eq!(want.is_ok(), fits, "q = {q}: {want:?}");
+                assert_eq!(a, b);
+            }
+        }
+    }
+
     fn int(v: i64) -> Value {
         Value::Int(v)
     }

@@ -10,9 +10,11 @@
 //! pre-state. An op is then a few integer instructions.
 //!
 //! The code checks at run time what the reference evaluator fails on, and
-//! what keeps a word canonical: a value read from a register, an input or
-//! a parameter must be of its declared kind (a set over its declared
-//! domain, with no bit outside it), an index must lie in its domain, a
+//! what keeps a word canonical: a value read from a register or a
+//! parameter must be of its declared kind (a set over its declared domain,
+//! with no bit outside it), an input cell must hold a word (the input map
+//! keeps what is of another kind or domain as a spilled value, and copies
+//! nothing unchecked), an index must lie in its domain, a
 //! digit in its radix, a write in its register's domain, and two writes to
 //! one cell must agree. A failed check makes the code give up ("bail")
 //! before any register changes; the executor then re-runs the fire by the
@@ -103,17 +105,9 @@ impl Kind {
     }
 }
 
-/// The word of the first element of `dom`: element `k` is `base + k`.
-fn base(dom: Domain) -> i64 {
-    match dom {
-        Domain::Int { lo, .. } => lo,
-        Domain::Sym(_) | Domain::Bool => 0,
-    }
-}
-
 /// How far a set over `dom` moves up in `hull` (a hull of `dom`).
 fn shift(dom: Domain, hull: Domain) -> u32 {
-    (base(dom) - base(hull)).clamp(0, 64) as u32
+    (dom.base() - hull.base()).clamp(0, 64) as u32
 }
 
 /// The range a word written to a scalar register must lie in.
@@ -130,7 +124,8 @@ enum Op {
     Const { dst: Slot, w: u64 },
     Param { dst: Slot, param: u32 },
     Var { dst: Slot, var: u32, at: At },
-    Input { dst: Slot, input: u32, at: At },
+    // an input word; `at` is its index in the map, `default` the input's default
+    Input { dst: Slot, at: At, default: u32 },
     // dst = acc + ordinal(src) * stride; bails outside the domain
     Index { dst: Slot, src: Slot, base: i64, size: u64, stride: u64, acc: Slot },
     Not { dst: Slot, a: Slot },
@@ -162,17 +157,16 @@ enum Op {
     Diff { dst: Slot, a: Slot, b: Slot, sa: u32, sb: u32 },
     // `include`/`exclude`; bails when the element is outside the domain
     Include { dst: Slot, set: Slot, elem: Slot, base: i64, size: u64, add: bool },
-    // `argmin`/`argmax` of `input` over the set's members: member `k`
-    // reads cell `k + shift`, and only the members in `valid` have one
-    ArgBest { dst: Slot, set: Slot, input: u32, shift: i64, valid: u64, base: i64, max: bool },
+    // `argmin`/`argmax` of an integer input over the set's members: member
+    // `k` reads word `k + shift`, and only the members in `valid` have one
+    ArgBest { dst: Slot, set: Slot, shift: i64, default: u32, valid: u64, base: i64, max: bool },
     // a quantifier: `body` (in `SlotCode::bodies`) leaves each member's
     // truth in `out`
     Quant { dst: Slot, set: Slot, binder: Slot, base: i64, out: Slot, body: Body, all: bool },
     // premise stage: one digit of the table index
     Digit { src: Slot, stride: u64, radix: u64 },
-    // a digit wired straight from a boolean input cell (`sym` is
-    // `BOOL_WIRE`) or a symbol one of type `sym`
-    Wire { input: u32, cell: u32, sym: u32, stride: u64, radix: u64 },
+    // a digit wired straight from the word of a boolean or symbol input
+    Wire { at: u32, default: u32, stride: u64, radix: u64 },
     // a check that fails whatever the inputs hold
     Bail,
     Write { var: u32, at: At, src: Slot, check: Check },
@@ -182,8 +176,8 @@ enum Op {
     ForAll { set: Slot, binder: Slot, base: i64, body: Body },
 }
 
-/// Where a cell of a register or input lies: fixed at lowering, or in a
-/// slot.
+/// Where a cell of a register (in its row) or an input (in the input map)
+/// lies: fixed at lowering, or in a slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum At {
     Fixed(u32),
@@ -202,9 +196,6 @@ impl At {
 
 /// A range of [`SlotCode::bodies`].
 type Body = (u32, u32);
-
-/// [`Op::Wire`]'s `sym` for a boolean input.
-const BOOL_WIRE: u32 = u32::MAX;
 
 /// One compiled rule base as slot code: the premise stage, then one
 /// conclusion per rule.
@@ -294,8 +285,8 @@ impl SlotCode {
         for (f, &radix) in features.iter().zip(radices) {
             let src = match &f.kind {
                 FeatureKind::Direct { subject, .. } => match l.wire(subject) {
-                    Some((input, cell, sym)) => {
-                        l.ops.push(Op::Wire { input, cell, sym, stride, radix });
+                    Some((at, default)) => {
+                        l.ops.push(Op::Wire { at, default, stride, radix });
                         stride = stride.saturating_mul(radix);
                         continue;
                     }
@@ -335,7 +326,7 @@ impl SlotCode {
         fx: &mut Frame,
     ) -> Option<u64> {
         let mut idx = 0;
-        let run = Run { code: self, prog, params, regs, inputs };
+        let run = Run { code: self, prog, params, regs, inputs: inputs.serving(prog) };
         run.ops(&self.ops[..self.premise as usize], w, fx, &mut idx).map(|()| idx)
     }
 
@@ -355,7 +346,7 @@ impl SlotCode {
         fx: &mut Frame,
     ) -> bool {
         let Some(&(start, end)) = self.rules.get(rule) else { return false };
-        let run = Run { code: self, prog, params, regs, inputs };
+        let run = Run { code: self, prog, params, regs, inputs: inputs.serving(prog) };
         let done = run.ops(&self.ops[start as usize..end as usize], w, fx, &mut 0);
         done.is_some() && fx.commit_checked(prog, regs)
     }
@@ -405,9 +396,9 @@ impl<'p> Lowering<'p> {
         }
     }
 
-    /// The input cell a direct feature reads, if it is one at a fixed cell:
-    /// input, cell and [`Op::Wire`]'s `sym`.
-    fn wire(&self, e: &Expr) -> Option<(u32, u32, u32)> {
+    /// The word of a boolean or symbol input a direct feature reads, if it
+    /// is one at a fixed cell, and the word of the input's default.
+    fn wire(&self, e: &Expr) -> Option<(u32, u32)> {
         let (input, indices) = match e {
             Expr::Ref(Ref::Input(i)) => (*i, &[][..]),
             Expr::Indexed { target: crate::ast::IndexedRef::Input(i), indices } => {
@@ -419,17 +410,20 @@ impl<'p> Lowering<'p> {
         if indices.len() != layout.dims.len() {
             return None;
         }
-        let mut cell = 0;
+        let mut at = self.prog.input_first(input)? as u64;
         for (ix, dim) in indices.iter().zip(&layout.dims) {
             let Expr::Lit(v) = ix else { return None };
-            cell += dim.dom.ordinal(v, self.prog.sym_sizes())? * dim.stride;
+            at += dim.dom.ordinal(v, self.prog.sym_sizes())? * dim.stride;
         }
-        let sym = match self.prog.inputs[input].elem {
-            Type::Scalar(Domain::Bool) => BOOL_WIRE,
-            Type::Scalar(Domain::Sym(t)) => t as u32,
-            _ => return None,
-        };
-        Some((input as u32, u32::try_from(cell).ok()?, sym))
+        match self.prog.inputs[input].elem {
+            Type::Scalar(Domain::Bool | Domain::Sym(_)) => Some((at as u32, self.default(input))),
+            _ => None,
+        }
+    }
+
+    /// The word of input `input`'s default.
+    fn default(&self, input: usize) -> u32 {
+        (self.prog.input_cells() + input) as u32
     }
 
     /// `e`, which must be a boolean.
@@ -497,7 +491,7 @@ impl<'p> Lowering<'p> {
                 let (body, out) = self.body(binder, |l| l.boolean(body));
                 let dst = self.slot(Kind::Bool);
                 let all = *q == Quant::Forall;
-                self.ops.push(Op::Quant { dst, set, binder, base: base(dom), out, body, all });
+                self.ops.push(Op::Quant { dst, set, binder, base: dom.base(), out, body, all });
                 dst
             }
             Expr::Call { builtin, args } => self.call(*builtin, args),
@@ -533,7 +527,7 @@ impl<'p> Lowering<'p> {
                     // no ordinal in the domain: never a member
                     return self.konst(Value::Bool(false));
                 }
-                let (base, size) = (base(dom), dom.size(self.prog.sym_sizes()).min(64));
+                let (base, size) = (dom.base(), dom.size(self.prog.sym_sizes()).min(64));
                 self.op(bool, |dst| Op::In { dst, elem, set, base, size })
             }
         }
@@ -620,31 +614,35 @@ impl<'p> Lowering<'p> {
                 if self.kind(elem) != Kind::scalar(dom) {
                     return self.bail(kind);
                 }
-                let (base, size) = (base(dom), dom.size(self.prog.sym_sizes()).min(64));
+                let (base, size) = (dom.base(), dom.size(self.prog.sym_sizes()).min(64));
                 let add = builtin == Builtin::Include;
                 self.op(kind, |dst| Op::Include { dst, set, elem, base, size, add })
             }
             Builtin::ArgMin(input) | Builtin::ArgMax(input) => {
                 let set = self.expr(&args[0]);
                 let Kind::Set { dom, .. } = self.kind(set) else { return self.bail(int) };
+                let (elem, first) = (self.prog.inputs[input].elem, self.prog.input_first(input));
+                let (Type::Scalar(Domain::Int { .. }), Some(first)) = (elem, first) else {
+                    return self.bail(Kind::scalar(dom));
+                };
                 let dims = &self.prog.input_layout(input).dims;
-                // the members with a cell, and how far theirs lie from their ordinals
+                // the members with a cell, and how far their words lie from their ordinals
                 let (mut valid, mut shift) = (0u64, 0i64);
                 if let [dim] = &dims[..] {
                     let n = dom.size(self.prog.sym_sizes()).min(64);
                     for k in 0..n {
                         if let Some(c) = dim.dom.ordinal(&dom.value_at(k), self.prog.sym_sizes()) {
-                            (valid, shift) = (valid | 1 << k, c as i64 - k as i64);
+                            (valid, shift) = (valid | 1 << k, (first as u64 + c) as i64 - k as i64);
                         }
                     }
                 }
-                let (max, input, base) =
-                    (matches!(builtin, Builtin::ArgMax(_)), input as u32, base(dom));
+                let (max, default, base) =
+                    (matches!(builtin, Builtin::ArgMax(_)), self.default(input), dom.base());
                 self.op(Kind::scalar(dom), |dst| Op::ArgBest {
                     dst,
                     set,
-                    input,
                     shift,
+                    default,
                     valid,
                     base,
                     max,
@@ -653,14 +651,14 @@ impl<'p> Lowering<'p> {
         }
     }
 
-    /// The cell `indices` address in `layout`; `None` after lowering a
-    /// check that always fails.
-    fn cell(&mut self, layout: &'p CellLayout, indices: &'p [Expr]) -> Option<At> {
-        if indices.len() != layout.dims.len() || layout.cells > u32::MAX as usize {
+    /// The cell `indices` address in `layout`, counted from `first`;
+    /// `None` after lowering a check that always fails.
+    fn cell(&mut self, first: usize, layout: &'p CellLayout, indices: &'p [Expr]) -> Option<At> {
+        if indices.len() != layout.dims.len() || first + layout.cells > u32::MAX as usize {
             self.ops.push(Op::Bail);
             return None;
         }
-        let (mut fixed, mut moving) = (0u64, Vec::new());
+        let (mut fixed, mut moving) = (first as u64, Vec::new());
         for (ix, dim) in indices.iter().zip(&layout.dims) {
             let known = match ix {
                 Expr::Lit(v) => Some(*v),
@@ -686,7 +684,7 @@ impl<'p> Lowering<'p> {
                 return None;
             }
             let (base, size, stride) =
-                (base(dim.dom), dim.dom.size(self.prog.sym_sizes()), dim.stride);
+                (dim.dom.base(), dim.dom.size(self.prog.sym_sizes()), dim.stride);
             acc = self.op(Kind::Int, |dst| Op::Index { dst, src, base, size, stride, acc });
         }
         Some(At::Slot(acc))
@@ -694,7 +692,7 @@ impl<'p> Lowering<'p> {
 
     fn read_var(&mut self, var: usize, indices: &'p [Expr]) -> Slot {
         let kind = Kind::of_type(self.prog, self.prog.vars[var].elem);
-        match self.cell(self.prog.var_layout(var), indices) {
+        match self.cell(0, self.prog.var_layout(var), indices) {
             Some(at) => self.op(kind, |dst| Op::Var { dst, var: var as u32, at }),
             None => self.slot(kind),
         }
@@ -702,8 +700,11 @@ impl<'p> Lowering<'p> {
 
     fn read_input(&mut self, input: usize, indices: &'p [Expr]) -> Slot {
         let kind = Kind::of_type(self.prog, self.prog.inputs[input].elem);
-        match self.cell(self.prog.input_layout(input), indices) {
-            Some(at) => self.op(kind, |dst| Op::Input { dst, input: input as u32, at }),
+        // an input too large to store has no words
+        let Some(first) = self.prog.input_first(input) else { return self.bail(kind) };
+        let default = self.default(input);
+        match self.cell(first, self.prog.input_layout(input), indices) {
+            Some(at) => self.op(kind, |dst| Op::Input { dst, at, default }),
             None => self.slot(kind),
         }
     }
@@ -725,7 +726,7 @@ impl<'p> Lowering<'p> {
         for cmd in cmds {
             match cmd {
                 Command::Assign { var, indices, value } => {
-                    let at = self.cell(self.prog.var_layout(*var), indices);
+                    let at = self.cell(0, self.prog.var_layout(*var), indices);
                     let src = self.expr(value);
                     let Some(check) = self.check(*var, self.kind(src)) else {
                         self.ops.push(Op::Bail);
@@ -752,7 +753,7 @@ impl<'p> Lowering<'p> {
                     };
                     let binder = self.slot(Kind::scalar(dom));
                     let (body, ()) = self.body(binder, |l| l.commands(body));
-                    self.ops.push(Op::ForAll { set, binder, base: base(dom), body });
+                    self.ops.push(Op::ForAll { set, binder, base: dom.base(), body });
                 }
             }
         }
@@ -785,6 +786,7 @@ struct Run<'a> {
     prog: &'a Program,
     params: &'a [Value],
     regs: &'a RegFile,
+    /// The map if it serves the program, else an empty one.
     inputs: &'a InputMap,
 }
 
@@ -812,9 +814,8 @@ impl Run<'_> {
                     let v = self.regs.raw(var as usize).get(at.cell(w));
                     w[dst as usize] = self.load(dst, v)?;
                 }
-                Op::Input { dst, input, at } => {
-                    let v = self.inputs.value(input as usize, at.cell(w));
-                    w[dst as usize] = self.load(dst, v.as_ref())?;
+                Op::Input { dst, at, default } => {
+                    w[dst as usize] = self.inputs.word(at.cell(w), default as usize)?
                 }
                 Op::Index { dst, src, base, size, stride, acc } => {
                     let ord = w[src as usize].wrapping_sub(base as u64);
@@ -894,7 +895,7 @@ impl Run<'_> {
                     let s = w[set as usize];
                     w[dst as usize] = if add { s | 1 << ord } else { s & !(1 << ord) };
                 }
-                Op::ArgBest { dst, set, input, shift, valid, base, max } => {
+                Op::ArgBest { dst, set, shift, default, valid, base, max } => {
                     let mut rest = w[set as usize];
                     if rest == 0 || rest & !valid != 0 {
                         return None;
@@ -903,10 +904,8 @@ impl Run<'_> {
                     while rest != 0 {
                         let k = rest.trailing_zeros();
                         rest &= rest - 1;
-                        let cell = (i64::from(k) + shift) as usize;
-                        let Some(Value::Int(v)) = self.inputs.value(input as usize, cell) else {
-                            return None;
-                        };
+                        let at = (i64::from(k) + shift) as usize;
+                        let v = self.inputs.word(at, default as usize)? as i64;
                         let better = match best {
                             None => true,
                             Some((b, _)) => (v > b && max) || (v < b && !max),
@@ -941,12 +940,8 @@ impl Run<'_> {
                     }
                     *idx += d * stride;
                 }
-                Op::Wire { input, cell, sym, stride, radix } => {
-                    let d = match self.inputs.value(input as usize, cell as usize)? {
-                        Value::Bool(b) if sym == BOOL_WIRE => u64::from(b),
-                        Value::Sym { ty, idx } if ty as u32 == sym => u64::from(idx),
-                        _ => return None,
-                    };
+                Op::Wire { at, default, stride, radix } => {
+                    let d = self.inputs.word(at as usize, default as usize)?;
                     if d >= radix {
                         return None;
                     }

@@ -45,7 +45,7 @@ pub mod vm;
 pub use ast::Program;
 pub use compile::{compile, compile_rulebase, CompileOptions, CompileWarning, ConflictKind};
 pub use cost::{ProgramCost, RegisterCost, RuleBaseCost};
-pub use env::{InputMap, RegFile};
+pub use env::{Elem, InputMap, Port, RegFile, Subset};
 pub use error::{Result, RuleError};
 pub use eval::{fire_reference, EventInstance, FireOutcome};
 pub use event::{Fired, Machine, StepWeights};

@@ -54,6 +54,16 @@ impl Domain {
         }
     }
 
+    /// The word of the first element: element `k` is the word `base + k`
+    /// (an integer itself, a symbol's index, a boolean's 0 or 1).
+    #[inline]
+    pub(crate) fn base(&self) -> i64 {
+        match *self {
+            Domain::Int { lo, .. } => lo,
+            Domain::Sym(_) | Domain::Bool => 0,
+        }
+    }
+
     /// Canonical ordinal of a value, or `None` if it is outside the domain
     /// or of the wrong kind.
     #[inline]

@@ -7,7 +7,7 @@
 #![allow(dead_code)]
 
 use ftr_rules::ast::Program;
-use ftr_rules::{Domain, InputMap, RegFile, Type, Value};
+use ftr_rules::{Domain, Elem, InputMap, Port, RegFile, Subset, Type, Value};
 use proptest::prelude::*;
 
 /// The programs `crates/algos/rules` ships, as `ftr_algos::rules_src::all`
@@ -100,8 +100,58 @@ pub fn random_env(
     (regs, inputs, params)
 }
 
+/// `im`'s values written again through typed [`Port`]s (by `set_at` where
+/// an input's layout takes no port), except the `odd`-th input cell
+/// (counted as in [`random_env`]), which gets a value just outside its
+/// domain where one exists: the one after its last integer or symbol, a
+/// set with a bit past its elements.
+pub fn ported(prog: &Program, im: &InputMap, odd: usize) -> InputMap {
+    fn write<T: Elem>(prog: &Program, i: usize, k: usize, v: T, out: &mut InputMap) -> bool {
+        Port::bind(prog, i).map(|p: Port<T>| p.write(out, k, v)).is_ok()
+    }
+    let (mut out, mut n) = (InputMap::for_program(prog), 0);
+    for (i, decl) in prog.inputs.iter().enumerate() {
+        for cell in cells(&decl.index_domains, prog) {
+            // a port's index: none for a scalar, one from 0 up for an array
+            let k = match cell[..] {
+                [] => Some(0),
+                [Value::Int(x)] => usize::try_from(x).ok(),
+                _ => None,
+            };
+            let (Ok(v), Some(k)) = (im.read_input(prog, i, &cell), k) else {
+                if let Ok(v) = im.read_input(prog, i, &cell) {
+                    out.set_at(prog, i, &cell, v).unwrap();
+                }
+                n += 1;
+                continue;
+            };
+            let (dom, odd) = (decl.elem.domain(), n == odd);
+            let size = dom.size(prog.sym_sizes());
+            let written = match (decl.elem, v) {
+                (Type::Scalar(Domain::Int { hi, .. }), Value::Int(x)) => {
+                    write(prog, i, k, if odd { hi + 1 } else { x }, &mut out)
+                }
+                (Type::Scalar(Domain::Sym(_)), Value::Sym { idx, .. }) => {
+                    write(prog, i, k, if odd { size as u32 } else { idx }, &mut out)
+                }
+                (_, Value::Bool(b)) => write(prog, i, k, b, &mut out),
+                (Type::Set(_), Value::Set { dom, mask }) => {
+                    let mask = if odd && size < 64 { mask | 1 << size } else { mask };
+                    write(prog, i, k, Subset { dom, mask }, &mut out)
+                }
+                _ => false,
+            };
+            if !written {
+                out.set_at(prog, i, &cell, v).unwrap();
+            }
+            n += 1;
+        }
+    }
+    out
+}
+
 /// Every index tuple of an array over `doms`, row-major.
-fn cells(doms: &[Domain], prog: &Program) -> Vec<Vec<Value>> {
+pub fn cells(doms: &[Domain], prog: &Program) -> Vec<Vec<Value>> {
     doms.iter().fold(vec![Vec::new()], |acc, dom| {
         let n = dom.size(prog.sym_sizes());
         acc.iter()

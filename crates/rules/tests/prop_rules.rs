@@ -8,36 +8,64 @@ use ftr_rules::{compile, fire_reference, parse, CompileOptions, InputMap, RegFil
 use proptest::prelude::*;
 
 mod common;
-use common::{arb_conclusion, arb_premise, gen_program, random_env, Draw, SHIPPED};
+use common::{arb_conclusion, arb_premise, cells, gen_program, ported, random_env, Draw, SHIPPED};
 
 /// Every base of every shipped program, fired by the reference evaluator
 /// and by the compiled table from one environment drawn from the
 /// declarations, `unset` naming an input cell left without a value: the
 /// same outcome and registers, or the same error. The one asymmetry is
 /// the premise stage's: the table computes every feature, so it may read
-/// the unset cell where the reference had already fired a rule.
-fn shipped_bases_agree(seed: u64, unset: usize) -> Result<(), TestCaseError> {
+/// the unset cell where the reference had already fired a rule. The same
+/// environment written again through typed ports, with the `odd`-th cell
+/// just outside its domain, must read back cell for cell and agree the
+/// same way; the out-of-domain word spills, so the table reads it through
+/// the AST walk, where a direct feature outside its domain is one more
+/// premise-stage failure.
+fn shipped_bases_agree(seed: u64, unset: usize, odd: usize) -> Result<(), TestCaseError> {
     for (name, src) in SHIPPED {
         let prog = parse(src).unwrap();
         let compiled = compile(&prog, &CompileOptions::default()).unwrap();
         let mut d = Draw(seed);
         for (rb, base) in compiled.bases.iter().enumerate() {
             let label = format!("{name}::{} seed {seed} unset {unset}", prog.rulebases[rb].name);
-            let (mut regs_a, im, params) = random_env(&prog, rb, &mut d, unset);
-            let (before, mut regs_b) = (regs_a.clone(), regs_a.clone());
-            let r = fire_reference(&prog, rb, &params, &mut regs_a, &im);
-            let k = base.fire(&prog, &params, &mut regs_b, &im);
-            match (r, k) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "outcome: {}", label),
-                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "{}", label),
-                (Ok(_), Err(b)) => {
-                    prop_assert!(b.to_string().ends_with("has no value"), "{label}: {b}");
-                    // a premise stage that fails writes nothing
-                    regs_a = before;
+            let (regs, im, params) = random_env(&prog, rb, &mut d, unset);
+            let ported = ported(&prog, &im, odd);
+            let mut n = 0;
+            for (i, decl) in prog.inputs.iter().enumerate() {
+                for cell in cells(&decl.index_domains, &prog) {
+                    if n != odd {
+                        let (a, b) =
+                            (im.read_input(&prog, i, &cell), ported.read_input(&prog, i, &cell));
+                        prop_assert_eq!(a.ok(), b.ok(), "{} {:?}: {}", decl.name, cell, label);
+                    }
+                    n += 1;
                 }
-                (Err(a), Ok(_)) => prop_assert!(false, "{label}: only the reference failed: {a}"),
             }
-            prop_assert_eq!(regs_a, regs_b, "registers: {}", label);
+            for (im, label, odd) in
+                [(&im, label.clone(), false), (&ported, format!("{label} ported odd {odd}"), true)]
+            {
+                let (mut regs_a, mut regs_b) = (regs.clone(), regs.clone());
+                let r = fire_reference(&prog, rb, &params, &mut regs_a, im);
+                let k = base.fire(&prog, &params, &mut regs_b, im);
+                match (r, k) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "outcome: {}", label),
+                    (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "{}", label),
+                    (Ok(_), Err(b)) => {
+                        let b = b.to_string();
+                        prop_assert!(
+                            b.ends_with("has no value")
+                                || odd && b.contains("direct feature value"),
+                            "{label}: {b}"
+                        );
+                        // a premise stage that fails writes nothing
+                        regs_a = regs.clone();
+                    }
+                    (Err(a), Ok(_)) => {
+                        prop_assert!(false, "{label}: only the reference failed: {a}")
+                    }
+                }
+                prop_assert_eq!(regs_a, regs_b, "registers: {}", label);
+            }
         }
     }
     Ok(())
@@ -91,6 +119,7 @@ proptest! {
     fn compiled_equals_reference(
         seed in any::<u64>(),
         unset in 0usize..96,
+        odd in 0usize..96,
         premises in proptest::collection::vec(arb_premise(), 1..6),
         conclusions in proptest::collection::vec(arb_conclusion(), 6),
         state_idx in 0u32..3,
@@ -119,7 +148,7 @@ proptest! {
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(false, "one side errored: {a:?} vs {b:?}\n{src}"),
         }
-        shipped_bases_agree(seed, unset)?;
+        shipped_bases_agree(seed, unset, odd)?;
     }
 
     /// Quantifier expansion and constant folding preserve semantics of the
