@@ -22,9 +22,7 @@
 //! the enumeration of every decision that both their relations run.
 
 use crate::vnet::{Lane, MeshVcMode};
-use ftr_rules::ast::{
-    walk_cmds, walk_expr, Builtin, Command, Expr, IndexedRef, Program, Ref, Rule, RuleBase,
-};
+use ftr_rules::ast::{reads, reads_cmds, Command, Expr, Program, Ref, Rule, RuleBase};
 use ftr_rules::compile::FeatureKind;
 use ftr_rules::{
     CompiledProgram, Domain, Elem, InputMap, Machine, Port, RegFile, Result, RuleError, Subset,
@@ -232,6 +230,15 @@ fn feed<T: Elem>(im: &mut InputMap, port: Option<Port<T>>, k: usize, v: T) {
     }
 }
 
+/// Writes the set `mask` at index `k` of a declared set input, over the
+/// domain it declares: a smaller cube's direction sets are words of a
+/// program for a larger one, not spills.
+fn feed_set(im: &mut InputMap, port: Option<Port<Subset>>, k: usize, mask: u64) {
+    if let Some(p) = port {
+        p.write(im, k, Subset { dom: p.dom(), mask });
+    }
+}
+
 fn write(regs: &mut RegFile, prog: &Program, slot: Option<usize>, v: Value) {
     if let Some(i) = slot {
         regs.write(prog, i, &[], v).expect("bind() fixed the kind and fits() the value range");
@@ -406,17 +413,9 @@ impl ReadClasses {
         let input = |i: usize| {
             (if free == Some(i) { FREE } else { 0 }) | (if queue == Some(i) { QUEUE } else { 0 })
         };
-        let class = |e: &Expr| match e {
-            Expr::Ref(Ref::Input(i)) | Expr::Indexed { target: IndexedRef::Input(i), .. } => {
-                input(*i)
-            }
-            // the queue input sits in the builtin, not among its arguments
-            Expr::Call { builtin: Builtin::ArgMin(i) | Builtin::ArgMax(i), .. } => input(*i),
-            Expr::Ref(Ref::Var(v)) | Expr::Indexed { target: IndexedRef::Var(v), .. }
-                if [io.de_east, io.de_west].contains(&Some(*v)) =>
-            {
-                DEADEND
-            }
+        let class = |r: Ref| match r {
+            Ref::Input(i) => input(i),
+            Ref::Var(v) if [io.de_east, io.de_west].contains(&Some(v)) => DEADEND,
             _ => 0,
         };
         let bases = compiled
@@ -427,7 +426,7 @@ impl ReadClasses {
                 for f in &cb.features {
                     let (FeatureKind::Direct { subject: e, .. }
                     | FeatureKind::Predicate { expr: e }) = &f.kind;
-                    walk_expr(e, &mut |e| read |= class(e));
+                    reads(e, &mut |r| read |= class(r));
                 }
                 read
             })
@@ -439,7 +438,7 @@ impl ReadClasses {
             .map(|rb| {
                 let conclusion = |r: &Rule| {
                     let mut read = 0;
-                    walk_cmds(&r.conclusion, &mut |e| read |= class(e));
+                    reads_cmds(&r.conclusion, &mut |r| read |= class(r));
                     read
                 };
                 rb.rules.iter().map(conclusion).collect()
@@ -714,11 +713,6 @@ impl DirSets {
         let (diff, here) = (u64::from(cube.diff(cur, dst)), u64::from(cur.0));
         DirSets { dim: cube.dim(), up: diff & !here, down: diff & here, ok }
     }
-
-    /// `mask` as a set of the cube's dimensions.
-    fn subset(&self, mask: u64) -> Subset {
-        Subset { dom: Domain::Int { lo: 0, hi: i64::from(self.dim) - 1 }, mask }
-    }
 }
 
 /// The `fault_states` a cube host reads and reports, as symbol indices
@@ -761,30 +755,20 @@ impl CubeIo {
     /// links and the fault states its hooks keep.
     fn waits_park(&self, prog: &Program) -> bool {
         let (Some(dir), Some(vc)) = (self.decide_dir, self.decide_vc) else { return false };
-        let loads = |e: &Expr| {
+        let queue = self.out_queue.map(|p| Ref::Input(p.input()));
+        let no_queue = |e: &Expr| {
             let mut read = false;
-            walk_expr(e, &mut |x| {
-                read |= match x {
-                    Expr::Ref(Ref::Input(i))
-                    | Expr::Indexed { target: IndexedRef::Input(i), .. }
-                    | Expr::Call { builtin: Builtin::ArgMin(i) | Builtin::ArgMax(i), .. } => {
-                        self.out_queue.is_some_and(|p| p.input() == *i)
-                    }
-                    _ => false,
-                }
-            });
-            read
+            reads(e, &mut |r| read |= Some(r) == queue);
+            !read
         };
-        let only_returns = |r: &Rule| r.conclusion.iter().all(|c| matches!(c, Command::Return(_)));
         let class = |c: &Command| matches!(c, Command::Return(Expr::Lit(Value::Int(v))) if (0..CUBE_VCS as i64).contains(v));
         let literal = |c: &Command| matches!(c, Command::Return(Expr::Lit(_)));
         let (dir, vc) = (&prog.rulebases[dir].rules, &prog.rulebases[vc].rules);
         dir.iter().all(|r| {
-            let mut read = loads(&r.premise);
-            walk_cmds(&r.conclusion, &mut |e| read |= loads(e));
-            !read && only_returns(r)
+            no_queue(&r.premise)
+                && r.conclusion.iter().all(|c| matches!(c, Command::Return(e) if no_queue(e)))
         }) && vc.iter().all(|r| {
-            !loads(&r.premise)
+            no_queue(&r.premise)
                 && (r.conclusion.iter().any(class) || r.conclusion.iter().all(literal))
         })
     }
@@ -830,9 +814,9 @@ impl CubeIo {
 
     /// Step 1 inputs: the direction sets and the load of each output.
     fn load_dir(&self, im: &mut InputMap, s: DirSets, q: impl Fn(usize) -> u32) {
-        feed(im, self.diffup, 0, s.subset(s.up));
-        feed(im, self.diffdown, 0, s.subset(s.down));
-        feed(im, self.okdirs, 0, s.subset(s.ok));
+        feed_set(im, self.diffup, 0, s.up);
+        feed_set(im, self.diffdown, 0, s.down);
+        feed_set(im, self.okdirs, 0, s.ok);
         for d in 0..s.dim as usize {
             feed(im, self.out_queue, d, queue_len(q(d)));
         }
@@ -854,7 +838,7 @@ impl CubeIo {
         for v in 0..CUBE_VCS {
             let dirs = free(v);
             feed(im, self.freevc, v, dirs != 0);
-            feed(im, self.freedirs, v, s.subset(dirs));
+            feed_set(im, self.freedirs, v, dirs);
         }
         (phase, misr)
     }
@@ -1217,6 +1201,37 @@ mod tests {
         assert_eq!(im.read_input(&prog, 0, &[Value::Int(0)]).unwrap(), Value::Bool(true));
         // out_queue saturates at 255
         assert_eq!(im.read_input(&prog, 1, &[Value::Int(1)]).unwrap(), Value::Int(255));
+    }
+
+    #[test]
+    fn a_larger_cube_program_loads_a_decision_as_words() {
+        // the shipped d = 6 ROUTE_C on a 4-cube: each set input holds the
+        // 4-cube's directions over the domain the program declares, so no
+        // cell spills to the AST walk
+        let prog = shipped("route_c");
+        let io = CubeIo::bind(&prog).unwrap();
+        io.fits(&prog, 4).unwrap();
+        let s = DirSets::new(&Hypercube::new(4), NodeId(0b0101), NodeId(0b0011), 0b1011);
+        let mut im = InputMap::for_program(&prog);
+        io.load_dir(&mut im, s, |d| d as u32);
+        io.load_vc(&mut im, s, s.up | s.down, |v| s.ok >> v);
+        let mut loaded = 0;
+        for (i, decl) in prog.inputs.iter().enumerate() {
+            let ks = decl.index_domains.first().map_or(1, |d| d.size(prog.sym_sizes()));
+            for k in 0..ks {
+                let idx: Vec<Value> = decl.index_domains.iter().map(|d| d.value_at(k)).collect();
+                let Ok(v) = im.read_input(&prog, i, &idx) else { continue };
+                let declared = match (decl.elem, v) {
+                    (Type::Set(d), Value::Set { dom, .. }) => dom == d,
+                    (Type::Scalar(d), v) => d.contains(&v, prog.sym_sizes()),
+                    _ => false,
+                };
+                assert!(declared, "`{}`{idx:?} holds {v:?}, not a {:?}", decl.name, decl.elem);
+                loaded += 1;
+            }
+        }
+        // diffup, diffdown, okdirs, 4 queues, phase, misr, 5 × (freevc, freedirs)
+        assert_eq!(loaded, 19);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! re-validate against facts recomputed here.
 
 use ftr_algos::rule_io::{XDES, XPOS, YDES, YPOS};
-use ftr_rules::ast::{BinOp, Builtin, Command, Expr, IndexedRef, Program, Ref, UnOp};
+use ftr_rules::ast::{assigns, BinOp, Builtin, Expr, IndexedRef, Program, Ref, UnOp};
 use ftr_rules::value::{Domain, Type, Value};
 use ftr_rules::CompiledProgram;
 use std::collections::{HashMap, HashSet};
@@ -973,22 +973,10 @@ pub fn sat(prog: &Program, env: &AbsEnv, guard: &Expr) -> bool {
 /// Per-register write-shape classification; see [`Monotonicity`].
 pub fn monotone_facts(prog: &Program) -> Vec<Monotonicity> {
     let mut facts = vec![Monotonicity::NeverWritten; prog.vars.len()];
-    fn visit(prog: &Program, cmds: &[Command], facts: &mut [Monotonicity]) {
-        for c in cmds {
-            match c {
-                Command::Assign { var, value, .. } => {
-                    let dir = classify_write(prog, *var, value);
-                    facts[*var] = combine_mono(facts[*var], dir);
-                }
-                Command::ForAll { body, .. } => visit(prog, body, facts),
-                _ => {}
-            }
-        }
-    }
-    for rb in &prog.rulebases {
-        for rule in &rb.rules {
-            visit(prog, &rule.conclusion, &mut facts);
-        }
+    for rule in prog.rulebases.iter().flat_map(|rb| &rb.rules) {
+        assigns(&rule.conclusion, &mut |var, value| {
+            facts[var] = combine_mono(facts[var], classify_write(prog, var, value));
+        });
     }
     facts
 }
@@ -1036,8 +1024,8 @@ fn classify_write(prog: &Program, var: usize, value: &Expr) -> Monotonicity {
         // min(v + c, cap) with cap >= declared hi keeps non-decreasing
         Expr::Call { builtin: Builtin::Min, args } if args.len() == 2 => {
             let sub = classify_write(prog, var, &args[0]);
-            let cap_ok = match (&prog.vars[var].elem, const_int(prog, &args[1])) {
-                (Type::Scalar(Domain::Int { hi, .. }), Some(c)) => c >= *hi,
+            let cap_ok = match (&prog.vars[var].elem, prog.const_value(&args[1])) {
+                (Type::Scalar(Domain::Int { hi, .. }), Some(Value::Int(c))) => c >= *hi,
                 _ => false,
             };
             if sub == Monotonicity::NonDecreasing && cap_ok {
@@ -1050,19 +1038,11 @@ fn classify_write(prog: &Program, var: usize, value: &Expr) -> Monotonicity {
     }
 }
 
-fn const_int(prog: &Program, e: &Expr) -> Option<i64> {
-    match e {
-        Expr::Lit(Value::Int(v)) => Some(*v),
-        Expr::Ref(Ref::Const(i)) => match prog.consts[*i].value {
-            Value::Int(v) => Some(v),
-            _ => None,
-        },
+fn nonneg_const(prog: &Program, e: &Expr) -> Option<bool> {
+    match prog.const_value(e)? {
+        Value::Int(v) => Some(v >= 0),
         _ => None,
     }
-}
-
-fn nonneg_const(prog: &Program, e: &Expr) -> Option<bool> {
-    const_int(prog, e).map(|v| v >= 0)
 }
 
 /// A provably constant atom inside one rule's guard.
@@ -1125,22 +1105,13 @@ pub fn analyze_program(compiled: &CompiledProgram, topo: &TopoFacts) -> Facts {
         })
         .collect();
     let mut writes: Vec<(usize, usize, &Expr)> = Vec::new(); // (rb, var, value)
-    fn collect_writes<'a>(rb: usize, cmds: &'a [Command], out: &mut Vec<(usize, usize, &'a Expr)>) {
-        for c in cmds {
-            match c {
-                Command::Assign { var, value, .. } => out.push((rb, *var, value)),
-                Command::ForAll { body, .. } => collect_writes(rb, body, out),
-                _ => {}
-            }
-        }
-    }
     for (bi, rb) in prog.rulebases.iter().enumerate() {
         for (ri, rule) in rb.rules.iter().enumerate() {
             // skip rules the table already proves unsatisfiable
             if compiled.bases[bi].rule_applicable.get(ri) == Some(&0) {
                 continue;
             }
-            collect_writes(bi, &rule.conclusion, &mut writes);
+            assigns(&rule.conclusion, &mut |var, value| writes.push((bi, var, value)));
         }
     }
     for iter in 0..24 {
@@ -1375,6 +1346,17 @@ mod tests {
         assert_eq!(f.monotone[1], Monotonicity::ShrinkingSet);
         assert_eq!(f.monotone[2], Monotonicity::GrowingSet);
         assert_eq!(f.monotone[3], Monotonicity::Unknown);
+    }
+
+    #[test]
+    fn route_c_counters_capped_at_a_constant_expression_are_non_decreasing() {
+        // `min(x + 1, d + 1)`: the cap folds to the declared top
+        let prog = parse(ftr_algos::rules_src::ROUTE_C).unwrap();
+        let facts = monotone_facts(&prog);
+        for name in ["number_unsafe", "number_faulty", "adapt"] {
+            let v = prog.vars.iter().position(|v| v.name == name).unwrap();
+            assert_eq!(facts[v], Monotonicity::NonDecreasing, "{name}");
+        }
     }
 
     #[test]

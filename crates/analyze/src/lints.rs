@@ -15,12 +15,13 @@
 use crate::absint::{self, TopoFacts};
 use crate::diag::{Diagnostic, LintCode, Severity};
 use ftr_rules::ast::{
-    walk_cmds, walk_expr, Builtin, Command, Expr, IndexedRef, Program, Ref, Rule, RuleBase,
+    assigns, reads, reads_cmds, walk_cmds, walk_expr, Command, Expr, IndexedRef, Program, Ref,
+    Rule, RuleBase,
 };
 use ftr_rules::compile::CompileWarning;
 use ftr_rules::error::Result;
 use ftr_rules::pretty::describe_expr;
-use ftr_rules::value::{Type, Value};
+use ftr_rules::value::Type;
 use ftr_rules::{compile, parse, CompileOptions, CompiledProgram};
 
 /// Which optional analysis layers to run on top of the base lints.
@@ -305,20 +306,6 @@ fn table_lints(name: &str, compiled: &CompiledProgram, diags: &mut Vec<Diagnosti
     }
 }
 
-/// Best-effort constant folding for literal checks: literals, named
-/// constants, and unary minus on those.
-fn const_value(prog: &Program, e: &Expr) -> Option<Value> {
-    match e {
-        Expr::Lit(v) => Some(*v),
-        Expr::Ref(Ref::Const(c)) => Some(prog.consts[*c].value),
-        Expr::Un(ftr_rules::ast::UnOp::Neg, inner) => match const_value(prog, inner)? {
-            Value::Int(v) => Some(Value::Int(-v)),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
 /// FTR005: literal values outside declared domains. The parser's type
 /// system is kind-level — all integer ranges unify — so `RETURN(99)` in a
 /// `RETURNS 0 TO 15` base or `counter <- 99` with `counter IN 0 TO 15`
@@ -338,7 +325,7 @@ fn domain_lints(name: &str, prog: &Program, diags: &mut Vec<Diagnostic>) {
                 });
             };
             // literal indices of every indexed read in the rule
-            for_each_expr(rule, &mut |e| {
+            let mut check = |e: &Expr| {
                 if let Expr::Indexed { target, indices } = e {
                     let doms = match target {
                         IndexedRef::Var(v) => &prog.vars[*v].index_domains,
@@ -349,7 +336,7 @@ fn domain_lints(name: &str, prog: &Program, diags: &mut Vec<Diagnostic>) {
                         IndexedRef::Input(i) => &prog.inputs[*i].name,
                     };
                     for (ix, dom) in indices.iter().zip(doms) {
-                        if let Some(v) = const_value(prog, ix) {
+                        if let Some(v) = prog.const_value(ix) {
                             if !dom.contains(&v, ss) {
                                 report(format!(
                                     "index {} of `{tname}` is outside its domain {dom:?}",
@@ -359,7 +346,9 @@ fn domain_lints(name: &str, prog: &Program, diags: &mut Vec<Diagnostic>) {
                         }
                     }
                 }
-            });
+            };
+            walk_expr(&rule.premise, &mut check);
+            walk_cmds(&rule.conclusion, &mut check);
             check_commands(prog, rb, &rule.conclusion, ss, &mut report);
         }
     }
@@ -375,7 +364,7 @@ fn check_commands(
     for cmd in cmds {
         match cmd {
             Command::Return(e) => {
-                if let (Some(Type::Scalar(dom)), Some(v)) = (rb.returns, const_value(prog, e)) {
+                if let (Some(Type::Scalar(dom)), Some(v)) = (rb.returns, prog.const_value(e)) {
                     if !dom.contains(&v, ss) {
                         report(format!(
                             "RETURN({}) is outside the declared return domain {dom:?}",
@@ -387,7 +376,7 @@ fn check_commands(
             Command::Assign { var, indices, value } => {
                 let decl = &prog.vars[*var];
                 for (ix, dom) in indices.iter().zip(&decl.index_domains) {
-                    if let Some(v) = const_value(prog, ix) {
+                    if let Some(v) = prog.const_value(ix) {
                         if !dom.contains(&v, ss) {
                             report(format!(
                                 "index {} of `{}` is outside its domain {dom:?}",
@@ -397,7 +386,7 @@ fn check_commands(
                         }
                     }
                 }
-                if let (Type::Scalar(dom), Some(v)) = (decl.elem, const_value(prog, value)) {
+                if let (Type::Scalar(dom), Some(v)) = (decl.elem, prog.const_value(value)) {
                     if !dom.contains(&v, ss) {
                         report(format!(
                             "`{} <- {}` is outside the register's domain {dom:?}",
@@ -421,17 +410,14 @@ fn usage_lints(name: &str, prog: &Program, diags: &mut Vec<Diagnostic>) {
 
     for rb in &prog.rulebases {
         for rule in &rb.rules {
-            for_each_expr(rule, &mut |e| match e {
-                Expr::Ref(Ref::Var(v)) => var_read[*v] = true,
-                Expr::Ref(Ref::Input(i)) => input_read[*i] = true,
-                Expr::Indexed { target: IndexedRef::Var(v), .. } => var_read[*v] = true,
-                Expr::Indexed { target: IndexedRef::Input(i), .. } => input_read[*i] = true,
-                Expr::Call { builtin: Builtin::ArgMin(i) | Builtin::ArgMax(i), .. } => {
-                    input_read[*i] = true
-                }
+            let mut note = |r| match r {
+                Ref::Var(v) => var_read[v] = true,
+                Ref::Input(i) => input_read[i] = true,
                 _ => {}
-            });
-            mark_writes(&rule.conclusion, &mut var_written);
+            };
+            reads(&rule.premise, &mut note);
+            reads_cmds(&rule.conclusion, &mut note);
+            assigns(&rule.conclusion, &mut |v, _| var_written[v] = true);
         }
     }
 
@@ -473,16 +459,6 @@ fn usage_lints(name: &str, prog: &Program, diags: &mut Vec<Diagnostic>) {
                 rulebase: None,
                 message: format!("input `{}` is never read by any rule", decl.name),
             });
-        }
-    }
-}
-
-fn mark_writes(cmds: &[Command], var_written: &mut [bool]) {
-    for cmd in cmds {
-        match cmd {
-            Command::Assign { var, .. } => var_written[*var] = true,
-            Command::ForAll { body, .. } => mark_writes(body, var_written),
-            _ => {}
         }
     }
 }
@@ -539,14 +515,6 @@ fn check_parallel(
             check_parallel(prog, rb, ri, rule, body, diags, name);
         }
     }
-}
-
-/// Applies `f` to every expression in the rule: the premise and every
-/// expression reachable from the conclusion commands (assignment indices
-/// and values, return values, emit arguments, quantified sets/bodies).
-fn for_each_expr(rule: &Rule, f: &mut impl FnMut(&Expr)) {
-    walk_expr(&rule.premise, f);
-    walk_cmds(&rule.conclusion, f);
 }
 
 #[cfg(test)]

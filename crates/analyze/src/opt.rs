@@ -31,7 +31,7 @@
 //! benchmark measures.
 
 use crate::absint::{self, AbsEnv, Facts, TopoFacts};
-use ftr_rules::ast::{Command, Expr, Program, Ref};
+use ftr_rules::ast::{walk_expr, Command, Expr, Program, Ref};
 use ftr_rules::pretty::print_program;
 use ftr_rules::value::Value;
 use ftr_rules::{compile, CompileOptions, CompiledProgram, StepWeights};
@@ -162,35 +162,6 @@ fn map_cmds(cmds: &[Command], f: &impl Fn(&Expr) -> Option<Expr>) -> Vec<Command
         .collect()
 }
 
-fn contains_subexpr(e: &Expr, needle: &Expr) -> bool {
-    if e == needle {
-        return true;
-    }
-    match e {
-        Expr::Lit(_) | Expr::Ref(_) => false,
-        Expr::Indexed { indices, .. } => indices.iter().any(|ix| contains_subexpr(ix, needle)),
-        Expr::Un(_, a) => contains_subexpr(a, needle),
-        Expr::Bin(_, a, b) => contains_subexpr(a, needle) || contains_subexpr(b, needle),
-        Expr::Quant { set, body, .. } => {
-            contains_subexpr(set, needle) || contains_subexpr(body, needle)
-        }
-        Expr::Call { args, .. } => args.iter().any(|a| contains_subexpr(a, needle)),
-    }
-}
-
-fn expr_size(e: &Expr) -> usize {
-    let mut n = 1;
-    match e {
-        Expr::Lit(_) | Expr::Ref(_) => {}
-        Expr::Indexed { indices, .. } => n += indices.iter().map(expr_size).sum::<usize>(),
-        Expr::Un(_, a) => n += expr_size(a),
-        Expr::Bin(_, a, b) => n += expr_size(a) + expr_size(b),
-        Expr::Quant { set, body, .. } => n += expr_size(set) + expr_size(body),
-        Expr::Call { args, .. } => n += args.iter().map(expr_size).sum::<usize>(),
-    }
-    n
-}
-
 // ---------------------------------------------------------------------------
 // working state: the program plus its step-weight ledger
 
@@ -268,7 +239,9 @@ fn justify(
             let bi = base_index(prog, base)?;
             let rb = &prog.rulebases[bi];
             let r = rb.rules.get(*rule).ok_or_else(|| format!("`{base}` has no rule {rule}"))?;
-            if !contains_subexpr(&r.premise, atom) {
+            let mut occurs = false;
+            walk_expr(&r.premise, &mut |x| occurs |= x == atom);
+            if !occurs {
                 return Err(format!("atom does not occur in `{base}` rule {rule}"));
             }
             let env = base_env(prog, bi, &opts.topo, facts);
@@ -670,8 +643,13 @@ fn find_swap(
     for (bi, rb) in prog.rulebases.iter().enumerate() {
         let env = base_env(prog, bi, &opts.topo, facts);
         let prems = &compiled.bases[bi].premises;
+        let size = |r: usize| {
+            let mut n = 0;
+            walk_expr(&rb.rules[r].premise, &mut |_| n += 1);
+            n
+        };
         for r in 0..rb.rules.len().saturating_sub(1) {
-            if expr_size(&rb.rules[r].premise) <= expr_size(&rb.rules[r + 1].premise) {
+            if size(r) <= size(r + 1) {
                 continue;
             }
             if !absint::sat_all(prog, &env, &[(&prems[r], true), (&prems[r + 1], true)]) {

@@ -3,7 +3,11 @@
 //! The parser produces this representation directly (names resolved against
 //! the declarations, expressions typed bottom-up), so everything downstream
 //! — the reference evaluator, the ARON compiler, the cost model — works on
-//! indices instead of strings.
+//! indices instead of strings. What every pass asks of the syntax is
+//! stated here once: what an expression reads ([`reads`]), what a
+//! conclusion assigns ([`assigns`]), a subject's domain
+//! ([`Program::subject_domain`]) and a constant's value
+//! ([`Program::const_value`]).
 
 use crate::error::Pos;
 use crate::value::{low_mask, Domain, Type, Value};
@@ -524,6 +528,48 @@ impl Program {
             other => other.to_string(),
         }
     }
+
+    /// The domain of a scalar subject `e` of rule base `rb`, when it is
+    /// simple enough to wire straight into a table index: a read of a
+    /// scalar register, input or parameter, plain or indexed.
+    pub fn subject_domain(&self, rb: &RuleBase, e: &Expr) -> Option<Domain> {
+        let elem = match e {
+            Expr::Ref(Ref::Param(i)) => return rb.params.get(*i).map(|p| p.dom),
+            Expr::Ref(Ref::Var(i)) | Expr::Indexed { target: IndexedRef::Var(i), .. } => {
+                self.vars[*i].elem
+            }
+            Expr::Ref(Ref::Input(i)) | Expr::Indexed { target: IndexedRef::Input(i), .. } => {
+                self.inputs[*i].elem
+            }
+            _ => return None,
+        };
+        match elem {
+            Type::Scalar(d) => Some(d),
+            Type::Set(_) => None,
+        }
+    }
+
+    /// The value of a constant expression (`d - 1`): a literal, a named
+    /// constant, and unary minus and `+ - *` over constant integers, every
+    /// operation checked. `None` for anything else, and on overflow.
+    pub fn const_value(&self, e: &Expr) -> Option<Value> {
+        let int = |e: &Expr| match self.const_value(e)? {
+            Value::Int(v) => Some(v),
+            _ => None,
+        };
+        Some(match e {
+            Expr::Lit(v) => *v,
+            Expr::Ref(Ref::Const(c)) => self.consts[*c].value,
+            Expr::Un(UnOp::Neg, x) => Value::Int(int(x)?.checked_neg()?),
+            Expr::Bin(op, l, r) => Value::Int(match op {
+                BinOp::Add => int(l)?.checked_add(int(r)?),
+                BinOp::Sub => int(l)?.checked_sub(int(r)?),
+                BinOp::Mul => int(l)?.checked_mul(int(r)?),
+                _ => None,
+            }?),
+            _ => return None,
+        })
+    }
 }
 
 /// Applies `f` to every expression reachable from `cmds`: assignment
@@ -576,5 +622,95 @@ pub fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
                 walk_expr(a, f);
             }
         }
+    }
+}
+
+/// Calls `f` with every register and input `e` reads, as `Ref::Var` or
+/// `Ref::Input`, once per read: plain and indexed reads, through index
+/// expressions, quantified sets and bodies and builtin arguments, and the
+/// input of `argmin`/`argmax`.
+pub fn reads(e: &Expr, f: &mut impl FnMut(Ref)) {
+    walk_expr(e, &mut |x| read_of(x, f));
+}
+
+/// [`reads`] over every expression of `cmds`, as [`walk_cmds`] reaches
+/// them; not the registers they assign, which [`assigns`] reports.
+pub fn reads_cmds(cmds: &[Command], f: &mut impl FnMut(Ref)) {
+    walk_cmds(cmds, &mut |x| read_of(x, f));
+}
+
+fn read_of(e: &Expr, f: &mut impl FnMut(Ref)) {
+    match e {
+        Expr::Ref(r @ (Ref::Var(_) | Ref::Input(_))) => f(*r),
+        Expr::Indexed { target: IndexedRef::Var(v), .. } => f(Ref::Var(*v)),
+        Expr::Indexed { target: IndexedRef::Input(i), .. }
+        | Expr::Call { builtin: Builtin::ArgMin(i) | Builtin::ArgMax(i), .. } => f(Ref::Input(*i)),
+        _ => {}
+    }
+}
+
+/// Calls `f` with the register and the value of every `Assign` among
+/// `cmds`, through `FORALL` bodies.
+pub fn assigns<'a>(cmds: &'a [Command], f: &mut impl FnMut(usize, &'a Expr)) {
+    for cmd in cmds {
+        match cmd {
+            Command::Assign { var, value, .. } => f(*var, value),
+            Command::ForAll { body, .. } => assigns(body, f),
+            Command::Return(_) | Command::Emit { .. } => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse;
+
+    #[test]
+    fn queries_reach_every_read_write_and_constant() {
+        let prog = parse(
+            "CONSTANT d = 4\n\
+             CONSTANT dims = 0 TO d - 1\n\
+             VARIABLE mark[dims] IN bool\n\
+             VARIABLE k IN dims INIT 0\n\
+             VARIABLE n IN 0 TO 9 INIT 0\n\
+             INPUT out_queue[dims] IN 0 TO 255\n\
+             INPUT at IN dims\n\
+             INPUT ok[dims] IN bool\n\
+             INPUT cands IN SETOF dims\n\
+             ON go() RETURNS dims\n\
+               IF mark(at) AND EXISTS x IN cands: ok(x)\n\
+                 THEN FORALL y IN cands: k <- y, !tell(n), RETURN(argmin(out_queue, cands));\n\
+             END go;",
+        )
+        .unwrap();
+        let rule = &prog.rulebases[0].rules[0];
+        let (mut premise, mut conclusion, mut written) = (vec![], vec![], vec![]);
+        reads(&rule.premise, &mut |r| premise.push(r));
+        reads_cmds(&rule.conclusion, &mut |r| conclusion.push(r));
+        assigns(&rule.conclusion, &mut |v, value| written.push((v, value.clone())));
+        // the index of `mark(at)`, then the set and the body of the quantifier
+        assert_eq!(premise, [Ref::Var(0), Ref::Input(1), Ref::Input(3), Ref::Input(2)]);
+        // the FORALL set, the `Emit` argument, `argmin`'s input and its set
+        assert_eq!(conclusion, [Ref::Input(3), Ref::Var(2), Ref::Input(0), Ref::Input(3)]);
+        assert_eq!(written, [(1, Expr::Ref(Ref::Bound(0)))]);
+
+        let (int, d) = (|v| Box::new(Expr::Lit(Value::Int(v))), Box::new(Expr::Ref(Ref::Const(0))));
+        assert_eq!(prog.const_value(&Expr::Bin(BinOp::Sub, d, int(1))), Some(Value::Int(3)));
+        for overflow in [
+            Expr::Bin(BinOp::Add, int(i64::MAX), int(1)),
+            Expr::Bin(BinOp::Mul, int(i64::MIN), int(-1)),
+            Expr::Un(UnOp::Neg, int(i64::MIN)),
+        ] {
+            assert_eq!(prog.const_value(&overflow), None, "{overflow:?}");
+        }
+
+        let rb = &prog.rulebases[0];
+        assert_eq!(
+            prog.subject_domain(rb, &Expr::Ref(Ref::Input(1))),
+            Some(Domain::Int { lo: 0, hi: 3 })
+        );
+        assert_eq!(prog.subject_domain(rb, &Expr::Ref(Ref::Input(3))), None);
+        assert_eq!(prog.subject_domain(rb, &Expr::Ref(Ref::Param(0))), None);
     }
 }

@@ -311,24 +311,6 @@ pub fn expand_quantifiers(prog: &Program, e: &Expr) -> Result<Expr> {
     })
 }
 
-/// True if the expression reads anything dynamic (register, input,
-/// parameter, binder) — such expressions cannot be folded at compile time.
-fn contains_dynamic_ref(e: &Expr) -> bool {
-    match e {
-        Expr::Lit(_) => false,
-        Expr::Ref(Ref::Const(_)) => false,
-        Expr::Ref(_) => true,
-        Expr::Indexed { .. } => true,
-        Expr::Un(_, inner) => contains_dynamic_ref(inner),
-        Expr::Bin(_, l, r) => contains_dynamic_ref(l) || contains_dynamic_ref(r),
-        Expr::Quant { set, body, .. } => contains_dynamic_ref(set) || contains_dynamic_ref(body),
-        Expr::Call { builtin, args } => {
-            matches!(builtin, Builtin::ArgMin(_) | Builtin::ArgMax(_))
-                || args.iter().any(contains_dynamic_ref)
-        }
-    }
-}
-
 /// Folds constant subexpressions (quantifier expansion leaves many
 /// `Lit IN Lit-set` guards behind; without folding each would become a
 /// spurious predicate feature and double the table).
@@ -349,7 +331,17 @@ pub fn fold_consts(prog: &Program, e: &Expr) -> Result<Expr> {
         }
         other => other.clone(),
     };
-    if contains_dynamic_ref(&folded) {
+    // a read of a register, an input, a parameter or a binder cannot fold
+    let mut dynamic = false;
+    walk_expr(&folded, &mut |x| {
+        dynamic |= matches!(
+            x,
+            Expr::Ref(Ref::Var(_) | Ref::Input(_) | Ref::Param(_) | Ref::Bound(_))
+                | Expr::Indexed { .. }
+                | Expr::Call { builtin: Builtin::ArgMin(_) | Builtin::ArgMax(_), .. }
+        )
+    });
+    if dynamic {
         // boolean simplifications with constant halves
         if let Expr::Bin(op @ (BinOp::And | BinOp::Or), l, r) = &folded {
             let (konst, dynamic) = match (&**l, &**r) {
@@ -378,33 +370,6 @@ pub fn fold_consts(prog: &Program, e: &Expr) -> Result<Expr> {
             Err(RuleError::eval(format!("in a constant expression: {msg}")))
         }
         Err(other) => Err(other),
-    }
-}
-
-/// Domain of a scalar subject expression, when it is simple enough to wire
-/// directly into the table index (references and indexed reads).
-fn subject_domain(prog: &Program, rb: &RuleBase, e: &Expr) -> Option<Domain> {
-    match e {
-        Expr::Ref(Ref::Var(i)) => match prog.vars[*i].elem {
-            crate::value::Type::Scalar(d) => Some(d),
-            _ => None,
-        },
-        Expr::Ref(Ref::Input(i)) => match prog.inputs[*i].elem {
-            crate::value::Type::Scalar(d) => Some(d),
-            _ => None,
-        },
-        Expr::Ref(Ref::Param(i)) => Some(rb.params[*i].dom),
-        Expr::Indexed { target, .. } => match target {
-            IndexedRef::Var(i) => match prog.vars[*i].elem {
-                crate::value::Type::Scalar(d) => Some(d),
-                _ => None,
-            },
-            IndexedRef::Input(i) => match prog.inputs[*i].elem {
-                crate::value::Type::Scalar(d) => Some(d),
-                _ => None,
-            },
-        },
-        _ => None,
     }
 }
 
@@ -446,7 +411,7 @@ fn classify_atom(
                 _ => (&**l, None),
             };
             if let Some(lit) = lit {
-                if let Some(d) = subject_domain(prog, rb, subj) {
+                if let Some(d) = prog.subject_domain(rb, subj) {
                     if is_directable(d) {
                         let f = fs.direct(prog, subj.clone(), d);
                         return (f, AtomTest::EqLit(lit));
@@ -458,7 +423,7 @@ fn classify_atom(
         // subject IN literal-set
         Expr::Bin(BinOp::In, l, r) => {
             if let Expr::Lit(Value::Set { dom, mask }) = &**r {
-                if let Some(d) = subject_domain(prog, rb, l) {
+                if let Some(d) = prog.subject_domain(rb, l) {
                     if is_directable(d) {
                         let f = fs.direct(prog, (**l).clone(), d);
                         return (f, AtomTest::InLit(*dom, *mask));
@@ -469,7 +434,7 @@ fn classify_atom(
         }
         // bare boolean subject
         other => {
-            if let Some(d) = subject_domain(prog, rb, other) {
+            if let Some(d) = prog.subject_domain(rb, other) {
                 if d == Domain::Bool {
                     let f = fs.direct(prog, other.clone(), d);
                     return (f, AtomTest::BoolDirect);

@@ -13,7 +13,7 @@
 //! immediate return field. EXPERIMENTS.md compares these against the
 //! paper's numbers per rule base.
 
-use crate::ast::{Command, Expr, Program, Ref, RuleBase};
+use crate::ast::{assigns, reads, reads_cmds, Program, Ref};
 use crate::compile::{compile, CompileOptions};
 use crate::error::Result;
 use crate::fcfb::{inventory, FcfbInventory};
@@ -133,58 +133,6 @@ impl ProgramCost {
     }
 }
 
-fn expr_reads_var(e: &Expr, var: usize) -> bool {
-    match e {
-        Expr::Ref(Ref::Var(i)) => *i == var,
-        Expr::Indexed { target, indices } => {
-            matches!(target, crate::ast::IndexedRef::Var(i) if *i == var)
-                || indices.iter().any(|x| expr_reads_var(x, var))
-        }
-        Expr::Lit(_) | Expr::Ref(_) => false,
-        Expr::Un(_, inner) => expr_reads_var(inner, var),
-        Expr::Bin(_, l, r) => expr_reads_var(l, var) || expr_reads_var(r, var),
-        Expr::Quant { set, body, .. } => expr_reads_var(set, var) || expr_reads_var(body, var),
-        Expr::Call { args, .. } => args.iter().any(|a| expr_reads_var(a, var)),
-    }
-}
-
-fn command_touches_var(c: &Command, var: usize) -> (bool, bool) {
-    // (reads, writes)
-    match c {
-        Command::Assign { var: v, indices, value } => {
-            let reads =
-                indices.iter().any(|i| expr_reads_var(i, var)) || expr_reads_var(value, var);
-            (reads, *v == var)
-        }
-        Command::Return(e) => (expr_reads_var(e, var), false),
-        Command::Emit { args, .. } => (args.iter().any(|a| expr_reads_var(a, var)), false),
-        Command::ForAll { set, body, .. } => {
-            let mut reads = expr_reads_var(set, var);
-            let mut writes = false;
-            for b in body {
-                let (r, w) = command_touches_var(b, var);
-                reads |= r;
-                writes |= w;
-            }
-            (reads, writes)
-        }
-    }
-}
-
-fn rulebase_touches_var(rb: &RuleBase, var: usize) -> (bool, bool) {
-    let mut reads = false;
-    let mut writes = false;
-    for rule in &rb.rules {
-        reads |= expr_reads_var(&rule.premise, var);
-        for c in &rule.conclusion {
-            let (r, w) = command_touches_var(c, var);
-            reads |= r;
-            writes |= w;
-        }
-    }
-    (reads, writes)
-}
-
 /// Analyses a program: compiles every rule base and derives the full cost
 /// report.
 pub fn analyze(prog: &Program, opts: &CompileOptions) -> Result<ProgramCost> {
@@ -218,7 +166,13 @@ pub fn analyze_compiled(compiled: &CompiledProgram) -> ProgramCost {
         let mut readers = Vec::new();
         let mut nft_touch = false;
         for rb in &prog.rulebases {
-            let (r, w) = rulebase_touches_var(rb, vi);
+            let (mut r, mut w) = (false, false);
+            for rule in &rb.rules {
+                let mut note = |x| r |= x == Ref::Var(vi);
+                reads(&rule.premise, &mut note);
+                reads_cmds(&rule.conclusion, &mut note);
+                assigns(&rule.conclusion, &mut |v, _| w |= v == vi);
+            }
             if w {
                 writers.push(rb.name.clone());
             }

@@ -510,6 +510,12 @@ impl<T: Elem> Port<T> {
         self.input as usize
     }
 
+    /// The element domain the input declares, which each write is checked
+    /// against.
+    pub fn dom(&self) -> Domain {
+        self.dom
+    }
+
     /// Writes `v` at index `k` (0 for a scalar) of a map laid out for the
     /// port's program.
     ///

@@ -104,54 +104,18 @@ fn note(kind: FcfbKind, e: &Expr, seen: &mut Vec<(FcfbKind, Expr)>) {
     }
 }
 
-/// The value of a constant integer expression (`d - 1`): hardware wires
-/// it in, so it needs no block and compares as a literal.
-fn const_int(prog: &Program, e: &Expr) -> Option<i64> {
-    match e {
-        Expr::Lit(Value::Int(v)) => Some(*v),
-        Expr::Ref(Ref::Const(i)) => prog.consts[*i].value.as_int().ok(),
-        Expr::Un(UnOp::Neg, x) => const_int(prog, x)?.checked_neg(),
-        Expr::Bin(BinOp::Add, l, r) => const_int(prog, l)?.checked_add(const_int(prog, r)?),
-        Expr::Bin(BinOp::Sub, l, r) => const_int(prog, l)?.checked_sub(const_int(prog, r)?),
-        _ => None,
-    }
-}
-
+/// A constant integer expression (`d - 1`): hardware wires it in, so it
+/// needs no block and compares as a literal.
 fn is_int_lit(prog: &Program, e: &Expr) -> bool {
-    const_int(prog, e).is_some()
+    matches!(prog.const_value(e), Some(Value::Int(_)))
 }
 
 fn is_zero_lit(prog: &Program, e: &Expr) -> bool {
-    const_int(prog, e) == Some(0)
+    prog.const_value(e) == Some(Value::Int(0))
 }
 
 fn is_sym_or_bool_subject(prog: &Program, rb: &RuleBase, e: &Expr) -> bool {
-    scalar_domain(prog, rb, e).map(|d| matches!(d, Domain::Sym(_) | Domain::Bool)).unwrap_or(false)
-}
-
-fn scalar_domain(prog: &Program, rb: &RuleBase, e: &Expr) -> Option<Domain> {
-    match e {
-        Expr::Ref(Ref::Var(i)) => match prog.vars[*i].elem {
-            crate::value::Type::Scalar(d) => Some(d),
-            _ => None,
-        },
-        Expr::Ref(Ref::Input(i)) => match prog.inputs[*i].elem {
-            crate::value::Type::Scalar(d) => Some(d),
-            _ => None,
-        },
-        Expr::Ref(Ref::Param(i)) => rb.params.get(*i).map(|p| p.dom),
-        Expr::Indexed { target, .. } => match target {
-            IndexedRef::Var(i) => match prog.vars[*i].elem {
-                crate::value::Type::Scalar(d) => Some(d),
-                _ => None,
-            },
-            IndexedRef::Input(i) => match prog.inputs[*i].elem {
-                crate::value::Type::Scalar(d) => Some(d),
-                _ => None,
-            },
-        },
-        _ => None,
-    }
+    matches!(prog.subject_domain(rb, e), Some(Domain::Sym(_) | Domain::Bool))
 }
 
 fn walk_expr(prog: &Program, rb: &RuleBase, e: &Expr, seen: &mut Vec<(FcfbKind, Expr)>) {

@@ -628,13 +628,12 @@ impl Parser {
             let (r, rt) = self.mul_expr()?;
             let (llo, lhi) = self.require_int(t)?;
             let (rlo, rhi) = self.require_int(rt)?;
-            let dom = match op {
-                BinOp::Add => Domain::Int { lo: llo + rlo, hi: lhi + rhi },
-                BinOp::Sub => Domain::Int { lo: llo - rhi, hi: lhi - rlo },
+            t = match op {
+                BinOp::Add => int_range(llo.checked_add(rlo), lhi.checked_add(rhi))?,
+                BinOp::Sub => int_range(llo.checked_sub(rhi), lhi.checked_sub(rlo))?,
                 _ => unreachable!(),
             };
             e = Expr::Bin(op, Box::new(e), Box::new(r));
-            t = Type::Scalar(dom);
         }
         Ok((e, t))
     }
@@ -645,11 +644,12 @@ impl Parser {
             let (r, rt) = self.unary_expr()?;
             let (llo, lhi) = self.require_int(t)?;
             let (rlo, rhi) = self.require_int(rt)?;
-            let cands = [llo * rlo, llo * rhi, lhi * rlo, lhi * rhi];
-            let dom =
-                Domain::Int { lo: *cands.iter().min().unwrap(), hi: *cands.iter().max().unwrap() };
+            let cands =
+                [(llo, rlo), (llo, rhi), (lhi, rlo), (lhi, rhi)].map(|(a, b)| a.checked_mul(b));
+            let lo = cands.iter().try_fold(i64::MAX, |m, c| Some(m.min((*c)?)));
+            let hi = cands.iter().try_fold(i64::MIN, |m, c| Some(m.max((*c)?)));
+            t = int_range(lo, hi)?;
             e = Expr::Bin(BinOp::Mul, Box::new(e), Box::new(r));
-            t = Type::Scalar(dom);
         }
         Ok((e, t))
     }
@@ -658,7 +658,7 @@ impl Parser {
         if self.eat(&Tok::Minus) {
             let (e, t) = self.unary_expr()?;
             let (lo, hi) = self.require_int(t)?;
-            Ok((Expr::Un(UnOp::Neg, Box::new(e)), Type::Scalar(Domain::Int { lo: -hi, hi: -lo })))
+            Ok((Expr::Un(UnOp::Neg, Box::new(e)), int_range(hi.checked_neg(), lo.checked_neg())?))
         } else {
             self.atom()
         }
@@ -925,8 +925,8 @@ impl Parser {
             Builtin::AbsDiff => {
                 let (alo, ahi) = self.require_int(args[0].1)?;
                 let (blo, bhi) = self.require_int(args[1].1)?;
-                let hi = (ahi - blo).max(bhi - alo).max(0);
-                Type::Scalar(Domain::Int { lo: 0, hi })
+                let hi = ahi.checked_sub(blo).zip(bhi.checked_sub(alo));
+                int_range(Some(0), hi.map(|(a, b)| a.max(b).max(0)))?
             }
             Builtin::Xor => {
                 let (alo, ahi) = self.require_int(args[0].1)?;
@@ -935,7 +935,7 @@ impl Parser {
                     return Err(RuleError::resolve("xor needs non-negative ranges".to_string()));
                 }
                 let bits = 64 - (ahi.max(bhi).max(1) as u64).leading_zeros();
-                Type::Scalar(Domain::Int { lo: 0, hi: (1i64 << bits) - 1 })
+                Type::Scalar(Domain::Int { lo: 0, hi: (u64::MAX >> (64 - bits)) as i64 })
             }
             Builtin::Popcount => {
                 let (alo, _ahi) = self.require_int(args[0].1)?;
@@ -996,29 +996,28 @@ impl Parser {
         Ok((Expr::Call { builtin: b, args: args.into_iter().map(|(e, _)| e).collect() }, ty))
     }
 
-    /// Constant folding for INIT values and set literals.
+    /// Constant folding for INIT values and set literals:
+    /// [`Program::const_value`], or why not.
     fn const_eval(&self, e: &Expr) -> Result<Value> {
-        match e {
-            Expr::Lit(v) => Ok(*v),
-            Expr::Ref(Ref::Const(i)) => Ok(self.prog.consts[*i].value),
-            Expr::Un(UnOp::Neg, inner) => Ok(Value::Int(-self.const_eval(inner)?.as_int()?)),
-            Expr::Bin(op, l, r) => {
-                let lv = self.const_eval(l)?.as_int()?;
-                let rv = self.const_eval(r)?.as_int()?;
-                let v = match op {
-                    BinOp::Add => lv + rv,
-                    BinOp::Sub => lv - rv,
-                    BinOp::Mul => lv * rv,
-                    _ => {
-                        return Err(RuleError::resolve(
-                            "non-arithmetic operator in constant expression".to_string(),
-                        ))
-                    }
-                };
-                Ok(Value::Int(v))
-            }
-            _ => Err(RuleError::resolve("expression is not constant".to_string())),
-        }
+        self.prog.const_value(e).ok_or_else(|| {
+            let mut why = "constant expression overflows";
+            walk_expr(e, &mut |x| match x {
+                Expr::Lit(_) | Expr::Ref(Ref::Const(_)) | Expr::Un(UnOp::Neg, _) => {}
+                Expr::Bin(BinOp::Add | BinOp::Sub | BinOp::Mul, ..) => {}
+                Expr::Bin(..) => why = "non-arithmetic operator in constant expression",
+                _ => why = "expression is not constant",
+            });
+            RuleError::resolve(why.to_string())
+        })
+    }
+}
+
+/// The integer type `lo TO hi` of an expression, or a resolve error when
+/// a bound overflowed.
+fn int_range(lo: Option<i64>, hi: Option<i64>) -> Result<Type> {
+    match (lo, hi) {
+        (Some(lo), Some(hi)) => Ok(Type::Scalar(Domain::Int { lo, hi })),
+        _ => Err(RuleError::resolve("integer range overflows".to_string())),
     }
 }
 
@@ -1046,6 +1045,28 @@ fn builtin_by_name(name: &str) -> Option<Builtin> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overflowing_ranges_and_constants_are_resolve_errors() {
+        for src in [
+            "VARIABLE x IN 0 TO 3 INIT 9223372036854775807 + 1",
+            "VARIABLE x IN 0 TO 3 INIT 4611686018427387904 * 4",
+            "VARIABLE s IN SETOF 0 TO 3 INIT {9223372036854775807 + 1}",
+            "VARIABLE x IN 0 TO 3 INIT -(-9223372036854775807 - 1)",
+            "INPUT a IN 0 TO 9223372036854775806\nINPUT b IN -2 TO 0\n\
+             ON f() RETURNS 0 TO 1\n IF absdiff(a, b) > 0 THEN RETURN(1);\nEND f;",
+        ] {
+            let err = parse(src).expect_err(src);
+            assert!(matches!(err, RuleError::Resolve { .. }), "{src}: {err}");
+            assert!(err.to_string().contains("overflows"), "{src}: {err}");
+        }
+        // a domain as wide as `i64` counts its elements without overflow,
+        // and `xor`'s bound reaches `i64::MAX` without passing it
+        let wide = "INPUT a IN 0 TO 9223372036854775807\n\
+                    VARIABLE v[-9223372036854775807 - 1 TO 9223372036854775807] IN bool\n\
+                    ON f() RETURNS 0 TO 1\n IF xor(a, a) > 0 THEN RETURN(1);\nEND f;";
+        parse(wide).unwrap();
+    }
 
     #[test]
     fn parses_minimal_program() {

@@ -29,10 +29,11 @@ pub enum Domain {
 impl Domain {
     /// Number of elements, given the size of each symbol type (needed for
     /// [`Domain::Sym`]; [`crate::ast::Program::sym_sizes`] has them).
+    /// `u64::MAX` for the one range wider, all of `i64`.
     #[inline]
     pub fn size(&self, sym_sizes: &[usize]) -> u64 {
         match *self {
-            Domain::Int { lo, hi } => (hi - lo + 1) as u64,
+            Domain::Int { lo, hi } => (hi.wrapping_sub(lo) as u64).saturating_add(1),
             Domain::Sym(t) => sym_sizes[t] as u64,
             Domain::Bool => 2,
         }
@@ -48,7 +49,7 @@ impl Domain {
     #[inline]
     pub fn value_at(&self, k: u64) -> Value {
         match *self {
-            Domain::Int { lo, .. } => Value::Int(lo + k as i64),
+            Domain::Int { lo, .. } => Value::Int(lo.wrapping_add(k as i64)),
             Domain::Sym(t) => Value::Sym { ty: t, idx: k as u32 },
             Domain::Bool => Value::Bool(k != 0),
         }
@@ -70,7 +71,7 @@ impl Domain {
     pub fn ordinal(&self, v: &Value, sym_sizes: &[usize]) -> Option<u64> {
         match (*self, v) {
             (Domain::Int { lo, hi }, Value::Int(x)) if (lo..=hi).contains(x) => {
-                Some((x - lo) as u64)
+                Some(x.wrapping_sub(lo) as u64)
             }
             (Domain::Sym(t), Value::Sym { ty, idx }) if *ty == t => {
                 ((*idx as usize) < sym_sizes[t]).then_some(*idx as u64)
@@ -222,6 +223,16 @@ mod tests {
 
     const NO_SYMS: &[usize] = &[];
     const SYMS: &[usize] = &[5, 3];
+
+    #[test]
+    fn a_range_as_wide_as_i64_counts_and_orders_without_overflow() {
+        let all = Domain::Int { lo: i64::MIN, hi: i64::MAX };
+        assert_eq!(all.size(NO_SYMS), u64::MAX);
+        assert_eq!(all.ordinal(&Value::Int(i64::MAX), NO_SYMS), Some(u64::MAX));
+        assert_eq!(all.value_at(u64::MAX), Value::Int(i64::MAX));
+        let upper = Domain::Int { lo: 0, hi: i64::MAX };
+        assert_eq!(upper.size(NO_SYMS), 1 << 63);
+    }
 
     #[test]
     fn int_domain_ordinals_roundtrip() {
